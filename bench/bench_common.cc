@@ -5,24 +5,28 @@
 
 namespace bgpolicy::bench {
 
-const core::Pipeline& pipeline() {
-  static const std::unique_ptr<core::Pipeline> instance = [] {
+const core::Experiment& experiment() {
+  static const std::unique_ptr<core::Experiment> instance = [] {
     std::cout << "[bench] simulating the internet2002 scenario "
                  "(topology + policies + propagation + inference)...\n";
     const auto start = std::chrono::steady_clock::now();
-    auto pipe = std::make_unique<core::Pipeline>(
-        core::run_pipeline(core::Scenario::internet2002()));
+    core::RunOptions options;
+    options.until = core::Stage::kInfer;
+    auto exp = std::make_unique<core::Experiment>(
+        core::Scenario::internet2002(), options);
+    exp->run();
     const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - start);
-    std::cout << "[bench] " << pipe->topo.graph.as_count() << " ASs, "
-              << pipe->originations.size() << " prefixes, "
-              << pipe->sim.collector.route_count()
+    const core::GroundTruth& truth = exp->truth();
+    std::cout << "[bench] " << truth.topo.graph.as_count() << " ASs, "
+              << truth.originations.size() << " prefixes, "
+              << exp->sim().sim.collector.route_count()
               << " collector routes; inference accuracy vs truth "
-              << util::fmt(
-                     100.0 * pipe->inferred.accuracy_against(pipe->topo.graph),
-                     2)
+              << util::fmt(100.0 * exp->inference().inferred.accuracy_against(
+                                       truth.topo.graph),
+                           2)
               << "%; built in " << elapsed.count() << " ms\n\n";
-    return pipe;
+    return exp;
   }();
   return *instance;
 }

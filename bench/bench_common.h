@@ -10,13 +10,14 @@
 #include <iostream>
 #include <string>
 
-#include "core/pipeline.h"
+#include "core/experiment.h"
 #include "util/text_table.h"
 
 namespace bgpolicy::bench {
 
-/// Builds (once per process) the canonical pipeline all benches analyze.
-const core::Pipeline& pipeline();
+/// Builds (once per process) the canonical experiment, run through Infer,
+/// that all benches analyze; its analysis view is `experiment().view()`.
+const core::Experiment& experiment();
 
 /// Prints the standard bench banner.
 void banner(const std::string& experiment, const std::string& paper_claim);

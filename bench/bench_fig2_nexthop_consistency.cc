@@ -7,7 +7,7 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
   bench::banner("Fig. 2 — local preference keyed on next-hop AS",
                 "(a) most of 14 ASs near 100%; (b) most of AT&T's 30 "
                 "routers near 100%, a few lower");
@@ -15,9 +15,9 @@ int main() {
   // (a) Per-vantage consistency.
   util::TextTable per_as({"AS", "routes", "% next-hop keyed"});
   std::size_t high = 0;
-  for (const auto vantage : pipe.vantage.looking_glass) {
-    const auto result =
-        core::analyze_nexthop_consistency(pipe.sim.looking_glass.at(vantage));
+  for (const auto vantage : exp.sim().vantage.looking_glass) {
+    const auto result = core::analyze_nexthop_consistency(
+        exp.sim().sim.looking_glass.at(vantage));
     per_as.add_row({util::to_string(vantage),
                     std::to_string(result.total_routes),
                     util::fmt(result.percent_consistent, 1)});
@@ -25,7 +25,7 @@ int main() {
   }
   std::cout << per_as.render("Fig. 2(a): per-AS consistency") << "\n";
   std::cout << "Shape check: " << high << "/"
-            << pipe.vantage.looking_glass.size()
+            << exp.sim().vantage.looking_glass.size()
             << " vantages above 90% (paper: most of 14 near 100%)\n\n";
 
   // (b) Per-router consistency inside AS7018 (the AT&T substitute).
@@ -33,7 +33,7 @@ int main() {
   sim::RouterPartitionParams params;
   params.router_count = 30;
   const auto views =
-      sim::partition_routers(pipe.sim.looking_glass.at(att), params);
+      sim::partition_routers(exp.sim().sim.looking_glass.at(att), params);
   util::TextTable per_router({"router", "routes", "% next-hop keyed"});
   std::size_t populated = 0;
   std::size_t router_high = 0;

@@ -36,7 +36,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
+  const core::GroundTruth& truth = exp.truth();
   bench::banner("Fig. 6 — persistence of SA prefixes at AS1",
                 "SA prefixes are consistently present: a stable band far "
                 "below the total, over 31 days and over one day");
@@ -44,20 +46,20 @@ int main() {
   const util::AsNumber watch{1};
   const auto daily_params = [&](bool incremental) {
     sim::ChurnParams churn_params;
-    churn_params.propagation = pipe.scenario.propagation;
+    churn_params.propagation = exp.scenario().propagation;
     churn_params.seed = 31;
     churn_params.flip_fraction = 0.006;
     churn_params.incremental = incremental;
     return churn_params;
   };
   const auto run_daily = [&](bool incremental, double& seconds) {
-    sim::ChurnSimulator churn(pipe.topo.graph, pipe.gen.policies,
-                              pipe.originations, pipe.gen.truth, {watch},
+    sim::ChurnSimulator churn(truth.topo.graph, truth.gen.policies,
+                              truth.originations, truth.gen.truth, {watch},
                               daily_params(incremental));
     const auto start = std::chrono::steady_clock::now();
     auto study = core::run_persistence_study(
-        churn, watch, pipe.inferred_graph, pipe.inferred_oracle(), 31,
-        pipe.scenario.propagation.threads);
+        churn, watch, *view.inferred_graph, view.inferred_oracle(), 31,
+        exp.scenario().propagation.threads);
     seconds = seconds_since(start);
     return study;
   };
@@ -85,15 +87,15 @@ int main() {
   // (b) 12 intra-day steps with much lower churn.
   {
     sim::ChurnParams churn_params;
-    churn_params.propagation = pipe.scenario.propagation;
+    churn_params.propagation = exp.scenario().propagation;
     churn_params.seed = 15;
     churn_params.flip_fraction = 0.002;
-    sim::ChurnSimulator churn(pipe.topo.graph, pipe.gen.policies,
-                              pipe.originations, pipe.gen.truth, {watch},
+    sim::ChurnSimulator churn(truth.topo.graph, truth.gen.policies,
+                              truth.originations, truth.gen.truth, {watch},
                               churn_params);
     const auto inner = core::run_persistence_study(
-        churn, watch, pipe.inferred_graph, pipe.inferred_oracle(), 12,
-        pipe.scenario.propagation.threads);
+        churn, watch, *view.inferred_graph, view.inferred_oracle(), 12,
+        exp.scenario().propagation.threads);
     std::cout << "Fig. 6(b): intra-day snapshots, March 15 equivalent\n";
     print_series(inner, "interval");
   }

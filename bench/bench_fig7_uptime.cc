@@ -25,7 +25,9 @@ void print_histogram(const bgpolicy::core::PersistenceStudy& study,
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
+  const core::GroundTruth& truth = exp.truth();
   bench::banner("Fig. 7 — SA-prefix uptime at AS1",
                 "about one sixth of SA prefixes shift to non-SA over a "
                 "month; almost all are stable within one day");
@@ -34,15 +36,15 @@ int main() {
 
   {
     sim::ChurnParams churn_params;
-    churn_params.propagation = pipe.scenario.propagation;
+    churn_params.propagation = exp.scenario().propagation;
     churn_params.seed = 7;
     churn_params.flip_fraction = 0.006;
-    sim::ChurnSimulator churn(pipe.topo.graph, pipe.gen.policies,
-                              pipe.originations, pipe.gen.truth, {watch},
+    sim::ChurnSimulator churn(truth.topo.graph, truth.gen.policies,
+                              truth.originations, truth.gen.truth, {watch},
                               churn_params);
     const auto study = core::run_persistence_study(
-        churn, watch, pipe.inferred_graph, pipe.inferred_oracle(), 31,
-        pipe.scenario.propagation.threads);
+        churn, watch, *view.inferred_graph, view.inferred_oracle(), 31,
+        exp.scenario().propagation.threads);
     std::cout << "Fig. 7(a): month-scale churn\n";
     print_histogram(study, "days");
     std::cout << "Shape check (a): shifted share "
@@ -51,15 +53,15 @@ int main() {
   }
   {
     sim::ChurnParams churn_params;
-    churn_params.propagation = pipe.scenario.propagation;
+    churn_params.propagation = exp.scenario().propagation;
     churn_params.seed = 8;
     churn_params.flip_fraction = 0.002;
-    sim::ChurnSimulator churn(pipe.topo.graph, pipe.gen.policies,
-                              pipe.originations, pipe.gen.truth, {watch},
+    sim::ChurnSimulator churn(truth.topo.graph, truth.gen.policies,
+                              truth.originations, truth.gen.truth, {watch},
                               churn_params);
     const auto study = core::run_persistence_study(
-        churn, watch, pipe.inferred_graph, pipe.inferred_oracle(), 12,
-        pipe.scenario.propagation.threads);
+        churn, watch, *view.inferred_graph, view.inferred_oracle(), 12,
+        exp.scenario().propagation.threads);
     std::cout << "Fig. 7(b): day-scale churn\n";
     print_histogram(study, "hours");
     std::cout << "Shape check (b): shifted share "

@@ -5,7 +5,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Fig. 9 — prefixes per next-hop AS (rank order)",
                 "AS1/AS3549: peers announce the most (no providers); AS8736 "
                 "equivalents: one provider announces ~full table; customers "
@@ -17,8 +18,8 @@ int main() {
   const std::vector<util::AsNumber> subjects{
       util::AsNumber(1), util::AsNumber(3549), util::AsNumber(12859)};
   for (const auto as : subjects) {
-    if (!pipe.sim.looking_glass.contains(as)) continue;
-    const auto result = pipe.community_verification(as);
+    if (!exp.sim().sim.looking_glass.contains(as)) continue;
+    const auto result = view.community_verification(as);
     std::cout << util::render_rank_series(result.rank_series) << "\n";
     // The gap statistic the Appendix reasons about.
     if (result.rank_series.values.size() >= 2) {

@@ -9,7 +9,7 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
   bench::banner("Impact — connectivity vs reachability",
                 "policy withdraws a visible share of the paths the AS graph "
                 "promises; some customer prefixes are one failure from "
@@ -20,9 +20,9 @@ int main() {
                          "availability ratio", "single-path prefixes"});
   for (const auto as_value : core::Scenario::focus_tier1()) {
     const util::AsNumber as{as_value};
-    if (!pipe.sim.looking_glass.contains(as)) continue;
+    if (!exp.sim().sim.looking_glass.contains(as)) continue;
     const auto result = core::analyze_path_availability(
-        pipe.sim.looking_glass.at(as), as, pipe.inferred_graph);
+        exp.sim().sim.looking_glass.at(as), as, exp.inference().inferred_graph);
     table.add_row({util::to_string(as),
                    std::to_string(result.customer_prefixes),
                    util::fmt(result.mean_available, 2),
@@ -37,7 +37,7 @@ int main() {
             << "\n";
 
   // Prepending prevalence across the collector view.
-  const auto prepending = core::analyze_prepending(pipe.sim.collector);
+  const auto prepending = core::analyze_prepending(exp.sim().sim.collector);
   std::cout << "AS-path prepending (Section 2.2.2 knob): "
             << prepending.prepended_routes << " of "
             << prepending.total_routes << " collector routes ("

@@ -11,7 +11,7 @@
 #include "bgp/decision.h"
 #include "bgp/prefix_trie.h"
 #include "core/export_inference.h"
-#include "core/pipeline.h"
+#include "core/experiment.h"
 #include "io/binary_table.h"
 #include "rpsl/generator.h"
 #include "rpsl/parser.h"
@@ -52,10 +52,15 @@ const World& world(std::size_t stubs) {
   return *entry;
 }
 
-const core::Pipeline& small_pipeline() {
-  static const core::Pipeline pipe =
-      core::run_pipeline(core::Scenario::small(42));
-  return pipe;
+const core::Experiment& small_experiment() {
+  static const core::Experiment exp = [] {
+    core::RunOptions options;
+    options.until = core::Stage::kInfer;
+    core::Experiment built(core::Scenario::small(42), options);
+    built.run();
+    return built;
+  }();
+  return exp;
 }
 
 void BM_PropagateOnePrefix(benchmark::State& state) {
@@ -123,31 +128,33 @@ void BM_ComputePrefixReference(benchmark::State& state) {
 BENCHMARK(BM_ComputePrefixReference)->Arg(200)->Arg(600)->Arg(1200);
 
 void BM_SaInference_BestRoutes(benchmark::State& state) {
-  const auto& pipe = small_pipeline();
+  const auto& exp = small_experiment();
+  const auto view = exp.view();
   const util::AsNumber provider{1};
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::infer_sa_prefixes(pipe.table_for(provider), provider,
-                                pipe.inferred_graph, pipe.inferred_oracle()));
+        core::infer_sa_prefixes(view.table_for(provider), provider,
+                                *view.inferred_graph, view.inferred_oracle()));
   }
 }
 BENCHMARK(BM_SaInference_BestRoutes);
 
 void BM_SaInference_FullRib(benchmark::State& state) {
-  const auto& pipe = small_pipeline();
+  const auto& exp = small_experiment();
+  const auto view = exp.view();
   const util::AsNumber provider{1};
-  const auto& lg = pipe.sim.looking_glass.at(provider);
+  const auto& lg = exp.sim().sim.looking_glass.at(provider);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::sa_from_full_rib(
-        lg, provider, pipe.inferred_graph, pipe.inferred_oracle()));
+        lg, provider, *view.inferred_graph, view.inferred_oracle()));
   }
 }
 BENCHMARK(BM_SaInference_FullRib);
 
 void BM_GaoInference(benchmark::State& state) {
-  const auto& pipe = small_pipeline();
+  const auto& exp = small_experiment();
   asrel::GaoInference gao;
-  pipe.sim.collector.for_each(
+  exp.sim().sim.collector.for_each(
       [&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
         for (const auto& route : routes) gao.add_path(route.path);
       });
@@ -157,7 +164,7 @@ void BM_GaoInference(benchmark::State& state) {
   double accuracy = 0;
   for (auto _ : state) {
     const auto rels = gao.infer(params);
-    accuracy = rels.accuracy_against(pipe.topo.graph);
+    accuracy = rels.accuracy_against(exp.truth().topo.graph);
     benchmark::DoNotOptimize(rels);
   }
   state.counters["accuracy_pct"] = 100.0 * accuracy;
@@ -222,8 +229,8 @@ void BM_RpslParse(benchmark::State& state) {
 BENCHMARK(BM_RpslParse);
 
 void BM_TableSerializeRoundTrip(benchmark::State& state) {
-  const auto& pipe = small_pipeline();
-  const auto& table = pipe.sim.collector;
+  const auto& exp = small_experiment();
+  const auto& table = exp.sim().sim.collector;
   for (auto _ : state) {
     const auto bytes = io::serialize_table(table);
     benchmark::DoNotOptimize(io::deserialize_table(bytes));

@@ -40,7 +40,7 @@ struct World {
 
 World build(const core::Scenario& scenario) {
   // The Synthesize stage plus the canonical vantage derivation — the same
-  // world run_pipeline simulates.
+  // world the Experiment's Simulate stage runs.
   World w;
   w.truth = core::synthesize(scenario);
   w.vantage = core::derive_vantage(scenario, w.truth.topo);

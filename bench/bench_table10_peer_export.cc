@@ -7,7 +7,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 10 — export to peers",
                 "86% / 100% / 89% of peers announce their own prefixes "
                 "directly to AS1 / AS3549 / AS7018");
@@ -21,8 +22,8 @@ int main() {
   bool majority_everywhere = true;
   for (const auto as_value : core::Scenario::focus_tier1()) {
     const util::AsNumber as{as_value};
-    const auto peers = pipe.inferred_graph.peers(as);
-    const auto result = core::analyze_peer_export(pipe.table_for(as), as,
+    const auto peers = view.inferred_graph->peers(as);
+    const auto result = core::analyze_peer_export(view.table_for(as), as,
                                                   peers);
     table.add_row({util::to_string(as), std::to_string(result.peer_count),
                    util::fmt(result.percent_announcing, 0),

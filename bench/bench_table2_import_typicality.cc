@@ -7,7 +7,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 2 — typical local preference at 15 vantages",
                 "94.3%..100% of prefixes conform to customer > peer > "
                 "provider at every vantage");
@@ -23,9 +24,9 @@ int main() {
                          "% typical (paper)"});
   std::size_t above90 = 0;
   std::size_t reported = 0;
-  for (const auto vantage : pipe.vantage.looking_glass) {
+  for (const auto vantage : exp.sim().vantage.looking_glass) {
     const auto result = core::analyze_import_typicality(
-        pipe.sim.looking_glass.at(vantage), pipe.inferred_oracle());
+        exp.sim().sim.looking_glass.at(vantage), view.inferred_oracle());
     const auto it = paper.find(vantage.value());
     table.add_row({util::to_string(vantage),
                    std::to_string(result.comparable_prefixes),

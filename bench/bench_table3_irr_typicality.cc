@@ -10,7 +10,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 3 — typical local preference from the IRR",
                 "62 usable aut-num objects; typicality 80%..100%, most at "
                 "or near 100%");
@@ -18,7 +19,7 @@ int main() {
   std::vector<core::IrrTypicality> rows;
   std::size_t discarded_stale = 0;
   std::size_t discarded_small = 0;
-  for (const auto& aut_num : pipe.irr_objects) {
+  for (const auto& aut_num : exp.observations().irr_objects) {
     if (aut_num.changed_date / 10000 < 2002) {
       ++discarded_stale;
       continue;
@@ -30,7 +31,7 @@ int main() {
       continue;
     }
     const auto result =
-        core::analyze_irr_typicality(aut_num, pipe.inferred_oracle());
+        core::analyze_irr_typicality(aut_num, view.inferred_oracle());
     if (result.comparable_pairs < 5) continue;
     rows.push_back(result);
   }

@@ -6,7 +6,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 4 — AS relationships verified via BGP communities",
                 "94.1%..99.55% of vantage-adjacent relationships verified "
                 "for 9 ASs");
@@ -18,10 +19,10 @@ int main() {
 
   util::TextTable table({"AS", "# neighbors", "comparable", "% verified "
                          "(measured)", "% verified (paper)", "truth agreement"});
-  for (const auto as_value : pipe.scenario.verification_ases) {
+  for (const auto as_value : exp.scenario().verification_ases) {
     const util::AsNumber as{as_value};
-    if (!pipe.sim.looking_glass.contains(as)) continue;
-    const auto result = pipe.community_verification(as);
+    if (!exp.sim().sim.looking_glass.contains(as)) continue;
+    const auto result = view.community_verification(as);
 
     // Extra column the paper could not print: agreement of the
     // community-derived classes with the simulator's ground truth.
@@ -29,14 +30,14 @@ int main() {
     std::size_t truth_total = 0;
     for (const auto& obs : result.neighbors) {
       if (!obs.community_rel) continue;
-      const auto truth = pipe.topo.graph.relationship(as, obs.neighbor);
+      const auto truth = exp.truth().topo.graph.relationship(as, obs.neighbor);
       if (!truth) continue;
       ++truth_total;
       if (*obs.community_rel == *truth) ++truth_ok;
     }
     const auto it = paper.find(as_value);
     table.add_row({util::to_string(as),
-                   std::to_string(pipe.topo.graph.degree(as)),
+                   std::to_string(exp.truth().topo.graph.degree(as)),
                    std::to_string(result.comparable),
                    util::fmt(result.percent_verified, 2),
                    it == paper.end() ? "-" : util::fmt(it->second, 2),
@@ -46,7 +47,7 @@ int main() {
 
   // Table 11 flavor: one vantage's published tagging scheme.
   const util::AsNumber example{12859};
-  if (const auto* aut_num = pipe.irr_for(example);
+  if (const auto* aut_num = view.irr_for(example);
       aut_num != nullptr && !aut_num->community_remarks.empty()) {
     util::TextTable scheme({"community range", "meaning"});
     for (const auto& remark : aut_num->community_remarks) {

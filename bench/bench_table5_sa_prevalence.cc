@@ -7,7 +7,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 5 — prevalence of SA prefixes at 16 ASs",
                 "Tier-1s carry significant SA shares (AS1 32%, AS3549 23%, "
                 "AS7018 22%, AS6453 48.6%); small vantages near 0%");
@@ -24,16 +25,16 @@ int main() {
   std::size_t tier1_count = 0;
   for (const auto& [as_value, paper_pct] : paper) {
     const util::AsNumber as{as_value};
-    if (!pipe.has_table(as)) continue;
+    if (!view.has_table(as)) continue;
     const auto analysis =
-        core::infer_sa_prefixes(pipe.table_for(as), as, pipe.inferred_graph,
-                                pipe.inferred_oracle());
+        core::infer_sa_prefixes(view.table_for(as), as, *view.inferred_graph,
+                                view.inferred_oracle());
     table.add_row({util::to_string(as),
                    std::to_string(analysis.customer_prefixes),
                    std::to_string(analysis.sa_count),
                    util::fmt(analysis.percent_sa, 1),
                    util::fmt(paper_pct, 1)});
-    if (pipe.tiers.level_of(as) == 1) {
+    if (exp.inference().tiers.level_of(as) == 1) {
       ++tier1_count;
       if (analysis.percent_sa >= 10.0) ++tier1_double_digit;
     }

@@ -8,7 +8,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 6 — SA prefixes per customer w.r.t. AS1/AS3549/AS7018",
                 "8 multi-prefix customers show 17%..97% of their prefixes "
                 "SA for all three providers at once");
@@ -18,7 +19,7 @@ int main() {
   for (const auto as_value : core::Scenario::focus_tier1()) {
     const util::AsNumber as{as_value};
     providers.push_back(as);
-    tables.push_back(&pipe.table_for(as));
+    tables.push_back(&view.table_for(as));
   }
 
   // Candidates: multi-prefix customers sitting in all three customer
@@ -26,12 +27,12 @@ int main() {
   // of prefixes" — implicitly ones exhibiting the effect — so rank all
   // candidates and keep the 8 with the most intersection-SA prefixes.
   std::vector<util::AsNumber> candidates;
-  for (const auto as : pipe.topo.stubs) {
-    if (pipe.plan.count_for(as) < 3) continue;
+  for (const auto as : exp.truth().topo.stubs) {
+    if (exp.truth().plan.count_for(as) < 3) continue;
     bool in_all = true;
     for (const auto p : providers) {
-      if (!pipe.inferred_graph.contains(as) ||
-          !pipe.inferred_graph.in_customer_cone(p, as)) {
+      if (!view.inferred_graph->contains(as) ||
+          !view.inferred_graph->in_customer_cone(p, as)) {
         in_all = false;
         break;
       }
@@ -40,8 +41,8 @@ int main() {
   }
 
   auto rows = core::sa_per_customer(tables, providers, candidates,
-                                    pipe.inferred_graph,
-                                    pipe.inferred_oracle());
+                                    *view.inferred_graph,
+                                    view.inferred_oracle());
   std::sort(rows.begin(), rows.end(),
             [](const core::CustomerSa& a, const core::CustomerSa& b) {
               if ((a.sa_count > 0) != (b.sa_count > 0)) {

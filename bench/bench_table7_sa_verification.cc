@@ -8,7 +8,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 7 — verification of SA prefixes",
                 "95%..97.6% of SA prefixes verified at the three Tier-1s");
 
@@ -21,11 +22,11 @@ int main() {
   for (const auto as_value : core::Scenario::focus_tier1()) {
     const util::AsNumber as{as_value};
     const auto analysis =
-        core::infer_sa_prefixes(pipe.table_for(as), as, pipe.inferred_graph,
-                                pipe.inferred_oracle());
-    const auto verified_neighbors = pipe.community_verified_neighbors(as);
+        core::infer_sa_prefixes(view.table_for(as), as, *view.inferred_graph,
+                                view.inferred_oracle());
+    const auto verified_neighbors = view.community_verified_neighbors(as);
     const auto result = core::verify_sa_prefixes(
-        analysis, pipe.paths, verified_neighbors, pipe.inferred_oracle());
+        analysis, *view.paths, verified_neighbors, view.inferred_oracle());
     table.add_row({util::to_string(as), std::to_string(result.sa_total),
                    util::fmt(result.percent_verified, 1),
                    util::fmt(paper.at(as_value), 1),

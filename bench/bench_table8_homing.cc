@@ -8,7 +8,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 8 — homing of SA-prefix origins",
                 "~75% of ASs whose prefixes are SA are multihomed "
                 "(AS1 75%, AS3549 75%, AS7018 77%)");
@@ -22,9 +23,9 @@ int main() {
   for (const auto as_value : core::Scenario::focus_tier1()) {
     const util::AsNumber as{as_value};
     const auto analysis =
-        core::infer_sa_prefixes(pipe.table_for(as), as, pipe.inferred_graph,
-                                pipe.inferred_oracle());
-    const auto homing = core::analyze_homing(analysis, pipe.inferred_graph);
+        core::infer_sa_prefixes(view.table_for(as), as, *view.inferred_graph,
+                                view.inferred_oracle());
+    const auto homing = core::analyze_homing(analysis, *view.inferred_graph);
     table.add_row({util::to_string(as),
                    util::fmt_count_pct(homing.multihomed_ases,
                                        homing.percent_multihomed),

@@ -9,7 +9,8 @@
 
 int main() {
   using namespace bgpolicy;
-  const auto& pipe = bench::pipeline();
+  const auto& exp = bench::experiment();
+  const auto view = exp.view();
   bench::banner("Table 9 — causes of SA prefixes",
                 "splitting (127/9120) and aggregating (218/9120) are "
                 "negligible; Case 3: ~21% announce to the direct provider "
@@ -30,11 +31,11 @@ int main() {
   for (const auto as_value : core::Scenario::focus_tier1()) {
     const util::AsNumber as{as_value};
     const auto analysis =
-        core::infer_sa_prefixes(pipe.table_for(as), as, pipe.inferred_graph,
-                                pipe.inferred_oracle());
+        core::infer_sa_prefixes(view.table_for(as), as, *view.inferred_graph,
+                                view.inferred_oracle());
     const auto causes =
-        core::analyze_causes(analysis, pipe.table_for(as), pipe.paths,
-                             pipe.inferred_graph, pipe.inferred_oracle());
+        core::analyze_causes(analysis, view.table_for(as), *view.paths,
+                             *view.inferred_graph, view.inferred_oracle());
     const auto& p = paper.at(as_value);
     table.add_row({util::to_string(as), std::to_string(causes.sa_total),
                    std::to_string(causes.splitting),

@@ -53,10 +53,6 @@ std::vector<AsNumber> recorded_vantages(const sim::SimResult& sim) {
   return out;
 }
 
-std::vector<AsNumber> recorded_vantages(const Pipeline& pipe) {
-  return recorded_vantages(pipe.sim);
-}
-
 AnalysisSuite run_analysis_suite(const ExperimentView& view,
                                  std::span<const AsNumber> vantages,
                                  std::size_t threads,
@@ -75,13 +71,6 @@ AnalysisSuite run_analysis_suite(const ExperimentView& view,
         suite.vantages.push_back(std::move(bundle));
       });
   return suite;
-}
-
-AnalysisSuite run_analysis_suite(const Pipeline& pipe,
-                                 std::span<const AsNumber> vantages,
-                                 std::size_t threads,
-                                 const util::Executor* executor) {
-  return run_analysis_suite(pipe.view(), vantages, threads, executor);
 }
 
 std::string canonical_serialize(const AnalysisSuite& suite) {

@@ -5,7 +5,7 @@
 // classification (Table 9), and — for looking glasses, where local-pref and
 // communities are visible — import typicality (Table 2) and the two-step SA
 // verification (Table 7).  Each vantage's bundle is a pure function of the
-// (immutable) pipeline, so the suite shards vantages across the
+// (immutable) experiment artifacts, so the suite shards vantages across the
 // util/parallel thread pool and merges results in vantage order: identical
 // output at any thread count, `threads = 1` is the exact sequential
 // program (the same calls the bench binaries previously made one by one).
@@ -20,7 +20,7 @@
 #include "core/export_inference.h"
 #include "core/homing.h"
 #include "core/import_inference.h"
-#include "core/pipeline.h"
+#include "core/experiment_view.h"
 #include "core/sa_verification.h"
 #include "util/parallel.h"
 
@@ -49,20 +49,15 @@ struct AnalysisSuite {
 /// Every AS with a recorded table (looking glass or best-only), sorted by
 /// AS number — the canonical vantage list for whole-suite runs.
 [[nodiscard]] std::vector<AsNumber> recorded_vantages(const sim::SimResult& sim);
-[[nodiscard]] std::vector<AsNumber> recorded_vantages(const Pipeline& pipe);
 
 /// Runs the full analysis bundle for each vantage, sharded across
 /// `threads` workers (0 = hardware concurrency, 1 = sequential seed
 /// behavior).  When `executor` is given it supplies the shared pool and
 /// `threads` is ignored.  The view's products must stay immutable for the
 /// duration of the call.  This is the Analyze stage of the staged
-/// experiment API (experiment.h); the Pipeline overload is the
-/// compatibility spelling.
+/// experiment API (experiment.h).
 [[nodiscard]] AnalysisSuite run_analysis_suite(
     const ExperimentView& view, std::span<const AsNumber> vantages,
-    std::size_t threads, const util::Executor* executor = nullptr);
-[[nodiscard]] AnalysisSuite run_analysis_suite(
-    const Pipeline& pipe, std::span<const AsNumber> vantages,
     std::size_t threads, const util::Executor* executor = nullptr);
 
 /// Stable textual serialization of every integer counter in the suite, in

@@ -94,38 +94,56 @@ void vantage_field(std::string& key, std::span<const AsNumber> vantages) {
 /// rejected by the header check anyway — this just avoids probing them).
 constexpr const char* kKeyPrefix = "bgpolicy-artifact/v1|";
 
-/// The probe-or-compute-and-persist discipline every stage runs when a
-/// store is attached.  A load failure of any flavor — missing file,
-/// truncation, corruption, codec-version mismatch — is a miss: `compute`
-/// runs and its artifact replaces the bad entry.  `digest_out` receives
-/// the content digest of the encoded artifact (what downstream keys chain
-/// on); `loaded` reports whether the store served the artifact.
-template <typename T, typename DecodeFn, typename ComputeFn>
-T stage_artifact(const ArtifactStore* store, const std::string& key,
-                 std::string& digest_out, bool& loaded, DecodeFn&& decode,
-                 ComputeFn&& compute) {
-  if (store != nullptr) {
-    if (const auto bytes = store->load(key)) {
-      try {
-        T artifact = decode(std::span<const std::uint8_t>(*bytes));
-        digest_out = stable_digest_hex(std::span<const std::uint8_t>(*bytes));
-        loaded = true;
-        return artifact;
-      } catch (const std::invalid_argument&) {
-        // Corrupted, truncated, or version-mismatched: a miss, never an
-        // error (artifact_codec.h).
-      }
+/// The one store probe every stage, Simulate chunk, and sweep variant
+/// runs: loads `key` and decodes it.  A load failure of any flavor —
+/// missing file, truncation, corruption, codec-version mismatch — is a
+/// miss, never an error (artifact_codec.h).  On a hit `digest_out`, when
+/// given, receives the content digest of the stored bytes (what
+/// downstream keys chain on).
+template <typename T>
+std::optional<T> probe_store(const ArtifactStore* store,
+                             const std::string& key,
+                             T (*decode)(std::span<const std::uint8_t>),
+                             std::string* digest_out = nullptr) {
+  if (store == nullptr) return std::nullopt;
+  const auto bytes = store->load(key);
+  if (!bytes) return std::nullopt;
+  try {
+    T artifact = decode(std::span<const std::uint8_t>(*bytes));
+    if (digest_out != nullptr) {
+      *digest_out = stable_digest_hex(std::span<const std::uint8_t>(*bytes));
     }
+    return artifact;
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
   }
+}
+
+/// Encodes `artifact` and persists it under `key`, returning its content
+/// digest; without a store nothing is written and the digest is empty.
+template <typename T>
+std::string persist(const ArtifactStore* store, const std::string& key,
+                    const T& artifact) {
+  if (store == nullptr) return {};
+  const std::vector<std::uint8_t> bytes = io::encode(artifact);
+  store->put(key, bytes);
+  return stable_digest_hex(std::span<const std::uint8_t>(bytes));
+}
+
+/// The probe-or-compute-and-persist discipline of a whole stage: a miss
+/// runs `compute`, whose artifact replaces any bad entry.  `digest_out`
+/// receives the artifact's content digest; `loaded` reports whether the
+/// store served it.
+template <typename T, typename ComputeFn>
+T stage_artifact(const ArtifactStore* store, const std::string& key,
+                 std::string& digest_out, bool& loaded,
+                 T (*decode)(std::span<const std::uint8_t>),
+                 ComputeFn&& compute) {
+  std::optional<T> hit = probe_store(store, key, decode, &digest_out);
+  loaded = hit.has_value();
+  if (loaded) return std::move(*hit);
   T artifact = compute();
-  loaded = false;
-  if (store != nullptr) {
-    const std::vector<std::uint8_t> bytes = io::encode(artifact);
-    digest_out = stable_digest_hex(std::span<const std::uint8_t>(bytes));
-    store->put(key, bytes);
-  } else {
-    digest_out.clear();
-  }
+  digest_out = persist(store, key, artifact);
   return artifact;
 }
 
@@ -476,9 +494,7 @@ ExperimentView make_view(const SimArtifact& sim,
 
 Experiment::Experiment(Scenario scenario, RunOptions options)
     : scenario_(std::move(scenario)), options_(std::move(options)) {
-  // Fold the override into the scenario so one knob drives every stage and
-  // the assembled Pipeline reports it, exactly like pre-staging
-  // run_pipeline.
+  // Fold the override into the scenario so one knob drives every stage.
   if (options_.threads) scenario_.propagation.threads = *options_.threads;
 }
 
@@ -552,62 +568,12 @@ const Observations& Experiment::observations() {
   return *observations_;
 }
 
-void Experiment::materialize_truth() {
-  bool loaded = false;
-  truth_ = stage_artifact<GroundTruth>(
-      options_.store, stage_key_material(Stage::kSynthesize, {}),
-      digest_slot(Stage::kSynthesize), loaded,
-      [](std::span<const std::uint8_t> bytes) {
-        return io::decode_ground_truth(bytes);
-      },
-      [&] { return synthesize(scenario_); });
-  ++(loaded ? loads_ : counters_).synthesize;
-}
-
 void Experiment::run_upstream(Stage until) {
-  if (until > Stage::kObserve) until = Stage::kObserve;
-  const bool need_sim = until >= Stage::kSimulate && !sim_;
-  const bool need_observe = until >= Stage::kObserve && !observations_;
-  if (truth_ && !need_sim && !need_observe) return;
-  // The exact sequential seed program: no graph, no chunking, stages run
-  // back to back with their internal sharding (inline at threads == 1).
-  // The graph path is for a real pool (overlap + chunk parallelism) or a
-  // store (per-chunk persistence is what makes mid-Simulate resume work).
-  if (executor().pool() == nullptr && options_.store == nullptr) {
-    run_upstream_serial(until);
-    return;
-  }
+  // A sequential executor runs the nodes inline in program order; a pool
+  // overlaps Observe with late Simulate chunks.
   util::TaskGraph graph;
   add_stage_nodes(graph, until);
   graph.run(executor());
-}
-
-void Experiment::run_upstream_serial(Stage until) {
-  if (!truth_) materialize_truth();
-  if (until >= Stage::kSimulate && !sim_) {
-    bool loaded = false;
-    sim_ = stage_artifact<SimArtifact>(
-        options_.store, stage_key_material(Stage::kSimulate, {}),
-        digest_slot(Stage::kSimulate), loaded,
-        [](std::span<const std::uint8_t> bytes) {
-          return io::decode_sim_artifact(bytes);
-        },
-        [&] { return simulate(scenario_, *truth_, threads(), &executor()); });
-    ++(loaded ? loads_ : counters_).simulate;
-  }
-  if (until >= Stage::kObserve && !observations_) {
-    bool loaded = false;
-    observations_ = stage_artifact<Observations>(
-        options_.store, stage_key_material(Stage::kObserve, {}),
-        digest_slot(Stage::kObserve), loaded,
-        [](std::span<const std::uint8_t> bytes) {
-          return io::decode_observations(bytes);
-        },
-        [&] {
-          return observe(scenario_, *truth_, *sim_, threads(), &executor());
-        });
-    ++(loaded ? loads_ : counters_).observe;
-  }
 }
 
 // ----------------------------------------------------- task-graph stages --
@@ -627,7 +593,7 @@ struct Experiment::UpstreamScratch {
   /// the finish node discards wholesale — never a torn artifact.
   std::atomic<bool> observe_hit{false};
   std::optional<Observations> loaded_obs;
-  std::vector<std::uint8_t> observe_bytes;  // for the digest chain
+  std::string observe_digest;  // of the stored bytes, for the digest chain
 };
 
 template <typename Fn>
@@ -646,23 +612,18 @@ void Experiment::probe_observe(UpstreamScratch& scratch) {
       scratch.observe_hit.load(std::memory_order_acquire)) {
     return;
   }
-  if (auto bytes =
-          options_.store->load(stage_key_material(Stage::kObserve, {}))) {
-    try {
-      scratch.loaded_obs =
-          io::decode_observations(std::span<const std::uint8_t>(*bytes));
-      scratch.observe_bytes = std::move(*bytes);  // kept for the digest
-      // Release so an IRR node acquiring `true` concurrently is ordered
-      // after loaded_obs/observe_bytes are fully written (nodes ordered
-      // by graph edges get this ordering from the scheduler mutex anyway).
-      scratch.observe_hit.store(true, std::memory_order_release);
-    } catch (const std::invalid_argument&) {
-      // Corrupt, truncated, or version-mismatched: a miss, never an error.
-    }
+  scratch.loaded_obs =
+      probe_store(options_.store, stage_key_material(Stage::kObserve, {}),
+                  io::decode_observations, &scratch.observe_digest);
+  // Release so an IRR node acquiring `true` concurrently is ordered after
+  // loaded_obs/observe_digest are fully written (nodes ordered by graph
+  // edges get this ordering from the scheduler mutex anyway).
+  if (scratch.loaded_obs) {
+    scratch.observe_hit.store(true, std::memory_order_release);
   }
 }
 
-void Experiment::simulate_chunked(util::TaskGraph& graph) {
+void Experiment::simulate_in_chunks(util::TaskGraph& graph) {
   const auto vantage =
       std::make_shared<sim::VantageSpec>(derive_vantage(scenario_, truth_->topo));
   const std::size_t n = truth_->originations.size();
@@ -697,25 +658,22 @@ void Experiment::simulate_chunked(util::TaskGraph& graph) {
                                         key = chunk_keys[i]] {
       traced("simulate.chunk", [&] {
         ArtifactStore* store = options_.store;
-        if (store != nullptr) {
-          if (const auto bytes = store->load(key)) {
-            try {
-              SimChunk chunk = io::decode_sim_chunk(
-                  std::span<const std::uint8_t>(*bytes));
-              if (chunk.begin == range.begin && chunk.end == range.end &&
-                  chunk.total == n) {
-                (*slots)[i] = std::move(chunk.partial);
-                (*loaded_flags)[i] = 1;
-                return;
-              }
-            } catch (const std::invalid_argument&) {
-              // Corrupt chunk: a miss, recompute below.
-            }
-          }
+        if (std::optional<SimChunk> chunk =
+                probe_store(store, key, io::decode_sim_chunk);
+            chunk && chunk->begin == range.begin && chunk->end == range.end &&
+            chunk->total == n) {
+          (*slots)[i] = std::move(chunk->partial);
+          (*loaded_flags)[i] = 1;
+          return;
         }
-        (*slots)[i] = sim::simulate_chunk(
-            truth_->topo.graph, truth_->gen.policies, truth_->originations,
-            *vantage, scenario_.propagation, range);
+        // The chunk's slice through the one Simulate kernel, inline on
+        // this task's thread (the graph is the parallelism).
+        const util::Executor sequential;
+        (*slots)[i] = sim::run_simulation(
+            truth_->topo.graph, truth_->gen.policies,
+            std::span<const sim::Origination>(truth_->originations)
+                .subspan(range.begin, range.size()),
+            *vantage, scenario_.propagation, &sequential);
         if (store != nullptr) {
           // Persist-and-pin as each chunk completes: a kill from here on
           // resumes mid-Simulate, and a concurrent gc() cannot evict what
@@ -748,20 +706,18 @@ void Experiment::simulate_chunked(util::TaskGraph& graph) {
     }
     sim_ = std::move(artifact);
     ++counters_.simulate;
-    if (options_.store != nullptr) {
-      const std::vector<std::uint8_t> bytes = io::encode(*sim_);
-      digest_slot(Stage::kSimulate) =
-          stable_digest_hex(std::span<const std::uint8_t>(bytes));
-      options_.store->put(stage_key_material(Stage::kSimulate, {}), bytes);
-      // The merged artifact supersedes its chunks: erase them so
-      // long-lived stores do not carry both representations, and drop the
-      // gc pins with them.
-      for (const std::string& key : chunk_keys) {
-        options_.store->unpin(key);
-        options_.store->erase(key);
-      }
-    } else {
+    if (options_.store == nullptr) {
       digest_slot(Stage::kSimulate).clear();
+      return;
+    }
+    digest_slot(Stage::kSimulate) = persist(
+        options_.store, stage_key_material(Stage::kSimulate, {}), *sim_);
+    // The merged artifact supersedes its chunks: erase them so long-lived
+    // stores do not carry both representations, and drop the gc pins with
+    // them.
+    for (const std::string& key : chunk_keys) {
+      options_.store->unpin(key);
+      options_.store->erase(key);
     }
   });
 }
@@ -789,8 +745,16 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
 
   std::optional<NodeId> n_synth;
   if (need_truth) {
-    n_synth = graph.add(
-        [this] { traced("synthesize", [&] { materialize_truth(); }); });
+    n_synth = graph.add([this] {
+      traced("synthesize", [&] {
+        bool loaded = false;
+        truth_ = stage_artifact(
+            options_.store, stage_key_material(Stage::kSynthesize, {}),
+            digest_slot(Stage::kSynthesize), loaded, io::decode_ground_truth,
+            [&] { return synthesize(scenario_); });
+        ++(loaded ? loads_ : counters_).synthesize;
+      });
+    });
   }
 
   std::optional<NodeId> n_sim_probe;
@@ -803,27 +767,22 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
         [this, scratch, need_observe] {
           traced("simulate.probe", [&] {
             if (options_.store == nullptr) return;
-            if (const auto bytes = options_.store->load(
-                    stage_key_material(Stage::kSimulate, {}))) {
-              try {
-                SimArtifact artifact = io::decode_sim_artifact(
-                    std::span<const std::uint8_t>(*bytes));
-                digest_slot(Stage::kSimulate) =
-                    stable_digest_hex(std::span<const std::uint8_t>(*bytes));
-                sim_ = std::move(artifact);
-                ++loads_.simulate;
-              } catch (const std::invalid_argument&) {
-                // Corrupt: a miss; the compute node fans out chunks.
-              }
-            }
-            if (sim_ && need_observe) probe_observe(*scratch);
+            // A miss (or corrupt entry) leaves sim_ empty: the compute node
+            // fans out chunks.
+            sim_ = probe_store(options_.store,
+                               stage_key_material(Stage::kSimulate, {}),
+                               io::decode_sim_artifact,
+                               &digest_slot(Stage::kSimulate));
+            if (!sim_) return;
+            ++loads_.simulate;
+            if (need_observe) probe_observe(*scratch);
           });
         },
         deps_of({n_synth}));
     n_sim = graph.add(
         [this, scratch, graph_ptr, need_observe] {
           if (sim_) return;  // probe hit
-          simulate_chunked(*graph_ptr);
+          simulate_in_chunks(*graph_ptr);
           // The recomputed digest matches what a previous run persisted,
           // so the whole Observations artifact may still be on disk even
           // though the sim entry was lost (gc, corruption).  Probing here
@@ -884,23 +843,16 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
           traced("observe.finish", [&] {
             if (scratch->observe_hit.load(std::memory_order_acquire)) {
               observations_ = std::move(*scratch->loaded_obs);
-              digest_slot(Stage::kObserve) = stable_digest_hex(
-                  std::span<const std::uint8_t>(scratch->observe_bytes));
+              digest_slot(Stage::kObserve) = scratch->observe_digest;
               ++loads_.observe;
               return;
             }
             observations_ = std::move(scratch->obs);
             ++counters_.observe;
-            if (options_.store != nullptr) {
-              const std::vector<std::uint8_t> bytes =
-                  io::encode(*observations_);
-              digest_slot(Stage::kObserve) =
-                  stable_digest_hex(std::span<const std::uint8_t>(bytes));
-              options_.store->put(stage_key_material(Stage::kObserve, {}),
-                                  bytes);
-            } else {
-              digest_slot(Stage::kObserve).clear();
-            }
+            digest_slot(Stage::kObserve) =
+                persist(options_.store,
+                        stage_key_material(Stage::kObserve, {}),
+                        *observations_);
           });
         },
         {n_irr_parse, n_ingest, n_index});
@@ -909,19 +861,9 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
 }
 
 const InferenceProducts& Experiment::inference() {
-  if (!inference_) {
-    observations();
-    const asrel::GaoParams params = effective_gao_params();
-    bool loaded = false;
-    inference_ = stage_artifact<InferenceProducts>(
-        options_.store, stage_key_material(Stage::kInfer, params),
-        digest_slot(Stage::kInfer), loaded,
-        [](std::span<const std::uint8_t> bytes) {
-          return io::decode_inference(bytes);
-        },
-        [&] { return infer_relationships(*observations_, params, &executor()); });
-    ++(loaded ? loads_ : counters_).infer;
-  }
+  // Nothing downstream exists without an inference artifact, so the
+  // rerun's Analyze invalidation is a no-op here.
+  if (!inference_) rerun_infer(effective_gao_params());
   return *inference_;
 }
 
@@ -934,13 +876,10 @@ const AnalysisSuite& Experiment::analyses() {
     sim();
     inference();
     bool loaded = false;
-    analyses_ = stage_artifact<AnalysisSuite>(
+    analyses_ = stage_artifact(
         options_.store,
         stage_key_material(Stage::kAnalyze, effective_gao_params()),
-        digest_slot(Stage::kAnalyze), loaded,
-        [](std::span<const std::uint8_t> bytes) {
-          return io::decode_analysis_suite(bytes);
-        },
+        digest_slot(Stage::kAnalyze), loaded, io::decode_analysis_suite,
         [&] {
           std::vector<AsNumber> vantages = options_.analysis_vantages;
           if (vantages.empty()) vantages = recorded_vantages(sim_->sim);
@@ -984,12 +923,9 @@ const InferenceProducts& Experiment::rerun_infer(
     const asrel::GaoParams& params) {
   observations();  // cached upstream is reused, never re-run
   bool loaded = false;
-  inference_ = stage_artifact<InferenceProducts>(
+  inference_ = stage_artifact(
       options_.store, stage_key_material(Stage::kInfer, params),
-      digest_slot(Stage::kInfer), loaded,
-      [](std::span<const std::uint8_t> bytes) {
-        return io::decode_inference(bytes);
-      },
+      digest_slot(Stage::kInfer), loaded, io::decode_inference,
       [&] { return infer_relationships(*observations_, params, &executor()); });
   ++(loaded ? loads_ : counters_).infer;
   analyses_.reset();
@@ -1055,6 +991,10 @@ ExperimentView Experiment::view() {
   return make_view(*sim_, *observations_, *inference_);
 }
 
+ExperimentView Experiment::view() const {
+  return make_view(sim(), observations(), inference());
+}
+
 Experiment::StageArtifacts Experiment::take_artifacts() && {
   StageArtifacts artifacts;
   artifacts.truth = std::move(truth_);
@@ -1064,45 +1004,6 @@ Experiment::StageArtifacts Experiment::take_artifacts() && {
   artifacts.analyses = std::move(analyses_);
   invalidate(Stage::kSynthesize);
   return artifacts;
-}
-
-Pipeline Experiment::to_pipeline() {
-  run(Stage::kInfer);
-  Pipeline p;
-  p.scenario = scenario_;
-  p.topo = truth_->topo;
-  p.plan = truth_->plan;
-  p.gen = truth_->gen;
-  p.originations = truth_->originations;
-  p.vantage = sim_->vantage;
-  p.sim = sim_->sim;
-  p.irr_text = observations_->irr_text;
-  p.irr_objects = observations_->irr_objects;
-  p.inferred = inference_->inferred;
-  p.inferred_graph = inference_->inferred_graph;
-  p.tiers = inference_->tiers;
-  p.paths = observations_->paths;
-  return p;
-}
-
-Pipeline Experiment::into_pipeline() && {
-  run(Stage::kInfer);
-  Pipeline p;
-  p.scenario = std::move(scenario_);
-  p.topo = std::move(truth_->topo);
-  p.plan = std::move(truth_->plan);
-  p.gen = std::move(truth_->gen);
-  p.originations = std::move(truth_->originations);
-  p.vantage = std::move(sim_->vantage);
-  p.sim = std::move(sim_->sim);
-  p.irr_text = std::move(observations_->irr_text);
-  p.irr_objects = std::move(observations_->irr_objects);
-  p.inferred = std::move(inference_->inferred);
-  p.inferred_graph = std::move(inference_->inferred_graph);
-  p.tiers = std::move(inference_->tiers);
-  p.paths = std::move(observations_->paths);
-  invalidate(Stage::kSynthesize);
-  return p;
 }
 
 // ------------------------------------------------------------------ sweep --
@@ -1325,16 +1226,11 @@ SweepReport sweep(std::span<const SweepVariant> variants, std::size_t threads,
             vantage_field(analyze_key, variant.options.analysis_vantages);
             run.store_infer_key = infer_key + "|infer";
             run.store_analyze_key = analyze_key + "|analyze";
-
-            if (const auto bytes = store->load(run.store_infer_key)) {
-              try {
-                run.inference = io::decode_inference(
-                    std::span<const std::uint8_t>(*bytes));
-                run.inference_loaded = true;
-              } catch (const std::invalid_argument&) {
-                run.inference = InferenceProducts{};
-              }
-            }
+          }
+          if (auto hit = probe_store(store, run.store_infer_key,
+                                     io::decode_inference)) {
+            run.inference = std::move(*hit);
+            run.inference_loaded = true;
           }
           if (!run.inference_loaded) {
             run.inference = infer_relationships(up->observations(), gao);
@@ -1350,16 +1246,10 @@ SweepReport sweep(std::span<const SweepVariant> variants, std::size_t threads,
     graph.add(
         [&run, up, store, &variants, &completion, i] {
           const SweepVariant& variant = variants[i];
-          if (store != nullptr) {
-            if (const auto bytes = store->load(run.store_analyze_key)) {
-              try {
-                run.analyses = io::decode_analysis_suite(
-                    std::span<const std::uint8_t>(*bytes));
-                run.analyses_loaded = true;
-              } catch (const std::invalid_argument&) {
-                run.analyses = AnalysisSuite{};
-              }
-            }
+          if (auto hit = probe_store(store, run.store_analyze_key,
+                                     io::decode_analysis_suite)) {
+            run.analyses = std::move(*hit);
+            run.analyses_loaded = true;
           }
           if (!run.analyses_loaded) {
             const ExperimentView view =
@@ -1398,17 +1288,6 @@ SweepReport sweep(std::span<const SweepVariant> variants, std::size_t threads,
     report.runs.push_back(std::move(run));
   }
   return report;
-}
-
-// ------------------------------------------------- run_pipeline wrapper --
-
-Pipeline run_pipeline(const Scenario& scenario,
-                      std::optional<std::size_t> threads_override) {
-  RunOptions options;
-  options.threads = threads_override;
-  options.until = Stage::kInfer;
-  Experiment experiment(scenario, std::move(options));
-  return std::move(experiment).into_pipeline();
 }
 
 }  // namespace bgpolicy::core

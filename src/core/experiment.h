@@ -15,11 +15,9 @@
 // request-order merge.
 //
 // Determinism contract (docs/ARCHITECTURE.md): every stage honors the
-// shared `threads` knob (0 = hardware concurrency, 1 = the exact
-// sequential seed program) with byte-identical artifacts at any value, so
-// caching and sweep sharding never change any product.
-// `core::run_pipeline` remains as a thin compatibility wrapper that runs
-// the stages and moves their artifacts into the flat `Pipeline` struct.
+// shared `threads` knob (0 = hardware concurrency, 1 = sequential) with
+// byte-identical artifacts at any value, so caching and sweep sharding
+// never change any product.
 #pragma once
 
 #include <array>
@@ -33,8 +31,10 @@
 #include <string_view>
 #include <vector>
 
+#include "asrel/gao_inference.h"
 #include "core/analysis_suite.h"
-#include "core/pipeline.h"
+#include "core/experiment_view.h"
+#include "core/scenario.h"
 #include "util/parallel.h"
 
 namespace bgpolicy::core {
@@ -97,11 +97,11 @@ struct RunOptions {
   /// so a second process over the same store resumes instead of re-running
   /// (docs/ARCHITECTURE.md "Artifact store").
   ArtifactStore* store = nullptr;
-  /// Originations per Simulate chunk task on the task-graph path
-  /// (0 = auto, aiming at ~32 near-equal chunks).  Chunk boundaries
-  /// are deterministic in (origination count, this knob) alone — never in
-  /// thread counts — so a killed run resumes mid-Simulate at any thread
-  /// setting; the merged SimArtifact is byte-identical at every value.
+  /// Originations per Simulate chunk task (0 = auto, aiming at ~32
+  /// near-equal chunks).  Chunk boundaries are deterministic in
+  /// (origination count, this knob) alone — never in thread counts — so a
+  /// killed run resumes mid-Simulate at any thread setting; the merged
+  /// SimArtifact is byte-identical at every value.
   std::size_t sim_chunk_prefixes = 0;
   /// Optional node-span trace sink (non-owning; must outlive the
   /// experiment).  See StageTrace.
@@ -129,8 +129,9 @@ struct SimArtifact {
 /// staged task graph schedules in parallel and the artifact store persists
 /// individually, so a killed run resumes *mid-Simulate* — a restarted
 /// process recomputes only the chunks that never hit disk
-/// (sim::simulate_chunk computes one, sim::merge_sim_chunk replays them in
-/// range order into a byte-identical SimResult).
+/// (sim::run_simulation over the chunk's slice computes one,
+/// sim::merge_sim_chunk replays them in range order into a byte-identical
+/// SimResult).
 struct SimChunk {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
@@ -185,8 +186,8 @@ struct InferenceProducts {
 
 // ---------------------------------------------------------- stage runners --
 // Pure, freestanding stage functions — the composable layer `Experiment`
-// and `run_pipeline` are assembled from.  `threads` follows the shared
-// knob semantics; every output is byte-identical at any value.
+// is assembled from.  `threads` follows the shared knob semantics; every
+// output is byte-identical at any value.
 
 [[nodiscard]] GroundTruth synthesize(const Scenario& scenario);
 
@@ -230,10 +231,10 @@ struct StageCounters {
 };
 
 /// The Simulate-chunk ledger of one Experiment: how many chunk tasks the
-/// task-graph path scheduled, and of those how many were computed vs.
-/// served from the store — the mid-Simulate resume assertion hook
+/// task graph scheduled, and of those how many were computed vs. served
+/// from the store — the mid-Simulate resume assertion hook
 /// (tests/core/artifact_store_test.cc).  All zero when Simulate was served
-/// whole (full-artifact store hit) or ran on the sequential seed path.
+/// whole (full-artifact store hit).
 struct SimChunkLedger {
   std::size_t total = 0;
   std::size_t computed = 0;
@@ -306,7 +307,7 @@ class Experiment {
   [[nodiscard]] const Scenario& scenario() const { return scenario_; }
   [[nodiscard]] const RunOptions& options() const { return options_; }
   [[nodiscard]] const StageCounters& counters() const { return counters_; }
-  /// The Simulate-chunk ledger of the task-graph path (see SimChunkLedger).
+  /// The Simulate-chunk ledger (see SimChunkLedger).
   [[nodiscard]] const SimChunkLedger& sim_chunks() const {
     return sim_chunks_;
   }
@@ -328,6 +329,9 @@ class Experiment {
   /// Non-owning analysis view over the Simulate/Observe/Infer artifacts
   /// (runs them if needed); `this` must outlive the view.
   [[nodiscard]] ExperimentView view();
+  /// The same view over already-materialized artifacts (throws
+  /// std::logic_error when a stage has not run).
+  [[nodiscard]] ExperimentView view() const;
 
   /// The staged artifacts of an experiment, moved out wholesale for a
   /// long-lived consumer — the serving layer's snapshot builder
@@ -342,14 +346,6 @@ class Experiment {
     std::optional<AnalysisSuite> analyses;
   };
   [[nodiscard]] StageArtifacts take_artifacts() &&;
-
-  /// Assembles the flat compatibility struct from the staged artifacts,
-  /// running stages up to Infer if needed.  `to_pipeline` copies;
-  /// `into_pipeline` moves the artifacts out and leaves the experiment
-  /// empty (only Synthesize..Infer artifacts transfer; a cached
-  /// AnalysisSuite is discarded).
-  [[nodiscard]] Pipeline to_pipeline();
-  [[nodiscard]] Pipeline into_pipeline() &&;
 
  private:
   struct UpstreamScratch;  // per-graph-run staging state (experiment.cc)
@@ -368,20 +364,15 @@ class Experiment {
     return digests_[static_cast<std::size_t>(stage)];
   }
   /// Materializes upstream stages (≤ kObserve) through a task graph on
-  /// this experiment's executor; with a sequential executor and no store,
-  /// falls back to the direct stage calls (the exact seed program).
+  /// this experiment's executor; a sequential executor runs its nodes in
+  /// program order.
   void run_upstream(Stage until);
-  /// The direct (pre-task-graph) stage path; byte-identical to the graph.
-  void run_upstream_serial(Stage until);
-  /// The Synthesize probe-or-compute-and-persist body (shared by both
-  /// paths; Synthesize has no internal parallelism to lose).
-  void materialize_truth();
   /// Probes the store for the whole Observations artifact (decoding it, so
   /// corruption stays a miss); requires upstream digests to be known.
   void probe_observe(UpstreamScratch& scratch);
   /// The Simulate task-graph body: probe/compute/persist chunk tasks
   /// nested-submitted into `graph`, merged in range order.
-  void simulate_chunked(util::TaskGraph& graph);
+  void simulate_in_chunks(util::TaskGraph& graph);
   /// Wraps a node body with StageTrace recording when enabled.
   template <typename Fn>
   void traced(const char* name, Fn&& fn);

@@ -1,7 +1,9 @@
-#include "core/pipeline.h"
+#include "core/experiment_view.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "util/ensure.h"
 
@@ -66,47 +68,6 @@ std::unordered_set<AsNumber> ExperimentView::community_verified_neighbors(
     }
   }
   return out;
-}
-
-ExperimentView Pipeline::view() const {
-  ExperimentView v;
-  v.sim = &sim;
-  v.irr_objects = &irr_objects;
-  v.inferred = &inferred;
-  v.inferred_graph = &inferred_graph;
-  v.tiers = &tiers;
-  v.paths = &paths;
-  return v;
-}
-
-const bgp::BgpTable& Pipeline::table_for(AsNumber as) const {
-  if (const auto it = sim.looking_glass.find(as);
-      it != sim.looking_glass.end()) {
-    return it->second;
-  }
-  if (const auto it = sim.best_only.find(as); it != sim.best_only.end()) {
-    return it->second;
-  }
-  throw std::out_of_range("Pipeline: no table recorded for " +
-                          util::to_string(as));
-}
-
-bool Pipeline::has_table(AsNumber as) const {
-  return sim.looking_glass.contains(as) || sim.best_only.contains(as);
-}
-
-const rpsl::AutNum* Pipeline::irr_for(AsNumber as) const {
-  return view().irr_for(as);
-}
-
-asrel::CommunityVerification Pipeline::community_verification(
-    AsNumber vantage_as) const {
-  return view().community_verification(vantage_as);
-}
-
-std::unordered_set<AsNumber> Pipeline::community_verified_neighbors(
-    AsNumber vantage_as) const {
-  return view().community_verified_neighbors(vantage_as);
 }
 
 std::vector<AsNumber> sorted_looking_glass(const sim::SimResult& sim) {

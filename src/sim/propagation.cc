@@ -187,8 +187,8 @@ PrefixRouting compute_prefix(const topo::AsGraph& graph,
                              const FailedEdges* failed,
                              const PropagationOptions& options) {
   // One-shot convenience: builds the flat context and scratch for a single
-  // fixpoint.  Loops over many prefixes (run_simulation, simulate_chunk,
-  // churn) build one FlatSimContext and reuse leased scratches instead.
+  // fixpoint.  Loops over many prefixes (run_simulation, churn) build one
+  // FlatSimContext and reuse leased scratches instead.
   const FlatSimContext context(graph, policies);
   FlatScratch scratch;
   return compute_prefix_flat(context, origination, failed, options, scratch);

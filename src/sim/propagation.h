@@ -65,13 +65,11 @@ struct PropagationOptions {
   /// re-propagation).  0 = hardware concurrency, 1 = single-threaded (the
   /// exact seed program).  Each individual prefix fixpoint is always
   /// sequential; output is byte-identical for every value (see the
-  /// "Concurrency model" section above).  core::run_pipeline threads the
-  /// same knob into the inference stages it runs
-  /// (asrel::GaoParams::threads for relationship voting,
-  /// core::PathIndex::add_tables for path indexing); the per-table
-  /// analysis suite (core::run_analysis_suite, run by benches and tests on
-  /// a finished pipeline) takes the knob as an explicit argument.  All
-  /// stages share one determinism contract (docs/ARCHITECTURE.md).
+  /// "Concurrency model" section above).  core::Experiment threads the
+  /// same knob into every stage it runs (asrel::GaoParams::threads for
+  /// relationship voting, core::PathIndex::add_tables for path indexing,
+  /// core::run_analysis_suite for the per-table analyses).  All stages
+  /// share one determinism contract (docs/ARCHITECTURE.md).
   std::size_t threads = 1;
 
   friend bool operator==(const PropagationOptions&, const PropagationOptions&) =

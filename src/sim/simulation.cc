@@ -47,28 +47,6 @@ SimResult init_sim_result(const VantageSpec& spec) {
   return result;
 }
 
-SimResult simulate_chunk(const topo::AsGraph& graph, const PolicySet& policies,
-                         std::span<const Origination> originations,
-                         const VantageSpec& spec,
-                         const PropagationOptions& options,
-                         util::IndexRange range) {
-  PropagationEngine engine(graph, policies);
-  SimResult result = init_sim_result(spec);
-  // One flat context + one warmed scratch for the whole chunk: after the
-  // first prefix the fixpoints run allocation-free.
-  const FlatSimContext context(graph, policies);
-  FlatScratch scratch;
-  for (std::size_t i = range.begin; i < range.end; ++i) {
-    const PrefixRouting state = compute_prefix_flat(
-        context, originations[i], nullptr, options, scratch);
-    if (!state.converged) ++result.unconverged_prefixes;
-    result.process_events += state.process_events;
-    record_prefix(engine, state, spec, result);
-    ++result.origination_count;
-  }
-  return result;
-}
-
 namespace {
 
 /// Replays every route of `from` into `to` in first-insertion prefix order

@@ -62,26 +62,14 @@ void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
                    const VantageSpec& spec, SimResult& result);
 
 /// An empty SimResult with every vantage table pre-created (owners set) —
-/// the shared starting state of run_simulation, chunk computation, and
-/// chunk merging, so partial and merged results agree byte-for-byte on
-/// table identity.
+/// the shared starting state of run_simulation and chunk merging, so
+/// partial and merged results agree byte-for-byte on table identity.
 [[nodiscard]] SimResult init_sim_result(const VantageSpec& spec);
 
-/// Computes the converged vantage recording for the origination slice
-/// [range.begin, range.end) — one Simulate *chunk*, the unit the staged
-/// task graph schedules and the artifact store persists individually
-/// (core/experiment.h).  Pure: sequential over its slice, no shared
-/// mutable state, so any number of chunks run concurrently.  Recording
-/// order inside a chunk is origination order, exactly the sequential
-/// program restricted to the slice.
-[[nodiscard]] SimResult simulate_chunk(const topo::AsGraph& graph,
-                                       const PolicySet& policies,
-                                       std::span<const Origination> originations,
-                                       const VantageSpec& spec,
-                                       const PropagationOptions& options,
-                                       util::IndexRange range);
-
-/// Appends a chunk's recordings onto `into`.  Replaying chunks in range
+/// Appends a chunk's recordings onto `into` — a chunk being run_simulation
+/// over one contiguous slice of the origination list, the Simulate unit
+/// the staged task graph schedules and the artifact store persists
+/// individually (core/experiment.h).  Replaying chunks in range
 /// order reproduces the sequential run byte-for-byte: chunks partition the
 /// origination list contiguously, tables iterate in first-insertion order,
 /// and per-(prefix, neighbor) implicit-withdraw semantics are preserved by

@@ -4,10 +4,18 @@
 
 namespace bgpolicy::util {
 
-std::string to_string(AsNumber as) { return "AS" + std::to_string(as.value()); }
+// Built by appending: GCC 12 at -O3 raises a -Werror=restrict false
+// positive on `"r" + std::to_string(...)`.
+std::string to_string(AsNumber as) {
+  std::string out = "AS";
+  out += std::to_string(as.value());
+  return out;
+}
 
 std::string to_string(RouterId router) {
-  return "r" + std::to_string(router.value());
+  std::string out = "r";
+  out += std::to_string(router.value());
+  return out;
 }
 
 std::ostream& operator<<(std::ostream& os, AsNumber as) {

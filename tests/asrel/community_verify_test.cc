@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::asrel {
 namespace {
@@ -119,10 +119,11 @@ TEST(CommunityVerify, UntaggedTableVerifiesNothing) {
 class PipelineVerification : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(PipelineVerification, VerifiesMostNeighbors) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   const AsNumber vantage{GetParam()};
-  if (!pipe.sim.looking_glass.contains(vantage)) GTEST_SKIP();
-  const auto result = pipe.community_verification(vantage);
+  if (!exp.sim().sim.looking_glass.contains(vantage)) GTEST_SKIP();
+  const auto result = view.community_verification(vantage);
   ASSERT_GT(result.comparable, 0u);
   EXPECT_GT(result.percent_verified, 85.0)
       << util::to_string(vantage) << " verified too little";

@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/pipeline.h"
 #include "core/scenario.h"
 #include "sim/policy_gen.h"
 #include "sim/simulation.h"
+#include "testing/experiment_cache.h"
 #include "topology/prefix_alloc.h"
 #include "topology/topology_gen.h"
 
@@ -40,20 +40,22 @@ TEST(GaoInference, SimpleChainInfersProviderDirection) {
 class GaoAccuracy : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GaoAccuracy, HighAccuracyOnSyntheticInternet) {
-  const auto pipe = core::run_pipeline(core::Scenario::small(GetParam()));
-  const double accuracy = pipe.inferred.accuracy_against(pipe.topo.graph);
+  const auto& exp = testing::shared_experiment(GetParam());
+  const double accuracy =
+      exp.inference().inferred.accuracy_against(exp.truth().topo.graph);
   EXPECT_GT(accuracy, 0.93) << "accuracy collapsed at seed " << GetParam();
-  EXPECT_GT(pipe.inferred.edge_count(), 100u);
+  EXPECT_GT(exp.inference().inferred.edge_count(), 100u);
 }
 
 TEST_P(GaoAccuracy, VantageNeighborsNearlyAllCorrect) {
   // The paper's Table 4 finding: 94-99.5% of vantage-adjacent relationships
   // verify.  Our inference should reach that band against ground truth.
-  const auto pipe = core::run_pipeline(core::Scenario::small(GetParam()));
+  const auto& exp = testing::shared_experiment(GetParam());
   std::size_t ok = 0, total = 0;
-  for (const auto vantage : pipe.vantage.looking_glass) {
-    for (const auto& n : pipe.topo.graph.neighbors(vantage)) {
-      const auto inferred = pipe.inferred.relationship(vantage, n.as);
+  for (const auto vantage : exp.sim().vantage.looking_glass) {
+    for (const auto& n : exp.truth().topo.graph.neighbors(vantage)) {
+      const auto inferred =
+          exp.inference().inferred.relationship(vantage, n.as);
       if (!inferred) continue;
       ++total;
       if (*inferred == n.kind) ++ok;
@@ -66,20 +68,20 @@ TEST_P(GaoAccuracy, VantageNeighborsNearlyAllCorrect) {
 INSTANTIATE_TEST_SUITE_P(Seeds, GaoAccuracy, ::testing::Values(42, 7, 123));
 
 TEST(GaoInference, CliqueRecoversTier1Core) {
-  const auto pipe = core::run_pipeline(core::Scenario::small(42));
+  const auto& exp = testing::shared_experiment(42);
   // Re-run the inference input to query the clique.
   GaoInference gao;
-  pipe.sim.collector.for_each(
+  exp.sim().sim.collector.for_each(
       [&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
         for (const auto& route : routes) gao.add_path(route.path);
       });
   const auto clique = gao.top_clique();
   // Every clique member must be a true Tier-1.
   for (const auto as : clique) {
-    EXPECT_EQ(pipe.topo.tier_of(as), topo::Tier::kTier1)
+    EXPECT_EQ(exp.truth().topo.tier_of(as), topo::Tier::kTier1)
         << util::to_string(as) << " wrongly in the inferred core";
   }
-  EXPECT_GE(clique.size(), pipe.topo.tier1.size() / 2);
+  EXPECT_GE(clique.size(), exp.truth().topo.tier1.size() / 2);
 }
 
 TEST(GaoInference, AblationPeerDetectionMatters) {

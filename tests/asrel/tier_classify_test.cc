@@ -2,12 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::asrel {
 namespace {
 
-using bgpolicy::testing::shared_pipeline;
+using bgpolicy::testing::shared_experiment;
 using util::AsNumber;
 
 TEST(TierClassify, HandBuiltHierarchy) {
@@ -40,28 +40,28 @@ TEST(TierClassify, HandBuiltHierarchy) {
 }
 
 TEST(TierClassify, PipelineTier1MatchesGroundTruth) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
   // Every inferred Tier-1 is a true Tier-1.
-  for (const auto as : pipe.tiers.tier1) {
-    EXPECT_EQ(pipe.topo.tier_of(as), topo::Tier::kTier1)
+  for (const auto as : exp.inference().tiers.tier1) {
+    EXPECT_EQ(exp.truth().topo.tier_of(as), topo::Tier::kTier1)
         << util::to_string(as);
   }
   // And most true Tier-1s are recovered.
   std::size_t recovered = 0;
-  for (const auto as : pipe.topo.tier1) {
-    if (pipe.tiers.level_of(as) == 1) ++recovered;
+  for (const auto as : exp.truth().topo.tier1) {
+    if (exp.inference().tiers.level_of(as) == 1) ++recovered;
   }
-  EXPECT_GE(recovered, pipe.topo.tier1.size() - 1);
+  EXPECT_GE(recovered, exp.truth().topo.tier1.size() - 1);
 }
 
 TEST(TierClassify, StubsLandInLevel4) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
   std::size_t checked = 0;
   std::size_t correct = 0;
-  for (const auto as : pipe.topo.stubs) {
-    if (!pipe.inferred_graph.contains(as)) continue;
+  for (const auto as : exp.truth().topo.stubs) {
+    if (!exp.inference().inferred_graph.contains(as)) continue;
     ++checked;
-    if (pipe.tiers.level_of(as) == 4) ++correct;
+    if (exp.inference().tiers.level_of(as) == 4) ++correct;
   }
   ASSERT_GT(checked, 50u);
   EXPECT_GT(static_cast<double>(correct) / static_cast<double>(checked), 0.9);

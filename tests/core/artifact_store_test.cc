@@ -30,38 +30,13 @@
 #include "core/scenario.h"
 #include "io/artifact_codec.h"
 #include "sim/simulation.h"
+#include "testing/scoped_store.h"
 
 namespace bgpolicy::core {
 namespace {
 
+using testing::ScopedStore;
 using util::AsNumber;
-
-/// A store rooted in a fresh temp directory, removed on destruction.
-class ScopedStore {
- public:
-  ScopedStore() {
-    static int counter = 0;
-    root_ = std::filesystem::temp_directory_path() /
-            ("bgpolicy-store-test-" +
-             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
-             "-" + std::to_string(counter++));
-    std::filesystem::remove_all(root_);
-    store_ = std::make_unique<ArtifactStore>(root_);
-  }
-  ~ScopedStore() {
-    store_.reset();
-    std::error_code ignored;
-    std::filesystem::remove_all(root_, ignored);
-  }
-
-  ArtifactStore& operator*() { return *store_; }
-  ArtifactStore* operator->() { return store_.get(); }
-  ArtifactStore* get() { return store_.get(); }
-
- private:
-  std::filesystem::path root_;
-  std::unique_ptr<ArtifactStore> store_;
-};
 
 std::string products_digest(const InferenceProducts& inference,
                             const AnalysisSuite& analyses) {
@@ -265,14 +240,15 @@ TEST(SimChunkCodec, RoundtripIsBytePure) {
   const sim::VantageSpec vantage =
       derive_vantage(experiment.scenario(), truth.topo);
 
+  const util::Executor sequential;
   SimChunk chunk;
   chunk.begin = 0;
   chunk.end = std::min<std::size_t>(4, truth.originations.size());
   chunk.total = truth.originations.size();
-  chunk.partial = sim::simulate_chunk(
-      truth.topo.graph, truth.gen.policies, truth.originations, vantage,
-      experiment.scenario().propagation,
-      {0, static_cast<std::size_t>(chunk.end)});
+  chunk.partial = sim::run_simulation(
+      truth.topo.graph, truth.gen.policies,
+      std::span(truth.originations).first(chunk.end), vantage,
+      experiment.scenario().propagation, &sequential);
 
   const std::vector<std::uint8_t> bytes = io::encode(chunk);
   const SimChunk decoded = io::decode_sim_chunk(bytes);
@@ -316,14 +292,17 @@ TEST(SimChunkResume, KilledMidSimulateRecomputesOnlyMissingChunks) {
   const std::size_t persisted = ranges.size() / 2;
   const sim::VantageSpec vantage = derive_vantage(scenario, truth.topo);
   const std::string scenario_key = scenario_cache_key(scenario);
+  const util::Executor sequential;
   for (std::size_t i = 0; i < persisted; ++i) {
     SimChunk chunk;
     chunk.begin = ranges[i].begin;
     chunk.end = ranges[i].end;
     chunk.total = truth.originations.size();
-    chunk.partial = sim::simulate_chunk(truth.topo.graph, truth.gen.policies,
-                                        truth.originations, vantage,
-                                        scenario.propagation, ranges[i]);
+    chunk.partial = sim::run_simulation(
+        truth.topo.graph, truth.gen.policies,
+        std::span(truth.originations)
+            .subspan(ranges[i].begin, ranges[i].size()),
+        vantage, scenario.propagation, &sequential);
     store->put(
         sim_chunk_store_key(scenario_key,
                             setup.stage_digest(Stage::kSynthesize), ranges[i],

@@ -5,7 +5,7 @@
 #include "core/export_inference.h"
 #include "sim/simulation.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -123,15 +123,16 @@ TEST(Causes, Case3DistinguishesWithheldFromCapped) {
 // Table 9 shape at scale: splitting and aggregating are rare among SA
 // prefixes; Case 3 dominates and mostly shows plain withholding.
 TEST(Causes, PipelineTable9Shape) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   const AsNumber provider{1};
   const auto analysis =
-      infer_sa_prefixes(pipe.table_for(provider), provider,
-                        pipe.inferred_graph, pipe.inferred_oracle());
+      infer_sa_prefixes(view.table_for(provider), provider,
+                        *view.inferred_graph, view.inferred_oracle());
   ASSERT_GT(analysis.sa_count, 5u);
   const auto causes =
-      analyze_causes(analysis, pipe.table_for(provider), pipe.paths,
-                     pipe.inferred_graph, pipe.inferred_oracle());
+      analyze_causes(analysis, view.table_for(provider), *view.paths,
+                     *view.inferred_graph, view.inferred_oracle());
   EXPECT_LT(causes.splitting, analysis.sa_count / 2)
       << "splitting should not be the main cause (paper Table 9)";
   EXPECT_LT(causes.aggregating, analysis.sa_count)

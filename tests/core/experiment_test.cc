@@ -1,8 +1,9 @@
-// The staged experiment API contract (ISSUE 3): staged artifacts
-// reassemble into a Pipeline byte-identical to run_pipeline's at any
-// thread count, downstream stages re-run against cached upstream artifacts
-// (verified by stage-run counters), and sweeps are thread-count
-// independent with upstream work shared per distinct scenario.
+// The staged experiment API contract: every Experiment run reproduces the
+// freestanding stage functions run at threads = 1 byte for byte, at any
+// thread count, chunk size, and with or without a store; downstream stages
+// re-run against cached upstream artifacts (verified by stage-run
+// counters), and sweeps are thread-count independent with upstream work
+// shared per distinct scenario.
 #include "core/experiment.h"
 
 #include <string>
@@ -11,45 +12,44 @@
 #include <gtest/gtest.h>
 
 #include "io/artifact_codec.h"
-#include "io/binary_table.h"
+#include "testing/scoped_store.h"
 
 namespace bgpolicy::core {
 namespace {
 
 using util::AsNumber;
 
-std::string table_bytes(const bgp::BgpTable& table) {
-  const auto bytes = io::serialize_table(table);
+/// An artifact's codec bytes: encoding is content-pure, so equal bytes are
+/// equal artifacts.
+template <typename Artifact>
+std::string encoded(const Artifact& artifact) {
+  const std::vector<std::uint8_t> bytes = io::encode(artifact);
   return std::string(bytes.begin(), bytes.end());
 }
 
-// Byte-level digest of every product run_pipeline assembles.  Tables are
-// serialized through the io layer; relationships/tiers go through the
-// canonical serializers.
-std::string pipeline_digest(const Pipeline& pipe) {
-  std::string out;
-  out += "collector\n" + table_bytes(pipe.sim.collector);
-  for (const AsNumber as : sorted_looking_glass(pipe.sim)) {
-    out += "lg " + util::to_string(as) + "\n" +
-           table_bytes(pipe.sim.looking_glass.at(as));
-  }
-  out += "unconverged=" + std::to_string(pipe.sim.unconverged_prefixes);
-  out += " events=" + std::to_string(pipe.sim.process_events);
-  out += " origs=" + std::to_string(pipe.originations.size());
-  out += " best_only=" + std::to_string(pipe.sim.best_only.size()) + "\n";
-  out += pipe.irr_text;
-  out += asrel::canonical_serialize(pipe.inferred);
-  out += asrel::canonical_serialize(pipe.tiers);
-  out += "paths=" + std::to_string(pipe.paths.path_count());
-  out += " adjacencies=" + std::to_string(pipe.paths.adjacency_count());
-  out += "\n";
-  return out;
+/// The freestanding stage functions at threads = 1, no executor, no store:
+/// the reference every Experiment execution shape must reproduce.
+struct StageReference {
+  GroundTruth truth;
+  SimArtifact sim;
+  Observations observations;
+  InferenceProducts inference;
+};
+
+StageReference run_stage_functions(const Scenario& scenario) {
+  StageReference ref;
+  ref.truth = synthesize(scenario);
+  ref.sim = simulate(scenario, ref.truth, 1);
+  ref.observations = observe(scenario, ref.truth, ref.sim, 1);
+  asrel::GaoParams params;
+  params.threads = 1;
+  ref.inference = infer_relationships(ref.observations, params);
+  return ref;
 }
 
-TEST(Experiment, StagedRoundtripMatchesRunPipelineAtEveryThreadCount) {
+TEST(Experiment, StagedRunMatchesStageFunctionsAtEveryThreadCount) {
+  const StageReference reference = run_stage_functions(Scenario::small(91));
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    const Pipeline reference = run_pipeline(Scenario::small(91), threads);
-
     RunOptions options;
     options.threads = threads;
     options.until = Stage::kInfer;
@@ -63,13 +63,22 @@ TEST(Experiment, StagedRoundtripMatchesRunPipelineAtEveryThreadCount) {
     EXPECT_EQ(experiment.counters().infer, 1u);
     EXPECT_EQ(experiment.counters().analyze, 0u);
 
-    const Pipeline copied = experiment.to_pipeline();
-    EXPECT_EQ(pipeline_digest(copied), pipeline_digest(reference))
-        << "staged reassembly differs from run_pipeline at threads="
-        << threads;
+    EXPECT_EQ(encoded(experiment.truth()), encoded(reference.truth))
+        << "GroundTruth differs at threads=" << threads;
+    EXPECT_EQ(encoded(experiment.sim()), encoded(reference.sim))
+        << "SimArtifact differs at threads=" << threads;
+    EXPECT_EQ(encoded(experiment.observations()),
+              encoded(reference.observations))
+        << "Observations differ at threads=" << threads;
+    EXPECT_EQ(encoded(experiment.inference()), encoded(reference.inference))
+        << "InferenceProducts differ at threads=" << threads;
 
-    const Pipeline moved = std::move(experiment).into_pipeline();
-    EXPECT_EQ(pipeline_digest(moved), pipeline_digest(reference));
+    // Moving the artifacts out hands over the same bytes.
+    const Experiment::StageArtifacts moved =
+        std::move(experiment).take_artifacts();
+    EXPECT_EQ(encoded(*moved.sim), encoded(reference.sim));
+    EXPECT_EQ(encoded(*moved.inference), encoded(reference.inference));
+    EXPECT_FALSE(moved.analyses.has_value());
   }
 }
 
@@ -119,16 +128,17 @@ TEST(Experiment, StageSelectionStopsWhereAsked) {
   EXPECT_THROW((void)finished.inference(), std::logic_error);
 }
 
-TEST(Experiment, AnalyzeStageMatchesSuiteOverPipeline) {
+TEST(Experiment, AnalyzeStageMatchesSuiteOverStageFunctions) {
   RunOptions options;
   options.threads = 1;
   Experiment experiment(Scenario::small(42), options);
-  const std::string staged = canonical_serialize(experiment.analyses());
+  const std::string staged = encoded(experiment.analyses());
   EXPECT_EQ(experiment.counters().analyze, 1u);
 
-  const Pipeline pipe = run_pipeline(Scenario::small(42), 1);
-  const std::string direct = canonical_serialize(
-      run_analysis_suite(pipe, recorded_vantages(pipe), 1));
+  const StageReference reference = run_stage_functions(Scenario::small(42));
+  const std::string direct = encoded(run_analysis_suite(
+      make_view(reference.sim, reference.observations, reference.inference),
+      recorded_vantages(reference.sim.sim), 1));
   EXPECT_EQ(staged, direct);
 }
 
@@ -198,46 +208,47 @@ TEST(Sweep, ReusesUpstreamArtifactsPerDistinctScenario) {
 }
 
 TEST(Experiment, ChunkSizeAndThreadsNeverChangeArtifacts) {
-  // The task-graph Simulate path (forced by threads >= 2) must produce
-  // byte-identical artifacts at every chunk size, all equal to the
-  // sequential seed program's.
-  RunOptions reference_options;
-  reference_options.threads = 1;
-  Experiment reference(Scenario::small(17), reference_options);
-  reference.run(Stage::kObserve);
-  const std::string reference_sim(
-      [](const std::vector<std::uint8_t>& b) {
-        return std::string(b.begin(), b.end());
-      }(io::encode(reference.sim())));
-  const std::string reference_obs(
-      [](const std::vector<std::uint8_t>& b) {
-        return std::string(b.begin(), b.end());
-      }(io::encode(reference.observations())));
+  // Every execution shape of the task graph — any thread count, any chunk
+  // size, with or without a store — must reproduce the stage functions'
+  // bytes.
+  const StageReference reference = run_stage_functions(Scenario::small(17));
+  const std::string reference_sim = encoded(reference.sim);
+  const std::string reference_obs = encoded(reference.observations);
 
-  for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{5}, std::size_t{100000}}) {
+  struct Shape {
+    std::size_t threads;
+    std::size_t chunk;
+    bool store;
+  };
+  for (const Shape shape :
+       {Shape{3, 0, false}, Shape{3, 1, false}, Shape{3, 5, false},
+        Shape{3, 100000, false}, Shape{1, 0, false}, Shape{1, 0, true}}) {
+    testing::ScopedStore store;
     RunOptions options;
-    options.threads = 3;
-    options.sim_chunk_prefixes = chunk;
+    options.threads = shape.threads;
+    options.sim_chunk_prefixes = shape.chunk;
+    if (shape.store) options.store = store.get();
     Experiment experiment(Scenario::small(17), options);
     experiment.run(Stage::kObserve);
-    const std::vector<std::uint8_t> sim_bytes = io::encode(experiment.sim());
-    const std::vector<std::uint8_t> obs_bytes =
-        io::encode(experiment.observations());
-    EXPECT_EQ(std::string(sim_bytes.begin(), sim_bytes.end()), reference_sim)
-        << "SimArtifact differs at chunk size " << chunk;
-    EXPECT_EQ(std::string(obs_bytes.begin(), obs_bytes.end()), reference_obs)
-        << "Observations differ at chunk size " << chunk;
+    const std::string where = "threads=" + std::to_string(shape.threads) +
+                              " chunk=" + std::to_string(shape.chunk) +
+                              " store=" + std::to_string(shape.store);
+    EXPECT_EQ(encoded(experiment.sim()), reference_sim)
+        << "SimArtifact differs at " << where;
+    EXPECT_EQ(encoded(experiment.observations()), reference_obs)
+        << "Observations differ at " << where;
+    EXPECT_GT(experiment.sim_chunks().total, 0u);
     EXPECT_EQ(experiment.sim_chunks().computed, experiment.sim_chunks().total);
 
     // Invalidate-and-rerun starts a fresh chunk ledger (computed + loaded
-    // always equals total) and reproduces the same bytes.
+    // always equals total; all zero when the store serves the merged
+    // artifact) and reproduces the same bytes.
     experiment.invalidate(Stage::kSimulate);
     experiment.run(Stage::kSimulate);
     EXPECT_EQ(experiment.sim_chunks().computed, experiment.sim_chunks().total);
     EXPECT_EQ(experiment.sim_chunks().loaded, 0u);
-    const std::vector<std::uint8_t> again = io::encode(experiment.sim());
-    EXPECT_EQ(std::string(again.begin(), again.end()), reference_sim);
+    EXPECT_EQ(encoded(experiment.sim()), reference_sim)
+        << "rerun SimArtifact differs at " << where;
   }
 }
 

@@ -5,7 +5,7 @@
 #include "sim/propagation.h"
 #include "sim/simulation.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -111,22 +111,24 @@ TEST(SaInference, FullRibAblationAgreesUnderTypicalPreferences) {
 
 TEST(SaInference, PerCustomerIntersection) {
   // Table 6 semantics: a prefix counts only when SA w.r.t. every provider.
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   const std::vector<util::AsNumber> providers{
       util::AsNumber(1), util::AsNumber(3549), util::AsNumber(7018)};
   std::vector<const bgp::BgpTable*> tables;
-  for (const auto p : providers) tables.push_back(&pipe.table_for(p));
+  for (const auto p : providers) tables.push_back(&view.table_for(p));
 
   // Pick a few customers with many prefixes.
   std::vector<util::AsNumber> customers;
-  for (const auto as : pipe.topo.stubs) {
-    if (pipe.plan.count_for(as) >= 4) customers.push_back(as);
+  for (const auto as : exp.truth().topo.stubs) {
+    if (exp.truth().plan.count_for(as) >= 4) customers.push_back(as);
     if (customers.size() == 8) break;
   }
   ASSERT_FALSE(customers.empty());
 
-  const auto rows = sa_per_customer(tables, providers, customers,
-                                    pipe.inferred_graph, pipe.inferred_oracle());
+  const auto rows =
+      sa_per_customer(tables, providers, customers, *view.inferred_graph,
+                      view.inferred_oracle());
   ASSERT_EQ(rows.size(), customers.size());
   for (const auto& row : rows) {
     EXPECT_LE(row.sa_count, row.prefix_count);
@@ -134,8 +136,8 @@ TEST(SaInference, PerCustomerIntersection) {
     // provider's SA count restricted to this customer.
     for (std::size_t i = 0; i < providers.size(); ++i) {
       const auto single = infer_sa_prefixes(*tables[i], providers[i],
-                                            pipe.inferred_graph,
-                                            pipe.inferred_oracle());
+                                            *view.inferred_graph,
+                                            view.inferred_oracle());
       std::size_t per_provider = 0;
       for (const auto& sa : single.sa_prefixes) {
         if (sa.origin == row.customer) ++per_provider;
@@ -152,27 +154,28 @@ TEST(SaInference, PerCustomerIntersection) {
 // a configured behavior (origin/intermediate selective announcement,
 // community cap, splitting, or aggregation).
 TEST(SaInference, DetectedSaPrefixesHaveGroundTruthCause) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   // Collect ground-truth "suppressed somewhere" prefixes.
   std::unordered_set<bgp::Prefix> truth_touched;
-  for (const auto& unit : pipe.gen.truth.origin_units) {
+  for (const auto& unit : exp.truth().gen.truth.origin_units) {
     if (unit.withheld) truth_touched.insert(unit.prefix);
   }
-  for (const auto& split : pipe.gen.truth.split_specifics) {
+  for (const auto& split : exp.truth().gen.truth.split_specifics) {
     truth_touched.insert(split);
   }
-  for (const auto& [prefix, provider] : pipe.gen.truth.aggregated_by) {
+  for (const auto& [prefix, provider] : exp.truth().gen.truth.aggregated_by) {
     truth_touched.insert(prefix);
   }
   std::unordered_set<util::AsNumber> intermediate_origins;
-  for (const auto& unit : pipe.gen.truth.intermediate_units) {
+  for (const auto& unit : exp.truth().gen.truth.intermediate_units) {
     intermediate_origins.insert(unit.customer);
   }
 
   const util::AsNumber vantage{1};
   const auto analysis =
-      infer_sa_prefixes(pipe.table_for(vantage), vantage, pipe.inferred_graph,
-                        pipe.inferred_oracle());
+      infer_sa_prefixes(view.table_for(vantage), vantage, *view.inferred_graph,
+                        view.inferred_oracle());
   std::size_t explained = 0;
   for (const auto& sa : analysis.sa_prefixes) {
     const bool direct = truth_touched.contains(sa.prefix);
@@ -180,8 +183,8 @@ TEST(SaInference, DetectedSaPrefixesHaveGroundTruthCause) {
     // check whether the origin sits under a suppressed customer.
     bool via_intermediate = intermediate_origins.contains(sa.origin);
     for (const auto mid : intermediate_origins) {
-      if (pipe.topo.graph.contains(mid) &&
-          pipe.topo.graph.in_customer_cone(mid, sa.origin)) {
+      if (exp.truth().topo.graph.contains(mid) &&
+          exp.truth().topo.graph.in_customer_cone(mid, sa.origin)) {
         via_intermediate = true;
       }
     }

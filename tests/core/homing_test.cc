@@ -4,7 +4,7 @@
 
 #include "core/export_inference.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -59,13 +59,14 @@ TEST(Homing, EmptyAnalysis) {
 // Table 8 shape: the majority of SA-origin ASes are multihomed (~75% in
 // the paper).
 TEST(Homing, PipelineTable8Shape) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   const AsNumber provider{1};
   const auto analysis =
-      infer_sa_prefixes(pipe.table_for(provider), provider,
-                        pipe.inferred_graph, pipe.inferred_oracle());
+      infer_sa_prefixes(view.table_for(provider), provider,
+                        *view.inferred_graph, view.inferred_oracle());
   ASSERT_GT(analysis.sa_count, 5u);
-  const auto result = analyze_homing(analysis, pipe.inferred_graph);
+  const auto result = analyze_homing(analysis, *view.inferred_graph);
   EXPECT_GT(result.percent_multihomed, 50.0)
       << "multihomed origins must dominate (paper: ~75%)";
 }

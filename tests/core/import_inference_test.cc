@@ -4,7 +4,7 @@
 
 #include "rpsl/generator.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -142,10 +142,11 @@ TEST(IrrUsable, FreshnessAndSizeFilter) {
 
 // End-to-end shape: Table 2 — typicality high at every looking glass.
 TEST(ImportTypicality, PipelineTable2Shape) {
-  const auto& pipe = shared_pipeline();
-  for (const auto vantage : pipe.vantage.looking_glass) {
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
+  for (const auto vantage : exp.sim().vantage.looking_glass) {
     const auto result = analyze_import_typicality(
-        pipe.sim.looking_glass.at(vantage), pipe.inferred_oracle());
+        exp.sim().sim.looking_glass.at(vantage), view.inferred_oracle());
     if (result.comparable_prefixes < 10) continue;
     EXPECT_GT(result.percent_typical, 85.0)
         << util::to_string(vantage) << " typicality collapsed";
@@ -154,11 +155,12 @@ TEST(ImportTypicality, PipelineTable2Shape) {
 
 // End-to-end shape: Table 3 — IRR-registered policies are mostly typical.
 TEST(IrrTypicality, PipelineTable3Shape) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   std::size_t analyzed = 0;
-  for (const auto& aut_num : pipe.irr_objects) {
+  for (const auto& aut_num : exp.observations().irr_objects) {
     if (!irr_object_usable(aut_num, 2002, 10)) continue;
-    const auto result = analyze_irr_typicality(aut_num, pipe.inferred_oracle());
+    const auto result = analyze_irr_typicality(aut_num, view.inferred_oracle());
     if (result.comparable_pairs < 10) continue;
     ++analyzed;
     // The pairwise metric is harsh: one bad neighbor taints every pair it

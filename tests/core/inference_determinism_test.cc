@@ -11,13 +11,13 @@
 
 #include "asrel/tier_classify.h"
 #include "core/analysis_suite.h"
-#include "core/pipeline.h"
+#include "core/experiment.h"
 #include "core/scenario.h"
 
 namespace bgpolicy::core {
 namespace {
 
-struct InferenceProducts {
+struct Products {
   std::string relationships;
   std::string tiers;
   std::size_t path_count = 0;
@@ -25,20 +25,26 @@ struct InferenceProducts {
   std::string analyses;
 };
 
-InferenceProducts products_at(std::size_t threads) {
-  const Pipeline pipe = run_pipeline(Scenario::small(), threads);
-  InferenceProducts out;
-  out.relationships = asrel::canonical_serialize(pipe.inferred);
-  out.tiers = asrel::canonical_serialize(pipe.tiers);
-  out.path_count = pipe.paths.path_count();
-  out.adjacency_count = pipe.paths.adjacency_count();
-  out.analyses = canonical_serialize(
-      run_analysis_suite(pipe, recorded_vantages(pipe), threads));
+Products products_at(std::size_t threads) {
+  RunOptions options;
+  options.threads = threads;
+  options.until = Stage::kInfer;
+  Experiment experiment(Scenario::small(), options);
+  experiment.run();
+  const PathIndex& paths = experiment.observations().paths;
+  Products out;
+  out.relationships =
+      asrel::canonical_serialize(experiment.inference().inferred);
+  out.tiers = asrel::canonical_serialize(experiment.inference().tiers);
+  out.path_count = paths.path_count();
+  out.adjacency_count = paths.adjacency_count();
+  out.analyses = canonical_serialize(run_analysis_suite(
+      experiment.view(), recorded_vantages(experiment.sim().sim), threads));
   return out;
 }
 
 TEST(InferenceDeterminism, ProductsIdenticalAcrossThreadCounts) {
-  const InferenceProducts reference = products_at(1);
+  const Products reference = products_at(1);
   ASSERT_FALSE(reference.relationships.empty());
   ASSERT_FALSE(reference.tiers.empty());
   ASSERT_GT(reference.path_count, 0u);
@@ -46,7 +52,7 @@ TEST(InferenceDeterminism, ProductsIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(reference.analyses.empty());
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
-    const InferenceProducts result = products_at(threads);
+    const Products result = products_at(threads);
     EXPECT_EQ(result.relationships, reference.relationships)
         << "inferred relationships differ at threads=" << threads;
     EXPECT_EQ(result.tiers, reference.tiers)
@@ -63,10 +69,12 @@ TEST(InferenceDeterminism, ProductsIdenticalAcrossThreadCounts) {
 // Sharded Gao voting must match the sequential classification on the raw
 // path set too, not only end-to-end through the pipeline.
 TEST(InferenceDeterminism, GaoVotingIdenticalOnSharedPathSet) {
-  const Pipeline pipe = run_pipeline(Scenario::small(), 1);
+  RunOptions options;
+  options.threads = 1;
+  Experiment experiment(Scenario::small(), options);
 
   asrel::GaoInference gao;
-  gao.add_table_paths(pipe.sim.collector);
+  gao.add_table_paths(experiment.sim().sim.collector);
   asrel::GaoParams params;
   params.threads = 1;
   const std::string reference = asrel::canonical_serialize(gao.infer(params));

@@ -4,7 +4,7 @@
 
 #include "sim/router_partition.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -51,12 +51,12 @@ TEST(NextHopConsistency, EmptyTable) {
 
 // Fig. 2a shape: most vantages assign local preference per next-hop AS.
 TEST(NextHopConsistency, PipelineFig2aShape) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
   std::size_t high = 0;
   std::size_t total = 0;
-  for (const auto vantage : pipe.vantage.looking_glass) {
+  for (const auto vantage : exp.sim().vantage.looking_glass) {
     const auto result =
-        analyze_nexthop_consistency(pipe.sim.looking_glass.at(vantage));
+        analyze_nexthop_consistency(exp.sim().sim.looking_glass.at(vantage));
     if (result.total_routes < 50) continue;
     ++total;
     if (result.percent_consistent > 85.0) ++high;
@@ -68,13 +68,13 @@ TEST(NextHopConsistency, PipelineFig2aShape) {
 // Fig. 2b shape: per-router views of one AS stay mostly consistent, with
 // deviant routers dipping.
 TEST(NextHopConsistency, PipelineFig2bShape) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
   const AsNumber att{7018};
-  ASSERT_TRUE(pipe.sim.looking_glass.contains(att));
+  ASSERT_TRUE(exp.sim().sim.looking_glass.contains(att));
   sim::RouterPartitionParams params;
   params.router_count = 30;
   const auto views =
-      sim::partition_routers(pipe.sim.looking_glass.at(att), params);
+      sim::partition_routers(exp.sim().sim.looking_glass.at(att), params);
   ASSERT_EQ(views.size(), 30u);
   std::size_t populated = 0;
   std::size_t consistent_routers = 0;

@@ -4,7 +4,7 @@
 
 #include "sim/simulation.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -73,12 +73,13 @@ TEST(PathAvailability, EmptyTable) {
 // Pipeline shape: the paper's claim — policy removes a visible share of
 // the paths the connectivity graph promises.
 TEST(PathAvailability, PipelineShowsAvailabilityGap) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
   for (const auto as_value : Scenario::focus_tier1()) {
     const AsNumber vantage{as_value};
-    if (!pipe.sim.looking_glass.contains(vantage)) continue;
+    if (!exp.sim().sim.looking_glass.contains(vantage)) continue;
     const auto result = analyze_path_availability(
-        pipe.sim.looking_glass.at(vantage), vantage, pipe.inferred_graph);
+        exp.sim().sim.looking_glass.at(vantage), vantage,
+        exp.inference().inferred_graph);
     ASSERT_GT(result.customer_prefixes, 50u);
     EXPECT_GT(result.mean_potential, result.mean_available)
         << util::to_string(vantage)

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -67,12 +67,13 @@ TEST(PeerExport, SilentPeerIsNotAnnouncing) {
 class PipelinePeerExport : public ::testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(PipelinePeerExport, MostPeersAnnounceDirectly) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   const AsNumber provider{GetParam()};
-  const auto peers = pipe.inferred_graph.peers(provider);
+  const auto peers = view.inferred_graph->peers(provider);
   ASSERT_FALSE(peers.empty());
   const auto result =
-      analyze_peer_export(pipe.table_for(provider), provider, peers);
+      analyze_peer_export(view.table_for(provider), provider, peers);
   EXPECT_GT(result.percent_announcing, 60.0) << util::to_string(provider);
   EXPECT_GE(result.announcing_most, result.announcing_all);
 }

@@ -4,7 +4,7 @@
 
 #include "sim/policy_gen.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -74,15 +74,16 @@ TEST(Persistence, StableSaPrefixRemains) {
 // Fig. 6/7 shape on the shared pipeline world: SA counts stay in a stable
 // band and only a minority of ever-SA prefixes shift within a "month".
 TEST(Persistence, PipelineFig6Fig7Shape) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   sim::ChurnParams churn_params;
   churn_params.flip_fraction = 0.02;
-  sim::ChurnSimulator churn(pipe.topo.graph, pipe.gen.policies,
-                            pipe.originations, pipe.gen.truth,
+  sim::ChurnSimulator churn(exp.truth().topo.graph, exp.truth().gen.policies,
+                            exp.truth().originations, exp.truth().gen.truth,
                             {AsNumber(1)}, churn_params);
   const auto study = run_persistence_study(churn, AsNumber(1),
-                                           pipe.inferred_graph,
-                                           pipe.inferred_oracle(), 10);
+                                           *view.inferred_graph,
+                                           view.inferred_oracle(), 10);
   ASSERT_EQ(study.series.size(), 10u);
   // Fig. 6 shape: SA prefixes are a persistent, roughly stable minority.
   for (const auto& snap : study.series) {
@@ -101,15 +102,16 @@ TEST(Persistence, PipelineFig6Fig7Shape) {
 // sequential, the per-snapshot SA analysis shards over snapshots, and the
 // study serializes byte-identically for threads ∈ {1, 4, 0}.
 TEST(Persistence, ShardedSnapshotAnalysisIsThreadCountIndependent) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   const auto study_at = [&](std::size_t threads) {
     sim::ChurnParams churn_params;
     churn_params.flip_fraction = 0.02;
-    sim::ChurnSimulator churn(pipe.topo.graph, pipe.gen.policies,
-                              pipe.originations, pipe.gen.truth,
+    sim::ChurnSimulator churn(exp.truth().topo.graph, exp.truth().gen.policies,
+                              exp.truth().originations, exp.truth().gen.truth,
                               {AsNumber(1)}, churn_params);
     return canonical_serialize(run_persistence_study(
-        churn, AsNumber(1), pipe.inferred_graph, pipe.inferred_oracle(), 8,
+        churn, AsNumber(1), *view.inferred_graph, view.inferred_oracle(), 8,
         threads));
   };
   const std::string reference = study_at(1);

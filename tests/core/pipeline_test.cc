@@ -1,13 +1,13 @@
-#include "core/pipeline.h"
+#include "core/experiment.h"
 
 #include <gtest/gtest.h>
 
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
 
-using bgpolicy::testing::shared_pipeline;
+using bgpolicy::testing::shared_experiment;
 using util::AsNumber;
 
 TEST(Scenario, CanonicalConfigsAreConsistent) {
@@ -34,66 +34,77 @@ TEST(Scenario, RegionLabelsAreDeterministicAndCoverAll) {
 }
 
 TEST(Pipeline, TablesRecordedForAllVantages) {
-  const auto& pipe = shared_pipeline();
-  for (const auto as : pipe.vantage.looking_glass) {
-    EXPECT_TRUE(pipe.has_table(as));
-    EXPECT_GT(pipe.table_for(as).prefix_count(), 0u);
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
+  for (const auto as : exp.sim().vantage.looking_glass) {
+    EXPECT_TRUE(view.has_table(as));
+    EXPECT_GT(view.table_for(as).prefix_count(), 0u);
   }
-  for (const auto as : pipe.vantage.best_only) {
-    EXPECT_TRUE(pipe.has_table(as));
+  for (const auto as : exp.sim().vantage.best_only) {
+    EXPECT_TRUE(view.has_table(as));
   }
-  EXPECT_FALSE(pipe.has_table(AsNumber(424242)));
-  EXPECT_THROW((void)pipe.table_for(AsNumber(424242)), std::out_of_range);
+  EXPECT_FALSE(view.has_table(AsNumber(424242)));
+  EXPECT_THROW((void)view.table_for(AsNumber(424242)), std::out_of_range);
 }
 
 TEST(Pipeline, CollectorSeesNearlyAllPrefixes) {
-  const auto& pipe = shared_pipeline();
-  EXPECT_GT(pipe.sim.collector.prefix_count(),
-            pipe.originations.size() * 9 / 10);
-  EXPECT_EQ(pipe.sim.unconverged_prefixes, 0u);
+  const auto& exp = shared_experiment();
+  EXPECT_GT(exp.sim().sim.collector.prefix_count(),
+            exp.truth().originations.size() * 9 / 10);
+  EXPECT_EQ(exp.sim().sim.unconverged_prefixes, 0u);
 }
 
 TEST(Pipeline, InferenceProductsPopulated) {
-  const auto& pipe = shared_pipeline();
-  EXPECT_GT(pipe.inferred.edge_count(), 100u);
-  EXPECT_GT(pipe.inferred_graph.as_count(), 100u);
-  EXPECT_FALSE(pipe.tiers.tier1.empty());
-  EXPECT_GT(pipe.paths.path_count(), 500u);
-  EXPECT_FALSE(pipe.irr_objects.empty());
+  const auto& exp = shared_experiment();
+  EXPECT_GT(exp.inference().inferred.edge_count(), 100u);
+  EXPECT_GT(exp.inference().inferred_graph.as_count(), 100u);
+  EXPECT_FALSE(exp.inference().tiers.tier1.empty());
+  EXPECT_GT(exp.observations().paths.path_count(), 500u);
+  EXPECT_FALSE(exp.observations().irr_objects.empty());
 }
 
 TEST(Pipeline, IrrLookupFindsRegisteredAses) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   std::size_t found = 0;
-  for (const auto as : pipe.topo.graph.ases()) {
-    if (pipe.irr_for(as) != nullptr) ++found;
+  for (const auto as : exp.truth().topo.graph.ases()) {
+    if (view.irr_for(as) != nullptr) ++found;
   }
-  const double coverage = static_cast<double>(found) /
-                          static_cast<double>(pipe.topo.graph.as_count());
-  EXPECT_NEAR(coverage, pipe.scenario.irr_params.coverage, 0.15);
+  const double coverage =
+      static_cast<double>(found) /
+      static_cast<double>(exp.truth().topo.graph.as_count());
+  EXPECT_NEAR(coverage, exp.scenario().irr_params.coverage, 0.15);
 }
 
 TEST(Pipeline, DeterministicAcrossRuns) {
-  const auto a = run_pipeline(Scenario::small(77));
-  const auto b = run_pipeline(Scenario::small(77));
-  EXPECT_EQ(a.sim.collector.route_count(), b.sim.collector.route_count());
-  EXPECT_EQ(a.inferred.edge_count(), b.inferred.edge_count());
-  EXPECT_EQ(a.irr_text, b.irr_text);
+  RunOptions options;
+  options.until = Stage::kInfer;
+  Experiment a(Scenario::small(77), options);
+  Experiment b(Scenario::small(77), options);
+  a.run();
+  b.run();
+  EXPECT_EQ(a.sim().sim.collector.route_count(),
+            b.sim().sim.collector.route_count());
+  EXPECT_EQ(a.inference().inferred.edge_count(),
+            b.inference().inferred.edge_count());
+  EXPECT_EQ(a.observations().irr_text, b.observations().irr_text);
 }
 
 TEST(Pipeline, CommunityVerifiedNeighborsNonEmptyForVerificationAses) {
-  const auto& pipe = shared_pipeline();
-  for (const auto as_value : pipe.scenario.verification_ases) {
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
+  for (const auto as_value : exp.scenario().verification_ases) {
     const AsNumber as{as_value};
-    if (!pipe.sim.looking_glass.contains(as)) continue;
-    EXPECT_FALSE(pipe.community_verified_neighbors(as).empty())
+    if (!exp.sim().sim.looking_glass.contains(as)) continue;
+    EXPECT_FALSE(view.community_verified_neighbors(as).empty())
         << util::to_string(as);
   }
 }
 
 TEST(Pipeline, CommunityVerificationRequiresLookingGlass) {
-  const auto& pipe = shared_pipeline();
-  EXPECT_THROW(pipe.community_verification(AsNumber(424242)),
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
+  EXPECT_THROW(view.community_verification(AsNumber(424242)),
                std::invalid_argument);
 }
 

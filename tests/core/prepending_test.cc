@@ -4,7 +4,7 @@
 
 #include "sim/propagation.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -106,13 +106,13 @@ TEST(Prepending, PrependSteersEqualPrefChoice) {
 }
 
 TEST(Prepending, PipelinePrevalenceMatchesGroundTruth) {
-  const auto& pipe = shared_pipeline();
-  const auto result = analyze_prepending(pipe.sim.collector);
+  const auto& exp = shared_experiment();
+  const auto result = analyze_prepending(exp.sim().sim.collector);
   // Every ground-truth prepender that is visible must be detected, and no
   // AS outside the truth set may appear (the engine only prepends on
   // configured rules).
   std::unordered_set<util::AsNumber> truth;
-  for (const auto& unit : pipe.gen.truth.prepend_units) {
+  for (const auto& unit : exp.truth().gen.truth.prepend_units) {
     truth.insert(unit.origin);
   }
   for (const auto as : result.prepending_ases) {

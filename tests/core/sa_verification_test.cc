@@ -4,7 +4,7 @@
 
 #include "core/export_inference.h"
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -104,17 +104,18 @@ class PipelineSaVerification : public ::testing::TestWithParam<std::uint32_t> {
 };
 
 TEST_P(PipelineSaVerification, MostSaPrefixesVerify) {
-  const auto& pipe = shared_pipeline();
+  const auto& exp = shared_experiment();
+  const auto view = exp.view();
   const AsNumber provider{GetParam()};
   const auto analysis =
-      infer_sa_prefixes(pipe.table_for(provider), provider,
-                        pipe.inferred_graph, pipe.inferred_oracle());
+      infer_sa_prefixes(view.table_for(provider), provider,
+                        *view.inferred_graph, view.inferred_oracle());
   if (analysis.sa_count < 5) GTEST_SKIP() << "not enough SA prefixes";
   const auto verified_neighbors =
-      pipe.community_verified_neighbors(provider);
-  const auto result = verify_sa_prefixes(analysis, pipe.paths,
+      view.community_verified_neighbors(provider);
+  const auto result = verify_sa_prefixes(analysis, *view.paths,
                                          verified_neighbors,
-                                         pipe.inferred_oracle());
+                                         view.inferred_oracle());
   // The paper reports 95-97.6% (Table 7) on a world where origins announce
   // hundreds of prefixes, so an alternate "active" path almost always
   // exists.  At this test scenario's size many origins have 1-2 prefixes

@@ -5,8 +5,8 @@
 
 #include "core/export_inference.h"
 #include "core/import_inference.h"
-#include "core/pipeline.h"
-#include "testing/pipeline_cache.h"
+#include "core/experiment.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy {
 namespace {
@@ -16,19 +16,21 @@ using util::AsNumber;
 
 class PipelineInvariants : public ::testing::TestWithParam<std::uint64_t> {
  protected:
-  const core::Pipeline& pipe() { return testing::shared_pipeline(GetParam()); }
+  const core::Experiment& experiment() {
+    return testing::shared_experiment(GetParam());
+  }
 };
 
 TEST_P(PipelineInvariants, AllCollectorPathsAreValleyFree) {
   // Every path any vantage observes must be valley-free under the ground
   // truth annotations — the export rules guarantee it (Section 2.2.2).
-  const auto& p = pipe();
+  const auto& exp = experiment();
   std::size_t checked = 0;
-  p.sim.collector.for_each([&](const bgp::Prefix&,
-                               std::span<const bgp::Route> routes) {
+  exp.sim().sim.collector.for_each([&](const bgp::Prefix&,
+                                      std::span<const bgp::Route> routes) {
     for (const auto& route : routes) {
       ++checked;
-      ASSERT_TRUE(p.topo.graph.is_valley_free(route.path.hops()))
+      ASSERT_TRUE(exp.truth().topo.graph.is_valley_free(route.path.hops()))
           << "valley in " << route.path.to_string();
     }
   });
@@ -38,9 +40,9 @@ TEST_P(PipelineInvariants, AllCollectorPathsAreValleyFree) {
 TEST_P(PipelineInvariants, NoPathContainsLoops) {
   // Consecutive duplicates are AS-path prepending, not loops; an AS
   // reappearing after a different AS is a genuine loop.
-  const auto& p = pipe();
-  p.sim.collector.for_each([&](const bgp::Prefix&,
-                               std::span<const bgp::Route> routes) {
+  const auto& exp = experiment();
+  exp.sim().sim.collector.for_each([&](const bgp::Prefix&,
+                                      std::span<const bgp::Route> routes) {
     for (const auto& route : routes) {
       std::unordered_set<AsNumber> seen;
       const auto hops = route.path.hops();
@@ -54,13 +56,13 @@ TEST_P(PipelineInvariants, NoPathContainsLoops) {
 }
 
 TEST_P(PipelineInvariants, CollectorPathsEndAtTheTrueOrigin) {
-  const auto& p = pipe();
+  const auto& exp = experiment();
   std::unordered_map<bgp::Prefix, AsNumber> origin_of;
-  for (const auto& origination : p.originations) {
+  for (const auto& origination : exp.truth().originations) {
     origin_of.emplace(origination.prefix, origination.origin);
   }
-  p.sim.collector.for_each([&](const bgp::Prefix& prefix,
-                               std::span<const bgp::Route> routes) {
+  exp.sim().sim.collector.for_each([&](const bgp::Prefix& prefix,
+                                      std::span<const bgp::Route> routes) {
     const auto it = origin_of.find(prefix);
     ASSERT_NE(it, origin_of.end());
     for (const auto& route : routes) {
@@ -72,10 +74,11 @@ TEST_P(PipelineInvariants, CollectorPathsEndAtTheTrueOrigin) {
 TEST_P(PipelineInvariants, WithheldPrefixesNeverCrossDeniedEdges) {
   // Ground-truth check: a plain-deny selective unit means no observed path
   // may carry that prefix across the (provider <- origin) edge.
-  const auto& p = pipe();
-  for (const auto& unit : p.gen.truth.origin_units) {
+  const auto& exp = experiment();
+  for (const auto& unit : exp.truth().gen.truth.origin_units) {
     if (!unit.withheld || unit.via_community) continue;
-    for (const auto path : p.paths.paths_for_prefix(unit.prefix)) {
+    for (const auto path :
+         exp.observations().paths.paths_for_prefix(unit.prefix)) {
       for (std::size_t i = 0; i + 1 < path.size(); ++i) {
         const bool crosses =
             path[i] == unit.provider && path[i + 1] == unit.origin;
@@ -89,13 +92,15 @@ TEST_P(PipelineInvariants, WithheldPrefixesNeverCrossDeniedEdges) {
 TEST_P(PipelineInvariants, SaPrefixesScoreWellAgainstTruthOracle) {
   // Running the SA algorithm with inferred relationships should agree with
   // running it on ground truth for the vast majority of prefixes.
-  const auto& p = pipe();
+  const auto& exp = experiment();
+  const auto view = exp.view();
   const AsNumber provider{1};
   const auto inferred_run =
-      core::infer_sa_prefixes(p.table_for(provider), provider,
-                              p.inferred_graph, p.inferred_oracle());
+      core::infer_sa_prefixes(view.table_for(provider), provider,
+                              *view.inferred_graph, view.inferred_oracle());
+  const topo::AsGraph& truth = exp.truth().topo.graph;
   const auto truth_run = core::infer_sa_prefixes(
-      p.table_for(provider), provider, p.topo.graph, p.truth_oracle());
+      view.table_for(provider), provider, truth, core::oracle_from(truth));
 
   std::unordered_set<bgp::Prefix> truth_sa;
   for (const auto& sa : truth_run.sa_prefixes) truth_sa.insert(sa.prefix);
@@ -114,10 +119,11 @@ TEST_P(PipelineInvariants, SaPrefixesScoreWellAgainstTruthOracle) {
 TEST_P(PipelineInvariants, ImportTypicalityMatchesConfiguredRates) {
   // With the truth oracle the measured atypicality must reflect only the
   // injected deviations, never exceed a loose bound.
-  const auto& p = pipe();
-  for (const auto vantage : p.vantage.looking_glass) {
+  const auto& exp = experiment();
+  for (const auto vantage : exp.sim().vantage.looking_glass) {
     const auto result = core::analyze_import_typicality(
-        p.sim.looking_glass.at(vantage), p.truth_oracle());
+        exp.sim().sim.looking_glass.at(vantage),
+        core::oracle_from(exp.truth().topo.graph));
     if (result.comparable_prefixes < 20) continue;
     EXPECT_GT(result.percent_typical, 80.0) << util::to_string(vantage);
   }

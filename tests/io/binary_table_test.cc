@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::io {
 namespace {
@@ -76,8 +76,8 @@ TEST(BinaryTable, EmptyTable) {
 }
 
 TEST(BinaryTable, PipelineLookingGlassRoundTrips) {
-  const auto& pipe = bgpolicy::testing::shared_pipeline();
-  const auto& lg = pipe.sim.looking_glass.at(AsNumber(7018));
+  const auto& exp = bgpolicy::testing::shared_experiment();
+  const auto& lg = exp.sim().sim.looking_glass.at(AsNumber(7018));
   const auto parsed = deserialize_table(serialize_table(lg));
   EXPECT_EQ(parsed.route_count(), lg.route_count());
   EXPECT_EQ(parsed.prefix_count(), lg.prefix_count());

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
-#include "testing/pipeline_cache.h"
+#include "testing/experiment_cache.h"
 
 namespace bgpolicy::io {
 namespace {
@@ -79,11 +79,11 @@ TEST(TableDump, EmptyTableRoundTrips) {
 }
 
 TEST(TableDump, PipelineCollectorRoundTrips) {
-  const auto& pipe = bgpolicy::testing::shared_pipeline();
-  const std::string text = dump_table(pipe.sim.collector);
+  const auto& exp = bgpolicy::testing::shared_experiment();
+  const std::string text = dump_table(exp.sim().sim.collector);
   const auto parsed = parse_table(text);
-  EXPECT_EQ(parsed.route_count(), pipe.sim.collector.route_count());
-  EXPECT_EQ(parsed.prefix_count(), pipe.sim.collector.prefix_count());
+  EXPECT_EQ(parsed.route_count(), exp.sim().sim.collector.route_count());
+  EXPECT_EQ(parsed.prefix_count(), exp.sim().sim.collector.prefix_count());
 }
 
 }  // namespace
