@@ -2,15 +2,17 @@
 //
 // Runs the full-Internet simulation of the canonical scenario at 1/2/4/8
 // threads, reports wall-clock seconds and speedup over the sequential run,
-// and cross-checks that every run converged identically (the engine
-// guarantees byte-identical output at any thread count; the counters are a
-// cheap proxy asserted here on every row).
+// and cross-checks that every run produced identical products: each row's
+// convergence counters and the digest of its encoded `SimArtifact` (the
+// engine guarantees byte-identical output at any thread count).
 //
 // Also times the seed per-event engine (`compute_prefix_reference`, the
 // sequential program run_simulation executed before the flat core landed)
-// over the same originations: `reference_seconds` and `flat_speedup` are
-// the committed before/after trajectory of the flat-core rewrite, and the
-// reference run's counters are asserted against the flat rows.
+// over the same originations, recorded through the reference recorder
+// (`record_prefix`): `reference_seconds` and `flat_speedup` are the
+// committed before/after trajectory of the flat-core rewrite, and every
+// flat row's counters and artifact digest are asserted against the
+// reference run's.
 //
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
@@ -23,8 +25,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/artifact_store.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "io/artifact_codec.h"
 #include "sim/simulation.h"
 #include "util/text_table.h"
 
@@ -54,7 +58,17 @@ struct Row {
   double speedup;
   std::size_t process_events;
   std::size_t unconverged;
+  std::string digest;
 };
+
+/// Digest of the encoded Simulate artifact — the bytes every downstream
+/// stage reads, so a recording difference the counters cannot see shows.
+std::string digest_of(const World& w, sim::SimResult sim) {
+  core::SimArtifact artifact;
+  artifact.vantage = w.vantage;
+  artifact.sim = std::move(sim);
+  return core::stable_digest_hex(io::encode(artifact));
+}
 
 /// The seed sequential program: reference fixpoints recorded in
 /// origination order — byte-identical to what run_simulation(threads=1)
@@ -105,25 +119,33 @@ int main(int argc, char** argv) {
     const double seconds =
         std::chrono::duration<double>(stop - start).count();
     if (threads == 1) base_seconds = seconds;
-    rows.push_back({threads, seconds, base_seconds / seconds,
-                    result.process_events, result.unconverged_prefixes});
-    if (result.process_events != rows.front().process_events ||
-        result.unconverged_prefixes != rows.front().unconverged) {
+    const std::size_t events = result.process_events;
+    const std::size_t unconverged = result.unconverged_prefixes;
+    rows.push_back({threads, seconds, base_seconds / seconds, events,
+                    unconverged, digest_of(w, std::move(result))});
+    if (rows.back().process_events != rows.front().process_events ||
+        rows.back().unconverged != rows.front().unconverged ||
+        rows.back().digest != rows.front().digest) {
       counters_match = false;
     }
   }
 
   // The before/after point: the seed engine over the same originations,
-  // verified to agree with the flat rows on the convergence counters.
+  // verified to agree with every flat row on the convergence counters and
+  // the artifact digest.
   const auto ref_start = std::chrono::steady_clock::now();
-  const sim::SimResult reference = reference_simulation(w);
+  sim::SimResult reference = reference_simulation(w);
   const auto ref_stop = std::chrono::steady_clock::now();
   const double reference_seconds =
       std::chrono::duration<double>(ref_stop - ref_start).count();
   const double flat_speedup = reference_seconds / base_seconds;
-  const bool reference_match =
+  bool reference_match =
       reference.process_events == rows.front().process_events &&
       reference.unconverged_prefixes == rows.front().unconverged;
+  const std::string reference_digest = digest_of(w, std::move(reference));
+  for (const Row& r : rows) {
+    if (r.digest != reference_digest) reference_match = false;
+  }
   const bool ok = counters_match && reference_match;
 
   const unsigned hw = std::thread::hardware_concurrency();
@@ -162,14 +184,15 @@ int main(int argc, char** argv) {
   std::cout << table.render("run_simulation wall clock by thread count")
             << "\n"
             << (counters_match
-                    ? "counters identical across all thread counts\n"
-                    : "COUNTER MISMATCH ACROSS THREAD COUNTS\n")
+                    ? "counters and artifact digests identical across all "
+                      "thread counts\n"
+                    : "COUNTER OR DIGEST MISMATCH ACROSS THREAD COUNTS\n")
             << "seed per-event engine (compute_prefix_reference): "
             << util::fmt(reference_seconds, 3) << "s -> flat core "
             << util::fmt(base_seconds, 3) << "s at threads=1 ("
             << util::fmt(flat_speedup, 2) << "x)"
             << (reference_match ? "\n"
-                                : " — REFERENCE COUNTER MISMATCH\n");
+                                : " — REFERENCE COUNTER OR DIGEST MISMATCH\n");
   if (hw < 4) {
     std::cout << "note: only " << hw
               << " hardware thread(s) available; speedup is bounded by the "

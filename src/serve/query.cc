@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <exception>
+#include <unordered_set>
 #include <utility>
 
 #include "asrel/relationships.h"
@@ -249,17 +250,13 @@ std::vector<std::uint8_t> answer_what_if_failure(
     }
   }
 
-  const auto selected = [&](const bgp::Prefix& prefix) {
-    return filter.empty() ||
-           std::find(filter.begin(), filter.end(), prefix) != filter.end();
-  };
   // Distinct target prefixes in origination order — the deterministic
   // response order (MOAS prefixes appear once, candidates merged below).
-  std::vector<bgp::Prefix> targets;
-  for (const sim::Origination& o : truth.originations) {
-    if (!selected(o.prefix)) continue;
-    if (std::find(targets.begin(), targets.end(), o.prefix) == targets.end()) {
-      targets.push_back(o.prefix);
+  const std::unordered_set<bgp::Prefix> wanted(filter.begin(), filter.end());
+  std::vector<const WhatIfBase::Target*> targets;
+  for (const WhatIfBase::Target& target : snapshot.what_if->targets()) {
+    if (wanted.empty() || wanted.contains(target.prefix)) {
+      targets.push_back(&target);
     }
   }
   if (targets.empty()) {
@@ -290,14 +287,13 @@ std::vector<std::uint8_t> answer_what_if_failure(
   body.put(vantage.value());
   body.put(static_cast<std::uint32_t>(edges.size()));
   body.put(static_cast<std::uint32_t>(targets.size()));
-  for (const bgp::Prefix& prefix : targets) {
+  for (const WhatIfBase::Target* target : targets) {
     // MOAS: every active origination of the prefix contributes one
     // candidate per world; decision-process tie-break across them (the
     // same merge core/spec_verify.cc's Timeline does).
     std::vector<bgp::Route> before_cands;
     std::vector<bgp::Route> after_cands;
-    for (std::size_t i = 0; i < truth.originations.size(); ++i) {
-      if (truth.originations[i].prefix != prefix) continue;
+    for (const std::size_t i : target->originations) {
       const std::shared_ptr<const sim::DeltaState> base =
           snapshot.what_if->base_state(i);
       if (auto route = engine.route_at(*base, vantage)) {
@@ -323,8 +319,8 @@ std::vector<std::uint8_t> answer_what_if_failure(
     if (after.has_value()) ++reachable_after;
     const WhatIfRouteState before_state = summarize(before);
     const WhatIfRouteState after_state = summarize(after);
-    body.put(prefix.network());
-    body.put(prefix.length());
+    body.put(target->prefix.network());
+    body.put(target->prefix.length());
     for (const WhatIfRouteState& s : {before_state, after_state}) {
       body.put(static_cast<std::uint8_t>(s.reachable ? 1 : 0));
       body.put(s.via);

@@ -1,6 +1,7 @@
 #include "serve/what_if.h"
 
 #include <algorithm>
+#include <unordered_map>
 #include <utility>
 
 #include "util/ensure.h"
@@ -15,11 +16,25 @@ std::shared_ptr<const core::GroundTruth> checked(
   return truth;
 }
 
+std::vector<WhatIfBase::Target> index_targets(
+    const std::vector<sim::Origination>& originations) {
+  std::vector<WhatIfBase::Target> targets;
+  std::unordered_map<bgp::Prefix, std::size_t> slot_of;
+  for (std::size_t i = 0; i < originations.size(); ++i) {
+    const auto [slot, fresh] =
+        slot_of.try_emplace(originations[i].prefix, targets.size());
+    if (fresh) targets.push_back({originations[i].prefix, {}});
+    targets[slot->second].originations.push_back(i);
+  }
+  return targets;
+}
+
 }  // namespace
 
 WhatIfBase::WhatIfBase(std::shared_ptr<const core::GroundTruth> truth,
                        sim::PropagationOptions options)
     : truth_(checked(std::move(truth))),
+      targets_(index_targets(truth_->originations)),
       context_(truth_->topo.graph, truth_->gen.policies),
       engine_(context_, options),
       cache_(truth_->originations.size()) {}

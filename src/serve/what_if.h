@@ -25,6 +25,7 @@
 #include <mutex>
 #include <vector>
 
+#include "bgp/prefix.h"
 #include "core/experiment.h"
 #include "sim/delta_engine.h"
 #include "sim/flat_engine.h"
@@ -38,8 +39,21 @@ class WhatIfBase {
   WhatIfBase(std::shared_ptr<const core::GroundTruth> truth,
              sim::PropagationOptions options);
 
+  /// One distinct originated prefix and the positions of its originations
+  /// in truth().originations, ascending (several for a MOAS prefix).
+  struct Target {
+    bgp::Prefix prefix;
+    std::vector<std::size_t> originations;
+  };
+
   [[nodiscard]] const core::GroundTruth& truth() const { return *truth_; }
   [[nodiscard]] const sim::DeltaEngine& engine() const { return engine_; }
+
+  /// Every distinct originated prefix in first-origination order — the
+  /// response order of what-if queries — indexed once at construction, so
+  /// a query's target scan is linear in the prefixes instead of
+  /// prefixes × originations.
+  [[nodiscard]] const std::vector<Target>& targets() const { return targets_; }
 
   /// The converged healthy-world state of origination #`index` (an index
   /// into truth().originations).  First call converges and caches;
@@ -53,6 +67,7 @@ class WhatIfBase {
 
  private:
   std::shared_ptr<const core::GroundTruth> truth_;
+  std::vector<Target> targets_;
   sim::FlatSimContext context_;
   sim::DeltaEngine engine_;
   mutable std::mutex mutex_;

@@ -177,14 +177,13 @@ void ChurnSimulator::repropagate(
         const auto it = by_prefix_.find(prefixes[i]);
         util::ensure(it != by_prefix_.end(), "churn: unknown prefix");
         const auto lease = scratches_->acquire();
-        const PrefixRouting state = compute_prefix_flat(
-            context, it->second, nullptr, params_.propagation, *lease);
+        (void)converge_cold(context, it->second, nullptr, params_.propagation,
+                            *lease);
         std::vector<std::optional<bgp::Route>> rows;
         rows.reserve(watch_.size());
         for (const AsNumber as : watch_) {
-          const bgp::Route* best = state.best_at(as);
-          rows.push_back(best == nullptr ? std::nullopt
-                                         : std::optional<bgp::Route>(*best));
+          rows.push_back(
+              flat_route_at(context, it->second, (*lease).state(), as));
         }
         return rows;
       },

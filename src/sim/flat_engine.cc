@@ -325,6 +325,212 @@ void FlatScratch::note_peak() {
 
 // --------------------------------------------------------- the flat fixpoint
 
+namespace {
+
+/// What one neighbor offers a receiver, after the receiver's import.
+struct Offer {
+  topo::GraphView::Id sender;
+  AsNumber sender_as;
+  RelKind sender_rel;   // sender, as seen by the receiver
+  std::uint32_t path;   // interned wire path (sender prepended)
+  std::uint32_t comms;  // interned community set, import tag included
+  std::uint32_t lp;     // receiver's local preference
+};
+
+/// Calls `sink(offer)` for every neighbor of `receiver` that offers it a
+/// route, in CSR (neighbor) order — the flat mirror of
+/// PropagationEngine::route_as_received, and the engine's one copy of the
+/// export and import rules: Gao-Rexford export, conditional
+/// advertisements, community instructions, export rules and prepends, the
+/// loop check, then import preference and tagging.  The fixpoint's
+/// candidate pull and the looking-glass recorder both run it.  Interns
+/// wire paths and community sets into `s`; never writes a best column.
+/// `failed` is null or non-empty.
+template <typename Sink>
+void pull_offers(const FlatSimContext& context, const Origination& origination,
+                 const FailedEdges* failed, FlatRoutingState& s,
+                 topo::GraphView::Id receiver, Sink&& sink) {
+  using Id = topo::GraphView::Id;
+  const topo::GraphView& view = context.view();
+  const AsNumber receiver_as = view.as_of(receiver);
+  const AsPolicy* receiver_policy = nullptr;  // fetched on first candidate
+
+  for (std::uint32_t slot = view.arcs_begin(receiver);
+       slot < view.arcs_end(receiver); ++slot) {
+    const Id sender = view.arc_to(slot);
+    if (s.has_best[sender] == 0) continue;
+    // One CSR read yields both perspectives of the adjacency.
+    const RelKind sender_rel = view.arc_rel(slot);  // sender, to receiver
+    const RelKind receiver_rel = topo::invert(sender_rel);
+    const AsNumber sender_as = view.as_of(sender);
+
+    if (failed != nullptr && failed->is_failed(sender_as, receiver_as)) {
+      continue;  // session down
+    }
+
+    const std::uint32_t sender_path = s.best_path[sender];
+    const bool self_originated = sender_path == PathTable::kEmptyPath;
+
+    // Gao-Rexford relationship rules: self-originated and
+    // customer-learned routes go to everyone; peer- and provider-learned
+    // routes go to customers only.
+    if (!self_originated) {
+      const auto learned_rel = static_cast<RelKind>(s.best_rel[sender]);
+      if (learned_rel != RelKind::kCustomer &&
+          receiver_rel != RelKind::kCustomer) {
+        continue;
+      }
+    }
+
+    const AsPolicy& sender_policy = context.policy(sender);
+
+    // Conditional advertisement: the backup announcement stays
+    // suppressed while the watched session is healthy.
+    if (self_originated) {
+      bool suppressed = false;
+      for (const auto& cond : sender_policy.conditional) {
+        if (cond.prefix != origination.prefix ||
+            cond.advertise_to != receiver_as) {
+          continue;
+        }
+        const bool watch_down =
+            failed != nullptr &&
+            failed->is_failed(sender_as, cond.watch_provider);
+        if (!watch_down) {
+          suppressed = true;
+          break;
+        }
+      }
+      if (suppressed) continue;
+    }
+
+    // Community instructions attached upstream and addressed to sender.
+    const std::uint32_t sender_comms = s.best_comms[sender];
+    const auto sender_asn = static_cast<std::uint16_t>(sender_as.value());
+    if (sender_comms != CommunityTable::kEmptySet) {
+      if (s.comms.contains(sender_comms, bgp::kNoExport)) continue;
+      if (receiver_rel == RelKind::kProvider &&
+          s.comms.contains(sender_comms,
+                           bgp::Community(sender_asn,
+                                          kNoExportUpstreamValue))) {
+        continue;
+      }
+      bool no_export_to = false;
+      for (std::size_t t = 0; t < sender_policy.no_export_targets.size();
+           ++t) {
+        if (sender_policy.no_export_targets[t] != receiver_as) continue;
+        const auto value = static_cast<std::uint16_t>(kNoExportToBase + t);
+        if (s.comms.contains(sender_comms,
+                             bgp::Community(sender_asn, value))) {
+          no_export_to = true;
+          break;
+        }
+      }
+      if (no_export_to) continue;
+    }
+
+    // Configured export rules (selective announcement & friends).
+    const AsNumber route_origin =
+        self_originated ? sender_as : s.paths.origin(sender_path);
+    const ExportRule* rule = sender_policy.export_.match(
+        receiver_as, origination.prefix, route_origin);
+
+    std::uint32_t wire_comms = sender_comms;
+    std::size_t extra_prepends = 0;
+    if (rule != nullptr) {
+      switch (rule->action) {
+        case ExportAction::kDeny:
+          continue;  // of the neighbor loop: not announced at all
+        case ExportAction::kPrepend:
+          extra_prepends = rule->prepend_times;
+          break;
+        case ExportAction::kTagNoExportUpstream:
+          wire_comms = s.comms.add(
+              wire_comms,
+              bgp::Community(static_cast<std::uint16_t>(receiver_as.value()),
+                             kNoExportUpstreamValue));
+          break;
+        case ExportAction::kTagNoExportTo: {
+          // The receiver owns the slot namespace; policy generation has
+          // already registered the slot, so look it up read-only.
+          if (receiver_policy == nullptr) {
+            receiver_policy = &context.policy(receiver);
+          }
+          for (std::size_t t = 0;
+               t < receiver_policy->no_export_targets.size(); ++t) {
+            if (receiver_policy->no_export_targets[t] != rule->target) {
+              continue;
+            }
+            wire_comms = s.comms.add(
+                wire_comms,
+                bgp::Community(
+                    static_cast<std::uint16_t>(receiver_as.value()),
+                    static_cast<std::uint16_t>(kNoExportToBase + t)));
+            break;
+          }
+          break;
+        }
+      }
+    }
+
+    // The wire path: sender prepends itself (possibly extra times).
+    std::uint32_t wire_path = sender_path;
+    for (std::size_t k = 0; k < 1 + extra_prepends; ++k) {
+      wire_path = s.paths.prepend(wire_path, sender_as);
+    }
+
+    // Receiver-side: AS-path loop check.
+    if (s.paths.contains(wire_path, receiver_as)) continue;
+
+    // Receiver import policy: local preference + relationship tagging.
+    if (receiver_policy == nullptr) {
+      receiver_policy = &context.policy(receiver);
+    }
+    const std::uint32_t lp = receiver_policy->import.preference(
+        sender_as, sender_rel, origination.prefix);
+    if (receiver_policy->community.enabled) {
+      wire_comms = s.comms.add(
+          wire_comms,
+          receiver_policy->community.tag(receiver_as, sender_as, sender_rel));
+    }
+
+    sink(Offer{sender, sender_as, sender_rel, wire_path, wire_comms, lp});
+  }
+}
+
+/// A value-typed route from interned attributes; every attribute the flat
+/// engine does not track keeps its default (IGP origin, MED 0, eBGP, IGP
+/// metric 0), exactly as the reference engine's routes do.
+[[nodiscard]] bgp::Route make_route(const Origination& origination,
+                                    const FlatRoutingState& s,
+                                    std::uint32_t path, AsNumber learned_from,
+                                    std::uint32_t local_pref,
+                                    std::uint32_t router_id,
+                                    std::uint32_t comms) {
+  bgp::Route route;
+  route.prefix = origination.prefix;
+  route.path = s.paths.materialize(path);
+  route.learned_from = learned_from;
+  route.local_pref = local_pref;
+  route.router_id = router_id;
+  const auto members = s.comms.members(comms);
+  route.communities.assign(members.begin(), members.end());
+  return route;
+}
+
+/// The best route held by dense id `id` (which must hold one).
+[[nodiscard]] bgp::Route best_route(const topo::GraphView& view,
+                                    const Origination& origination,
+                                    const FlatRoutingState& s,
+                                    topo::GraphView::Id id) {
+  return make_route(origination, s, s.best_path[id],
+                    view.as_of(static_cast<topo::GraphView::Id>(
+                        s.best_learned[id])),
+                    s.best_lp[id], s.best_router[id], s.best_comms[id]);
+}
+
+}  // namespace
+
 void seed_origin(const FlatSimContext& context, const Origination& origination,
                  FlatRoutingState& s) {
   const topo::GraphView& view = context.view();
@@ -354,7 +560,8 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
   const topo::GraphView& view = context.view();
   const Id origin_id = view.id_of(origination.origin);
 
-  const bool check_failures = failed != nullptr && !failed->empty();
+  const FailedEdges* failures =
+      failed != nullptr && !failed->empty() ? failed : nullptr;
   FixpointStats stats;
 
   // Sound pruning test for filtered_enqueue (see the header note): can
@@ -369,7 +576,9 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
     if (s.has_best[current] == 0) return false;     // withdraw, no dependent
     const AsNumber current_as = view.as_of(current);
     const AsNumber m_as = view.as_of(m);
-    if (check_failures && failed->is_failed(current_as, m_as)) return false;
+    if (failures != nullptr && failures->is_failed(current_as, m_as)) {
+      return false;
+    }
     const std::uint32_t sender_path = s.best_path[current];
     if (sender_path != PathTable::kEmptyPath &&
         static_cast<RelKind>(s.best_rel[current]) != RelKind::kCustomer &&
@@ -403,166 +612,26 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
     ++s.processed[current];
     ++stats.events;
 
-    const AsNumber receiver_as = view.as_of(current);
-    const AsPolicy* receiver_policy = nullptr;  // fetched on first candidate
-
     // Pull candidates from every neighbor's current best into the SoA
-    // columns — the flat mirror of route_as_received.
+    // columns.
     c.clear();
-
-    for (std::uint32_t slot = view.arcs_begin(current);
-         slot < view.arcs_end(current); ++slot) {
-      const Id sender = view.arc_to(slot);
-      if (s.has_best[sender] == 0) continue;
-      // One CSR read yields both perspectives of the adjacency.
-      const RelKind sender_rel = view.arc_rel(slot);  // sender, to receiver
-      const RelKind receiver_rel = topo::invert(sender_rel);
-      const AsNumber sender_as = view.as_of(sender);
-
-      if (check_failures && failed->is_failed(sender_as, receiver_as)) {
-        continue;  // session down
-      }
-
-      const std::uint32_t sender_path = s.best_path[sender];
-      const bool self_originated = sender_path == PathTable::kEmptyPath;
-
-      // Gao-Rexford relationship rules: self-originated and
-      // customer-learned routes go to everyone; peer- and provider-learned
-      // routes go to customers only.
-      if (!self_originated) {
-        const auto learned_rel = static_cast<RelKind>(s.best_rel[sender]);
-        if (learned_rel != RelKind::kCustomer &&
-            receiver_rel != RelKind::kCustomer) {
-          continue;
-        }
-      }
-
-      const AsPolicy& sender_policy = context.policy(sender);
-
-      // Conditional advertisement: the backup announcement stays
-      // suppressed while the watched session is healthy.
-      if (self_originated) {
-        bool suppressed = false;
-        for (const auto& cond : sender_policy.conditional) {
-          if (cond.prefix != origination.prefix ||
-              cond.advertise_to != receiver_as) {
-            continue;
-          }
-          const bool watch_down =
-              failed != nullptr &&
-              failed->is_failed(sender_as, cond.watch_provider);
-          if (!watch_down) {
-            suppressed = true;
-            break;
-          }
-        }
-        if (suppressed) continue;
-      }
-
-      // Community instructions attached upstream and addressed to sender.
-      const std::uint32_t sender_comms = s.best_comms[sender];
-      const auto sender_asn = static_cast<std::uint16_t>(sender_as.value());
-      if (sender_comms != CommunityTable::kEmptySet) {
-        if (s.comms.contains(sender_comms, bgp::kNoExport)) continue;
-        if (receiver_rel == RelKind::kProvider &&
-            s.comms.contains(sender_comms,
-                             bgp::Community(sender_asn,
-                                            kNoExportUpstreamValue))) {
-          continue;
-        }
-        bool no_export_to = false;
-        for (std::size_t t = 0; t < sender_policy.no_export_targets.size();
-             ++t) {
-          if (sender_policy.no_export_targets[t] != receiver_as) continue;
-          const auto value = static_cast<std::uint16_t>(kNoExportToBase + t);
-          if (s.comms.contains(sender_comms,
-                               bgp::Community(sender_asn, value))) {
-            no_export_to = true;
-            break;
-          }
-        }
-        if (no_export_to) continue;
-      }
-
-      // Configured export rules (selective announcement & friends).
-      const AsNumber route_origin =
-          self_originated ? sender_as : s.paths.origin(sender_path);
-      const ExportRule* rule = sender_policy.export_.match(
-          receiver_as, origination.prefix, route_origin);
-
-      std::uint32_t wire_comms = sender_comms;
-      std::size_t extra_prepends = 0;
-      if (rule != nullptr) {
-        switch (rule->action) {
-          case ExportAction::kDeny:
-            continue;  // of the neighbor loop: not announced at all
-          case ExportAction::kPrepend:
-            extra_prepends = rule->prepend_times;
-            break;
-          case ExportAction::kTagNoExportUpstream:
-            wire_comms = s.comms.add(
-                wire_comms,
-                bgp::Community(static_cast<std::uint16_t>(receiver_as.value()),
-                               kNoExportUpstreamValue));
-            break;
-          case ExportAction::kTagNoExportTo: {
-            // The receiver owns the slot namespace; policy generation has
-            // already registered the slot, so look it up read-only.
-            if (receiver_policy == nullptr) {
-              receiver_policy = &context.policy(current);
-            }
-            for (std::size_t t = 0;
-                 t < receiver_policy->no_export_targets.size(); ++t) {
-              if (receiver_policy->no_export_targets[t] != rule->target) {
-                continue;
-              }
-              wire_comms = s.comms.add(
-                  wire_comms,
-                  bgp::Community(
-                      static_cast<std::uint16_t>(receiver_as.value()),
-                      static_cast<std::uint16_t>(kNoExportToBase + t)));
-              break;
-            }
-            break;
-          }
-        }
-      }
-
-      // The wire path: sender prepends itself (possibly extra times).
-      std::uint32_t wire_path = sender_path;
-      for (std::size_t k = 0; k < 1 + extra_prepends; ++k) {
-        wire_path = s.paths.prepend(wire_path, sender_as);
-      }
-
-      // Receiver-side: AS-path loop check.
-      if (s.paths.contains(wire_path, receiver_as)) continue;
-
-      // Receiver import policy: local preference + relationship tagging.
-      if (receiver_policy == nullptr) {
-        receiver_policy = &context.policy(current);
-      }
-      const std::uint32_t lp = receiver_policy->import.preference(
-          sender_as, sender_rel, origination.prefix);
-      if (receiver_policy->community.enabled) {
-        wire_comms = s.comms.add(
-            wire_comms,
-            receiver_policy->community.tag(receiver_as, sender_as,
-                                           sender_rel));
-      }
-
-      c.lp.push_back(lp);
-      c.plen.push_back(s.paths.length(wire_path));
-      c.origin.push_back(static_cast<std::uint8_t>(bgp::Origin::kIgp));
-      c.nh.push_back(sender_as.value());  // wire path front == sender
-      c.med.push_back(0);
-      c.ebgp.push_back(1);
-      c.igp.push_back(0);
-      c.router.push_back(sender_as.value());
-      c.path.push_back(wire_path);
-      c.comms.push_back(wire_comms);
-      c.sender.push_back(sender);
-      c.rel.push_back(static_cast<std::uint8_t>(sender_rel));
-    }
+    pull_offers(context, origination, failures, s, current,
+                [&](const Offer& offer) {
+                  c.lp.push_back(offer.lp);
+                  c.plen.push_back(s.paths.length(offer.path));
+                  c.origin.push_back(
+                      static_cast<std::uint8_t>(bgp::Origin::kIgp));
+                  // The wire path's front is the sender.
+                  c.nh.push_back(offer.sender_as.value());
+                  c.med.push_back(0);
+                  c.ebgp.push_back(1);
+                  c.igp.push_back(0);
+                  c.router.push_back(offer.sender_as.value());
+                  c.path.push_back(offer.path);
+                  c.comms.push_back(offer.comms);
+                  c.sender.push_back(offer.sender);
+                  c.rel.push_back(static_cast<std::uint8_t>(offer.sender_rel));
+                });
 
     const bgp::RouteColumns columns{c.lp,  c.plen, c.origin, c.nh,
                                     c.med, c.ebgp, c.igp,    c.router};
@@ -635,15 +704,8 @@ PrefixRouting materialize_routing(const FlatSimContext& context,
   out.process_events = process_events;
   for (std::size_t id = 0; id < s.size(); ++id) {
     if (s.has_best[id] == 0) continue;
-    bgp::Route route;
-    route.prefix = origination.prefix;
-    route.path = s.paths.materialize(s.best_path[id]);
-    route.learned_from = view.as_of(static_cast<Id>(s.best_learned[id]));
-    route.local_pref = s.best_lp[id];
-    route.router_id = s.best_router[id];
-    const auto comms = s.comms.members(s.best_comms[id]);
-    route.communities.assign(comms.begin(), comms.end());
-    out.best.emplace(view.as_of(static_cast<Id>(id)), std::move(route));
+    out.best.emplace(view.as_of(static_cast<Id>(id)),
+                     best_route(view, origination, s, static_cast<Id>(id)));
   }
   return out;
 }
@@ -652,41 +714,55 @@ std::optional<bgp::Route> flat_route_at(const FlatSimContext& context,
                                         const Origination& origination,
                                         const FlatRoutingState& s,
                                         AsNumber as) {
-  using Id = topo::GraphView::Id;
   const topo::GraphView& view = context.view();
-  const Id id = view.id_of(as);
+  const topo::GraphView::Id id = view.id_of(as);
   if (id == topo::GraphView::kInvalidId || s.has_best[id] == 0) {
     return std::nullopt;
   }
-  bgp::Route route;
-  route.prefix = origination.prefix;
-  route.path = s.paths.materialize(s.best_path[id]);
-  route.learned_from = view.as_of(static_cast<Id>(s.best_learned[id]));
-  route.local_pref = s.best_lp[id];
-  route.router_id = s.best_router[id];
-  const auto comms = s.comms.members(s.best_comms[id]);
-  route.communities.assign(comms.begin(), comms.end());
-  return route;
+  return best_route(view, origination, s, id);
+}
+
+std::vector<bgp::Route> flat_adj_rib_in(const FlatSimContext& context,
+                                        const Origination& origination,
+                                        FlatRoutingState& s,
+                                        AsNumber receiver) {
+  std::vector<bgp::Route> out;
+  const topo::GraphView::Id id = context.view().id_of(receiver);
+  if (id == topo::GraphView::kInvalidId) return out;
+  pull_offers(context, origination, nullptr, s, id, [&](const Offer& offer) {
+    out.push_back(make_route(origination, s, offer.path, offer.sender_as,
+                             offer.lp, offer.sender_as.value(), offer.comms));
+  });
+  return out;
+}
+
+FixpointStats converge_cold(const FlatSimContext& context,
+                            const Origination& origination,
+                            const FailedEdges* failed,
+                            const PropagationOptions& options,
+                            FlatScratch& scratch) {
+  const topo::GraphView& view = context.view();
+  util::ensure(view.id_of(origination.origin) != topo::GraphView::kInvalidId,
+               "propagation: origin AS not in graph");
+
+  scratch.note_peak();
+  scratch.state_.reset(view.size());
+  seed_origin(context, origination, scratch.state_);
+  const FixpointStats stats = run_flat_fixpoint(
+      context, origination, failed, options, scratch.state_, scratch.cands_);
+  scratch.note_peak();
+  return stats;
 }
 
 PrefixRouting compute_prefix_flat(const FlatSimContext& context,
                                   const Origination& origination,
                                   const FailedEdges* failed,
                                   const PropagationOptions& options,
-                                  FlatScratch& s) {
-  const topo::GraphView& view = context.view();
-  util::ensure(view.id_of(origination.origin) != topo::GraphView::kInvalidId,
-               "propagation: origin AS not in graph");
-
-  s.note_peak();
-  s.state_.reset(view.size());
-  seed_origin(context, origination, s.state_);
-  const FixpointStats stats = run_flat_fixpoint(
-      context, origination, failed, options, s.state_, s.cands_);
-  PrefixRouting out = materialize_routing(context, origination, s.state_,
-                                          stats.converged, stats.events);
-  s.note_peak();
-  return out;
+                                  FlatScratch& scratch) {
+  const FixpointStats stats =
+      converge_cold(context, origination, failed, options, scratch);
+  return materialize_routing(context, origination, scratch.state(),
+                             stats.converged, stats.events);
 }
 
 // ----------------------------------------------------------- FlatScratchPool

@@ -24,19 +24,21 @@
 //   * Routing state is struct-of-arrays indexed by dense id, and the
 //     decision-process candidates are reusable SoA columns scanned by the
 //     column overload of `bgp::select_best` — no `bgp::Route` objects
-//     exist until the converged state is materialized into the public
-//     value-typed `PrefixRouting` at the very end.
+//     exist until a caller reads routes out of the converged state: one
+//     AS's best (`flat_route_at`), one AS's Adj-RIB-In (`flat_adj_rib_in`),
+//     or the whole value-typed `PrefixRouting` (`materialize_routing`).
 //
 // The per-propagation state is split so it can outlive one fixpoint:
 // `FlatRoutingState` is the warm half (interning tables + SoA best columns
 // + the event queue) that `sim::DeltaEngine` keeps converged across
 // perturbations, and `run_flat_fixpoint` is the event loop both the cold
 // entry point and the delta engine replay.  `FlatScratch` bundles a
-// routing state with candidate columns for the classic cold call and is
-// reset (not freed) between prefixes, so a warmed scratch runs a whole
-// fixpoint without touching the global allocator.  One scratch serves one
-// propagation at a time; parallel callers lease per-worker scratches from
-// a `FlatScratchPool`.
+// routing state with candidate columns for the cold entry point
+// (`converge_cold`), which leaves the converged state in the scratch for
+// the caller to read; the scratch is reset (not freed) between prefixes,
+// so a warmed scratch runs a whole fixpoint without touching the global
+// allocator.  One scratch serves one propagation at a time; parallel
+// callers lease per-worker scratches from a `FlatScratchPool`.
 #pragma once
 
 #include <cstdint>
@@ -182,7 +184,7 @@ class CommunityTable {
   std::vector<bgp::Community> scratch_;
 };
 
-/// Everything `compute_prefix_flat` needs that depends only on the
+/// Everything the flat propagations need that depends only on the
 /// (graph, policies) pair: the dense-id CSR view and per-id policy
 /// pointers.  Build once per scenario and share across any number of
 /// concurrent propagations — read-only while any propagation is in
@@ -223,7 +225,7 @@ class FlatSimContext {
 
 /// The warm half of a propagation: interning tables, SoA best-route
 /// columns, and the fixpoint event queue, all indexed by dense AS id.
-/// `compute_prefix_flat` resets one per prefix; `sim::DeltaEngine` keeps
+/// `converge_cold` resets one per prefix; `sim::DeltaEngine` keeps
 /// one converged per origination and re-seeds only the dirty frontier.
 /// Members are engine internals — mutate only through the propagation
 /// entry points below (the delta engine is the one other writer).
@@ -328,7 +330,7 @@ void seed_origin(const FlatSimContext& context, const Origination& origination,
                  FlatRoutingState& state);
 
 /// Drains the event queue until quiescent — the one fixpoint loop shared
-/// by `compute_prefix_flat` (cold seed) and `sim::DeltaEngine` (dirty
+/// by `converge_cold` (cold seed) and `sim::DeltaEngine` (dirty
 /// frontier seed).  The caller has already seeded the queue; per-AS
 /// processed counters count against `options.max_process_per_as` for this
 /// wave only (zero them via reset/begin_wave first).
@@ -367,6 +369,17 @@ void seed_origin(const FlatSimContext& context, const Origination& origination,
     const FlatSimContext& context, const Origination& origination,
     const FlatRoutingState& state, AsNumber as);
 
+/// The Adj-RIB-In of `receiver` in a converged healthy-network state (the
+/// looking-glass view): one route per neighbor that offers one, in
+/// `receiver`'s neighbor order.  Each route comes from the per-arc offer
+/// code the fixpoint pulls its candidates with, so the result equals
+/// `PropagationEngine::route_as_received` over `receiver`'s neighbors.
+/// Interns wire paths and community sets into `state`; its best columns
+/// are untouched.  Empty when `receiver` is not in the graph.
+[[nodiscard]] std::vector<bgp::Route> flat_adj_rib_in(
+    const FlatSimContext& context, const Origination& origination,
+    FlatRoutingState& state, AsNumber receiver);
+
 /// The reusable cold-propagation workspace: one routing state + candidate
 /// columns, reset (never freed) between prefixes.  Not thread-safe; one
 /// propagation at a time.
@@ -374,15 +387,19 @@ class FlatScratch {
  public:
   FlatScratch() = default;
 
+  /// The state the last `converge_cold` left converged; valid until the
+  /// scratch's next propagation.
+  [[nodiscard]] FlatRoutingState& state() { return state_; }
+
   /// High-water mark of scratch memory across this scratch's lifetime.
   [[nodiscard]] std::size_t peak_bytes() const { return peak_bytes_; }
 
  private:
-  friend PrefixRouting compute_prefix_flat(const FlatSimContext& context,
-                                           const Origination& origination,
-                                           const FailedEdges* failed,
-                                           const PropagationOptions& options,
-                                           FlatScratch& scratch);
+  friend FixpointStats converge_cold(const FlatSimContext& context,
+                                     const Origination& origination,
+                                     const FailedEdges* failed,
+                                     const PropagationOptions& options,
+                                     FlatScratch& scratch);
 
   void note_peak();
 
@@ -391,10 +408,21 @@ class FlatScratch {
   std::size_t peak_bytes_ = 0;
 };
 
-/// The flat fixpoint: byte-identical results to `compute_prefix_reference`
-/// for every input (golden-tested in tests/sim/flat_equivalence_test.cc).
-/// Reentrant across distinct scratches: the context is read-only, so any
-/// number of concurrent calls may share it.
+/// The cold fixpoint (reset, `seed_origin`, `run_flat_fixpoint`) run in
+/// `scratch`, leaving the converged state in `scratch.state()` so callers
+/// read only the routes they need — `run_simulation` records its vantage
+/// rows straight from it, churn reads its watched ASes.  Reentrant across
+/// distinct scratches: the context is read-only, so any number of
+/// concurrent calls may share it.
+[[nodiscard]] FixpointStats converge_cold(const FlatSimContext& context,
+                                          const Origination& origination,
+                                          const FailedEdges* failed,
+                                          const PropagationOptions& options,
+                                          FlatScratch& scratch);
+
+/// `converge_cold` followed by `materialize_routing`: byte-identical
+/// results to `compute_prefix_reference` for every input (golden-tested in
+/// tests/sim/flat_equivalence_test.cc).
 [[nodiscard]] PrefixRouting compute_prefix_flat(
     const FlatSimContext& context, const Origination& origination,
     const FailedEdges* failed, const PropagationOptions& options,

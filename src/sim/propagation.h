@@ -11,9 +11,12 @@
 // reports non-convergence instead of hanging.
 //
 // Memory deliberately stays per-prefix: no global Adj-RIB-In is retained.
-// Vantage recorders (vantage.h) re-derive any Adj-RIB-In they need from the
-// converged per-prefix state via `route_as_received`, which is also how the
-// engine itself computes candidate routes — one code path, no drift.
+// A looking-glass Adj-RIB-In is re-derived from the converged per-prefix
+// state when it is recorded: `run_simulation` (simulation.h) reads it with
+// `flat_adj_rib_in` (flat_engine.h), which runs the same per-arc offer code
+// the flat fixpoint pulls its candidates with.  `route_as_received` below
+// is the reference engine's copy of those rules, used by
+// `compute_prefix_reference` and the reference recorder `record_prefix`.
 //
 // Concurrency model
 // -----------------
@@ -26,8 +29,9 @@
 // same graph/policies/failures.  Higher layers exploit exactly this:
 // run_simulation (simulation.h) and the churn engine (churn.h) shard their
 // origination lists across a util::ThreadPool (util/parallel.h), compute
-// each prefix's fixpoint on whichever worker claims it, and then merge the
-// per-prefix results on the calling thread in origination order — so
+// each prefix's fixpoint — and read the routes they record out of it — on
+// whichever worker claims it, and then merge the per-prefix results on the
+// calling thread in origination order — so
 // recorded tables and counters are byte-identical for every thread count,
 // including `threads = 1` (which runs the exact sequential seed program).
 // Callers must NOT mutate the graph, policies, or failure set while a
@@ -124,7 +128,7 @@ class PropagationEngine;
 /// engine (sim/flat_engine.h) and its output is byte-identical to
 /// `compute_prefix_reference` for every input.  This overload builds the
 /// flat context per call; many-prefix loops build one `FlatSimContext` and
-/// call `compute_prefix_flat` with leased scratches.
+/// converge into leased scratches (`converge_cold`).
 [[nodiscard]] PrefixRouting compute_prefix(const topo::AsGraph& graph,
                                            const PolicySet& policies,
                                            const Origination& origination,

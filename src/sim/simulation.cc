@@ -1,5 +1,7 @@
 #include "sim/simulation.h"
 
+#include <optional>
+
 #include "sim/flat_engine.h"
 #include "util/parallel.h"
 
@@ -75,28 +77,68 @@ void merge_sim_chunk(SimResult& into, const SimResult& chunk) {
   into.process_events += chunk.process_events;
 }
 
+namespace {
+
+/// One origination's recordings — what record_prefix would add, in the
+/// same order — built on a worker straight from the converged flat state.
+struct PrefixRows {
+  FixpointStats stats;
+  std::vector<bgp::Route> collector;
+  std::vector<std::vector<bgp::Route>> looking_glass;  // per spec entry
+  std::vector<std::optional<bgp::Route>> best_only;    // per spec entry
+};
+
+PrefixRows record_rows(const FlatSimContext& context,
+                       const Origination& origination,
+                       const PropagationOptions& options,
+                       const VantageSpec& spec, FlatScratch& scratch) {
+  PrefixRows rows;
+  rows.stats = converge_cold(context, origination, nullptr, options, scratch);
+  FlatRoutingState& state = scratch.state();
+
+  rows.collector.reserve(spec.collector_peers.size());
+  for (const AsNumber peer : spec.collector_peers) {
+    std::optional<bgp::Route> record =
+        flat_route_at(context, origination, state, peer);
+    if (!record) continue;
+    record->path = record->path.prepend(peer);
+    record->learned_from = peer;
+    record->local_pref = 100;  // LOCAL_PREF is not transmitted over eBGP
+    record->router_id = peer.value();
+    rows.collector.push_back(std::move(*record));
+  }
+
+  rows.looking_glass.reserve(spec.looking_glass.size());
+  for (const AsNumber lg : spec.looking_glass) {
+    rows.looking_glass.push_back(
+        flat_adj_rib_in(context, origination, state, lg));
+  }
+
+  rows.best_only.reserve(spec.best_only.size());
+  for (const AsNumber as : spec.best_only) {
+    rows.best_only.push_back(flat_route_at(context, origination, state, as));
+  }
+  return rows;
+}
+
+}  // namespace
+
 SimResult run_simulation(const topo::AsGraph& graph, const PolicySet& policies,
                          std::span<const Origination> originations,
                          const VantageSpec& spec,
                          const PropagationOptions& options,
                          const util::Executor* executor) {
-  PropagationEngine engine(graph, policies);
   SimResult result = init_sim_result(spec);
   // One shared read-only flat context; workers lease warmed scratches from
   // the pool per prefix, so scratch memory scales with worker count.
   const FlatSimContext context(graph, policies);
   FlatScratchPool scratches;
 
-  const auto record = [&](const PrefixRouting& state) {
-    if (!state.converged) ++result.unconverged_prefixes;
-    result.process_events += state.process_events;
-    record_prefix(engine, state, spec, result);
-    ++result.origination_count;
-  };
-
-  // Sharded execution: workers compute prefix fixpoints into index-addressed
-  // slots which the calling thread merges in origination order, so every
-  // table and counter is byte-identical to the sequential run (see
+  // Sharded execution: workers converge each prefix and build its rows
+  // into index-addressed slots; the calling thread only appends them, in
+  // origination order, through BgpTable::add (implicit withdraw per
+  // neighbor, exactly record_prefix's add sequence), so every table and
+  // counter is byte-identical to the sequential run (see
   // util::shard_and_merge).
   std::unique_ptr<util::Executor> owned;
   const util::Executor& exec =
@@ -105,10 +147,28 @@ SimResult run_simulation(const topo::AsGraph& graph, const PolicySet& policies,
       exec, originations.size(),
       [&](std::size_t i) {
         const auto lease = scratches.acquire();
-        return compute_prefix_flat(context, originations[i], nullptr, options,
-                                   *lease);
+        return record_rows(context, originations[i], options, spec, *lease);
       },
-      [&](std::size_t, const PrefixRouting& state) { record(state); });
+      [&](std::size_t, PrefixRows& rows) {
+        if (!rows.stats.converged) ++result.unconverged_prefixes;
+        result.process_events += rows.stats.events;
+        for (bgp::Route& route : rows.collector) {
+          result.collector.add(std::move(route));
+        }
+        for (std::size_t j = 0; j < spec.looking_glass.size(); ++j) {
+          bgp::BgpTable& table = result.looking_glass[spec.looking_glass[j]];
+          for (bgp::Route& route : rows.looking_glass[j]) {
+            table.add(std::move(route));
+          }
+        }
+        for (std::size_t j = 0; j < spec.best_only.size(); ++j) {
+          if (rows.best_only[j]) {
+            result.best_only[spec.best_only[j]].add(
+                std::move(*rows.best_only[j]));
+          }
+        }
+        ++result.origination_count;
+      });
   return result;
 }
 

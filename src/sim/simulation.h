@@ -44,9 +44,13 @@ struct SimResult {
 /// Runs the propagation engine over every origination and records the
 /// requested vantage tables.  Prefix-sharded across
 /// `options.threads` workers (0 = hardware concurrency, 1 = sequential
-/// seed behavior); per-prefix results are merged on the calling thread in
-/// origination order, so the output — tables and counters — is
-/// byte-identical for every thread count.  When `executor` is given it
+/// seed behavior): each worker converges a prefix (`converge_cold`) and
+/// builds its vantage rows straight from the flat state — collector and
+/// best-only rows from the best columns, looking-glass rows from the
+/// fixpoint's own per-arc offer code (`flat_adj_rib_in`).  The calling
+/// thread appends the rows in origination order, so the output — tables
+/// and counters — is byte-identical for every thread count and to
+/// `record_prefix` over reference fixpoints.  When `executor` is given it
 /// supplies the (long-lived, shared) worker pool and `options.threads` is
 /// ignored; otherwise a one-shot pool sized from the knob is used.
 [[nodiscard]] SimResult run_simulation(const topo::AsGraph& graph,
@@ -56,8 +60,11 @@ struct SimResult {
                                        const PropagationOptions& options = {},
                                        const util::Executor* executor = nullptr);
 
-/// Records one converged prefix into the vantage tables (exposed for the
-/// churn engine, which re-records single prefixes after policy flips).
+/// The reference recorder: records one converged prefix into the vantage
+/// tables through the reference engine's `route_as_received`.  Nothing in
+/// the library calls it; it is the executable specification that the
+/// equivalence tests and `bench_sim_scaling` compare `run_simulation`'s
+/// tables against.
 void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
                    const VantageSpec& spec, SimResult& result);
 

@@ -187,13 +187,12 @@ TEST(QueryEngine, KnownKindCoversExactlyTheDispatchableKinds) {
 
 // ------------------------------------------------------- what-if failure --
 
-/// A deterministic (vantage, failed edge, prefix) probe: the first
-/// origination's prefix, the session between its origin and that origin's
-/// first neighbor, observed from the first analysis vantage.
+/// A deterministic (vantage, failed edge) probe: the session between the
+/// first origination's origin and that origin's first neighbor, observed
+/// from the first analysis vantage.
 struct WhatIfProbe {
   AsNumber vantage;
   std::pair<AsNumber, AsNumber> edge;
-  bgp::Prefix prefix;
 };
 
 WhatIfProbe make_probe(const Snapshot& snapshot) {
@@ -201,8 +200,7 @@ WhatIfProbe make_probe(const Snapshot& snapshot) {
   const sim::Origination& origination = truth.originations.front();
   const auto& neighbors = truth.topo.graph.neighbors(origination.origin);
   WhatIfProbe probe{snapshot.analyses.vantages.front().vantage,
-                    {origination.origin, neighbors.front().as},
-                    origination.prefix};
+                    {origination.origin, neighbors.front().as}};
   return probe;
 }
 
@@ -240,25 +238,33 @@ TEST(QueryEngine, WhatIfFailureMatchesColdRecomputation) {
   const core::GroundTruth& truth = *snapshot.truth;
   const WhatIfProbe probe = make_probe(snapshot);
   const std::vector<std::pair<AsNumber, AsNumber>> edges = {probe.edge};
-  const std::vector<bgp::Prefix> filter = {probe.prefix};
 
+  // All originated prefixes (empty filter).
   const std::vector<std::uint8_t> payload =
       ok_answer(QueryKind::kWhatIfFailure,
-                encode_what_if_request(probe.vantage, edges, filter), snapshot);
+                encode_what_if_request(probe.vantage, edges), snapshot);
   const auto view = split_response(payload);
   ASSERT_TRUE(view.has_value());
   const auto result = decode_what_if(view->body);
   ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->entries.size(), 1u);
-  const WhatIfEntry& entry = result->entries.front();
-  EXPECT_EQ(entry.prefix, probe.prefix);
+
+  // One entry per distinct prefix, in first-origination order.
+  std::vector<bgp::Prefix> prefixes;
+  for (const sim::Origination& o : truth.originations) {
+    if (std::find(prefixes.begin(), prefixes.end(), o.prefix) ==
+        prefixes.end()) {
+      prefixes.push_back(o.prefix);
+    }
+  }
+  ASSERT_EQ(result->entries.size(), prefixes.size());
 
   // Cold ground truth of both worlds, MOAS-merged the same way.
-  const auto cold_best = [&](const sim::FailedEdges* failed)
+  const auto cold_best = [&](const bgp::Prefix& prefix,
+                             const sim::FailedEdges* failed)
       -> std::optional<bgp::Route> {
     std::vector<bgp::Route> candidates;
     for (const sim::Origination& o : truth.originations) {
-      if (o.prefix != probe.prefix) continue;
+      if (o.prefix != prefix) continue;
       const sim::PrefixRouting routing = sim::compute_prefix(
           truth.topo.graph, truth.gen.policies, o, failed);
       if (const bgp::Route* route = routing.best_at(probe.vantage)) {
@@ -268,26 +274,27 @@ TEST(QueryEngine, WhatIfFailureMatchesColdRecomputation) {
     if (candidates.empty()) return std::nullopt;
     return candidates[bgp::select_best(candidates).value_or(0)];
   };
+  const auto expect_state = [](const WhatIfRouteState& state,
+                               const std::optional<bgp::Route>& route) {
+    EXPECT_EQ(state.reachable, route.has_value());
+    if (!route.has_value()) return;
+    EXPECT_EQ(state.via,
+              route->next_hop_as().value_or(route->learned_from).value());
+    EXPECT_EQ(state.origin, route->origin_as().value());
+    EXPECT_EQ(state.path_length, route->path.length());
+  };
   sim::FailedEdges failed;
   failed.fail(probe.edge.first, probe.edge.second);
-  const std::optional<bgp::Route> before = cold_best(nullptr);
-  const std::optional<bgp::Route> after = cold_best(&failed);
-
-  EXPECT_EQ(entry.before.reachable, before.has_value());
-  EXPECT_EQ(entry.after.reachable, after.has_value());
-  if (before.has_value()) {
-    EXPECT_EQ(entry.before.via,
-              before->next_hop_as().value_or(before->learned_from).value());
-    EXPECT_EQ(entry.before.origin, before->origin_as().value());
-    EXPECT_EQ(entry.before.path_length, before->path.length());
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    SCOPED_TRACE(prefixes[i].to_string());
+    const WhatIfEntry& entry = result->entries[i];
+    EXPECT_EQ(entry.prefix, prefixes[i]);
+    const std::optional<bgp::Route> before = cold_best(prefixes[i], nullptr);
+    const std::optional<bgp::Route> after = cold_best(prefixes[i], &failed);
+    expect_state(entry.before, before);
+    expect_state(entry.after, after);
+    EXPECT_EQ(entry.changed, before != after);
   }
-  if (after.has_value()) {
-    EXPECT_EQ(entry.after.via,
-              after->next_hop_as().value_or(after->learned_from).value());
-    EXPECT_EQ(entry.after.origin, after->origin_as().value());
-    EXPECT_EQ(entry.after.path_length, after->path.length());
-  }
-  EXPECT_EQ(entry.changed, before != after);
 }
 
 TEST(QueryEngine, WhatIfFailureErrorPaths) {

@@ -4,6 +4,7 @@
 // input — worked-example figures, generated scenarios, failure sets — and
 // whole-simulation artifacts digest identically at every thread count.
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,8 +56,10 @@ TEST(FlatEquivalence, Figure1AllOrigins) {
   }
 }
 
-TEST(FlatEquivalence, Figure3WithTrafficEngineering) {
-  const auto f = figure3_graph();
+/// Figure 3 with every traffic-engineering mechanism the engine models:
+/// selective announcement, prepending, both community tag actions, and
+/// relationship-tagging communities.
+PolicySet figure3_te_policies(const Figure3& f) {
   auto policies = typical_policies(f.graph);
 
   // Selective announcement: A withholds from B.
@@ -84,7 +87,12 @@ TEST(FlatEquivalence, Figure3WithTrafficEngineering) {
 
   // Relationship-tagging communities at one vantage.
   policies.at_mut(f.d).community.enabled = true;
+  return policies;
+}
 
+TEST(FlatEquivalence, Figure3WithTrafficEngineering) {
+  const auto f = figure3_graph();
+  const auto policies = figure3_te_policies(f);
   for (const auto origin : f.graph.ases()) {
     expect_equivalent(f.graph, policies, {kPrefix, origin}, nullptr);
   }
@@ -160,14 +168,16 @@ TEST(FlatEquivalence, Internet2002SampledOriginations) {
 /// Runs the seed sequential program: reference fixpoints recorded in
 /// origination order — what run_simulation(threads=1) was before the flat
 /// core landed.
-SimResult reference_simulation(const core::GroundTruth& truth,
+SimResult reference_simulation(const topo::AsGraph& graph,
+                               const PolicySet& policies,
+                               std::span<const Origination> originations,
                                const VantageSpec& vantage,
                                const PropagationOptions& options) {
-  const PropagationEngine engine(truth.topo.graph, truth.gen.policies);
+  const PropagationEngine engine(graph, policies);
   SimResult result = init_sim_result(vantage);
-  for (const auto& origination : truth.originations) {
+  for (const auto& origination : originations) {
     const PrefixRouting state = compute_prefix_reference(
-        truth.topo.graph, truth.gen.policies, origination, nullptr, options);
+        graph, policies, origination, nullptr, options);
     if (!state.converged) ++result.unconverged_prefixes;
     result.process_events += state.process_events;
     record_prefix(engine, state, vantage, result);
@@ -176,12 +186,11 @@ SimResult reference_simulation(const core::GroundTruth& truth,
   return result;
 }
 
-TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {
-  const auto scenario = core::Scenario::small();
-  const auto truth = core::synthesize(scenario);
-  const auto vantage = core::derive_vantage(scenario, truth.topo);
-
-  PropagationOptions options = scenario.propagation;
+void expect_digest_matches_seed(const topo::AsGraph& graph,
+                                const PolicySet& policies,
+                                std::span<const Origination> originations,
+                                const VantageSpec& vantage,
+                                PropagationOptions options) {
   const auto digest_of = [&](const SimResult& sim) {
     core::SimArtifact artifact;
     artifact.vantage = vantage;
@@ -190,15 +199,51 @@ TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {
     return core::stable_digest_hex(bytes);
   };
 
-  const auto reference =
-      digest_of(reference_simulation(truth, vantage, options));
+  const auto reference = digest_of(
+      reference_simulation(graph, policies, originations, vantage, options));
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
     options.threads = threads;
-    const auto run = run_simulation(truth.topo.graph, truth.gen.policies,
-                                    truth.originations, vantage, options);
+    const auto run =
+        run_simulation(graph, policies, originations, vantage, options);
     EXPECT_EQ(digest_of(run), reference) << "threads=" << threads;
   }
+}
+
+TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {
+  {
+    SCOPED_TRACE("Scenario::small");
+    const auto scenario = core::Scenario::small();
+    const auto truth = core::synthesize(scenario);
+    expect_digest_matches_seed(truth.topo.graph, truth.gen.policies,
+                               truth.originations,
+                               core::derive_vantage(scenario, truth.topo),
+                               scenario.propagation);
+  }
+
+  // The figure-3 traffic-engineering world plus A's conditional
+  // advertisement, with every AS a looking glass, collector peer and
+  // best-only vantage.  Every AS originates two prefixes (MOAS, so later
+  // originations also replace earlier rows per neighbor): kPrefix, which
+  // the prefix-specific rules match, and a second one for which C's
+  // NoExportTo tag is not shadowed by its NoExportUpstream tag.  The
+  // looking glasses see offers that are denied (A to B), prepended (B to
+  // D), tagged by both tag actions (C to E), community-tagged on import
+  // (at D) and conditionally suppressed (A to C).
+  SCOPED_TRACE("figure 3 traffic engineering");
+  const auto f = figure3_graph();
+  auto policies = figure3_te_policies(f);
+  policies.at_mut(f.a).conditional.push_back({kPrefix, f.c, f.b});
+  std::vector<Origination> originations;
+  VantageSpec vantage;
+  for (const auto as : f.graph.ases()) {
+    originations.push_back({kPrefix, as});
+    originations.push_back({Prefix::parse("10.0.1.0/24"), as});
+    vantage.collector_peers.push_back(as);
+    vantage.looking_glass.push_back(as);
+    vantage.best_only.push_back(as);
+  }
+  expect_digest_matches_seed(f.graph, policies, originations, vantage, {});
 }
 
 }  // namespace
