@@ -65,11 +65,11 @@ const core::Experiment& small_experiment() {
 
 void BM_PropagateOnePrefix(benchmark::State& state) {
   const World& w = world(static_cast<std::size_t>(state.range(0)));
-  const sim::PropagationEngine engine(w.topo.graph, w.gen.policies);
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& origination = w.originations[i++ % w.originations.size()];
-    benchmark::DoNotOptimize(engine.propagate(origination));
+    benchmark::DoNotOptimize(sim::compute_prefix(
+        w.topo.graph, w.gen.policies, origination, nullptr));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(w.topo.graph.as_count()));

@@ -45,9 +45,11 @@ const char* name_of(const World& w, AsNumber as) {
   return "?";
 }
 
-void snapshot(const World& w, const sim::PropagationEngine& engine,
-              const bgp::Prefix& prefix, const std::string& title) {
-  const auto state = engine.propagate({prefix, w.a});
+void snapshot(const World& w, const sim::PolicySet& policies,
+              const sim::FailedEdges& failures, const bgp::Prefix& prefix,
+              const std::string& title) {
+  const auto state =
+      sim::compute_prefix(w.graph, policies, {prefix, w.a}, &failures);
   util::TextTable table({"AS", "best path", "via"});
   for (const auto as : w.graph.ases()) {
     if (as == w.a) continue;
@@ -72,24 +74,24 @@ int main() {
   // announcement path.
   policies.at_mut(w.a).conditional.push_back({prefix, w.b, w.c});
 
-  sim::PropagationEngine engine(w.graph, policies);
   sim::FailedEdges failures;
-  engine.set_failures(&failures);
 
   std::cout << "customer-A announces 203.0.113.0/24 via provider-C only,\n"
                "with a conditional advertisement to provider-B watching the "
                "A-C session.\n\n";
 
-  snapshot(w, engine, prefix, "t0: healthy (conditional suppressed)");
+  snapshot(w, policies, failures, prefix,
+           "t0: healthy (conditional suppressed)");
   std::cout << "  -> tier1-D holds a peer route to its indirect customer: "
                "an SA prefix.\n\n";
 
   failures.fail(w.a, w.c);
-  snapshot(w, engine, prefix, "t1: A-C session down (conditional active)");
+  snapshot(w, policies, failures, prefix,
+           "t1: A-C session down (conditional active)");
   std::cout << "  -> the backup announcement restores reachability via B.\n\n";
 
   failures.restore(w.a, w.c);
-  snapshot(w, engine, prefix, "t2: A-C session restored");
+  snapshot(w, policies, failures, prefix, "t2: A-C session restored");
   std::cout << "  -> back to the steady state; the backup goes quiet again.\n";
   return 0;
 }

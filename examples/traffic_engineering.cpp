@@ -58,8 +58,8 @@ const char* name_of(const World& w, AsNumber as) {
 
 void show_routing(const World& w, const sim::PolicySet& policies,
                   const bgp::Prefix& prefix, const std::string& title) {
-  const sim::PropagationEngine engine(w.graph, policies);
-  const auto state = engine.propagate({prefix, w.a});
+  const auto state =
+      sim::compute_prefix(w.graph, policies, {prefix, w.a}, nullptr);
 
   util::TextTable table({"AS", "route to 203.0.113.0/24 (AS path)",
                          "learned from", "relationship"});

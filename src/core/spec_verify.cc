@@ -55,8 +55,8 @@ class Timeline {
  public:
   Timeline(const ScenarioSpec& spec, const GroundTruth& truth)
       : spec_(spec),
-        context_(truth.topo.graph, truth.gen.policies),
-        engine_(context_, spec.scenario.propagation),
+        engine_(truth.topo.graph, truth.gen.policies,
+                spec.scenario.propagation),
         active_(truth.originations) {}
 
   /// Advances to the world after `k` events; `k` must be non-decreasing
@@ -103,11 +103,11 @@ class Timeline {
     auto& slot = states_[key_of(origination)];
     if (slot == nullptr) {
       slot = std::make_unique<sim::DeltaState>();
-      engine_.converge(origination, &failed_, *slot, ws_);
+      engine_.converge(origination, &failed_, *slot, scratch_);
     } else {
       const sim::Perturbation delta =
           sim::Perturbation::edge_delta(slot->failed(), failed_);
-      if (!delta.empty()) (void)engine_.apply(*slot, delta, ws_);
+      if (!delta.empty()) (void)engine_.apply(*slot, delta, scratch_);
     }
     return *slot;
   }
@@ -140,12 +140,11 @@ class Timeline {
   }
 
   const ScenarioSpec& spec_;
-  sim::FlatSimContext context_;
   sim::DeltaEngine engine_;
   sim::FailedEdges failed_;
   std::vector<sim::Origination> active_;
   std::map<StateKey, std::unique_ptr<sim::DeltaState>> states_;
-  sim::DeltaWorkspace ws_;
+  sim::FlatScratch scratch_;
   std::size_t applied_ = 0;
 };
 

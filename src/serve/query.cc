@@ -266,7 +266,7 @@ std::vector<std::uint8_t> answer_what_if_failure(
   sim::Perturbation perturbation;
   perturbation.fail_edges = edges;
   const sim::DeltaEngine& engine = snapshot.what_if->engine();
-  sim::DeltaWorkspace ws;
+  sim::FlatScratch scratch;
   sim::DeltaState branch;
 
   const auto summarize = [](const std::optional<bgp::Route>& route) {
@@ -302,7 +302,7 @@ std::vector<std::uint8_t> answer_what_if_failure(
       // Branch a private deep copy and fail the sessions incrementally;
       // the shared base stays pristine for the next query.
       branch.assign_from(*base);
-      wave_events += engine.apply(branch, perturbation, ws).events;
+      wave_events += engine.apply(branch, perturbation, scratch).events;
       if (auto route = engine.route_at(branch, vantage)) {
         after_cands.push_back(std::move(*route));
       }

@@ -35,8 +35,7 @@ WhatIfBase::WhatIfBase(std::shared_ptr<const core::GroundTruth> truth,
                        sim::PropagationOptions options)
     : truth_(checked(std::move(truth))),
       targets_(index_targets(truth_->originations)),
-      context_(truth_->topo.graph, truth_->gen.policies),
-      engine_(context_, options),
+      engine_(truth_->topo.graph, truth_->gen.policies, options),
       cache_(truth_->originations.size()) {}
 
 std::shared_ptr<const sim::DeltaState> WhatIfBase::base_state(
@@ -50,8 +49,8 @@ std::shared_ptr<const sim::DeltaState> WhatIfBase::base_state(
   // queries.  Losing an install race is fine — converge is deterministic,
   // so both candidates are value-identical.
   auto state = std::make_shared<sim::DeltaState>();
-  sim::DeltaWorkspace ws;
-  engine_.converge(truth_->originations[index], nullptr, *state, ws);
+  sim::FlatScratch scratch;
+  engine_.converge(truth_->originations[index], nullptr, *state, scratch);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (cache_[index] == nullptr) cache_[index] = std::move(state);
   return cache_[index];

@@ -4,8 +4,9 @@
 // route to these prefixes become?"  Answering it cold would pay a full
 // per-prefix fixpoint per query.  Instead the snapshot carries one
 // `WhatIfBase`: the scenario's ground truth (graph + policies +
-// originations), a shared `FlatSimContext`, and a lazily filled write-once
-// cache of converged healthy-world `DeltaState`s — one per origination.
+// originations), a `sim::DeltaEngine` (which owns the flat context), and a
+// lazily filled write-once cache of converged healthy-world `DeltaState`s —
+// one per origination.
 // Each query deep-copies the base state of every origination it touches
 // (DeltaState::assign_from), applies the hypothetical failures as a dirty
 // frontier (sim/delta_engine.h), and reads the branched route, leaving the
@@ -28,7 +29,6 @@
 #include "bgp/prefix.h"
 #include "core/experiment.h"
 #include "sim/delta_engine.h"
-#include "sim/flat_engine.h"
 
 namespace bgpolicy::serve {
 
@@ -68,7 +68,6 @@ class WhatIfBase {
  private:
   std::shared_ptr<const core::GroundTruth> truth_;
   std::vector<Target> targets_;
-  sim::FlatSimContext context_;
   sim::DeltaEngine engine_;
   mutable std::mutex mutex_;
   /// One slot per origination; null until first demanded.  Write-once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <unordered_set>
 #include <utility>
 
 #include "util/ensure.h"
@@ -19,8 +20,8 @@ ChurnSimulator::ChurnSimulator(const topo::AsGraph& graph, PolicySet policies,
       watch_(std::move(watch)),
       rng_(params.seed),
       params_(params),
-      context_(std::make_unique<FlatSimContext>(graph, *policies_)),
-      delta_(std::make_unique<DeltaEngine>(*context_, params.propagation)) {
+      delta_(std::make_unique<DeltaEngine>(graph, *policies_,
+                                           params.propagation)) {
   for (const auto& origination : originations_) {
     by_prefix_.emplace(origination.prefix, origination);
   }
@@ -47,16 +48,18 @@ std::uint64_t ChurnSimulator::world_of(const bgp::Prefix& prefix) const {
 }
 
 std::vector<std::optional<bgp::Route>> ChurnSimulator::watch_rows(
-    const DeltaState& state) const {
+    const FlatSimContext& context, const Origination& origination,
+    const FlatRoutingState& state) const {
   std::vector<std::optional<bgp::Route>> rows;
   rows.reserve(watch_.size());
-  for (const AsNumber as : watch_) rows.push_back(delta_->route_at(state, as));
+  for (const AsNumber as : watch_) {
+    rows.push_back(flat_route_at(context, origination, state, as));
+  }
   return rows;
 }
 
-void ChurnSimulator::repropagate(
-    std::span<const bgp::Prefix> prefixes,
-    const std::unordered_map<bgp::Prefix, Perturbation>* perturbations) {
+void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes,
+                                 bool initial) {
   // util::shard_and_merge computes the fixpoints on the executor and applies
   // watched-table updates sequentially in `prefixes` order — deterministic
   // for every thread count (propagation.h "Concurrency model").  The
@@ -75,120 +78,96 @@ void ChurnSimulator::repropagate(
   }
   util::ThreadPool* pool = executor == nullptr ? nullptr : executor->pool();
 
-  const auto apply_watch = [&](std::size_t i,
-                               std::span<const std::optional<bgp::Route>>
-                                   rows) {
-    for (std::size_t w = 0; w < watch_.size(); ++w) {
-      auto& table = watched_.at(watch_[w]);
-      if (!rows[w].has_value()) {
-        table.erase(prefixes[i]);
-      } else {
-        table.insert_or_assign(prefixes[i], *rows[w]);
-      }
-    }
-  };
+  // Non-incremental mode is the faithful pre-delta baseline (what
+  // bench_delta_propagation measures against) and the reference that
+  // checks refresh_policies, so it rebuilds the context from the mutated
+  // policies on every call.  Incremental mode reads the delta engine's
+  // patched context, its initial run included.
+  std::optional<FlatSimContext> rebuilt;
+  if (!params_.incremental) rebuilt.emplace(*graph_, *policies_);
+  const FlatSimContext& context = rebuilt ? *rebuilt : delta_->context();
+  const bool incremental_step = params_.incremental && !initial;
 
-  if (params_.incremental && perturbations != nullptr) {
-    // Memo probes and warm-state lookup/creation happen here on the
-    // calling thread (no shared map is touched inside the parallel
-    // region); each worker then owns exactly one prefix's state for the
-    // duration of its task.  The perturbation is derived from the world
-    // drift between the state's baked flags and the current flags, not
-    // from this step's flip list: a memo hit leaves the state unsynced on
-    // purpose, so the next miss replays every toggled pair at once.
-    struct Job {
-      const Origination* origination;
-      DeltaState* state;         // untouched on a memo hit
-      Perturbation perturbation;  // world diff; empty + fresh = converge
-      std::uint64_t world = 0;
-      bool fresh = false;
-      const std::vector<std::optional<bgp::Route>>* cached = nullptr;
-    };
-    std::vector<Job> jobs;
-    jobs.reserve(prefixes.size());
-    for (const bgp::Prefix& prefix : prefixes) {
-      const auto it = by_prefix_.find(prefix);
-      util::ensure(it != by_prefix_.end(), "churn: unknown prefix");
-      Job job;
-      job.origination = &it->second;
-      job.world = world_of(prefix);
-      const auto& worlds = memo_[prefix];
-      if (const auto hit = worlds.find(job.world); hit != worlds.end()) {
-        ++memo_hits_;
-        job.cached = &hit->second;
-        job.state = nullptr;
-        jobs.push_back(std::move(job));
-        continue;
-      }
-      auto& slot = warm_[prefix];
-      job.fresh = slot == nullptr;
-      if (job.fresh) {
-        // Cold-converges against the already-mutated policies, baking the
-        // current world in.
-        slot = std::make_unique<DeltaState>();
-      } else {
-        const std::uint64_t baked = state_world_.at(prefix);
-        const auto& bits = units_of_.at(prefix);
-        for (std::size_t b = 0; b < bits.size(); ++b) {
-          if (((baked ^ job.world) >> b) & 1) {
-            const SelectiveUnit& unit = truth_.origin_units[bits[b]];
-            job.perturbation.export_changed.emplace_back(unit.origin,
-                                                         unit.provider);
-          }
+  // One job per prefix, built here on the calling thread (no shared map is
+  // touched inside the parallel region): a memo hit carries its rows, a
+  // warm job owns exactly one prefix's state for the duration of its task,
+  // anything else is a cold converge in the leased scratch.  A warm job's
+  // perturbation is the world drift between the state's baked flags and
+  // the current flags, not this step's flip list: a memo hit leaves the
+  // state unsynced on purpose, so the next miss replays every toggled pair
+  // at once.
+  using Rows = std::vector<std::optional<bgp::Route>>;
+  struct Job {
+    const Origination* origination = nullptr;
+    const Rows* cached = nullptr;  // memo hit
+    DeltaState* state = nullptr;   // warm: converge when new, else apply
+    Perturbation perturbation;
+    std::uint64_t world = 0;
+  };
+  std::vector<Job> jobs(prefixes.size());
+  for (std::size_t i = 0; i < prefixes.size(); ++i) {
+    const bgp::Prefix& prefix = prefixes[i];
+    const auto it = by_prefix_.find(prefix);
+    util::ensure(it != by_prefix_.end(), "churn: unknown prefix");
+    Job& job = jobs[i];
+    job.origination = &it->second;
+    if (!incremental_step) continue;
+    job.world = world_of(prefix);
+    const auto& worlds = memo_[prefix];
+    if (const auto hit = worlds.find(job.world); hit != worlds.end()) {
+      ++memo_hits_;
+      job.cached = &hit->second;
+      continue;
+    }
+    auto& slot = warm_[prefix];
+    if (slot == nullptr) {
+      // Cold-converges against the already-mutated policies, baking the
+      // current world in.
+      slot = std::make_unique<DeltaState>();
+    } else {
+      const std::uint64_t baked = state_world_.at(prefix);
+      const auto& bits = units_of_.at(prefix);
+      for (std::size_t b = 0; b < bits.size(); ++b) {
+        if (((baked ^ job.world) >> b) & 1) {
+          const SelectiveUnit& unit = truth_.origin_units[bits[b]];
+          job.perturbation.export_changed.emplace_back(unit.origin,
+                                                       unit.provider);
         }
       }
-      state_world_[prefix] = job.world;
-      job.state = slot.get();
-      jobs.push_back(std::move(job));
     }
-    util::shard_and_merge(
-        pool, jobs.size(),
-        [&](std::size_t i) {
-          const Job& job = jobs[i];
-          if (job.cached != nullptr) return *job.cached;
-          const auto lease = workspaces_->acquire();
-          if (job.fresh) {
-            delta_->converge(*job.origination, nullptr, *job.state, *lease);
-          } else {
-            (void)delta_->apply(*job.state, job.perturbation, *lease);
-          }
-          return watch_rows(*job.state);
-        },
-        [&](std::size_t i, const std::vector<std::optional<bgp::Route>>& rows) {
-          if (jobs[i].cached == nullptr) {
-            memo_[prefixes[i]][jobs[i].world] = rows;
-          }
-          apply_watch(i, rows);
-        });
-    return;
+    state_world_[prefix] = job.world;
+    job.state = slot.get();
   }
 
-  // The cold path: non-incremental mode is the faithful pre-delta baseline
-  // (what bench_delta_propagation measures against), so it rebuilds the
-  // context from the mutated policies on every call exactly like the old
-  // simulator did.  Incremental mode reuses the shared patched context;
-  // its run_initial lands here too (perturbations == nullptr).
-  std::optional<FlatSimContext> fresh;
-  if (!params_.incremental) fresh.emplace(*graph_, *policies_);
-  const FlatSimContext& context = fresh ? *fresh : *context_;
   util::shard_and_merge(
-      pool, prefixes.size(),
+      pool, jobs.size(),
       [&](std::size_t i) {
-        const auto it = by_prefix_.find(prefixes[i]);
-        util::ensure(it != by_prefix_.end(), "churn: unknown prefix");
+        const Job& job = jobs[i];
+        if (job.cached != nullptr) return *job.cached;
         const auto lease = scratches_->acquire();
-        (void)converge_cold(context, it->second, nullptr, params_.propagation,
-                            *lease);
-        std::vector<std::optional<bgp::Route>> rows;
-        rows.reserve(watch_.size());
-        for (const AsNumber as : watch_) {
-          rows.push_back(
-              flat_route_at(context, it->second, (*lease).state(), as));
+        FlatScratch& scratch = *lease;
+        if (job.state == nullptr) {
+          (void)converge_cold(context, *job.origination, nullptr,
+                              params_.propagation, scratch, scratch.state());
+          return watch_rows(context, *job.origination, scratch.state());
         }
-        return rows;
+        if (!job.state->initialized()) {
+          delta_->converge(*job.origination, nullptr, *job.state, scratch);
+        } else {
+          (void)delta_->apply(*job.state, job.perturbation, scratch);
+        }
+        return watch_rows(context, *job.origination, job.state->routing());
       },
-      [&](std::size_t i, const std::vector<std::optional<bgp::Route>>& rows) {
-        apply_watch(i, rows);
+      [&](std::size_t i, const Rows& rows) {
+        if (jobs[i].state != nullptr) memo_[prefixes[i]][jobs[i].world] = rows;
+        for (std::size_t w = 0; w < watch_.size(); ++w) {
+          auto& table = watched_.at(watch_[w]);
+          if (!rows[w].has_value()) {
+            table.erase(prefixes[i]);
+          } else {
+            table.insert_or_assign(prefixes[i], *rows[w]);
+          }
+        }
       });
 }
 
@@ -200,15 +179,14 @@ void ChurnSimulator::run_initial() {
   for (const auto& origination : originations_) {
     all.push_back(origination.prefix);
   }
-  // Always the cold path: warm states are created lazily for the churned
+  // Always cold converges: warm states are created lazily for the churned
   // population only, so memory scales with what actually flips.
-  repropagate(all, nullptr);
+  repropagate(all, /*initial=*/true);
 }
 
 std::vector<bgp::Prefix> ChurnSimulator::step() {
   util::ensure_state(initialized_, "churn: step before run_initial");
   std::unordered_set<bgp::Prefix> changed;
-  std::unordered_map<bgp::Prefix, Perturbation> perturbations;
   std::vector<AsNumber> dirty_origins;
   if (!toggleable_.empty()) {
     const auto flips = std::max<std::size_t>(
@@ -229,19 +207,14 @@ std::vector<bgp::Prefix> ChurnSimulator::step() {
         unit.withheld = true;
       }
       changed.insert(unit.prefix);
-      // Exactly what changed: the origin's export toward this provider.
-      // The delta engine re-seeds the provider plus every AS routing
-      // across that pair — not the whole prefix fixpoint.
-      perturbations[unit.prefix].export_changed.emplace_back(unit.origin,
-                                                             unit.provider);
       dirty_origins.push_back(unit.origin);
     }
   }
-  // Patch the shared context in place (satellite of the delta-engine work:
-  // the CSR view never changes, so rebuilding it per step was pure waste).
-  context_->refresh_policies(dirty_origins);
+  // Patch the delta engine's context in place: the CSR view never changes,
+  // so rebuilding it per step would be pure waste.
+  delta_->refresh_policies(dirty_origins);
   std::vector<bgp::Prefix> out(changed.begin(), changed.end());
-  repropagate(out, &perturbations);
+  repropagate(out, /*initial=*/false);
   return out;
 }
 

@@ -17,9 +17,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bgp/prefix.h"
@@ -92,28 +92,26 @@ class ChurnSimulator {
  private:
   /// Re-propagates the given prefixes (sharded across
   /// params.propagation.threads workers) and applies the watched-table
-  /// updates sequentially in `prefixes` order.  `perturbations` must be
-  /// non-null for churn steps and null for the initial run; in incremental
-  /// mode each prefix is answered from the per-world memo when possible,
-  /// otherwise its warm state is delta-synced to the current world (a
-  /// prefix without a warm state is cold-converged against the
-  /// already-mutated policies).
-  void repropagate(
-      std::span<const bgp::Prefix> prefixes,
-      const std::unordered_map<bgp::Prefix, Perturbation>* perturbations);
+  /// updates sequentially in `prefixes` order.  The initial run and every
+  /// non-incremental call cold-converge each prefix; an incremental step
+  /// answers a prefix from the per-world memo when possible, otherwise
+  /// delta-syncs its warm state to the current world (a prefix without a
+  /// warm state is cold-converged against the already-mutated policies).
+  void repropagate(std::span<const bgp::Prefix> prefixes, bool initial);
 
   /// The withheld-flag world a prefix's policies currently encode (bit b =
   /// units_of_[prefix][b]'s withheld flag).
   [[nodiscard]] std::uint64_t world_of(const bgp::Prefix& prefix) const;
 
-  /// Watched-table rows for one recomputed prefix (one slot per watch_ AS).
+  /// Watched-table rows for one converged prefix (one slot per watch_ AS).
   [[nodiscard]] std::vector<std::optional<bgp::Route>> watch_rows(
-      const DeltaState& state) const;
+      const FlatSimContext& context, const Origination& origination,
+      const FlatRoutingState& state) const;
 
   const topo::AsGraph* graph_;
-  /// Behind a unique_ptr: context_ and the warm states point into it, and
-  /// the simulator must stay movable (parallel_determinism_test returns
-  /// one from a lambda).
+  /// Behind a unique_ptr: delta_'s context points into it, and the
+  /// simulator must stay movable (parallel_determinism_test returns one
+  /// from a lambda).
   std::unique_ptr<PolicySet> policies_;
   std::vector<Origination> originations_;
   std::unordered_map<bgp::Prefix, Origination> by_prefix_;
@@ -131,9 +129,9 @@ class ChurnSimulator {
   /// reused across steps.
   const util::Executor* executor_ = nullptr;
   std::unique_ptr<util::Executor> owned_executor_;
-  /// Built once in the ctor (the graph never changes); per step only the
-  /// flipped origins' policy pointers are refreshed in place.
-  std::unique_ptr<FlatSimContext> context_;
+  /// Built once in the ctor with its context (the graph never changes);
+  /// per step only the flipped origins' policy pointers are refreshed in
+  /// place.  Its context also serves the incremental mode's initial run.
   std::unique_ptr<DeltaEngine> delta_;
   /// One warm converged state per churned prefix, created on first touch
   /// (memory scales with the churned population, not the origination
@@ -149,22 +147,21 @@ class ChurnSimulator {
   /// rules never match it), so a revisited world's rows are provably
   /// identical to recomputation: the fixpoint is unique for
   /// order-insensitive prefixes, and order-sensitive states replay the
-  /// exact cold trajectory, which is a function of the world alone.  Churn
-  /// flips the same few units per prefix back and forth, so steady-state
-  /// stepping is mostly memo hits with no propagation at all; the warm
-  /// state is only re-synced (one delta wave across every flag that
-  /// drifted) when an unseen world appears.
+  /// exact cold trajectory, which is a function of the world alone.  A
+  /// row cache layered on warm_, not a second state cache: a hit leaves
+  /// the warm state unsynced, and the next miss re-syncs it with one delta
+  /// wave across every flag that drifted.  Hits need a prefix to revisit
+  /// a world, so they dominate long runs that flip the same few units back
+  /// and forth (bench_delta_propagation) and are rare in short ones.
   std::unordered_map<bgp::Prefix,
                      std::unordered_map<std::uint64_t,
                                         std::vector<std::optional<bgp::Route>>>>
       memo_;
   std::size_t memo_hits_ = 0;
-  /// Warmed propagation scratches reused across steps (cold path).
+  /// Warmed per-worker scratches every job leases (cold converge, warm
+  /// converge and delta wave alike).
   std::unique_ptr<FlatScratchPool> scratches_ =
       std::make_unique<FlatScratchPool>();
-  /// Per-worker delta workspaces (incremental path).
-  std::unique_ptr<DeltaWorkspacePool> workspaces_ =
-      std::make_unique<DeltaWorkspacePool>();
   bool initialized_ = false;
 };
 

@@ -28,50 +28,31 @@ void DeltaState::assign_from(const DeltaState& other) {
   process_events_ = other.process_events_;
 }
 
-// --------------------------------------------------------- DeltaWorkspacePool
-
-DeltaWorkspacePool::Lease DeltaWorkspacePool::acquire() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!free_.empty()) {
-      std::unique_ptr<DeltaWorkspace> ws = std::move(free_.back());
-      free_.pop_back();
-      return {this, std::move(ws)};
-    }
-  }
-  return {this, std::make_unique<DeltaWorkspace>()};
-}
-
-void DeltaWorkspacePool::release(std::unique_ptr<DeltaWorkspace> ws) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  free_.push_back(std::move(ws));
-}
-
 // ----------------------------------------------------------------- DeltaEngine
 
 bool DeltaEngine::static_order_sensitive(const Origination& origination,
-                                         DeltaWorkspace& ws) const {
+                                         FlatScratch& scratch) const {
   using Id = topo::GraphView::Id;
-  const topo::GraphView& view = context_->view();
+  const topo::GraphView& view = context_.view();
   const Id origin = view.id_of(origination.origin);
   if (origin == topo::GraphView::kInvalidId) return false;
 
   // Uphill cone: the ASes that can ever hold a customer-learned route for
   // this prefix (closure of the origin over provider edges).
-  ws.cone_.clear();
-  ws.cone_.push_back(origin);
-  ws.in_cone_.assign(view.size(), 0);
-  ws.in_cone_[origin] = 1;
-  for (std::size_t i = 0; i < ws.cone_.size(); ++i) {
-    const Id c = ws.cone_[i];
+  scratch.cone_.clear();
+  scratch.cone_.push_back(origin);
+  scratch.in_cone_.assign(view.size(), 0);
+  scratch.in_cone_[origin] = 1;
+  for (std::size_t i = 0; i < scratch.cone_.size(); ++i) {
+    const Id c = scratch.cone_[i];
     for (std::uint32_t s = view.arcs_begin(c); s < view.arcs_end(c); ++s) {
       if (static_cast<RelKind>(view.arc_rel(s)) != RelKind::kProvider) {
         continue;
       }
       const Id p = view.arc_to(s);
-      if (ws.in_cone_[p] == 0) {
-        ws.in_cone_[p] = 1;
-        ws.cone_.push_back(p);
+      if (scratch.in_cone_[p] == 0) {
+        scratch.in_cone_[p] = 1;
+        scratch.cone_.push_back(p);
       }
     }
   }
@@ -81,7 +62,7 @@ bool DeltaEngine::static_order_sensitive(const Origination& origination,
     return it != imp.neighbor_override.end() ? it->second : imp.base_for(rel);
   };
 
-  for (const Id c : ws.cone_) {
+  for (const Id c : scratch.cone_) {
     const AsNumber c_as = view.as_of(c);
     for (std::uint32_t s = view.arcs_begin(c); s < view.arcs_end(c); ++s) {
       if (static_cast<RelKind>(view.arc_rel(s)) != RelKind::kProvider) {
@@ -90,7 +71,7 @@ bool DeltaEngine::static_order_sensitive(const Origination& origination,
       // X is a provider of cone member c: the only place a customer-learned
       // candidate (c's offer) can meet a non-customer rival.
       const Id x = view.arc_to(s);
-      const AsPolicy* pol = context_->policy_if_present(x);
+      const AsPolicy* pol = context_.policy_if_present(x);
       if (pol == nullptr) continue;
       const ImportPolicy& imp = pol->import;
       const bool pinned = !imp.prefix_override.empty() &&
@@ -104,7 +85,7 @@ bool DeltaEngine::static_order_sensitive(const Origination& origination,
         // Valley-free gate: a peer of X offers this prefix only when it
         // holds a customer-learned route itself, i.e. it is in the cone.
         // A provider of X can offer whatever it holds.
-        if (rel == RelKind::kPeer && ws.in_cone_[n] == 0) continue;
+        if (rel == RelKind::kPeer && scratch.in_cone_[n] == 0) continue;
         if (pinned || eff(imp, view.as_of(n), rel) >= cust) return true;
       }
     }
@@ -114,40 +95,31 @@ bool DeltaEngine::static_order_sensitive(const Origination& origination,
 
 void DeltaEngine::converge(const Origination& origination,
                            const FailedEdges* failed, DeltaState& st,
-                           DeltaWorkspace& ws) const {
-  const topo::GraphView& view = context_->view();
-  util::ensure(view.id_of(origination.origin) != topo::GraphView::kInvalidId,
-               "delta: origin AS not in graph");
+                           FlatScratch& scratch) const {
   st.origination_ = origination;
   st.failed_ = failed != nullptr ? *failed : FailedEdges{};
-  st.state_.reset(view.size());
-  seed_origin(*context_, origination, st.state_);
-  const FixpointStats stats = run_flat_fixpoint(
-      *context_, origination, &st.failed_, options_, st.state_, ws.cands_);
+  st.order_sensitive_ = false;
+  st.process_events_ = exact_replay(st, scratch).events;
   st.initialized_ = true;
-  st.converged_ = stats.converged;
-  st.order_sensitive_ = static_order_sensitive(origination, ws) ||
-                        stats.inversion_selections > 0;
-  st.process_events_ = stats.events;
+  if (!st.order_sensitive_) {
+    st.order_sensitive_ = static_order_sensitive(origination, scratch);
+  }
 }
 
 FixpointStats DeltaEngine::exact_replay(DeltaState& st,
-                                        DeltaWorkspace& ws) const {
-  FlatRoutingState& s = st.state_;
-  s.reset(context_->view().size());
-  seed_origin(*context_, st.origination_, s);
-  const FixpointStats stats = run_flat_fixpoint(
-      *context_, st.origination_, &st.failed_, options_, s, ws.cands_);
+                                        FlatScratch& scratch) const {
+  const FixpointStats stats = converge_cold(
+      context_, st.origination_, &st.failed_, options_, scratch, st.state_);
   st.converged_ = stats.converged;
   if (stats.inversion_selections > 0) st.order_sensitive_ = true;
   return stats;
 }
 
 DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
-                             DeltaWorkspace& ws) const {
+                             FlatScratch& scratch) const {
   util::ensure_state(st.initialized_, "delta: apply before converge");
   using Id = topo::GraphView::Id;
-  const topo::GraphView& view = context_->view();
+  const topo::GraphView& view = context_.view();
   FlatRoutingState& s = st.state_;
 
   DeltaWave wave;
@@ -169,17 +141,10 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
     return wave;
   };
 
-  // A coarse policy change may have edited import preferences, which the
-  // static oracle depends on: re-evaluate (the mark stays sticky — a state
-  // that ever risked a non-cold attractor keeps replaying exactly).
-  if (!p.policy_changed.empty() && !st.order_sensitive_) {
-    st.order_sensitive_ = static_order_sensitive(st.origination_, ws);
-  }
-
   // An order-sensitive state may hold one of several stable fixpoints; a
   // frontier-seeded replay could converge to a different one than a cold
   // run.  Only the exact cold trajectory is guaranteed identical.
-  if (st.order_sensitive_) return finish_exact(exact_replay(st, ws));
+  if (st.order_sensitive_) return finish_exact(exact_replay(st, scratch));
 
   s.begin_wave();
 
@@ -197,7 +162,7 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
                                             AsNumber other) {
     const Id id = view.id_of(endpoint);
     if (id == topo::GraphView::kInvalidId) return;
-    const AsPolicy* policy = context_->policy_if_present(id);
+    const AsPolicy* policy = context_.policy_if_present(id);
     if (policy == nullptr) return;
     for (const auto& cond : policy->conditional) {
       if (cond.watch_provider == other &&
@@ -208,16 +173,18 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   };
 
   // Canonical undirected consecutive-hop key for the stale-path scan.
+  // std::minmax returns references, so it must see locals, never the
+  // temporaries value() returns.
   const auto pair_key = [](AsNumber a, AsNumber b) {
-    const auto [lo, hi] = std::minmax(a.value(), b.value());
+    const std::uint32_t x = a.value();
+    const std::uint32_t y = b.value();
+    const auto [lo, hi] = std::minmax(x, y);
     return (static_cast<std::uint64_t>(lo) << 32) | hi;
   };
 
   // Edges whose loss/change invalidates paths crossing them (restored
   // edges only *add* candidates — existing best paths stay valid).
   std::vector<std::uint64_t> dirty_pairs;
-  // ASes any of whose policy knobs changed: paths through them are stale.
-  std::vector<std::uint32_t> dirty_ases;
 
   for (const auto& [a, b] : p.fail_edges) {
     seed(view.id_of(a));
@@ -239,73 +206,43 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
     seed(view.id_of(neighbor));
     dirty_pairs.push_back(pair_key(sender, neighbor));
   }
-  for (const AsNumber x : p.policy_changed) {
-    const Id ix = view.id_of(x);
-    seed(ix);
-    if (ix != topo::GraphView::kInvalidId) {
-      for (std::uint32_t slot = view.arcs_begin(ix); slot < view.arcs_end(ix);
-           ++slot) {
-        seed(view.arc_to(slot));
-      }
-      // A policy edit can add/remove conditional advertisements; their
-      // targets re-evaluate (removed ones are covered by the path scan —
-      // the stale route carries x as a hop).
-      if (const AsPolicy* policy = context_->policy_if_present(ix)) {
-        for (const auto& cond : policy->conditional) {
-          if (cond.prefix == st.origination_.prefix) {
-            seed(view.id_of(cond.advertise_to));
-          }
-        }
-      }
-    }
-    dirty_ases.push_back(x.value());
-  }
 
   std::sort(dirty_pairs.begin(), dirty_pairs.end());
   dirty_pairs.erase(std::unique(dirty_pairs.begin(), dirty_pairs.end()),
                     dirty_pairs.end());
-  std::sort(dirty_ases.begin(), dirty_ases.end());
-  dirty_ases.erase(std::unique(dirty_ases.begin(), dirty_ases.end()),
-                   dirty_ases.end());
 
-  // Seed every AS whose current best path is stale: it contains a dirty AS
-  // or crosses a dirty pair as consecutive hops.  (An AS whose *first* hop
-  // crosses a dirty pair is one of the pair's endpoints and already
-  // seeded.)  The walk is memoized per interned path node, so shared path
-  // suffixes are classified once.
-  if (!dirty_pairs.empty() || !dirty_ases.empty()) {
-    ws.mark_.resize(s.paths.node_count(), 0);
-    ++ws.epoch_;
+  // Seed every AS whose current best path is stale: it crosses a dirty
+  // pair as consecutive hops.  (An AS whose *first* hop crosses a dirty
+  // pair is one of the pair's endpoints and already seeded.)  The walk is
+  // memoized per interned path node, so shared path suffixes are
+  // classified once.
+  if (!dirty_pairs.empty()) {
+    scratch.mark_.resize(s.paths.node_count(), 0);
+    ++scratch.epoch_;
     const auto path_dirty = [&](std::uint32_t node) {
-      ws.chain_.clear();
+      scratch.chain_.clear();
       std::uint32_t cur = node;
       bool dirty = false;
       while (cur != PathTable::kEmptyPath) {
-        const std::uint64_t mark = ws.mark_[cur];
-        if ((mark >> 1) == ws.epoch_) {
+        const std::uint64_t mark = scratch.mark_[cur];
+        if ((mark >> 1) == scratch.epoch_) {
           dirty = (mark & 1) != 0;
           break;
         }
-        ws.chain_.push_back(cur);
+        scratch.chain_.push_back(cur);
         cur = s.paths.parent(cur);
       }
-      for (auto it = ws.chain_.rbegin(); it != ws.chain_.rend(); ++it) {
+      for (auto it = scratch.chain_.rbegin(); it != scratch.chain_.rend();
+           ++it) {
         const std::uint32_t id = *it;
-        if (!dirty) {
-          const std::uint32_t hop = s.paths.front(id).value();
-          if (std::binary_search(dirty_ases.begin(), dirty_ases.end(), hop)) {
-            dirty = true;
-          } else {
-            const std::uint32_t parent = s.paths.parent(id);
-            if (parent != PathTable::kEmptyPath &&
-                std::binary_search(
-                    dirty_pairs.begin(), dirty_pairs.end(),
-                    pair_key(AsNumber(hop), s.paths.front(parent)))) {
-              dirty = true;
-            }
-          }
+        const std::uint32_t parent = s.paths.parent(id);
+        if (!dirty && parent != PathTable::kEmptyPath &&
+            std::binary_search(
+                dirty_pairs.begin(), dirty_pairs.end(),
+                pair_key(s.paths.front(id), s.paths.front(parent)))) {
+          dirty = true;
         }
-        ws.mark_[id] = (ws.epoch_ << 1) | (dirty ? 1 : 0);
+        scratch.mark_[id] = (scratch.epoch_ << 1) | (dirty ? 1 : 0);
       }
       return dirty;
     };
@@ -321,8 +258,8 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   // prefix's fixpoint unique, so the pruned fan-out (filtered_enqueue)
   // lands on the same state as the unfiltered cold trajectory.
   const FixpointStats stats =
-      run_flat_fixpoint(*context_, st.origination_, &st.failed_, options_, s,
-                        ws.cands_, /*filtered_enqueue=*/true);
+      run_flat_fixpoint(context_, st.origination_, &st.failed_, options_, s,
+                        scratch.cands_, /*filtered_enqueue=*/true);
 
   // The replay exercised an atypical preference (or tripped the per-wave
   // cap): the result may be a different stable fixpoint than cold's.
@@ -330,7 +267,7 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   // later waves skip the doomed frontier attempt.
   if (stats.inversion_selections > 0 || !stats.converged) {
     st.order_sensitive_ = true;
-    return finish_exact(exact_replay(st, ws));
+    return finish_exact(exact_replay(st, scratch));
   }
 
   wave.events = stats.events;
@@ -346,14 +283,14 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
 
 PrefixRouting DeltaEngine::materialize(const DeltaState& st) const {
   util::ensure_state(st.initialized_, "delta: materialize before converge");
-  return materialize_routing(*context_, st.origination_, st.state_,
+  return materialize_routing(context_, st.origination_, st.state_,
                              st.converged_, st.process_events_);
 }
 
 std::optional<bgp::Route> DeltaEngine::route_at(const DeltaState& st,
                                                 AsNumber as) const {
   util::ensure_state(st.initialized_, "delta: route_at before converge");
-  return flat_route_at(*context_, st.origination_, st.state_, as);
+  return flat_route_at(context_, st.origination_, st.state_, as);
 }
 
 }  // namespace bgpolicy::sim

@@ -1,8 +1,8 @@
 // Incremental delta propagation: warm-start fixpoints for churn stepping,
 // event timelines, and what-if queries.
 //
-// A cold `compute_prefix_flat` pays the full fixpoint even when one export
-// rule flipped or one session failed.  `DeltaEngine` instead keeps the
+// The cold program (`converge_cold`) pays the full fixpoint even when one
+// export rule flipped or one session failed.  `DeltaEngine` instead keeps the
 // converged `FlatRoutingState` of an origination alive (`DeltaState`) and,
 // given a perturbation, seeds the event queue with only the *dirty
 // frontier* — the ASes whose best route can possibly change first:
@@ -15,15 +15,13 @@
 //   * the neighbor of every changed (sender, neighbor) export pair, plus
 //     the ASes whose current best path crosses that pair as consecutive
 //     hops (their route was built from the now-changed export);
-//   * for a coarse "anything about X's policy changed", X itself, X's
-//     neighbors, and every AS whose best path contains X;
 //   * every AS whose current best path crosses a failed session as
 //     consecutive hops — found by walking the interned `PathTable` parent
 //     chains once per distinct path node (memoized per wave), so the scan
 //     is O(live path nodes), not O(ASes x path length).
 //
 // Then the *standard* event loop (`run_flat_fixpoint` — the same code the
-// cold entry point runs) replays until quiescent.  Seeding is a superset
+// cold program runs) replays until quiescent.  Seeding is a superset
 // heuristic: processing an AS whose inputs did not change re-selects the
 // same route and propagates nothing, so extra seeds cost one event each,
 // never correctness.  An AS whose route must change is either seeded
@@ -64,8 +62,8 @@
 // filtering/failures only remove candidates), so the fixpoint is unique
 // and the frontier replay is provably cold-identical.  Otherwise the
 // state is marked order-sensitive and every wave replays the *exact cold
-// trajectory* in place (reset + origin seed + full event loop, reusing
-// the state's arena and interned tables), which is cold-identical by
+// trajectory* in place (`converge_cold` into the state itself, reusing
+// its arena and interned tables), which is cold-identical by
 // construction.  As defense in depth the engine also watches
 // `FixpointStats::inversion_selections` (an exercised atypical
 // preference); a wave that trips it is discarded and redone exactly, and
@@ -75,15 +73,16 @@
 // (`process_events`, the non-convergence flag's wave scope) differ from a
 // cold run, which is why equivalence is defined over the best-route map.
 //
-// Concurrency: a DeltaEngine is immutable and shareable; each DeltaState
-// is owned by exactly one caller at a time (the churn simulator shards
-// states across workers, each with a leased DeltaWorkspace).
+// Concurrency: the engine owns the `FlatSimContext` its waves read and is
+// shareable while no `refresh_policies` runs; each DeltaState is owned by
+// exactly one caller at a time, and every converge/apply runs in the
+// caller's `FlatScratch` (the churn simulator shards states across
+// workers, each with a scratch leased from its one `FlatScratchPool`).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -106,13 +105,10 @@ struct Perturbation {
   /// changed (the selective-announcement toggle): invalidates exactly the
   /// routes crossing that adjacency.
   std::vector<std::pair<AsNumber, AsNumber>> export_changed;
-  /// Coarse: anything about this AS's policy may have changed (import
-  /// preferences, community handling, export rules toward anyone).
-  std::vector<AsNumber> policy_changed;
 
   [[nodiscard]] bool empty() const {
     return fail_edges.empty() && restore_edges.empty() &&
-           export_changed.empty() && policy_changed.empty();
+           export_changed.empty();
   }
 
   /// The edge-set delta turning the world `from` into `to`: fail every
@@ -157,6 +153,9 @@ class DeltaState {
   /// determinism note in the header comment): waves on such a state
   /// always replay the exact cold trajectory.
   [[nodiscard]] bool order_sensitive() const { return order_sensitive_; }
+  /// The converged flat state, read with the engine's context (e.g.
+  /// `flat_route_at(engine.context(), origination(), routing(), as)`).
+  [[nodiscard]] const FlatRoutingState& routing() const { return state_; }
 
   /// Deep copy: the clone owns all of its storage (interned tables
   /// included) and can be perturbed independently — how what-if queries
@@ -175,84 +174,41 @@ class DeltaState {
   std::size_t process_events_ = 0;
 };
 
-/// Per-caller scratch for converge/apply: candidate columns plus the
-/// memoized dirty-path walk marks.  Reusable across states and waves; one
-/// workspace per concurrent caller.
-class DeltaWorkspace {
- public:
-  DeltaWorkspace() = default;
-
- private:
-  friend class DeltaEngine;
-
-  CandidateColumns cands_;
-  /// Per path-table node: (epoch << 1) | dirty.  Stale epochs read as
-  /// unvisited, so no per-wave clearing of the whole array.
-  std::vector<std::uint64_t> mark_;
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint32_t> chain_;  // parent-chain walk scratch
-  std::vector<topo::GraphView::Id> cone_;  // static-oracle BFS scratch
-  std::vector<char> in_cone_;
-};
-
-/// A mutex-guarded free list of DeltaWorkspace instances, mirroring
-/// FlatScratchPool: parallel churn stepping leases one per worker.
-class DeltaWorkspacePool {
- public:
-  class Lease {
-   public:
-    Lease(DeltaWorkspacePool* pool, std::unique_ptr<DeltaWorkspace> ws)
-        : pool_(pool), ws_(std::move(ws)) {}
-    ~Lease() {
-      if (ws_ != nullptr) pool_->release(std::move(ws_));
-    }
-    Lease(Lease&&) = default;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    Lease& operator=(Lease&&) = delete;
-
-    [[nodiscard]] DeltaWorkspace& operator*() const { return *ws_; }
-
-   private:
-    DeltaWorkspacePool* pool_;
-    std::unique_ptr<DeltaWorkspace> ws_;
-  };
-
-  [[nodiscard]] Lease acquire();
-
- private:
-  void release(std::unique_ptr<DeltaWorkspace> ws);
-
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<DeltaWorkspace>> free_;
-};
-
 class DeltaEngine {
  public:
-  /// The context must outlive the engine.  `options.threads` is not used
-  /// here — each state's waves are sequential; callers shard *states*
-  /// across workers (churn.cc) exactly like cold per-prefix fixpoints.
-  DeltaEngine(const FlatSimContext& context, PropagationOptions options)
-      : context_(&context), options_(options) {}
+  /// Builds the engine's own `FlatSimContext` over (graph, policies); both
+  /// must outlive the engine.  `options.threads` is not used here — each
+  /// state's waves are sequential; callers shard *states* across workers
+  /// (churn.cc) exactly like cold per-prefix fixpoints.
+  DeltaEngine(const topo::AsGraph& graph, const PolicySet& policies,
+              PropagationOptions options)
+      : context_(graph, policies), options_(options) {}
 
-  [[nodiscard]] const FlatSimContext& context() const { return *context_; }
+  [[nodiscard]] const FlatSimContext& context() const { return context_; }
   [[nodiscard]] const PropagationOptions& options() const { return options_; }
 
+  /// Re-resolves the policy pointers of `changed` ASes after the owning
+  /// PolicySet mutated in place (FlatSimContext::refresh_policies).  Must
+  /// not run concurrently with any converge/apply on this engine.
+  void refresh_policies(std::span<const AsNumber> changed) {
+    context_.refresh_policies(changed);
+  }
+
   /// Cold-converges `state` for `origination` under `failed` (copied into
-  /// the state; nullptr = healthy).  Runs the exact cold seed program into
-  /// a warm state, so materialize() afterwards equals compute_prefix_flat.
+  /// the state; nullptr = healthy): `converge_cold` into the state's own
+  /// routing state, so materialize() afterwards equals compute_prefix_flat.
   void converge(const Origination& origination, const FailedEdges* failed,
-                DeltaState& state, DeltaWorkspace& ws) const;
+                DeltaState& state, FlatScratch& scratch) const;
 
   /// Applies a perturbation to a converged state: folds the edge changes
   /// into the state's failure set, seeds the dirty frontier, and replays
   /// the standard event loop to quiescence.  Order-sensitive states (and
   /// waves that trip the inversion trigger) replay the exact cold
   /// trajectory instead — see the determinism note.  The caller has
-  /// already applied any policy changes to the owning PolicySet (and
-  /// refreshed the shared context via FlatSimContext::refresh_policies).
+  /// already applied any export change to the owning PolicySet and
+  /// refreshed the engine's context (refresh_policies).
   DeltaWave apply(DeltaState& state, const Perturbation& perturbation,
-                  DeltaWorkspace& ws) const;
+                  FlatScratch& scratch) const;
 
   /// Full value-typed routing of the state's world.  The best map equals a
   /// cold compute_prefix_flat under state.failed(); converged /
@@ -266,18 +222,18 @@ class DeltaEngine {
 
  private:
   /// In-place cold-trajectory replay under the state's current inputs:
-  /// reset (arena and interned-table capacity kept) + origin seed + full
-  /// event loop.  Cold-identical by construction.
-  FixpointStats exact_replay(DeltaState& state, DeltaWorkspace& ws) const;
+  /// `converge_cold` into the state (arena and interned-table capacity
+  /// kept).  Cold-identical by construction.
+  FixpointStats exact_replay(DeltaState& state, FlatScratch& scratch) const;
 
   /// The static wedgie oracle of the determinism note: true when an
   /// atypical preference (or a TE prefix pin) could let a non-customer
   /// candidate beat a customer candidate somewhere in the origin's uphill
   /// cone for this prefix.  False proves the fixpoint unique.
   [[nodiscard]] bool static_order_sensitive(const Origination& origination,
-                                            DeltaWorkspace& ws) const;
+                                            FlatScratch& scratch) const;
 
-  const FlatSimContext* context_;
+  FlatSimContext context_;
   PropagationOptions options_;
 };
 

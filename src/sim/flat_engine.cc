@@ -531,25 +531,6 @@ void pull_offers(const FlatSimContext& context, const Origination& origination,
 
 }  // namespace
 
-void seed_origin(const FlatSimContext& context, const Origination& origination,
-                 FlatRoutingState& s) {
-  const topo::GraphView& view = context.view();
-  const topo::GraphView::Id origin_id = view.id_of(origination.origin);
-
-  // The origin installs its self route (kSelfLocalPref, empty path).
-  s.has_best[origin_id] = 1;
-  s.best_path[origin_id] = PathTable::kEmptyPath;
-  s.best_learned[origin_id] = origin_id;
-  s.best_lp[origin_id] = kSelfLocalPref;
-  s.best_router[origin_id] = origination.origin.value();
-  s.best_comms[origin_id] = CommunityTable::kEmptySet;
-
-  for (std::uint32_t slot = view.arcs_begin(origin_id);
-       slot < view.arcs_end(origin_id); ++slot) {
-    s.enqueue(view.arc_to(slot));
-  }
-}
-
 FixpointStats run_flat_fixpoint(const FlatSimContext& context,
                                 const Origination& origination,
                                 const FailedEdges* failed,
@@ -740,16 +721,27 @@ FixpointStats converge_cold(const FlatSimContext& context,
                             const Origination& origination,
                             const FailedEdges* failed,
                             const PropagationOptions& options,
-                            FlatScratch& scratch) {
+                            FlatScratch& scratch, FlatRoutingState& s) {
   const topo::GraphView& view = context.view();
-  util::ensure(view.id_of(origination.origin) != topo::GraphView::kInvalidId,
+  const topo::GraphView::Id origin_id = view.id_of(origination.origin);
+  util::ensure(origin_id != topo::GraphView::kInvalidId,
                "propagation: origin AS not in graph");
 
   scratch.note_peak();
-  scratch.state_.reset(view.size());
-  seed_origin(context, origination, scratch.state_);
-  const FixpointStats stats = run_flat_fixpoint(
-      context, origination, failed, options, scratch.state_, scratch.cands_);
+  s.reset(view.size());
+  // The origin installs its self route (kSelfLocalPref, empty path).
+  s.has_best[origin_id] = 1;
+  s.best_path[origin_id] = PathTable::kEmptyPath;
+  s.best_learned[origin_id] = origin_id;
+  s.best_lp[origin_id] = kSelfLocalPref;
+  s.best_router[origin_id] = origination.origin.value();
+  s.best_comms[origin_id] = CommunityTable::kEmptySet;
+  for (std::uint32_t slot = view.arcs_begin(origin_id);
+       slot < view.arcs_end(origin_id); ++slot) {
+    s.enqueue(view.arc_to(slot));
+  }
+  const FixpointStats stats = run_flat_fixpoint(context, origination, failed,
+                                                options, s, scratch.cands_);
   scratch.note_peak();
   return stats;
 }
@@ -759,8 +751,8 @@ PrefixRouting compute_prefix_flat(const FlatSimContext& context,
                                   const FailedEdges* failed,
                                   const PropagationOptions& options,
                                   FlatScratch& scratch) {
-  const FixpointStats stats =
-      converge_cold(context, origination, failed, options, scratch);
+  const FixpointStats stats = converge_cold(context, origination, failed,
+                                            options, scratch, scratch.state());
   return materialize_routing(context, origination, scratch.state(),
                              stats.converged, stats.events);
 }
@@ -781,13 +773,7 @@ FlatScratchPool::Lease FlatScratchPool::acquire() {
 
 void FlatScratchPool::release(std::unique_ptr<FlatScratch> scratch) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (scratch->peak_bytes() > peak_bytes_) peak_bytes_ = scratch->peak_bytes();
   free_.push_back(std::move(scratch));
-}
-
-std::size_t FlatScratchPool::peak_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return peak_bytes_;
 }
 
 }  // namespace bgpolicy::sim

@@ -32,13 +32,19 @@
 // `FlatRoutingState` is the warm half (interning tables + SoA best columns
 // + the event queue) that `sim::DeltaEngine` keeps converged across
 // perturbations, and `run_flat_fixpoint` is the event loop both the cold
-// entry point and the delta engine replay.  `FlatScratch` bundles a
-// routing state with candidate columns for the cold entry point
-// (`converge_cold`), which leaves the converged state in the scratch for
-// the caller to read; the scratch is reset (not freed) between prefixes,
-// so a warmed scratch runs a whole fixpoint without touching the global
-// allocator.  One scratch serves one propagation at a time; parallel
-// callers lease per-worker scratches from a `FlatScratchPool`.
+// program and the delta engine's frontier waves run.  `converge_cold` is
+// the one cold program (reset, origin seed, fixpoint): cold callers run it
+// into a scratch's own state and read only the routes they need, the
+// delta engine runs it into a warm state (first converge and exact
+// replay).  The state is reset (not freed) between prefixes, so a warmed
+// scratch runs a whole fixpoint without touching the global allocator.
+//
+// Concurrency model: `converge_cold` is the unit the parallel callers
+// (`run_simulation`, churn) shard across workers.  The context is
+// read-only, and `FlatScratch` is the only per-worker scratch — candidate
+// columns for every fixpoint plus the delta engine's dirty-path marks and
+// oracle cone — so each worker leases one from a `FlatScratchPool` and
+// writes only that scratch and the state it converges.
 #pragma once
 
 #include <cstdint>
@@ -323,12 +329,6 @@ struct FixpointStats {
   std::size_t inversion_selections = 0;
 };
 
-/// Installs the origin's self route (kSelfLocalPref, empty path) and
-/// enqueues its neighbors — the cold seed program.  `state` must be
-/// freshly reset and the origin present in the view.
-void seed_origin(const FlatSimContext& context, const Origination& origination,
-                 FlatRoutingState& state);
-
 /// Drains the event queue until quiescent — the one fixpoint loop shared
 /// by `converge_cold` (cold seed) and `sim::DeltaEngine` (dirty
 /// frontier seed).  The caller has already seeded the queue; per-AS
@@ -380,45 +380,59 @@ void seed_origin(const FlatSimContext& context, const Origination& origination,
     const FlatSimContext& context, const Origination& origination,
     FlatRoutingState& state, AsNumber receiver);
 
-/// The reusable cold-propagation workspace: one routing state + candidate
-/// columns, reset (never freed) between prefixes.  Not thread-safe; one
-/// propagation at a time.
+/// The per-worker propagation scratch, reused (never freed) across
+/// prefixes and waves: candidate columns for every fixpoint, a routing
+/// state for cold callers that keep none of their own, and the delta
+/// engine's dirty-path walk marks and static-oracle cone.  Not
+/// thread-safe; one propagation at a time.
 class FlatScratch {
  public:
   FlatScratch() = default;
 
-  /// The state the last `converge_cold` left converged; valid until the
-  /// scratch's next propagation.
+  /// The scratch's own routing state: what cold callers converge into and
+  /// read; valid until the scratch's next propagation into it.
   [[nodiscard]] FlatRoutingState& state() { return state_; }
 
-  /// High-water mark of scratch memory across this scratch's lifetime.
+  /// High-water mark of the scratch's own state plus candidate columns.
   [[nodiscard]] std::size_t peak_bytes() const { return peak_bytes_; }
 
  private:
+  friend class DeltaEngine;
   friend FixpointStats converge_cold(const FlatSimContext& context,
                                      const Origination& origination,
                                      const FailedEdges* failed,
                                      const PropagationOptions& options,
-                                     FlatScratch& scratch);
+                                     FlatScratch& scratch,
+                                     FlatRoutingState& state);
 
   void note_peak();
 
   FlatRoutingState state_;
   CandidateColumns cands_;
+  /// Delta engine: per path-table node, (epoch << 1) | dirty.  Stale
+  /// epochs read as unvisited, so no per-wave clearing of the whole array.
+  std::vector<std::uint64_t> mark_;
+  std::uint64_t epoch_ = 0;
+  std::vector<std::uint32_t> chain_;       // parent-chain walk scratch
+  std::vector<topo::GraphView::Id> cone_;  // static-oracle BFS scratch
+  std::vector<char> in_cone_;
   std::size_t peak_bytes_ = 0;
 };
 
-/// The cold fixpoint (reset, `seed_origin`, `run_flat_fixpoint`) run in
-/// `scratch`, leaving the converged state in `scratch.state()` so callers
-/// read only the routes they need — `run_simulation` records its vantage
-/// rows straight from it, churn reads its watched ASes.  Reentrant across
-/// distinct scratches: the context is read-only, so any number of
-/// concurrent calls may share it.
+/// The cold fixpoint — reset `state`, install the origin's self route
+/// (kSelfLocalPref, empty path), enqueue its neighbors, run
+/// `run_flat_fixpoint` with `scratch`'s candidate columns — leaving the
+/// converged state for the caller to read.  Cold callers pass
+/// `scratch.state()` (`run_simulation` records its vantage rows straight
+/// from it, churn reads its watched ASes); `sim::DeltaEngine` passes a
+/// warm state.  Reentrant across distinct scratches and states: the
+/// context is read-only, so any number of concurrent calls may share it.
 [[nodiscard]] FixpointStats converge_cold(const FlatSimContext& context,
                                           const Origination& origination,
                                           const FailedEdges* failed,
                                           const PropagationOptions& options,
-                                          FlatScratch& scratch);
+                                          FlatScratch& scratch,
+                                          FlatRoutingState& state);
 
 /// `converge_cold` followed by `materialize_routing`: byte-identical
 /// results to `compute_prefix_reference` for every input (golden-tested in
@@ -456,15 +470,11 @@ class FlatScratchPool {
 
   [[nodiscard]] Lease acquire();
 
-  /// Max peak_bytes() across every scratch ever leased from this pool.
-  [[nodiscard]] std::size_t peak_bytes() const;
-
  private:
   void release(std::unique_ptr<FlatScratch> scratch);
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<std::unique_ptr<FlatScratch>> free_;
-  std::size_t peak_bytes_ = 0;
 };
 
 }  // namespace bgpolicy::sim

@@ -35,8 +35,9 @@ std::vector<std::pair<AsNumber, AsNumber>> FailedEdges::edges() const {
 }
 
 PropagationEngine::PropagationEngine(const topo::AsGraph& graph,
-                                     const PolicySet& policies)
-    : graph_(&graph), policies_(&policies) {}
+                                     const PolicySet& policies,
+                                     const FailedEdges* failures)
+    : graph_(&graph), policies_(&policies), failures_(failures) {}
 
 bgp::Route PropagationEngine::self_route(
     const Origination& origination) const {
@@ -176,11 +177,6 @@ std::optional<bgp::Route> PropagationEngine::route_as_received(
   return wire;
 }
 
-PrefixRouting PropagationEngine::propagate(
-    const Origination& origination, const PropagationOptions& options) const {
-  return compute_prefix(*graph_, *policies_, origination, failures_, options);
-}
-
 PrefixRouting compute_prefix(const topo::AsGraph& graph,
                              const PolicySet& policies,
                              const Origination& origination,
@@ -204,8 +200,7 @@ PrefixRouting compute_prefix_reference(const topo::AsGraph& graph,
 
   // All state below is local; the engine only carries const pointers, so
   // concurrent compute_prefix calls never touch shared mutable memory.
-  PropagationEngine engine(graph, policies);
-  engine.set_failures(failed);
+  const PropagationEngine engine(graph, policies, failed);
 
   PrefixRouting state;
   state.origination = origination;

@@ -20,23 +20,22 @@
 //
 // Concurrency model
 // -----------------
-// `compute_prefix` is the unit of parallelism: a pure function of
-// (graph, policies, origination, failures, options) that touches no shared
-// mutable state — the graph, policy set, and failure set are read-only for
-// its whole duration, and all fixpoint scratch state (queue, counters,
-// per-AS best routes) lives in locals and the returned PrefixRouting.  Any
-// number of compute_prefix calls may therefore run concurrently over the
-// same graph/policies/failures.  Higher layers exploit exactly this:
-// run_simulation (simulation.h) and the churn engine (churn.h) shard their
-// origination lists across a util::ThreadPool (util/parallel.h), compute
-// each prefix's fixpoint — and read the routes they record out of it — on
-// whichever worker claims it, and then merge the per-prefix results on the
-// calling thread in origination order — so
-// recorded tables and counters are byte-identical for every thread count,
-// including `threads = 1` (which runs the exact sequential seed program).
-// Callers must NOT mutate the graph, policies, or failure set while a
-// parallel region is in flight; mutation between regions (as churn does) is
-// fine.
+// The per-prefix cold fixpoint (`converge_cold`, flat_engine.h) is the
+// unit of parallelism: a function of (context, origination, failures,
+// options) that writes only the state and the `FlatScratch` it is handed —
+// the graph, policy set, context, and failure set are read-only for its
+// whole duration.  Any number of converges may therefore run concurrently
+// over the same graph/policies/failures, each in its own leased scratch.
+// Higher layers exploit exactly this: run_simulation (simulation.h) and
+// the churn engine (churn.h) shard their origination lists across a
+// util::ThreadPool (util/parallel.h), converge each prefix — and read the
+// routes they record out of it — on whichever worker claims it, and then
+// merge the per-prefix results on the calling thread in origination order
+// — so recorded tables and counters are byte-identical for every thread
+// count, including `threads = 1` (which runs the exact sequential seed
+// program).  Callers must NOT mutate the graph, policies, or failure set
+// while a parallel region is in flight; mutation between regions (as churn
+// does) is fine.
 #pragma once
 
 #include <cstdint>
@@ -118,16 +117,11 @@ struct PrefixRouting {
 
 class PropagationEngine;
 
-/// The pure, reentrant per-prefix fixpoint: computes the converged routing
-/// state for one origination with no shared mutable state (see "Concurrency
-/// model" above).  `failed` may be nullptr for a healthy network.  This is
-/// the unit the parallel executors shard over; PropagationEngine::propagate
-/// is a thin wrapper around it.
-///
-/// Since the flat-core rewrite this runs on the dense-id/interned-path
-/// engine (sim/flat_engine.h) and its output is byte-identical to
-/// `compute_prefix_reference` for every input.  This overload builds the
-/// flat context per call; many-prefix loops build one `FlatSimContext` and
+/// The one-shot convenience entry: the converged routing state for one
+/// origination, `failed` nullptr for a healthy network.  Runs the flat
+/// engine (sim/flat_engine.h) and is byte-identical to
+/// `compute_prefix_reference` for every input.  It builds the flat context
+/// and scratch per call; many-prefix loops build one `FlatSimContext` and
 /// converge into leased scratches (`converge_cold`).
 [[nodiscard]] PrefixRouting compute_prefix(const topo::AsGraph& graph,
                                            const PolicySet& policies,
@@ -145,19 +139,14 @@ class PropagationEngine;
     const Origination& origination, const FailedEdges* failed,
     const PropagationOptions& options = {});
 
+/// The reference engine's per-arc route rules (`route_as_received`), used
+/// by `compute_prefix_reference` and the reference recorder `record_prefix`.
 class PropagationEngine {
  public:
-  /// Both references must outlive the engine.
-  PropagationEngine(const topo::AsGraph& graph, const PolicySet& policies);
-
-  /// Injects session failures; `failures` must outlive the engine.
-  /// Pass nullptr (default state) for a healthy network.
-  void set_failures(const FailedEdges* failures) { failures_ = failures; }
-
-  /// Computes the routing fixpoint for one origination.
-  [[nodiscard]] PrefixRouting propagate(
-      const Origination& origination,
-      const PropagationOptions& options = {}) const;
+  /// `graph`, `policies` and a non-null `failures` must outlive the
+  /// engine; `failures` nullptr (the default) is a healthy network.
+  PropagationEngine(const topo::AsGraph& graph, const PolicySet& policies,
+                    const FailedEdges* failures = nullptr);
 
   /// The route `receiver` would hold in its Adj-RIB-In from `sender`, given
   /// `sender`'s converged best route (nullptr = no route).  Applies
@@ -194,7 +183,7 @@ class PropagationEngine {
 
   const topo::AsGraph* graph_;
   const PolicySet* policies_;
-  const FailedEdges* failures_ = nullptr;
+  const FailedEdges* failures_;
 };
 
 }  // namespace bgpolicy::sim

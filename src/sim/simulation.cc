@@ -93,8 +93,9 @@ PrefixRows record_rows(const FlatSimContext& context,
                        const PropagationOptions& options,
                        const VantageSpec& spec, FlatScratch& scratch) {
   PrefixRows rows;
-  rows.stats = converge_cold(context, origination, nullptr, options, scratch);
   FlatRoutingState& state = scratch.state();
+  rows.stats =
+      converge_cold(context, origination, nullptr, options, scratch, state);
 
   rows.collector.reserve(spec.collector_peers.size());
   for (const AsNumber peer : spec.collector_peers) {

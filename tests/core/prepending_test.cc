@@ -50,8 +50,8 @@ TEST(Prepending, EnginePropagatesPrependedPaths) {
   rule.prepend_times = 2;
   policies.at_mut(fig.a).export_.add_rule_for(fig.b, rule);
 
-  const sim::PropagationEngine engine(fig.graph, policies);
-  const auto state = engine.propagate({prefix, fig.a});
+  const auto state =
+      sim::compute_prefix(fig.graph, policies, {prefix, fig.a}, nullptr);
   const bgp::Route* at_b = state.best_at(fig.b);
   ASSERT_NE(at_b, nullptr);
   EXPECT_EQ(at_b->learned_from, fig.a);
@@ -85,8 +85,7 @@ TEST(Prepending, PrependSteersEqualPrefChoice) {
   const Prefix prefix = Prefix::parse("10.0.0.0/24");
   // Without prepending, top picks the lower AS number (left=20).
   {
-    const sim::PropagationEngine engine(g, policies);
-    const auto state = engine.propagate({prefix, o});
+    const auto state = sim::compute_prefix(g, policies, {prefix, o}, nullptr);
     ASSERT_NE(state.best_at(top), nullptr);
     EXPECT_EQ(state.best_at(top)->learned_from, left);
   }
@@ -97,8 +96,7 @@ TEST(Prepending, PrependSteersEqualPrefChoice) {
   rule.prepend_times = 2;
   policies.at_mut(o).export_.add_rule_for(left, rule);
   {
-    const sim::PropagationEngine engine(g, policies);
-    const auto state = engine.propagate({prefix, o});
+    const auto state = sim::compute_prefix(g, policies, {prefix, o}, nullptr);
     ASSERT_NE(state.best_at(top), nullptr);
     EXPECT_EQ(state.best_at(top)->learned_from, right)
         << "prepending must deprioritize the left link";

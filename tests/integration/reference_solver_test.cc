@@ -25,7 +25,6 @@
 namespace bgpolicy {
 namespace {
 
-using sim::PropagationEngine;
 using topo::RelKind;
 using util::AsNumber;
 
@@ -126,14 +125,14 @@ TEST_P(ReferenceSolver, EngineMatchesThreeStageSolution) {
   params.stub_count = 25;
   const auto topo = topo::generate_topology(params);
   const auto policies = testing::typical_policies(topo.graph);
-  const PropagationEngine engine(topo.graph, policies);
 
   // Check every 4th AS as origin (keeps runtime modest, sweeps all roles).
   std::size_t origin_index = 0;
   for (const auto origin : topo.graph.ases()) {
     if (origin_index++ % 4 != 0) continue;
     const bgp::Prefix prefix(0x0A000000, 24);
-    const auto state = engine.propagate({prefix, origin});
+    const auto state =
+        sim::compute_prefix(topo.graph, policies, {prefix, origin}, nullptr);
     ASSERT_TRUE(state.converged);
     const auto reference = reference_solution(topo.graph, origin);
 

@@ -3,7 +3,7 @@
 // contained in the wave's `touched` set, and warm re-seeded fixpoints land
 // on best-route maps value-identical to cold recomputation for every
 // perturbation kind — edge fail/restore, selective-announcement export
-// toggles, coarse policy changes, and conditional-advertisement failover.
+// toggles, and conditional-advertisement failover.
 // (Whole-corpus and randomized-script equivalence lives in
 // tests/sim/delta_equivalence_test.cc.)
 #include "sim/delta_engine.h"
@@ -42,13 +42,12 @@ void expect_same_best(const PrefixRouting& warm, const PrefixRouting& cold) {
 TEST(DeltaEngine, ConvergeThenMaterializeMatchesColdCompute) {
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const FlatSimContext context(g, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
+  const DeltaEngine engine(g, policies, {});
+  FlatScratch scratch;
   for (const auto origin : g.ases()) {
     const Origination origination{kPrefix, origin};
     DeltaState state;
-    engine.converge(origination, nullptr, state, ws);
+    engine.converge(origination, nullptr, state, scratch);
     EXPECT_TRUE(state.initialized());
     EXPECT_TRUE(state.converged());
     expect_same_best(engine.materialize(state),
@@ -59,14 +58,13 @@ TEST(DeltaEngine, ConvergeThenMaterializeMatchesColdCompute) {
 TEST(DeltaEngine, EmptyPerturbationIsAStrictNoOp) {
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const FlatSimContext context(g, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
+  const DeltaEngine engine(g, policies, {});
+  FlatScratch scratch;
   DeltaState state;
-  engine.converge({kPrefix, kAs4}, nullptr, state, ws);
+  engine.converge({kPrefix, kAs4}, nullptr, state, scratch);
   const std::size_t events_before = state.process_events();
 
-  const DeltaWave wave = engine.apply(state, Perturbation{}, ws);
+  const DeltaWave wave = engine.apply(state, Perturbation{}, scratch);
   EXPECT_TRUE(wave.frontier.empty());
   EXPECT_TRUE(wave.touched.empty());
   EXPECT_EQ(wave.events, 0u);
@@ -79,18 +77,17 @@ TEST(DeltaEngine, EmptyPerturbationIsAStrictNoOp) {
 TEST(DeltaEngine, FailThenRestoreRoundTripsThroughColdStates) {
   const Figure3 fig = figure3_graph();
   const auto policies = typical_policies(fig.graph);
-  const FlatSimContext context(fig.graph, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
+  const DeltaEngine engine(fig.graph, policies, {});
+  FlatScratch scratch;
   const Origination origination{kPrefix, fig.a};
 
   DeltaState state;
-  engine.converge(origination, nullptr, state, ws);
+  engine.converge(origination, nullptr, state, scratch);
 
   // Fail A-B: warm result equals a cold run under the failure.
   Perturbation fail_ab;
   fail_ab.fail_edges.emplace_back(fig.a, fig.b);
-  engine.apply(state, fail_ab, ws);
+  engine.apply(state, fail_ab, scratch);
   EXPECT_TRUE(state.failed().is_failed(fig.a, fig.b));
   FailedEdges cold_failed;
   cold_failed.fail(fig.a, fig.b);
@@ -101,7 +98,7 @@ TEST(DeltaEngine, FailThenRestoreRoundTripsThroughColdStates) {
   // Also fail A-C: the origin is isolated; only the self route survives.
   Perturbation fail_ac;
   fail_ac.fail_edges.emplace_back(fig.c, fig.a);
-  engine.apply(state, fail_ac, ws);
+  engine.apply(state, fail_ac, scratch);
   const PrefixRouting isolated = engine.materialize(state);
   EXPECT_NE(isolated.best_at(fig.a), nullptr);
   for (const auto as : {fig.b, fig.c, fig.d, fig.e}) {
@@ -112,7 +109,7 @@ TEST(DeltaEngine, FailThenRestoreRoundTripsThroughColdStates) {
   Perturbation restore;
   restore.restore_edges.emplace_back(fig.a, fig.b);
   restore.restore_edges.emplace_back(fig.a, fig.c);
-  engine.apply(state, restore, ws);
+  engine.apply(state, restore, scratch);
   EXPECT_TRUE(state.failed().empty());
   expect_same_best(engine.materialize(state),
                    compute_prefix(fig.graph, policies, origination, nullptr));
@@ -121,23 +118,22 @@ TEST(DeltaEngine, FailThenRestoreRoundTripsThroughColdStates) {
 TEST(DeltaEngine, TouchedContainsEveryAsWhoseRouteChanged) {
   const Figure3 fig = figure3_graph();
   const auto policies = typical_policies(fig.graph);
-  const FlatSimContext context(fig.graph, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
+  const DeltaEngine engine(fig.graph, policies, {});
+  FlatScratch scratch;
 
   DeltaState state;
-  engine.converge({kPrefix, fig.a}, nullptr, state, ws);
+  engine.converge({kPrefix, fig.a}, nullptr, state, scratch);
   const PrefixRouting before = engine.materialize(state);
 
   Perturbation p;
   p.fail_edges.emplace_back(fig.a, fig.b);
-  const DeltaWave wave = engine.apply(state, p, ws);
+  const DeltaWave wave = engine.apply(state, p, scratch);
   const PrefixRouting after = engine.materialize(state);
 
   // The frontier seeds are the wave's entry points, so every processed AS
   // (touched) includes them — except the origin, whose self route always
   // wins and which the event loop therefore skips without processing.
-  const GraphView::Id origin_id = context.view().id_of(fig.a);
+  const GraphView::Id origin_id = engine.context().view().id_of(fig.a);
   for (const GraphView::Id id : wave.frontier) {
     if (id == origin_id) continue;
     EXPECT_TRUE(std::binary_search(wave.touched.begin(), wave.touched.end(),
@@ -150,7 +146,7 @@ TEST(DeltaEngine, TouchedContainsEveryAsWhoseRouteChanged) {
     const bool changed = (was == nullptr) != (now == nullptr) ||
                          (was != nullptr && !(*was == *now));
     if (!changed) continue;
-    const GraphView::Id id = context.view().id_of(as);
+    const GraphView::Id id = engine.context().view().id_of(as);
     EXPECT_TRUE(std::binary_search(wave.touched.begin(), wave.touched.end(),
                                    id))
         << "changed AS " << util::to_string(as) << " missing from touched";
@@ -160,27 +156,26 @@ TEST(DeltaEngine, TouchedContainsEveryAsWhoseRouteChanged) {
 TEST(DeltaEngine, ExportToggleMatchesColdUnderRefreshedPolicies) {
   const Figure3 fig = figure3_graph();
   auto policies = typical_policies(fig.graph);
-  FlatSimContext context(fig.graph, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
+  DeltaEngine engine(fig.graph, policies, {});
+  FlatScratch scratch;
   const Origination origination{kPrefix, fig.a};
 
   DeltaState state;
-  engine.converge(origination, nullptr, state, ws);
+  engine.converge(origination, nullptr, state, scratch);
 
   // A starts withholding kPrefix from B (the paper's selective
-  // announcement): mutate the owning PolicySet in place, patch the shared
-  // context, then tell the delta engine exactly which adjacency changed.
+  // announcement): mutate the owning PolicySet in place, patch the
+  // engine's context, then tell it exactly which adjacency changed.
   ExportRule deny;
   deny.prefix = kPrefix;
   deny.action = ExportAction::kDeny;
   policies.at_mut(fig.a).export_.add_rule_for(fig.b, deny);
   const AsNumber changed[] = {fig.a};
-  context.refresh_policies(changed);
+  engine.refresh_policies(changed);
 
   Perturbation toggle;
   toggle.export_changed.emplace_back(fig.a, fig.b);
-  engine.apply(state, toggle, ws);
+  engine.apply(state, toggle, scratch);
   expect_same_best(engine.materialize(state),
                    compute_prefix(fig.graph, policies, origination, nullptr));
   // The withheld route really moved: B now hears the prefix via D.
@@ -190,8 +185,8 @@ TEST(DeltaEngine, ExportToggleMatchesColdUnderRefreshedPolicies) {
 
   // Toggle back (rule list mutated in place again).
   policies.at_mut(fig.a).export_.remove_prefix_rules(fig.b, kPrefix);
-  context.refresh_policies(changed);
-  engine.apply(state, toggle, ws);
+  engine.refresh_policies(changed);
+  engine.apply(state, toggle, scratch);
   expect_same_best(engine.materialize(state),
                    compute_prefix(fig.graph, policies, origination, nullptr));
   const auto healed = engine.route_at(state, fig.b);
@@ -199,45 +194,17 @@ TEST(DeltaEngine, ExportToggleMatchesColdUnderRefreshedPolicies) {
   EXPECT_EQ(healed->learned_from, fig.a);
 }
 
-TEST(DeltaEngine, CoarsePolicyChangedMatchesCold) {
-  const Figure3 fig = figure3_graph();
-  auto policies = typical_policies(fig.graph);
-  FlatSimContext context(fig.graph, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
-  const Origination origination{kPrefix, fig.a};
-
-  DeltaState state;
-  engine.converge(origination, nullptr, state, ws);
-
-  // B starts prepending toward its provider D — announced to the engine
-  // only as "something about B changed".
-  ExportRule prepend;
-  prepend.action = ExportAction::kPrepend;
-  prepend.prepend_times = 3;
-  policies.at_mut(fig.b).export_.add_rule_for(fig.d, prepend);
-  const AsNumber changed[] = {fig.b};
-  context.refresh_policies(changed);
-
-  Perturbation coarse;
-  coarse.policy_changed.push_back(fig.b);
-  engine.apply(state, coarse, ws);
-  expect_same_best(engine.materialize(state),
-                   compute_prefix(fig.graph, policies, origination, nullptr));
-}
-
 TEST(DeltaEngine, ConditionalAdvertisementFailoverAndRecovery) {
   const Figure3 fig = figure3_graph();
   auto policies = typical_policies(fig.graph);
   // A advertises kPrefix to B only while the A-C session is down.
   policies.at_mut(fig.a).conditional.push_back({kPrefix, fig.b, fig.c});
-  const FlatSimContext context(fig.graph, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
+  const DeltaEngine engine(fig.graph, policies, {});
+  FlatScratch scratch;
   const Origination origination{kPrefix, fig.a};
 
   DeltaState state;
-  engine.converge(origination, nullptr, state, ws);
+  engine.converge(origination, nullptr, state, scratch);
   // Healthy: the backup announcement is suppressed; B's route curves
   // through its provider D.
   ASSERT_TRUE(engine.route_at(state, fig.b).has_value());
@@ -247,7 +214,7 @@ TEST(DeltaEngine, ConditionalAdvertisementFailoverAndRecovery) {
   // though neither endpoint of A-C selects a new route itself.
   Perturbation fail_watched;
   fail_watched.fail_edges.emplace_back(fig.a, fig.c);
-  engine.apply(state, fail_watched, ws);
+  engine.apply(state, fail_watched, scratch);
   FailedEdges cold_failed;
   cold_failed.fail(fig.a, fig.c);
   expect_same_best(engine.materialize(state),
@@ -258,7 +225,7 @@ TEST(DeltaEngine, ConditionalAdvertisementFailoverAndRecovery) {
   // Recovery re-suppresses the conditional advertisement.
   Perturbation restore;
   restore.restore_edges.emplace_back(fig.a, fig.c);
-  engine.apply(state, restore, ws);
+  engine.apply(state, restore, scratch);
   expect_same_best(engine.materialize(state),
                    compute_prefix(fig.graph, policies, origination, nullptr));
   EXPECT_EQ(engine.route_at(state, fig.b)->learned_from, fig.d);
@@ -267,20 +234,19 @@ TEST(DeltaEngine, ConditionalAdvertisementFailoverAndRecovery) {
 TEST(DeltaEngine, BranchCloneIsIndependentOfItsBase) {
   const Figure3 fig = figure3_graph();
   const auto policies = typical_policies(fig.graph);
-  const FlatSimContext context(fig.graph, policies);
-  const DeltaEngine engine(context, {});
-  DeltaWorkspace ws;
+  const DeltaEngine engine(fig.graph, policies, {});
+  FlatScratch scratch;
   const Origination origination{kPrefix, fig.a};
 
   DeltaState base;
-  engine.converge(origination, nullptr, base, ws);
+  engine.converge(origination, nullptr, base, scratch);
   const PrefixRouting pristine = engine.materialize(base);
 
   DeltaState branch;
   branch.assign_from(base);
   Perturbation p;
   p.fail_edges.emplace_back(fig.a, fig.b);
-  engine.apply(branch, p, ws);
+  engine.apply(branch, p, scratch);
 
   // The branch diverged; the base must be bit-for-bit undisturbed.
   EXPECT_TRUE(branch.failed().is_failed(fig.a, fig.b));
@@ -311,7 +277,6 @@ TEST(Perturbation, EdgeDeltaTurnsOneFailureSetIntoAnother) {
                         delta.restore_edges[0].second.value()),
             std::minmax(kAs1.value(), kAs2.value()));
   EXPECT_TRUE(delta.export_changed.empty());
-  EXPECT_TRUE(delta.policy_changed.empty());
 
   EXPECT_TRUE(Perturbation::edge_delta(to, to).empty());
 }

@@ -24,26 +24,14 @@
 #include "sim/delta_engine.h"
 #include "sim/flat_engine.h"
 #include "sim/propagation.h"
+#include "testing/fixtures.h"
 #include "util/rng.h"
 
 namespace bgpolicy::sim {
 namespace {
 
+using testing::sanitizer_build;
 using util::AsNumber;
-
-bool sanitizer_build() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
 
 void expect_same_best(const PrefixRouting& warm, const PrefixRouting& cold,
                       const char* label) {
@@ -67,9 +55,8 @@ void replay_and_compare(const core::GroundTruth& truth,
                         const std::vector<core::SpecEvent>& events,
                         const PropagationOptions& options, const char* label,
                         std::size_t max_compared_originations = 64) {
-  const FlatSimContext context(truth.topo.graph, truth.gen.policies);
-  const DeltaEngine engine(context, options);
-  DeltaWorkspace ws;
+  const DeltaEngine engine(truth.topo.graph, truth.gen.policies, options);
+  const FlatSimContext& context = engine.context();
   FlatScratch scratch;
 
   FailedEdges failed;
@@ -94,11 +81,11 @@ void replay_and_compare(const core::GroundTruth& truth,
       std::unique_ptr<DeltaState>& slot = states[key_of(o)];
       if (slot == nullptr) {
         slot = std::make_unique<DeltaState>();
-        engine.converge(o, &failed, *slot, ws);
+        engine.converge(o, &failed, *slot, scratch);
       } else {
         const Perturbation delta =
             Perturbation::edge_delta(slot->failed(), failed);
-        if (!delta.empty()) engine.apply(*slot, delta, ws);
+        if (!delta.empty()) engine.apply(*slot, delta, scratch);
       }
       const PrefixRouting cold =
           compute_prefix_flat(context, o, &failed, options, scratch);
@@ -234,9 +221,9 @@ TEST(DeltaEquivalence, Internet2002SampledFailuresMatchCold) {
   const core::GroundTruth truth = core::synthesize(scenario);
   ASSERT_FALSE(truth.originations.empty());
 
-  const FlatSimContext context(truth.topo.graph, truth.gen.policies);
-  const DeltaEngine engine(context, scenario.propagation);
-  DeltaWorkspace ws;
+  const DeltaEngine engine(truth.topo.graph, truth.gen.policies,
+                           scenario.propagation);
+  const FlatSimContext& context = engine.context();
   FlatScratch scratch;
 
   std::vector<std::size_t> picks = {0, truth.originations.size() - 1};
@@ -248,7 +235,7 @@ TEST(DeltaEquivalence, Internet2002SampledFailuresMatchCold) {
   for (const std::size_t i : picks) {
     const Origination& origination = truth.originations[i];
     DeltaState state;
-    engine.converge(origination, nullptr, state, ws);
+    engine.converge(origination, nullptr, state, scratch);
 
     // Fail the origin's first session, then restore it: both worlds must
     // match their cold counterparts.
@@ -256,7 +243,7 @@ TEST(DeltaEquivalence, Internet2002SampledFailuresMatchCold) {
         truth.topo.graph.neighbors(origination.origin).front().as;
     Perturbation fail;
     fail.fail_edges.emplace_back(origination.origin, neighbor);
-    engine.apply(state, fail, ws);
+    engine.apply(state, fail, scratch);
     FailedEdges failed;
     failed.fail(origination.origin, neighbor);
     expect_same_best(engine.materialize(state),
@@ -266,7 +253,7 @@ TEST(DeltaEquivalence, Internet2002SampledFailuresMatchCold) {
 
     Perturbation restore;
     restore.restore_edges.emplace_back(origination.origin, neighbor);
-    engine.apply(state, restore, ws);
+    engine.apply(state, restore, scratch);
     expect_same_best(engine.materialize(state),
                      compute_prefix_flat(context, origination, nullptr,
                                          scenario.propagation, scratch),

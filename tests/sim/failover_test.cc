@@ -29,12 +29,11 @@ TEST(FailedEdges, SetSemantics) {
 TEST(Failover, FailedEdgeCarriesNoRoutes) {
   Figure3 fig = figure3_graph();
   const auto policies = typical_policies(fig.graph);
-  PropagationEngine engine(fig.graph, policies);
   FailedEdges failures;
   failures.fail(fig.a, fig.b);
-  engine.set_failures(&failures);
 
-  const auto state = engine.propagate({kPrefix, fig.a});
+  const auto state =
+      compute_prefix(fig.graph, policies, {kPrefix, fig.a}, &failures);
   // B cannot hear the prefix from A directly; it still gets it from its
   // provider D (who heard it via the peer E).
   const bgp::Route* at_b = state.best_at(fig.b);
@@ -49,13 +48,12 @@ TEST(Failover, FailedEdgeCarriesNoRoutes) {
 TEST(Failover, IsolatedOriginReachesNobody) {
   Figure3 fig = figure3_graph();
   const auto policies = typical_policies(fig.graph);
-  PropagationEngine engine(fig.graph, policies);
   FailedEdges failures;
   failures.fail(fig.a, fig.b);
   failures.fail(fig.a, fig.c);
-  engine.set_failures(&failures);
 
-  const auto state = engine.propagate({kPrefix, fig.a});
+  const auto state =
+      compute_prefix(fig.graph, policies, {kPrefix, fig.a}, &failures);
   EXPECT_NE(state.best_at(fig.a), nullptr);  // self route survives
   EXPECT_EQ(state.best_at(fig.b), nullptr);
   EXPECT_EQ(state.best_at(fig.c), nullptr);
@@ -69,8 +67,8 @@ TEST(Failover, ConditionalAdvertisementSuppressedWhileHealthy) {
   // A advertises kPrefix to B only if the A-C session is down.
   policies.at_mut(fig.a).conditional.push_back({kPrefix, fig.b, fig.c});
 
-  PropagationEngine engine(fig.graph, policies);
-  const auto state = engine.propagate({kPrefix, fig.a});
+  const auto state =
+      compute_prefix(fig.graph, policies, {kPrefix, fig.a}, nullptr);
   // Healthy: B hears the prefix only via its provider D (peer-curved).
   const bgp::Route* at_b = state.best_at(fig.b);
   ASSERT_NE(at_b, nullptr);
@@ -85,12 +83,11 @@ TEST(Failover, ConditionalAdvertisementActivatesOnFailure) {
   auto policies = typical_policies(fig.graph);
   policies.at_mut(fig.a).conditional.push_back({kPrefix, fig.b, fig.c});
 
-  PropagationEngine engine(fig.graph, policies);
   FailedEdges failures;
   failures.fail(fig.a, fig.c);
-  engine.set_failures(&failures);
 
-  const auto state = engine.propagate({kPrefix, fig.a});
+  const auto state =
+      compute_prefix(fig.graph, policies, {kPrefix, fig.a}, &failures);
   // The backup announcement kicks in: everyone reaches A via B now.
   const bgp::Route* at_b = state.best_at(fig.b);
   ASSERT_NE(at_b, nullptr);
@@ -110,8 +107,8 @@ TEST(Failover, ConditionalOnlyAffectsItsPrefix) {
   policies.at_mut(fig.a).conditional.push_back({kPrefix, fig.b, fig.c});
   const Prefix other = Prefix::parse("10.0.1.0/24");
 
-  PropagationEngine engine(fig.graph, policies);
-  const auto state = engine.propagate({other, fig.a});
+  const auto state =
+      compute_prefix(fig.graph, policies, {other, fig.a}, nullptr);
   const bgp::Route* at_b = state.best_at(fig.b);
   ASSERT_NE(at_b, nullptr);
   EXPECT_EQ(at_b->learned_from, fig.a) << "other prefixes are unaffected";
@@ -122,17 +119,17 @@ TEST(Failover, RestorationReturnsToBaseline) {
   auto policies = typical_policies(fig.graph);
   policies.at_mut(fig.a).conditional.push_back({kPrefix, fig.b, fig.c});
 
-  PropagationEngine engine(fig.graph, policies);
   FailedEdges failures;
-  engine.set_failures(&failures);
 
   failures.fail(fig.a, fig.c);
-  const auto broken = engine.propagate({kPrefix, fig.a});
+  const auto broken =
+      compute_prefix(fig.graph, policies, {kPrefix, fig.a}, &failures);
   ASSERT_NE(broken.best_at(fig.d), nullptr);
   EXPECT_EQ(broken.best_at(fig.d)->learned_from, fig.b);
 
   failures.restore(fig.a, fig.c);
-  const auto healed = engine.propagate({kPrefix, fig.a});
+  const auto healed =
+      compute_prefix(fig.graph, policies, {kPrefix, fig.a}, &failures);
   ASSERT_NE(healed.best_at(fig.d), nullptr);
   EXPECT_EQ(healed.best_at(fig.d)->learned_from, fig.e)
       << "back to the selectively-announced steady state";

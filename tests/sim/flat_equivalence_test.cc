@@ -210,6 +210,22 @@ void expect_digest_matches_seed(const topo::AsGraph& graph,
   }
 }
 
+/// The full internet2002 Simulate artifact, pinned byte for byte: a change
+/// anywhere in the fixpoint, the recorder or the codec that moves one
+/// recorded row moves this digest.  The same value holds at every thread
+/// count (the determinism contract); threads = 0 runs the production
+/// shape.
+TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
+  if (sanitizer_build()) {
+    GTEST_SKIP() << "full internet2002 Simulate is too slow under sanitizers";
+  }
+  core::Scenario scenario = core::Scenario::internet2002();
+  scenario.propagation.threads = 0;
+  core::Experiment experiment(scenario);
+  EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.sim())),
+            "8eafed68cd4c6a57205c39475f5c62f4");
+}
+
 TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {
   {
     SCOPED_TRACE("Scenario::small");

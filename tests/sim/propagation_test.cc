@@ -15,8 +15,7 @@ const Prefix kPrefix = Prefix::parse("10.0.0.0/24");
 TEST(Propagation, OriginInstallsSelfRoute) {
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const PropagationEngine engine(g, policies);
-  const auto state = engine.propagate({kPrefix, kAs4});
+  const auto state = compute_prefix(g, policies, {kPrefix, kAs4}, nullptr);
   const bgp::Route* self = state.best_at(kAs4);
   ASSERT_NE(self, nullptr);
   EXPECT_TRUE(self->self_originated());
@@ -26,8 +25,7 @@ TEST(Propagation, OriginInstallsSelfRoute) {
 TEST(Propagation, EveryoneReachesAStubPrefix) {
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const PropagationEngine engine(g, policies);
-  const auto state = engine.propagate({kPrefix, kAs4});
+  const auto state = compute_prefix(g, policies, {kPrefix, kAs4}, nullptr);
   EXPECT_TRUE(state.converged);
   for (const auto as : g.ases()) {
     EXPECT_NE(state.best_at(as), nullptr) << util::to_string(as);
@@ -37,8 +35,7 @@ TEST(Propagation, EveryoneReachesAStubPrefix) {
 TEST(Propagation, PathsExcludeOwnerAndEndAtOrigin) {
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const PropagationEngine engine(g, policies);
-  const auto state = engine.propagate({kPrefix, kAs4});
+  const auto state = compute_prefix(g, policies, {kPrefix, kAs4}, nullptr);
   for (const auto as : g.ases()) {
     const bgp::Route* best = state.best_at(as);
     ASSERT_NE(best, nullptr);
@@ -53,9 +50,8 @@ TEST(Propagation, PathsExcludeOwnerAndEndAtOrigin) {
 TEST(Propagation, AllUsedPathsAreValleyFree) {
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const PropagationEngine engine(g, policies);
   for (const auto origin : g.ases()) {
-    const auto state = engine.propagate({kPrefix, origin});
+    const auto state = compute_prefix(g, policies, {kPrefix, origin}, nullptr);
     for (const auto as : g.ases()) {
       const bgp::Route* best = state.best_at(as);
       if (best == nullptr || best->self_originated()) continue;
@@ -75,8 +71,7 @@ TEST(Propagation, CustomerRoutePreferredOverPeerRoute) {
   // which AS3 won't export upward).
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const PropagationEngine engine(g, policies);
-  const auto state = engine.propagate({kPrefix, kAs4});
+  const auto state = compute_prefix(g, policies, {kPrefix, kAs4}, nullptr);
   const bgp::Route* at5 = state.best_at(kAs5);
   ASSERT_NE(at5, nullptr);
   EXPECT_EQ(at5->learned_from, kAs2);
@@ -89,8 +84,7 @@ TEST(Propagation, PeerRouteNotExportedToPeerOrProvider) {
   // (which holds a customer route to AS4 and may export it anywhere).
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const PropagationEngine engine(g, policies);
-  const auto state = engine.propagate({kPrefix, kAs4});
+  const auto state = compute_prefix(g, policies, {kPrefix, kAs4}, nullptr);
   const bgp::Route* at6 = state.best_at(kAs6);
   ASSERT_NE(at6, nullptr);
   EXPECT_NE(at6->learned_from, kAs3)
@@ -108,8 +102,7 @@ TEST(Propagation, SelectiveAnnouncementCreatesPeerOnlyVisibility) {
   rule.action = ExportAction::kDeny;
   policies.at_mut(f.a).export_.add_rule_for(f.b, rule);
 
-  const PropagationEngine engine(f.graph, policies);
-  const auto state = engine.propagate({kPrefix, f.a});
+  const auto state = compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
 
   const bgp::Route* at_b = state.best_at(f.b);
   ASSERT_NE(at_b, nullptr);  // B still hears p from its provider D
@@ -135,8 +128,7 @@ TEST(Propagation, NoExportUpstreamCommunityCapsPropagation) {
   rule.action = ExportAction::kTagNoExportUpstream;
   policies.at_mut(f.a).export_.add_rule_for(f.b, rule);
 
-  const PropagationEngine engine(f.graph, policies);
-  const auto state = engine.propagate({kPrefix, f.a});
+  const auto state = compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
 
   const bgp::Route* at_b = state.best_at(f.b);
   ASSERT_NE(at_b, nullptr);
@@ -159,8 +151,7 @@ TEST(Propagation, NoExportToTargetCommunityBlocksOneAs) {
   rule.target = f.d;
   policies.at_mut(f.a).export_.add_rule_for(f.b, rule);
 
-  const PropagationEngine engine(f.graph, policies);
-  const auto state = engine.propagate({kPrefix, f.a});
+  const auto state = compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
   const bgp::Route* at_d = state.best_at(f.d);
   ASSERT_NE(at_d, nullptr);
   EXPECT_EQ(at_d->learned_from, f.e);
@@ -185,8 +176,7 @@ TEST(Propagation, ImportPolicySetsLocalPref) {
   auto f = figure3_graph();
   auto policies = typical_policies(f.graph);
   policies.at_mut(f.b).import.customer_pref = 111;
-  const PropagationEngine engine(f.graph, policies);
-  const auto state = engine.propagate({kPrefix, f.a});
+  const auto state = compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
   const bgp::Route* at_b = state.best_at(f.b);
   ASSERT_NE(at_b, nullptr);
   EXPECT_EQ(at_b->local_pref, 111u);
@@ -196,8 +186,7 @@ TEST(Propagation, PerPrefixOverrideBeatsNeighborDefault) {
   auto f = figure3_graph();
   auto policies = typical_policies(f.graph);
   policies.at_mut(f.b).import.prefix_override[kPrefix] = 66;
-  const PropagationEngine engine(f.graph, policies);
-  const auto state = engine.propagate({kPrefix, f.a});
+  const auto state = compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
   ASSERT_NE(state.best_at(f.b), nullptr);
   EXPECT_EQ(state.best_at(f.b)->local_pref, 66u);
 }
@@ -206,8 +195,7 @@ TEST(Propagation, CommunityTaggingOnImport) {
   auto f = figure3_graph();
   auto policies = typical_policies(f.graph);
   policies.at_mut(f.b).community.enabled = true;
-  const PropagationEngine engine(f.graph, policies);
-  const auto state = engine.propagate({kPrefix, f.a});
+  const auto state = compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
   const bgp::Route* at_b = state.best_at(f.b);
   ASSERT_NE(at_b, nullptr);
   ASSERT_FALSE(at_b->communities.empty());
@@ -219,9 +207,9 @@ TEST(Propagation, CommunityTaggingOnImport) {
 TEST(Propagation, UnknownOriginThrows) {
   const auto g = figure1_graph();
   const auto policies = typical_policies(g);
-  const PropagationEngine engine(g, policies);
-  EXPECT_THROW(engine.propagate({kPrefix, util::AsNumber(999)}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      compute_prefix(g, policies, {kPrefix, util::AsNumber(999)}, nullptr),
+      std::invalid_argument);
 }
 
 TEST(Propagation, AtypicalPreferenceChangesBestRoute) {
@@ -229,14 +217,14 @@ TEST(Propagation, AtypicalPreferenceChangesBestRoute) {
   // with A announcing everywhere, D normally uses the customer chain via B.
   auto f = figure3_graph();
   auto policies = typical_policies(f.graph);
-  const PropagationEngine typical_engine(f.graph, policies);
-  const auto typical_state = typical_engine.propagate({kPrefix, f.a});
+  const auto typical_state =
+      compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
   ASSERT_NE(typical_state.best_at(f.d), nullptr);
   EXPECT_EQ(typical_state.best_at(f.d)->learned_from, f.b);
 
   policies.at_mut(f.d).import.neighbor_override[f.e] = 130;  // above customer
-  const PropagationEngine atypical_engine(f.graph, policies);
-  const auto atypical_state = atypical_engine.propagate({kPrefix, f.a});
+  const auto atypical_state =
+      compute_prefix(f.graph, policies, {kPrefix, f.a}, nullptr);
   ASSERT_NE(atypical_state.best_at(f.d), nullptr);
   EXPECT_EQ(atypical_state.best_at(f.d)->learned_from, f.e);
   EXPECT_TRUE(atypical_state.converged);

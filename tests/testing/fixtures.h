@@ -64,6 +64,22 @@ inline Figure3 figure3_graph() {
   return f;
 }
 
+/// True in ASan/TSan builds, where the internet2002-scale cases are too
+/// slow to run and skip themselves.
+inline bool sanitizer_build() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#else
+  return false;
+#endif
+#else
+  return false;
+#endif
+}
+
 /// Default (everything-typical) policies for every AS in a graph.
 inline sim::PolicySet typical_policies(const topo::AsGraph& graph) {
   sim::PolicySet policies;
