@@ -6,7 +6,9 @@
 // run's products — inferred relationships, tiers, path-index counts, and
 // all analysis-suite counters — are digested via the canonical serializers
 // and asserted byte-identical across thread counts, the same determinism
-// contract the propagation engine holds.
+// contract the propagation engine holds.  The path index is built in one
+// sequential pass (core/path_index.h), so `path_index_seconds` times the
+// same sequential build on every thread row.
 //
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
@@ -91,7 +93,7 @@ int main(int argc, char** argv) {
 
     start = std::chrono::steady_clock::now();
     core::PathIndex index;
-    index.add_tables(sources, threads);
+    index.add_tables(sources);
     const double index_seconds = seconds_since(start);
     path_count = index.path_count();
 

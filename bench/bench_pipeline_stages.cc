@@ -7,7 +7,10 @@
 //  * task-graph path: one Experiment::run() drives every upstream stage
 //    through util::TaskGraph, so Observe's IRR nodes overlap each other,
 //    the path-index nodes, and late Simulate chunks.  A StageTrace records
-//    node spans; the bench reports the overlap windows and chunk count.
+//    node spans; the bench reports the overlap windows, the chunk count,
+//    and the post-Simulate tail: from the end of the last simulate.chunk
+//    span to the end of observe.finish (the last chunk merge, the Simulate
+//    persist beside the path nodes, and the Observe finish).
 //
 // Every run's products are digested via the canonical serializers and
 // asserted byte-identical across thread counts AND across the two
@@ -53,6 +56,7 @@ struct Row {
   double graph_total_seconds;
   double overlap_irr_paths_seconds;
   double overlap_irr_sim_seconds;
+  double tail_seconds;
   std::size_t sim_chunks;
 };
 
@@ -91,6 +95,15 @@ Window window_of(const std::vector<core::TraceSpan>& spans,
 double overlap_of(const Window& a, const Window& b) {
   if (!a.any || !b.any) return 0.0;
   return std::max(0.0, std::min(a.end, b.end) - std::max(a.start, b.start));
+}
+
+/// Seconds from the end of the last simulate.chunk span to the end of
+/// observe.finish: the serial work between Simulate's fan-out and Infer.
+double tail_of(const std::vector<core::TraceSpan>& spans) {
+  const Window chunks = window_of(spans, {"simulate.chunk"});
+  const Window finish = window_of(spans, {"observe.finish"});
+  if (!chunks.any || !finish.any) return 0.0;
+  return finish.end - chunks.end;
 }
 
 std::string experiment_digest(core::Experiment& experiment) {
@@ -181,7 +194,7 @@ int main(int argc, char** argv) {
                     observe_seconds, infer_seconds, analyze_seconds, total,
                     base_seconds / total, graph_total,
                     overlap_of(irr, paths), overlap_of(irr, sim_window),
-                    graph_experiment.sim_chunks().total});
+                    tail_of(trace.spans), graph_experiment.sim_chunks().total});
 
     // Both execution shapes, every thread count: one digest.
     for (core::Experiment* exp : {&experiment, &graph_experiment}) {
@@ -215,6 +228,7 @@ int main(int argc, char** argv) {
                 << r.overlap_irr_paths_seconds
                 << ",\"overlap_irr_sim_seconds\":"
                 << r.overlap_irr_sim_seconds
+                << ",\"tail_seconds\":" << r.tail_seconds
                 << ",\"sim_chunks\":" << r.sim_chunks << "}";
     }
     std::cout << "]}" << std::endl;
@@ -227,7 +241,7 @@ int main(int argc, char** argv) {
             << " · hardware threads: " << hw << "\n\n";
   util::TextTable table({"threads", "synthesize", "simulate", "observe",
                          "infer", "analyze", "serial total", "graph total",
-                         "irr||paths", "irr||sim", "chunks"});
+                         "irr||paths", "irr||sim", "tail", "chunks"});
   for (const Row& r : rows) {
     table.add_row({std::to_string(r.threads),
                    util::fmt(r.synthesize_seconds, 3),
@@ -239,11 +253,13 @@ int main(int argc, char** argv) {
                    util::fmt(r.graph_total_seconds, 3),
                    util::fmt(r.overlap_irr_paths_seconds, 3),
                    util::fmt(r.overlap_irr_sim_seconds, 3),
+                   util::fmt(r.tail_seconds, 3),
                    std::to_string(r.sim_chunks)});
   }
   std::cout << table.render(
                    "stage wall clock (seconds); irr||paths / irr||sim are "
-                   "overlap windows inside the task-graph run")
+                   "overlap windows inside the task-graph run, tail is "
+                   "last chunk end to observe.finish end")
             << "\n"
             << (products_match
                     ? "products byte-identical across thread counts and "

@@ -99,4 +99,13 @@ void BgpTable::for_each_best(
   }
 }
 
+void BgpTable::drain(const std::function<void(Route&&)>& fn) {
+  for (const Prefix& prefix : order_) {
+    for (Route& route : entries_.at(prefix)) fn(std::move(route));
+  }
+  entries_.clear();
+  order_.clear();
+  route_count_ = 0;
+}
+
 }  // namespace bgpolicy::bgp

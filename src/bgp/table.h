@@ -72,6 +72,11 @@ class BgpTable {
   /// first-insertion prefix order.
   void for_each_best(const std::function<void(const Route&)>& fn) const;
 
+  /// Calls fn(route) with every route moved out, in for_each order, and
+  /// leaves the table empty (owner kept) — how sim::merge_sim_chunk
+  /// replays a chunk's table into the merged one without copying.
+  void drain(const std::function<void(Route&&)>& fn);
+
  private:
   util::AsNumber owner_;
   std::unordered_map<Prefix, std::vector<Route>> entries_;

@@ -100,8 +100,10 @@ bool ArtifactStore::put(std::string_view key,
     if (!out) return false;
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
+    // close() flushes the buffered tail: a failure there (disk full, file
+    // size limit) must fail the put like one inside write().
+    out.close();
     if (!out) {
-      out.close();
       std::error_code ignored;
       std::filesystem::remove(temp, ignored);
       return false;

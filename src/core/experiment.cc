@@ -121,12 +121,15 @@ std::optional<T> probe_store(const ArtifactStore* store,
 
 /// Encodes `artifact` and persists it under `key`, returning its content
 /// digest; without a store nothing is written and the digest is empty.
+/// `stored`, when given, reports whether the write succeeded (a failed
+/// write still yields the digest of the encoded bytes).
 template <typename T>
 std::string persist(const ArtifactStore* store, const std::string& key,
-                    const T& artifact) {
+                    const T& artifact, bool* stored = nullptr) {
   if (store == nullptr) return {};
   const std::vector<std::uint8_t> bytes = io::encode(artifact);
-  store->put(key, bytes);
+  const bool ok = store->put(key, bytes);
+  if (stored != nullptr) *stored = ok;
   return stable_digest_hex(std::span<const std::uint8_t>(bytes));
 }
 
@@ -456,7 +459,7 @@ Observations observe(const Scenario& scenario, const GroundTruth& truth,
   obs.irr_objects = rpsl::parse_aut_nums(obs.irr_text, threads, executor);
   observe_ingest_paths(obs, sim);
   // The path index over the same table sources.
-  obs.paths.add_tables(inference_table_sources(sim.sim), threads, executor);
+  obs.paths.add_tables(inference_table_sources(sim.sim));
   return obs;
 }
 
@@ -594,6 +597,11 @@ struct Experiment::UpstreamScratch {
   std::atomic<bool> observe_hit{false};
   std::optional<Observations> loaded_obs;
   std::string observe_digest;  // of the stored bytes, for the digest chain
+  /// Set when this graph computed Simulate (not a store hit), with the
+  /// store keys of its chunks: what the simulate.persist node writes and
+  /// supersedes.
+  bool sim_computed = false;
+  std::vector<std::string> sim_chunk_keys;
 };
 
 template <typename Fn>
@@ -623,9 +631,8 @@ void Experiment::probe_observe(UpstreamScratch& scratch) {
   }
 }
 
-void Experiment::simulate_in_chunks(util::TaskGraph& graph) {
-  const auto vantage =
-      std::make_shared<sim::VantageSpec>(derive_vantage(scenario_, truth_->topo));
+void Experiment::simulate_in_chunks(util::TaskGraph& graph,
+                                    UpstreamScratch& scratch) {
   const std::size_t n = truth_->originations.size();
   const std::vector<util::IndexRange> ranges =
       sim_chunk_ranges(n, options_.sim_chunk_prefixes);
@@ -634,28 +641,36 @@ void Experiment::simulate_in_chunks(util::TaskGraph& graph) {
   sim_chunks_ = SimChunkLedger{};
   sim_chunks_.total = ranges.size();
 
-  // Index-addressed slots: chunk tasks run in any order on any thread, the
-  // merge below replays them in range order — the shard-and-merge
-  // discipline expressed as nested graph tasks.
+  // The merge chain replays the chunks into `merged` in range order; chunk
+  // tasks only read its vantage spec.
+  const auto merged = std::make_shared<SimArtifact>();
+  merged->vantage = derive_vantage(scenario_, truth_->topo);
+  merged->sim = sim::init_sim_result(merged->vantage);
+  // Index-addressed slots: chunk tasks run in any order on any thread.
   const auto slots =
       std::make_shared<std::vector<sim::SimResult>>(ranges.size());
   const auto loaded_flags =
       std::make_shared<std::vector<std::uint8_t>>(ranges.size(), 0);
-  std::vector<std::string> chunk_keys(ranges.size());
+  scratch.sim_chunk_keys.assign(ranges.size(), std::string());
   if (options_.store != nullptr) {
     const std::string scenario_key = scenario_cache_key(scenario_);
     for (std::size_t i = 0; i < ranges.size(); ++i) {
-      chunk_keys[i] = sim_chunk_store_key(
+      scratch.sim_chunk_keys[i] = sim_chunk_store_key(
           scenario_key, stage_digest(Stage::kSynthesize), ranges[i], n);
     }
   }
 
-  std::vector<util::TaskGraph::NodeId> chunk_nodes;
-  chunk_nodes.reserve(ranges.size());
+  // Chunk and merge nodes interleaved in range order: merge i runs after
+  // chunk i and merge i - 1, and waiting on this list (like the
+  // scheduler's lowest-id-first pick) runs each merge as soon as it is
+  // ready, so at threads = 1 the run alternates chunk and merge and holds
+  // one chunk's rows at a time.
+  std::vector<util::TaskGraph::NodeId> nodes;
+  nodes.reserve(2 * ranges.size());
   for (std::size_t i = 0; i < ranges.size(); ++i) {
-    chunk_nodes.push_back(graph.submit([this, vantage, slots, loaded_flags, i,
-                                        range = ranges[i], n,
-                                        key = chunk_keys[i]] {
+    nodes.push_back(graph.submit([this, merged, slots, loaded_flags, i,
+                                  range = ranges[i], n,
+                                  key = scratch.sim_chunk_keys[i]] {
       traced("simulate.chunk", [&] {
         ArtifactStore* store = options_.store;
         if (std::optional<SimChunk> chunk =
@@ -673,11 +688,11 @@ void Experiment::simulate_in_chunks(util::TaskGraph& graph) {
             truth_->topo.graph, truth_->gen.policies,
             std::span<const sim::Origination>(truth_->originations)
                 .subspan(range.begin, range.size()),
-            *vantage, scenario_.propagation, &sequential);
+            merged->vantage, scenario_.propagation, &sequential);
         if (store != nullptr) {
           // Persist-and-pin as each chunk completes: a kill from here on
           // resumes mid-Simulate, and a concurrent gc() cannot evict what
-          // this run still needs (the pin falls with the merged artifact).
+          // this run still needs (simulate.persist drops the pin).
           SimChunk chunk;
           chunk.begin = range.begin;
           chunk.end = range.end;
@@ -692,34 +707,42 @@ void Experiment::simulate_in_chunks(util::TaskGraph& graph) {
         }
       });
     }));
+    std::vector<util::TaskGraph::NodeId> merge_deps{nodes.back()};
+    if (i > 0) merge_deps.push_back(nodes[nodes.size() - 2]);
+    nodes.push_back(graph.submit(
+        [this, merged, slots, loaded_flags, i] {
+          traced("simulate.merge", [&] {
+            sim::merge_sim_chunk(merged->sim, std::move((*slots)[i]));
+            (*slots)[i] = sim::SimResult{};  // bound peak memory
+            ++((*loaded_flags)[i] != 0 ? sim_chunks_.loaded
+                                       : sim_chunks_.computed);
+          });
+        },
+        merge_deps));
   }
-  graph.wait(chunk_nodes);
+  graph.wait(nodes);
+  sim_ = std::move(*merged);
+  ++counters_.simulate;
+  scratch.sim_computed = true;
+}
 
-  traced("simulate.merge", [&] {
-    SimArtifact artifact;
-    artifact.vantage = std::move(*vantage);
-    artifact.sim = sim::init_sim_result(artifact.vantage);
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      sim::merge_sim_chunk(artifact.sim, (*slots)[i]);
-      ++((*loaded_flags)[i] != 0 ? sim_chunks_.loaded : sim_chunks_.computed);
-      (*slots)[i] = sim::SimResult{};  // bound peak memory
-    }
-    sim_ = std::move(artifact);
-    ++counters_.simulate;
-    if (options_.store == nullptr) {
-      digest_slot(Stage::kSimulate).clear();
-      return;
-    }
-    digest_slot(Stage::kSimulate) = persist(
-        options_.store, stage_key_material(Stage::kSimulate, {}), *sim_);
-    // The merged artifact supersedes its chunks: erase them so long-lived
-    // stores do not carry both representations, and drop the gc pins with
-    // them.
-    for (const std::string& key : chunk_keys) {
-      options_.store->unpin(key);
-      options_.store->erase(key);
-    }
-  });
+void Experiment::persist_sim(UpstreamScratch& scratch) {
+  ArtifactStore* store = options_.store;
+  if (store == nullptr) {
+    digest_slot(Stage::kSimulate).clear();
+    return;
+  }
+  bool stored = false;
+  digest_slot(Stage::kSimulate) =
+      persist(store, stage_key_material(Stage::kSimulate, {}), *sim_, &stored);
+  // The merged artifact supersedes its chunks: erase them so long-lived
+  // stores do not carry both representations — but only once it is on
+  // disk, or a failed write would throw away the mid-Simulate resume
+  // state.  The gc pins fall either way: this run no longer needs them.
+  for (const std::string& key : scratch.sim_chunk_keys) {
+    store->unpin(key);
+    if (stored) store->erase(key);
+  }
 }
 
 Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
@@ -759,6 +782,7 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
 
   std::optional<NodeId> n_sim_probe;
   std::optional<NodeId> n_sim;
+  std::optional<NodeId> n_sim_persist;
   if (need_sim) {
     // Probe first (cheap): a full-artifact hit short-circuits the chunk
     // fan-out and lets the Observe sub-nodes discover a whole-Observations
@@ -780,19 +804,30 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
         },
         deps_of({n_synth}));
     n_sim = graph.add(
-        [this, scratch, graph_ptr, need_observe] {
+        [this, scratch, graph_ptr] {
           if (sim_) return;  // probe hit
-          simulate_in_chunks(*graph_ptr);
-          // The recomputed digest matches what a previous run persisted,
-          // so the whole Observations artifact may still be on disk even
-          // though the sim entry was lost (gc, corruption).  Probing here
-          // lets the path nodes (edge-ordered after this one) and the
-          // finish node reuse it; IRR nodes racing ahead merely did work
-          // the finish node discards.
-          if (need_observe) probe_observe(*scratch);
+          simulate_in_chunks(*graph_ptr, *scratch);
         },
         deps_of({n_sim_probe}));
-    handles.sim_done = n_sim;
+    // Encode, digest and store the merged artifact beside the path nodes,
+    // which need only the tables.  The node is added before them, so at
+    // threads = 1 it runs first and its Observe probe lets them skip.
+    n_sim_persist = graph.add(
+        [this, scratch, need_observe] {
+          if (!scratch->sim_computed) return;
+          traced("simulate.persist", [&] {
+            persist_sim(*scratch);
+            // The recomputed digest matches what a previous run
+            // persisted, so the whole Observations artifact may still be
+            // on disk even though the sim entry was lost (gc,
+            // corruption).  The finish node (edge-ordered after this
+            // one) reuses it; Observe nodes racing ahead merely did work
+            // it discards.
+            if (need_observe) probe_observe(*scratch);
+          });
+        },
+        {*n_sim});
+    handles.sim_done = n_sim_persist;
   } else if (need_observe && options_.store != nullptr) {
     // Simulate (and its digest) already materialized before this graph:
     // the Observations store entry is probeable right now.
@@ -833,8 +868,7 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
         [this, scratch] {
           traced("observe.path_index", [&] {
             if (scratch->observe_hit.load(std::memory_order_acquire)) return;
-            scratch->obs.paths.add_tables(inference_table_sources(sim_->sim),
-                                          1, nullptr);
+            scratch->obs.paths.add_tables(inference_table_sources(sim_->sim));
           });
         },
         deps_of({n_sim}));
@@ -855,7 +889,7 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
                         *observations_);
           });
         },
-        {n_irr_parse, n_ingest, n_index});
+        deps_of({n_irr_parse, n_ingest, n_index, n_sim_persist}));
   }
   return handles;
 }

@@ -283,8 +283,8 @@ class Experiment {
 
   /// Handles into a task graph the upstream stages were appended to:
   /// `sim_done` / `observe_done` are the nodes after which sim() /
-  /// observations() are materialized (empty when the artifact already
-  /// existed, so nothing was appended for it).
+  /// observations() and their stage digests are materialized (empty when
+  /// the artifact already existed, so nothing was appended for it).
   struct UpstreamNodes {
     std::optional<util::TaskGraph::NodeId> sim_done;
     std::optional<util::TaskGraph::NodeId> observe_done;
@@ -294,9 +294,11 @@ class Experiment {
   /// (Synthesize/Simulate/Observe, clamped by `until`) to `graph` as task
   /// nodes with sub-stage granularity: Simulate fans out into per-
   /// prefix-shard chunk tasks (individually persisted when a store is
-  /// attached — the mid-Simulate resume unit), and Observe splits into
-  /// IRR-generation → IRR-parsing and path-ingest / path-index nodes that
-  /// overlap with each other and with late Simulate chunks.  Stage
+  /// attached — the mid-Simulate resume unit), each merged in range order
+  /// as soon as it and every earlier chunk are done, and a persist node
+  /// stores the merged artifact.  Observe splits into IRR-generation →
+  /// IRR-parsing and path-ingest / path-index nodes that overlap with each
+  /// other, with late Simulate chunks and with the Simulate persist.  Stage
   /// internals run sequentially inside their nodes (the graph is the
   /// parallelism), which never changes artifact bytes.  The orchestration
   /// hook `core::sweep` uses to interleave many experiments' graphs on one
@@ -371,8 +373,12 @@ class Experiment {
   /// corruption stays a miss); requires upstream digests to be known.
   void probe_observe(UpstreamScratch& scratch);
   /// The Simulate task-graph body: probe/compute/persist chunk tasks
-  /// nested-submitted into `graph`, merged in range order.
-  void simulate_in_chunks(util::TaskGraph& graph);
+  /// nested-submitted into `graph`, each merged in range order as soon as
+  /// it and every earlier chunk are done.
+  void simulate_in_chunks(util::TaskGraph& graph, UpstreamScratch& scratch);
+  /// The simulate.persist node body: stores the merged SimArtifact, then
+  /// drops its chunks' pins and (once it is stored) their entries.
+  void persist_sim(UpstreamScratch& scratch);
   /// Wraps a node body with StageTrace recording when enabled.
   template <typename Fn>
   void traced(const char* name, Fn&& fn);

@@ -1,7 +1,5 @@
 #include "core/path_index.h"
 
-#include "util/parallel.h"
-
 namespace bgpolicy::core {
 
 namespace {
@@ -11,15 +9,15 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-std::uint64_t hash_path(std::span<const util::AsNumber> path) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto as : path) h = mix(h, as.value());
-  return h;
-}
-
+/// The (prefix, path) dedup key of the path `front` (when set) followed by
+/// `hops`.
 std::uint64_t entry_key(const bgp::Prefix& prefix,
-                        std::span<const util::AsNumber> path) {
-  return mix(mix(hash_path(path), prefix.network()), prefix.length());
+                        std::optional<util::AsNumber> front,
+                        std::span<const util::AsNumber> hops) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  if (front) h = mix(h, front->value());
+  for (const auto as : hops) h = mix(h, as.value());
+  return mix(mix(h, prefix.network()), prefix.length());
 }
 
 std::uint64_t pack_pair(util::AsNumber a, util::AsNumber b) {
@@ -28,73 +26,60 @@ std::uint64_t pack_pair(util::AsNumber a, util::AsNumber b) {
 
 }  // namespace
 
-void PathIndex::install(Extracted&& entry) {
-  if (entry.path.empty()) return;
-  if (!seen_.insert(entry.key).second) return;
-
-  const std::size_t id = paths_.size();
-  by_origin_[entry.path.back()].push_back(id);
-  by_prefix_[entry.prefix].push_back(id);
-  for (std::size_t i = 0; i + 1 < entry.path.size(); ++i) {
-    adjacency_.insert(pack_pair(entry.path[i], entry.path[i + 1]));
+bool PathIndex::KeySet::insert(std::uint64_t key) {
+  if (key == util::FlatMap64::kEmptyKey) {
+    const bool inserted = !has_empty_key_;
+    has_empty_key_ = true;
+    return inserted;
   }
-  entry_prefix_.push_back(entry.prefix);
-  paths_.push_back(std::move(entry.path));
+  return map_.try_insert(key, 0).second;
+}
+
+bool PathIndex::KeySet::contains(std::uint64_t key) const {
+  if (key == util::FlatMap64::kEmptyKey) return has_empty_key_;
+  return map_.find(key) != nullptr;
+}
+
+void PathIndex::install(const bgp::Prefix& prefix,
+                        std::optional<util::AsNumber> front,
+                        std::span<const util::AsNumber> hops) {
+  if (!front && hops.empty()) return;
+  if (!seen_.insert(entry_key(prefix, front, hops))) return;
+
+  const std::size_t id = prefixes_.size();
+  const std::size_t begin = hops_.size();
+  if (front) hops_.push_back(*front);
+  hops_.insert(hops_.end(), hops.begin(), hops.end());
+  offsets_.push_back(hops_.size());
+  prefixes_.push_back(prefix);
+
+  by_origin_[hops_.back()].push_back(id);
+  by_prefix_[prefix].push_back(id);
+  for (std::size_t i = begin; i + 1 < hops_.size(); ++i) {
+    adjacency_.insert(pack_pair(hops_[i], hops_[i + 1]));
+  }
 }
 
 void PathIndex::add_path(const bgp::Prefix& prefix,
                          std::span<const util::AsNumber> path) {
-  if (path.empty()) return;
-  install({prefix,
-           std::vector<util::AsNumber>(path.begin(), path.end()),
-           entry_key(prefix, path)});
+  install(prefix, std::nullopt, path);
 }
 
 void PathIndex::add_table(const bgp::BgpTable& table) {
-  table.for_each([&](const bgp::Prefix& prefix,
-                     std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) {
-      add_path(prefix, route.path.hops());
-    }
-  });
+  const TableSource source{&table, std::nullopt};
+  add_tables(std::span<const TableSource>(&source, 1));
 }
 
-void PathIndex::add_tables(std::span<const TableSource> tables,
-                           std::size_t threads,
-                           const util::Executor* executor) {
-  // Per-table extraction (prepend + hash + local dedup) is the heavy part
-  // and shards cleanly; the merge replays each table's surviving entries in
-  // table order through the global dedup, so the result matches the
-  // sequential per-table ingest exactly.
-  std::unique_ptr<util::Executor> owned;
-  const util::Executor& exec =
-      util::executor_or(executor, threads, tables.size(), owned);
-  util::shard_and_merge(
-      exec, tables.size(),
-      [&](std::size_t t) {
-        const TableSource& source = tables[t];
-        std::vector<Extracted> out;
-        std::unordered_set<std::uint64_t> local_seen;
-        if (source.table == nullptr) return out;
-        source.table->for_each([&](const bgp::Prefix& prefix,
-                                   std::span<const bgp::Route> routes) {
-          for (const bgp::Route& route : routes) {
-            const auto hops = route.path.hops();
-            if (hops.empty() && !source.prepend) continue;
-            std::vector<util::AsNumber> path;
-            path.reserve(hops.size() + (source.prepend ? 1 : 0));
-            if (source.prepend) path.push_back(*source.prepend);
-            path.insert(path.end(), hops.begin(), hops.end());
-            const std::uint64_t key = entry_key(prefix, path);
-            if (!local_seen.insert(key).second) continue;
-            out.push_back({prefix, std::move(path), key});
-          }
-        });
-        return out;
-      },
-      [&](std::size_t, std::vector<Extracted>& extracted) {
-        for (Extracted& entry : extracted) install(std::move(entry));
-      });
+void PathIndex::add_tables(std::span<const TableSource> tables) {
+  for (const TableSource& source : tables) {
+    if (source.table == nullptr) continue;
+    source.table->for_each([&](const bgp::Prefix& prefix,
+                               std::span<const bgp::Route> routes) {
+      for (const bgp::Route& route : routes) {
+        install(prefix, source.prepend, route.path.hops());
+      }
+    });
+  }
 }
 
 std::vector<std::span<const util::AsNumber>> PathIndex::paths_from_origin(
@@ -103,7 +88,7 @@ std::vector<std::span<const util::AsNumber>> PathIndex::paths_from_origin(
   const auto it = by_origin_.find(origin);
   if (it == by_origin_.end()) return out;
   out.reserve(it->second.size());
-  for (const std::size_t id : it->second) out.emplace_back(paths_[id]);
+  for (const std::size_t id : it->second) out.push_back(path_at(id));
   return out;
 }
 
@@ -113,7 +98,7 @@ std::vector<std::span<const util::AsNumber>> PathIndex::paths_for_prefix(
   const auto it = by_prefix_.find(prefix);
   if (it == by_prefix_.end()) return out;
   out.reserve(it->second.size());
-  for (const std::size_t id : it->second) out.emplace_back(paths_[id]);
+  for (const std::size_t id : it->second) out.push_back(path_at(id));
   return out;
 }
 

@@ -9,16 +9,6 @@ namespace bgpolicy::sim {
 
 namespace {
 
-/// splitmix64 finalizer: full-avalanche mixing for the open-addressed maps.
-[[nodiscard]] std::uint64_t mix64(std::uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
-
 /// FNV-1a over a community set's raw values — the content hash the
 /// CommunityTable dedup chains key on (collisions are resolved by a full
 /// compare, never by trusting the hash).
@@ -30,59 +20,11 @@ namespace {
   }
   // Sets are never empty here (id 0 short-circuits), but keep the hash off
   // the map's empty-key sentinel for any input.
-  h = mix64(h ^ set.size());
-  return h == FlatMap64::kEmptyKey ? 0 : h;
+  h = util::mix64(h ^ set.size());
+  return h == util::FlatMap64::kEmptyKey ? 0 : h;
 }
 
 }  // namespace
-
-// ----------------------------------------------------------------- FlatMap64
-
-void FlatMap64::clear() {
-  std::fill(keys_.begin(), keys_.end(), kEmptyKey);
-  size_ = 0;
-}
-
-std::size_t FlatMap64::slot_of(std::uint64_t key) const {
-  const std::size_t mask = keys_.size() - 1;
-  std::size_t slot = mix64(key) & mask;
-  while (keys_[slot] != kEmptyKey && keys_[slot] != key) {
-    slot = (slot + 1) & mask;
-  }
-  return slot;
-}
-
-std::uint32_t* FlatMap64::find(std::uint64_t key) {
-  if (keys_.empty()) return nullptr;
-  const std::size_t slot = slot_of(key);
-  return keys_[slot] == key ? &values_[slot] : nullptr;
-}
-
-const std::uint32_t* FlatMap64::find(std::uint64_t key) const {
-  return const_cast<FlatMap64*>(this)->find(key);
-}
-
-void FlatMap64::insert(std::uint64_t key, std::uint32_t value) {
-  if (keys_.empty() || (size_ + 1) * 4 > keys_.size() * 3) grow();
-  const std::size_t slot = slot_of(key);
-  keys_[slot] = key;
-  values_[slot] = value;
-  ++size_;
-}
-
-void FlatMap64::grow() {
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<std::uint32_t> old_values = std::move(values_);
-  const std::size_t capacity = old_keys.empty() ? 64 : old_keys.size() * 2;
-  keys_.assign(capacity, kEmptyKey);
-  values_.assign(capacity, 0);
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] == kEmptyKey) continue;
-    const std::size_t slot = slot_of(old_keys[i]);
-    keys_[slot] = old_keys[i];
-    values_[slot] = old_values[i];
-  }
-}
 
 // ----------------------------------------------------------------- PathTable
 

@@ -59,35 +59,9 @@
 #include "sim/propagation.h"
 #include "topology/graph_view.h"
 #include "util/arena.h"
+#include "util/flat_map.h"
 
 namespace bgpolicy::sim {
-
-/// Open-addressed u64 -> u32 hash map (linear probing, power-of-two
-/// capacity) for the interning tables: one cache line per probe instead of
-/// the node allocations of `unordered_map`.  Keys must never equal
-/// kEmptyKey; `clear()` keeps capacity.
-class FlatMap64 {
- public:
-  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-
-  void clear();
-  [[nodiscard]] std::uint32_t* find(std::uint64_t key);
-  [[nodiscard]] const std::uint32_t* find(std::uint64_t key) const;
-  /// `key` must be absent.
-  void insert(std::uint64_t key, std::uint32_t value);
-  [[nodiscard]] std::size_t bytes() const {
-    return keys_.capacity() * sizeof(std::uint64_t) +
-           values_.capacity() * sizeof(std::uint32_t);
-  }
-
- private:
-  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const;
-  void grow();
-
-  std::vector<std::uint64_t> keys_;
-  std::vector<std::uint32_t> values_;
-  std::size_t size_ = 0;
-};
 
 /// Hash-consed AS paths with parent-pointer prepend.  Id 0 is the empty
 /// path; every other id names an interned (front AS, parent) node.  Only
@@ -138,7 +112,7 @@ class PathTable {
   std::vector<std::uint32_t> parent_;
   std::vector<std::uint32_t> length_;
   std::vector<std::uint32_t> origin_;
-  FlatMap64 intern_;  // (parent << 32 | front) -> id, exact key
+  util::FlatMap64 intern_;  // (parent << 32 | front) -> id, exact key
 };
 
 /// Community sets interned by content with Route::add_community semantics
@@ -185,8 +159,8 @@ class CommunityTable {
   std::vector<const bgp::Community*> data_;  // per set id; slot 0 empty
   std::vector<std::uint32_t> size_;
   std::vector<std::uint32_t> next_same_hash_;  // content-hash chain
-  FlatMap64 memo_;        // (set << 32 | community raw) -> result id
-  FlatMap64 by_content_;  // content hash -> chain head (compared on walk)
+  util::FlatMap64 memo_;        // (set << 32 | community raw) -> result id
+  util::FlatMap64 by_content_;  // content hash -> chain head (compared on walk)
   std::vector<bgp::Community> scratch_;
 };
 

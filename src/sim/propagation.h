@@ -70,9 +70,9 @@ struct PropagationOptions {
   /// sequential; output is byte-identical for every value (see the
   /// "Concurrency model" section above).  core::Experiment threads the
   /// same knob into every stage it runs (asrel::GaoParams::threads for
-  /// relationship voting, core::PathIndex::add_tables for path indexing,
-  /// core::run_analysis_suite for the per-table analyses).  All stages
-  /// share one determinism contract (docs/ARCHITECTURE.md).
+  /// relationship voting, core::run_analysis_suite for the per-table
+  /// analyses; path indexing is one sequential pass).  All stages share
+  /// one determinism contract (docs/ARCHITECTURE.md).
   std::size_t threads = 1;
 
   friend bool operator==(const PropagationOptions&, const PropagationOptions&) =

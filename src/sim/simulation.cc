@@ -51,18 +51,16 @@ SimResult init_sim_result(const VantageSpec& spec) {
 
 namespace {
 
-/// Replays every route of `from` into `to` in first-insertion prefix order
+/// Moves every route of `from` into `to` in first-insertion prefix order
 /// (routes in stored order within a prefix) — the add-sequence of the
 /// sequential program restricted to the chunk's originations.
-void replay_table(bgp::BgpTable& to, const bgp::BgpTable& from) {
-  from.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) to.add(route);
-  });
+void replay_table(bgp::BgpTable& to, bgp::BgpTable& from) {
+  from.drain([&](bgp::Route&& route) { to.add(std::move(route)); });
 }
 
 }  // namespace
 
-void merge_sim_chunk(SimResult& into, const SimResult& chunk) {
+void merge_sim_chunk(SimResult& into, SimResult&& chunk) {
   replay_table(into.collector, chunk.collector);
   for (auto& [as, table] : into.looking_glass) {
     const auto it = chunk.looking_glass.find(as);

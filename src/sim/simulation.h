@@ -73,7 +73,7 @@ void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
 /// partial and merged results agree byte-for-byte on table identity.
 [[nodiscard]] SimResult init_sim_result(const VantageSpec& spec);
 
-/// Appends a chunk's recordings onto `into` — a chunk being run_simulation
+/// Moves a chunk's recordings onto `into` — a chunk being run_simulation
 /// over one contiguous slice of the origination list, the Simulate unit
 /// the staged task graph schedules and the artifact store persists
 /// individually (core/experiment.h).  Replaying chunks in range
@@ -82,7 +82,7 @@ void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
 /// and per-(prefix, neighbor) implicit-withdraw semantics are preserved by
 /// replaying through BgpTable::add — so first-insertion prefix order,
 /// per-prefix route order, and all counters match the unchunked program at
-/// any chunk size.
-void merge_sim_chunk(SimResult& into, const SimResult& chunk);
+/// any chunk size.  The chunk's tables are left empty.
+void merge_sim_chunk(SimResult& into, SimResult&& chunk);
 
 }  // namespace bgpolicy::sim

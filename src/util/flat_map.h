@@ -1,0 +1,92 @@
+// An open-addressed u64 -> u32 hash map for hot interning and dedup
+// tables: one cache line per probe instead of the node allocations of
+// `unordered_map`.  The flat propagation core interns AS paths and
+// community sets in it (sim/flat_engine.h), and core::PathIndex keeps its
+// (prefix, path) dedup and adjacency sets in it.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+namespace bgpolicy::util {
+
+/// splitmix64 finalizer: full-avalanche mixing of one 64-bit word.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ULL;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebULL;
+  x ^= x >> 31;
+  return x;
+}
+
+/// Linear probing over a power-of-two capacity, grown at 3/4 load.  Keys
+/// must never equal kEmptyKey (the empty-slot marker); callers whose keys
+/// can take that value track it beside the map.  `clear()` keeps capacity.
+/// The probes are defined here so the fixpoint's interning inlines them.
+class FlatMap64 {
+ public:
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
+  void clear();
+
+  [[nodiscard]] std::uint32_t* find(std::uint64_t key) {
+    if (keys_.empty()) return nullptr;
+    const std::size_t slot = slot_of(key);
+    return keys_[slot] == key ? &values_[slot] : nullptr;
+  }
+  [[nodiscard]] const std::uint32_t* find(std::uint64_t key) const {
+    return const_cast<FlatMap64*>(this)->find(key);
+  }
+
+  /// `key` must be absent.
+  void insert(std::uint64_t key, std::uint32_t value) {
+    reserve_one();
+    const std::size_t slot = slot_of(key);
+    keys_[slot] = key;
+    values_[slot] = value;
+    ++size_;
+  }
+
+  /// Inserts `key` -> `value` unless `key` is present, in one probe;
+  /// returns the mapped value and whether it was inserted.
+  std::pair<std::uint32_t*, bool> try_insert(std::uint64_t key,
+                                             std::uint32_t value) {
+    reserve_one();
+    const std::size_t slot = slot_of(key);
+    if (keys_[slot] == key) return {&values_[slot], false};
+    keys_[slot] = key;
+    values_[slot] = value;
+    ++size_;
+    return {&values_[slot], true};
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t bytes() const {
+    return keys_.capacity() * sizeof(std::uint64_t) +
+           values_.capacity() * sizeof(std::uint32_t);
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t slot = mix64(key) & mask;
+    while (keys_[slot] != kEmptyKey && keys_[slot] != key) {
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+  /// Grows when one more key would pass the load bound.
+  void reserve_one() {
+    if (keys_.empty() || (size_ + 1) * 4 > keys_.size() * 3) grow();
+  }
+  void grow();
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> values_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace bgpolicy::util

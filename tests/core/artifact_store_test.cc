@@ -13,7 +13,11 @@
 // never touching pins (in-progress chunk protection) or fresh files.
 #include "core/artifact_store.h"
 
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -331,6 +335,89 @@ TEST(SimChunkResume, KilledMidSimulateRecomputesOnlyMissingChunks) {
   EXPECT_EQ(third.loads().simulate, 1u);
   EXPECT_EQ(third.counters().simulate, 0u);
   EXPECT_EQ(third.sim_chunks().total, 0u);
+}
+
+/// Caps the size of any file this process writes (RLIMIT_FSIZE), with
+/// SIGXFSZ ignored so an oversized write fails with EFBIG instead of
+/// killing the process; restores both on destruction.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(rlim_t bytes) {
+    EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &saved_), 0);
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit = saved_;
+    limit.rlim_cur = std::min(bytes, saved_.rlim_max);
+    EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &limit), 0);
+  }
+  ~ScopedFileSizeLimit() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  ScopedFileSizeLimit(const ScopedFileSizeLimit&) = delete;
+  ScopedFileSizeLimit& operator=(const ScopedFileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+};
+
+TEST(SimChunkResume, FailedMergedWriteKeepsTheChunks) {
+  // Only the merged SimArtifact's write fails (disk full, EFBIG): the run
+  // must keep its chunk entries, the mid-Simulate resume state, and drop
+  // their pins.  The file-size cap sits between the largest chunk entry
+  // and the merged artifact (about 29 KB and 830 KB for small(33)).
+  const Scenario scenario = Scenario::small(33);
+  RunOptions options;
+  options.threads = 1;
+  Experiment reference(scenario, options);
+  const GroundTruth& truth = reference.truth();
+  const std::size_t n = truth.originations.size();
+  const std::vector<util::IndexRange> ranges =
+      sim_chunk_ranges(n, options.sim_chunk_prefixes);
+  const sim::VantageSpec vantage = derive_vantage(scenario, truth.topo);
+  const util::Executor sequential;
+  std::size_t largest_chunk = 0;
+  for (const util::IndexRange range : ranges) {
+    SimChunk chunk;
+    chunk.begin = range.begin;
+    chunk.end = range.end;
+    chunk.total = n;
+    chunk.partial = sim::run_simulation(
+        truth.topo.graph, truth.gen.policies,
+        std::span(truth.originations).subspan(range.begin, range.size()),
+        vantage, scenario.propagation, &sequential);
+    largest_chunk = std::max(largest_chunk, io::encode(chunk).size());
+  }
+  const std::size_t merged = io::encode(reference.sim()).size();
+  ASSERT_LT(largest_chunk, merged / 2);
+
+  ScopedStore store;
+  options.store = store.get();
+  std::string truth_digest;
+  {
+    const ScopedFileSizeLimit cap((largest_chunk + merged) / 2);
+    Experiment failed(scenario, options);
+    failed.run(Stage::kSimulate);
+    EXPECT_EQ(failed.sim_chunks().computed, ranges.size());
+    EXPECT_EQ(io::encode(failed.sim()), io::encode(reference.sim()));
+    truth_digest = failed.stage_digest(Stage::kSynthesize);
+  }
+  const std::string scenario_key = scenario_cache_key(scenario);
+  for (const util::IndexRange range : ranges) {
+    const std::string key =
+        sim_chunk_store_key(scenario_key, truth_digest, range, n);
+    EXPECT_TRUE(store->contains(key));
+    EXPECT_FALSE(store->pinned(key));
+  }
+
+  // The next run finds no merged artifact and loads every chunk.
+  Experiment resumed(scenario, options);
+  resumed.run(Stage::kSimulate);
+  EXPECT_EQ(resumed.loads().simulate, 0u);
+  EXPECT_EQ(resumed.sim_chunks().total, ranges.size());
+  EXPECT_EQ(resumed.sim_chunks().loaded, ranges.size());
+  EXPECT_EQ(resumed.sim_chunks().computed, 0u);
+  EXPECT_EQ(io::encode(resumed.sim()), io::encode(reference.sim()));
 }
 
 TEST(ArtifactStoreGc, EvictsLeastRecentlyAccessedFirst) {

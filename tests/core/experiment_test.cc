@@ -210,7 +210,11 @@ TEST(Sweep, ReusesUpstreamArtifactsPerDistinctScenario) {
 TEST(Experiment, ChunkSizeAndThreadsNeverChangeArtifacts) {
   // Every execution shape of the task graph — any thread count, any chunk
   // size, with or without a store — must reproduce the stage functions'
-  // bytes.
+  // bytes.  The threads = 3 store shapes run simulate.persist beside the
+  // path nodes and stream the merge with a store.  small(17) lists 565
+  // originations over 559 prefixes, so at chunk = 1 six originations
+  // repeat a prefix an earlier chunk recorded and send implicit withdraws
+  // across chunks through the merge.
   const StageReference reference = run_stage_functions(Scenario::small(17));
   const std::string reference_sim = encoded(reference.sim);
   const std::string reference_obs = encoded(reference.observations);
@@ -222,7 +226,8 @@ TEST(Experiment, ChunkSizeAndThreadsNeverChangeArtifacts) {
   };
   for (const Shape shape :
        {Shape{3, 0, false}, Shape{3, 1, false}, Shape{3, 5, false},
-        Shape{3, 100000, false}, Shape{1, 0, false}, Shape{1, 0, true}}) {
+        Shape{3, 100000, false}, Shape{1, 0, false}, Shape{1, 0, true},
+        Shape{3, 0, true}, Shape{3, 1, true}}) {
     testing::ScopedStore store;
     RunOptions options;
     options.threads = shape.threads;

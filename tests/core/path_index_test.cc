@@ -1,5 +1,9 @@
 #include "core/path_index.h"
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
@@ -78,6 +82,69 @@ TEST(PathIndex, SelfOriginatedRoutesSkipped) {
   PathIndex index;
   index.add_table(table);
   EXPECT_EQ(index.path_count(), 0u);
+}
+
+TEST(PathIndex, AdjacencyThroughTheLargestAsNumber) {
+  // A path prepended through AS 4294967295: its self-adjacency key
+  // (a << 32) | b is all ones, the flat set's empty-slot marker.
+  const AsNumber max_as(4294967295u);
+  bgp::BgpTable table{AsNumber(99)};
+  table.add(make_route(kP1, {max_as, max_as, AsNumber(7)}));
+  PathIndex index;
+  index.add_table(table);
+  EXPECT_TRUE(index.has_adjacency(max_as, max_as));
+  EXPECT_TRUE(index.has_adjacency(max_as, AsNumber(7)));
+  EXPECT_FALSE(index.has_adjacency(AsNumber(7), max_as));
+  EXPECT_FALSE(index.has_adjacency(AsNumber(7), AsNumber(7)));
+  EXPECT_EQ(index.adjacency_count(), 2u);
+
+  // Seen again through a prepended source: one more adjacency, not two.
+  const PathIndex::TableSource source{&table, max_as};
+  index.add_tables(std::span(&source, 1));
+  EXPECT_EQ(index.path_count(), 2u);
+  EXPECT_EQ(index.adjacency_count(), 2u);
+  EXPECT_TRUE(index.has_adjacency(max_as, max_as));
+}
+
+TEST(PathIndex, AddTablesMatchesAddPathWithThePrependedAs) {
+  bgp::BgpTable collector = make_table();
+  bgp::BgpTable lg{AsNumber(4)};
+  lg.add(make_route(kP1, {AsNumber(3)}));
+  lg.add(make_route(kP2, {AsNumber(1), AsNumber(2), AsNumber(5)}));
+  bgp::Route self;  // self-originated: indexed as the vantage alone
+  self.prefix = Prefix::parse("10.0.2.0/24");
+  self.learned_from = AsNumber(4);
+  lg.add(self);
+  const std::vector<PathIndex::TableSource> sources = {
+      {&collector, std::nullopt}, {&lg, AsNumber(4)}, {&collector, AsNumber(4)}};
+  PathIndex built;
+  built.add_tables(sources);
+
+  PathIndex expected;
+  expected.add_table(collector);
+  for (const PathIndex::TableSource& source : {sources[1], sources[2]}) {
+    source.table->for_each([&](const Prefix& prefix,
+                               std::span<const bgp::Route> routes) {
+      for (const bgp::Route& route : routes) {
+        std::vector<AsNumber> path = {*source.prepend};
+        const auto hops = route.path.hops();
+        path.insert(path.end(), hops.begin(), hops.end());
+        expected.add_path(prefix, path);
+      }
+    });
+  }
+
+  ASSERT_EQ(built.path_count(), expected.path_count());
+  for (std::size_t i = 0; i < built.path_count(); ++i) {
+    EXPECT_EQ(built.prefix_at(i), expected.prefix_at(i)) << "entry " << i;
+    EXPECT_TRUE(std::ranges::equal(built.path_at(i), expected.path_at(i)))
+        << "entry " << i;
+  }
+  EXPECT_EQ(built.adjacency_count(), expected.adjacency_count());
+  // The collector's paths under the prepended vantage are new observations
+  // for kP1/kP2, and `4 3` appears twice but is indexed once.
+  EXPECT_EQ(built.paths_for_prefix(kP1).size(), 4u);
+  EXPECT_EQ(built.paths_from_origin(AsNumber(4)).size(), 1u);
 }
 
 }  // namespace

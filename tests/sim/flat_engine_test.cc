@@ -17,22 +17,6 @@ namespace {
 
 using namespace bgpolicy::testing;
 
-TEST(FlatMap64, InsertFindGrowClear) {
-  FlatMap64 map;
-  EXPECT_EQ(map.find(7), nullptr);
-  for (std::uint64_t k = 0; k < 500; ++k) map.insert(k * 3 + 1, k);
-  for (std::uint64_t k = 0; k < 500; ++k) {
-    const std::uint32_t* hit = map.find(k * 3 + 1);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(*hit, k);
-  }
-  EXPECT_EQ(map.find(2), nullptr);
-  map.clear();
-  EXPECT_EQ(map.find(1), nullptr);
-  map.insert(1, 42);  // reusable after clear
-  ASSERT_NE(map.find(1), nullptr);
-}
-
 TEST(PathTable, PrependInternsByValue) {
   PathTable paths;
   const auto p1 = paths.prepend(PathTable::kEmptyPath, AsNumber(10));

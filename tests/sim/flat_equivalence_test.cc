@@ -210,11 +210,12 @@ void expect_digest_matches_seed(const topo::AsGraph& graph,
   }
 }
 
-/// The full internet2002 Simulate artifact, pinned byte for byte: a change
-/// anywhere in the fixpoint, the recorder or the codec that moves one
-/// recorded row moves this digest.  The same value holds at every thread
-/// count (the determinism contract); threads = 0 runs the production
-/// shape.
+/// The full internet2002 Simulate and Observe artifacts, pinned byte for
+/// byte: a change anywhere in the fixpoint, the recorder, the chunk merge
+/// or the codec that moves one recorded row moves the Simulate digest, and
+/// one that moves a path-index id (PathIndex insertion order) moves the
+/// Observe digest.  The same values hold at every thread count (the
+/// determinism contract); threads = 0 runs the production shape.
 TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   if (sanitizer_build()) {
     GTEST_SKIP() << "full internet2002 Simulate is too slow under sanitizers";
@@ -222,8 +223,11 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   core::Scenario scenario = core::Scenario::internet2002();
   scenario.propagation.threads = 0;
   core::Experiment experiment(scenario);
+  experiment.run(core::Stage::kObserve);
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.sim())),
             "8eafed68cd4c6a57205c39475f5c62f4");
+  EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.observations())),
+            "6ce12f69101caa1e9bd00c339980a1ef");
 }
 
 TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {
