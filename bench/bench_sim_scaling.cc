@@ -14,6 +14,12 @@
 // flat row's counters and artifact digest are asserted against the
 // reference run's.
 //
+// Also times the fixpoint on its own — one threads = 1 pass of
+// `sim::converge_cold` over every origination in one scratch, nothing
+// recorded — as `fixpoint_seconds` and `fixpoint_ns_per_event`, the
+// per-event cost of the kernel every other row pays.  Its event total must
+// equal the threads = 1 row's process events.
+//
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
 //   --json    emit a single JSON object on stdout (for scripts/bench.sh)
@@ -29,6 +35,7 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "io/artifact_codec.h"
+#include "sim/flat_engine.h"
 #include "sim/simulation.h"
 #include "util/text_table.h"
 
@@ -89,6 +96,29 @@ sim::SimResult reference_simulation(const World& w) {
   return result;
 }
 
+struct FixpointPass {
+  double seconds = 0.0;
+  std::size_t events = 0;
+};
+
+/// The fixpoint alone: cold converges of every origination in one
+/// scratch on the calling thread, reading nothing out of the state.
+FixpointPass fixpoint_pass(const World& w) {
+  const sim::FlatSimContext context(w.truth.topo.graph, w.truth.gen.policies);
+  sim::FlatScratch scratch;
+  FixpointPass pass;
+  const auto start = std::chrono::steady_clock::now();
+  for (const auto& origination : w.truth.originations) {
+    pass.events += sim::converge_cold(context, origination, nullptr,
+                                      w.options, scratch, scratch.state())
+                       .events;
+  }
+  pass.seconds = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count();
+  return pass;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -130,6 +160,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  const FixpointPass fixpoint = fixpoint_pass(w);
+  const double fixpoint_ns_per_event =
+      fixpoint.seconds * 1e9 / static_cast<double>(fixpoint.events);
+  if (fixpoint.events != rows.front().process_events) counters_match = false;
+
   // The before/after point: the seed engine over the same originations,
   // verified to agree with every flat row on the convergence counters and
   // the artifact digest.
@@ -154,6 +189,8 @@ int main(int argc, char** argv) {
               << "\",\"hardware_concurrency\":" << hw
               << ",\"originations\":" << w.truth.originations.size()
               << ",\"counters_match\":" << (counters_match ? "true" : "false")
+              << ",\"fixpoint_seconds\":" << fixpoint.seconds
+              << ",\"fixpoint_ns_per_event\":" << fixpoint_ns_per_event
               << ",\"reference_seconds\":" << reference_seconds
               << ",\"flat_speedup\":" << flat_speedup
               << ",\"reference_match\":" << (reference_match ? "true" : "false")
@@ -181,12 +218,21 @@ int main(int argc, char** argv) {
                    std::to_string(r.process_events),
                    std::to_string(r.unconverged)});
   }
+  util::TextTable kernel({"fixpoint seconds", "ns per event",
+                          "process events"});
+  kernel.add_row({util::fmt(fixpoint.seconds, 3),
+                  util::fmt(fixpoint_ns_per_event, 1),
+                  std::to_string(fixpoint.events)});
   std::cout << table.render("run_simulation wall clock by thread count")
+            << "\n"
+            << kernel.render("fixpoint alone: converge_cold, threads=1, "
+                             "nothing recorded")
             << "\n"
             << (counters_match
                     ? "counters and artifact digests identical across all "
-                      "thread counts\n"
-                    : "COUNTER OR DIGEST MISMATCH ACROSS THREAD COUNTS\n")
+                      "thread counts; fixpoint pass events match\n"
+                    : "COUNTER OR DIGEST MISMATCH ACROSS THREAD COUNTS OR "
+                      "THE FIXPOINT PASS\n")
             << "seed per-event engine (compute_prefix_reference): "
             << util::fmt(reference_seconds, 3) << "s -> flat core "
             << util::fmt(base_seconds, 3) << "s at threads=1 ("

@@ -66,51 +66,4 @@ std::optional<std::size_t> select_best(std::span<const Route> candidates) {
   return best;
 }
 
-Comparison compare_columns(const RouteColumns& c, std::size_t lhs,
-                           std::size_t rhs) {
-  // Step 1: highest local preference.
-  if (c.local_pref[lhs] != c.local_pref[rhs]) {
-    return {c.local_pref[lhs] > c.local_pref[rhs] ? -1 : 1,
-            DecisionStep::kLocalPref};
-  }
-  // Step 2: shortest AS path.
-  if (c.path_length[lhs] != c.path_length[rhs]) {
-    return {c.path_length[lhs] < c.path_length[rhs] ? -1 : 1,
-            DecisionStep::kAsPathLength};
-  }
-  // Step 3: lowest origin type.
-  if (c.origin[lhs] != c.origin[rhs]) {
-    return {c.origin[lhs] < c.origin[rhs] ? -1 : 1, DecisionStep::kOrigin};
-  }
-  // Step 4: lowest MED, only between routes from the same next-hop AS.
-  if (c.next_hop[lhs] != kNoNextHop && c.next_hop[lhs] == c.next_hop[rhs] &&
-      c.med[lhs] != c.med[rhs]) {
-    return {c.med[lhs] < c.med[rhs] ? -1 : 1, DecisionStep::kMed};
-  }
-  // Step 5: prefer eBGP-learned routes.
-  if (c.from_ebgp[lhs] != c.from_ebgp[rhs]) {
-    return {c.from_ebgp[lhs] != 0 ? -1 : 1, DecisionStep::kEbgp};
-  }
-  // Step 6: lowest IGP metric to the egress border router.
-  if (c.igp_metric[lhs] != c.igp_metric[rhs]) {
-    return {c.igp_metric[lhs] < c.igp_metric[rhs] ? -1 : 1,
-            DecisionStep::kIgpMetric};
-  }
-  // Step 7: lowest router ID.
-  if (c.router_id[lhs] != c.router_id[rhs]) {
-    return {c.router_id[lhs] < c.router_id[rhs] ? -1 : 1,
-            DecisionStep::kRouterId};
-  }
-  return {0, DecisionStep::kTie};
-}
-
-std::optional<std::size_t> select_best(const RouteColumns& columns) {
-  if (columns.size() == 0) return std::nullopt;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < columns.size(); ++i) {
-    if (compare_columns(columns, i, best).preference < 0) best = i;
-  }
-  return best;
-}
-
 }  // namespace bgpolicy::bgp

@@ -54,38 +54,4 @@ struct Comparison {
 [[nodiscard]] std::optional<std::size_t> select_best(
     std::span<const Route> candidates);
 
-/// Sentinel for RouteColumns::next_hop: the route has no next-hop AS (a
-/// self-originated route with an empty AS path).
-inline constexpr std::uint32_t kNoNextHop = 0xFFFFFFFFu;
-
-/// A struct-of-arrays candidate set: column `i` of every span describes the
-/// same route.  This is the allocation-free shape the flat propagation
-/// engine (sim/flat_engine.h) hands to the decision process — path length
-/// and next-hop AS are pre-derived from its interned path ids, everything
-/// else maps 1:1 onto the Route fields the 7 steps read.  `origin` holds
-/// raw Origin enum values; `next_hop` holds raw AS numbers or kNoNextHop.
-struct RouteColumns {
-  std::span<const std::uint32_t> local_pref;
-  std::span<const std::uint32_t> path_length;
-  std::span<const std::uint8_t> origin;
-  std::span<const std::uint32_t> next_hop;
-  std::span<const std::uint32_t> med;
-  std::span<const std::uint8_t> from_ebgp;
-  std::span<const std::uint32_t> igp_metric;
-  std::span<const std::uint32_t> router_id;
-
-  [[nodiscard]] std::size_t size() const { return local_pref.size(); }
-};
-
-/// Column-wise pairwise comparison — the exact 7-step process of
-/// compare_routes over SoA candidates (step 4's MED scoping compares only
-/// when both routes have a real, identical next-hop AS).
-[[nodiscard]] Comparison compare_columns(const RouteColumns& columns,
-                                         std::size_t lhs, std::size_t rhs);
-
-/// Tournament over SoA candidates; identical winner to the Route overload
-/// given field-equal candidates (earliest candidate wins exact ties).
-[[nodiscard]] std::optional<std::size_t> select_best(
-    const RouteColumns& columns);
-
 }  // namespace bgpolicy::bgp

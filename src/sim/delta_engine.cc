@@ -57,13 +57,10 @@ bool DeltaEngine::static_order_sensitive(const Origination& origination,
     }
   }
 
-  const auto eff = [](const ImportPolicy& imp, AsNumber n, RelKind rel) {
-    const auto it = imp.neighbor_override.find(n);
-    return it != imp.neighbor_override.end() ? it->second : imp.base_for(rel);
-  };
-
+  // Effective preferences come from the context's compiled arcs: the
+  // pref on X's arc to a neighbor is X's neighbor override or class base,
+  // i.e. ImportPolicy::preference without the prefix pin.
   for (const Id c : scratch.cone_) {
-    const AsNumber c_as = view.as_of(c);
     for (std::uint32_t s = view.arcs_begin(c); s < view.arcs_end(c); ++s) {
       if (static_cast<RelKind>(view.arc_rel(s)) != RelKind::kProvider) {
         continue;
@@ -71,13 +68,13 @@ bool DeltaEngine::static_order_sensitive(const Origination& origination,
       // X is a provider of cone member c: the only place a customer-learned
       // candidate (c's offer) can meet a non-customer rival.
       const Id x = view.arc_to(s);
-      const AsPolicy* pol = context_.policy_if_present(x);
-      if (pol == nullptr) continue;
-      const ImportPolicy& imp = pol->import;
-      const bool pinned = !imp.prefix_override.empty() &&
-                          imp.prefix_override.count(origination.prefix) > 0;
+      const std::uint8_t flags = context_.flags(x);
+      if ((flags & FlatSimContext::kNoPolicy) != 0) continue;
+      const bool pinned =
+          (flags & FlatSimContext::kPrefixPins) != 0 &&
+          context_.prefix_pin(x, origination.prefix).has_value();
       const std::uint32_t cust =
-          pinned ? 0 : eff(imp, c_as, RelKind::kCustomer);
+          pinned ? 0 : context_.arc(context_.reverse(s)).pref;
       for (std::uint32_t t = view.arcs_begin(x); t < view.arcs_end(x); ++t) {
         const RelKind rel = static_cast<RelKind>(view.arc_rel(t));
         if (rel == RelKind::kCustomer) continue;
@@ -86,7 +83,7 @@ bool DeltaEngine::static_order_sensitive(const Origination& origination,
         // holds a customer-learned route itself, i.e. it is in the cone.
         // A provider of X can offer whatever it holds.
         if (rel == RelKind::kPeer && scratch.in_cone_[n] == 0) continue;
-        if (pinned || eff(imp, view.as_of(n), rel) >= cust) return true;
+        if (pinned || context_.arc(t).pref >= cust) return true;
       }
     }
   }
@@ -259,7 +256,7 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   // lands on the same state as the unfiltered cold trajectory.
   const FixpointStats stats =
       run_flat_fixpoint(context_, st.origination_, &st.failed_, options_, s,
-                        scratch.cands_, /*filtered_enqueue=*/true);
+                        /*filtered_enqueue=*/true);
 
   // The replay exercised an atypical preference (or tripped the per-wave
   // cap): the result may be a different stable fixpoint than cold's.

@@ -56,6 +56,12 @@
 //      it flags whenever X has both a cone customer and a possible
 //      non-customer offerer.
 //
+// The oracle reads its preferences where the fixpoint does: the effective
+// preference of step 2 is the compiled `FlatSimContext::Arc::pref` on X's
+// arc to each neighbor (c's through the reverse of c's arc to X), and the
+// pin probe of step 3 runs only for an X flagged `kPrefixPins`.  It keeps
+// no copy of the import rule of its own.
+//
 // If no clause fires, the Gao-Rexford preference condition holds at every
 // AS *for this prefix's reachable candidates* (peer-vs-provider and
 // intra-band ordering are unconstrained by the safety theorem, and route
@@ -187,9 +193,10 @@ class DeltaEngine {
   [[nodiscard]] const FlatSimContext& context() const { return context_; }
   [[nodiscard]] const PropagationOptions& options() const { return options_; }
 
-  /// Re-resolves the policy pointers of `changed` ASes after the owning
-  /// PolicySet mutated in place (FlatSimContext::refresh_policies).  Must
-  /// not run concurrently with any converge/apply on this engine.
+  /// Recompiles the context's tables for `changed` ASes after the owning
+  /// PolicySet mutated in place (FlatSimContext::refresh_policies,
+  /// O(degree of the changed ASes)).  Must not run concurrently with any
+  /// converge/apply on this engine.
   void refresh_policies(std::span<const AsNumber> changed) {
     context_.refresh_policies(changed);
   }

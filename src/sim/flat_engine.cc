@@ -1,8 +1,8 @@
 #include "sim/flat_engine.h"
 
 #include <algorithm>
+#include <stdexcept>
 
-#include "bgp/decision.h"
 #include "util/ensure.h"
 
 namespace bgpolicy::sim {
@@ -22,6 +22,13 @@ namespace {
   // the map's empty-key sentinel for any input.
   h = util::mix64(h ^ set.size());
   return h == util::FlatMap64::kEmptyKey ? 0 : h;
+}
+
+/// NO_EXPORT or an action community ("do not export upward" / "do not
+/// export to AS x"), whichever AS it is addressed to.
+[[nodiscard]] bool is_export_instruction(bgp::Community c) {
+  return c == bgp::kNoExport || (c.value() >= kNoExportToBase &&
+                                 c.value() <= kNoExportUpstreamValue);
 }
 
 }  // namespace
@@ -76,9 +83,11 @@ void CommunityTable::clear() {
   data_.clear();
   size_.clear();
   next_same_hash_.clear();
+  instruction_.clear();
   data_.push_back(nullptr);  // slot 0: the empty set
   size_.push_back(0);
   next_same_hash_.push_back(0);
+  instruction_.push_back(0);
   memo_.clear();
   by_content_.clear();
 }
@@ -105,6 +114,8 @@ std::uint32_t CommunityTable::intern(std::span<const bgp::Community> set) {
   std::copy(set.begin(), set.end(), storage);
   data_.push_back(storage);
   size_.push_back(static_cast<std::uint32_t>(set.size()));
+  instruction_.push_back(
+      std::any_of(set.begin(), set.end(), is_export_instruction) ? 1 : 0);
   if (head != nullptr) {
     next_same_hash_.push_back(*head);
     *head = id;
@@ -143,6 +154,7 @@ void CommunityTable::assign_from(const CommunityTable& other) {
   // before this call; member storage is copied, never aliased.
   size_ = other.size_;
   next_same_hash_ = other.next_same_hash_;
+  instruction_ = other.instruction_;
   memo_ = other.memo_;
   by_content_ = other.by_content_;
   data_.assign(other.data_.size(), nullptr);
@@ -158,26 +170,119 @@ void CommunityTable::assign_from(const CommunityTable& other) {
 FlatSimContext::FlatSimContext(const topo::AsGraph& graph,
                                const PolicySet& policies)
     : view_(graph), policies_(&policies) {
-  policy_.assign(view_.size(), nullptr);
-  for (std::uint32_t id = 0; id < view_.size(); ++id) {
-    const auto it = policies.by_as.find(view_.as_of(id));
-    if (it != policies.by_as.end()) policy_[id] = &it->second;
+  const std::size_t n = view_.size();
+  const std::uint32_t arcs = view_.offsets().back();
+  policy_.assign(n, nullptr);
+  flags_.assign(n, 0);
+  arcs_.assign(arcs, Arc{});
+  reverse_.assign(arcs, 0);
+  for (Id id = 0; id < n; ++id) compile_as(id);
+
+  // Reverse slots in O(arcs): bucket every arc u->v under v (AsGraph
+  // adjacency is symmetric, so v's bucket is the size of its row), then
+  // resolve each bucket through a table of v's row positions.
+  std::vector<std::uint32_t> fill(view_.offsets().begin(),
+                                  view_.offsets().end() - 1);
+  std::vector<std::uint32_t> in_slot(arcs);
+  std::vector<Id> in_from(arcs);
+  for (Id u = 0; u < n; ++u) {
+    for (std::uint32_t slot = view_.arcs_begin(u); slot < view_.arcs_end(u);
+         ++slot) {
+      const std::uint32_t k = fill[view_.arc_to(slot)]++;
+      in_slot[k] = slot;
+      in_from[k] = u;
+    }
+  }
+  std::vector<std::uint32_t> position(n, 0);
+  for (Id v = 0; v < n; ++v) {
+    for (std::uint32_t slot = view_.arcs_begin(v); slot < view_.arcs_end(v);
+         ++slot) {
+      position[view_.arc_to(slot)] = slot;
+    }
+    for (std::uint32_t k = view_.arcs_begin(v); k < view_.arcs_end(v); ++k) {
+      reverse_[in_slot[k]] = position[in_from[k]];
+    }
+  }
+
+  for (Id id = 0; id < n; ++id) {
+    for (std::uint32_t slot = view_.arcs_begin(id);
+         slot < view_.arcs_end(id); ++slot) {
+      compile_arc(id, slot);
+    }
   }
 }
 
-const AsPolicy* FlatSimContext::policy_if_present(
-    topo::GraphView::Id id) const {
-  if (const AsPolicy* p = policy_[id]) return p;
+const AsPolicy& FlatSimContext::missing_policy(Id id) const {
+  const AsNumber as = view_.as_of(id);
+  (void)policies_->at(as);  // std::out_of_range, exactly like the seed
+  throw std::logic_error("FlatSimContext: policy of " + util::to_string(as) +
+                         " added without refresh_policies");
+}
+
+void FlatSimContext::compile_as(Id id) {
   const auto it = policies_->by_as.find(view_.as_of(id));
-  return it == policies_->by_as.end() ? nullptr : &it->second;
+  const AsPolicy* p = it == policies_->by_as.end() ? nullptr : &it->second;
+  policy_[id] = p;
+  if (p == nullptr) {
+    flags_[id] = kNoPolicy;
+    return;
+  }
+  std::uint8_t f = 0;
+  if (!p->import.prefix_override.empty()) f |= kPrefixPins;
+  if (!p->export_.any_neighbor.empty()) f |= kAnyRules;
+  if (!p->conditional.empty() || !p->no_export_targets.empty()) {
+    f |= kSenderExtras;
+  }
+  if (p->community.enabled) f |= kTags;
+  flags_[id] = f;
+}
+
+void FlatSimContext::compile_arc(Id row, std::uint32_t slot) {
+  const Id sender = view_.arc_to(slot);
+  const AsNumber row_as = view_.as_of(row);
+  const AsNumber sender_as = view_.as_of(sender);
+  const RelKind sender_rel = view_.arc_rel(slot);
+  Arc arc;
+  const AsPolicy* sp = policy_[sender];
+  if (sp != nullptr && !sp->export_.per_neighbor.empty()) {
+    const auto& per_neighbor = sp->export_.per_neighbor;
+    const auto it = per_neighbor.find(row_as);
+    if (it != per_neighbor.end()) arc.rules = &it->second;
+  }
+  if (const AsPolicy* rp = policy_[row]) {
+    const ImportPolicy& imp = rp->import;
+    arc.pref = imp.base_for(sender_rel);
+    if (!imp.neighbor_override.empty()) {
+      const auto it = imp.neighbor_override.find(sender_as);
+      if (it != imp.neighbor_override.end()) arc.pref = it->second;
+    }
+    if (rp->community.enabled) {
+      arc.tag = rp->community.tag(row_as, sender_as, sender_rel);
+    }
+  }
+  arcs_[slot] = arc;
+}
+
+std::optional<std::uint32_t> FlatSimContext::prefix_pin(
+    Id receiver, const bgp::Prefix& prefix) const {
+  const auto& pins = policy(receiver).import.prefix_override;
+  const auto it = pins.find(prefix);
+  if (it == pins.end()) return std::nullopt;
+  return it->second;
 }
 
 void FlatSimContext::refresh_policies(std::span<const AsNumber> changed) {
   for (const AsNumber as : changed) {
-    const topo::GraphView::Id id = view_.id_of(as);
+    const Id id = view_.id_of(as);
     if (id == topo::GraphView::kInvalidId) continue;
-    const auto it = policies_->by_as.find(as);
-    policy_[id] = it == policies_->by_as.end() ? nullptr : &it->second;
+    compile_as(id);
+    // The row holds id's import side; the reverse arcs hold its export
+    // rules toward each neighbor.
+    for (std::uint32_t slot = view_.arcs_begin(id); slot < view_.arcs_end(id);
+         ++slot) {
+      compile_arc(id, slot);
+      compile_arc(view_.arc_to(slot), reverse_[slot]);
+    }
   }
 }
 
@@ -190,6 +295,7 @@ void FlatRoutingState::reset(std::size_t n) {
   has_best.assign(n, 0);
   best_rel.assign(n, 0);
   best_path.assign(n, 0);
+  best_wire.assign(n, 0);
   best_learned.assign(n, 0);
   best_lp.assign(n, 0);
   best_router.assign(n, 0);
@@ -212,6 +318,7 @@ void FlatRoutingState::assign_from(const FlatRoutingState& other) {
   has_best = other.has_best;
   best_rel = other.best_rel;
   best_path = other.best_path;
+  best_wire = other.best_wire;
   best_learned = other.best_learned;
   best_lp = other.best_lp;
   best_router = other.best_router;
@@ -226,43 +333,18 @@ void FlatRoutingState::assign_from(const FlatRoutingState& other) {
 std::size_t FlatRoutingState::bytes() const {
   return has_best.capacity() + best_rel.capacity() + in_queue.capacity() +
          sizeof(std::uint32_t) *
-             (best_path.capacity() + best_learned.capacity() +
+             (best_path.capacity() + best_wire.capacity() +
+              best_learned.capacity() +
               best_lp.capacity() + best_router.capacity() +
               best_comms.capacity() + processed.capacity() +
               queue.capacity()) +
          arena.bytes_reserved() + paths.bytes() + comms.bytes();
 }
 
-// ----------------------------------------------------------- CandidateColumns
-
-void CandidateColumns::clear() {
-  lp.clear();
-  plen.clear();
-  origin.clear();
-  nh.clear();
-  med.clear();
-  ebgp.clear();
-  igp.clear();
-  router.clear();
-  path.clear();
-  comms.clear();
-  sender.clear();
-  rel.clear();
-}
-
-std::size_t CandidateColumns::bytes() const {
-  return origin.capacity() + ebgp.capacity() + rel.capacity() +
-         sizeof(std::uint32_t) *
-             (lp.capacity() + plen.capacity() + nh.capacity() +
-              med.capacity() + igp.capacity() + router.capacity() +
-              path.capacity() + comms.capacity() + sender.capacity());
-}
-
 // --------------------------------------------------------------- FlatScratch
 
 void FlatScratch::note_peak() {
-  const std::size_t total = state_.bytes() + cands_.bytes();
-  if (total > peak_bytes_) peak_bytes_ = total;
+  peak_bytes_ = std::max(peak_bytes_, state_.bytes());
 }
 
 // --------------------------------------------------------- the flat fixpoint
@@ -285,17 +367,23 @@ struct Offer {
 /// export and import rules: Gao-Rexford export, conditional
 /// advertisements, community instructions, export rules and prepends, the
 /// loop check, then import preference and tagging.  The fixpoint's
-/// candidate pull and the looking-glass recorder both run it.  Interns
-/// wire paths and community sets into `s`; never writes a best column.
-/// `failed` is null or non-empty.
+/// candidate pull and the looking-glass recorder both run it.  Policies
+/// come from the context's compiled arcs; an AsPolicy is read only for
+/// an AS whose flags ask for it.  Interns prepend hops and community sets
+/// into `s`; never writes a best column.  `failed` is null or non-empty.
 template <typename Sink>
 void pull_offers(const FlatSimContext& context, const Origination& origination,
                  const FailedEdges* failed, FlatRoutingState& s,
                  topo::GraphView::Id receiver, Sink&& sink) {
   using Id = topo::GraphView::Id;
+  using Ctx = FlatSimContext;
   const topo::GraphView& view = context.view();
   const AsNumber receiver_as = view.as_of(receiver);
-  const AsPolicy* receiver_policy = nullptr;  // fetched on first candidate
+  const std::uint8_t receiver_flags = context.flags(receiver);
+  // The receiver's prefix pin, probed on the first offer that reaches
+  // import (an AS without a policy throws there, as the seed does).
+  bool import_ready = false;
+  std::optional<std::uint32_t> pin;
 
   for (std::uint32_t slot = view.arcs_begin(receiver);
        slot < view.arcs_end(receiver); ++slot) {
@@ -324,13 +412,15 @@ void pull_offers(const FlatSimContext& context, const Origination& origination,
       }
     }
 
-    const AsPolicy& sender_policy = context.policy(sender);
+    // A sender without a policy throws here, where the seed reads it.
+    const std::uint8_t sender_flags = context.flags(sender);
+    if ((sender_flags & Ctx::kNoPolicy) != 0) (void)context.policy(sender);
 
     // Conditional advertisement: the backup announcement stays
     // suppressed while the watched session is healthy.
-    if (self_originated) {
+    if (self_originated && (sender_flags & Ctx::kSenderExtras) != 0) {
       bool suppressed = false;
-      for (const auto& cond : sender_policy.conditional) {
+      for (const auto& cond : context.policy(sender).conditional) {
         if (cond.prefix != origination.prefix ||
             cond.advertise_to != receiver_as) {
           continue;
@@ -348,8 +438,8 @@ void pull_offers(const FlatSimContext& context, const Origination& origination,
 
     // Community instructions attached upstream and addressed to sender.
     const std::uint32_t sender_comms = s.best_comms[sender];
-    const auto sender_asn = static_cast<std::uint16_t>(sender_as.value());
-    if (sender_comms != CommunityTable::kEmptySet) {
+    if (s.comms.carries_instruction(sender_comms)) {
+      const auto sender_asn = static_cast<std::uint16_t>(sender_as.value());
       if (s.comms.contains(sender_comms, bgp::kNoExport)) continue;
       if (receiver_rel == RelKind::kProvider &&
           s.comms.contains(sender_comms,
@@ -357,25 +447,44 @@ void pull_offers(const FlatSimContext& context, const Origination& origination,
                                           kNoExportUpstreamValue))) {
         continue;
       }
-      bool no_export_to = false;
-      for (std::size_t t = 0; t < sender_policy.no_export_targets.size();
-           ++t) {
-        if (sender_policy.no_export_targets[t] != receiver_as) continue;
-        const auto value = static_cast<std::uint16_t>(kNoExportToBase + t);
-        if (s.comms.contains(sender_comms,
-                             bgp::Community(sender_asn, value))) {
-          no_export_to = true;
-          break;
+      if ((sender_flags & Ctx::kSenderExtras) != 0) {
+        const auto& targets = context.policy(sender).no_export_targets;
+        bool no_export_to = false;
+        for (std::size_t t = 0; t < targets.size(); ++t) {
+          if (targets[t] != receiver_as) continue;
+          const auto value = static_cast<std::uint16_t>(kNoExportToBase + t);
+          if (s.comms.contains(sender_comms,
+                               bgp::Community(sender_asn, value))) {
+            no_export_to = true;
+            break;
+          }
         }
+        if (no_export_to) continue;
       }
-      if (no_export_to) continue;
     }
 
-    // Configured export rules (selective announcement & friends).
-    const AsNumber route_origin =
-        self_originated ? sender_as : s.paths.origin(sender_path);
-    const ExportRule* rule = sender_policy.export_.match(
-        receiver_as, origination.prefix, route_origin);
+    // Configured export rules (selective announcement & friends):
+    // ExportPolicy::match over the any-neighbor list, then the compiled
+    // per-neighbor list.
+    const Ctx::Arc& arc = context.arc(slot);
+    const ExportRule* rule = nullptr;
+    if ((sender_flags & Ctx::kAnyRules) != 0 || arc.rules != nullptr) {
+      const AsNumber route_origin =
+          self_originated ? sender_as : s.paths.origin(sender_path);
+      const auto first_match =
+          [&](const std::vector<ExportRule>& rules) -> const ExportRule* {
+        for (const ExportRule& r : rules) {
+          if (r.matches(origination.prefix, route_origin)) return &r;
+        }
+        return nullptr;
+      };
+      if ((sender_flags & Ctx::kAnyRules) != 0) {
+        rule = first_match(context.policy(sender).export_.any_neighbor);
+      }
+      if (rule == nullptr && arc.rules != nullptr) {
+        rule = first_match(*arc.rules);
+      }
+    }
 
     std::uint32_t wire_comms = sender_comms;
     std::size_t extra_prepends = 0;
@@ -395,14 +504,9 @@ void pull_offers(const FlatSimContext& context, const Origination& origination,
         case ExportAction::kTagNoExportTo: {
           // The receiver owns the slot namespace; policy generation has
           // already registered the slot, so look it up read-only.
-          if (receiver_policy == nullptr) {
-            receiver_policy = &context.policy(receiver);
-          }
-          for (std::size_t t = 0;
-               t < receiver_policy->no_export_targets.size(); ++t) {
-            if (receiver_policy->no_export_targets[t] != rule->target) {
-              continue;
-            }
+          const auto& targets = context.policy(receiver).no_export_targets;
+          for (std::size_t t = 0; t < targets.size(); ++t) {
+            if (targets[t] != rule->target) continue;
             wire_comms = s.comms.add(
                 wire_comms,
                 bgp::Community(
@@ -415,25 +519,30 @@ void pull_offers(const FlatSimContext& context, const Origination& origination,
       }
     }
 
-    // The wire path: sender prepends itself (possibly extra times).
-    std::uint32_t wire_path = sender_path;
-    for (std::size_t k = 0; k < 1 + extra_prepends; ++k) {
+    // The wire path: the sender's stored one (itself prepended once) plus
+    // any extra prepends.
+    std::uint32_t wire_path = s.best_wire[sender];
+    for (std::size_t k = 0; k < extra_prepends; ++k) {
       wire_path = s.paths.prepend(wire_path, sender_as);
     }
 
-    // Receiver-side: AS-path loop check.
-    if (s.paths.contains(wire_path, receiver_as)) continue;
+    // Receiver-side: AS-path loop check.  The prepended hops are the
+    // sender, never the receiver, so the sender's path decides it.
+    if (s.paths.contains(sender_path, receiver_as)) continue;
 
     // Receiver import policy: local preference + relationship tagging.
-    if (receiver_policy == nullptr) {
-      receiver_policy = &context.policy(receiver);
+    if (!import_ready) {
+      if ((receiver_flags & Ctx::kNoPolicy) != 0) {
+        (void)context.policy(receiver);
+      }
+      if ((receiver_flags & Ctx::kPrefixPins) != 0) {
+        pin = context.prefix_pin(receiver, origination.prefix);
+      }
+      import_ready = true;
     }
-    const std::uint32_t lp = receiver_policy->import.preference(
-        sender_as, sender_rel, origination.prefix);
-    if (receiver_policy->community.enabled) {
-      wire_comms = s.comms.add(
-          wire_comms,
-          receiver_policy->community.tag(receiver_as, sender_as, sender_rel));
+    const std::uint32_t lp = pin ? *pin : arc.pref;
+    if ((receiver_flags & Ctx::kTags) != 0) {
+      wire_comms = s.comms.add(wire_comms, arc.tag);
     }
 
     sink(Offer{sender, sender_as, sender_rel, wire_path, wire_comms, lp});
@@ -477,8 +586,7 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
                                 const Origination& origination,
                                 const FailedEdges* failed,
                                 const PropagationOptions& options,
-                                FlatRoutingState& s, CandidateColumns& c,
-                                bool filtered_enqueue) {
+                                FlatRoutingState& s, bool filtered_enqueue) {
   using Id = topo::GraphView::Id;
   const topo::GraphView& view = context.view();
   const Id origin_id = view.id_of(origination.origin);
@@ -490,28 +598,26 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
   // Sound pruning test for filtered_enqueue (see the header note): can
   // `current`'s new best possibly change neighbor `m`'s selection?  The
   // optimistic offer uses the exact import preference and a path one hop
-  // longer than the sender's best; among flat candidates origin/med/
-  // ebgp/igp are constants, so the decision process reduces to the total
-  // order (local-pref desc, path length asc, router id asc).
-  const auto offer_can_matter = [&](Id current, Id m, RelKind receiver_rel,
-                                    RelKind sender_rel) {
+  // longer than the sender's best, ranked by the fixpoint's own
+  // three-key order.  `slot` is the arc in `current`'s row; the import
+  // side lives on its reverse, in `m`'s row.
+  const auto offer_can_matter = [&](Id current, Id m, std::uint32_t slot) {
     if (s.best_learned[m] == current) return true;  // dependent: re-pull
     if (s.has_best[current] == 0) return false;     // withdraw, no dependent
     const AsNumber current_as = view.as_of(current);
-    const AsNumber m_as = view.as_of(m);
-    if (failures != nullptr && failures->is_failed(current_as, m_as)) {
+    if (failures != nullptr &&
+        failures->is_failed(current_as, view.as_of(m))) {
       return false;
     }
     const std::uint32_t sender_path = s.best_path[current];
     if (sender_path != PathTable::kEmptyPath &&
         static_cast<RelKind>(s.best_rel[current]) != RelKind::kCustomer &&
-        receiver_rel != RelKind::kCustomer) {
+        view.arc_rel(slot) != RelKind::kCustomer) {
       return false;  // Gao-Rexford gate: nothing is offered on this arc
     }
     if (s.has_best[m] == 0) return true;
-    const std::uint32_t lp =
-        context.policy(m).import.preference(current_as, sender_rel,
-                                            origination.prefix);
+    const std::uint32_t lp = context.import_pref(m, context.reverse(slot),
+                                                 origination.prefix);
     if (lp != s.best_lp[m]) return lp > s.best_lp[m];
     const std::uint32_t plen = s.paths.length(sender_path) + 1;
     const std::uint32_t best_plen = s.paths.length(s.best_path[m]);
@@ -535,62 +641,59 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
     ++s.processed[current];
     ++stats.events;
 
-    // Pull candidates from every neighbor's current best into the SoA
-    // columns.
-    c.clear();
+    // Pull every neighbor's offer and keep the running winner.  Among
+    // these candidates ORIGIN (IGP), MED (0), eBGP and the IGP metric (0)
+    // are constant and the next hop and router id are both the sender,
+    // so the 7-step process is (local-pref desc, path length asc, sender
+    // AS asc) — a total order, since no two offers share a sender.
+    bool have = false;
+    bool saw_customer = false;  // for inversion_selections
+    Offer best{};
+    std::uint32_t best_plen = 0;
     pull_offers(context, origination, failures, s, current,
                 [&](const Offer& offer) {
-                  c.lp.push_back(offer.lp);
-                  c.plen.push_back(s.paths.length(offer.path));
-                  c.origin.push_back(
-                      static_cast<std::uint8_t>(bgp::Origin::kIgp));
-                  // The wire path's front is the sender.
-                  c.nh.push_back(offer.sender_as.value());
-                  c.med.push_back(0);
-                  c.ebgp.push_back(1);
-                  c.igp.push_back(0);
-                  c.router.push_back(offer.sender_as.value());
-                  c.path.push_back(offer.path);
-                  c.comms.push_back(offer.comms);
-                  c.sender.push_back(offer.sender);
-                  c.rel.push_back(static_cast<std::uint8_t>(offer.sender_rel));
+                  if (offer.sender_rel == RelKind::kCustomer) {
+                    saw_customer = true;
+                  }
+                  const std::uint32_t plen = s.paths.length(offer.path);
+                  if (have &&
+                      (offer.lp != best.lp ? offer.lp < best.lp
+                       : plen != best_plen
+                           ? plen > best_plen
+                           : offer.sender_as.value() >
+                                 best.sender_as.value())) {
+                    return;
+                  }
+                  have = true;
+                  best = offer;
+                  best_plen = plen;
                 });
 
-    const bgp::RouteColumns columns{c.lp,  c.plen, c.origin, c.nh,
-                                    c.med, c.ebgp, c.igp,    c.router};
-    const auto best_index = bgp::select_best(columns);
-
     bool changed = false;
-    if (!best_index) {
+    if (!have) {
       if (s.has_best[current] != 0) {
         s.has_best[current] = 0;
         changed = true;
       }
     } else {
-      const std::size_t w = *best_index;
-      if (static_cast<RelKind>(c.rel[w]) != RelKind::kCustomer) {
-        for (const std::uint8_t r : c.rel) {
-          if (static_cast<RelKind>(r) == RelKind::kCustomer) {
-            ++stats.inversion_selections;
-            break;
-          }
-        }
+      if (best.sender_rel != RelKind::kCustomer && saw_customer) {
+        ++stats.inversion_selections;
       }
       // Interned path/community ids make id equality value equality, so
       // this is exactly the seed's Route value comparison.
-      if (s.has_best[current] == 0 ||
-          s.best_path[current] != c.path[w] ||
-          s.best_lp[current] != c.lp[w] ||
-          s.best_learned[current] != c.sender[w] ||
-          s.best_router[current] != c.router[w] ||
-          s.best_comms[current] != c.comms[w]) {
+      if (s.has_best[current] == 0 || s.best_path[current] != best.path ||
+          s.best_lp[current] != best.lp ||
+          s.best_learned[current] != best.sender ||
+          s.best_comms[current] != best.comms) {
         s.has_best[current] = 1;
-        s.best_path[current] = c.path[w];
-        s.best_lp[current] = c.lp[w];
-        s.best_learned[current] = c.sender[w];
-        s.best_router[current] = c.router[w];
-        s.best_comms[current] = c.comms[w];
-        s.best_rel[current] = c.rel[w];
+        s.best_path[current] = best.path;
+        s.best_wire[current] =
+            s.paths.prepend(best.path, view.as_of(current));
+        s.best_lp[current] = best.lp;
+        s.best_learned[current] = best.sender;
+        s.best_router[current] = best.sender_as.value();
+        s.best_comms[current] = best.comms;
+        s.best_rel[current] = static_cast<std::uint8_t>(best.sender_rel);
         changed = true;
       }
     }
@@ -601,11 +704,7 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
         const Id m = view.arc_to(slot);
         if (filtered_enqueue) {
           if (s.in_queue[m] != 0 || m == origin_id) continue;
-          const RelKind receiver_rel = view.arc_rel(slot);  // m, from current
-          if (!offer_can_matter(current, m, receiver_rel,
-                                topo::invert(receiver_rel))) {
-            continue;
-          }
+          if (!offer_can_matter(current, m, slot)) continue;
         }
         s.enqueue(m);
       }
@@ -674,6 +773,8 @@ FixpointStats converge_cold(const FlatSimContext& context,
   // The origin installs its self route (kSelfLocalPref, empty path).
   s.has_best[origin_id] = 1;
   s.best_path[origin_id] = PathTable::kEmptyPath;
+  s.best_wire[origin_id] =
+      s.paths.prepend(PathTable::kEmptyPath, origination.origin);
   s.best_learned[origin_id] = origin_id;
   s.best_lp[origin_id] = kSelfLocalPref;
   s.best_router[origin_id] = origination.origin.value();
@@ -682,8 +783,8 @@ FixpointStats converge_cold(const FlatSimContext& context,
        slot < view.arcs_end(origin_id); ++slot) {
     s.enqueue(view.arc_to(slot));
   }
-  const FixpointStats stats = run_flat_fixpoint(context, origination, failed,
-                                                options, s, scratch.cands_);
+  const FixpointStats stats =
+      run_flat_fixpoint(context, origination, failed, options, s);
   scratch.note_peak();
   return stats;
 }

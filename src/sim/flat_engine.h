@@ -10,23 +10,37 @@
 //
 //   * `FlatSimContext` — built once per (graph, policies) pair — holds a
 //     `topo::GraphView` (dense AS ids + CSR adjacency, one array read per
-//     relationship probe) and a dense policy-pointer table.
+//     relationship probe) and the policies compiled onto its arcs: each
+//     CSR slot (row = receiver, `arc_to` = sender) carries the receiver's
+//     import preference for that sender absent a prefix pin, its
+//     relationship tag, and the sender's per-neighbor export rules toward
+//     it.  A few per-AS flag bits (prefix pins, any-neighbor rules,
+//     conditional adverts / no-export slots, tagging, no policy) say when
+//     an offer must consult the `AsPolicy` at all, so a typical offer
+//     makes no hash probe.
 //   * `PathTable` hash-conses AS paths: a path is a `u32` id whose node
 //     stores (front AS, parent id, length, origin AS), so prepend is an
 //     O(1) intern, path equality is id equality, and the loop check walks
 //     the parent chain.  Equal path *values* always intern to the same id,
 //     which is what keeps the flat engine's change detection exactly the
-//     seed's value comparison.
+//     seed's value comparison.  Each AS's wire path (its best path with
+//     itself prepended once) is stored beside its best, so an offer
+//     interns only the extra hops a prepend rule adds.
 //   * `CommunityTable` interns community *sets* by content (sorted,
 //     deduplicated — Route::add_community semantics), with member storage
 //     bump-allocated from a `util::MonotonicArena`; set-id equality is
-//     value equality for the same reason.
-//   * Routing state is struct-of-arrays indexed by dense id, and the
-//     decision-process candidates are reusable SoA columns scanned by the
-//     column overload of `bgp::select_best` — no `bgp::Route` objects
-//     exist until a caller reads routes out of the converged state: one
-//     AS's best (`flat_route_at`), one AS's Adj-RIB-In (`flat_adj_rib_in`),
-//     or the whole value-typed `PrefixRouting` (`materialize_routing`).
+//     value equality for the same reason.  Each set records whether it
+//     carries an export instruction (NO_EXPORT or an action community),
+//     so the export gate searches only sets that can hold one.
+//   * Routing state is struct-of-arrays indexed by dense id.  Among the
+//     engine's candidates ORIGIN, MED, eBGP and IGP metric are constants
+//     and the next hop and router id are both the sender, so the 7-step
+//     decision process reduces to (local-pref desc, path length asc,
+//     sender AS asc); the fixpoint keeps the running winner while the
+//     offers stream in.  No `bgp::Route` objects exist until a caller
+//     reads routes out of the converged state: one AS's best
+//     (`flat_route_at`), one AS's Adj-RIB-In (`flat_adj_rib_in`), or the
+//     whole value-typed `PrefixRouting` (`materialize_routing`).
 //
 // The per-propagation state is split so it can outlive one fixpoint:
 // `FlatRoutingState` is the warm half (interning tables + SoA best columns
@@ -41,10 +55,10 @@
 //
 // Concurrency model: `converge_cold` is the unit the parallel callers
 // (`run_simulation`, churn) shard across workers.  The context is
-// read-only, and `FlatScratch` is the only per-worker scratch — candidate
-// columns for every fixpoint plus the delta engine's dirty-path marks and
-// oracle cone — so each worker leases one from a `FlatScratchPool` and
-// writes only that scratch and the state it converges.
+// read-only, and `FlatScratch` is the only per-worker scratch — a routing
+// state plus the delta engine's dirty-path marks and oracle cone — so
+// each worker leases one from a `FlatScratchPool` and writes only that
+// scratch and the state it converges.
 #pragma once
 
 #include <cstdint>
@@ -119,6 +133,10 @@ class PathTable {
 /// (sorted, deduplicated).  Id 0 is the empty set.  Member arrays live in
 /// the owning state's arena; `add` results are memoized per (set,
 /// community) so repeated tagging along a propagation wave is one probe.
+/// Each set is flagged at intern time when it carries an export
+/// instruction: NO_EXPORT or an action community (a value in
+/// [kNoExportToBase, kNoExportUpstreamValue]).  Relationship tags alone
+/// never set the flag.
 class CommunityTable {
  public:
   static constexpr std::uint32_t kEmptySet = 0;
@@ -134,6 +152,11 @@ class CommunityTable {
 
   [[nodiscard]] bool contains(std::uint32_t set,
                               bgp::Community community) const;
+  /// False when no member of `set` can be an export instruction, so the
+  /// export gate skips its searches (always false for the empty set).
+  [[nodiscard]] bool carries_instruction(std::uint32_t set) const {
+    return instruction_[set] != 0;
+  }
   [[nodiscard]] std::span<const bgp::Community> members(
       std::uint32_t set) const {
     return {data_[set], size_[set]};
@@ -149,7 +172,7 @@ class CommunityTable {
     return (data_.capacity() * sizeof(const bgp::Community*)) +
            (size_.capacity() + next_same_hash_.capacity()) *
                sizeof(std::uint32_t) +
-           memo_.bytes() + by_content_.bytes();
+           instruction_.capacity() + memo_.bytes() + by_content_.bytes();
   }
 
  private:
@@ -159,47 +182,111 @@ class CommunityTable {
   std::vector<const bgp::Community*> data_;  // per set id; slot 0 empty
   std::vector<std::uint32_t> size_;
   std::vector<std::uint32_t> next_same_hash_;  // content-hash chain
+  std::vector<std::uint8_t> instruction_;      // carries_instruction
   util::FlatMap64 memo_;        // (set << 32 | community raw) -> result id
   util::FlatMap64 by_content_;  // content hash -> chain head (compared on walk)
   std::vector<bgp::Community> scratch_;
 };
 
 /// Everything the flat propagations need that depends only on the
-/// (graph, policies) pair: the dense-id CSR view and per-id policy
-/// pointers.  Build once per scenario and share across any number of
+/// (graph, policies) pair: the dense-id CSR view and the policies compiled
+/// onto its arcs.  Build once per scenario and share across any number of
 /// concurrent propagations — read-only while any propagation is in
-/// flight.  Both references must outlive the context.
+/// flight.  Both references must outlive the context, and every mutation
+/// of the PolicySet must be followed by `refresh_policies`.
 class FlatSimContext {
  public:
+  using Id = topo::GraphView::Id;
+
+  /// Per-AS bits that send the offer code to the AsPolicy; an AS with
+  /// none set is fully described by its compiled arcs.
+  enum Flag : std::uint8_t {
+    kNoPolicy = 1,        ///< no policy: touching it throws (policy())
+    kPrefixPins = 2,      ///< import.prefix_override is non-empty
+    kAnyRules = 4,        ///< export_.any_neighbor is non-empty
+    kSenderExtras = 8,    ///< conditional adverts or no-export-to slots
+    kTags = 16,           ///< community.enabled (relationship tagging)
+  };
+
+  /// One CSR slot's compiled policy (row = receiver, arc_to = sender).
+  struct Arc {
+    /// The sender's per-neighbor export rules toward the receiver, or null.
+    const std::vector<ExportRule>* rules = nullptr;
+    /// The receiver's preference for the sender when no prefix pin
+    /// applies: its neighbor override, else its class base.
+    std::uint32_t pref = 0;
+    /// The receiver's relationship tag for the sender (kTags receivers).
+    bgp::Community tag;
+  };
+
   FlatSimContext(const topo::AsGraph& graph, const PolicySet& policies);
 
   [[nodiscard]] const topo::GraphView& view() const { return view_; }
 
+  [[nodiscard]] std::uint8_t flags(Id id) const { return flags_[id]; }
+  [[nodiscard]] const Arc& arc(std::uint32_t slot) const { return arcs_[slot]; }
+  /// The slot of the same adjacency in `arc_to(slot)`'s row.
+  [[nodiscard]] std::uint32_t reverse(std::uint32_t slot) const {
+    return reverse_[slot];
+  }
+
   /// Policy of the AS with dense id `id`; throws exactly like
   /// `PolicySet::at` when the AS has no policy (resolved lazily so ASes
   /// that never touch a route keep the seed's don't-ask-don't-throw
-  /// behavior).
-  [[nodiscard]] const AsPolicy& policy(topo::GraphView::Id id) const {
+  /// behavior).  A kNoPolicy AS whose policy appeared without a
+  /// `refresh_policies` throws too: its compiled arcs are stale.
+  [[nodiscard]] const AsPolicy& policy(Id id) const {
     const AsPolicy* p = policy_[id];
-    return p != nullptr ? *p : policies_->at(view_.as_of(id));
+    return p != nullptr ? *p : missing_policy(id);
   }
 
   /// Non-throwing policy probe (the delta engine's frontier seeding asks
   /// about ASes that may have no policy at all).
-  [[nodiscard]] const AsPolicy* policy_if_present(
-      topo::GraphView::Id id) const;
+  [[nodiscard]] const AsPolicy* policy_if_present(Id id) const {
+    return policy_[id];
+  }
 
-  /// Re-resolves the policy pointers of `changed` ASes against the owning
-  /// PolicySet after it mutated in place (new `by_as` entries, removed
-  /// ones, or rules edited behind an existing pointer).  Cheap — O(changed)
-  /// — so per-step churn patches the shared context instead of rebuilding
-  /// the CSR view.  Must not run concurrently with any propagation using
-  /// this context (same contract as mutating the PolicySet itself).
+  /// The prefix pin `receiver` (a kPrefixPins AS) sets on `prefix`.
+  [[nodiscard]] std::optional<std::uint32_t> prefix_pin(
+      Id receiver, const bgp::Prefix& prefix) const;
+
+  /// The preference `receiver` assigns to what the sender at its CSR
+  /// `slot` offers for `prefix` — ImportPolicy::preference from the
+  /// compiled arc, probing the prefix pins of flagged receivers only.
+  [[nodiscard]] std::uint32_t import_pref(Id receiver, std::uint32_t slot,
+                                          const bgp::Prefix& prefix) const {
+    const std::uint8_t f = flags_[receiver];
+    if (f != 0) {
+      if ((f & kNoPolicy) != 0) (void)policy(receiver);
+      if ((f & kPrefixPins) != 0) {
+        if (const auto pin = prefix_pin(receiver, prefix)) return *pin;
+      }
+    }
+    return arcs_[slot].pref;
+  }
+
+  /// Recompiles the flags, policy pointer, row and reverse arcs of each
+  /// `changed` AS against the owning PolicySet after it mutated in place
+  /// (new or removed `by_as` entries, per-neighbor rule lists created or
+  /// erased, preferences or tagging edited).  Costs O(degree of the
+  /// changed ASes) — nothing sized by the whole policy set is rebuilt — so
+  /// per-step churn patches the shared context instead of rebuilding it.
+  /// Must not run concurrently with any propagation using this context
+  /// (same contract as mutating the PolicySet itself).
   void refresh_policies(std::span<const AsNumber> changed);
 
  private:
+  [[noreturn]] const AsPolicy& missing_policy(Id id) const;
+  /// Resolves `id`'s policy pointer and flags from the PolicySet.
+  void compile_as(Id id);
+  /// Compiles CSR `slot` of `row`'s row from the current policy pointers.
+  void compile_arc(Id row, std::uint32_t slot);
+
   topo::GraphView view_;
   std::vector<const AsPolicy*> policy_;
+  std::vector<std::uint8_t> flags_;
+  std::vector<Arc> arcs_;
+  std::vector<std::uint32_t> reverse_;
   const PolicySet* policies_;
 };
 
@@ -226,6 +313,8 @@ struct FlatRoutingState {
                                        // the owning AS; valid when the
                                        // best route is not self-originated
   std::vector<std::uint32_t> best_path;
+  std::vector<std::uint32_t> best_wire;  // best_path with the AS itself
+                                         // prepended once: what it sends
   std::vector<std::uint32_t> best_learned;  // dense id of learned_from
   std::vector<std::uint32_t> best_lp;
   std::vector<std::uint32_t> best_router;
@@ -269,26 +358,6 @@ struct FlatRoutingState {
   [[nodiscard]] std::size_t bytes() const;
 };
 
-/// Reusable decision-process candidate columns (one set per concurrent
-/// fixpoint runner).
-struct CandidateColumns {
-  std::vector<std::uint32_t> lp;
-  std::vector<std::uint32_t> plen;
-  std::vector<std::uint8_t> origin;
-  std::vector<std::uint32_t> nh;
-  std::vector<std::uint32_t> med;
-  std::vector<std::uint8_t> ebgp;
-  std::vector<std::uint32_t> igp;
-  std::vector<std::uint32_t> router;
-  std::vector<std::uint32_t> path;
-  std::vector<std::uint32_t> comms;
-  std::vector<std::uint32_t> sender;  // dense id
-  std::vector<std::uint8_t> rel;      // RelKind: sender as seen by receiver
-
-  void clear();
-  [[nodiscard]] std::size_t bytes() const;
-};
-
 /// Outcome of one drained event queue.
 struct FixpointStats {
   std::size_t events = 0;
@@ -327,7 +396,6 @@ struct FixpointStats {
                                               const FailedEdges* failed,
                                               const PropagationOptions& options,
                                               FlatRoutingState& state,
-                                              CandidateColumns& cands,
                                               bool filtered_enqueue = false);
 
 /// Materializes the public value-typed result from a converged state.
@@ -355,10 +423,9 @@ struct FixpointStats {
     FlatRoutingState& state, AsNumber receiver);
 
 /// The per-worker propagation scratch, reused (never freed) across
-/// prefixes and waves: candidate columns for every fixpoint, a routing
-/// state for cold callers that keep none of their own, and the delta
-/// engine's dirty-path walk marks and static-oracle cone.  Not
-/// thread-safe; one propagation at a time.
+/// prefixes and waves: a routing state for cold callers that keep none of
+/// their own, and the delta engine's dirty-path walk marks and
+/// static-oracle cone.  Not thread-safe; one propagation at a time.
 class FlatScratch {
  public:
   FlatScratch() = default;
@@ -367,7 +434,7 @@ class FlatScratch {
   /// read; valid until the scratch's next propagation into it.
   [[nodiscard]] FlatRoutingState& state() { return state_; }
 
-  /// High-water mark of the scratch's own state plus candidate columns.
+  /// High-water mark of the bytes held by the scratch's own routing state.
   [[nodiscard]] std::size_t peak_bytes() const { return peak_bytes_; }
 
  private:
@@ -382,7 +449,6 @@ class FlatScratch {
   void note_peak();
 
   FlatRoutingState state_;
-  CandidateColumns cands_;
   /// Delta engine: per path-table node, (epoch << 1) | dirty.  Stale
   /// epochs read as unvisited, so no per-wave clearing of the whole array.
   std::vector<std::uint64_t> mark_;
@@ -395,8 +461,8 @@ class FlatScratch {
 
 /// The cold fixpoint — reset `state`, install the origin's self route
 /// (kSelfLocalPref, empty path), enqueue its neighbors, run
-/// `run_flat_fixpoint` with `scratch`'s candidate columns — leaving the
-/// converged state for the caller to read.  Cold callers pass
+/// `run_flat_fixpoint` — leaving the converged state for the caller to
+/// read.  Cold callers pass
 /// `scratch.state()` (`run_simulation` records its vantage rows straight
 /// from it, churn reads its watched ASes); `sim::DeltaEngine` passes a
 /// warm state.  Reentrant across distinct scratches and states: the

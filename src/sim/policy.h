@@ -59,9 +59,10 @@ struct ImportPolicy {
 
   /// The preference assigned to a route for `prefix` learned from
   /// `neighbor` whose relationship (from this AS's perspective) is `kind`.
-  /// The empty() guards matter: most ASes carry no overrides, and hashing
-  /// the prefix to probe an always-empty map was the hottest line of the
-  /// import path.
+  /// Only the reference engine calls this now: the flat engine compiles
+  /// the neighbor-override-or-base part onto its CSR arcs
+  /// (`FlatSimContext::Arc::pref`) and probes `prefix_override` only for
+  /// ASes that have pins.
   [[nodiscard]] std::uint32_t preference(AsNumber neighbor, RelKind kind,
                                          const bgp::Prefix& prefix) const {
     if (!prefix_override.empty()) {

@@ -99,7 +99,6 @@ TEST(Decision, IdenticalRoutesTie) {
 
 TEST(Decision, SelectBestEmptyIsNull) {
   EXPECT_FALSE(select_best(std::span<const Route>{}));
-  EXPECT_FALSE(select_best(RouteColumns{}));
 }
 
 TEST(Decision, SelectBestPicksHighestPref) {

@@ -3,12 +3,18 @@
 #include "sim/flat_engine.h"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "bgp/decision.h"
 #include "bgp/route.h"
+#include "core/experiment.h"
+#include "core/scenario.h"
 #include "testing/fixtures.h"
 #include "util/arena.h"
 
@@ -72,6 +78,24 @@ TEST(CommunityTable, AddMatchesRouteSemanticsAndInternsByContent) {
                          route.communities.begin()));
 }
 
+TEST(CommunityTable, FlagsOnlySetsCarryingAnExportInstruction) {
+  util::MonotonicArena arena;
+  CommunityTable comms(arena);
+  // Relationship tags (peer/provider/customer bases) never set the flag.
+  const auto tags = comms.add(comms.add(CommunityTable::kEmptySet,
+                                        bgp::Community(12859, 1010)),
+                              bgp::Community(12859, 4020));
+  EXPECT_FALSE(comms.carries_instruction(CommunityTable::kEmptySet));
+  EXPECT_FALSE(comms.carries_instruction(tags));
+  for (const bgp::Community instruction :
+       {bgp::kNoExport, bgp::Community(7, kNoExportToBase),
+        bgp::Community(7, kNoExportToBase + kNoExportToSlots - 1),
+        bgp::Community(7, kNoExportUpstreamValue)}) {
+    EXPECT_TRUE(comms.carries_instruction(comms.add(tags, instruction)))
+        << instruction.to_string();
+  }
+}
+
 TEST(MonotonicArena, ResetKeepsBlocksAndTracksPeak) {
   util::MonotonicArena arena;
   EXPECT_EQ(arena.bytes_used(), 0u);
@@ -90,43 +114,270 @@ TEST(MonotonicArena, ResetKeepsBlocksAndTracksPeak) {
   EXPECT_EQ(static_cast<void*>(b), static_cast<void*>(a));
 }
 
-TEST(SelectBestColumns, AgreesWithRouteSelection) {
-  // Candidates crafted to exercise every decision step at least once.
-  const bgp::Prefix prefix = bgp::Prefix::parse("10.0.0.0/24");
-  std::vector<bgp::Route> routes;
-  for (std::uint32_t i = 0; i < 6; ++i) {
-    bgp::Route r = make_route(prefix, {AsNumber(100 + i), AsNumber(1)},
-                              /*local_pref=*/i < 2 ? 120 : 100);
-    r.med = i % 3;
-    r.router_id = 1000 - i;
-    routes.push_back(r);
+/// Best maps (and trajectory counters) of two runs must agree exactly.
+void expect_same_routing(const PrefixRouting& got, const PrefixRouting& want) {
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_EQ(got.process_events, want.process_events);
+  ASSERT_EQ(got.best.size(), want.best.size());
+  for (const auto& [as, route] : want.best) {
+    const bgp::Route* at = got.best_at(as);
+    ASSERT_NE(at, nullptr) << util::to_string(as);
+    EXPECT_EQ(*at, route) << util::to_string(as);
   }
-  routes[4].path = bgp::AsPath({AsNumber(104)});
+}
 
-  std::vector<std::uint32_t> lp, plen, nh, med, igp, router;
-  std::vector<std::uint8_t> origin, ebgp;
-  for (const auto& r : routes) {
-    lp.push_back(r.local_pref);
-    plen.push_back(static_cast<std::uint32_t>(r.path.length()));
-    origin.push_back(static_cast<std::uint8_t>(r.origin));
-    nh.push_back(r.next_hop_as() ? r.next_hop_as()->value()
-                                 : bgp::kNoNextHop);
-    med.push_back(r.med);
-    ebgp.push_back(r.from_ebgp ? 1 : 0);
-    igp.push_back(r.igp_metric);
-    router.push_back(r.router_id);
+/// One receiver R (AS 50) whose winning offer is decided by each of the
+/// three keys the flat fixpoint ranks offers by:
+///   * prefix 1: local preference beats a shorter path — customer C1's
+///     [20 21 1] (pref 120) over provider P1's [60 1] (pref 80);
+///   * prefix 2: path length at equal preference — P1's [60 2] over P2's
+///     [70 71 2], both providers;
+///   * prefix 3: the lowest sender AS at equal preference and length — P1
+///     (60) over P2 (70), with P1 *later* in R's neighbor order, so a
+///     kernel that keeps the first of two equal offers picks P2.
+struct TieBreakWorld {
+  topo::AsGraph graph;
+  AsNumber r{50};
+  AsNumber p1{60};
+  AsNumber p2{70};
+  AsNumber c1{20};
+};
+
+TieBreakWorld tie_break_world() {
+  TieBreakWorld w;
+  for (const std::uint32_t as : {50, 70, 60, 20, 21, 71, 1, 2, 3}) {
+    w.graph.add_as(AsNumber(as));
   }
-  const bgp::RouteColumns columns{lp, plen, origin, nh,
-                                  med, ebgp, igp, router};
+  w.graph.add_provider_customer(w.p2, w.r);  // R's neighbor order: 70, 60
+  w.graph.add_provider_customer(w.p1, w.r);
+  w.graph.add_provider_customer(w.r, w.c1);
+  w.graph.add_provider_customer(w.c1, AsNumber(21));
+  w.graph.add_provider_customer(AsNumber(21), AsNumber(1));
+  w.graph.add_provider_customer(w.p1, AsNumber(1));
+  w.graph.add_provider_customer(w.p1, AsNumber(2));
+  w.graph.add_provider_customer(AsNumber(71), AsNumber(2));
+  w.graph.add_provider_customer(w.p2, AsNumber(71));
+  w.graph.add_provider_customer(w.p1, AsNumber(3));
+  w.graph.add_provider_customer(w.p2, AsNumber(3));
+  return w;
+}
 
-  const auto by_columns = bgp::select_best(columns);
-  const auto by_routes = bgp::select_best(routes);
-  ASSERT_TRUE(by_columns.has_value());
-  ASSERT_TRUE(by_routes.has_value());
-  EXPECT_EQ(*by_columns, *by_routes);
+TEST(FlatFixpoint, ThreeKeyTieBreaksMatchReference) {
+  const TieBreakWorld w = tie_break_world();
+  const auto policies = typical_policies(w.graph);
+  const FlatSimContext context(w.graph, policies);
+  FlatScratch scratch;
 
-  const bgp::RouteColumns empty{};
-  EXPECT_FALSE(bgp::select_best(empty).has_value());
+  struct Case {
+    std::uint32_t origin;
+    AsNumber winner;
+    bgp::DecisionStep decided_by;
+  };
+  const Case cases[] = {
+      {1, w.c1, bgp::DecisionStep::kLocalPref},
+      {2, w.p1, bgp::DecisionStep::kAsPathLength},
+      {3, w.p1, bgp::DecisionStep::kRouterId},
+  };
+  for (const Case& c : cases) {
+    const Origination origination{
+        bgp::Prefix::parse("10.0." + std::to_string(c.origin) + ".0/24"),
+        AsNumber(c.origin)};
+    const PrefixRouting flat =
+        compute_prefix_flat(context, origination, nullptr, {}, scratch);
+    expect_same_routing(flat, compute_prefix_reference(
+                                  w.graph, policies, origination, nullptr, {}));
+
+    // R's winner, and the step that separates it from every rival in R's
+    // Adj-RIB-In: the world really exercises each key.
+    const bgp::Route* at_r = flat.best_at(w.r);
+    ASSERT_NE(at_r, nullptr);
+    EXPECT_EQ(at_r->learned_from, c.winner) << "prefix " << c.origin;
+    const auto rib = flat_adj_rib_in(context, origination, scratch.state(),
+                                     w.r);
+    ASSERT_EQ(rib.size(), 2u) << "prefix " << c.origin;
+    for (const bgp::Route& rival : rib) {
+      if (rival.learned_from == c.winner) continue;
+      const bgp::Comparison cmp = bgp::compare_routes(*at_r, rival);
+      EXPECT_LT(cmp.preference, 0);
+      EXPECT_EQ(cmp.decided_by, c.decided_by) << "prefix " << c.origin;
+    }
+  }
+}
+
+TEST(FlatFixpoint, MissingPolicyThrowsOnlyWhenTouched) {
+  // The compiled context resolves a missing policy as lazily as the seed:
+  // an AS that never touches a route needs none, and the first offer that
+  // reads one throws PolicySet::at's error.
+  Figure3 f = figure3_graph();
+  f.graph.add_as(AsNumber(99));  // no sessions: never sees a route
+  const Origination from_a{bgp::Prefix::parse("10.0.0.0/24"), f.a};
+  PolicySet policies = typical_policies(f.graph);
+  policies.by_as.erase(AsNumber(99));
+  EXPECT_NO_THROW((void)compute_prefix(f.graph, policies, from_a, nullptr));
+
+  PolicySet no_importer = policies;
+  no_importer.by_as.erase(f.e);  // E imports A's route through C
+  PolicySet no_origin = policies;
+  no_origin.by_as.erase(f.a);  // B and C read A's export side
+  for (const PolicySet* broken : {&no_importer, &no_origin}) {
+    EXPECT_THROW((void)compute_prefix(f.graph, *broken, from_a, nullptr),
+                 std::out_of_range);
+    EXPECT_THROW((void)compute_prefix_reference(f.graph, *broken, from_a,
+                                                nullptr, {}),
+                 std::out_of_range);
+  }
+}
+
+TEST(FlatFixpoint, SmallScenarioInversionSelectionsPinned) {
+  // inversion_selections is the delta engine's exact-replay trigger, and
+  // no artifact digest sees it: pin its total over every origination.
+  const auto scenario = core::Scenario::small();
+  const auto truth = core::synthesize(scenario);
+  const FlatSimContext context(truth.topo.graph, truth.gen.policies);
+  FlatScratch scratch;
+  std::size_t selections = 0;
+  std::size_t prefixes = 0;
+  std::size_t events = 0;
+  for (const auto& origination : truth.originations) {
+    const FixpointStats stats =
+        converge_cold(context, origination, nullptr, scenario.propagation,
+                      scratch, scratch.state());
+    selections += stats.inversion_selections;
+    if (stats.inversion_selections > 0) ++prefixes;
+    events += stats.events;
+  }
+  EXPECT_EQ(selections, 19u);
+  EXPECT_EQ(prefixes, 9u);
+  EXPECT_EQ(events, 230399u);
+}
+
+TEST(FlatSimContext, RefreshMatchesRebuiltContext) {
+  const auto truth = core::synthesize(core::Scenario::small(7));
+  const topo::AsGraph& graph = truth.topo.graph;
+  PolicySet policies = truth.gen.policies;
+  FlatSimContext patched(graph, policies);
+  const FlatSimContext before(graph, truth.gen.policies);
+
+  // Edit one AS per kind of cached policy, busiest ASes first so every
+  // edit sits on many paths; `take` hands out each AS at most once.
+  std::vector<AsNumber> busiest(graph.ases().begin(), graph.ases().end());
+  std::stable_sort(busiest.begin(), busiest.end(),
+                   [&](AsNumber x, AsNumber y) {
+                     return graph.degree(x) > graph.degree(y);
+                   });
+  std::vector<AsNumber> changed;
+  const auto take = [&](const auto& usable) {
+    for (const AsNumber x : busiest) {
+      if (std::find(changed.begin(), changed.end(), x) == changed.end() &&
+          usable(x)) {
+        changed.push_back(x);
+        return x;
+      }
+    }
+    ADD_FAILURE() << "no AS fits the edit";
+    return busiest.front();
+  };
+  const auto unlisted_neighbor = [&](AsNumber x) -> std::optional<AsNumber> {
+    for (const auto& n : graph.neighbors(x)) {
+      if (!policies.at(x).export_.per_neighbor.contains(n.as)) return n.as;
+    }
+    return std::nullopt;
+  };
+  const auto single_prefix_rule = [](const auto& entry) {
+    return entry.second.size() == 1 && entry.second.front().prefix;
+  };
+
+  // A per-neighbor rule list under a new neighbor key.
+  {
+    const AsNumber as =
+        take([&](AsNumber x) { return unlisted_neighbor(x).has_value(); });
+    ExportRule prepend;
+    prepend.action = ExportAction::kPrepend;
+    prepend.prepend_times = 2;
+    policies.at_mut(as).export_.add_rule_for(*unlisted_neighbor(as), prepend);
+  }
+  // A rule list emptied by remove_prefix_rules, which erases its map node.
+  {
+    const AsNumber as = take([&](AsNumber x) {
+      const auto& lists = policies.at(x).export_.per_neighbor;
+      return std::any_of(lists.begin(), lists.end(), single_prefix_rule);
+    });
+    auto& per_neighbor = policies.at_mut(as).export_.per_neighbor;
+    const auto it = std::find_if(per_neighbor.begin(), per_neighbor.end(),
+                                 single_prefix_rule);
+    const AsNumber neighbor = it->first;
+    const bgp::Prefix prefix = *it->second.front().prefix;
+    EXPECT_EQ(policies.at_mut(as).export_.remove_prefix_rules(neighbor, prefix),
+              1u);
+    EXPECT_FALSE(policies.at(as).export_.per_neighbor.contains(neighbor));
+  }
+  // An any-neighbor rule.
+  {
+    const AsNumber as = take([](AsNumber) { return true; });
+    ExportRule prepend;
+    prepend.action = ExportAction::kPrepend;
+    prepend.prepend_times = 1;
+    policies.at_mut(as).export_.add_rule_any(prepend);
+  }
+  // A neighbor override ranking a provider above the customers.
+  {
+    const auto provider_of = [&](AsNumber x) -> std::optional<AsNumber> {
+      for (const auto& n : graph.neighbors(x)) {
+        if (n.kind == RelKind::kProvider) return n.as;
+      }
+      return std::nullopt;
+    };
+    const AsNumber as =
+        take([&](AsNumber x) { return provider_of(x).has_value(); });
+    policies.at_mut(as).import.neighbor_override[*provider_of(as)] = 130;
+  }
+  // A prefix override at an AS that had none.
+  {
+    const AsNumber as = take([&](AsNumber x) {
+      return policies.at(x).import.prefix_override.empty();
+    });
+    const auto pinned = std::find_if(
+        truth.originations.begin(), truth.originations.end(),
+        [&](const Origination& o) { return o.origin != as; });
+    ASSERT_NE(pinned, truth.originations.end());
+    policies.at_mut(as).import.prefix_override[pinned->prefix] = 90;
+  }
+  // Community tagging at an AS that had none.
+  {
+    const AsNumber as =
+        take([&](AsNumber x) { return !policies.at(x).community.enabled; });
+    policies.at_mut(as).community.enabled = true;
+  }
+
+  patched.refresh_policies(changed);
+  const FlatSimContext rebuilt(graph, policies);
+
+  FlatScratch a;
+  FlatScratch b;
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < truth.originations.size(); ++i) {
+    const Origination& origination = truth.originations[i];
+    const PrefixRouting want =
+        compute_prefix_flat(rebuilt, origination, nullptr, {}, b);
+    expect_same_routing(
+        compute_prefix_flat(patched, origination, nullptr, {}, a), want);
+    if (compute_prefix_flat(before, origination, nullptr, {}, a).best !=
+        want.best) {
+      ++moved;
+    }
+
+    // Looking-glass views at every AS for a sample of prefixes.
+    if (i % 16 != 0) continue;
+    (void)converge_cold(patched, origination, nullptr, {}, a, a.state());
+    (void)converge_cold(rebuilt, origination, nullptr, {}, b, b.state());
+    for (const AsNumber as : graph.ases()) {
+      EXPECT_EQ(flat_adj_rib_in(patched, origination, a.state(), as),
+                flat_adj_rib_in(rebuilt, origination, b.state(), as))
+          << "Adj-RIB-In differs at " << util::to_string(as);
+    }
+  }
+  // The edits are not no-ops: some prefixes route differently now.
+  EXPECT_GT(moved, 0u);
 }
 
 TEST(FlatScratchPool, LeasesAreReused) {

@@ -6,6 +6,8 @@
 #include <string>
 #include <system_error>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "core/artifact_store.h"
@@ -15,9 +17,12 @@ namespace bgpolicy::testing {
 class ScopedStore {
  public:
   ScopedStore() {
+    // The process id keeps concurrently running test binaries (ctest -j)
+    // out of each other's stores; gtest's random seed is 0 unless
+    // --gtest_shuffle is on, so it alone does not.
     static int counter = 0;
     root_ = std::filesystem::temp_directory_path() /
-            ("bgpolicy-store-test-" +
+            ("bgpolicy-store-test-" + std::to_string(::getpid()) + "-" +
              std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
              "-" + std::to_string(counter++));
     std::filesystem::remove_all(root_);
