@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <memory>
+#include <thread>
 
 namespace bgpolicy::bench {
 
@@ -36,6 +37,11 @@ void banner(const std::string& experiment, const std::string& paper_claim) {
             << experiment << "\n"
             << "Paper: " << paper_claim << "\n"
             << "================================================================\n";
+}
+
+std::vector<std::size_t> scaling_thread_counts() {
+  if (std::thread::hardware_concurrency() == 1) return {1};
+  return {1, 2, 4, 8};
 }
 
 }  // namespace bgpolicy::bench

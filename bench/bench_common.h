@@ -7,8 +7,10 @@
 // is what reproduces.
 #pragma once
 
+#include <cstddef>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/experiment.h"
 #include "util/text_table.h"
@@ -21,5 +23,10 @@ const core::Experiment& experiment();
 
 /// Prints the standard bench banner.
 void banner(const std::string& experiment, const std::string& paper_claim);
+
+/// The thread counts the scaling benches sweep: 1, 2, 4 and 8, or only 1
+/// when hardware_concurrency is 1 — there the other rows would time slice
+/// one CPU and say nothing about the engine.
+std::vector<std::size_t> scaling_thread_counts();
 
 }  // namespace bgpolicy::bench

@@ -2,13 +2,21 @@
 // voting, path-index construction, and the per-table analysis suite.
 //
 // Mirrors bench_sim_scaling: the simulation runs once (that stage has its
-// own bench), then each inference stage is timed at 1/2/4/8 threads.  Every
-// run's products — inferred relationships, tiers, path-index counts, and
-// all analysis-suite counters — are digested via the canonical serializers
-// and asserted byte-identical across thread counts, the same determinism
+// own bench), then each inference stage is timed at 1/2/4/8 threads (1
+// alone on a one-CPU host: bench::scaling_thread_counts).  Every run's
+// products — inferred relationships, tiers, path-index counts, and all
+// analysis-suite counters — are digested via the canonical serializers and
+// asserted byte-identical across thread counts, the same determinism
 // contract the propagation engine holds.  The path index is built in one
 // sequential pass (core/path_index.h), so `path_index_seconds` times the
 // same sequential build on every thread row.
+//
+// `analysis_split` breaks the one-thread analysis time down by analysis:
+// one more threads = 1 pass makes the calls run_analysis_suite makes per
+// vantage, each timed (SA inference, homing, causes, import typicality,
+// community verification, SA verification), and reports the pass's wall
+// clock and the share no part accounts for.  Its suite must equal the
+// timed run's.
 //
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
@@ -21,10 +29,12 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "asrel/gao_inference.h"
 #include "asrel/tier_classify.h"
 #include "core/analysis_suite.h"
 #include "core/experiment.h"
+#include "core/experiment_view.h"
 #include "core/scenario.h"
 #include "util/text_table.h"
 
@@ -46,6 +56,68 @@ struct Row {
   double total_seconds;
   double speedup;
 };
+
+struct AnalysisSplit {
+  double sa = 0.0;
+  double homing = 0.0;
+  double causes = 0.0;
+  double import_typicality = 0.0;
+  double community_verification = 0.0;
+  double sa_verification = 0.0;
+  double total = 0.0;  ///< wall clock of the whole pass
+
+  [[nodiscard]] double unaccounted_share() const {
+    const double parts = sa + homing + causes + import_typicality +
+                         community_verification + sa_verification;
+    return total > 0.0 ? (total - parts) / total : 0.0;
+  }
+};
+
+/// One threads = 1 pass over the per-vantage calls of
+/// core::run_analysis_suite (analyze_vantage in core/analysis_suite.cc),
+/// each timed into `split`; returns the suite the pass built.
+core::AnalysisSuite split_analysis(const core::ExperimentView& view,
+                                   const std::vector<util::AsNumber>& vantages,
+                                   AnalysisSplit& split) {
+  const auto timed = [](double& seconds, auto&& fn) {
+    const auto start = std::chrono::steady_clock::now();
+    auto result = fn();
+    seconds += seconds_since(start);
+    return result;
+  };
+  const topo::AsGraph& graph = *view.inferred_graph;
+  core::AnalysisSuite suite;
+  const auto start = std::chrono::steady_clock::now();
+  for (const util::AsNumber as : vantages) {
+    core::VantageAnalysis v;
+    v.vantage = as;
+    const bgp::BgpTable& table = view.table_for(as);
+    const core::RelationshipOracle rels = view.inferred_oracle();
+    v.sa = timed(split.sa, [&] {
+      return core::infer_sa_prefixes(table, as, graph, rels);
+    });
+    v.homing = timed(split.homing,
+                     [&] { return core::analyze_homing(v.sa, graph); });
+    v.causes = timed(split.causes, [&] {
+      return core::analyze_causes(v.sa, table, *view.paths, graph, rels);
+    });
+    if (view.sim->looking_glass.contains(as)) {
+      v.looking_glass = true;
+      v.import_typicality = timed(split.import_typicality, [&] {
+        return core::analyze_import_typicality(table, rels);
+      });
+      const auto verified = timed(split.community_verification, [&] {
+        return view.community_verified_neighbors(as);
+      });
+      v.sa_verification = timed(split.sa_verification, [&] {
+        return core::verify_sa_prefixes(v.sa, *view.paths, verified, rels);
+      });
+    }
+    suite.vantages.push_back(std::move(v));
+  }
+  split.total = seconds_since(start);
+  return suite;
+}
 
 }  // namespace
 
@@ -76,8 +148,10 @@ int main(int argc, char** argv) {
   const std::vector<util::AsNumber> vantages =
       core::recorded_vantages(experiment.sim().sim);
 
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
+  const std::vector<std::size_t> thread_counts =
+      bench::scaling_thread_counts();
   std::vector<Row> rows;
+  AnalysisSplit split;
   std::string reference_digest;
   bool products_match = true;
   double base_seconds = 0.0;
@@ -106,6 +180,11 @@ int main(int argc, char** argv) {
     const core::AnalysisSuite suite =
         core::run_analysis_suite(view, vantages, threads);
     const double analysis_seconds = seconds_since(start);
+    if (threads == 1 &&
+        core::canonical_serialize(split_analysis(view, vantages, split)) !=
+            core::canonical_serialize(suite)) {
+      products_match = false;
+    }
 
     const double total = gao_seconds + index_seconds + analysis_seconds;
     if (threads == 1) base_seconds = total;
@@ -143,7 +222,17 @@ int main(int argc, char** argv) {
                 << ",\"total_seconds\":" << r.total_seconds
                 << ",\"speedup\":" << r.speedup << "}";
     }
-    std::cout << "]}" << std::endl;
+    std::cout << "],\"analysis_split\":{\"threads\":1"
+              << ",\"sa_seconds\":" << split.sa
+              << ",\"homing_seconds\":" << split.homing
+              << ",\"causes_seconds\":" << split.causes
+              << ",\"import_typicality_seconds\":" << split.import_typicality
+              << ",\"community_verification_seconds\":"
+              << split.community_verification
+              << ",\"sa_verification_seconds\":" << split.sa_verification
+              << ",\"total_seconds\":" << split.total
+              << ",\"unaccounted_share\":" << split.unaccounted_share()
+              << "}}" << std::endl;
     return products_match ? 0 : 1;
   }
 
@@ -161,8 +250,20 @@ int main(int argc, char** argv) {
                    util::fmt(r.total_seconds, 3),
                    util::fmt(r.speedup, 2) + "x"});
   }
+  util::TextTable parts({"analysis", "seconds"});
+  parts.add_row({"SA inference", util::fmt(split.sa, 3)});
+  parts.add_row({"homing", util::fmt(split.homing, 3)});
+  parts.add_row({"causes", util::fmt(split.causes, 3)});
+  parts.add_row({"import typicality", util::fmt(split.import_typicality, 3)});
+  parts.add_row({"community verification",
+                 util::fmt(split.community_verification, 3)});
+  parts.add_row({"SA verification", util::fmt(split.sa_verification, 3)});
+  parts.add_row({"pass total", util::fmt(split.total, 3)});
+  parts.add_row({"unaccounted share",
+                 util::fmt(100.0 * split.unaccounted_share(), 1) + "%"});
   std::cout << table.render("inference wall clock (seconds) by thread count")
             << "\n"
+            << parts.render("one-thread analysis split (seconds)") << "\n"
             << (products_match
                     ? "inference products byte-identical across all thread "
                       "counts\n"

@@ -10,11 +10,15 @@
 //    node spans; the bench reports the overlap windows, the chunk count,
 //    and the post-Simulate tail: from the end of the last simulate.chunk
 //    span to the end of observe.finish (the last chunk merge, the Simulate
-//    persist beside the path nodes, and the Observe finish).
+//    persist beside the path nodes, and the Observe finish), and what
+//    follows it: from the end of observe.finish to the end of the run
+//    (Infer and Analyze, `after_observe_seconds`).
 //
-// Every run's products are digested via the canonical serializers and
-// asserted byte-identical across thread counts AND across the two
-// execution shapes — the determinism contract (exit code 1 on mismatch).
+// Both paths run at 1/2/4/8 threads (1 alone on a one-CPU host:
+// bench::scaling_thread_counts).  Every run's products are digested via
+// the canonical serializers and asserted byte-identical across thread
+// counts AND across the two execution shapes — the determinism contract
+// (exit code 1 on mismatch).
 //
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
@@ -28,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/analysis_suite.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
@@ -57,6 +62,7 @@ struct Row {
   double overlap_irr_paths_seconds;
   double overlap_irr_sim_seconds;
   double tail_seconds;
+  double after_observe_seconds;
   std::size_t sim_chunks;
 };
 
@@ -106,6 +112,14 @@ double tail_of(const std::vector<core::TraceSpan>& spans) {
   return finish.end - chunks.end;
 }
 
+/// Seconds from the end of observe.finish to the end of a run that took
+/// `total` seconds from the trace origin: Infer and Analyze.
+double after_observe_of(const std::vector<core::TraceSpan>& spans,
+                        double total) {
+  const Window finish = window_of(spans, {"observe.finish"});
+  return finish.any ? total - finish.end : 0.0;
+}
+
 std::string experiment_digest(core::Experiment& experiment) {
   const core::InferenceProducts& inference = experiment.inference();
   const core::AnalysisSuite& suite = experiment.analyses();
@@ -137,7 +151,8 @@ int main(int argc, char** argv) {
                  "thread count)...\n";
   }
 
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
+  const std::vector<std::size_t> thread_counts =
+      bench::scaling_thread_counts();
   std::vector<Row> rows;
   std::string reference_digest;
   bool products_match = true;
@@ -194,7 +209,9 @@ int main(int argc, char** argv) {
                     observe_seconds, infer_seconds, analyze_seconds, total,
                     base_seconds / total, graph_total,
                     overlap_of(irr, paths), overlap_of(irr, sim_window),
-                    tail_of(trace.spans), graph_experiment.sim_chunks().total});
+                    tail_of(trace.spans),
+                    after_observe_of(trace.spans, graph_total),
+                    graph_experiment.sim_chunks().total});
 
     // Both execution shapes, every thread count: one digest.
     for (core::Experiment* exp : {&experiment, &graph_experiment}) {
@@ -229,6 +246,7 @@ int main(int argc, char** argv) {
                 << ",\"overlap_irr_sim_seconds\":"
                 << r.overlap_irr_sim_seconds
                 << ",\"tail_seconds\":" << r.tail_seconds
+                << ",\"after_observe_seconds\":" << r.after_observe_seconds
                 << ",\"sim_chunks\":" << r.sim_chunks << "}";
     }
     std::cout << "]}" << std::endl;
@@ -241,7 +259,8 @@ int main(int argc, char** argv) {
             << " · hardware threads: " << hw << "\n\n";
   util::TextTable table({"threads", "synthesize", "simulate", "observe",
                          "infer", "analyze", "serial total", "graph total",
-                         "irr||paths", "irr||sim", "tail", "chunks"});
+                         "irr||paths", "irr||sim", "tail", "after observe",
+                         "chunks"});
   for (const Row& r : rows) {
     table.add_row({std::to_string(r.threads),
                    util::fmt(r.synthesize_seconds, 3),
@@ -254,12 +273,14 @@ int main(int argc, char** argv) {
                    util::fmt(r.overlap_irr_paths_seconds, 3),
                    util::fmt(r.overlap_irr_sim_seconds, 3),
                    util::fmt(r.tail_seconds, 3),
+                   util::fmt(r.after_observe_seconds, 3),
                    std::to_string(r.sim_chunks)});
   }
   std::cout << table.render(
                    "stage wall clock (seconds); irr||paths / irr||sim are "
                    "overlap windows inside the task-graph run, tail is "
-                   "last chunk end to observe.finish end")
+                   "last chunk end to observe.finish end, after observe is "
+                   "observe.finish end to the run's end (Infer, Analyze)")
             << "\n"
             << (products_match
                     ? "products byte-identical across thread counts and "

@@ -1,7 +1,8 @@
 // Thread-scaling bench for the prefix-sharded propagation engine.
 //
 // Runs the full-Internet simulation of the canonical scenario at 1/2/4/8
-// threads, reports wall-clock seconds and speedup over the sequential run,
+// threads (1 alone on a one-CPU host: bench::scaling_thread_counts),
+// reports wall-clock seconds and speedup over the sequential run,
 // and cross-checks that every run produced identical products: each row's
 // convergence counters and the digest of its encoded `SimArtifact` (the
 // engine guarantees byte-identical output at any thread count).
@@ -31,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "core/artifact_store.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
@@ -133,7 +135,8 @@ int main(int argc, char** argv) {
       small ? core::Scenario::small() : core::Scenario::internet2002();
   const World w = build(scenario);
 
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
+  const std::vector<std::size_t> thread_counts =
+      bench::scaling_thread_counts();
   std::vector<Row> rows;
   double base_seconds = 0.0;
   bool counters_match = true;

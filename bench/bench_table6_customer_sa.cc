@@ -5,6 +5,7 @@
 
 #include "bench_common.h"
 #include "core/export_inference.h"
+#include "topology/customer_cone.h"
 
 int main() {
   using namespace bgpolicy;
@@ -26,18 +27,15 @@ int main() {
   // cones.  The paper "selected 8 ASs which originate a significant number
   // of prefixes" — implicitly ones exhibiting the effect — so rank all
   // candidates and keep the 8 with the most intersection-SA prefixes.
+  std::vector<topo::CustomerCone> cones;
+  for (const auto p : providers) cones.emplace_back(*view.inferred_graph, p);
   std::vector<util::AsNumber> candidates;
   for (const auto as : exp.truth().topo.stubs) {
     if (exp.truth().plan.count_for(as) < 3) continue;
-    bool in_all = true;
-    for (const auto p : providers) {
-      if (!view.inferred_graph->contains(as) ||
-          !view.inferred_graph->in_customer_cone(p, as)) {
-        in_all = false;
-        break;
-      }
+    if (std::all_of(cones.begin(), cones.end(),
+                    [&](const auto& cone) { return cone.contains(as); })) {
+      candidates.push_back(as);
     }
-    if (in_all) candidates.push_back(as);
   }
 
   auto rows = core::sa_per_customer(tables, providers, candidates,

@@ -1,7 +1,14 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Accepts bgpolicy-bench/v8 (current: adds the delta_propagation section —
+Accepts bgpolicy-bench/v9 (current: inference_scaling adds
+analysis_split — the one-thread analysis time split into SA inference,
+homing, causes, import typicality, community verification and SA
+verification, with the pass's wall clock and its unaccounted share —,
+pipeline_stages rows add after_observe_seconds — the task-graph run's
+time after observe.finish, Infer and Analyze — and a host with
+hardware_concurrency 1 records only the 1-thread row of each scaling
+section), v8 (adds the delta_propagation section —
 lockstep incremental-vs-cold churn stepping with the byte-equivalence
 flag `delta_match`, the steady-state `delta_speedup`, and the
 spec-corpus replay counters), v7 (adds the query_service section — the
@@ -53,6 +60,29 @@ def check_scaling(path, name, record, result_keys):
     threads = [row["threads"] for row in results]
     require(path, threads == sorted(threads) and len(set(threads)) == len(threads),
             f"{name}.results[].threads must be strictly increasing")
+
+
+def check_single_core_rows(path, name, record):
+    """A one-CPU host records only the 1-thread row (v9)."""
+    if record["hardware_concurrency"] == 1:
+        require(path, [row["threads"] for row in record["results"]] == [1],
+                f"{name}.results must hold only the threads=1 row when "
+                "hardware_concurrency is 1")
+
+
+def check_analysis_split(path, record):
+    name = "inference_scaling.analysis_split"
+    split = record.get("analysis_split")
+    require(path, isinstance(split, dict), f"{name} must be an object")
+    require(path, split.get("threads") == 1, f"{name}.threads must be 1")
+    for key in ("sa_seconds", "homing_seconds", "causes_seconds",
+                "import_typicality_seconds",
+                "community_verification_seconds", "sa_verification_seconds",
+                "total_seconds", "unaccounted_share"):
+        require(path, isinstance(split.get(key), (int, float)),
+                f"{name}.{key} must be a number")
+    require(path, split["total_seconds"] > 0,
+            f"{name}.total_seconds must be > 0")
 
 
 def check_artifact_store(path, record):
@@ -152,16 +182,13 @@ def check_file(path):
         except json.JSONDecodeError as error:
             fail(path, f"not valid JSON: {error}")
     schema = record.get("schema")
-    require(path,
-            schema in ("bgpolicy-bench/v2", "bgpolicy-bench/v3",
-                       "bgpolicy-bench/v4", "bgpolicy-bench/v5",
-                       "bgpolicy-bench/v6", "bgpolicy-bench/v7",
-                       "bgpolicy-bench/v8"),
-            'schema must be "bgpolicy-bench/v2".."bgpolicy-bench/v8"')
+    versions = {f"bgpolicy-bench/v{n}": n for n in range(2, 10)}
+    require(path, schema in versions,
+            'schema must be "bgpolicy-bench/v2".."bgpolicy-bench/v9"')
+    version = versions[schema]
     require(path, "generated_utc" in record, "generated_utc missing")
 
-    flat_core = schema in ("bgpolicy-bench/v6", "bgpolicy-bench/v7",
-                           "bgpolicy-bench/v8")
+    flat_core = version >= 6
     sim_keys = ["threads", "seconds", "speedup"]
     if flat_core:
         sim_keys.append("events_per_sec")
@@ -187,37 +214,47 @@ def check_file(path):
 
     summary = (f"sim rows: {len(sim['results'])}, "
                f"inference rows: {len(inference['results'])}")
-    if schema != "bgpolicy-bench/v2":
+    stages = None
+    if version >= 3:
         stage_keys = ["threads", "synthesize_seconds", "simulate_seconds",
                       "observe_seconds", "infer_seconds", "analyze_seconds",
                       "total_seconds", "speedup"]
-        if schema in ("bgpolicy-bench/v5", "bgpolicy-bench/v6",
-                      "bgpolicy-bench/v7", "bgpolicy-bench/v8"):
+        if version >= 5:
             # The task-graph comparison: one end-to-end run with overlapped
             # stage nodes next to the serial-stage sum, plus the overlap
             # windows and the Simulate chunk count.
             stage_keys += ["graph_total_seconds",
                            "overlap_irr_paths_seconds",
                            "overlap_irr_sim_seconds", "sim_chunks"]
+        if version >= 9:
+            # The span after observe.finish: Infer and Analyze.
+            stage_keys.append("after_observe_seconds")
         stages = record.get("pipeline_stages")
         check_scaling(path, "pipeline_stages", stages, tuple(stage_keys))
         require(path, stages.get("products_match") is True,
                 "pipeline_stages.products_match must be true")
         summary += f", stage rows: {len(stages['results'])}"
-    if schema in ("bgpolicy-bench/v4", "bgpolicy-bench/v5",
-                  "bgpolicy-bench/v6", "bgpolicy-bench/v7",
-                  "bgpolicy-bench/v8"):
+    if version >= 4:
         store = record.get("artifact_store")
         check_artifact_store(path, store)
         summary += f", artifact rows: {len(store['results'])}"
-    if schema in ("bgpolicy-bench/v7", "bgpolicy-bench/v8"):
+    if version >= 7:
         service = record.get("query_service")
         check_query_service(path, service)
         summary += (f", query qps: {service['queries_per_sec']:.0f}")
-    if schema == "bgpolicy-bench/v8":
+    if version >= 8:
         delta = record.get("delta_propagation")
         check_delta_propagation(path, delta)
         summary += (f", delta speedup: {delta['delta_speedup']:.1f}x")
+    if version >= 9:
+        check_analysis_split(path, inference)
+        for name, section in (("sim_scaling", sim),
+                              ("inference_scaling", inference),
+                              ("pipeline_stages", stages)):
+            check_single_core_rows(path, name, section)
+        split = inference["analysis_split"]
+        summary += (f", analysis split unaccounted: "
+                    f"{100 * split['unaccounted_share']:.1f}%")
 
     print(f"{path}: ok ({summary})")
 

@@ -9,18 +9,9 @@
 
 namespace bgpolicy::core {
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
-                      std::uint64_t seed) {
-  std::uint64_t hash = seed;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= 0x00000100000001B3ULL;  // FNV prime
-  }
-  return hash;
-}
-
 namespace {
 
+constexpr std::uint64_t kFnvPrime = 0x00000100000001B3ULL;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 /// A second, independent basis so the two 64-bit halves of the 128-bit
 /// digest never cancel each other.
@@ -35,11 +26,27 @@ void append_hex64(std::string& out, std::uint64_t value) {
 
 }  // namespace
 
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
+                      std::uint64_t seed) {
+  std::uint64_t hash = seed;
+  for (const std::uint8_t byte : bytes) hash = (hash ^ byte) * kFnvPrime;
+  return hash;
+}
+
 std::string stable_digest_hex(std::span<const std::uint8_t> bytes) {
+  // The two FNV-1a lanes, fnv1a64(bytes, kFnvOffset) and
+  // fnv1a64(bytes, kFnvOffsetAlt), in one pass: the multiply chains are
+  // independent, so the second lane runs in the first one's latency.
+  std::uint64_t first = kFnvOffset;
+  std::uint64_t second = kFnvOffsetAlt;
+  for (const std::uint8_t byte : bytes) {
+    first = (first ^ byte) * kFnvPrime;
+    second = (second ^ byte) * kFnvPrime;
+  }
   std::string out;
   out.reserve(32);
-  append_hex64(out, fnv1a64(bytes, kFnvOffset));
-  append_hex64(out, fnv1a64(bytes, kFnvOffsetAlt));
+  append_hex64(out, first);
+  append_hex64(out, second);
   return out;
 }
 

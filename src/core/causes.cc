@@ -3,6 +3,7 @@
 #include <unordered_set>
 
 #include "bgp/prefix_trie.h"
+#include "topology/customer_cone.h"
 #include "util/stats.h"
 
 namespace bgpolicy::core {
@@ -42,6 +43,10 @@ CausesAnalysis analyze_causes(const SaAnalysis& analysis,
   out.provider = analysis.provider;
   out.sa_total = analysis.sa_prefixes.size();
 
+  // Case 3 asks whether a direct provider sits in this provider's cone,
+  // once per SA prefix: walk the cone once.
+  const topo::CustomerCone cone(annotated, analysis.provider);
+
   // Index every announced prefix at the provider with origin + route class.
   bgp::PrefixTrie<TrieEntry> trie;
   provider_table.for_each(
@@ -77,8 +82,7 @@ CausesAnalysis analyze_causes(const SaAnalysis& analysis,
     // customer route.
     std::vector<AsNumber> relevant;
     for (const AsNumber p : direct_providers) {
-      if (p == analysis.provider ||
-          annotated.in_customer_cone(analysis.provider, p)) {
+      if (p == analysis.provider || cone.contains(p)) {
         relevant.push_back(p);
       }
     }

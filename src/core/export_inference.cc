@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "topology/customer_cone.h"
 #include "util/stats.h"
 
 namespace bgpolicy::core {
@@ -16,16 +17,8 @@ SaAnalysis analyze(const bgp::BgpTable& table, AsNumber provider,
   SaAnalysis out;
   out.provider = provider;
 
-  // Memoized Phase 2: origin -> in customer cone of `provider`?
-  std::unordered_map<AsNumber, bool> cone_cache;
-  const auto in_cone = [&](AsNumber origin) {
-    const auto it = cone_cache.find(origin);
-    if (it != cone_cache.end()) return it->second;
-    const bool result =
-        annotated.contains(origin) && annotated.in_customer_cone(provider, origin);
-    cone_cache.emplace(origin, result);
-    return result;
-  };
+  // Phase 2 asks one provider about many origins: walk its cone once.
+  const topo::CustomerCone cone(annotated, provider);
 
   table.for_each([&](const bgp::Prefix& prefix,
                      std::span<const bgp::Route> routes) {
@@ -33,8 +26,7 @@ SaAnalysis analyze(const bgp::BgpTable& table, AsNumber provider,
     const bgp::Route* best = table.best(prefix);
     if (best == nullptr) return;
     const AsNumber origin = best->origin_as();
-    if (origin == provider) return;
-    if (!in_cone(origin)) return;  // Phase 2: not a customer's prefix
+    if (!cone.contains(origin)) return;  // Phase 2: not a customer's prefix
     ++out.customer_prefixes;
 
     // Phase 3: next-hop relationship of the best route (or, for the

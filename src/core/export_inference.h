@@ -50,8 +50,9 @@ struct SaAnalysis {
 /// Runs the Fig. 4 algorithm over the provider's table (best routes are
 /// used; extra routes per prefix are reduced with the decision process).
 /// `annotated` must be an AS graph annotated with (typically inferred)
-/// relationships — it supplies the Phase-2 customer-cone DFS; `rels`
-/// supplies the Phase-3 next-hop classification.
+/// relationships — it supplies the Phase-2 customer cone, walked once per
+/// call (topology/customer_cone.h); `rels` supplies the Phase-3 next-hop
+/// classification.
 [[nodiscard]] SaAnalysis infer_sa_prefixes(const bgp::BgpTable& table,
                                            AsNumber provider,
                                            const topo::AsGraph& annotated,

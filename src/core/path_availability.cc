@@ -1,6 +1,9 @@
 #include "core/path_availability.h"
 
-#include <unordered_map>
+#include <optional>
+#include <vector>
+
+#include "topology/customer_cone.h"
 
 namespace bgpolicy::core {
 
@@ -10,17 +13,19 @@ PathAvailability analyze_path_availability(const bgp::BgpTable& full_rib,
   PathAvailability out;
   out.vantage = vantage;
 
-  // Cone-membership cache per (neighbor, origin).
-  std::unordered_map<std::uint64_t, bool> cone_cache;
-  const auto in_cone = [&](AsNumber root, AsNumber origin) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(root.value()) << 32) | origin.value();
-    const auto it = cone_cache.find(key);
-    if (it != cone_cache.end()) return it->second;
-    const bool result = annotated.contains(root) &&
-                        annotated.in_customer_cone(root, origin);
-    cone_cache.emplace(key, result);
-    return result;
+  // Scope: customer prefixes, as in the SA analysis (Phase 2).  Each
+  // neighbor's cone is walked the first time that neighbor is asked about;
+  // `neighbor_cones[i]` belongs to `neighbors[i]`.
+  const topo::CustomerCone cone(annotated, vantage);
+  const std::span<const topo::Neighbor> neighbors =
+      annotated.neighbors(vantage);
+  std::vector<std::optional<topo::CustomerCone>> neighbor_cones(
+      neighbors.size());
+  const auto in_neighbor_cone = [&](std::size_t i, AsNumber origin) {
+    if (!neighbor_cones[i]) {
+      neighbor_cones[i].emplace(annotated, neighbors[i].as);
+    }
+    return neighbor_cones[i]->contains(origin);
   };
 
   std::size_t total_available = 0;
@@ -31,9 +36,7 @@ PathAvailability analyze_path_availability(const bgp::BgpTable& full_rib,
     const bgp::Route* best = full_rib.best(prefix);
     if (best == nullptr) return;
     const AsNumber origin = best->origin_as();
-    if (origin == vantage) return;
-    // Scope: customer prefixes, as in the SA analysis (Phase 2).
-    if (!in_cone(vantage, origin)) return;
+    if (!cone.contains(origin)) return;
     ++out.customer_prefixes;
 
     const std::size_t available = routes.size();
@@ -41,19 +44,13 @@ PathAvailability analyze_path_availability(const bgp::BgpTable& full_rib,
     out.available_histogram.add(static_cast<std::int64_t>(available));
     if (available == 1) ++out.single_path_prefixes;
 
+    // A provider can always supply *some* route to the prefix; a customer
+    // or peer only one from its own cone.
     std::size_t potential = 0;
-    for (const auto& n : annotated.neighbors(vantage)) {
-      switch (n.kind) {
-        case RelKind::kCustomer:
-          if (n.as == origin || in_cone(n.as, origin)) ++potential;
-          break;
-        case RelKind::kPeer:
-          if (n.as == origin || in_cone(n.as, origin)) ++potential;
-          break;
-        case RelKind::kProvider:
-          // A provider can always supply *some* route to the prefix.
-          ++potential;
-          break;
+    for (std::size_t i = 0; i < neighbors.size(); ++i) {
+      if (neighbors[i].kind == RelKind::kProvider ||
+          neighbors[i].as == origin || in_neighbor_cone(i, origin)) {
+        ++potential;
       }
     }
     total_potential += potential;

@@ -4,6 +4,7 @@
 #include <map>
 #include <unordered_map>
 
+#include "topology/customer_cone.h"
 #include "util/parallel.h"
 #include "util/stats.h"
 
@@ -73,17 +74,9 @@ PersistenceStudy run_persistence_study(sim::ChurnSimulator& churn,
     record();
   }
 
-  // Memoized customer-cone membership, computed once per distinct origin in
-  // step order so the sharded analysis only reads it.
-  std::unordered_map<AsNumber, bool> cone;
-  for (const auto& observations : recorded) {
-    for (const RouteObservation& obs : observations) {
-      if (cone.contains(obs.origin)) continue;
-      cone.emplace(obs.origin,
-                   annotated.contains(obs.origin) &&
-                       annotated.in_customer_cone(provider, obs.origin));
-    }
-  }
+  // The provider's customer cone, walked once; the sharded analysis only
+  // reads it.
+  const topo::CustomerCone cone(annotated, provider);
 
   // Phase 2 (sharded over snapshots): each step's SA analysis is a pure
   // function of its recorded observations; snapshots merge in step order.
@@ -100,7 +93,7 @@ PersistenceStudy run_persistence_study(sim::ChurnSimulator& churn,
         analysis.snap.step = step;
         for (const RouteObservation& obs : recorded[step]) {
           ++analysis.snap.total_prefixes;
-          if (obs.origin == provider || !cone.at(obs.origin)) continue;
+          if (!cone.contains(obs.origin)) continue;
           ++analysis.snap.customer_prefixes;
           const bool sa = rels(provider, obs.learned_from) != RelKind::kCustomer;
           if (sa) ++analysis.snap.sa_prefixes;

@@ -36,10 +36,7 @@ class Writer {
                      text.size());
   }
 
-  void put_blob(std::span<const std::uint8_t> bytes) {
-    put(static_cast<std::uint64_t>(bytes.size()));
-    out_->insert(out_->end(), bytes.begin(), bytes.end());
-  }
+  [[nodiscard]] std::vector<std::uint8_t>& buffer() { return *out_; }
 
  private:
   std::vector<std::uint8_t>* out_;
@@ -134,7 +131,14 @@ topo::RelKind get_rel(Reader& r) {
 }
 
 void put_table(Writer& w, const bgp::BgpTable& table) {
-  w.put_blob(serialize_table(table));
+  // A length-prefixed blob, the table encoded straight into the artifact
+  // buffer: the prefix is patched once the table's size is known.
+  std::vector<std::uint8_t>& out = w.buffer();
+  const std::size_t length_at = out.size();
+  w.put(std::uint64_t{0});
+  append_table(table, out);
+  const std::uint64_t length = out.size() - length_at - sizeof(std::uint64_t);
+  std::memcpy(out.data() + length_at, &length, sizeof(length));
 }
 bgp::BgpTable get_table(Reader& r) {
   // deserialize_table rejects its own corruption (magic, bounds, trailing
@@ -932,18 +936,29 @@ core::AnalysisSuite get_analysis_suite(Reader& r) {
 
 constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
 
-std::vector<std::uint8_t> frame(ArtifactKind kind,
-                                std::vector<std::uint8_t>&& payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(payload.size() + 24);
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  Writer w(out);
+/// Encodes one artifact: `put` writes the payload behind header bytes
+/// reserved at the front of the buffer, which are then filled in place —
+/// the payload is written once and never copied.
+template <typename T>
+std::vector<std::uint8_t> encode_framed(ArtifactKind kind,
+                                        void (*put)(Writer&, const T&),
+                                        const T& artifact) {
+  std::vector<std::uint8_t> bytes(kArtifactHeaderBytes);
+  Writer payload_writer(bytes);
+  put(payload_writer, artifact);
+  const auto payload =
+      std::span<const std::uint8_t>(bytes).subspan(kArtifactHeaderBytes);
+
+  std::vector<std::uint8_t> header;
+  header.reserve(kArtifactHeaderBytes);
+  for (const char c : kMagic) header.push_back(static_cast<std::uint8_t>(c));
+  Writer w(header);
   w.put(kArtifactCodecVersion);
   w.put(static_cast<std::uint16_t>(kind));
   w.put(static_cast<std::uint64_t>(payload.size()));
   w.put(core::fnv1a64(payload, kChecksumSeed));
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  std::copy(header.begin(), header.end(), bytes.begin());
+  return bytes;
 }
 
 /// Validates the header and returns the payload span.
@@ -964,11 +979,11 @@ std::span<const std::uint8_t> unframe(ArtifactKind kind,
   }
   const std::uint64_t payload_size = r.get<std::uint64_t>();
   const std::uint64_t checksum = r.get<std::uint64_t>();
-  constexpr std::size_t kHeaderSize = 4 + 2 + 2 + 8 + 8;
-  if (payload_size != bytes.size() - kHeaderSize) {
+  if (payload_size != bytes.size() - kArtifactHeaderBytes) {
     throw std::invalid_argument("artifact: truncated or oversized payload");
   }
-  const std::span<const std::uint8_t> payload = bytes.subspan(kHeaderSize);
+  const std::span<const std::uint8_t> payload =
+      bytes.subspan(kArtifactHeaderBytes);
   if (core::fnv1a64(payload, kChecksumSeed) != checksum) {
     throw std::invalid_argument("artifact: checksum mismatch");
   }
@@ -1011,38 +1026,26 @@ const char* to_string(ArtifactKind kind) {
 }
 
 std::vector<std::uint8_t> encode(const core::GroundTruth& truth) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  put_ground_truth(w, truth);
-  return frame(ArtifactKind::kGroundTruth, std::move(payload));
+  return encode_framed(ArtifactKind::kGroundTruth, put_ground_truth, truth);
 }
 
 std::vector<std::uint8_t> encode(const core::SimArtifact& sim) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  put_sim_artifact(w, sim);
-  return frame(ArtifactKind::kSimArtifact, std::move(payload));
+  return encode_framed(ArtifactKind::kSimArtifact, put_sim_artifact, sim);
 }
 
 std::vector<std::uint8_t> encode(const core::Observations& observations) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  put_observations(w, observations);
-  return frame(ArtifactKind::kObservations, std::move(payload));
+  return encode_framed(ArtifactKind::kObservations, put_observations,
+                       observations);
 }
 
 std::vector<std::uint8_t> encode(const core::InferenceProducts& inference) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  put_inference(w, inference);
-  return frame(ArtifactKind::kInferenceProducts, std::move(payload));
+  return encode_framed(ArtifactKind::kInferenceProducts, put_inference,
+                       inference);
 }
 
 std::vector<std::uint8_t> encode(const core::AnalysisSuite& suite) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  put_analysis_suite(w, suite);
-  return frame(ArtifactKind::kAnalysisSuite, std::move(payload));
+  return encode_framed(ArtifactKind::kAnalysisSuite, put_analysis_suite,
+                       suite);
 }
 
 core::GroundTruth decode_ground_truth(std::span<const std::uint8_t> bytes) {
@@ -1072,10 +1075,7 @@ core::AnalysisSuite decode_analysis_suite(
 }
 
 std::vector<std::uint8_t> encode(const core::SimChunk& chunk) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  put_sim_chunk(w, chunk);
-  return frame(ArtifactKind::kSimChunk, std::move(payload));
+  return encode_framed(ArtifactKind::kSimChunk, put_sim_chunk, chunk);
 }
 
 core::SimChunk decode_sim_chunk(std::span<const std::uint8_t> bytes) {

@@ -1,6 +1,7 @@
 #include "io/binary_table.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -11,20 +12,27 @@ namespace {
 constexpr std::uint16_t kVersion = 1;
 constexpr char kMagic[4] = {'B', 'G', 'P', 'T'};
 
+/// Bytes of the table header (magic, version, owner, route count) and of
+/// one route before its variable-length hop and community lists.
+constexpr std::size_t kHeaderBytes = 4 + 2 + 4 + 8;
+constexpr std::size_t kRouteFixedBytes = 4 + 1 + 4 + 4 + 4 + 1 + 2 + 2;
+
+/// Writes through a cursor into bytes the caller has already sized.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
+  explicit Writer(std::uint8_t* cursor) : cursor_(cursor) {}
 
   template <typename T>
   void put(T value) {
     static_assert(std::is_trivially_copyable_v<T>);
-    std::uint8_t raw[sizeof(T)];
-    std::memcpy(raw, &value, sizeof(T));
-    out_->insert(out_->end(), raw, raw + sizeof(T));
+    std::memcpy(cursor_, &value, sizeof(T));
+    cursor_ += sizeof(T);
   }
 
+  [[nodiscard]] const std::uint8_t* cursor() const { return cursor_; }
+
  private:
-  std::vector<std::uint8_t>* out_;
+  std::uint8_t* cursor_;
 };
 
 class Reader {
@@ -52,16 +60,23 @@ class Reader {
 
 }  // namespace
 
-std::vector<std::uint8_t> serialize_table(const bgp::BgpTable& table) {
-  std::vector<std::uint8_t> out;
-  Writer w(out);
-  // Byte-wise append: the obvious range insert trips GCC 12's
-  // -Wstringop-overflow (false positive) under -Werror.
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
+void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out) {
+  std::size_t bytes = kHeaderBytes;
+  table.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
+    for (const bgp::Route& route : routes) {
+      bytes += kRouteFixedBytes +
+               sizeof(std::uint32_t) *
+                   (route.path.length() + route.communities.size());
+    }
+  });
+  const std::size_t start = out.size();
+  out.resize(start + bytes);
+
+  Writer w(out.data() + start);
+  for (const char c : kMagic) w.put(static_cast<std::uint8_t>(c));
   w.put(kVersion);
   w.put(table.owner().value());
   w.put(static_cast<std::uint64_t>(table.route_count()));
-
   table.for_each([&](const bgp::Prefix& prefix,
                      std::span<const bgp::Route> routes) {
     for (const bgp::Route& route : routes) {
@@ -77,6 +92,12 @@ std::vector<std::uint8_t> serialize_table(const bgp::BgpTable& table) {
       for (const auto c : route.communities) w.put(c.raw());
     }
   });
+  assert(w.cursor() == out.data() + out.size());
+}
+
+std::vector<std::uint8_t> serialize_table(const bgp::BgpTable& table) {
+  std::vector<std::uint8_t> out;
+  append_table(table, out);
   return out;
 }
 

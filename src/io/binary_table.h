@@ -20,6 +20,12 @@ namespace bgpolicy::io {
 [[nodiscard]] std::vector<std::uint8_t> serialize_table(
     const bgp::BgpTable& table);
 
+/// Appends serialize_table(table)'s bytes to `out` in place: one sizing
+/// pass, one resize, then the routes written straight into the buffer (the
+/// artifact codec embeds vantage tables this way, without a per-table
+/// vector or a blob copy).
+void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out);
+
 /// Throws std::invalid_argument on truncated or corrupt input.
 [[nodiscard]] bgp::BgpTable deserialize_table(
     std::span<const std::uint8_t> bytes);

@@ -116,24 +116,6 @@ bool AsGraph::in_customer_cone(AsNumber provider, AsNumber as) const {
   return false;
 }
 
-std::vector<AsNumber> AsGraph::customer_cone(AsNumber provider) const {
-  std::vector<AsNumber> cone;
-  std::unordered_set<AsNumber> visited{provider};
-  std::vector<AsNumber> stack{provider};
-  while (!stack.empty()) {
-    const AsNumber current = stack.back();
-    stack.pop_back();
-    for (const auto& n : neighbors(current)) {
-      if (n.kind != RelKind::kCustomer) continue;
-      if (visited.insert(n.as).second) {
-        cone.push_back(n.as);
-        stack.push_back(n.as);
-      }
-    }
-  }
-  return cone;
-}
-
 std::vector<AsNumber> AsGraph::find_customer_path(AsNumber provider,
                                                   AsNumber target) const {
   if (provider == target) return {};

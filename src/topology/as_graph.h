@@ -91,12 +91,10 @@ class AsGraph {
 
   /// True when a customer path (provider -> ... -> descendant following only
   /// provider-to-customer edges) exists from `provider` down to `as`.
-  /// This is Phase 2 of the paper's Fig. 4 algorithm.
+  /// One DFS per query: the library asks topo::CustomerCone
+  /// (customer_cone.h), which builds the cone once; this stays as the
+  /// reference its tests compare against.
   [[nodiscard]] bool in_customer_cone(AsNumber provider, AsNumber as) const;
-
-  /// The full customer cone of `provider` (all direct or indirect
-  /// customers), excluding the provider itself.
-  [[nodiscard]] std::vector<AsNumber> customer_cone(AsNumber provider) const;
 
   /// One customer path provider -> ... -> target (inclusive), or empty when
   /// none exists.  DFS order is deterministic (insertion order).

@@ -80,6 +80,20 @@ TEST(ArtifactStore, DigestIsStableAndContentSensitive) {
   EXPECT_NE(a, stable_digest_hex(std::string_view("")));
 }
 
+TEST(ArtifactStore, DigestMatchesKnownAnswers) {
+  // The digest is two 64-bit FNV-1a lanes; the empty input leaves both at
+  // their offset bases.
+  EXPECT_EQ(stable_digest_hex(std::string_view("")),
+            "cbf29ce4842223256c62272e07bb0142");
+  EXPECT_EQ(stable_digest_hex(std::string_view("hello")),
+            "a430d84680aabd0b6aaf3b071d3ffa4a");
+  const std::string_view hello = "hello";
+  const std::span<const std::uint8_t> bytes(
+      reinterpret_cast<const std::uint8_t*>(hello.data()), hello.size());
+  EXPECT_EQ(fnv1a64(bytes, 0xcbf29ce484222325ULL), 0xa430d84680aabd0bULL);
+  EXPECT_EQ(fnv1a64(bytes, 0x6c62272e07bb0142ULL), 0x6aaf3b071d3ffa4aULL);
+}
+
 TEST(ArtifactStore, SecondExperimentLoadsEveryStage) {
   ScopedStore store;
   RunOptions options;

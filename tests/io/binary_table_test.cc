@@ -41,6 +41,30 @@ TEST(BinaryTable, RoundTrip) {
   EXPECT_EQ(got.communities, want.communities);
 }
 
+TEST(BinaryTable, EncodingMatchesGoldenBytes) {
+  // The layout of binary_table.h, little-endian: header, then the /24's
+  // route (two hops, one community), then the /16's (one hop, none).
+  const std::vector<std::uint8_t> golden = {
+      0x42, 0x47, 0x50, 0x54, 0x01, 0x00, 0x6a, 0x1b, 0x00, 0x00, 0x02, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0a, 0x18, 0xbd,
+      0x02, 0x00, 0x00, 0x5a, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x02,
+      0x02, 0x00, 0xbd, 0x02, 0x00, 0x00, 0x1c, 0x0d, 0x00, 0x00, 0x01, 0x00,
+      0xd0, 0x07, 0x6a, 0x1b, 0x00, 0x00, 0x01, 0x0a, 0x10, 0xd7, 0x04, 0x00,
+      0x00, 0x78, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+      0xd7, 0x04, 0x00, 0x00, 0x00, 0x00};
+  EXPECT_EQ(serialize_table(sample_table()), golden);
+}
+
+TEST(BinaryTable, AppendTableWritesBehindExistingBytes) {
+  const std::vector<std::uint8_t> prefix = {0xAA, 0xBB, 0xCC};
+  std::vector<std::uint8_t> out = prefix;
+  append_table(sample_table(), out);
+  std::vector<std::uint8_t> want = prefix;
+  const auto table = serialize_table(sample_table());
+  want.insert(want.end(), table.begin(), table.end());
+  EXPECT_EQ(out, want);
+}
+
 TEST(BinaryTable, RejectsCorruptInput) {
   const auto bytes = serialize_table(sample_table());
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/analysis_suite.h"
 #include "core/artifact_store.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
@@ -210,12 +211,14 @@ void expect_digest_matches_seed(const topo::AsGraph& graph,
   }
 }
 
-/// The full internet2002 Simulate and Observe artifacts, pinned byte for
-/// byte: a change anywhere in the fixpoint, the recorder, the chunk merge
-/// or the codec that moves one recorded row moves the Simulate digest, and
-/// one that moves a path-index id (PathIndex insertion order) moves the
-/// Observe digest.  The same values hold at every thread count (the
-/// determinism contract); threads = 0 runs the production shape.
+/// The full internet2002 Simulate and Observe artifacts and analyses,
+/// pinned byte for byte: a change anywhere in the fixpoint, the recorder,
+/// the chunk merge or the codec that moves one recorded row moves the
+/// Simulate digest, and one that moves a path-index id (PathIndex
+/// insertion order) moves the Observe digest.  The analyses digest sees
+/// every counter Analyze computes, so a wrong customer cone moves it.  The
+/// same values hold at every thread count (the determinism contract);
+/// threads = 0 runs the production shape.
 TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   if (sanitizer_build()) {
     GTEST_SKIP() << "full internet2002 Simulate is too slow under sanitizers";
@@ -223,11 +226,15 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   core::Scenario scenario = core::Scenario::internet2002();
   scenario.propagation.threads = 0;
   core::Experiment experiment(scenario);
-  experiment.run(core::Stage::kObserve);
+  experiment.run(core::Stage::kAnalyze);
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.sim())),
             "8eafed68cd4c6a57205c39475f5c62f4");
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.observations())),
             "6ce12f69101caa1e9bd00c339980a1ef");
+  // The same analyses digest perfbench/reference.json pins.
+  EXPECT_EQ(core::stable_digest_hex(
+                core::canonical_serialize(experiment.analyses())),
+            "8a664537f6c4b68019eb00b6396e5dd5");
 }
 
 TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "testing/fixtures.h"
+#include "topology/customer_cone.h"
 
 namespace bgpolicy::topo {
 namespace {
@@ -67,8 +68,7 @@ TEST(AsGraph, CustomerConeFollowsOnlyP2CEdges) {
   EXPECT_FALSE(g.in_customer_cone(kAs5, kAs5));
   EXPECT_FALSE(g.in_customer_cone(kAs4, kAs5));
 
-  const auto cone = g.customer_cone(kAs5);
-  EXPECT_EQ(cone.size(), 3u);
+  EXPECT_EQ(CustomerCone(g, kAs5).size(), 3u);
 }
 
 TEST(AsGraph, FindCustomerPathReturnsDownhillChain) {
