@@ -10,9 +10,18 @@
 // on; a mismatch fails the bench (exit 1), wiring codec fidelity into the
 // tracked trajectory like the other benches' determinism checks.
 //
+// The `resume` rows (bgpolicy-bench/v10) time a store-resumed Experiment
+// through Analyze at one thread and at hardware_concurrency (one row on a
+// one-CPU host), with the simulate.decode and observe.probe spans of its
+// StageTrace and their overlap: the resume graph decodes the SimArtifact
+// beside the Observe probe.  A resume that computes any stage, or whose
+// stage digests differ from the run that filled the store, fails the bench.
+//
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
 //   --json    emit a single JSON object on stdout (for scripts/bench.sh)
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -46,6 +55,81 @@ struct Row {
   double load_seconds = 0;  ///< store read + decode
   double load_speedup = 0;  ///< compute / load
 };
+
+struct ResumeRow {
+  std::size_t threads = 0;
+  double wall_seconds = 0;  ///< fastest of kResumeRuns
+  /// Spans of that run's StageTrace: the SimArtifact decode, the Observe
+  /// probe (read, digest and decode of the Observations entry) and the time
+  /// both ran at once.
+  double sim_decode_seconds = 0;
+  double observe_probe_seconds = 0;
+  double overlap_seconds = 0;
+};
+
+constexpr int kResumeRuns = 3;
+constexpr std::array<core::Stage, 5> kStages = {
+    core::Stage::kSynthesize, core::Stage::kSimulate, core::Stage::kObserve,
+    core::Stage::kInfer, core::Stage::kAnalyze};
+
+const core::TraceSpan* find_span(const core::StageTrace& trace,
+                                 const std::string& name) {
+  for (const core::TraceSpan& span : trace.spans) {
+    if (span.name == name) return &span;
+  }
+  return nullptr;
+}
+
+/// Resumes `scenario` from `store` through Analyze kResumeRuns times at
+/// `threads`; false when a run computed a stage, lacks a span, or a stage
+/// digest differs from `digests`.
+bool bench_resume(const core::Scenario& scenario, core::ArtifactStore& store,
+                  std::size_t threads,
+                  const std::array<std::string, 5>& digests, ResumeRow& row) {
+  row.threads = threads;
+  for (int run = 0; run < kResumeRuns; ++run) {
+    core::StageTrace trace;
+    core::RunOptions options;
+    options.threads = threads;
+    options.store = &store;
+    options.trace = &trace;
+    const auto start = std::chrono::steady_clock::now();
+    trace.origin = start;
+    core::Experiment experiment(scenario, options);
+    experiment.run();
+    const double wall = seconds_since(start);
+
+    const core::StageCounters& computed = experiment.counters();
+    if (computed.synthesize + computed.simulate + computed.observe +
+            computed.infer + computed.analyze !=
+        0) {
+      std::cerr << "resume at threads " << threads << " computed a stage\n";
+      return false;
+    }
+    for (std::size_t s = 0; s < kStages.size(); ++s) {
+      if (experiment.stage_digest(kStages[s]) != digests[s]) {
+        std::cerr << "resume at threads " << threads << ": "
+                  << core::to_string(kStages[s]) << " digest differs\n";
+        return false;
+      }
+    }
+    const core::TraceSpan* decode = find_span(trace, "simulate.decode");
+    const core::TraceSpan* probe = find_span(trace, "observe.probe");
+    if (decode == nullptr || probe == nullptr) {
+      std::cerr << "resume trace lacks the decode or probe span\n";
+      return false;
+    }
+    if (run == 0 || wall < row.wall_seconds) {
+      row.wall_seconds = wall;
+      row.sim_decode_seconds = decode->end_seconds - decode->start_seconds;
+      row.observe_probe_seconds = probe->end_seconds - probe->start_seconds;
+      row.overlap_seconds = std::max(
+          0.0, std::min(decode->end_seconds, probe->end_seconds) -
+                   std::max(decode->start_seconds, probe->start_seconds));
+    }
+  }
+  return true;
+}
 
 /// Benches one artifact: encode/decode timings, store write, then a timed
 /// load (read + decode).  Returns false when the roundtrip is not
@@ -105,7 +189,7 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() /
       ("bgpolicy-bench-store-" + scenario.name);
   std::filesystem::remove_all(store_dir);
-  const core::ArtifactStore store(store_dir);
+  core::ArtifactStore store(store_dir);
 
   // Stage the experiment once, timing each compute (threads = 1: the
   // sequential reference cost a cold store saves).
@@ -159,9 +243,32 @@ int main(int argc, char** argv) {
       },
       rows[4]);
 
-  std::filesystem::remove_all(store_dir);
-
+  // Fill the store through a stored run at every core, then resume it.
   const unsigned hw = std::thread::hardware_concurrency();
+  std::array<std::string, 5> digests;
+  {
+    core::RunOptions fill;
+    fill.threads = std::max(1u, hw);
+    fill.store = &store;
+    core::Experiment cold(scenario, fill);
+    cold.run();
+    for (std::size_t s = 0; s < kStages.size(); ++s) {
+      digests[s] = cold.stage_digest(kStages[s]);
+    }
+  }
+  std::vector<ResumeRow> resume_rows;
+  bool resume_ok = true;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{hw}}) {
+    if (threads <= (resume_rows.empty() ? 0 : resume_rows.back().threads)) {
+      continue;
+    }
+    resume_rows.emplace_back();
+    resume_ok &=
+        bench_resume(scenario, store, threads, digests, resume_rows.back());
+  }
+
+  std::filesystem::remove_all(store_dir);
+  const bool ok = roundtrip_ok && resume_ok;
   if (json) {
     std::cout << "{\"bench\":\"artifact_store\",\"scenario\":\""
               << scenario.name << "\",\"hardware_concurrency\":" << hw
@@ -177,8 +284,18 @@ int main(int argc, char** argv) {
                 << ",\"load_seconds\":" << r.load_seconds
                 << ",\"load_speedup\":" << r.load_speedup << "}";
     }
+    std::cout << "],\"resume_ok\":" << (resume_ok ? "true" : "false")
+              << ",\"resume\":[";
+    for (std::size_t i = 0; i < resume_rows.size(); ++i) {
+      const ResumeRow& r = resume_rows[i];
+      std::cout << (i == 0 ? "" : ",") << "{\"threads\":" << r.threads
+                << ",\"wall_seconds\":" << r.wall_seconds
+                << ",\"sim_decode_seconds\":" << r.sim_decode_seconds
+                << ",\"observe_probe_seconds\":" << r.observe_probe_seconds
+                << ",\"overlap_seconds\":" << r.overlap_seconds << "}";
+    }
     std::cout << "]}" << std::endl;
-    return roundtrip_ok ? 0 : 1;
+    return ok ? 0 : 1;
   }
 
   std::cout << "== artifact store · serialize / load vs recompute ==\n"
@@ -193,10 +310,28 @@ int main(int argc, char** argv) {
                    util::fmt(r.decode_seconds, 3), util::fmt(r.load_seconds, 3),
                    util::fmt(r.load_speedup, 1) + "x"});
   }
+  util::TextTable resume_table(
+      {"threads", "resume", "sim decode", "observe probe", "overlap"});
+  for (const ResumeRow& r : resume_rows) {
+    resume_table.add_row({std::to_string(r.threads),
+                          util::fmt(r.wall_seconds, 3),
+                          util::fmt(r.sim_decode_seconds, 3),
+                          util::fmt(r.observe_probe_seconds, 3),
+                          util::fmt(r.overlap_seconds, 3)});
+  }
   std::cout << table.render("per-artifact codec + store timings (seconds)")
+            << "\n"
+            << resume_table.render(
+                   "store-resumed run through Analyze, fastest of " +
+                   std::to_string(kResumeRuns) + " (seconds)")
             << "\n"
             << (roundtrip_ok
                     ? "every artifact round-trips byte-identically\n"
-                    : "ROUNDTRIP MISMATCH: codec is not content-pure\n");
-  return roundtrip_ok ? 0 : 1;
+                    : "ROUNDTRIP MISMATCH: codec is not content-pure\n")
+            << (resume_ok
+                    ? "every resume loaded every stage with the filled "
+                      "store's digests\n"
+                    : "RESUME MISMATCH: a resume computed a stage or "
+                      "changed a digest\n");
+  return ok ? 0 : 1;
 }

@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Accepts bgpolicy-bench/v9 (current: inference_scaling adds
-analysis_split — the one-thread analysis time split into SA inference,
+Accepts bgpolicy-bench/v10 (current: artifact_store adds the `resume`
+rows — a store-resumed run through Analyze at one thread and at
+hardware_concurrency, with its wall time, the SimArtifact-decode and
+Observe-probe spans and their overlap — and the `resume_ok` flag), v9
+(inference_scaling adds analysis_split — the one-thread analysis time split into SA inference,
 homing, causes, import typicality, community verification and SA
 verification, with the pass's wall clock and its unaccounted share —,
 pipeline_stages rows add after_observe_seconds — the task-graph run's
@@ -109,6 +112,29 @@ def check_artifact_store(path, record):
             f"{name}.results[].artifact must be unique")
 
 
+def check_resume(path, record):
+    """The store-resumed run (v10): threads 1 and hardware_concurrency."""
+    name = "artifact_store.resume"
+    require(path, record.get("resume_ok") is True,
+            "artifact_store.resume_ok must be true (a resume computed a "
+            "stage or changed a stage digest)")
+    rows = record.get("resume")
+    require(path, isinstance(rows, list) and rows,
+            f"{name} must be a non-empty array")
+    for row in rows:
+        for key in ("threads", "wall_seconds", "sim_decode_seconds",
+                    "observe_probe_seconds", "overlap_seconds"):
+            require(path, isinstance(row.get(key), (int, float)),
+                    f"{name}[].{key} must be a number")
+        require(path, row["wall_seconds"] > 0,
+                f"{name}[].wall_seconds must be > 0")
+    hw = record["hardware_concurrency"]
+    want = [1] if hw <= 1 else [1, hw]
+    require(path, [row["threads"] for row in rows] == want,
+            f"{name}[].threads must be {want} (one thread and "
+            "hardware_concurrency)")
+
+
 def check_query_service(path, record):
     name = "query_service"
     require(path, isinstance(record, dict), f"{name} must be an object")
@@ -182,9 +208,9 @@ def check_file(path):
         except json.JSONDecodeError as error:
             fail(path, f"not valid JSON: {error}")
     schema = record.get("schema")
-    versions = {f"bgpolicy-bench/v{n}": n for n in range(2, 10)}
+    versions = {f"bgpolicy-bench/v{n}": n for n in range(2, 11)}
     require(path, schema in versions,
-            'schema must be "bgpolicy-bench/v2".."bgpolicy-bench/v9"')
+            'schema must be "bgpolicy-bench/v2".."bgpolicy-bench/v10"')
     version = versions[schema]
     require(path, "generated_utc" in record, "generated_utc missing")
 
@@ -255,6 +281,10 @@ def check_file(path):
         split = inference["analysis_split"]
         summary += (f", analysis split unaccounted: "
                     f"{100 * split['unaccounted_share']:.1f}%")
+    if version >= 10:
+        check_resume(path, store)
+        fastest = min(row["wall_seconds"] for row in store["resume"])
+        summary += f", fastest resume: {fastest:.3f} s"
 
     print(f"{path}: ok ({summary})")
 

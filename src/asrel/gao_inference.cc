@@ -2,10 +2,22 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "util/parallel.h"
 
 namespace bgpolicy::asrel {
+
+namespace {
+
+/// The packed (lower AS << 32) | higher AS key of the edge {a, b}.
+std::uint64_t edge_key(AsNumber a, AsNumber b) {
+  if (b < a) std::swap(a, b);
+  return (static_cast<std::uint64_t>(a.value()) << 32) | b.value();
+}
+
+}  // namespace
 
 void GaoInference::add_path(std::span<const AsNumber> path) {
   if (path.size() < 2) return;
@@ -20,9 +32,16 @@ void GaoInference::add_path(std::span<const AsNumber> path) {
     cleaned.push_back(as);
   }
   if (cleaned.size() < 2) return;
+  const auto bump_degree = [&](AsNumber as) {
+    const auto [count, first_edge] = degree_.try_insert(as.value(), 0);
+    ++*count;
+    if (first_edge) ases_.push_back(as);
+  };
   for (std::size_t i = 0; i + 1 < cleaned.size(); ++i) {
-    adjacency_[cleaned[i]].insert(cleaned[i + 1]);
-    adjacency_[cleaned[i + 1]].insert(cleaned[i]);
+    if (edges_.insert(edge_key(cleaned[i], cleaned[i + 1]))) {
+      bump_degree(cleaned[i]);
+      bump_degree(cleaned[i + 1]);
+    }
   }
   paths_.push_back(std::move(cleaned));
   ++path_count_;
@@ -42,8 +61,12 @@ void GaoInference::add_table_paths(const bgp::BgpTable& table,
 }
 
 std::size_t GaoInference::degree(AsNumber as) const {
-  const auto it = adjacency_.find(as);
-  return it == adjacency_.end() ? 0 : it->second.size();
+  const std::uint32_t* count = degree_.find(as.value());
+  return count == nullptr ? 0 : *count;
+}
+
+bool GaoInference::adjacent(AsNumber a, AsNumber b) const {
+  return edges_.contains(edge_key(a, b));
 }
 
 std::vector<AsNumber> GaoInference::top_clique(const GaoParams& params) const {
@@ -53,25 +76,23 @@ std::vector<AsNumber> GaoInference::top_clique(const GaoParams& params) const {
   // customer of the top AS, so we grow one greedy clique per seed from the
   // candidate pool and keep the largest (true Tier-1s are mutually
   // adjacent, so the genuine clique outgrows contaminated ones).
-  std::vector<AsNumber> ordered;
-  ordered.reserve(adjacency_.size());
+  std::vector<std::pair<std::size_t, AsNumber>> ordered;  // (degree, AS)
+  ordered.reserve(ases_.size());
   std::size_t max_degree = 0;
-  for (const auto& [as, neighbors] : adjacency_) {
-    ordered.push_back(as);
-    max_degree = std::max(max_degree, neighbors.size());
+  for (const AsNumber as : ases_) {
+    ordered.emplace_back(degree(as), as);
+    max_degree = std::max(max_degree, ordered.back().first);
   }
-  std::sort(ordered.begin(), ordered.end(), [&](AsNumber a, AsNumber b) {
-    const std::size_t da = degree(a);
-    const std::size_t db = degree(b);
-    return da != db ? da > db : a < b;
+  std::sort(ordered.begin(), ordered.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
 
   const auto min_degree = std::max<std::size_t>(
       2, static_cast<std::size_t>(params.clique_degree_fraction *
                                   static_cast<double>(max_degree)));
   std::vector<AsNumber> candidates;
-  for (const AsNumber as : ordered) {
-    if (degree(as) < min_degree) break;
+  for (const auto& [as_degree, as] : ordered) {
+    if (as_degree < min_degree) break;
     candidates.push_back(as);
     if (candidates.size() >= 40) break;  // candidate pool cap
   }
@@ -81,10 +102,9 @@ std::vector<AsNumber> GaoInference::top_clique(const GaoParams& params) const {
     std::vector<AsNumber> clique{candidates[seed]};
     for (const AsNumber candidate : candidates) {
       if (candidate == candidates[seed]) continue;
-      const auto& neighbors = adjacency_.at(candidate);
       const bool adjacent_to_all = std::all_of(
           clique.begin(), clique.end(),
-          [&](AsNumber member) { return neighbors.contains(member); });
+          [&](AsNumber member) { return adjacent(candidate, member); });
       if (adjacent_to_all) clique.push_back(candidate);
     }
     if (clique.size() > best.size()) best = std::move(clique);
@@ -231,10 +251,6 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
   // edge (u,v), then u was providing transit across it, so (u,v) cannot be
   // a peer link.  Two rounds let corrections (e.g. a clique edge flipping
   // to peer) propagate into the disqualification evidence.
-  const auto pack = [](const PairKey& key) {
-    return (static_cast<std::uint64_t>(key.first.value()) << 32) |
-           key.second.value();
-  };
   InferredRelationships current = std::move(prelim);
   for (int round = 0; round < 2; ++round) {
     // Sharded like the voting pass: per-range disqualification sets are
@@ -248,7 +264,7 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
           const AsNumber v = path[i + 1];
           const auto outer_rel = current.relationship(u, path[i - 1]);
           if (outer_rel != RelKind::kCustomer) {
-            out.insert(pack(InferredRelationships::key(u, v)));
+            out.insert(edge_key(u, v));
           }
         }
       }
@@ -288,7 +304,8 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
       EdgeType type = classify_votes(key, v);
       const double total_votes =
           static_cast<double>(v.lo_provider + v.hi_provider);
-      if (v.top_pair > 0 && !disqualified.contains(pack(key)) &&
+      if (v.top_pair > 0 &&
+          !disqualified.contains(edge_key(key.first, key.second)) &&
           static_cast<double>(v.top_pair) >=
               params.peer_candidate_min_share * total_votes &&
           has_customers.contains(key.first) &&

@@ -18,18 +18,24 @@
 //     candidate (u,v) survives unless some path shows an AS that is *not a
 //     customer of u* immediately before u — valley-freeness then proves u
 //     was providing transit across the edge, so it cannot be a peer link.
+//
+// Adjacency is flat: each observed edge is one packed (lower AS << 32) |
+// higher AS key in an open-addressed util::FlatSet64, and each AS's degree
+// is a count in a util::FlatMap64, bumped when one of its edges is first
+// seen.  Feeding a path costs one flat probe per hop pair, which is what
+// replaying the stored path multiset (io/artifact_codec) and the cold
+// ingest pay; degree() and top_clique() read the counts and the set.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "asrel/relationships.h"
 #include "bgp/aspath.h"
 #include "bgp/table.h"
+#include "util/flat_map.h"
 #include "util/parallel.h"
 
 namespace bgpolicy::asrel {
@@ -108,8 +114,16 @@ class GaoInference {
     std::uint32_t top_pair = 0;  ///< times the edge was an interior top pair
   };
 
+  /// True when some fed path shows `a` and `b` adjacent (either order).
+  [[nodiscard]] bool adjacent(AsNumber a, AsNumber b) const;
+
   std::vector<std::vector<AsNumber>> paths_;
-  std::unordered_map<AsNumber, std::unordered_set<AsNumber>> adjacency_;
+  /// Every observed edge once, as its packed (lower << 32) | higher key.
+  util::FlatSet64 edges_;
+  /// AS -> distinct observed neighbors.
+  util::FlatMap64 degree_;
+  /// Every AS with an edge, in first-seen order (top_clique's candidates).
+  std::vector<AsNumber> ases_;
   std::size_t path_count_ = 0;
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/flat_map.h"
+
 namespace bgpolicy::bgp {
 
 void BgpTable::add(Route route) {
@@ -22,30 +24,55 @@ void BgpTable::add(Route route) {
 }
 
 void BgpTable::add_batch(std::vector<Route> routes) {
-  if (routes.empty()) return;
-  // Per-prefix neighbor -> slot index, seeded lazily from any routes the
-  // table already held for the prefix, so replacement semantics match add().
-  std::unordered_map<Prefix, std::unordered_map<util::AsNumber, std::size_t>>
-      index;
-  index.reserve(routes.size());
-  for (Route& route : routes) {
-    auto& neighbors = index[route.prefix];
-    const auto [entry, fresh] = entries_.try_emplace(route.prefix);
-    if (fresh) order_.push_back(route.prefix);
-    auto& slots = entry->second;
-    if (neighbors.empty() && !slots.empty()) {
-      neighbors.reserve(slots.size());
+  // Neighbor -> slot indexes of the prefixes too large to scan.  A prefix
+  // gets one the first time a run could take it past the limit, seeded
+  // from the slots it holds then; every later run of it uses the index.
+  std::unordered_map<Prefix, util::FlatMap64> large;
+  for (std::size_t begin = 0, end = 0; begin < routes.size(); begin = end) {
+    const Prefix prefix = routes[begin].prefix;
+    end = begin + 1;
+    while (end < routes.size() && routes[end].prefix == prefix) ++end;
+
+    const auto [entry, fresh] = entries_.try_emplace(prefix);
+    if (fresh) order_.push_back(prefix);
+    std::vector<Route>& slots = entry->second;
+    // Grow geometrically: a prefix that keeps coming back in short runs
+    // must not reallocate its slots on every run.
+    const std::size_t bound = slots.size() + (end - begin);
+    if (slots.capacity() < bound) {
+      slots.reserve(std::max(bound, 2 * slots.capacity()));
+    }
+    util::FlatMap64* index = nullptr;
+    if (const auto it = large.find(prefix); it != large.end()) {
+      index = &it->second;
+    } else if (bound > kBatchScanLimit) {
+      index = &large[prefix];
       for (std::size_t i = 0; i < slots.size(); ++i) {
-        neighbors.emplace(slots[i].learned_from, i);
+        index->insert(slots[i].learned_from.value(),
+                      static_cast<std::uint32_t>(i));
       }
     }
-    const auto [it, inserted] =
-        neighbors.try_emplace(route.learned_from, slots.size());
-    if (inserted) {
-      slots.push_back(std::move(route));
-      ++route_count_;
-    } else {
-      slots[it->second] = std::move(route);
+
+    for (std::size_t r = begin; r < end; ++r) {
+      Route& route = routes[r];
+      std::size_t slot = 0;
+      if (index != nullptr) {
+        const auto [mapped, inserted] =
+            index->try_insert(route.learned_from.value(),
+                              static_cast<std::uint32_t>(slots.size()));
+        slot = *mapped;
+      } else {
+        while (slot < slots.size() &&
+               slots[slot].learned_from != route.learned_from) {
+          ++slot;
+        }
+      }
+      if (slot == slots.size()) {
+        slots.push_back(std::move(route));
+        ++route_count_;
+      } else {
+        slots[slot] = std::move(route);
+      }
     }
   }
 }

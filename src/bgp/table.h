@@ -36,13 +36,19 @@ class BgpTable {
   void add(Route route);
 
   /// Adds many routes with the same observable semantics as calling add()
-  /// on each in order, but O(1) amortized per route: a per-call
-  /// (prefix, neighbor) index replaces the per-route implicit-withdraw
-  /// linear scan, so batch-loading a recorded table is linear in the batch
-  /// instead of quadratic in routes-per-prefix.  The batch-load path for
-  /// ingesting recorded tables (io::deserialize_table, vantage-view
-  /// construction).
+  /// on each in order, in time linear in the batch.  A recorded table
+  /// arrives prefix by prefix, so the batch is taken one run of same-prefix
+  /// routes at a time: one entry lookup and one slot reservation per run,
+  /// and an earlier route from the same neighbor is found by scanning the
+  /// prefix's slots, which allocates nothing.  A prefix that may hold more
+  /// than kBatchScanLimit routes gets a neighbor -> slot index instead,
+  /// built once per batch, so no route scans more than kBatchScanLimit
+  /// slots.  The batch-load path for recorded tables
+  /// (io::deserialize_table, vantage-view construction).
   void add_batch(std::vector<Route> routes);
+
+  /// The most slots add_batch scans for one route (see add_batch).
+  static constexpr std::size_t kBatchScanLimit = 64;
 
   /// Removes the route for `prefix` learned from `neighbor`, if any.
   void withdraw(const Prefix& prefix, util::AsNumber neighbor);

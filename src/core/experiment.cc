@@ -588,20 +588,33 @@ struct Experiment::UpstreamScratch {
   /// observations_ by the finish node.
   Observations obs;
   /// Set when the whole Observations artifact was found (and decoded — a
-  /// corrupt entry is a miss, never a hit) in the store; sub-nodes that
-  /// see it skip their work and the finish node installs loaded_obs.
-  /// Atomic because the IRR nodes (unordered w.r.t. the Simulate compute
-  /// node, which may set the flag after recomputing the sim digest) read
-  /// it concurrently; a sub-node that missed the flag merely does work
-  /// the finish node discards wholesale — never a torn artifact.
+  /// corrupt entry is a miss, never a hit) in the store under a Simulate
+  /// digest that stands; sub-nodes that see it skip their work and the
+  /// finish node installs loaded_obs.  Atomic because the IRR and path
+  /// nodes (unordered w.r.t. simulate.persist, which may set the flag
+  /// after recomputing the sim digest) read it concurrently; a sub-node
+  /// that missed the flag merely does work the finish node discards
+  /// wholesale — never a torn artifact.
   std::atomic<bool> observe_hit{false};
+  /// What the last Observe probe found, published through observe_hit.
   std::optional<Observations> loaded_obs;
   std::string observe_digest;  // of the stored bytes, for the digest chain
+  /// The stored SimArtifact bytes simulate.load read; simulate.decode
+  /// decodes and frees them.
+  std::optional<std::vector<std::uint8_t>> sim_bytes;
   /// Set when this graph computed Simulate (not a store hit), with the
   /// store keys of its chunks: what the simulate.persist node writes and
   /// supersedes.
   bool sim_computed = false;
   std::vector<std::string> sim_chunk_keys;
+
+  /// Lets the sub-nodes skip their work when the last probe hit.
+  void publish_observe_hit() {
+    // Release so a sub-node acquiring `true` concurrently is ordered after
+    // loaded_obs/observe_digest are fully written (nodes ordered by graph
+    // edges get this ordering from the scheduler mutex anyway).
+    if (loaded_obs) observe_hit.store(true, std::memory_order_release);
+  }
 };
 
 template <typename Fn>
@@ -616,19 +629,10 @@ void Experiment::traced(const char* name, Fn&& fn) {
 }
 
 void Experiment::probe_observe(UpstreamScratch& scratch) {
-  if (options_.store == nullptr ||
-      scratch.observe_hit.load(std::memory_order_acquire)) {
-    return;
-  }
+  if (options_.store == nullptr) return;
   scratch.loaded_obs =
       probe_store(options_.store, stage_key_material(Stage::kObserve, {}),
                   io::decode_observations, &scratch.observe_digest);
-  // Release so an IRR node acquiring `true` concurrently is ordered after
-  // loaded_obs/observe_digest are fully written (nodes ordered by graph
-  // edges get this ordering from the scheduler mutex anyway).
-  if (scratch.loaded_obs) {
-    scratch.observe_hit.store(true, std::memory_order_release);
-  }
 }
 
 void Experiment::simulate_in_chunks(util::TaskGraph& graph,
@@ -780,35 +784,75 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
     });
   }
 
-  std::optional<NodeId> n_sim_probe;
+  // After this node sim_ holds the stored SimArtifact or is known to be
+  // missing, and a whole-Observations hit is settled either way.
+  std::optional<NodeId> n_sim_settled;
   std::optional<NodeId> n_sim;
   std::optional<NodeId> n_sim_persist;
   if (need_sim) {
-    // Probe first (cheap): a full-artifact hit short-circuits the chunk
-    // fan-out and lets the Observe sub-nodes discover a whole-Observations
-    // hit before doing any work.
-    n_sim_probe = graph.add(
-        [this, scratch, need_observe] {
-          traced("simulate.probe", [&] {
-            if (options_.store == nullptr) return;
-            // A miss (or corrupt entry) leaves sim_ empty: the compute node
-            // fans out chunks.
-            sim_ = probe_store(options_.store,
-                               stage_key_material(Stage::kSimulate, {}),
-                               io::decode_sim_artifact,
-                               &digest_slot(Stage::kSimulate));
-            if (!sim_) return;
-            ++loads_.simulate;
-            if (need_observe) probe_observe(*scratch);
-          });
-        },
-        deps_of({n_synth}));
+    if (options_.store != nullptr) {
+      // Resume: read the entry and take its content digest first.  The
+      // Observe key needs only that digest, so the Observe probe runs
+      // beside the SimArtifact decode, and a store-served run finds both
+      // artifacts before any stage work starts.
+      const NodeId n_load = graph.add(
+          [this, scratch] {
+            traced("simulate.load", [&] {
+              scratch->sim_bytes =
+                  options_.store->load(stage_key_material(Stage::kSimulate, {}));
+              if (scratch->sim_bytes) {
+                digest_slot(Stage::kSimulate) = stable_digest_hex(
+                    std::span<const std::uint8_t>(*scratch->sim_bytes));
+              }
+            });
+          },
+          deps_of({n_synth}));
+      std::vector<NodeId> settle_deps{graph.add(
+          [this, scratch] {
+            traced("simulate.decode", [&] {
+              if (!scratch->sim_bytes) return;
+              // A corrupt entry is a miss: the compute node fans out chunks.
+              try {
+                sim_ = io::decode_sim_artifact(*scratch->sim_bytes);
+              } catch (const std::invalid_argument&) {
+              }
+              scratch->sim_bytes.reset();
+            });
+          },
+          {n_load})};
+      if (need_observe) {
+        settle_deps.push_back(graph.add(
+            [this, scratch] {
+              traced("observe.probe", [&] {
+                if (!stage_digest(Stage::kSimulate).empty()) {
+                  probe_observe(*scratch);
+                }
+              });
+            },
+            {n_load}));
+      }
+      n_sim_settled = graph.add(
+          [this, scratch] {
+            if (sim_) {
+              ++loads_.simulate;
+              scratch->publish_observe_hit();
+              return;
+            }
+            // The entry was missing or failed to decode: its digest names
+            // no artifact, so neither it nor an Observe hit keyed on it
+            // may stand.
+            digest_slot(Stage::kSimulate).clear();
+            scratch->loaded_obs.reset();
+            scratch->observe_digest.clear();
+          },
+          settle_deps);
+    }
     n_sim = graph.add(
         [this, scratch, graph_ptr] {
-          if (sim_) return;  // probe hit
+          if (sim_) return;  // store hit
           simulate_in_chunks(*graph_ptr, *scratch);
         },
-        deps_of({n_sim_probe}));
+        deps_of({n_synth, n_sim_settled}));
     // Encode, digest and store the merged artifact beside the path nodes,
     // which need only the tables.  The node is added before them, so at
     // threads = 1 it runs first and its Observe probe lets them skip.
@@ -823,7 +867,10 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
             // corruption).  The finish node (edge-ordered after this
             // one) reuses it; Observe nodes racing ahead merely did work
             // it discards.
-            if (need_observe) probe_observe(*scratch);
+            if (need_observe) {
+              probe_observe(*scratch);
+              scratch->publish_observe_hit();
+            }
           });
         },
         {*n_sim});
@@ -832,6 +879,7 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
     // Simulate (and its digest) already materialized before this graph:
     // the Observations store entry is probeable right now.
     probe_observe(*scratch);
+    scratch->publish_observe_hit();
   }
 
   if (need_observe) {
@@ -846,7 +894,7 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
                 observe_irr_text(scenario_, *truth_, 1, nullptr);
           });
         },
-        deps_of({n_synth, n_sim_probe}));
+        deps_of({n_synth, n_sim_settled}));
     const auto n_irr_parse = graph.add(
         [this, scratch] {
           traced("observe.irr_parse", [&] {

@@ -292,15 +292,19 @@ class Experiment {
 
   /// Appends this experiment's not-yet-materialized upstream stages
   /// (Synthesize/Simulate/Observe, clamped by `until`) to `graph` as task
-  /// nodes with sub-stage granularity: Simulate fans out into per-
-  /// prefix-shard chunk tasks (individually persisted when a store is
-  /// attached — the mid-Simulate resume unit), each merged in range order
-  /// as soon as it and every earlier chunk are done, and a persist node
-  /// stores the merged artifact.  Observe splits into IRR-generation →
-  /// IRR-parsing and path-ingest / path-index nodes that overlap with each
-  /// other, with late Simulate chunks and with the Simulate persist.  Stage
-  /// internals run sequentially inside their nodes (the graph is the
-  /// parallelism), which never changes artifact bytes.  The orchestration
+  /// nodes with sub-stage granularity.  With a store attached, a load node
+  /// reads the stored SimArtifact and takes its digest, and the decode
+  /// runs beside the Observe probe keyed on that digest (a failed decode
+  /// discards the digest and any Observe hit taken on it).  On a miss
+  /// Simulate fans out into per-prefix-shard chunk tasks (individually
+  /// persisted when a store is attached — the mid-Simulate resume unit),
+  /// each merged in range order as soon as it and every earlier chunk are
+  /// done, and a persist node stores the merged artifact.  Observe splits
+  /// into IRR-generation → IRR-parsing and path-ingest / path-index nodes
+  /// that overlap with each other, with late Simulate chunks and with the
+  /// Simulate persist.  Stage internals run sequentially inside their
+  /// nodes (the graph is the parallelism), which never changes artifact
+  /// bytes.  The orchestration
   /// hook `core::sweep` uses to interleave many experiments' graphs on one
   /// executor; `this` must outlive the graph run, and the graph must run
   /// to completion before any artifact accessor is used.
@@ -370,7 +374,8 @@ class Experiment {
   /// program order.
   void run_upstream(Stage until);
   /// Probes the store for the whole Observations artifact (decoding it, so
-  /// corruption stays a miss); requires upstream digests to be known.
+  /// corruption stays a miss) into the scratch, unpublished; requires
+  /// upstream digests to be known.
   void probe_observe(UpstreamScratch& scratch);
   /// The Simulate task-graph body: probe/compute/persist chunk tasks
   /// nested-submitted into `graph`, each merged in range order as soon as

@@ -26,20 +26,6 @@ std::uint64_t pack_pair(util::AsNumber a, util::AsNumber b) {
 
 }  // namespace
 
-bool PathIndex::KeySet::insert(std::uint64_t key) {
-  if (key == util::FlatMap64::kEmptyKey) {
-    const bool inserted = !has_empty_key_;
-    has_empty_key_ = true;
-    return inserted;
-  }
-  return map_.try_insert(key, 0).second;
-}
-
-bool PathIndex::KeySet::contains(std::uint64_t key) const {
-  if (key == util::FlatMap64::kEmptyKey) return has_empty_key_;
-  return map_.find(key) != nullptr;
-}
-
 void PathIndex::install(const bgp::Prefix& prefix,
                         std::optional<util::AsNumber> front,
                         std::span<const util::AsNumber> hops) {

@@ -7,7 +7,7 @@
 //
 // Construction: one sequential pass in table order.  Every indexed path's
 // hops live in one buffer (path i is a slice of it), and the (prefix,
-// path) dedup and the adjacency set are open-addressed util::FlatMap64
+// path) dedup and the adjacency set are open-addressed util::FlatSet64
 // sets, so ingesting a route costs a hash and a few probes — no per-path
 // allocation.  The build is not sharded: internet2002's 372,131 paths
 // index in 0.26–0.28 s on one core of a shared 4-CPU host, less than the
@@ -83,23 +83,6 @@ class PathIndex {
                                    util::AsNumber right) const;
 
  private:
-  /// A set of u64 keys on util::FlatMap64.  The one key the map cannot
-  /// hold, its empty marker, is kept in a flag: an adjacency key
-  /// `(a << 32) | b` takes that value for a prepended AS 4294967295.
-  class KeySet {
-   public:
-    /// True when `key` was not yet in the set.
-    bool insert(std::uint64_t key);
-    [[nodiscard]] bool contains(std::uint64_t key) const;
-    [[nodiscard]] std::size_t size() const {
-      return map_.size() + (has_empty_key_ ? 1 : 0);
-    }
-
-   private:
-    util::FlatMap64 map_;
-    bool has_empty_key_ = false;
-  };
-
   /// Indexes the path `front` (when set) followed by `hops` for `prefix`,
   /// unless that (prefix, path) pair is already indexed or the path is
   /// empty.
@@ -114,9 +97,9 @@ class PathIndex {
   std::vector<bgp::Prefix> prefixes_;
   std::unordered_map<util::AsNumber, std::vector<std::size_t>> by_origin_;
   std::unordered_map<bgp::Prefix, std::vector<std::size_t>> by_prefix_;
-  KeySet adjacency_;
+  util::FlatSet64 adjacency_;
   /// (prefix, path-hash) dedup guard.
-  KeySet seen_;
+  util::FlatSet64 seen_;
 };
 
 }  // namespace bgpolicy::core

@@ -620,10 +620,12 @@ void put_path(Writer& w, std::span<const util::AsNumber> path) {
   for (const auto as : path) put_as(w, as);
 }
 
-std::vector<util::AsNumber> get_path(Reader& r) {
+/// Reads one path into `path`, reusing its capacity: the Observations
+/// decode replays ~840k stored paths through one buffer.
+std::span<const util::AsNumber> get_path(Reader& r,
+                                         std::vector<util::AsNumber>& path) {
   const std::uint16_t length = r.get<std::uint16_t>();
-  std::vector<util::AsNumber> path;
-  path.reserve(length);
+  path.clear();
   for (std::uint16_t i = 0; i < length; ++i) path.push_back(get_as(r));
   return path;
 }
@@ -713,14 +715,15 @@ core::Observations get_observations(Reader& r) {
     observations.irr_objects.push_back(std::move(aut_num));
   }
 
+  std::vector<util::AsNumber> path;
   const std::size_t gao_paths = r.get_count(2);
   for (std::size_t i = 0; i < gao_paths; ++i) {
-    observations.observed_paths.add_path(get_path(r));
+    observations.observed_paths.add_path(get_path(r, path));
   }
   const std::size_t index_entries = r.get_count(7);
   for (std::size_t i = 0; i < index_entries; ++i) {
     const bgp::Prefix prefix = get_prefix(r);
-    observations.paths.add_path(prefix, get_path(r));
+    observations.paths.add_path(prefix, get_path(r, path));
   }
   return observations;
 }

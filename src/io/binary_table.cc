@@ -140,6 +140,7 @@ bgp::BgpTable deserialize_table(std::span<const std::uint8_t> bytes) {
     }
     route.path = bgp::AsPath(std::move(hops));
     const std::uint16_t community_count = r.get<std::uint16_t>();
+    route.communities.reserve(community_count);
     for (std::uint16_t c = 0; c < community_count; ++c) {
       route.add_community(bgp::Community(r.get<std::uint32_t>()));
     }

@@ -1,8 +1,9 @@
 // An open-addressed u64 -> u32 hash map for hot interning and dedup
 // tables: one cache line per probe instead of the node allocations of
-// `unordered_map`.  The flat propagation core interns AS paths and
-// community sets in it (sim/flat_engine.h), and core::PathIndex keeps its
-// (prefix, path) dedup and adjacency sets in it.
+// `unordered_map`, and a u64 key set on top of it.  The flat propagation
+// core interns AS paths and community sets in the map (sim/flat_engine.h);
+// core::PathIndex keeps its (prefix, path) dedup and adjacency sets, and
+// asrel::GaoInference its AS adjacency, in the set.
 #pragma once
 
 #include <cstddef>
@@ -87,6 +88,33 @@ class FlatMap64 {
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> values_;
   std::size_t size_ = 0;
+};
+
+/// A set of u64 keys on FlatMap64 that takes every key: the one the map
+/// cannot hold, its empty marker, is kept in a flag beside it.  A packed
+/// AS pair `(a << 32) | b` takes that value when a = b = 4294967295.
+class FlatSet64 {
+ public:
+  /// True when `key` was not yet in the set.
+  bool insert(std::uint64_t key) {
+    if (key == FlatMap64::kEmptyKey) {
+      const bool inserted = !has_empty_key_;
+      has_empty_key_ = true;
+      return inserted;
+    }
+    return map_.try_insert(key, 0).second;
+  }
+  [[nodiscard]] bool contains(std::uint64_t key) const {
+    if (key == FlatMap64::kEmptyKey) return has_empty_key_;
+    return map_.find(key) != nullptr;
+  }
+  [[nodiscard]] std::size_t size() const {
+    return map_.size() + (has_empty_key_ ? 1 : 0);
+  }
+
+ private:
+  FlatMap64 map_;
+  bool has_empty_key_ = false;
 };
 
 }  // namespace bgpolicy::util

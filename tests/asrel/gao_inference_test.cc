@@ -1,5 +1,8 @@
 #include "asrel/gao_inference.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/scenario.h"
@@ -23,6 +26,42 @@ TEST(GaoInference, IgnoresLoopsAndCollapsesPrepending) {
   EXPECT_EQ(gao.path_count(), 1u);
   gao.add_path(bgp::AsPath::parse("7"));  // too short
   EXPECT_EQ(gao.path_count(), 1u);
+}
+
+// degree() and top_clique() on hand-built paths: a four-AS core (1, 2, 3
+// and the largest AS number) with single-homed customers, prepending
+// (also of the largest AS), and loop paths, which are dropped.
+TEST(GaoInference, DegreesAndCliquePinned) {
+  GaoInference gao;
+  for (const char* path :
+       {"10 1 2 20", "11 1 3 30", "20 2 3 30", "40 4294967295 1 10",
+        "41 4294967295 2 21", "42 4294967295 4294967295 3 30", "21 2 2 1 11",
+        "1 2 3 2", "30 3 1 10 1", "4294967295 40 4294967295", "7"}) {
+    gao.add_path(bgp::AsPath::parse(path));
+  }
+  EXPECT_EQ(gao.path_count(), 7u);
+
+  const AsNumber top(4294967295u);
+  const std::vector<std::pair<std::uint32_t, std::size_t>> degrees = {
+      {0, 0},  {1, 5},  {2, 5},  {3, 4},  {4294967295u, 6}, {10, 1}, {11, 1},
+      {20, 1}, {21, 1}, {30, 1}, {40, 1}, {41, 1},          {42, 1}, {7, 0}};
+  for (const auto& [as, degree] : degrees) {
+    EXPECT_EQ(gao.degree(AsNumber(as)), degree) << "AS" << as;
+  }
+  EXPECT_EQ(gao.top_clique(),
+            (std::vector<AsNumber>{top, AsNumber(1), AsNumber(2), AsNumber(3)}));
+  // A cut at 90% of the top degree (6) leaves the two degree-5 ASes.
+  GaoParams strict;
+  strict.clique_degree_fraction = 0.9;
+  EXPECT_EQ(gao.top_clique(strict),
+            (std::vector<AsNumber>{top, AsNumber(1), AsNumber(2)}));
+
+  const InferredRelationships rels = gao.infer();
+  EXPECT_EQ(rels.edge(AsNumber(1), top), EdgeType::kPeer);
+  EXPECT_EQ(rels.edge(AsNumber(2), AsNumber(3)), EdgeType::kPeer);
+  EXPECT_EQ(rels.relationship(top, AsNumber(40)), RelKind::kCustomer);
+  EXPECT_EQ(rels.relationship(AsNumber(30), AsNumber(3)), RelKind::kProvider);
+  EXPECT_EQ(rels.edge_count(), 14u);
 }
 
 TEST(GaoInference, SimpleChainInfersProviderDirection) {

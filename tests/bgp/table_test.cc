@@ -1,8 +1,12 @@
 #include "bgp/table.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
+#include "testing/route_batches.h"
 
 namespace bgpolicy::bgp {
 namespace {
@@ -117,6 +121,39 @@ TEST(BgpTable, AddBatchMatchesSequentialAdd) {
   EXPECT_EQ(batched.best(kPrefix)->learned_from, AsNumber(5));
   EXPECT_EQ(batched.routes(kOther).size(), 2u);
   EXPECT_EQ(batched.best(kOther)->local_pref, 110u);
+}
+
+// Seeded batches that reach every add_batch path (testing/route_batches.h),
+// loaded into an empty table and into one that already holds routes for
+// most of the batch's prefixes, the large one included.
+TEST(BgpTable, AddBatchMatchesSequentialAddOnRandomBatches) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<Route> batch = testing::random_route_batch(seed);
+    std::vector<Route> existing = testing::random_route_batch(seed + 1000);
+    std::erase_if(existing, [](const Route& route) {
+      return route.local_pref % 7 != 0;
+    });
+    for (const bool prefilled : {false, true}) {
+      BgpTable sequential{AsNumber(7018)};
+      BgpTable batched{AsNumber(7018)};
+      if (prefilled) {
+        for (const Route& route : existing) {
+          sequential.add(route);
+          batched.add(route);
+        }
+      }
+      for (const Route& route : batch) sequential.add(route);
+      batched.add_batch(batch);
+      testing::expect_same_table(batched, sequential);
+
+      std::size_t largest = 0;
+      for (const Prefix& prefix : sequential.prefixes()) {
+        largest = std::max(largest, sequential.routes(prefix).size());
+      }
+      EXPECT_GT(largest, BgpTable::kBatchScanLimit);
+    }
+  }
 }
 
 TEST(BgpTable, AddBatchEmptyIsNoOp) {

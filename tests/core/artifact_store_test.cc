@@ -94,46 +94,91 @@ TEST(ArtifactStore, DigestMatchesKnownAnswers) {
   EXPECT_EQ(fnv1a64(bytes, 0x6c62272e07bb0142ULL), 0x6aaf3b071d3ffa4aULL);
 }
 
+/// How many spans of `trace` are named `name`.
+std::size_t spans_named(const StageTrace& trace, const std::string& name) {
+  return static_cast<std::size_t>(
+      std::count_if(trace.spans.begin(), trace.spans.end(),
+                    [&](const TraceSpan& span) { return span.name == name; }));
+}
+
+const TraceSpan& span_named(const StageTrace& trace, const std::string& name) {
+  const auto it =
+      std::find_if(trace.spans.begin(), trace.spans.end(),
+                   [&](const TraceSpan& span) { return span.name == name; });
+  if (it == trace.spans.end()) throw std::logic_error("no span " + name);
+  return *it;
+}
+
 TEST(ArtifactStore, SecondExperimentLoadsEveryStage) {
-  ScopedStore store;
-  RunOptions options;
-  options.threads = 1;
-  options.store = store.get();
-
-  Experiment first(Scenario::small(33), options);
-  first.run();
-  EXPECT_EQ(first.counters().synthesize, 1u);
-  EXPECT_EQ(first.counters().analyze, 1u);
-  EXPECT_EQ(first.loads().synthesize, 0u);
-  EXPECT_EQ(store->size(), 5u);  // one artifact per stage
-
-  // A fresh experiment over the same store: zero stage executions, five
-  // loads, byte-identical products.
-  Experiment second(Scenario::small(33), options);
-  second.run();
-  EXPECT_EQ(second.counters().synthesize, 0u);
-  EXPECT_EQ(second.counters().simulate, 0u);
-  EXPECT_EQ(second.counters().observe, 0u);
-  EXPECT_EQ(second.counters().infer, 0u);
-  EXPECT_EQ(second.counters().analyze, 0u);
-  EXPECT_EQ(second.loads().synthesize, 1u);
-  EXPECT_EQ(second.loads().simulate, 1u);
-  EXPECT_EQ(second.loads().observe, 1u);
-  EXPECT_EQ(second.loads().infer, 1u);
-  EXPECT_EQ(second.loads().analyze, 1u);
-
-  EXPECT_EQ(io::encode(second.sim()), io::encode(first.sim()));
-  EXPECT_EQ(products_digest(second.inference(), second.analyses()),
-            products_digest(first.inference(), first.analyses()));
-
-  // A no-store run of the same scenario computes the same products — the
-  // store never changes bytes, only who computes them.
+  // A no-store run computes the products every stored run must match —
+  // the store never changes bytes, only who computes them.
   RunOptions plain;
   plain.threads = 1;
   Experiment reference(Scenario::small(33), plain);
   reference.run();
-  EXPECT_EQ(products_digest(reference.inference(), reference.analyses()),
-            products_digest(first.inference(), first.analyses()));
+  const std::string reference_products =
+      products_digest(reference.inference(), reference.analyses());
+
+  // The resume graph runs the SimArtifact decode beside the Observe probe,
+  // so it is checked on a pool as well as in program order.
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    ScopedStore store;
+    RunOptions options;
+    options.threads = 1;
+    options.store = store.get();
+
+    Experiment first(Scenario::small(33), options);
+    first.run();
+    EXPECT_EQ(first.counters().synthesize, 1u);
+    EXPECT_EQ(first.counters().analyze, 1u);
+    EXPECT_EQ(first.loads().synthesize, 0u);
+    EXPECT_EQ(store->size(), 5u);  // one artifact per stage
+
+    // A fresh experiment over the same store: zero stage executions, five
+    // loads, byte-identical artifacts.
+    StageTrace trace;
+    RunOptions resume = options;
+    resume.threads = threads;
+    resume.trace = &trace;
+    Experiment second(Scenario::small(33), resume);
+    second.run();
+    EXPECT_EQ(second.counters().synthesize, 0u);
+    EXPECT_EQ(second.counters().simulate, 0u);
+    EXPECT_EQ(second.counters().observe, 0u);
+    EXPECT_EQ(second.counters().infer, 0u);
+    EXPECT_EQ(second.counters().analyze, 0u);
+    EXPECT_EQ(second.loads().synthesize, 1u);
+    EXPECT_EQ(second.loads().simulate, 1u);
+    EXPECT_EQ(second.loads().observe, 1u);
+    EXPECT_EQ(second.loads().infer, 1u);
+    EXPECT_EQ(second.loads().analyze, 1u);
+
+    EXPECT_EQ(io::encode(second.truth()), io::encode(first.truth()));
+    EXPECT_EQ(io::encode(second.sim()), io::encode(first.sim()));
+    EXPECT_EQ(io::encode(second.observations()),
+              io::encode(first.observations()));
+    EXPECT_EQ(io::encode(second.inference()), io::encode(first.inference()));
+    EXPECT_EQ(io::encode(second.analyses()), io::encode(first.analyses()));
+    for (const Stage stage : {Stage::kSynthesize, Stage::kSimulate,
+                              Stage::kObserve, Stage::kInfer, Stage::kAnalyze}) {
+      EXPECT_EQ(second.stage_digest(stage), first.stage_digest(stage))
+          << to_string(stage);
+    }
+
+    // The resume graph: one load, then the decode and the Observe probe,
+    // both after it; nothing simulated.
+    EXPECT_EQ(spans_named(trace, "simulate.load"), 1u);
+    EXPECT_EQ(spans_named(trace, "simulate.decode"), 1u);
+    EXPECT_EQ(spans_named(trace, "observe.probe"), 1u);
+    EXPECT_EQ(spans_named(trace, "simulate.chunk"), 0u);
+    const double loaded = span_named(trace, "simulate.load").end_seconds;
+    EXPECT_GE(span_named(trace, "simulate.decode").start_seconds, loaded);
+    EXPECT_GE(span_named(trace, "observe.probe").start_seconds, loaded);
+
+    EXPECT_EQ(products_digest(first.inference(), first.analyses()),
+              reference_products);
+  }
 }
 
 TEST(ArtifactStore, ThreadKnobsShareCacheEntries) {
@@ -247,6 +292,99 @@ TEST(ArtifactStore, EvictedSimEntryStillReusesCachedObservations) {
   EXPECT_EQ(second.counters().observe, 0u);
   EXPECT_EQ(second.loads().observe, 1u);
   EXPECT_EQ(io::encode(second.observations()), io::encode(first.observations()));
+}
+
+/// The Observe stage's store key, in the layout docs/ARCHITECTURE.md gives
+/// ("Key derivation"): codec version, scenario key, then the GroundTruth
+/// and SimArtifact digests.
+std::string observe_key(const Scenario& scenario, const std::string& truth,
+                        const std::string& sim) {
+  return "bgpolicy-artifact/v1|observe|" + scenario_cache_key(scenario) + "|" +
+         truth + "|" + sim;
+}
+
+TEST(ArtifactStore, VandalizedSimEntryRecomputesAndDropsItsObserveHit) {
+  // With the genuine Observations entry kept, simulate.persist's re-probe
+  // serves it; with it erased, Observe is recomputed.  Either way the hit
+  // the Observe probe took on the damaged entry's digest must not stand.
+  for (const std::size_t threads : {1u, 3u}) {
+    for (const bool keep_observations : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads
+                                        << ", observations kept "
+                                        << keep_observations);
+      const Scenario scenario = Scenario::small(33);
+      ScopedStore store;
+      RunOptions options;
+      options.threads = 1;
+      options.store = store.get();
+      Experiment first(scenario, options);
+      first.run(Stage::kObserve);
+      const std::string truth_digest = first.stage_digest(Stage::kSynthesize);
+      const std::string genuine_key = observe_key(
+          scenario, truth_digest, first.stage_digest(Stage::kSimulate));
+      ASSERT_TRUE(store->contains(genuine_key))
+          << "observe_key no longer matches the Observe stage's store key";
+      if (!keep_observations) store->erase(genuine_key);
+
+      // Flip one payload byte of the SimArtifact entry: the store still
+      // reads it, the codec checksum rejects it.
+      std::vector<std::uint8_t> vandalized;
+      for (const auto& entry :
+           std::filesystem::directory_iterator(store->root())) {
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
+                                      std::istreambuf_iterator<char>());
+        in.close();
+        try {
+          (void)io::decode_sim_artifact(raw);
+        } catch (const std::invalid_argument&) {
+          continue;
+        }
+        raw[raw.size() / 2] ^= 0x5a;
+        std::ofstream out(entry.path(), std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(raw.data()),
+                  static_cast<std::streamsize>(raw.size()));
+        vandalized = std::move(raw);
+        break;
+      }
+      ASSERT_FALSE(vandalized.empty()) << "no sim artifact found to vandalize";
+      EXPECT_THROW((void)io::decode_sim_artifact(vandalized),
+                   std::invalid_argument);
+
+      // Plant a different, valid Observations artifact under the key that
+      // chains on the vandalized bytes' digest: the resume's Observe probe,
+      // which runs beside the failing decode, finds it.
+      Observations planted =
+          io::decode_observations(io::encode(first.observations()));
+      planted.irr_text = "planted under a damaged SimArtifact's digest";
+      ASSERT_TRUE(store->put(
+          observe_key(scenario, truth_digest,
+                      stable_digest_hex(
+                          std::span<const std::uint8_t>(vandalized))),
+          io::encode(planted)));
+
+      RunOptions resume = options;
+      resume.threads = threads;
+      Experiment second(scenario, resume);
+      second.run(Stage::kObserve);
+      EXPECT_EQ(second.counters().simulate, 1u);
+      EXPECT_EQ(second.loads().simulate, 0u);
+      EXPECT_EQ(second.counters().observe, keep_observations ? 0u : 1u);
+      EXPECT_EQ(second.loads().observe, keep_observations ? 1u : 0u);
+      EXPECT_EQ(second.stage_digest(Stage::kSimulate),
+                first.stage_digest(Stage::kSimulate));
+      EXPECT_EQ(second.stage_digest(Stage::kObserve),
+                first.stage_digest(Stage::kObserve));
+      EXPECT_EQ(io::encode(second.observations()),
+                io::encode(first.observations()));
+
+      // The recompute healed the store: a third run loads both.
+      Experiment third(scenario, resume);
+      third.run(Stage::kObserve);
+      EXPECT_EQ(third.loads().simulate, 1u);
+      EXPECT_EQ(third.loads().observe, 1u);
+    }
+  }
 }
 
 TEST(SimChunkCodec, RoundtripIsBytePure) {

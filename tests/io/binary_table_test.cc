@@ -1,9 +1,13 @@
 #include "io/binary_table.h"
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
-#include "testing/fixtures.h"
 #include "testing/experiment_cache.h"
+#include "testing/fixtures.h"
+#include "testing/route_batches.h"
 
 namespace bgpolicy::io {
 namespace {
@@ -22,6 +26,74 @@ bgp::BgpTable sample_table() {
   table.add(r);
   table.add(make_route(Prefix::parse("10.1.0.0/16"), {AsNumber(1239)}, 120));
   return table;
+}
+
+/// Table bytes written by hand in the layout of binary_table.h, routes in
+/// the given order — serialize_table only ever writes each prefix's routes
+/// in one run, but a decoder must take any order.
+std::vector<std::uint8_t> table_bytes(AsNumber owner,
+                                      const std::vector<bgp::Route>& routes) {
+  std::vector<std::uint8_t> out;
+  const auto put = [&](auto value) {
+    const std::size_t at = out.size();
+    out.resize(at + sizeof(value));
+    std::memcpy(out.data() + at, &value, sizeof(value));
+  };
+  for (const char c : {'B', 'G', 'P', 'T'}) put(static_cast<std::uint8_t>(c));
+  put(std::uint16_t{1});
+  put(owner.value());
+  put(static_cast<std::uint64_t>(routes.size()));
+  for (const bgp::Route& route : routes) {
+    put(route.prefix.network());
+    put(route.prefix.length());
+    put(route.learned_from.value());
+    put(route.local_pref);
+    put(route.med);
+    put(static_cast<std::uint8_t>(route.origin));
+    put(static_cast<std::uint16_t>(route.path.length()));
+    for (const AsNumber hop : route.path.hops()) put(hop.value());
+    put(static_cast<std::uint16_t>(route.communities.size()));
+    for (const bgp::Community c : route.communities) put(c.raw());
+  }
+  return out;
+}
+
+bgp::BgpTable sequential_table(AsNumber owner,
+                               const std::vector<bgp::Route>& routes) {
+  bgp::BgpTable table{owner};
+  for (const bgp::Route& route : routes) table.add(route);
+  return table;
+}
+
+TEST(BinaryTable, PrefixInTwoSeparateRunsDecodesLikeSequentialAdd) {
+  const Prefix a = Prefix::parse("10.0.0.0/24");
+  const Prefix b = Prefix::parse("10.0.1.0/24");
+  const std::vector<bgp::Route> routes = {
+      make_route(a, {AsNumber(701), AsNumber(9)}, 100),
+      make_route(a, {AsNumber(1239), AsNumber(9)}, 110),
+      make_route(b, {AsNumber(701), AsNumber(8)}, 120),
+      make_route(a, {AsNumber(3356), AsNumber(9)}, 130),  // new neighbor
+      make_route(a, {AsNumber(701), AsNumber(9)}, 140),   // replaces #1
+  };
+  const bgp::BgpTable decoded =
+      deserialize_table(table_bytes(AsNumber(7018), routes));
+  testing::expect_same_table(decoded, sequential_table(AsNumber(7018), routes));
+  ASSERT_EQ(decoded.routes(a).size(), 3u);
+  EXPECT_EQ(decoded.routes(a)[0].local_pref, 140u);
+}
+
+TEST(BinaryTable, RandomBatchesDecodeLikeSequentialAdd) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    const std::vector<bgp::Route> routes = testing::random_route_batch(seed);
+    const bgp::BgpTable expected = sequential_table(AsNumber(7018), routes);
+    const std::vector<std::uint8_t> bytes = table_bytes(AsNumber(7018), routes);
+    const bgp::BgpTable decoded = deserialize_table(bytes);
+    testing::expect_same_table(decoded, expected);
+    // Re-encoding writes each prefix's routes in one run: the same table.
+    testing::expect_same_table(deserialize_table(serialize_table(decoded)),
+                               expected);
+  }
 }
 
 TEST(BinaryTable, RoundTrip) {

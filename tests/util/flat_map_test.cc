@@ -38,5 +38,20 @@ TEST(FlatMap64, TryInsertKeepsTheFirstValue) {
   EXPECT_EQ(map.size(), 500u);
 }
 
+TEST(FlatSet64, TakesEveryKeyIncludingTheMapsEmptyMarker) {
+  FlatSet64 set;
+  EXPECT_FALSE(set.contains(FlatMap64::kEmptyKey));
+  EXPECT_TRUE(set.insert(FlatMap64::kEmptyKey));
+  EXPECT_FALSE(set.insert(FlatMap64::kEmptyKey));
+  EXPECT_TRUE(set.contains(FlatMap64::kEmptyKey));
+  for (std::uint64_t k = 0; k < 500; ++k) EXPECT_TRUE(set.insert(k << 32 | k));
+  for (std::uint64_t k = 0; k < 500; ++k) {
+    EXPECT_FALSE(set.insert(k << 32 | k));
+    EXPECT_TRUE(set.contains(k << 32 | k));
+  }
+  EXPECT_FALSE(set.contains(1));
+  EXPECT_EQ(set.size(), 501u);
+}
+
 }  // namespace
 }  // namespace bgpolicy::util
