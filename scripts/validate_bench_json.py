@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Accepts bgpolicy-bench/v10 (current: artifact_store adds the `resume`
+Accepts bgpolicy-bench/v11 (current: the `resume` rows add the
+simulate.load span, where one hashing pass yields the SimArtifact's digest
+and frame check, and the summed time of the SimArtifact's table-decode
+graph nodes), v10 (artifact_store adds the `resume`
 rows — a store-resumed run through Analyze at one thread and at
 hardware_concurrency, with its wall time, the SimArtifact-decode and
 Observe-probe spans and their overlap — and the `resume_ok` flag), v9
@@ -112,8 +115,9 @@ def check_artifact_store(path, record):
             f"{name}.results[].artifact must be unique")
 
 
-def check_resume(path, record):
-    """The store-resumed run (v10): threads 1 and hardware_concurrency."""
+def check_resume(path, record, version):
+    """The store-resumed run (v10): threads 1 and hardware_concurrency;
+    v11 adds the simulate.load span and the summed table-decode time."""
     name = "artifact_store.resume"
     require(path, record.get("resume_ok") is True,
             "artifact_store.resume_ok must be true (a resume computed a "
@@ -121,9 +125,12 @@ def check_resume(path, record):
     rows = record.get("resume")
     require(path, isinstance(rows, list) and rows,
             f"{name} must be a non-empty array")
+    keys = ["threads", "wall_seconds", "sim_decode_seconds",
+            "observe_probe_seconds", "overlap_seconds"]
+    if version >= 11:
+        keys += ["sim_load_seconds", "table_decode_seconds"]
     for row in rows:
-        for key in ("threads", "wall_seconds", "sim_decode_seconds",
-                    "observe_probe_seconds", "overlap_seconds"):
+        for key in keys:
             require(path, isinstance(row.get(key), (int, float)),
                     f"{name}[].{key} must be a number")
         require(path, row["wall_seconds"] > 0,
@@ -208,9 +215,9 @@ def check_file(path):
         except json.JSONDecodeError as error:
             fail(path, f"not valid JSON: {error}")
     schema = record.get("schema")
-    versions = {f"bgpolicy-bench/v{n}": n for n in range(2, 11)}
+    versions = {f"bgpolicy-bench/v{n}": n for n in range(2, 12)}
     require(path, schema in versions,
-            'schema must be "bgpolicy-bench/v2".."bgpolicy-bench/v10"')
+            'schema must be "bgpolicy-bench/v2".."bgpolicy-bench/v11"')
     version = versions[schema]
     require(path, "generated_utc" in record, "generated_utc missing")
 
@@ -282,7 +289,7 @@ def check_file(path):
         summary += (f", analysis split unaccounted: "
                     f"{100 * split['unaccounted_share']:.1f}%")
     if version >= 10:
-        check_resume(path, store)
+        check_resume(path, store, version)
         fastest = min(row["wall_seconds"] for row in store["resume"])
         summary += f", fastest resume: {fastest:.3f} s"
 

@@ -21,30 +21,34 @@ std::uint64_t edge_key(AsNumber a, AsNumber b) {
 
 void GaoInference::add_path(std::span<const AsNumber> path) {
   if (path.size() < 2) return;
-  // Collapse prepending and reject loops.
-  std::vector<AsNumber> cleaned;
-  cleaned.reserve(path.size());
+  // Clean straight into the hop buffer: collapse prepending, and take the
+  // path back out when it loops or shrinks below one edge.
+  const std::size_t begin = hops_.size();
   for (const AsNumber as : path) {
-    if (!cleaned.empty() && cleaned.back() == as) continue;  // prepending
-    if (std::find(cleaned.begin(), cleaned.end(), as) != cleaned.end()) {
-      return;  // loop: discard the whole path
+    if (hops_.size() > begin && hops_.back() == as) continue;  // prepending
+    if (std::find(hops_.begin() + static_cast<std::ptrdiff_t>(begin),
+                  hops_.end(), as) != hops_.end()) {
+      hops_.resize(begin);  // loop: discard the whole path
+      return;
     }
-    cleaned.push_back(as);
+    hops_.push_back(as);
   }
-  if (cleaned.size() < 2) return;
+  if (hops_.size() - begin < 2) {
+    hops_.resize(begin);
+    return;
+  }
   const auto bump_degree = [&](AsNumber as) {
     const auto [count, first_edge] = degree_.try_insert(as.value(), 0);
     ++*count;
     if (first_edge) ases_.push_back(as);
   };
-  for (std::size_t i = 0; i + 1 < cleaned.size(); ++i) {
-    if (edges_.insert(edge_key(cleaned[i], cleaned[i + 1]))) {
-      bump_degree(cleaned[i]);
-      bump_degree(cleaned[i + 1]);
+  for (std::size_t i = begin; i + 1 < hops_.size(); ++i) {
+    if (edges_.insert(edge_key(hops_[i], hops_[i + 1]))) {
+      bump_degree(hops_[i]);
+      bump_degree(hops_[i + 1]);
     }
   }
-  paths_.push_back(std::move(cleaned));
-  ++path_count_;
+  offsets_.push_back(hops_.size());
 }
 
 void GaoInference::add_table_paths(const bgp::BgpTable& table,
@@ -125,14 +129,15 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
   // A caller-supplied executor replaces the one-shot pool (params.threads
   // is then ignored); products are identical either way.
   std::unique_ptr<util::Executor> owned;
+  const std::size_t paths = path_count();
   const util::Executor& exec = util::executor_or(
-      executor, params.threads, std::max<std::size_t>(1, paths_.size()), owned);
+      executor, params.threads, std::max<std::size_t>(1, paths), owned);
   const std::size_t threads =
-      std::min(exec.threads(), std::max<std::size_t>(1, paths_.size()));
+      std::min(exec.threads(), std::max<std::size_t>(1, paths));
   util::ThreadPool* pool = threads > 1 ? exec.pool() : nullptr;
   std::vector<util::IndexRange> ranges;
   if (pool != nullptr) {
-    ranges = util::split_ranges(paths_.size(), threads * 4);
+    ranges = util::split_ranges(paths, threads * 4);
   }
 
   // Phase 1: every path votes on the transit direction of its edges.
@@ -148,7 +153,7 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
       }
     };
     for (std::size_t pi = begin; pi < end; ++pi) {
-      const auto& path = paths_[pi];
+      const std::span<const AsNumber> path = this->path(pi);
       // The highest-degree AS is taken as the path's top.
       std::size_t top = 0;
       for (std::size_t i = 1; i < path.size(); ++i) {
@@ -186,7 +191,7 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
 
   VoteMap votes;
   if (pool == nullptr) {
-    accumulate_votes(0, paths_.size(), votes);
+    accumulate_votes(0, paths, votes);
   } else {
     util::shard_and_merge(
         pool, ranges.size(),
@@ -258,7 +263,7 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
     const auto disqualify = [&](std::size_t begin, std::size_t end,
                                 std::unordered_set<std::uint64_t>& out) {
       for (std::size_t pi = begin; pi < end; ++pi) {
-        const auto& path = paths_[pi];
+        const std::span<const AsNumber> path = this->path(pi);
         for (std::size_t i = 1; i + 1 < path.size(); ++i) {
           const AsNumber u = path[i];
           const AsNumber v = path[i + 1];
@@ -271,7 +276,7 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
     };
     std::unordered_set<std::uint64_t> disqualified;
     if (pool == nullptr) {
-      disqualify(0, paths_.size(), disqualified);
+      disqualify(0, paths, disqualified);
     } else {
       util::shard_and_merge(
           pool, ranges.size(),

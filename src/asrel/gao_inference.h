@@ -19,12 +19,15 @@
 //     customer of u* immediately before u — valley-freeness then proves u
 //     was providing transit across the edge, so it cannot be a peer link.
 //
-// Adjacency is flat: each observed edge is one packed (lower AS << 32) |
-// higher AS key in an open-addressed util::FlatSet64, and each AS's degree
-// is a count in a util::FlatMap64, bumped when one of its edges is first
-// seen.  Feeding a path costs one flat probe per hop pair, which is what
+// Storage is flat: the cleaned paths sit back to back in one hop buffer
+// (path i is a slice of it), each observed edge is one packed (lower AS <<
+// 32) | higher AS key in an open-addressed util::FlatSet64, and each AS's
+// degree is a count in a util::FlatMap64, bumped when one of its edges is
+// first seen.  Feeding a path cleans it straight into the buffer and costs
+// one flat probe per hop pair — no allocation per path — which is what
 // replaying the stored path multiset (io/artifact_codec) and the cold
-// ingest pay; degree() and top_clique() read the counts and the set.
+// ingest pay; degree() and top_clique() read the counts and the set, and
+// the voting passes read the paths as spans.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +83,7 @@ class GaoInference {
   void add_table_paths(const bgp::BgpTable& table,
                        std::optional<AsNumber> prepend = std::nullopt);
 
-  [[nodiscard]] std::size_t path_count() const { return path_count_; }
+  [[nodiscard]] std::size_t path_count() const { return offsets_.size() - 1; }
 
   /// Degree (distinct observed neighbors) of an AS.
   [[nodiscard]] std::size_t degree(AsNumber as) const;
@@ -93,12 +96,14 @@ class GaoInference {
       const GaoParams& params = {},
       const util::Executor* executor = nullptr) const;
 
-  /// The cleaned path multiset in ingest order (prepending collapsed,
-  /// loop paths dropped) — the serialization hook for io/artifact_codec:
-  /// re-feeding these paths through add_path in order reconstructs an
-  /// identical inference state.
-  [[nodiscard]] std::span<const std::vector<AsNumber>> paths() const {
-    return paths_;
+  /// The i-th cleaned path of the multiset, in ingest order (prepending
+  /// collapsed, loop paths dropped; i < path_count()) — the serialization
+  /// hook for io/artifact_codec: re-feeding these paths through add_path
+  /// in order reconstructs an identical inference state.  Spans stay valid
+  /// until the next add.
+  [[nodiscard]] std::span<const AsNumber> path(std::size_t i) const {
+    return std::span<const AsNumber>(hops_).subspan(
+        offsets_[i], offsets_[i + 1] - offsets_[i]);
   }
 
   /// The inferred default-free core (exposed for diagnostics/tests).
@@ -117,14 +122,16 @@ class GaoInference {
   /// True when some fed path shows `a` and `b` adjacent (either order).
   [[nodiscard]] bool adjacent(AsNumber a, AsNumber b) const;
 
-  std::vector<std::vector<AsNumber>> paths_;
+  /// Every cleaned path's hops, back to back; path i is
+  /// hops_[offsets_[i], offsets_[i + 1]).
+  std::vector<AsNumber> hops_;
+  std::vector<std::size_t> offsets_{0};
   /// Every observed edge once, as its packed (lower << 32) | higher key.
   util::FlatSet64 edges_;
   /// AS -> distinct observed neighbors.
   util::FlatMap64 degree_;
   /// Every AS with an edge, in first-seen order (top_clique's candidates).
   std::vector<AsNumber> ases_;
-  std::size_t path_count_ = 0;
 };
 
 }  // namespace bgpolicy::asrel

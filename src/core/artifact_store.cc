@@ -33,21 +33,36 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
   return hash;
 }
 
-std::string stable_digest_hex(std::span<const std::uint8_t> bytes) {
-  // The two FNV-1a lanes, fnv1a64(bytes, kFnvOffset) and
-  // fnv1a64(bytes, kFnvOffsetAlt), in one pass: the multiply chains are
-  // independent, so the second lane runs in the first one's latency.
+DigestWithTail stable_digest_with_tail(std::span<const std::uint8_t> bytes,
+                                       std::size_t tail_from,
+                                       std::uint64_t tail_seed) {
+  // The two digest lanes, fnv1a64(bytes, kFnvOffset) and
+  // fnv1a64(bytes, kFnvOffsetAlt), join the tail lane from `tail_from` on:
+  // the multiply chains are independent, so the extra lanes run in the
+  // first one's latency.
   std::uint64_t first = kFnvOffset;
   std::uint64_t second = kFnvOffsetAlt;
-  for (const std::uint8_t byte : bytes) {
-    first = (first ^ byte) * kFnvPrime;
-    second = (second ^ byte) * kFnvPrime;
+  std::uint64_t tail = tail_seed;
+  const std::size_t head = std::min(tail_from, bytes.size());
+  for (std::size_t i = 0; i < head; ++i) {
+    first = (first ^ bytes[i]) * kFnvPrime;
+    second = (second ^ bytes[i]) * kFnvPrime;
   }
-  std::string out;
-  out.reserve(32);
-  append_hex64(out, first);
-  append_hex64(out, second);
+  for (std::size_t i = head; i < bytes.size(); ++i) {
+    first = (first ^ bytes[i]) * kFnvPrime;
+    second = (second ^ bytes[i]) * kFnvPrime;
+    tail = (tail ^ bytes[i]) * kFnvPrime;
+  }
+  DigestWithTail out;
+  out.digest.reserve(32);
+  append_hex64(out.digest, first);
+  append_hex64(out.digest, second);
+  out.tail = tail;
   return out;
+}
+
+std::string stable_digest_hex(std::span<const std::uint8_t> bytes) {
+  return stable_digest_with_tail(bytes, bytes.size(), 0).digest;
 }
 
 std::string stable_digest_hex(std::string_view text) {

@@ -43,6 +43,20 @@ namespace bgpolicy::core {
 [[nodiscard]] std::string stable_digest_hex(std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::string stable_digest_hex(std::string_view text);
 
+/// stable_digest_hex(bytes) and, beside it, a third FNV-1a lane seeded with
+/// `tail_seed` over bytes[tail_from, end) — empty when `tail_from` is past
+/// the end.  All three lanes run in one loop over the bytes; their
+/// multiply chains are independent, so the pass costs what the two-lane
+/// digest alone does.  io::CheckedArtifact takes an artifact's store digest
+/// and its frame checksum this way.
+struct DigestWithTail {
+  std::string digest;
+  std::uint64_t tail = 0;
+};
+[[nodiscard]] DigestWithTail stable_digest_with_tail(
+    std::span<const std::uint8_t> bytes, std::size_t tail_from,
+    std::uint64_t tail_seed);
+
 class ArtifactStore {
  public:
   /// Opens (and creates, including parents) the store directory.  Throws

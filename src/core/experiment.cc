@@ -95,24 +95,24 @@ void vantage_field(std::string& key, std::span<const AsNumber> vantages) {
 constexpr const char* kKeyPrefix = "bgpolicy-artifact/v1|";
 
 /// The one store probe every stage, Simulate chunk, and sweep variant
-/// runs: loads `key` and decodes it.  A load failure of any flavor —
-/// missing file, truncation, corruption, codec-version mismatch — is a
-/// miss, never an error (artifact_codec.h).  On a hit `digest_out`, when
-/// given, receives the content digest of the stored bytes (what
-/// downstream keys chain on).
+/// runs: loads `key`, hashes the bytes once for their content digest and
+/// frame checksum (io::CheckedArtifact), and decodes them.  A load failure
+/// of any flavor — missing file, truncation, corruption, codec-version
+/// mismatch — is a miss, never an error (artifact_codec.h).  On a hit
+/// `digest_out`, when given, receives the content digest of the stored
+/// bytes (what downstream keys chain on).
 template <typename T>
 std::optional<T> probe_store(const ArtifactStore* store,
                              const std::string& key,
-                             T (*decode)(std::span<const std::uint8_t>),
+                             T (*decode)(const io::CheckedArtifact&),
                              std::string* digest_out = nullptr) {
   if (store == nullptr) return std::nullopt;
-  const auto bytes = store->load(key);
+  auto bytes = store->load(key);
   if (!bytes) return std::nullopt;
+  const io::CheckedArtifact checked(std::move(*bytes));
   try {
-    T artifact = decode(std::span<const std::uint8_t>(*bytes));
-    if (digest_out != nullptr) {
-      *digest_out = stable_digest_hex(std::span<const std::uint8_t>(*bytes));
-    }
+    T artifact = decode(checked);
+    if (digest_out != nullptr) *digest_out = checked.digest();
     return artifact;
   } catch (const std::invalid_argument&) {
     return std::nullopt;
@@ -140,7 +140,7 @@ std::string persist(const ArtifactStore* store, const std::string& key,
 template <typename T, typename ComputeFn>
 T stage_artifact(const ArtifactStore* store, const std::string& key,
                  std::string& digest_out, bool& loaded,
-                 T (*decode)(std::span<const std::uint8_t>),
+                 T (*decode)(const io::CheckedArtifact&),
                  ComputeFn&& compute) {
   std::optional<T> hit = probe_store(store, key, decode, &digest_out);
   loaded = hit.has_value();
@@ -599,9 +599,9 @@ struct Experiment::UpstreamScratch {
   /// What the last Observe probe found, published through observe_hit.
   std::optional<Observations> loaded_obs;
   std::string observe_digest;  // of the stored bytes, for the digest chain
-  /// The stored SimArtifact bytes simulate.load read; simulate.decode
-  /// decodes and frees them.
-  std::optional<std::vector<std::uint8_t>> sim_bytes;
+  /// The stored SimArtifact bytes simulate.load read and hashed;
+  /// simulate.decode decodes and frees them (shared with its table nodes).
+  std::shared_ptr<const io::CheckedArtifact> sim_bytes;
   /// Set when this graph computed Simulate (not a store hit), with the
   /// store keys of its chunks: what the simulate.persist node writes and
   /// supersedes.
@@ -791,29 +791,31 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
   std::optional<NodeId> n_sim_persist;
   if (need_sim) {
     if (options_.store != nullptr) {
-      // Resume: read the entry and take its content digest first.  The
-      // Observe key needs only that digest, so the Observe probe runs
-      // beside the SimArtifact decode, and a store-served run finds both
+      // Resume: read the entry and take its content digest and frame
+      // checksum in one pass first.  The Observe key needs only that
+      // digest, so the Observe probe runs beside the SimArtifact decode,
+      // whose tables decode on nested nodes; a store-served run finds both
       // artifacts before any stage work starts.
       const NodeId n_load = graph.add(
           [this, scratch] {
             traced("simulate.load", [&] {
-              scratch->sim_bytes =
+              auto bytes =
                   options_.store->load(stage_key_material(Stage::kSimulate, {}));
-              if (scratch->sim_bytes) {
-                digest_slot(Stage::kSimulate) = stable_digest_hex(
-                    std::span<const std::uint8_t>(*scratch->sim_bytes));
-              }
+              if (!bytes) return;
+              scratch->sim_bytes =
+                  std::make_shared<const io::CheckedArtifact>(std::move(*bytes));
+              digest_slot(Stage::kSimulate) = scratch->sim_bytes->digest();
             });
           },
           deps_of({n_synth}));
       std::vector<NodeId> settle_deps{graph.add(
-          [this, scratch] {
+          [this, scratch, graph_ptr] {
             traced("simulate.decode", [&] {
               if (!scratch->sim_bytes) return;
               // A corrupt entry is a miss: the compute node fans out chunks.
               try {
-                sim_ = io::decode_sim_artifact(*scratch->sim_bytes);
+                sim_ = io::decode_sim_artifact(scratch->sim_bytes, *graph_ptr,
+                                               options_.trace);
               } catch (const std::invalid_argument&) {
               }
               scratch->sim_bytes.reset();

@@ -6,21 +6,26 @@
 // Case-3 cause analysis (Section 5.1.5).
 //
 // Construction: one sequential pass in table order.  Every indexed path's
-// hops live in one buffer (path i is a slice of it), and the (prefix,
-// path) dedup and the adjacency set are open-addressed util::FlatSet64
-// sets, so ingesting a route costs a hash and a few probes — no per-path
-// allocation.  The build is not sharded: internet2002's 372,131 paths
-// index in 0.26–0.28 s on one core of a shared 4-CPU host, less than the
-// Simulate persist the staged experiment runs beside it.  Path ids follow
-// insertion order, which is what prefix_at/path_at expose and
-// io/artifact_codec persists; every query is a set-membership or any-of
-// scan, so consumers are insensitive to that order anyway.
+// hops live in one buffer (path i is a slice of it), the (prefix, path)
+// dedup and the adjacency set are open-addressed util::FlatSet64 sets, and
+// the per-origin and per-prefix id lists are flat too: a util::FlatMap64
+// maps each key to its newest id, and a per-entry link array chains each
+// key's ids in insertion order.  Ingesting a route costs a hash and a few
+// probes — no allocation per path or per key.  Path ids follow insertion
+// order, which is what prefix_at/path_at expose, io/artifact_codec
+// persists, and paths_for_prefix/paths_from_origin return.
+//
+// Replaying a stored index (append_stored) skips the dedup probe: stored
+// entries are distinct, each having passed it once.  The dedup set is
+// rebuilt from the entries before the next add, which deduplicates as
+// always.  On internet2002 the replay of the 372,131 stored entries takes
+// 0.026–0.042 s on one core of a shared 4-CPU host; with a dedup probe
+// per entry and a vector per key it took 0.088–0.104 s.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/table.h"
@@ -50,6 +55,16 @@ class PathIndex {
   /// source with its vantage AS prepended to every path.
   void add_tables(std::span<const TableSource> tables);
 
+  /// Appends one entry of a serialized index (io/artifact_codec) without
+  /// the dedup probe: the entries of an index are distinct, so replaying
+  /// them in order rebuilds it.  An empty path is skipped, as add_path
+  /// skips it.  The next add_* rebuilds the dedup set first.
+  void append_stored(const bgp::Prefix& prefix,
+                     std::span<const util::AsNumber> path);
+
+  /// Room for `paths` more entries holding `hops` more hops in total.
+  void reserve(std::size_t paths, std::size_t hops);
+
   [[nodiscard]] std::size_t path_count() const { return prefixes_.size(); }
 
   /// The i-th indexed observation, in insertion order — the serialization
@@ -69,11 +84,13 @@ class PathIndex {
     return adjacency_.size();
   }
 
-  /// All distinct paths whose origin (rightmost hop) is `origin`.
+  /// All distinct paths whose origin (rightmost hop) is `origin`, in
+  /// insertion order.
   [[nodiscard]] std::vector<std::span<const util::AsNumber>>
   paths_from_origin(util::AsNumber origin) const;
 
-  /// All distinct paths observed for a specific prefix.
+  /// All distinct paths observed for a specific prefix, in insertion
+  /// order.
   [[nodiscard]] std::vector<std::span<const util::AsNumber>> paths_for_prefix(
       const bgp::Prefix& prefix) const;
 
@@ -83,11 +100,27 @@ class PathIndex {
                                    util::AsNumber right) const;
 
  private:
+  /// Ids of one key in insertion order, without a node per key: `last`
+  /// maps the key to its newest id, and `next[id]` is the key's id after
+  /// `id` — for the newest, the oldest (each list is a ring entered at its
+  /// newest id).
+  struct IdLists {
+    util::FlatMap64 last;
+    std::vector<std::uint32_t> next;
+
+    void link(std::uint64_t key, std::uint32_t id);
+    [[nodiscard]] std::vector<std::span<const util::AsNumber>> paths(
+        const PathIndex& index, std::uint64_t key) const;
+  };
+
   /// Indexes the path `front` (when set) followed by `hops` for `prefix`,
   /// unless that (prefix, path) pair is already indexed or the path is
   /// empty.
   void install(const bgp::Prefix& prefix, std::optional<util::AsNumber> front,
                std::span<const util::AsNumber> hops);
+  /// Files the entry whose hops end the buffer under its prefix, its
+  /// origin and its adjacencies.
+  void append_entry(const bgp::Prefix& prefix, std::size_t begin);
 
   /// Every indexed path's hops, back to back; path i is
   /// hops_[offsets_[i], offsets_[i + 1]).
@@ -95,11 +128,13 @@ class PathIndex {
   std::vector<std::size_t> offsets_{0};
   /// Prefix of each indexed observation (prefix_at).
   std::vector<bgp::Prefix> prefixes_;
-  std::unordered_map<util::AsNumber, std::vector<std::size_t>> by_origin_;
-  std::unordered_map<bgp::Prefix, std::vector<std::size_t>> by_prefix_;
+  IdLists by_origin_;
+  IdLists by_prefix_;
   util::FlatSet64 adjacency_;
-  /// (prefix, path-hash) dedup guard.
+  /// (prefix, path-hash) dedup guard; stale after append_stored until the
+  /// next add rebuilds it.
   util::FlatSet64 seen_;
+  bool seen_stale_ = false;
 };
 
 }  // namespace bgpolicy::core

@@ -1,6 +1,7 @@
 #include "io/artifact_codec.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -30,15 +31,24 @@ class Writer {
 
   void put_string(std::string_view text) {
     put(static_cast<std::uint64_t>(text.size()));
-    out_->insert(out_->end(),
-                 reinterpret_cast<const std::uint8_t*>(text.data()),
-                 reinterpret_cast<const std::uint8_t*>(text.data()) +
-                     text.size());
+    put_bytes(text.data(), text.size());
+  }
+
+  /// AS numbers as their u32 values, back to back, in one copy.
+  void put_hops(std::span<const util::AsNumber> hops) {
+    static_assert(sizeof(util::AsNumber) == sizeof(std::uint32_t) &&
+                  std::is_trivially_copyable_v<util::AsNumber>);
+    put_bytes(hops.data(), hops.size_bytes());
   }
 
   [[nodiscard]] std::vector<std::uint8_t>& buffer() { return *out_; }
 
  private:
+  void put_bytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    out_->insert(out_->end(), bytes, bytes + size);
+  }
+
   std::vector<std::uint8_t>* out_;
 };
 
@@ -84,6 +94,23 @@ class Reader {
     return blob;
   }
 
+  /// Reads a u16-length AS path into `out`, reusing its capacity: one
+  /// bounds check and one copy per path (the Observations replay reads
+  /// ~840k of them on internet2002).
+  void get_hops(std::vector<util::AsNumber>& out) {
+    static_assert(sizeof(util::AsNumber) == sizeof(std::uint32_t) &&
+                  std::is_trivially_copyable_v<util::AsNumber>);
+    const std::size_t length = get<std::uint16_t>();
+    const std::size_t size = length * sizeof(std::uint32_t);
+    if (size > remaining()) {
+      throw std::invalid_argument("artifact: truncated input");
+    }
+    out.resize(length);
+    if (size != 0) std::memcpy(out.data(), bytes_.data() + pos_, size);
+    pos_ += size;
+  }
+
+  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == bytes_.size(); }
 
  private:
@@ -100,7 +127,7 @@ util::AsNumber get_as(Reader& r) {
 
 void put_as_vector(Writer& w, std::span<const util::AsNumber> ases) {
   w.put(static_cast<std::uint64_t>(ases.size()));
-  for (const auto as : ases) put_as(w, as);
+  w.put_hops(ases);
 }
 std::vector<util::AsNumber> get_as_vector(Reader& r) {
   const std::size_t count = r.get_count(sizeof(std::uint32_t));
@@ -130,20 +157,11 @@ topo::RelKind get_rel(Reader& r) {
   return static_cast<topo::RelKind>(raw);
 }
 
-void put_table(Writer& w, const bgp::BgpTable& table) {
-  // A length-prefixed blob, the table encoded straight into the artifact
-  // buffer: the prefix is patched once the table's size is known.
-  std::vector<std::uint8_t>& out = w.buffer();
-  const std::size_t length_at = out.size();
-  w.put(std::uint64_t{0});
-  append_table(table, out);
-  const std::uint64_t length = out.size() - length_at - sizeof(std::uint64_t);
-  std::memcpy(out.data() + length_at, &length, sizeof(length));
-}
-bgp::BgpTable get_table(Reader& r) {
-  // deserialize_table rejects its own corruption (magic, bounds, trailing
-  // bytes) with the same invalid_argument contract.
-  return deserialize_table(r.get_blob());
+/// A length-prefixed blob, the table encoded straight into the artifact
+/// buffer; `bytes` is its serialized_table_bytes.
+void put_table(Writer& w, const bgp::BgpTable& table, std::size_t bytes) {
+  w.put(static_cast<std::uint64_t>(bytes));
+  append_table(table, w.buffer(), bytes);
 }
 
 /// Key-sorted view over an unordered_map's entries (no copies): encoding
@@ -536,42 +554,111 @@ core::GroundTruth get_ground_truth(Reader& r) {
 // ------------------------------------------------------------ sim artifact --
 
 void put_sim_result(Writer& w, const sim::SimResult& sim) {
-  put_table(w, sim.collector);
   const auto looking_glass = sorted_entries(sim.looking_glass);
+  const auto best_only = sorted_entries(sim.best_only);
+  // Size every table once (append_table's sizing pass) and reserve the
+  // rest of the artifact in one step: the tables are nearly all of it.
+  std::vector<std::size_t> table_bytes;
+  table_bytes.reserve(1 + looking_glass.size() + best_only.size());
+  table_bytes.push_back(serialized_table_bytes(sim.collector));
+  for (const auto* entry : looking_glass) {
+    table_bytes.push_back(serialized_table_bytes(entry->second));
+  }
+  for (const auto* entry : best_only) {
+    table_bytes.push_back(serialized_table_bytes(entry->second));
+  }
+  // Two vantage counts, three counters, an AS per vantage table and a
+  // length prefix per table.
+  std::size_t rest =
+      5 * sizeof(std::uint64_t) +
+      (looking_glass.size() + best_only.size()) * sizeof(std::uint32_t);
+  for (const std::size_t bytes : table_bytes) {
+    rest += sizeof(std::uint64_t) + bytes;
+  }
+  w.buffer().reserve(w.buffer().size() + rest);
+
+  std::size_t table = 0;
+  put_table(w, sim.collector, table_bytes[table++]);
   w.put(static_cast<std::uint64_t>(looking_glass.size()));
   for (const auto* entry : looking_glass) {
     put_as(w, entry->first);
-    put_table(w, entry->second);
+    put_table(w, entry->second, table_bytes[table++]);
   }
-  const auto best_only = sorted_entries(sim.best_only);
   w.put(static_cast<std::uint64_t>(best_only.size()));
   for (const auto* entry : best_only) {
     put_as(w, entry->first);
-    put_table(w, entry->second);
+    put_table(w, entry->second, table_bytes[table++]);
   }
   w.put(static_cast<std::uint64_t>(sim.origination_count));
   w.put(static_cast<std::uint64_t>(sim.unconverged_prefixes));
   w.put(static_cast<std::uint64_t>(sim.process_events));
 }
 
-sim::SimResult get_sim_result(Reader& r) {
-  sim::SimResult sim;
-  sim.collector = get_table(r);
-  const std::size_t looking_glass = r.get_count(12);
-  for (std::size_t i = 0; i < looking_glass; ++i) {
-    const util::AsNumber as = get_as(r);
-    sim.looking_glass.emplace(as, get_table(r));
+/// A SimResult read up to its tables: every table is left as the blob
+/// span its length prefix names.  This skim is the one decode path's first
+/// half; the tables are then decoded one after another (decode_tables) or
+/// on task-graph nodes, and assemble_sim_result puts them in place.
+struct SimResultSkim {
+  /// The collector, then the looking glasses, then the best-only
+  /// vantages: the stored order.
+  std::vector<std::span<const std::uint8_t>> blobs;
+  /// The vantage AS of blobs[1..].
+  std::vector<util::AsNumber> owners;
+  /// How many of `owners` are looking glasses (the rest are best-only).
+  std::size_t looking_glass = 0;
+  std::size_t origination_count = 0;
+  std::size_t unconverged_prefixes = 0;
+  std::size_t process_events = 0;
+};
+
+SimResultSkim skim_sim_result(Reader& r) {
+  SimResultSkim skim;
+  skim.blobs.push_back(r.get_blob());
+  skim.looking_glass = r.get_count(12);
+  for (std::size_t i = 0; i < skim.looking_glass; ++i) {
+    skim.owners.push_back(get_as(r));
+    skim.blobs.push_back(r.get_blob());
   }
   const std::size_t best_only = r.get_count(12);
   for (std::size_t i = 0; i < best_only; ++i) {
-    const util::AsNumber as = get_as(r);
-    sim.best_only.emplace(as, get_table(r));
+    skim.owners.push_back(get_as(r));
+    skim.blobs.push_back(r.get_blob());
   }
-  sim.origination_count = static_cast<std::size_t>(r.get<std::uint64_t>());
-  sim.unconverged_prefixes =
+  skim.origination_count = static_cast<std::size_t>(r.get<std::uint64_t>());
+  skim.unconverged_prefixes =
       static_cast<std::size_t>(r.get<std::uint64_t>());
-  sim.process_events = static_cast<std::size_t>(r.get<std::uint64_t>());
+  skim.process_events = static_cast<std::size_t>(r.get<std::uint64_t>());
+  return skim;
+}
+
+/// Every skimmed table, decoded in stored order.  deserialize_table
+/// rejects its own corruption (magic, bounds, trailing bytes) with the
+/// same invalid_argument contract.
+std::vector<bgp::BgpTable> decode_tables(const SimResultSkim& skim) {
+  std::vector<bgp::BgpTable> tables;
+  tables.reserve(skim.blobs.size());
+  for (const auto blob : skim.blobs) tables.push_back(deserialize_table(blob));
+  return tables;
+}
+
+/// `tables` are the skimmed blobs decoded, in stored order.
+sim::SimResult assemble_sim_result(const SimResultSkim& skim,
+                                   std::vector<bgp::BgpTable> tables) {
+  sim::SimResult sim;
+  sim.collector = std::move(tables[0]);
+  for (std::size_t i = 0; i < skim.owners.size(); ++i) {
+    auto& vantages = i < skim.looking_glass ? sim.looking_glass : sim.best_only;
+    vantages.emplace(skim.owners[i], std::move(tables[i + 1]));
+  }
+  sim.origination_count = skim.origination_count;
+  sim.unconverged_prefixes = skim.unconverged_prefixes;
+  sim.process_events = skim.process_events;
   return sim;
+}
+
+sim::SimResult get_sim_result(Reader& r) {
+  const SimResultSkim skim = skim_sim_result(r);
+  return assemble_sim_result(skim, decode_tables(skim));
 }
 
 void put_sim_artifact(Writer& w, const core::SimArtifact& artifact) {
@@ -582,13 +669,26 @@ void put_sim_artifact(Writer& w, const core::SimArtifact& artifact) {
   put_sim_result(w, artifact.sim);
 }
 
+struct SimArtifactSkim {
+  sim::VantageSpec vantage;
+  SimResultSkim result;
+};
+
+SimArtifactSkim skim_sim_artifact(Reader& r) {
+  SimArtifactSkim skim;
+  skim.vantage.collector_as = get_as(r);
+  skim.vantage.collector_peers = get_as_vector(r);
+  skim.vantage.looking_glass = get_as_vector(r);
+  skim.vantage.best_only = get_as_vector(r);
+  skim.result = skim_sim_result(r);
+  return skim;
+}
+
 core::SimArtifact get_sim_artifact(Reader& r) {
+  SimArtifactSkim skim = skim_sim_artifact(r);
   core::SimArtifact artifact;
-  artifact.vantage.collector_as = get_as(r);
-  artifact.vantage.collector_peers = get_as_vector(r);
-  artifact.vantage.looking_glass = get_as_vector(r);
-  artifact.vantage.best_only = get_as_vector(r);
-  artifact.sim = get_sim_result(r);
+  artifact.vantage = std::move(skim.vantage);
+  artifact.sim = assemble_sim_result(skim.result, decode_tables(skim.result));
   return artifact;
 }
 
@@ -617,20 +717,47 @@ core::SimChunk get_sim_chunk(Reader& r) {
 
 void put_path(Writer& w, std::span<const util::AsNumber> path) {
   w.put(static_cast<std::uint16_t>(path.size()));
-  for (const auto as : path) put_as(w, as);
+  w.put_hops(path);
 }
 
-/// Reads one path into `path`, reusing its capacity: the Observations
-/// decode replays ~840k stored paths through one buffer.
-std::span<const util::AsNumber> get_path(Reader& r,
-                                         std::vector<util::AsNumber>& path) {
-  const std::uint16_t length = r.get<std::uint16_t>();
-  path.clear();
-  for (std::uint16_t i = 0; i < length; ++i) path.push_back(get_as(r));
-  return path;
+/// put_observations' payload size: the strings and paths plus the fixed
+/// fields around them, so the encoder reserves its buffer once.
+std::size_t observations_bytes(const core::Observations& observations) {
+  constexpr std::size_t kCount = sizeof(std::uint64_t);
+  constexpr std::size_t kAs = sizeof(std::uint32_t);
+  std::size_t bytes = kCount + kAs * observations.lg_order.size() + kCount +
+                      observations.irr_text.size() + kCount;
+  for (const rpsl::AutNum& aut_num : observations.irr_objects) {
+    bytes += kAs + kCount + aut_num.as_name.size() + kCount;
+    for (const rpsl::ImportLine& line : aut_num.imports) {
+      bytes += kAs + 1 + (line.pref ? sizeof(*line.pref) : 0) + kCount +
+               line.accept.size();
+    }
+    bytes += kCount;
+    for (const rpsl::ExportLine& line : aut_num.exports) {
+      bytes += kAs + kCount + line.announce.size();
+    }
+    bytes += kCount;
+    for (const rpsl::CommunityRemark& remark : aut_num.community_remarks) {
+      bytes += 1 + sizeof(remark.value_lo) + sizeof(remark.value_hi);
+    }
+    bytes += sizeof(aut_num.changed_date);
+  }
+  const asrel::GaoInference& gao = observations.observed_paths;
+  bytes += kCount;
+  for (std::size_t i = 0; i < gao.path_count(); ++i) {
+    bytes += sizeof(std::uint16_t) + kAs * gao.path(i).size();
+  }
+  const core::PathIndex& index = observations.paths;
+  bytes += kCount;
+  for (std::size_t i = 0; i < index.path_count(); ++i) {
+    bytes += kAs + 1 + sizeof(std::uint16_t) + kAs * index.path_at(i).size();
+  }
+  return bytes;
 }
 
 void put_observations(Writer& w, const core::Observations& observations) {
+  w.buffer().reserve(w.buffer().size() + observations_bytes(observations));
   put_as_vector(w, observations.lg_order);
   w.put_string(observations.irr_text);
 
@@ -661,12 +788,12 @@ void put_observations(Writer& w, const core::Observations& observations) {
 
   // The cleaned Gao path multiset in ingest order; add_path replays it into
   // an identical inference state (gao_inference.h).
-  const auto gao_paths = observations.observed_paths.paths();
-  w.put(static_cast<std::uint64_t>(gao_paths.size()));
-  for (const auto& path : gao_paths) put_path(w, path);
+  const asrel::GaoInference& gao = observations.observed_paths;
+  w.put(static_cast<std::uint64_t>(gao.path_count()));
+  for (std::size_t i = 0; i < gao.path_count(); ++i) put_path(w, gao.path(i));
 
   // The path index's (prefix, path) observations in insertion order;
-  // add_path replays them into an identical index (path_index.h).
+  // append_stored replays them into an identical index (path_index.h).
   w.put(static_cast<std::uint64_t>(observations.paths.path_count()));
   for (std::size_t i = 0; i < observations.paths.path_count(); ++i) {
     put_prefix(w, observations.paths.prefix_at(i));
@@ -715,15 +842,25 @@ core::Observations get_observations(Reader& r) {
     observations.irr_objects.push_back(std::move(aut_num));
   }
 
+  // Both replays read each path into one reused buffer; add_path cleans
+  // it straight into the inference's hop buffer.
   std::vector<util::AsNumber> path;
   const std::size_t gao_paths = r.get_count(2);
   for (std::size_t i = 0; i < gao_paths; ++i) {
-    observations.observed_paths.add_path(get_path(r, path));
+    r.get_hops(path);
+    observations.observed_paths.add_path(path);
   }
+  // The index section runs to the end of the payload, so the bytes left
+  // give its hop count: the index is sized once, and its entries, distinct
+  // when stored, go in without the dedup probe.
   const std::size_t index_entries = r.get_count(7);
+  observations.paths.reserve(index_entries,
+                             (r.remaining() - 7 * index_entries) /
+                                 sizeof(std::uint32_t));
   for (std::size_t i = 0; i < index_entries; ++i) {
     const bgp::Prefix prefix = get_prefix(r);
-    observations.paths.add_path(prefix, get_path(r, path));
+    r.get_hops(path);
+    observations.paths.append_stored(prefix, path);
   }
   return observations;
 }
@@ -964,9 +1101,12 @@ std::vector<std::uint8_t> encode_framed(ArtifactKind kind,
   return bytes;
 }
 
-/// Validates the header and returns the payload span.
+/// Validates the header and returns the payload span.  `checksum_matches`
+/// is a CheckedArtifact's verdict on these very bytes; without one the
+/// payload is hashed here.
 std::span<const std::uint8_t> unframe(ArtifactKind kind,
-                                      std::span<const std::uint8_t> bytes) {
+                                      std::span<const std::uint8_t> bytes,
+                                      std::optional<bool> checksum_matches) {
   Reader r(bytes);
   char magic[4];
   for (char& c : magic) c = static_cast<char>(r.get<std::uint8_t>());
@@ -987,7 +1127,10 @@ std::span<const std::uint8_t> unframe(ArtifactKind kind,
   }
   const std::span<const std::uint8_t> payload =
       bytes.subspan(kArtifactHeaderBytes);
-  if (core::fnv1a64(payload, kChecksumSeed) != checksum) {
+  if (!checksum_matches) {
+    checksum_matches = core::fnv1a64(payload, kChecksumSeed) == checksum;
+  }
+  if (!*checksum_matches) {
     throw std::invalid_argument("artifact: checksum mismatch");
   }
   return payload;
@@ -997,10 +1140,10 @@ std::span<const std::uint8_t> unframe(ArtifactKind kind,
 /// structural failure (bounds, invariant violations inside replayed
 /// builders) into the decoder contract's invalid_argument.
 template <typename Fn>
-auto decode_payload(ArtifactKind kind, std::span<const std::uint8_t> bytes,
-                    Fn&& fn) {
+auto decode_frame(ArtifactKind kind, std::span<const std::uint8_t> bytes,
+                  std::optional<bool> checksum_matches, Fn&& fn) {
   try {
-    Reader r(unframe(kind, bytes));
+    Reader r(unframe(kind, bytes, checksum_matches));
     auto value = fn(r);
     if (!r.exhausted()) {
       throw std::invalid_argument("artifact: trailing bytes");
@@ -1014,7 +1157,35 @@ auto decode_payload(ArtifactKind kind, std::span<const std::uint8_t> bytes,
   }
 }
 
+template <typename Fn>
+auto decode_payload(ArtifactKind kind, std::span<const std::uint8_t> bytes,
+                    Fn&& fn) {
+  return decode_frame(kind, bytes, std::nullopt, fn);
+}
+
+/// The verdict and the bytes come from one CheckedArtifact.
+template <typename Fn>
+auto decode_payload(ArtifactKind kind, const CheckedArtifact& checked,
+                    Fn&& fn) {
+  return decode_frame(kind, checked.bytes(), checked.checksum_matches(), fn);
+}
+
 }  // namespace
+
+CheckedArtifact::CheckedArtifact(std::vector<std::uint8_t> bytes)
+    : bytes_(std::move(bytes)) {
+  core::DigestWithTail hashed =
+      core::stable_digest_with_tail(bytes_, kArtifactHeaderBytes, kChecksumSeed);
+  digest_ = std::move(hashed.digest);
+  if (bytes_.size() >= kArtifactHeaderBytes) {
+    // The checksum field closes the header (see the layout above).
+    std::uint64_t stored = 0;
+    std::memcpy(&stored,
+                bytes_.data() + kArtifactHeaderBytes - sizeof(stored),
+                sizeof(stored));
+    checksum_matches_ = stored == hashed.tail;
+  }
+}
 
 const char* to_string(ArtifactKind kind) {
   switch (kind) {
@@ -1084,6 +1255,79 @@ std::vector<std::uint8_t> encode(const core::SimChunk& chunk) {
 core::SimChunk decode_sim_chunk(std::span<const std::uint8_t> bytes) {
   return decode_payload(ArtifactKind::kSimChunk, bytes,
                         [](Reader& r) { return get_sim_chunk(r); });
+}
+
+core::GroundTruth decode_ground_truth(const CheckedArtifact& checked) {
+  return decode_payload(ArtifactKind::kGroundTruth, checked,
+                        [](Reader& r) { return get_ground_truth(r); });
+}
+
+core::Observations decode_observations(const CheckedArtifact& checked) {
+  return decode_payload(ArtifactKind::kObservations, checked,
+                        [](Reader& r) { return get_observations(r); });
+}
+
+core::InferenceProducts decode_inference(const CheckedArtifact& checked) {
+  return decode_payload(ArtifactKind::kInferenceProducts, checked,
+                        [](Reader& r) { return get_inference(r); });
+}
+
+core::AnalysisSuite decode_analysis_suite(const CheckedArtifact& checked) {
+  return decode_payload(ArtifactKind::kAnalysisSuite, checked,
+                        [](Reader& r) { return get_analysis_suite(r); });
+}
+
+core::SimChunk decode_sim_chunk(const CheckedArtifact& checked) {
+  return decode_payload(ArtifactKind::kSimChunk, checked,
+                        [](Reader& r) { return get_sim_chunk(r); });
+}
+
+core::SimArtifact decode_sim_artifact(
+    std::shared_ptr<const CheckedArtifact> checked, util::TaskGraph& graph,
+    core::StageTrace* trace) {
+  // The skim runs here; the tables decode on nested nodes.  Each node
+  // holds shares of everything it touches, so a wait() cut short by a
+  // cancelled graph leaves no node writing into a finished frame.
+  const auto skim = std::make_shared<const SimArtifactSkim>(
+      decode_payload(ArtifactKind::kSimArtifact, *checked,
+                     [](Reader& r) { return skim_sim_artifact(r); }));
+  struct Lanes {
+    std::vector<bgp::BgpTable> tables;
+    /// A table's failure, kept in its node: a throwing node would cancel
+    /// the whole graph, and a damaged entry is only a miss.
+    std::vector<std::optional<std::string>> errors;
+  };
+  const std::size_t count = skim->result.blobs.size();
+  const auto lanes = std::make_shared<Lanes>();
+  lanes->tables.resize(count);
+  lanes->errors.resize(count);
+  std::vector<util::TaskGraph::NodeId> nodes;
+  nodes.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    nodes.push_back(graph.submit([checked, skim, lanes, i, trace] {
+      const auto start = std::chrono::steady_clock::now();
+      try {
+        lanes->tables[i] = deserialize_table(skim->result.blobs[i]);
+      } catch (const std::exception& error) {
+        lanes->errors[i] = error.what();
+      }
+      if (trace != nullptr) {
+        trace->record("simulate.decode_table", start,
+                      std::chrono::steady_clock::now());
+      }
+    }));
+  }
+  graph.wait(nodes);
+  for (const std::optional<std::string>& error : lanes->errors) {
+    if (error) {
+      throw std::invalid_argument("artifact: corrupt payload (" + *error +
+                                  ")");
+    }
+  }
+  core::SimArtifact artifact;
+  artifact.vantage = skim->vantage;
+  artifact.sim = assemble_sim_result(skim->result, std::move(lanes->tables));
+  return artifact;
 }
 
 std::optional<ArtifactHeader> peek_artifact_header(

@@ -14,21 +14,40 @@
 // staged cache treats every decode failure as a cache miss and recomputes
 // — a damaged store can cost time, never correctness.
 //
+// One pass over stored bytes: a store read wants both the artifact's
+// content digest (core::stable_digest_hex, what downstream keys chain on)
+// and the frame checksum.  CheckedArtifact takes the bytes and computes
+// the digest's two FNV-1a lanes and the checksum's lane in one loop
+// (core::stable_digest_with_tail); the decoders that take it skip their
+// own checksum pass and reject a mismatch with the other header defects,
+// before any payload byte is parsed.  It owns the bytes and never changes
+// them, so its verdict always describes the bytes it hands a decoder.
+// The span decoders still check on their own.
+//
 // Vantage tables reuse the io::serialize_table route encoding
-// (binary_table.h), each embedded as a length-prefixed blob.  Everything
-// keyed by an unordered container is serialized in sorted key order, so
-// encoding is a pure function of artifact *content*: equal artifacts
-// produce equal bytes, which is what lets the staged cache chain on
-// upstream artifact digests (core/artifact_store.h).
+// (binary_table.h), each embedded as a length-prefixed blob: a SimArtifact
+// is its vantage spec plus 24 blobs on internet2002 (the collector, 15
+// looking glasses, 8 best-only vantages).  Decoding skims the blob spans
+// first, then decodes the tables — one after another, or as nested task
+// graph nodes (the resume's simulate.decode) — and assembles them in
+// stored order.  Everything keyed by an unordered container is serialized
+// in sorted key order, so encoding is a pure function of artifact
+// *content*: equal artifacts produce equal bytes, which is what lets the
+// staged cache chain on upstream artifact digests (core/artifact_store.h).
+// The SimArtifact and Observations encoders size their payload first and
+// reserve the buffer once.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/analysis_suite.h"
 #include "core/experiment.h"
+#include "util/parallel.h"
 
 namespace bgpolicy::io {
 
@@ -79,6 +98,30 @@ inline constexpr std::size_t kArtifactHeaderBytes = 24;
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::AnalysisSuite& suite);
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::SimChunk& chunk);
 
+/// Stored artifact bytes hashed once: the store digest and the frame
+/// checksum come out of one loop over them (see the file comment).  The
+/// object owns the bytes and cannot be copied, moved or changed, so a
+/// decoder handed one always checks the verdict computed on the bytes it
+/// parses.
+class CheckedArtifact {
+ public:
+  explicit CheckedArtifact(std::vector<std::uint8_t> bytes);
+  CheckedArtifact(const CheckedArtifact&) = delete;
+  CheckedArtifact& operator=(const CheckedArtifact&) = delete;
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const { return bytes_; }
+  /// core::stable_digest_hex(bytes()).
+  [[nodiscard]] const std::string& digest() const { return digest_; }
+  /// True when the bytes hold a whole header whose checksum field equals
+  /// the FNV-1a checksum of the bytes after it.
+  [[nodiscard]] bool checksum_matches() const { return checksum_matches_; }
+
+ private:
+  std::vector<std::uint8_t> bytes_;
+  std::string digest_;
+  bool checksum_matches_ = false;
+};
+
 // Decoders throw std::invalid_argument on truncated, corrupted,
 // wrong-kind, or version-mismatched input.
 [[nodiscard]] core::GroundTruth decode_ground_truth(
@@ -93,5 +136,29 @@ inline constexpr std::size_t kArtifactHeaderBytes = 24;
     std::span<const std::uint8_t> bytes);
 [[nodiscard]] core::SimChunk decode_sim_chunk(
     std::span<const std::uint8_t> bytes);
+
+// The same decoders over checked bytes: the one-pass check's verdict
+// replaces the checksum pass (core::Experiment's store probes).
+[[nodiscard]] core::GroundTruth decode_ground_truth(
+    const CheckedArtifact& checked);
+[[nodiscard]] core::Observations decode_observations(
+    const CheckedArtifact& checked);
+[[nodiscard]] core::InferenceProducts decode_inference(
+    const CheckedArtifact& checked);
+[[nodiscard]] core::AnalysisSuite decode_analysis_suite(
+    const CheckedArtifact& checked);
+[[nodiscard]] core::SimChunk decode_sim_chunk(const CheckedArtifact& checked);
+
+/// Decodes a checked SimArtifact with one nested node of `graph` per table
+/// (util::TaskGraph::submit, then wait), then assembles the tables in
+/// stored order: the artifact equals decode_sim_artifact's at any thread
+/// count.  Must run inside a task of `graph`; the nodes share ownership of
+/// `checked`, so they stay safe if the graph is cancelled mid-wait.  A
+/// table that fails to decode is reported as std::invalid_argument here,
+/// never as a failed node.  `trace`, when given, receives one
+/// "simulate.decode_table" span per node.
+[[nodiscard]] core::SimArtifact decode_sim_artifact(
+    std::shared_ptr<const CheckedArtifact> checked, util::TaskGraph& graph,
+    core::StageTrace* trace = nullptr);
 
 }  // namespace bgpolicy::io

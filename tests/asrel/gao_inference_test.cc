@@ -1,5 +1,6 @@
 #include "asrel/gao_inference.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -62,6 +63,48 @@ TEST(GaoInference, DegreesAndCliquePinned) {
   EXPECT_EQ(rels.relationship(top, AsNumber(40)), RelKind::kCustomer);
   EXPECT_EQ(rels.relationship(AsNumber(30), AsNumber(3)), RelKind::kProvider);
   EXPECT_EQ(rels.edge_count(), 14u);
+}
+
+// The DegreesAndCliquePinned input plus a path that prepending shrinks to
+// one AS: the flat hop buffer holds the cleaned multiset the
+// vector-per-path store held, in ingest order, and a dropped path leaves
+// nothing behind.
+TEST(GaoInference, StoresTheCleanedMultisetInIngestOrder) {
+  GaoInference gao;
+  for (const char* path :
+       {"10 1 2 20", "11 1 3 30", "20 2 3 30", "40 4294967295 1 10",
+        "41 4294967295 2 21", "1 2 3 2", "42 4294967295 4294967295 3 30",
+        "5 5", "21 2 2 1 11", "30 3 1 10 1", "4294967295 40 4294967295",
+        "7"}) {
+    gao.add_path(bgp::AsPath::parse(path));
+  }
+  const std::uint32_t top = 4294967295u;
+  const std::vector<std::vector<std::uint32_t>> cleaned = {
+      {10, 1, 2, 20},   {11, 1, 3, 30},   {20, 2, 3, 30}, {40, top, 1, 10},
+      {41, top, 2, 21}, {42, top, 3, 30}, {21, 2, 1, 11}};
+  ASSERT_EQ(gao.path_count(), cleaned.size());
+  for (std::size_t i = 0; i < cleaned.size(); ++i) {
+    std::vector<std::uint32_t> stored;
+    for (const AsNumber as : gao.path(i)) stored.push_back(as.value());
+    EXPECT_EQ(stored, cleaned[i]) << "path " << i;
+  }
+  EXPECT_EQ(gao.degree(AsNumber(top)), 6u);
+  EXPECT_EQ(gao.degree(AsNumber(5)), 0u);
+  EXPECT_EQ(gao.top_clique(),
+            (std::vector<AsNumber>{AsNumber(top), AsNumber(1), AsNumber(2),
+                                   AsNumber(3)}));
+
+  // Replaying the stored paths rebuilds the same state.
+  GaoInference replayed;
+  for (std::size_t i = 0; i < gao.path_count(); ++i) {
+    replayed.add_path(gao.path(i));
+  }
+  ASSERT_EQ(replayed.path_count(), gao.path_count());
+  for (std::size_t i = 0; i < gao.path_count(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(replayed.path(i), gao.path(i)));
+  }
+  EXPECT_EQ(canonical_serialize(replayed.infer()),
+            canonical_serialize(gao.infer()));
 }
 
 TEST(GaoInference, SimpleChainInfersProviderDirection) {

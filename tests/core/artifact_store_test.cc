@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -33,6 +34,7 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "io/artifact_codec.h"
+#include "io/binary_table.h"
 #include "sim/simulation.h"
 #include "testing/scoped_store.h"
 
@@ -92,6 +94,40 @@ TEST(ArtifactStore, DigestMatchesKnownAnswers) {
       reinterpret_cast<const std::uint8_t*>(hello.data()), hello.size());
   EXPECT_EQ(fnv1a64(bytes, 0xcbf29ce484222325ULL), 0xa430d84680aabd0bULL);
   EXPECT_EQ(fnv1a64(bytes, 0x6c62272e07bb0142ULL), 0x6aaf3b071d3ffa4aULL);
+}
+
+TEST(ArtifactStore, DigestWithTailIsTheDigestPlusOneLane) {
+  // The one-pass hash io::CheckedArtifact runs: its digest is
+  // stable_digest_hex's and its tail lane fnv1a64 over the bytes from
+  // tail_from — on the known answers, on random buffers, and on buffers
+  // shorter than a 24-byte artifact header (an empty tail).
+  constexpr std::uint64_t kSeed = 0xcbf29ce484222325ULL;
+  const std::string_view hello = "hello";
+  const std::span<const std::uint8_t> hello_bytes(
+      reinterpret_cast<const std::uint8_t*>(hello.data()), hello.size());
+  EXPECT_EQ(stable_digest_with_tail({}, 24, kSeed).digest,
+            "cbf29ce4842223256c62272e07bb0142");
+  EXPECT_EQ(stable_digest_with_tail({}, 24, kSeed).tail, kSeed);
+  EXPECT_EQ(stable_digest_with_tail(hello_bytes, 24, kSeed).digest,
+            "a430d84680aabd0b6aaf3b071d3ffa4a");
+  EXPECT_EQ(stable_digest_with_tail(hello_bytes, 0, kSeed).tail,
+            0xa430d84680aabd0bULL);
+
+  std::mt19937_64 rng(7);
+  for (const std::size_t size : {1u, 5u, 23u, 24u, 25u, 64u, 1000u, 4097u}) {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+    for (const std::size_t tail_from : {std::size_t{0}, std::size_t{24}, size}) {
+      const DigestWithTail hashed =
+          stable_digest_with_tail(bytes, tail_from, kSeed);
+      EXPECT_EQ(hashed.digest, stable_digest_hex(bytes)) << size;
+      EXPECT_EQ(hashed.tail,
+                fnv1a64(std::span<const std::uint8_t>(bytes).subspan(
+                            std::min(tail_from, size)),
+                        kSeed))
+          << size << " bytes from " << tail_from;
+    }
+  }
 }
 
 /// How many spans of `trace` are named `name`.
@@ -167,14 +203,24 @@ TEST(ArtifactStore, SecondExperimentLoadsEveryStage) {
     }
 
     // The resume graph: one load, then the decode and the Observe probe,
-    // both after it; nothing simulated.
+    // both after it, with one table node per SimArtifact table inside the
+    // decode; nothing simulated.
     EXPECT_EQ(spans_named(trace, "simulate.load"), 1u);
     EXPECT_EQ(spans_named(trace, "simulate.decode"), 1u);
     EXPECT_EQ(spans_named(trace, "observe.probe"), 1u);
     EXPECT_EQ(spans_named(trace, "simulate.chunk"), 0u);
     const double loaded = span_named(trace, "simulate.load").end_seconds;
-    EXPECT_GE(span_named(trace, "simulate.decode").start_seconds, loaded);
+    const TraceSpan& decode = span_named(trace, "simulate.decode");
+    EXPECT_GE(decode.start_seconds, loaded);
     EXPECT_GE(span_named(trace, "observe.probe").start_seconds, loaded);
+    const sim::SimResult& tables = second.sim().sim;
+    EXPECT_EQ(spans_named(trace, "simulate.decode_table"),
+              1 + tables.looking_glass.size() + tables.best_only.size());
+    for (const TraceSpan& span : trace.spans) {
+      if (span.name != "simulate.decode_table") continue;
+      EXPECT_GE(span.start_seconds, decode.start_seconds);
+      EXPECT_LE(span.end_seconds, decode.end_seconds);
+    }
 
     EXPECT_EQ(products_digest(first.inference(), first.analyses()),
               reference_products);
@@ -383,6 +429,113 @@ TEST(ArtifactStore, VandalizedSimEntryRecomputesAndDropsItsObserveHit) {
       third.run(Stage::kObserve);
       EXPECT_EQ(third.loads().simulate, 1u);
       EXPECT_EQ(third.loads().observe, 1u);
+    }
+  }
+}
+
+/// The store file whose bytes decode as a SimArtifact.
+std::filesystem::path sim_entry(const ArtifactStore& store) {
+  for (const auto& entry : std::filesystem::directory_iterator(store.root())) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
+                                        std::istreambuf_iterator<char>());
+    try {
+      (void)io::decode_sim_artifact(raw);
+      return entry.path();
+    } catch (const std::invalid_argument&) {
+    }
+  }
+  return {};
+}
+
+/// Flips one byte of the file at `path`.
+void flip_byte(const std::filesystem::path& path, std::size_t at) {
+  std::vector<std::uint8_t> raw;
+  {
+    std::ifstream in(path, std::ios::binary);
+    raw.assign(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  ASSERT_LT(at, raw.size());
+  raw[at] ^= 0x21;
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(raw.data()),
+            static_cast<std::streamsize>(raw.size()));
+}
+
+TEST(ArtifactStore, OneFlippedByteIsAMissAtEveryThreadCount) {
+  // One byte flipped in the Observations entry's checksum field, inside
+  // its PathIndex section (the payload's last), or inside the SimArtifact's
+  // last table blob.  The one-pass check rejects each before a payload
+  // byte is parsed: the stage is recomputed with the same digest, so every
+  // downstream stage still loads, and the analyses are the first run's.
+  enum class Damage { kObserveChecksum, kObserveIndex, kSimLastTable };
+  const Scenario scenario = Scenario::small(33);
+  for (const std::size_t threads : {1u, 3u}) {
+    for (const Damage damage : {Damage::kObserveChecksum, Damage::kObserveIndex,
+                                Damage::kSimLastTable}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads << ", damage "
+                                        << static_cast<int>(damage));
+      ScopedStore store;
+      RunOptions options;
+      options.threads = 1;
+      options.store = store.get();
+      Experiment first(scenario, options);
+      first.run();
+
+      const bool sim_damaged = damage == Damage::kSimLastTable;
+      const std::filesystem::path entry =
+          sim_damaged ? sim_entry(*store)
+                      : store->path_for(observe_key(
+                            scenario, first.stage_digest(Stage::kSynthesize),
+                            first.stage_digest(Stage::kSimulate)));
+      ASSERT_TRUE(std::filesystem::exists(entry));
+      const std::size_t size = std::filesystem::file_size(entry);
+      std::size_t at = io::kArtifactHeaderBytes - 5;  // the checksum field
+      if (damage == Damage::kObserveIndex) {
+        // The index section: an entry count, then per entry a prefix
+        // (network, length), a u16 hop count and the hops.
+        const PathIndex& index = first.observations().paths;
+        std::size_t section = sizeof(std::uint64_t);
+        for (std::size_t i = 0; i < index.path_count(); ++i) {
+          section += 7 + sizeof(std::uint32_t) * index.path_at(i).size();
+        }
+        at = size - section / 2;
+      } else if (sim_damaged) {
+        // The last blob in stored order ends before the three u64 counters.
+        // Vantage tables are stored in AS order, best-only ones last.
+        const sim::SimResult& result = first.sim().sim;
+        const bgp::BgpTable* last = &result.collector;
+        for (const auto* tables : {&result.looking_glass, &result.best_only}) {
+          const auto highest = std::max_element(
+              tables->begin(), tables->end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+          if (highest != tables->end()) last = &highest->second;
+        }
+        at = size - 3 * sizeof(std::uint64_t) -
+             io::serialize_table(*last).size() / 2;
+      }
+      flip_byte(entry, at);
+
+      RunOptions resume = options;
+      resume.threads = threads;
+      Experiment second(scenario, resume);
+      second.run();
+      EXPECT_EQ(second.counters().simulate, sim_damaged ? 1u : 0u);
+      EXPECT_EQ(second.loads().simulate, sim_damaged ? 0u : 1u);
+      EXPECT_EQ(second.counters().observe, sim_damaged ? 0u : 1u);
+      EXPECT_EQ(second.loads().observe, sim_damaged ? 1u : 0u);
+      EXPECT_EQ(second.loads().synthesize, 1u);
+      EXPECT_EQ(second.loads().infer, 1u);
+      EXPECT_EQ(second.loads().analyze, 1u);
+      for (const Stage stage : {Stage::kSynthesize, Stage::kSimulate,
+                                Stage::kObserve, Stage::kInfer,
+                                Stage::kAnalyze}) {
+        EXPECT_EQ(second.stage_digest(stage), first.stage_digest(stage))
+            << to_string(stage);
+      }
+      EXPECT_EQ(products_digest(second.inference(), second.analyses()),
+                products_digest(first.inference(), first.analyses()));
     }
   }
 }

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
+#include "io/artifact_codec.h"
 #include "testing/fixtures.h"
 
 namespace bgpolicy::core {
@@ -145,6 +147,100 @@ TEST(PathIndex, AddTablesMatchesAddPathWithThePrependedAs) {
   // for kP1/kP2, and `4 3` appears twice but is indexed once.
   EXPECT_EQ(built.paths_for_prefix(kP1).size(), 4u);
   EXPECT_EQ(built.paths_from_origin(AsNumber(4)).size(), 1u);
+}
+
+using Paths = std::vector<std::vector<AsNumber>>;
+
+Paths as_lists(const std::vector<std::span<const AsNumber>>& spans) {
+  Paths out;
+  for (const auto span : spans) out.emplace_back(span.begin(), span.end());
+  return out;
+}
+
+Paths as_paths(std::initializer_list<std::initializer_list<std::uint32_t>> paths) {
+  Paths out;
+  for (const auto& path : paths) {
+    out.emplace_back();
+    for (const std::uint32_t as : path) out.back().emplace_back(as);
+  }
+  return out;
+}
+
+/// An index where kP1 shows up in two separate runs (two tables apart, with
+/// kP2 between) and AS 3 originates paths of both prefixes.
+PathIndex two_run_index() {
+  bgp::BgpTable second{AsNumber(98)};
+  second.add(make_route(kP2, {AsNumber(6), AsNumber(3)}));
+  second.add(make_route(kP1, {AsNumber(6), AsNumber(2), AsNumber(3)}));
+  second.add(make_route(kP1, {AsNumber(4), AsNumber(3)}));  // a duplicate
+  PathIndex index;
+  index.add_table(make_table());
+  index.add_table(second);
+  index.add_path(kP1, std::vector<AsNumber>{AsNumber(7), AsNumber(3)});
+  return index;
+}
+
+/// The index an Observations artifact round-trip rebuilds.
+PathIndex decoded(const PathIndex& index) {
+  Observations observations;
+  observations.paths = index;
+  return io::decode_observations(io::encode(observations)).paths;
+}
+
+TEST(PathIndex, DecodedIndexAnswersInInsertionOrder) {
+  // The lists the vector-per-key index returned, in insertion order.
+  const Paths p1 = as_paths({{1, 2, 3}, {4, 3}, {6, 2, 3}, {7, 3}});
+  const Paths p2 = as_paths({{1, 2, 5}, {6, 3}});
+  const Paths from3 = as_paths({{1, 2, 3}, {4, 3}, {6, 3}, {6, 2, 3}, {7, 3}});
+  const Paths from5 = as_paths({{1, 2, 5}});
+  const PathIndex built = two_run_index();
+  const PathIndex replayed = decoded(built);
+  for (const PathIndex* index : {&built, &replayed}) {
+    EXPECT_EQ(index->path_count(), 6u);
+    EXPECT_EQ(as_lists(index->paths_for_prefix(kP1)), p1);
+    EXPECT_EQ(as_lists(index->paths_for_prefix(kP2)), p2);
+    EXPECT_EQ(as_lists(index->paths_from_origin(AsNumber(3))), from3);
+    EXPECT_EQ(as_lists(index->paths_from_origin(AsNumber(5))), from5);
+    EXPECT_TRUE(index->paths_from_origin(AsNumber(42)).empty());
+    EXPECT_TRUE(index->paths_for_prefix(Prefix::parse("10.9.0.0/24")).empty());
+  }
+}
+
+TEST(PathIndex, DecodedIndexStillDeduplicates) {
+  PathIndex index = decoded(two_run_index());
+  EXPECT_EQ(index.adjacency_count(), two_run_index().adjacency_count());
+
+  // A stored (prefix, path) pair is not indexed twice, through either add.
+  index.add_path(kP1, std::vector<AsNumber>{AsNumber(4), AsNumber(3)});
+  index.add_table(make_table());
+  EXPECT_EQ(index.path_count(), 6u);
+
+  // A new pair appends, last in its lists.
+  index.add_path(kP2, std::vector<AsNumber>{AsNumber(8), AsNumber(3)});
+  EXPECT_EQ(index.path_count(), 7u);
+  EXPECT_EQ(as_lists(index.paths_for_prefix(kP2)),
+            as_paths({{1, 2, 5}, {6, 3}, {8, 3}}));
+  EXPECT_EQ(as_lists(index.paths_from_origin(AsNumber(3))).back(),
+            as_paths({{8, 3}}).front());
+  EXPECT_TRUE(index.has_adjacency(AsNumber(8), AsNumber(3)));
+  index.add_path(kP2, std::vector<AsNumber>{AsNumber(8), AsNumber(3)});
+  EXPECT_EQ(index.path_count(), 7u);
+}
+
+TEST(PathIndex, AppendStoredReplaysEntriesInOrder) {
+  const PathIndex built = two_run_index();
+  PathIndex replayed;
+  replayed.reserve(built.path_count(), 16);
+  for (std::size_t i = 0; i < built.path_count(); ++i) {
+    replayed.append_stored(built.prefix_at(i), built.path_at(i));
+  }
+  replayed.append_stored(kP1, {});  // an empty path is skipped
+  ASSERT_EQ(replayed.path_count(), built.path_count());
+  for (std::size_t i = 0; i < built.path_count(); ++i) {
+    EXPECT_EQ(replayed.prefix_at(i), built.prefix_at(i));
+    EXPECT_TRUE(std::ranges::equal(replayed.path_at(i), built.path_at(i)));
+  }
+  EXPECT_EQ(replayed.adjacency_count(), built.adjacency_count());
 }
 
 }  // namespace

@@ -9,6 +9,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
+#include <optional>
+#include <random>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -17,7 +21,9 @@
 
 #include "asrel/relationships.h"
 #include "asrel/tier_classify.h"
+#include "core/artifact_store.h"
 #include "core/scenario.h"
+#include "util/parallel.h"
 
 namespace bgpolicy::io {
 namespace {
@@ -190,6 +196,201 @@ TEST(ArtifactCodec, VersionAndKindMismatchThrow) {
   const std::vector<std::uint8_t> garbage = {'n', 'o', 'p', 'e', 0, 1, 2, 3};
   EXPECT_THROW((void)decode_observations(garbage), std::invalid_argument);
   EXPECT_THROW((void)decode_analysis_suite({}), std::invalid_argument);
+}
+
+// ------------------------------------------------- one-pass checked bytes --
+
+constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
+
+std::uint64_t u64_at(std::span<const std::uint8_t> bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void set_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+/// Rewrites the header's payload length and checksum to fit the payload.
+void reframe(std::vector<std::uint8_t>& bytes) {
+  const auto payload =
+      std::span<const std::uint8_t>(bytes).subspan(kArtifactHeaderBytes);
+  set_u64(bytes, 8, payload.size());
+  set_u64(bytes, 16, core::fnv1a64(payload, kChecksumSeed));
+}
+
+TEST(CheckedArtifact, DigestEqualsStableDigest) {
+  // The known answers of ArtifactStore.DigestMatchesKnownAnswers.
+  const CheckedArtifact empty{std::vector<std::uint8_t>{}};
+  EXPECT_EQ(empty.digest(), "cbf29ce4842223256c62272e07bb0142");
+  EXPECT_FALSE(empty.checksum_matches());
+  const CheckedArtifact hello{std::vector<std::uint8_t>{'h', 'e', 'l', 'l', 'o'}};
+  EXPECT_EQ(hello.digest(), "a430d84680aabd0b6aaf3b071d3ffa4a");
+
+  // Random buffers, shorter than a header, exactly one, and longer: the
+  // digest never depends on where the checksum lane starts.
+  std::mt19937_64 rng(20);
+  for (const std::size_t size : {1u, 7u, 23u, 24u, 25u, 100u, 4099u}) {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+    const std::string expected = core::stable_digest_hex(bytes);
+    const CheckedArtifact checked{bytes};
+    EXPECT_EQ(checked.digest(), expected) << size << " bytes";
+    EXPECT_FALSE(checked.checksum_matches()) << size << " bytes";
+    if (size >= kArtifactHeaderBytes) {
+      reframe(bytes);  // a header whose checksum fits the random payload
+      const CheckedArtifact framed{bytes};
+      EXPECT_EQ(framed.digest(), core::stable_digest_hex(bytes));
+      EXPECT_TRUE(framed.checksum_matches()) << size << " bytes";
+    }
+  }
+}
+
+TEST(CheckedArtifact, CheckedDecodersMatchTheSpanDecoders) {
+  core::Experiment& experiment = shared_experiment();
+  const auto check = [](const std::vector<std::uint8_t>& bytes,
+                        auto decode) {
+    const CheckedArtifact checked{bytes};
+    EXPECT_TRUE(checked.checksum_matches());
+    EXPECT_EQ(checked.digest(), core::stable_digest_hex(bytes));
+    EXPECT_EQ(encode(decode(checked)), bytes);
+    // One flipped byte in the checksum field, then one in the payload: the
+    // verdict rejects both before the payload is parsed.
+    for (const std::size_t at : {std::size_t{17}, bytes.size() - 2}) {
+      std::vector<std::uint8_t> damaged = bytes;
+      damaged[at] ^= 0x10;
+      const CheckedArtifact bad{damaged};
+      EXPECT_FALSE(bad.checksum_matches()) << "byte " << at;
+      EXPECT_THROW((void)decode(bad), std::invalid_argument) << "byte " << at;
+    }
+  };
+  check(encode(experiment.truth()),
+        [](const CheckedArtifact& c) { return decode_ground_truth(c); });
+  check(encode(experiment.observations()),
+        [](const CheckedArtifact& c) { return decode_observations(c); });
+  check(encode(experiment.inference()),
+        [](const CheckedArtifact& c) { return decode_inference(c); });
+  check(encode(experiment.analyses()),
+        [](const CheckedArtifact& c) { return decode_analysis_suite(c); });
+
+  // A checked artifact of another kind is rejected like any other.
+  const CheckedArtifact sim{encode(experiment.sim())};
+  EXPECT_THROW((void)decode_observations(sim), std::invalid_argument);
+}
+
+// --------------------------------------------------- SimArtifact on lanes --
+
+/// Decodes `bytes` with one graph node per table, inside a graph run at
+/// `threads`; `trace` receives the table spans.
+core::SimArtifact decode_on_lanes(const std::vector<std::uint8_t>& bytes,
+                                  std::size_t threads,
+                                  core::StageTrace* trace = nullptr) {
+  const util::Executor executor(threads);
+  util::TaskGraph graph;
+  const auto checked = std::make_shared<const CheckedArtifact>(bytes);
+  std::optional<core::SimArtifact> decoded;
+  graph.add([&] { decoded = decode_sim_artifact(checked, graph, trace); });
+  graph.run(executor);
+  return std::move(*decoded);
+}
+
+/// Offsets of every table blob's u64 length prefix in an encoded
+/// SimArtifact, in stored order (collector, looking glasses, best-only).
+std::vector<std::size_t> table_blobs(std::span<const std::uint8_t> bytes) {
+  std::size_t at = kArtifactHeaderBytes + sizeof(std::uint32_t);
+  for (int list = 0; list < 3; ++list) {  // collector peers, LGs, best-only
+    at += sizeof(std::uint64_t) + sizeof(std::uint32_t) * u64_at(bytes, at);
+  }
+  std::vector<std::size_t> blobs{at};
+  at += sizeof(std::uint64_t) + u64_at(bytes, at);
+  for (int kind = 0; kind < 2; ++kind) {
+    const std::uint64_t tables = u64_at(bytes, at);
+    at += sizeof(std::uint64_t);
+    for (std::uint64_t i = 0; i < tables; ++i) {
+      at += sizeof(std::uint32_t);
+      blobs.push_back(at);
+      at += sizeof(std::uint64_t) + u64_at(bytes, at);
+    }
+  }
+  EXPECT_EQ(at + 3 * sizeof(std::uint64_t), bytes.size());
+  return blobs;
+}
+
+TEST(ArtifactCodec, SimArtifactLaneDecodeIsBytePure) {
+  const core::SimArtifact& sim = shared_experiment().sim();
+  const std::vector<std::uint8_t> bytes = encode(sim);
+  const std::size_t tables =
+      1 + sim.sim.looking_glass.size() + sim.sim.best_only.size();
+  ASSERT_EQ(table_blobs(bytes).size(), tables);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    core::StageTrace trace;
+    EXPECT_EQ(encode(decode_on_lanes(bytes, threads, &trace)), bytes);
+    EXPECT_EQ(static_cast<std::size_t>(std::count_if(
+                  trace.spans.begin(), trace.spans.end(),
+                  [](const core::TraceSpan& span) {
+                    return span.name == "simulate.decode_table";
+                  })),
+              tables);
+  }
+}
+
+TEST(ArtifactCodec, TruncatedMiddleTableBlobThrows) {
+  // Cut four bytes off a middle table blob, then rewrite its length prefix
+  // and the frame to match: the frame and the skim accept the bytes, so
+  // the table decode — one after another or on lanes — must reject them.
+  std::vector<std::uint8_t> bytes = encode(shared_experiment().sim());
+  const std::vector<std::size_t> blobs = table_blobs(bytes);
+  ASSERT_GE(blobs.size(), 3u);
+  const std::size_t middle = blobs[blobs.size() / 2];
+  const std::uint64_t length = u64_at(bytes, middle);
+  const auto blob_end =
+      bytes.begin() + static_cast<std::ptrdiff_t>(middle + 8 + length);
+  bytes.erase(blob_end - 4, blob_end);
+  set_u64(bytes, middle, length - 4);
+  reframe(bytes);
+  ASSERT_TRUE(CheckedArtifact{bytes}.checksum_matches());
+
+  EXPECT_THROW((void)decode_sim_artifact(bytes), std::invalid_argument);
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(threads);
+    // The failure is the decode's, never a failed graph node: the run
+    // itself completes.
+    EXPECT_THROW((void)decode_on_lanes(bytes, threads), std::invalid_argument);
+  }
+}
+
+TEST(ArtifactCodec, EncodersSizeTheirBufferOnce) {
+  // The SimArtifact and Observations encoders reserve their exact size up
+  // front, so the buffer never grows past it.
+  core::Experiment& experiment = shared_experiment();
+  const std::vector<std::uint8_t> sim = encode(experiment.sim());
+  EXPECT_EQ(sim.capacity(), sim.size());
+  const std::vector<std::uint8_t> observations =
+      encode(experiment.observations());
+  EXPECT_EQ(observations.capacity(), observations.size());
+}
+
+TEST(ArtifactCodec, DecodedPathIndexKeepsInsertionOrder) {
+  const core::PathIndex& original = shared_experiment().observations().paths;
+  const core::Observations decoded =
+      decode_observations(encode(shared_experiment().observations()));
+  const core::PathIndex& replayed = decoded.paths;
+  ASSERT_EQ(replayed.path_count(), original.path_count());
+  const auto same = [](const auto& a, const auto& b) {
+    return std::ranges::equal(a, b, [](auto x, auto y) {
+      return std::ranges::equal(x, y);
+    });
+  };
+  for (std::size_t i = 0; i < original.path_count(); ++i) {
+    const auto path = original.path_at(i);
+    EXPECT_TRUE(same(replayed.paths_for_prefix(original.prefix_at(i)),
+                     original.paths_for_prefix(original.prefix_at(i))));
+    EXPECT_TRUE(same(replayed.paths_from_origin(path.back()),
+                     original.paths_from_origin(path.back())));
+  }
 }
 
 }  // namespace
