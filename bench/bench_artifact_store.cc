@@ -14,11 +14,10 @@
 // through Analyze at one thread and at hardware_concurrency (one row on a
 // one-CPU host), with spans of its StageTrace: simulate.load (the read and
 // the one hashing pass that yields the digest and the frame check),
-// simulate.decode, the summed time of its table-decode nodes, observe.probe,
-// and the overlap of the decode and the probe — the resume graph decodes
-// the SimArtifact tables on graph nodes beside the Observe probe.  A resume
-// that computes any stage, or whose stage digests differ from the run that
-// filled the store, fails the bench.
+// simulate.decode, observe.probe, and the overlap of the decode and the
+// probe — the resume graph decodes the SimArtifact beside the Observe
+// probe.  A resume that computes any stage, or whose stage digests differ
+// from the run that filled the store, fails the bench.
 //
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
@@ -63,12 +62,10 @@ struct ResumeRow {
   std::size_t threads = 0;
   double wall_seconds = 0;  ///< fastest of kResumeRuns
   /// Spans of that run's StageTrace: the SimArtifact read and hashing pass,
-  /// its decode, the summed time of the decode's table nodes, the Observe
-  /// probe (read, hashing pass and decode of the Observations entry) and
-  /// the time the decode and the probe ran at once.
+  /// its decode, the Observe probe (read, hashing pass and decode of the
+  /// Observations entry) and the time the decode and the probe ran at once.
   double sim_load_seconds = 0;
   double sim_decode_seconds = 0;
-  double table_decode_seconds = 0;
   double observe_probe_seconds = 0;
   double overlap_seconds = 0;
 };
@@ -126,16 +123,9 @@ bool bench_resume(const core::Scenario& scenario, core::ArtifactStore& store,
       std::cerr << "resume trace lacks the load, decode or probe span\n";
       return false;
     }
-    double table_seconds = 0;
-    for (const core::TraceSpan& span : trace.spans) {
-      if (span.name == "simulate.decode_table") {
-        table_seconds += span.end_seconds - span.start_seconds;
-      }
-    }
     if (run == 0 || wall < row.wall_seconds) {
       row.wall_seconds = wall;
       row.sim_load_seconds = load->end_seconds - load->start_seconds;
-      row.table_decode_seconds = table_seconds;
       row.sim_decode_seconds = decode->end_seconds - decode->start_seconds;
       row.observe_probe_seconds = probe->end_seconds - probe->start_seconds;
       row.overlap_seconds = std::max(
@@ -307,7 +297,6 @@ int main(int argc, char** argv) {
                 << ",\"wall_seconds\":" << r.wall_seconds
                 << ",\"sim_load_seconds\":" << r.sim_load_seconds
                 << ",\"sim_decode_seconds\":" << r.sim_decode_seconds
-                << ",\"table_decode_seconds\":" << r.table_decode_seconds
                 << ",\"observe_probe_seconds\":" << r.observe_probe_seconds
                 << ",\"overlap_seconds\":" << r.overlap_seconds << "}";
     }
@@ -327,14 +316,14 @@ int main(int argc, char** argv) {
                    util::fmt(r.decode_seconds, 3), util::fmt(r.load_seconds, 3),
                    util::fmt(r.load_speedup, 1) + "x"});
   }
-  util::TextTable resume_table({"threads", "resume", "sim load", "sim decode",
-                                "table nodes", "observe probe", "overlap"});
+  util::TextTable resume_table(
+      {"threads", "resume", "sim load", "sim decode", "observe probe",
+       "overlap"});
   for (const ResumeRow& r : resume_rows) {
     resume_table.add_row({std::to_string(r.threads),
                           util::fmt(r.wall_seconds, 3),
                           util::fmt(r.sim_load_seconds, 3),
                           util::fmt(r.sim_decode_seconds, 3),
-                          util::fmt(r.table_decode_seconds, 3),
                           util::fmt(r.observe_probe_seconds, 3),
                           util::fmt(r.overlap_seconds, 3)});
   }

@@ -3,8 +3,7 @@
 
 Accepts bgpolicy-bench/v11 (current: the `resume` rows add the
 simulate.load span, where one hashing pass yields the SimArtifact's digest
-and frame check, and the summed time of the SimArtifact's table-decode
-graph nodes), v10 (artifact_store adds the `resume`
+and frame check), v10 (artifact_store adds the `resume`
 rows — a store-resumed run through Analyze at one thread and at
 hardware_concurrency, with its wall time, the SimArtifact-decode and
 Observe-probe spans and their overlap — and the `resume_ok` flag), v9
@@ -117,7 +116,7 @@ def check_artifact_store(path, record):
 
 def check_resume(path, record, version):
     """The store-resumed run (v10): threads 1 and hardware_concurrency;
-    v11 adds the simulate.load span and the summed table-decode time."""
+    v11 adds the simulate.load span."""
     name = "artifact_store.resume"
     require(path, record.get("resume_ok") is True,
             "artifact_store.resume_ok must be true (a resume computed a "
@@ -128,7 +127,7 @@ def check_resume(path, record, version):
     keys = ["threads", "wall_seconds", "sim_decode_seconds",
             "observe_probe_seconds", "overlap_seconds"]
     if version >= 11:
-        keys += ["sim_load_seconds", "table_decode_seconds"]
+        keys.append("sim_load_seconds")
     for row in rows:
         for key in keys:
             require(path, isinstance(row.get(key), (int, float)),

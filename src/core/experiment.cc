@@ -600,8 +600,8 @@ struct Experiment::UpstreamScratch {
   std::optional<Observations> loaded_obs;
   std::string observe_digest;  // of the stored bytes, for the digest chain
   /// The stored SimArtifact bytes simulate.load read and hashed;
-  /// simulate.decode decodes and frees them (shared with its table nodes).
-  std::shared_ptr<const io::CheckedArtifact> sim_bytes;
+  /// simulate.decode decodes and frees them.
+  std::optional<io::CheckedArtifact> sim_bytes;
   /// Set when this graph computed Simulate (not a store hit), with the
   /// store keys of its chunks: what the simulate.persist node writes and
   /// supersedes.
@@ -794,28 +794,26 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
       // Resume: read the entry and take its content digest and frame
       // checksum in one pass first.  The Observe key needs only that
       // digest, so the Observe probe runs beside the SimArtifact decode,
-      // whose tables decode on nested nodes; a store-served run finds both
-      // artifacts before any stage work starts.
+      // and a store-served run finds both artifacts before any stage work
+      // starts.
       const NodeId n_load = graph.add(
           [this, scratch] {
             traced("simulate.load", [&] {
               auto bytes =
                   options_.store->load(stage_key_material(Stage::kSimulate, {}));
               if (!bytes) return;
-              scratch->sim_bytes =
-                  std::make_shared<const io::CheckedArtifact>(std::move(*bytes));
+              scratch->sim_bytes.emplace(std::move(*bytes));
               digest_slot(Stage::kSimulate) = scratch->sim_bytes->digest();
             });
           },
           deps_of({n_synth}));
       std::vector<NodeId> settle_deps{graph.add(
-          [this, scratch, graph_ptr] {
+          [this, scratch] {
             traced("simulate.decode", [&] {
               if (!scratch->sim_bytes) return;
               // A corrupt entry is a miss: the compute node fans out chunks.
               try {
-                sim_ = io::decode_sim_artifact(scratch->sim_bytes, *graph_ptr,
-                                               options_.trace);
+                sim_ = io::decode_sim_artifact(*scratch->sim_bytes);
               } catch (const std::invalid_argument&) {
               }
               scratch->sim_bytes.reset();

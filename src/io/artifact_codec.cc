@@ -1,7 +1,6 @@
 #include "io/artifact_codec.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -157,11 +156,20 @@ topo::RelKind get_rel(Reader& r) {
   return static_cast<topo::RelKind>(raw);
 }
 
-/// A length-prefixed blob, the table encoded straight into the artifact
-/// buffer; `bytes` is its serialized_table_bytes.
-void put_table(Writer& w, const bgp::BgpTable& table, std::size_t bytes) {
-  w.put(static_cast<std::uint64_t>(bytes));
-  append_table(table, w.buffer(), bytes);
+void put_table(Writer& w, const bgp::BgpTable& table) {
+  // A length-prefixed blob, the table encoded straight into the artifact
+  // buffer: the prefix is patched once the table's size is known.
+  std::vector<std::uint8_t>& out = w.buffer();
+  const std::size_t length_at = out.size();
+  w.put(std::uint64_t{0});
+  append_table(table, out);
+  const std::uint64_t length = out.size() - length_at - sizeof(std::uint64_t);
+  std::memcpy(out.data() + length_at, &length, sizeof(length));
+}
+bgp::BgpTable get_table(Reader& r) {
+  // deserialize_table rejects its own corruption (magic, bounds, trailing
+  // bytes) with the same invalid_argument contract.
+  return deserialize_table(r.get_blob());
 }
 
 /// Key-sorted view over an unordered_map's entries (no copies): encoding
@@ -554,111 +562,42 @@ core::GroundTruth get_ground_truth(Reader& r) {
 // ------------------------------------------------------------ sim artifact --
 
 void put_sim_result(Writer& w, const sim::SimResult& sim) {
+  put_table(w, sim.collector);
   const auto looking_glass = sorted_entries(sim.looking_glass);
-  const auto best_only = sorted_entries(sim.best_only);
-  // Size every table once (append_table's sizing pass) and reserve the
-  // rest of the artifact in one step: the tables are nearly all of it.
-  std::vector<std::size_t> table_bytes;
-  table_bytes.reserve(1 + looking_glass.size() + best_only.size());
-  table_bytes.push_back(serialized_table_bytes(sim.collector));
-  for (const auto* entry : looking_glass) {
-    table_bytes.push_back(serialized_table_bytes(entry->second));
-  }
-  for (const auto* entry : best_only) {
-    table_bytes.push_back(serialized_table_bytes(entry->second));
-  }
-  // Two vantage counts, three counters, an AS per vantage table and a
-  // length prefix per table.
-  std::size_t rest =
-      5 * sizeof(std::uint64_t) +
-      (looking_glass.size() + best_only.size()) * sizeof(std::uint32_t);
-  for (const std::size_t bytes : table_bytes) {
-    rest += sizeof(std::uint64_t) + bytes;
-  }
-  w.buffer().reserve(w.buffer().size() + rest);
-
-  std::size_t table = 0;
-  put_table(w, sim.collector, table_bytes[table++]);
   w.put(static_cast<std::uint64_t>(looking_glass.size()));
   for (const auto* entry : looking_glass) {
     put_as(w, entry->first);
-    put_table(w, entry->second, table_bytes[table++]);
+    put_table(w, entry->second);
   }
+  const auto best_only = sorted_entries(sim.best_only);
   w.put(static_cast<std::uint64_t>(best_only.size()));
   for (const auto* entry : best_only) {
     put_as(w, entry->first);
-    put_table(w, entry->second, table_bytes[table++]);
+    put_table(w, entry->second);
   }
   w.put(static_cast<std::uint64_t>(sim.origination_count));
   w.put(static_cast<std::uint64_t>(sim.unconverged_prefixes));
   w.put(static_cast<std::uint64_t>(sim.process_events));
 }
 
-/// A SimResult read up to its tables: every table is left as the blob
-/// span its length prefix names.  This skim is the one decode path's first
-/// half; the tables are then decoded one after another (decode_tables) or
-/// on task-graph nodes, and assemble_sim_result puts them in place.
-struct SimResultSkim {
-  /// The collector, then the looking glasses, then the best-only
-  /// vantages: the stored order.
-  std::vector<std::span<const std::uint8_t>> blobs;
-  /// The vantage AS of blobs[1..].
-  std::vector<util::AsNumber> owners;
-  /// How many of `owners` are looking glasses (the rest are best-only).
-  std::size_t looking_glass = 0;
-  std::size_t origination_count = 0;
-  std::size_t unconverged_prefixes = 0;
-  std::size_t process_events = 0;
-};
-
-SimResultSkim skim_sim_result(Reader& r) {
-  SimResultSkim skim;
-  skim.blobs.push_back(r.get_blob());
-  skim.looking_glass = r.get_count(12);
-  for (std::size_t i = 0; i < skim.looking_glass; ++i) {
-    skim.owners.push_back(get_as(r));
-    skim.blobs.push_back(r.get_blob());
+sim::SimResult get_sim_result(Reader& r) {
+  sim::SimResult sim;
+  sim.collector = get_table(r);
+  const std::size_t looking_glass = r.get_count(12);
+  for (std::size_t i = 0; i < looking_glass; ++i) {
+    const util::AsNumber as = get_as(r);
+    sim.looking_glass.emplace(as, get_table(r));
   }
   const std::size_t best_only = r.get_count(12);
   for (std::size_t i = 0; i < best_only; ++i) {
-    skim.owners.push_back(get_as(r));
-    skim.blobs.push_back(r.get_blob());
+    const util::AsNumber as = get_as(r);
+    sim.best_only.emplace(as, get_table(r));
   }
-  skim.origination_count = static_cast<std::size_t>(r.get<std::uint64_t>());
-  skim.unconverged_prefixes =
+  sim.origination_count = static_cast<std::size_t>(r.get<std::uint64_t>());
+  sim.unconverged_prefixes =
       static_cast<std::size_t>(r.get<std::uint64_t>());
-  skim.process_events = static_cast<std::size_t>(r.get<std::uint64_t>());
-  return skim;
-}
-
-/// Every skimmed table, decoded in stored order.  deserialize_table
-/// rejects its own corruption (magic, bounds, trailing bytes) with the
-/// same invalid_argument contract.
-std::vector<bgp::BgpTable> decode_tables(const SimResultSkim& skim) {
-  std::vector<bgp::BgpTable> tables;
-  tables.reserve(skim.blobs.size());
-  for (const auto blob : skim.blobs) tables.push_back(deserialize_table(blob));
-  return tables;
-}
-
-/// `tables` are the skimmed blobs decoded, in stored order.
-sim::SimResult assemble_sim_result(const SimResultSkim& skim,
-                                   std::vector<bgp::BgpTable> tables) {
-  sim::SimResult sim;
-  sim.collector = std::move(tables[0]);
-  for (std::size_t i = 0; i < skim.owners.size(); ++i) {
-    auto& vantages = i < skim.looking_glass ? sim.looking_glass : sim.best_only;
-    vantages.emplace(skim.owners[i], std::move(tables[i + 1]));
-  }
-  sim.origination_count = skim.origination_count;
-  sim.unconverged_prefixes = skim.unconverged_prefixes;
-  sim.process_events = skim.process_events;
+  sim.process_events = static_cast<std::size_t>(r.get<std::uint64_t>());
   return sim;
-}
-
-sim::SimResult get_sim_result(Reader& r) {
-  const SimResultSkim skim = skim_sim_result(r);
-  return assemble_sim_result(skim, decode_tables(skim));
 }
 
 void put_sim_artifact(Writer& w, const core::SimArtifact& artifact) {
@@ -669,26 +608,13 @@ void put_sim_artifact(Writer& w, const core::SimArtifact& artifact) {
   put_sim_result(w, artifact.sim);
 }
 
-struct SimArtifactSkim {
-  sim::VantageSpec vantage;
-  SimResultSkim result;
-};
-
-SimArtifactSkim skim_sim_artifact(Reader& r) {
-  SimArtifactSkim skim;
-  skim.vantage.collector_as = get_as(r);
-  skim.vantage.collector_peers = get_as_vector(r);
-  skim.vantage.looking_glass = get_as_vector(r);
-  skim.vantage.best_only = get_as_vector(r);
-  skim.result = skim_sim_result(r);
-  return skim;
-}
-
 core::SimArtifact get_sim_artifact(Reader& r) {
-  SimArtifactSkim skim = skim_sim_artifact(r);
   core::SimArtifact artifact;
-  artifact.vantage = std::move(skim.vantage);
-  artifact.sim = assemble_sim_result(skim.result, decode_tables(skim.result));
+  artifact.vantage.collector_as = get_as(r);
+  artifact.vantage.collector_peers = get_as_vector(r);
+  artifact.vantage.looking_glass = get_as_vector(r);
+  artifact.vantage.best_only = get_as_vector(r);
+  artifact.sim = get_sim_result(r);
   return artifact;
 }
 
@@ -720,44 +646,7 @@ void put_path(Writer& w, std::span<const util::AsNumber> path) {
   w.put_hops(path);
 }
 
-/// put_observations' payload size: the strings and paths plus the fixed
-/// fields around them, so the encoder reserves its buffer once.
-std::size_t observations_bytes(const core::Observations& observations) {
-  constexpr std::size_t kCount = sizeof(std::uint64_t);
-  constexpr std::size_t kAs = sizeof(std::uint32_t);
-  std::size_t bytes = kCount + kAs * observations.lg_order.size() + kCount +
-                      observations.irr_text.size() + kCount;
-  for (const rpsl::AutNum& aut_num : observations.irr_objects) {
-    bytes += kAs + kCount + aut_num.as_name.size() + kCount;
-    for (const rpsl::ImportLine& line : aut_num.imports) {
-      bytes += kAs + 1 + (line.pref ? sizeof(*line.pref) : 0) + kCount +
-               line.accept.size();
-    }
-    bytes += kCount;
-    for (const rpsl::ExportLine& line : aut_num.exports) {
-      bytes += kAs + kCount + line.announce.size();
-    }
-    bytes += kCount;
-    for (const rpsl::CommunityRemark& remark : aut_num.community_remarks) {
-      bytes += 1 + sizeof(remark.value_lo) + sizeof(remark.value_hi);
-    }
-    bytes += sizeof(aut_num.changed_date);
-  }
-  const asrel::GaoInference& gao = observations.observed_paths;
-  bytes += kCount;
-  for (std::size_t i = 0; i < gao.path_count(); ++i) {
-    bytes += sizeof(std::uint16_t) + kAs * gao.path(i).size();
-  }
-  const core::PathIndex& index = observations.paths;
-  bytes += kCount;
-  for (std::size_t i = 0; i < index.path_count(); ++i) {
-    bytes += kAs + 1 + sizeof(std::uint16_t) + kAs * index.path_at(i).size();
-  }
-  return bytes;
-}
-
 void put_observations(Writer& w, const core::Observations& observations) {
-  w.buffer().reserve(w.buffer().size() + observations_bytes(observations));
   put_as_vector(w, observations.lg_order);
   w.put_string(observations.irr_text);
 
@@ -1277,57 +1166,14 @@ core::AnalysisSuite decode_analysis_suite(const CheckedArtifact& checked) {
                         [](Reader& r) { return get_analysis_suite(r); });
 }
 
+core::SimArtifact decode_sim_artifact(const CheckedArtifact& checked) {
+  return decode_payload(ArtifactKind::kSimArtifact, checked,
+                        [](Reader& r) { return get_sim_artifact(r); });
+}
+
 core::SimChunk decode_sim_chunk(const CheckedArtifact& checked) {
   return decode_payload(ArtifactKind::kSimChunk, checked,
                         [](Reader& r) { return get_sim_chunk(r); });
-}
-
-core::SimArtifact decode_sim_artifact(
-    std::shared_ptr<const CheckedArtifact> checked, util::TaskGraph& graph,
-    core::StageTrace* trace) {
-  // The skim runs here; the tables decode on nested nodes.  Each node
-  // holds shares of everything it touches, so a wait() cut short by a
-  // cancelled graph leaves no node writing into a finished frame.
-  const auto skim = std::make_shared<const SimArtifactSkim>(
-      decode_payload(ArtifactKind::kSimArtifact, *checked,
-                     [](Reader& r) { return skim_sim_artifact(r); }));
-  struct Lanes {
-    std::vector<bgp::BgpTable> tables;
-    /// A table's failure, kept in its node: a throwing node would cancel
-    /// the whole graph, and a damaged entry is only a miss.
-    std::vector<std::optional<std::string>> errors;
-  };
-  const std::size_t count = skim->result.blobs.size();
-  const auto lanes = std::make_shared<Lanes>();
-  lanes->tables.resize(count);
-  lanes->errors.resize(count);
-  std::vector<util::TaskGraph::NodeId> nodes;
-  nodes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    nodes.push_back(graph.submit([checked, skim, lanes, i, trace] {
-      const auto start = std::chrono::steady_clock::now();
-      try {
-        lanes->tables[i] = deserialize_table(skim->result.blobs[i]);
-      } catch (const std::exception& error) {
-        lanes->errors[i] = error.what();
-      }
-      if (trace != nullptr) {
-        trace->record("simulate.decode_table", start,
-                      std::chrono::steady_clock::now());
-      }
-    }));
-  }
-  graph.wait(nodes);
-  for (const std::optional<std::string>& error : lanes->errors) {
-    if (error) {
-      throw std::invalid_argument("artifact: corrupt payload (" + *error +
-                                  ")");
-    }
-  }
-  core::SimArtifact artifact;
-  artifact.vantage = skim->vantage;
-  artifact.sim = assemble_sim_result(skim->result, std::move(lanes->tables));
-  return artifact;
 }
 
 std::optional<ArtifactHeader> peek_artifact_header(

@@ -25,21 +25,14 @@
 // The span decoders still check on their own.
 //
 // Vantage tables reuse the io::serialize_table route encoding
-// (binary_table.h), each embedded as a length-prefixed blob: a SimArtifact
-// is its vantage spec plus 24 blobs on internet2002 (the collector, 15
-// looking glasses, 8 best-only vantages).  Decoding skims the blob spans
-// first, then decodes the tables — one after another, or as nested task
-// graph nodes (the resume's simulate.decode) — and assembles them in
-// stored order.  Everything keyed by an unordered container is serialized
-// in sorted key order, so encoding is a pure function of artifact
-// *content*: equal artifacts produce equal bytes, which is what lets the
-// staged cache chain on upstream artifact digests (core/artifact_store.h).
-// The SimArtifact and Observations encoders size their payload first and
-// reserve the buffer once.
+// (binary_table.h), each embedded as a length-prefixed blob.  Everything
+// keyed by an unordered container is serialized in sorted key order, so
+// encoding is a pure function of artifact *content*: equal artifacts
+// produce equal bytes, which is what lets the staged cache chain on
+// upstream artifact digests (core/artifact_store.h).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -47,7 +40,6 @@
 
 #include "core/analysis_suite.h"
 #include "core/experiment.h"
-#include "util/parallel.h"
 
 namespace bgpolicy::io {
 
@@ -138,8 +130,10 @@ class CheckedArtifact {
     std::span<const std::uint8_t> bytes);
 
 // The same decoders over checked bytes: the one-pass check's verdict
-// replaces the checksum pass (core::Experiment's store probes).
+// replaces the checksum pass (core::Experiment's store reads).
 [[nodiscard]] core::GroundTruth decode_ground_truth(
+    const CheckedArtifact& checked);
+[[nodiscard]] core::SimArtifact decode_sim_artifact(
     const CheckedArtifact& checked);
 [[nodiscard]] core::Observations decode_observations(
     const CheckedArtifact& checked);
@@ -148,17 +142,5 @@ class CheckedArtifact {
 [[nodiscard]] core::AnalysisSuite decode_analysis_suite(
     const CheckedArtifact& checked);
 [[nodiscard]] core::SimChunk decode_sim_chunk(const CheckedArtifact& checked);
-
-/// Decodes a checked SimArtifact with one nested node of `graph` per table
-/// (util::TaskGraph::submit, then wait), then assembles the tables in
-/// stored order: the artifact equals decode_sim_artifact's at any thread
-/// count.  Must run inside a task of `graph`; the nodes share ownership of
-/// `checked`, so they stay safe if the graph is cancelled mid-wait.  A
-/// table that fails to decode is reported as std::invalid_argument here,
-/// never as a failed node.  `trace`, when given, receives one
-/// "simulate.decode_table" span per node.
-[[nodiscard]] core::SimArtifact decode_sim_artifact(
-    std::shared_ptr<const CheckedArtifact> checked, util::TaskGraph& graph,
-    core::StageTrace* trace = nullptr);
 
 }  // namespace bgpolicy::io

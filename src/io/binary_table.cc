@@ -1,6 +1,7 @@
 #include "io/binary_table.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 
@@ -59,41 +60,19 @@ class Reader {
 
 }  // namespace
 
-namespace {
-
-std::size_t route_bytes(const bgp::Route& route) {
-  return kRouteFixedBytes +
-         sizeof(std::uint32_t) * (route.path.length() + route.communities.size());
-}
-
-}  // namespace
-
-std::size_t serialized_table_bytes(const bgp::BgpTable& table) {
+void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out) {
   std::size_t bytes = kHeaderBytes;
   table.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) bytes += route_bytes(route);
+    for (const bgp::Route& route : routes) {
+      bytes += kRouteFixedBytes +
+               sizeof(std::uint32_t) *
+                   (route.path.length() + route.communities.size());
+    }
   });
-  return bytes;
-}
-
-void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out) {
-  append_table(table, out, serialized_table_bytes(table));
-}
-
-void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out,
-                  std::size_t bytes) {
   const std::size_t start = out.size();
   out.resize(start + bytes);
-  const std::uint8_t* const end = out.data() + out.size();
-  // `bytes` is the caller's: each write is checked to fit first, so a
-  // wrong size throws instead of writing past the buffer.
+
   Writer w(out.data() + start);
-  const auto reserve = [&](std::size_t size) {
-    if (static_cast<std::size_t>(end - w.cursor()) < size) {
-      throw std::logic_error("append_table: table larger than its size");
-    }
-  };
-  reserve(kHeaderBytes);
   for (const char c : kMagic) w.put(static_cast<std::uint8_t>(c));
   w.put(kVersion);
   w.put(table.owner().value());
@@ -101,7 +80,6 @@ void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out,
   table.for_each([&](const bgp::Prefix& prefix,
                      std::span<const bgp::Route> routes) {
     for (const bgp::Route& route : routes) {
-      reserve(route_bytes(route));
       w.put(prefix.network());
       w.put(prefix.length());
       w.put(route.learned_from.value());
@@ -114,9 +92,7 @@ void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out,
       for (const auto c : route.communities) w.put(c.raw());
     }
   });
-  if (w.cursor() != end) {
-    throw std::logic_error("append_table: table smaller than its size");
-  }
+  assert(w.cursor() == out.data() + out.size());
 }
 
 std::vector<std::uint8_t> serialize_table(const bgp::BgpTable& table) {

@@ -20,18 +20,11 @@ namespace bgpolicy::io {
 [[nodiscard]] std::vector<std::uint8_t> serialize_table(
     const bgp::BgpTable& table);
 
-/// serialize_table(table)'s size in bytes, from one pass over the routes.
-[[nodiscard]] std::size_t serialized_table_bytes(const bgp::BgpTable& table);
-
 /// Appends serialize_table(table)'s bytes to `out` in place: one sizing
 /// pass, one resize, then the routes written straight into the buffer (the
 /// artifact codec embeds vantage tables this way, without a per-table
-/// vector or a blob copy).  A caller that already ran the sizing pass
-/// passes its result as `bytes`; a `bytes` the table does not fill
-/// exactly throws std::logic_error, and no write passes the resized end.
+/// vector or a blob copy).
 void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out);
-void append_table(const bgp::BgpTable& table, std::vector<std::uint8_t>& out,
-                  std::size_t bytes);
 
 /// Throws std::invalid_argument on truncated or corrupt input.
 [[nodiscard]] bgp::BgpTable deserialize_table(

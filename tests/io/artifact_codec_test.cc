@@ -10,8 +10,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -23,7 +21,6 @@
 #include "asrel/tier_classify.h"
 #include "core/artifact_store.h"
 #include "core/scenario.h"
-#include "util/parallel.h"
 
 namespace bgpolicy::io {
 namespace {
@@ -268,6 +265,8 @@ TEST(CheckedArtifact, CheckedDecodersMatchTheSpanDecoders) {
   };
   check(encode(experiment.truth()),
         [](const CheckedArtifact& c) { return decode_ground_truth(c); });
+  check(encode(experiment.sim()),
+        [](const CheckedArtifact& c) { return decode_sim_artifact(c); });
   check(encode(experiment.observations()),
         [](const CheckedArtifact& c) { return decode_observations(c); });
   check(encode(experiment.inference()),
@@ -280,21 +279,7 @@ TEST(CheckedArtifact, CheckedDecodersMatchTheSpanDecoders) {
   EXPECT_THROW((void)decode_observations(sim), std::invalid_argument);
 }
 
-// --------------------------------------------------- SimArtifact on lanes --
-
-/// Decodes `bytes` with one graph node per table, inside a graph run at
-/// `threads`; `trace` receives the table spans.
-core::SimArtifact decode_on_lanes(const std::vector<std::uint8_t>& bytes,
-                                  std::size_t threads,
-                                  core::StageTrace* trace = nullptr) {
-  const util::Executor executor(threads);
-  util::TaskGraph graph;
-  const auto checked = std::make_shared<const CheckedArtifact>(bytes);
-  std::optional<core::SimArtifact> decoded;
-  graph.add([&] { decoded = decode_sim_artifact(checked, graph, trace); });
-  graph.run(executor);
-  return std::move(*decoded);
-}
+// ------------------------------------------------------ SimArtifact blobs --
 
 /// Offsets of every table blob's u64 length prefix in an encoded
 /// SimArtifact, in stored order (collector, looking glasses, best-only).
@@ -318,29 +303,10 @@ std::vector<std::size_t> table_blobs(std::span<const std::uint8_t> bytes) {
   return blobs;
 }
 
-TEST(ArtifactCodec, SimArtifactLaneDecodeIsBytePure) {
-  const core::SimArtifact& sim = shared_experiment().sim();
-  const std::vector<std::uint8_t> bytes = encode(sim);
-  const std::size_t tables =
-      1 + sim.sim.looking_glass.size() + sim.sim.best_only.size();
-  ASSERT_EQ(table_blobs(bytes).size(), tables);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(threads);
-    core::StageTrace trace;
-    EXPECT_EQ(encode(decode_on_lanes(bytes, threads, &trace)), bytes);
-    EXPECT_EQ(static_cast<std::size_t>(std::count_if(
-                  trace.spans.begin(), trace.spans.end(),
-                  [](const core::TraceSpan& span) {
-                    return span.name == "simulate.decode_table";
-                  })),
-              tables);
-  }
-}
-
 TEST(ArtifactCodec, TruncatedMiddleTableBlobThrows) {
   // Cut four bytes off a middle table blob, then rewrite its length prefix
-  // and the frame to match: the frame and the skim accept the bytes, so
-  // the table decode — one after another or on lanes — must reject them.
+  // and the frame to match: the frame accepts the bytes, so the table
+  // decode must reject them.
   std::vector<std::uint8_t> bytes = encode(shared_experiment().sim());
   const std::vector<std::size_t> blobs = table_blobs(bytes);
   ASSERT_GE(blobs.size(), 3u);
@@ -351,26 +317,11 @@ TEST(ArtifactCodec, TruncatedMiddleTableBlobThrows) {
   bytes.erase(blob_end - 4, blob_end);
   set_u64(bytes, middle, length - 4);
   reframe(bytes);
-  ASSERT_TRUE(CheckedArtifact{bytes}.checksum_matches());
+  const CheckedArtifact checked{bytes};
+  ASSERT_TRUE(checked.checksum_matches());
 
   EXPECT_THROW((void)decode_sim_artifact(bytes), std::invalid_argument);
-  for (const std::size_t threads : {1u, 2u, 4u}) {
-    SCOPED_TRACE(threads);
-    // The failure is the decode's, never a failed graph node: the run
-    // itself completes.
-    EXPECT_THROW((void)decode_on_lanes(bytes, threads), std::invalid_argument);
-  }
-}
-
-TEST(ArtifactCodec, EncodersSizeTheirBufferOnce) {
-  // The SimArtifact and Observations encoders reserve their exact size up
-  // front, so the buffer never grows past it.
-  core::Experiment& experiment = shared_experiment();
-  const std::vector<std::uint8_t> sim = encode(experiment.sim());
-  EXPECT_EQ(sim.capacity(), sim.size());
-  const std::vector<std::uint8_t> observations =
-      encode(experiment.observations());
-  EXPECT_EQ(observations.capacity(), observations.size());
+  EXPECT_THROW((void)decode_sim_artifact(checked), std::invalid_argument);
 }
 
 TEST(ArtifactCodec, DecodedPathIndexKeepsInsertionOrder) {

@@ -1,7 +1,6 @@
 #include "io/binary_table.h"
 
 #include <cstring>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -136,20 +135,6 @@ TEST(BinaryTable, AppendTableWritesBehindExistingBytes) {
   const auto table = serialize_table(sample_table());
   want.insert(want.end(), table.begin(), table.end());
   EXPECT_EQ(out, want);
-
-  // With the size given, the same bytes; a size the table does not fill
-  // exactly throws before any write passes the end.
-  const std::size_t bytes = serialized_table_bytes(sample_table());
-  EXPECT_EQ(bytes, table.size());
-  std::vector<std::uint8_t> sized = prefix;
-  append_table(sample_table(), sized, bytes);
-  EXPECT_EQ(sized, want);
-  for (const std::size_t wrong : {bytes - 1, bytes + 1, std::size_t{4}}) {
-    std::vector<std::uint8_t> buffer = prefix;
-    EXPECT_THROW(append_table(sample_table(), buffer, wrong),
-                 std::logic_error)
-        << wrong;
-  }
 }
 
 TEST(BinaryTable, RejectsCorruptInput) {
