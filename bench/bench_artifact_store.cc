@@ -10,7 +10,11 @@
 // on; a mismatch fails the bench (exit 1), wiring codec fidelity into the
 // tracked trajectory like the other benches' determinism checks.
 //
-// The `resume` rows (bgpolicy-bench/v11) time a store-resumed Experiment
+// Each artifact row also counts the heap allocations of its decode
+// (`decode_allocations`, bgpolicy-bench/v12): this binary replaces the
+// global operator new with a counting one.
+//
+// The `resume` rows time a store-resumed Experiment
 // through Analyze at one thread and at hardware_concurrency (one row on a
 // one-CPU host), with spans of its StageTrace: simulate.load (the read and
 // the one hashing pass that yields the digest and the frame check),
@@ -24,8 +28,11 @@
 //   --json    emit a single JSON object on stdout (for scripts/bench.sh)
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -37,6 +44,22 @@
 #include "core/scenario.h"
 #include "io/artifact_codec.h"
 #include "util/text_table.h"
+
+namespace {
+
+/// Every operator new call in this process (operator new[] forwards to
+/// operator new in libstdc++).
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -54,6 +77,7 @@ struct Row {
   double compute_seconds = 0;
   double encode_seconds = 0;
   double decode_seconds = 0;
+  std::uint64_t decode_allocations = 0;  ///< operator new calls in decode
   double load_seconds = 0;  ///< store read + decode
   double load_speedup = 0;  ///< compute / load
 };
@@ -149,9 +173,11 @@ bool bench_artifact(const core::ArtifactStore& store, const std::string& key,
   row.bytes = bytes.size();
   row.compute_seconds = compute_seconds;
 
+  const std::uint64_t allocations_before = g_allocations.load();
   start = std::chrono::steady_clock::now();
   const T decoded = decode(std::span<const std::uint8_t>(bytes));
   row.decode_seconds = seconds_since(start);
+  row.decode_allocations = g_allocations.load() - allocations_before;
   const bool pure = io::encode(decoded) == bytes;
 
   if (!store.put(key, bytes)) {
@@ -286,6 +312,7 @@ int main(int argc, char** argv) {
                 << ",\"compute_seconds\":" << r.compute_seconds
                 << ",\"encode_seconds\":" << r.encode_seconds
                 << ",\"decode_seconds\":" << r.decode_seconds
+                << ",\"decode_allocations\":" << r.decode_allocations
                 << ",\"load_seconds\":" << r.load_seconds
                 << ",\"load_speedup\":" << r.load_speedup << "}";
     }
@@ -308,12 +335,14 @@ int main(int argc, char** argv) {
             << "scenario " << scenario.name << " · hardware threads: " << hw
             << "\n\n";
   util::TextTable table({"artifact", "bytes", "compute", "encode", "decode",
-                         "load", "load speedup"});
+                         "decode allocs", "load", "load speedup"});
   for (const Row& r : rows) {
     table.add_row({r.artifact, std::to_string(r.bytes),
                    util::fmt(r.compute_seconds, 3),
                    util::fmt(r.encode_seconds, 3),
-                   util::fmt(r.decode_seconds, 3), util::fmt(r.load_seconds, 3),
+                   util::fmt(r.decode_seconds, 3),
+                   std::to_string(r.decode_allocations),
+                   util::fmt(r.load_seconds, 3),
                    util::fmt(r.load_speedup, 1) + "x"});
   }
   util::TextTable resume_table(

@@ -154,10 +154,9 @@ BENCHMARK(BM_SaInference_FullRib);
 void BM_GaoInference(benchmark::State& state) {
   const auto& exp = small_experiment();
   asrel::GaoInference gao;
-  exp.sim().sim.collector.for_each(
-      [&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-        for (const auto& route : routes) gao.add_path(route.path);
-      });
+  for (const bgp::TableEntry entry : exp.sim().sim.collector) {
+    for (const bgp::RouteView route : entry) gao.add_path(route.path().hops());
+  }
   asrel::GaoParams params;
   params.detect_peers = state.range(0) != 0;
   params.detect_clique = state.range(0) != 0;

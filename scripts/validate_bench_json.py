@@ -1,41 +1,57 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Accepts bgpolicy-bench/v11 (current: the `resume` rows add the
-simulate.load span, where one hashing pass yields the SimArtifact's digest
-and frame check), v10 (artifact_store adds the `resume`
-rows — a store-resumed run through Analyze at one thread and at
-hardware_concurrency, with its wall time, the SimArtifact-decode and
-Observe-probe spans and their overlap — and the `resume_ok` flag), v9
-(inference_scaling adds analysis_split — the one-thread analysis time split into SA inference,
-homing, causes, import typicality, community verification and SA
-verification, with the pass's wall clock and its unaccounted share —,
-pipeline_stages rows add after_observe_seconds — the task-graph run's
-time after observe.finish, Infer and Analyze — and a host with
-hardware_concurrency 1 records only the 1-thread row of each scaling
-section), v8 (adds the delta_propagation section —
-lockstep incremental-vs-cold churn stepping with the byte-equivalence
-flag `delta_match`, the steady-state `delta_speedup`, and the
-spec-corpus replay counters), v7 (adds the query_service section — the
-policy-query daemon's concurrent load run with queries/sec, latency
-percentiles, snapshot-publish count, and the zero-error verification
-flag), v6 (sim_scaling carries the flat-core
-before/after — reference_seconds for the seed per-event engine,
-flat_speedup over the threads=1 flat run, a reference_match counter
-cross-check, and per-row events_per_sec), v5 (pipeline_stages rows gain
-the task-graph comparison — graph_total_seconds, the irr/paths and
-irr/sim overlap windows, and the Simulate chunk count), v4 (adds the
-artifact_store section with per-artifact codec + load-vs-recompute
-timings), v3 (adds the pipeline_stages section with per-stage wall-clock
-timings), and v2 (earlier committed trajectory points).
+Checks the current schema, bgpolicy-bench/v12: every artifact_store row
+carries decode_allocations, the operator-new count of its decode, beside
+the resume rows (a store-resumed run through Analyze at one thread and at
+hardware_concurrency, with its simulate.load, simulate.decode and
+observe.probe spans and their overlap).
+
+Records committed under an older schema are frozen: a file named in
+FROZEN passes only with exactly its committed bytes (SHA-256), which is
+stricter than any schema check.  A new record uses the current schema.
 
 Usage: validate_bench_json.py FILE...
 Exits non-zero with a message naming the first violated requirement.
 Stdlib-only on purpose: CI and the committed BENCH_*.json points must be
 checkable without installing anything.
 """
+import hashlib
 import json
+import os
 import sys
+
+SCHEMA = "bgpolicy-bench/v12"
+
+# The committed records of schemas v2..v11, by SHA-256 of their bytes.
+FROZEN = {
+    "BENCH_2026-07-29_pr2.json":
+        "35aff9cb60476fbfa93cda4400c9986750dbaf0c78329509817b8eb4453e5c37",
+    "BENCH_2026-07-30_pr3.json":
+        "7b5beb2681b68ebed46c8731b55976c447e20b9222cec108ce1870db7ff6acdd",
+    "BENCH_2026-07-30_pr4.json":
+        "a82bea5d28878da0cd0387e8a5f039bbbf5b465aaf724ada24679e6ba7acc603",
+    "BENCH_2026-07-30_pr5.json":
+        "c22447f6f13f8fda24b6da72cb5ed6708b91f55c728a7d696b03809e1b54126b",
+    "BENCH_2026-08-08_delta_propagation.json":
+        "8bb5caf116a89eb5fdd57319d386f3831476b1e516cc0d42d51120105c32c4d0",
+    "BENCH_2026-08-08_flat_sim_core.json":
+        "bf08caf9388de3341fa03dc6363db2891bfc13b6ac811cf0719fb41f0a4c025f",
+    "BENCH_2026-08-08_query_service.json":
+        "6d4897c8514c4558b21e6259a74ca386aeaa590b32cfca1cf3061803c73da07e",
+    "BENCH_2026-10-17_customer_cone.json":
+        "198be0ac9b3dc9bb6c89984ae53808d1483d8045430ec5309b0d9cd6b42599f6",
+    "BENCH_2026-10-17_fixpoint_kernel.json":
+        "5ebb596137e7f82a982fe4852b09123bda90365b913d1736b37b68bfaaf4f36a",
+    "BENCH_2026-10-17_parallel_resume.json":
+        "17d1acfcbcbc82dc933dc6d1bc4e4fc759213b07f6d3648510eb6f4c88cec78e",
+    "BENCH_2026-10-17_post_simulate_tail.json":
+        "7da526c5fbdcd377405bc95dc941daac5e4eb3be16b730239fa0f5cf8de68b38",
+    "BENCH_2026-10-17_vantage_rows.json":
+        "180c7cb0028d0fdad0cfc8c673f8eabe43bc211ae8a6c30606fc22ae2cca342f",
+    "BENCH_2026-10-18_one_pass_resume.json":
+        "edb1a614e52a7ec4f004a47a90c1ad9c2a9581524d0ac02ca69fbc3dce5220e2",
+}
 
 
 def fail(path, message):
@@ -68,7 +84,7 @@ def check_scaling(path, name, record, result_keys):
 
 
 def check_single_core_rows(path, name, record):
-    """A one-CPU host records only the 1-thread row (v9)."""
+    """A one-CPU host records only the 1-thread row."""
     if record["hardware_concurrency"] == 1:
         require(path, [row["threads"] for row in record["results"]] == [1],
                 f"{name}.results must hold only the threads=1 row when "
@@ -106,17 +122,22 @@ def check_artifact_store(path, record):
                 f"{name}.results[].artifact must be a string")
         artifacts.append(row["artifact"])
         for key in ("bytes", "compute_seconds", "encode_seconds",
-                    "decode_seconds", "load_seconds", "load_speedup"):
+                    "decode_seconds", "load_seconds", "load_speedup",
+                    "decode_allocations"):
             require(path, key in row, f"{name}.results[].{key} missing")
             require(path, isinstance(row[key], (int, float)),
                     f"{name}.results[].{key} must be a number")
     require(path, len(set(artifacts)) == len(artifacts),
             f"{name}.results[].artifact must be unique")
+    for row in results:
+        require(path, isinstance(row["decode_allocations"], int)
+                and row["decode_allocations"] >= 0,
+                f"{name}.results[].decode_allocations must be a "
+                "non-negative integer")
 
 
-def check_resume(path, record, version):
-    """The store-resumed run (v10): threads 1 and hardware_concurrency;
-    v11 adds the simulate.load span."""
+def check_resume(path, record):
+    """The store-resumed run: threads 1 and hardware_concurrency."""
     name = "artifact_store.resume"
     require(path, record.get("resume_ok") is True,
             "artifact_store.resume_ok must be true (a resume computed a "
@@ -124,12 +145,10 @@ def check_resume(path, record, version):
     rows = record.get("resume")
     require(path, isinstance(rows, list) and rows,
             f"{name} must be a non-empty array")
-    keys = ["threads", "wall_seconds", "sim_decode_seconds",
-            "observe_probe_seconds", "overlap_seconds"]
-    if version >= 11:
-        keys.append("sim_load_seconds")
     for row in rows:
-        for key in keys:
+        for key in ("threads", "wall_seconds", "sim_load_seconds",
+                    "sim_decode_seconds", "observe_probe_seconds",
+                    "overlap_seconds"):
             require(path, isinstance(row.get(key), (int, float)),
                     f"{name}[].{key} must be a number")
         require(path, row["wall_seconds"] > 0,
@@ -208,34 +227,35 @@ def check_delta_propagation(path, record):
 
 
 def check_file(path):
+    name = os.path.basename(path)
+    if name in FROZEN:
+        with open(path, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        require(path, digest == FROZEN[name],
+                "a frozen record's bytes changed (sha256 " + digest + ")")
+        print(f"{path}: ok (frozen)")
+        return
     with open(path, encoding="utf-8") as handle:
         try:
             record = json.load(handle)
         except json.JSONDecodeError as error:
             fail(path, f"not valid JSON: {error}")
-    schema = record.get("schema")
-    versions = {f"bgpolicy-bench/v{n}": n for n in range(2, 12)}
-    require(path, schema in versions,
-            'schema must be "bgpolicy-bench/v2".."bgpolicy-bench/v11"')
-    version = versions[schema]
+    require(path, record.get("schema") == SCHEMA,
+            f'schema must be "{SCHEMA}" (older records are frozen)')
     require(path, "generated_utc" in record, "generated_utc missing")
 
-    flat_core = version >= 6
-    sim_keys = ["threads", "seconds", "speedup"]
-    if flat_core:
-        sim_keys.append("events_per_sec")
     sim = record.get("sim_scaling")
-    check_scaling(path, "sim_scaling", sim, tuple(sim_keys))
+    check_scaling(path, "sim_scaling", sim,
+                  ("threads", "seconds", "speedup", "events_per_sec"))
     require(path, sim.get("counters_match") is True,
             "sim_scaling.counters_match must be true")
-    if flat_core:
-        # The flat-core before/after: the seed per-event engine timed over
-        # the same originations, counter-checked against the flat rows.
-        for key in ("reference_seconds", "flat_speedup"):
-            require(path, isinstance(sim.get(key), (int, float)),
-                    f"sim_scaling.{key} must be a number")
-        require(path, sim.get("reference_match") is True,
-                "sim_scaling.reference_match must be true")
+    # The flat-core before/after: the seed per-event engine timed over the
+    # same originations, counter-checked against the flat rows.
+    for key in ("reference_seconds", "flat_speedup"):
+        require(path, isinstance(sim.get(key), (int, float)),
+                f"sim_scaling.{key} must be a number")
+    require(path, sim.get("reference_match") is True,
+            "sim_scaling.reference_match must be true")
 
     inference = record.get("inference_scaling")
     check_scaling(path, "inference_scaling", inference,
@@ -243,56 +263,44 @@ def check_file(path):
                    "analysis_seconds", "total_seconds", "speedup"))
     require(path, inference.get("products_match") is True,
             "inference_scaling.products_match must be true")
+    check_analysis_split(path, inference)
 
-    summary = (f"sim rows: {len(sim['results'])}, "
-               f"inference rows: {len(inference['results'])}")
-    stages = None
-    if version >= 3:
-        stage_keys = ["threads", "synthesize_seconds", "simulate_seconds",
-                      "observe_seconds", "infer_seconds", "analyze_seconds",
-                      "total_seconds", "speedup"]
-        if version >= 5:
-            # The task-graph comparison: one end-to-end run with overlapped
-            # stage nodes next to the serial-stage sum, plus the overlap
-            # windows and the Simulate chunk count.
-            stage_keys += ["graph_total_seconds",
-                           "overlap_irr_paths_seconds",
-                           "overlap_irr_sim_seconds", "sim_chunks"]
-        if version >= 9:
-            # The span after observe.finish: Infer and Analyze.
-            stage_keys.append("after_observe_seconds")
-        stages = record.get("pipeline_stages")
-        check_scaling(path, "pipeline_stages", stages, tuple(stage_keys))
-        require(path, stages.get("products_match") is True,
-                "pipeline_stages.products_match must be true")
-        summary += f", stage rows: {len(stages['results'])}"
-    if version >= 4:
-        store = record.get("artifact_store")
-        check_artifact_store(path, store)
-        summary += f", artifact rows: {len(store['results'])}"
-    if version >= 7:
-        service = record.get("query_service")
-        check_query_service(path, service)
-        summary += (f", query qps: {service['queries_per_sec']:.0f}")
-    if version >= 8:
-        delta = record.get("delta_propagation")
-        check_delta_propagation(path, delta)
-        summary += (f", delta speedup: {delta['delta_speedup']:.1f}x")
-    if version >= 9:
-        check_analysis_split(path, inference)
-        for name, section in (("sim_scaling", sim),
-                              ("inference_scaling", inference),
-                              ("pipeline_stages", stages)):
-            check_single_core_rows(path, name, section)
-        split = inference["analysis_split"]
-        summary += (f", analysis split unaccounted: "
-                    f"{100 * split['unaccounted_share']:.1f}%")
-    if version >= 10:
-        check_resume(path, store, version)
-        fastest = min(row["wall_seconds"] for row in store["resume"])
-        summary += f", fastest resume: {fastest:.3f} s"
+    # One run per thread count with the stages one after another, and the
+    # task-graph run beside it: overlap windows, the Simulate chunk count
+    # and the span after observe.finish.
+    stages = record.get("pipeline_stages")
+    check_scaling(path, "pipeline_stages", stages,
+                  ("threads", "synthesize_seconds", "simulate_seconds",
+                   "observe_seconds", "infer_seconds", "analyze_seconds",
+                   "total_seconds", "speedup", "graph_total_seconds",
+                   "overlap_irr_paths_seconds", "overlap_irr_sim_seconds",
+                   "sim_chunks", "after_observe_seconds"))
+    require(path, stages.get("products_match") is True,
+            "pipeline_stages.products_match must be true")
+    for section_name, section in (("sim_scaling", sim),
+                                  ("inference_scaling", inference),
+                                  ("pipeline_stages", stages)):
+        check_single_core_rows(path, section_name, section)
 
-    print(f"{path}: ok ({summary})")
+    store = record.get("artifact_store")
+    check_artifact_store(path, store)
+    check_resume(path, store)
+    service = record.get("query_service")
+    check_query_service(path, service)
+    delta = record.get("delta_propagation")
+    check_delta_propagation(path, delta)
+
+    split = inference["analysis_split"]
+    fastest = min(row["wall_seconds"] for row in store["resume"])
+    print(f"{path}: ok (sim rows: {len(sim['results'])}, "
+          f"inference rows: {len(inference['results'])}, "
+          f"stage rows: {len(stages['results'])}, "
+          f"artifact rows: {len(store['results'])}, "
+          f"query qps: {service['queries_per_sec']:.0f}, "
+          f"delta speedup: {delta['delta_speedup']:.1f}x, "
+          f"analysis split unaccounted: "
+          f"{100 * split['unaccounted_share']:.1f}%, "
+          f"fastest resume: {fastest:.3f} s)")
 
 
 def main(argv):

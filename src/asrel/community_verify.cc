@@ -27,15 +27,15 @@ CommunityVerification verify_with_communities(
 
   // Step 1: per-neighbor prefix counts and dominant vantage tags.
   std::unordered_map<AsNumber, NeighborScratch> scratch;
-  lg_table.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) {
-      NeighborScratch& s = scratch[route.learned_from];
+  for (const bgp::TableEntry entry : lg_table) {
+    for (const bgp::RouteView route : entry) {
+      NeighborScratch& s = scratch[route.learned_from()];
       ++s.prefix_count;
-      for (const bgp::Community c : route.communities) {
+      for (const bgp::Community c : route.communities()) {
         if (c.asn() == vantage_asn) ++s.tag_counts[c.value()];
       }
     }
-  });
+  }
 
   CommunityVerification out;
   out.vantage = vantage;

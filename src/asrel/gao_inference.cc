@@ -1,7 +1,9 @@
 #include "asrel/gao_inference.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -37,6 +39,10 @@ void GaoInference::add_path(std::span<const AsNumber> path) {
     hops_.resize(begin);
     return;
   }
+  if (hops_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    hops_.resize(begin);
+    throw std::length_error("GaoInference: hops past 32-bit offsets");
+  }
   const auto bump_degree = [&](AsNumber as) {
     const auto [count, first_edge] = degree_.try_insert(as.value(), 0);
     ++*count;
@@ -48,20 +54,46 @@ void GaoInference::add_path(std::span<const AsNumber> path) {
       bump_degree(hops_[i + 1]);
     }
   }
-  offsets_.push_back(hops_.size());
+  offsets_.push_back(static_cast<std::uint32_t>(hops_.size()));
+}
+
+GaoInference GaoInference::adopt(std::vector<AsNumber> hops,
+                                 std::vector<std::uint32_t> offsets,
+                                 util::FlatSet64 edges, util::FlatMap64 degree,
+                                 std::vector<AsNumber> ases) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != hops.size()) {
+    throw std::invalid_argument("GaoInference: offsets do not span the hops");
+  }
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    if (offsets[i] < offsets[i - 1] || offsets[i] - offsets[i - 1] < 2) {
+      throw std::invalid_argument("GaoInference: a path below one edge");
+    }
+  }
+  GaoInference gao;
+  gao.hops_ = std::move(hops);
+  gao.offsets_ = std::move(offsets);
+  gao.edges_ = std::move(edges);
+  gao.degree_ = std::move(degree);
+  gao.ases_ = std::move(ases);
+  return gao;
 }
 
 void GaoInference::add_table_paths(const bgp::BgpTable& table,
                                    std::optional<AsNumber> prepend) {
-  table.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) {
-      if (prepend) {
-        add_path(route.path.prepend(*prepend));
-      } else {
-        add_path(route.path);
+  std::vector<AsNumber> prepended;
+  for (const bgp::TableEntry entry : table) {
+    for (const bgp::RouteView route : entry) {
+      if (!prepend) {
+        add_path(route.path().hops());
+        continue;
       }
+      prepended.assign(1, *prepend);
+      prepended.insert(prepended.end(), route.path().begin(),
+                       route.path().end());
+      add_path(prepended);
     }
-  });
+  }
 }
 
 std::size_t GaoInference::degree(AsNumber as) const {

@@ -24,10 +24,11 @@
 // 32) | higher AS key in an open-addressed util::FlatSet64, and each AS's
 // degree is a count in a util::FlatMap64, bumped when one of its edges is
 // first seen.  Feeding a path cleans it straight into the buffer and costs
-// one flat probe per hop pair — no allocation per path — which is what
-// replaying the stored path multiset (io/artifact_codec) and the cold
-// ingest pay; degree() and top_clique() read the counts and the set, and
-// the voting passes read the paths as spans.
+// one flat probe per hop pair — no allocation per path; degree() and
+// top_clique() read the counts and the set, and the voting passes read the
+// paths as spans.  io/artifact_codec stores the hop buffer, the path
+// lengths, the edge set, the degree map and the first-seen AS list as they
+// are laid out, and adopt() takes them back without replaying a path.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +84,16 @@ class GaoInference {
   void add_table_paths(const bgp::BgpTable& table,
                        std::optional<AsNumber> prepend = std::nullopt);
 
+  /// Takes a stored state back (io/artifact_codec): `offsets` delimit each
+  /// cleaned path in `hops`.  Throws std::invalid_argument unless the
+  /// offsets start at 0, rise by at least two hops per path and end at the
+  /// hop count (`edges` and `degree` are checked by their adopt()).
+  [[nodiscard]] static GaoInference adopt(std::vector<AsNumber> hops,
+                                          std::vector<std::uint32_t> offsets,
+                                          util::FlatSet64 edges,
+                                          util::FlatMap64 degree,
+                                          std::vector<AsNumber> ases);
+
   [[nodiscard]] std::size_t path_count() const { return offsets_.size() - 1; }
 
   /// Degree (distinct observed neighbors) of an AS.
@@ -96,10 +107,19 @@ class GaoInference {
       const GaoParams& params = {},
       const util::Executor* executor = nullptr) const;
 
+  /// The stored form (io/artifact_codec): the hop buffer, the
+  /// path_count() + 1 path offsets into it, the edge set, the degree map
+  /// and the ASes in first-seen order.
+  [[nodiscard]] std::span<const AsNumber> hops() const { return hops_; }
+  [[nodiscard]] std::span<const std::uint32_t> offsets() const {
+    return offsets_;
+  }
+  [[nodiscard]] const util::FlatSet64& edges() const { return edges_; }
+  [[nodiscard]] const util::FlatMap64& degrees() const { return degree_; }
+  [[nodiscard]] std::span<const AsNumber> ases() const { return ases_; }
+
   /// The i-th cleaned path of the multiset, in ingest order (prepending
-  /// collapsed, loop paths dropped; i < path_count()) — the serialization
-  /// hook for io/artifact_codec: re-feeding these paths through add_path
-  /// in order reconstructs an identical inference state.  Spans stay valid
+  /// collapsed, loop paths dropped; i < path_count()).  Spans stay valid
   /// until the next add.
   [[nodiscard]] std::span<const AsNumber> path(std::size_t i) const {
     return std::span<const AsNumber>(hops_).subspan(
@@ -125,7 +145,7 @@ class GaoInference {
   /// Every cleaned path's hops, back to back; path i is
   /// hops_[offsets_[i], offsets_[i + 1]).
   std::vector<AsNumber> hops_;
-  std::vector<std::size_t> offsets_{0};
+  std::vector<std::uint32_t> offsets_{0};
   /// Every observed edge once, as its packed (lower << 32) | higher key.
   util::FlatSet64 edges_;
   /// AS -> distinct observed neighbors.

@@ -27,16 +27,6 @@ AsPath AsPath::parse(std::string_view text) {
   return AsPath(std::move(hops));
 }
 
-std::optional<AsNumber> AsPath::next_hop_as() const {
-  if (hops_.empty()) return std::nullopt;
-  return hops_.front();
-}
-
-std::optional<AsNumber> AsPath::origin_as() const {
-  if (hops_.empty()) return std::nullopt;
-  return hops_.back();
-}
-
 bool AsPath::contains(AsNumber as) const {
   return std::find(hops_.begin(), hops_.end(), as) != hops_.end();
 }
@@ -47,13 +37,6 @@ AsPath AsPath::prepend(AsNumber as, std::size_t times) const {
   hops.insert(hops.end(), times, as);
   hops.insert(hops.end(), hops_.begin(), hops_.end());
   return AsPath(std::move(hops));
-}
-
-bool AsPath::has_adjacent(AsNumber as_a, AsNumber as_b) const {
-  for (std::size_t i = 0; i + 1 < hops_.size(); ++i) {
-    if (hops_[i] == as_a && hops_[i + 1] == as_b) return true;
-  }
-  return false;
 }
 
 std::string AsPath::to_string() const {

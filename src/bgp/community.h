@@ -7,11 +7,13 @@
 // selective-announcement flavor (Section 5.1.5, Case 3).
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -48,6 +50,34 @@ class Community {
 
  private:
   std::uint32_t raw_ = 0;
+};
+
+/// A sorted, duplicate-free community set read in place: a slice of a
+/// recorded table's community arena (bgp::RouteView::communities) or a
+/// route's own set.
+class CommunitySpan {
+ public:
+  constexpr CommunitySpan() = default;
+  constexpr explicit CommunitySpan(std::span<const Community> communities)
+      : communities_(communities) {}
+
+  [[nodiscard]] constexpr std::size_t size() const {
+    return communities_.size();
+  }
+  [[nodiscard]] constexpr bool empty() const { return communities_.empty(); }
+  [[nodiscard]] constexpr Community operator[](std::size_t i) const {
+    return communities_[i];
+  }
+  [[nodiscard]] constexpr auto begin() const { return communities_.begin(); }
+  [[nodiscard]] constexpr auto end() const { return communities_.end(); }
+
+  [[nodiscard]] bool has_community(Community community) const {
+    return std::binary_search(communities_.begin(), communities_.end(),
+                              community);
+  }
+
+ private:
+  std::span<const Community> communities_;
 };
 
 /// RFC 1997 well-known communities.

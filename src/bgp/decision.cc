@@ -16,15 +16,21 @@ std::string to_string(DecisionStep step) {
   return "?";
 }
 
-Comparison compare_routes(const Route& lhs, const Route& rhs) {
+DecisionInputs decision_inputs(const Route& route) {
+  return {route.local_pref, route.path.length(), route.origin,
+          route.next_hop_as(), route.med, route.from_ebgp,
+          route.igp_metric, route.router_id};
+}
+
+Comparison compare(const DecisionInputs& lhs, const DecisionInputs& rhs) {
   // Step 1: highest local preference.
   if (lhs.local_pref != rhs.local_pref) {
     return {lhs.local_pref > rhs.local_pref ? -1 : 1,
             DecisionStep::kLocalPref};
   }
   // Step 2: shortest AS path.
-  if (lhs.path.length() != rhs.path.length()) {
-    return {lhs.path.length() < rhs.path.length() ? -1 : 1,
+  if (lhs.path_length != rhs.path_length) {
+    return {lhs.path_length < rhs.path_length ? -1 : 1,
             DecisionStep::kAsPathLength};
   }
   // Step 3: lowest origin type.
@@ -32,9 +38,8 @@ Comparison compare_routes(const Route& lhs, const Route& rhs) {
     return {lhs.origin < rhs.origin ? -1 : 1, DecisionStep::kOrigin};
   }
   // Step 4: lowest MED, only between routes from the same next-hop AS.
-  const auto lhs_nh = lhs.next_hop_as();
-  const auto rhs_nh = rhs.next_hop_as();
-  if (lhs_nh && rhs_nh && *lhs_nh == *rhs_nh && lhs.med != rhs.med) {
+  if (lhs.next_hop && rhs.next_hop && *lhs.next_hop == *rhs.next_hop &&
+      lhs.med != rhs.med) {
     return {lhs.med < rhs.med ? -1 : 1, DecisionStep::kMed};
   }
   // Step 5: prefer eBGP-learned routes.
@@ -51,6 +56,10 @@ Comparison compare_routes(const Route& lhs, const Route& rhs) {
     return {lhs.router_id < rhs.router_id ? -1 : 1, DecisionStep::kRouterId};
   }
   return {0, DecisionStep::kTie};
+}
+
+Comparison compare_routes(const Route& lhs, const Route& rhs) {
+  return compare(decision_inputs(lhs), decision_inputs(rhs));
 }
 
 bool better(const Route& lhs, const Route& rhs) {

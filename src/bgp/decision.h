@@ -42,7 +42,24 @@ struct Comparison {
   DecisionStep decided_by = DecisionStep::kTie;
 };
 
+/// What the decision process reads of a route.  A bgp::Route and a row of
+/// a recorded table (bgp::RouteView) both reduce to it.
+struct DecisionInputs {
+  std::uint32_t local_pref = 100;
+  std::size_t path_length = 0;
+  Origin origin = Origin::kIgp;
+  std::optional<AsNumber> next_hop;
+  std::uint32_t med = 0;
+  bool from_ebgp = true;
+  std::uint32_t igp_metric = 0;
+  std::uint32_t router_id = 0;
+};
+
+[[nodiscard]] DecisionInputs decision_inputs(const Route& route);
+
 /// Compares two routes for the same prefix under the 7-step process.
+[[nodiscard]] Comparison compare(const DecisionInputs& lhs,
+                                 const DecisionInputs& rhs);
 [[nodiscard]] Comparison compare_routes(const Route& lhs, const Route& rhs);
 
 /// True when `lhs` wins the pairwise comparison.

@@ -21,10 +21,6 @@ void Route::add_community(Community community) {
   communities.insert(it, community);
 }
 
-bool Route::has_community(Community community) const {
-  return std::binary_search(communities.begin(), communities.end(), community);
-}
-
 std::string Route::to_string() const {
   std::ostringstream out;
   out << prefix << " path [" << path << "] from " << learned_from

@@ -57,7 +57,9 @@ struct Route {
   }
 
   void add_community(Community community);
-  [[nodiscard]] bool has_community(Community community) const;
+  [[nodiscard]] bool has_community(Community community) const {
+    return CommunitySpan(communities).has_community(community);
+  }
 
   [[nodiscard]] std::string to_string() const;
 

@@ -49,16 +49,14 @@ CausesAnalysis analyze_causes(const SaAnalysis& analysis,
 
   // Index every announced prefix at the provider with origin + route class.
   bgp::PrefixTrie<TrieEntry> trie;
-  provider_table.for_each(
-      [&](const bgp::Prefix& prefix, std::span<const bgp::Route>) {
-        const bgp::Route* best = provider_table.best(prefix);
-        if (best == nullptr) return;
-        TrieEntry entry;
-        entry.origin = best->origin_as();
-        entry.customer_route =
-            rels(analysis.provider, best->learned_from) == RelKind::kCustomer;
-        trie.insert(prefix, entry);
-      });
+  for (const bgp::TableEntry entry : provider_table) {
+    const bgp::RouteView best = entry.best();
+    TrieEntry announced;
+    announced.origin = best.origin_as();
+    announced.customer_route =
+        rels(analysis.provider, best.learned_from()) == RelKind::kCustomer;
+    trie.insert(entry.prefix(), announced);
+  }
 
   for (const SaPrefix& sa : analysis.sa_prefixes) {
     // Cases 1 and 2: covering-prefix scan.

@@ -20,41 +20,38 @@ SaAnalysis analyze(const bgp::BgpTable& table, AsNumber provider,
   // Phase 2 asks one provider about many origins: walk its cone once.
   const topo::CustomerCone cone(annotated, provider);
 
-  table.for_each([&](const bgp::Prefix& prefix,
-                     std::span<const bgp::Route> routes) {
-    if (routes.empty()) return;
-    const bgp::Route* best = table.best(prefix);
-    if (best == nullptr) return;
-    const AsNumber origin = best->origin_as();
-    if (!cone.contains(origin)) return;  // Phase 2: not a customer's prefix
+  for (const bgp::TableEntry entry : table) {
+    const bgp::RouteView best = entry.best();
+    const AsNumber origin = best.origin_as();
+    if (!cone.contains(origin)) continue;  // Phase 2: not a customer's prefix
     ++out.customer_prefixes;
 
     // Phase 3: next-hop relationship of the best route (or, for the
     // full-RIB ablation, of every route).
     bool has_customer_route = false;
     if (use_full_rib) {
-      for (const bgp::Route& route : routes) {
-        const auto rel = rels(provider, route.learned_from);
+      for (const bgp::RouteView route : entry) {
+        const auto rel = rels(provider, route.learned_from());
         if (rel == RelKind::kCustomer) {
           has_customer_route = true;
           break;
         }
       }
     } else {
-      const auto rel = rels(provider, best->learned_from);
+      const auto rel = rels(provider, best.learned_from());
       has_customer_route = (rel == RelKind::kCustomer);
     }
     if (!has_customer_route) {
       SaPrefix sa;
-      sa.prefix = prefix;
+      sa.prefix = entry.prefix();
       sa.origin = origin;
-      sa.next_hop = best->learned_from;
+      sa.next_hop = best.learned_from();
       sa.next_hop_rel =
-          rels(provider, best->learned_from).value_or(RelKind::kPeer);
+          rels(provider, best.learned_from()).value_or(RelKind::kPeer);
       out.sa_prefixes.push_back(sa);
       ++out.sa_count;
     }
-  });
+  }
 
   out.percent_sa = util::percent(out.sa_count, out.customer_prefixes);
   return out;
@@ -89,12 +86,9 @@ std::vector<CustomerSa> sa_per_customer(
     std::unordered_set<bgp::Prefix> sa;
     for (const auto& p : analysis.sa_prefixes) sa.insert(p.prefix);
     sa_sets.push_back(std::move(sa));
-    std::unordered_set<bgp::Prefix> seen;
-    provider_tables[i]->for_each(
-        [&](const bgp::Prefix& prefix, std::span<const bgp::Route>) {
-          seen.insert(prefix);
-        });
-    seen_sets.push_back(std::move(seen));
+    const std::span<const bgp::Prefix> prefixes =
+        provider_tables[i]->prefixes();
+    seen_sets.emplace_back(prefixes.begin(), prefixes.end());
   }
 
   std::vector<CustomerSa> out;
@@ -104,14 +98,11 @@ std::vector<CustomerSa> sa_per_customer(
     // Every prefix this customer originates, as seen by any provider table.
     std::unordered_set<bgp::Prefix> prefixes;
     for (std::size_t i = 0; i < providers.size(); ++i) {
-      provider_tables[i]->for_each([&](const bgp::Prefix& prefix,
-                                       std::span<const bgp::Route> routes) {
-        const bgp::Route* best = provider_tables[i]->best(prefix);
-        if (best != nullptr && best->origin_as() == customer) {
-          prefixes.insert(prefix);
+      for (const bgp::TableEntry entry : *provider_tables[i]) {
+        if (entry.best().origin_as() == customer) {
+          prefixes.insert(entry.prefix());
         }
-        (void)routes;
-      });
+      }
     }
     row.prefix_count = prefixes.size();
     for (const auto& prefix : prefixes) {

@@ -13,16 +13,15 @@ ImportTypicality analyze_import_typicality(const bgp::BgpTable& lg_table,
 
   std::unordered_map<RelKind, std::vector<std::uint32_t>> seen_values;
 
-  lg_table.for_each([&](const bgp::Prefix&,
-                        std::span<const bgp::Route> routes) {
+  for (const bgp::TableEntry entry : lg_table) {
     // Partition this prefix's local preferences by neighbor class.
     std::optional<std::uint32_t> min_customer, max_peer, min_peer,
         max_provider;
     bool has_customer = false, has_peer = false, has_provider = false;
-    for (const bgp::Route& route : routes) {
-      const auto rel = rels(lg_table.owner(), route.learned_from);
+    for (const bgp::RouteView route : entry) {
+      const auto rel = rels(lg_table.owner(), route.learned_from());
       if (!rel) continue;
-      const std::uint32_t lp = route.local_pref;
+      const std::uint32_t lp = route.local_pref();
       seen_values[*rel].push_back(lp);
       switch (*rel) {
         case RelKind::kCustomer:
@@ -43,7 +42,7 @@ ImportTypicality analyze_import_typicality(const bgp::BgpTable& lg_table,
     const int classes = static_cast<int>(has_customer) +
                         static_cast<int>(has_peer) +
                         static_cast<int>(has_provider);
-    if (classes < 2) return;
+    if (classes < 2) continue;
     ++out.comparable_prefixes;
 
     // Typical (paper definition): customer strictly above peer and
@@ -55,7 +54,7 @@ ImportTypicality analyze_import_typicality(const bgp::BgpTable& lg_table,
     }
     if (has_peer && has_provider && *min_peer <= *max_provider) typical = false;
     if (typical) ++out.typical_prefixes;
-  });
+  }
 
   // Deduplicate the per-class value lists for reporting.
   for (auto& [kind, values] : seen_values) {

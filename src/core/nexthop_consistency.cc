@@ -14,11 +14,11 @@ NextHopConsistency analyze_nexthop_consistency(const bgp::BgpTable& table) {
   // Pass 1: local-pref histogram per next-hop AS.
   std::unordered_map<util::AsNumber, std::map<std::uint32_t, std::size_t>>
       histograms;
-  table.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) {
-      ++histograms[route.learned_from][route.local_pref];
+  for (const bgp::TableEntry entry : table) {
+    for (const bgp::RouteView route : entry) {
+      ++histograms[route.learned_from()][route.local_pref()];
     }
-  });
+  }
   for (const auto& [neighbor, histogram] : histograms) {
     const auto mode = std::max_element(
         histogram.begin(), histogram.end(),
@@ -27,14 +27,14 @@ NextHopConsistency analyze_nexthop_consistency(const bgp::BgpTable& table) {
   }
 
   // Pass 2: score each route against its neighbor's mode.
-  table.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) {
+  for (const bgp::TableEntry entry : table) {
+    for (const bgp::RouteView route : entry) {
       ++out.total_routes;
-      if (route.local_pref == out.modal_pref.at(route.learned_from)) {
+      if (route.local_pref() == out.modal_pref.at(route.learned_from())) {
         ++out.consistent_routes;
       }
     }
-  });
+  }
   out.percent_consistent =
       util::percent(out.consistent_routes, out.total_routes);
   return out;

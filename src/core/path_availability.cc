@@ -31,15 +31,12 @@ PathAvailability analyze_path_availability(const bgp::BgpTable& full_rib,
   std::size_t total_available = 0;
   std::size_t total_potential = 0;
 
-  full_rib.for_each([&](const bgp::Prefix& prefix,
-                        std::span<const bgp::Route> routes) {
-    const bgp::Route* best = full_rib.best(prefix);
-    if (best == nullptr) return;
-    const AsNumber origin = best->origin_as();
-    if (!cone.contains(origin)) return;
+  for (const bgp::TableEntry entry : full_rib) {
+    const AsNumber origin = entry.best().origin_as();
+    if (!cone.contains(origin)) continue;
     ++out.customer_prefixes;
 
-    const std::size_t available = routes.size();
+    const std::size_t available = entry.size();
     total_available += available;
     out.available_histogram.add(static_cast<std::int64_t>(available));
     if (available == 1) ++out.single_path_prefixes;
@@ -54,7 +51,7 @@ PathAvailability analyze_path_availability(const bgp::BgpTable& full_rib,
       }
     }
     total_potential += potential;
-  });
+  }
 
   if (out.customer_prefixes > 0) {
     out.mean_available = static_cast<double>(total_available) /

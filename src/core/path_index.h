@@ -15,12 +15,13 @@
 // order, which is what prefix_at/path_at expose, io/artifact_codec
 // persists, and paths_for_prefix/paths_from_origin return.
 //
-// Replaying a stored index (append_stored) skips the dedup probe: stored
-// entries are distinct, each having passed it once.  The dedup set is
-// rebuilt from the entries before the next add, which deduplicates as
-// always.  On internet2002 the replay of the 372,131 stored entries takes
-// 0.026–0.042 s on one core of a shared 4-CPU host; with a dedup probe
-// per entry and a vector per key it took 0.088–0.104 s.
+// Stored as laid out: io/artifact_codec writes the hop buffer, the entry
+// lengths and prefixes, and the adjacency set's slots, and adopt() takes
+// them back.  The id lists are rebuilt there, one probe per run of
+// consecutive ids with the same key (ids arrive table by table, prefix by
+// prefix, so a run is usually a whole prefix's paths in one table);
+// storing them would add 8 bytes per entry.  The (prefix, path) dedup set
+// is not stored: it is rebuilt from the entries before the next add.
 #pragma once
 
 #include <cstdint>
@@ -55,22 +56,34 @@ class PathIndex {
   /// source with its vantage AS prepended to every path.
   void add_tables(std::span<const TableSource> tables);
 
-  /// Appends one entry of a serialized index (io/artifact_codec) without
-  /// the dedup probe: the entries of an index are distinct, so replaying
-  /// them in order rebuilds it.  An empty path is skipped, as add_path
-  /// skips it.  The next add_* rebuilds the dedup set first.
-  void append_stored(const bgp::Prefix& prefix,
-                     std::span<const util::AsNumber> path);
-
-  /// Room for `paths` more entries holding `hops` more hops in total.
-  void reserve(std::size_t paths, std::size_t hops);
+  /// Takes a stored index back (io/artifact_codec): `offsets` delimit each
+  /// entry's path in `hops`.  Throws std::invalid_argument unless the
+  /// offsets start at 0, rise by at least one hop per entry and end at the
+  /// hop count, with one prefix per entry (`adjacency` is checked by
+  /// util::FlatSet64::adopt).  Rebuilds the id lists.
+  [[nodiscard]] static PathIndex adopt(std::vector<util::AsNumber> hops,
+                                       std::vector<std::uint32_t> offsets,
+                                       std::vector<bgp::Prefix> prefixes,
+                                       util::FlatSet64 adjacency);
 
   [[nodiscard]] std::size_t path_count() const { return prefixes_.size(); }
 
-  /// The i-th indexed observation, in insertion order — the serialization
-  /// hook for io/artifact_codec: re-feeding every (prefix, path) entry
-  /// through add_path in order reconstructs an identical index.  Spans
-  /// into the index stay valid until the next add.
+  /// The stored form (io/artifact_codec): the hop buffer, the path_count()
+  /// + 1 entry offsets into it, the entries' prefixes and the adjacency
+  /// set.
+  [[nodiscard]] std::span<const util::AsNumber> hops() const { return hops_; }
+  [[nodiscard]] std::span<const std::uint32_t> offsets() const {
+    return offsets_;
+  }
+  [[nodiscard]] std::span<const bgp::Prefix> prefixes() const {
+    return prefixes_;
+  }
+  [[nodiscard]] const util::FlatSet64& adjacency() const {
+    return adjacency_;
+  }
+
+  /// The i-th indexed observation, in insertion order.  Spans into the
+  /// index stay valid until the next add.
   [[nodiscard]] const bgp::Prefix& prefix_at(std::size_t i) const {
     return prefixes_[i];
   }
@@ -109,6 +122,9 @@ class PathIndex {
     std::vector<std::uint32_t> next;
 
     void link(std::uint64_t key, std::uint32_t id);
+    /// Links ids [first, end) — all of key `key`, `next` already sized to
+    /// hold them — in one probe.
+    void link_run(std::uint64_t key, std::uint32_t first, std::uint32_t end);
     [[nodiscard]] std::vector<std::span<const util::AsNumber>> paths(
         const PathIndex& index, std::uint64_t key) const;
   };
@@ -125,16 +141,15 @@ class PathIndex {
   /// Every indexed path's hops, back to back; path i is
   /// hops_[offsets_[i], offsets_[i + 1]).
   std::vector<util::AsNumber> hops_;
-  std::vector<std::size_t> offsets_{0};
+  std::vector<std::uint32_t> offsets_{0};
   /// Prefix of each indexed observation (prefix_at).
   std::vector<bgp::Prefix> prefixes_;
   IdLists by_origin_;
   IdLists by_prefix_;
   util::FlatSet64 adjacency_;
-  /// (prefix, path-hash) dedup guard; stale after append_stored until the
-  /// next add rebuilds it.
+  /// (prefix, path-hash) dedup guard, one key per entry; empty after
+  /// adopt() until the next add rebuilds it.
   util::FlatSet64 seen_;
-  bool seen_stale_ = false;
 };
 
 }  // namespace bgpolicy::core

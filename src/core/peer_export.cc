@@ -18,15 +18,16 @@ PeerExportAnalysis analyze_peer_export(const bgp::BgpTable& table,
   std::unordered_map<AsNumber, PeerExportRow> rows;
   for (const AsNumber peer : peers) rows[peer].peer = peer;
 
-  table.for_each([&](const bgp::Prefix& prefix, std::span<const bgp::Route>) {
-    const bgp::Route* best = table.best(prefix);
-    if (best == nullptr) return;
-    const AsNumber origin = best->origin_as();
-    if (!peer_set.contains(origin)) return;
+  for (const bgp::TableEntry entry : table) {
+    const bgp::RouteView best = entry.best();
+    const AsNumber origin = best.origin_as();
+    if (!peer_set.contains(origin)) continue;
     PeerExportRow& row = rows.at(origin);
     ++row.own_prefixes;
-    if (best->path.length() == 1 && best->learned_from == origin) ++row.direct;
-  });
+    if (best.path().length() == 1 && best.learned_from() == origin) {
+      ++row.direct;
+    }
+  }
 
   for (const AsNumber peer : peers) {
     PeerExportRow& row = rows.at(peer);

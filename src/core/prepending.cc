@@ -2,11 +2,10 @@
 
 namespace bgpolicy::core {
 
-std::size_t prepend_depth(const bgp::AsPath& path) {
-  const auto hops = path.hops();
+std::size_t prepend_depth(bgp::HopSpan hops) {
   std::size_t best = 0;
   std::size_t run = 0;
-  for (std::size_t i = 1; i < hops.size(); ++i) {
+  for (std::size_t i = 1; i < hops.length(); ++i) {
     if (hops[i] == hops[i - 1]) {
       ++run;
       best = std::max(best, run);
@@ -20,20 +19,20 @@ std::size_t prepend_depth(const bgp::AsPath& path) {
 PrependingAnalysis analyze_prepending(const bgp::BgpTable& table) {
   PrependingAnalysis out;
   out.vantage = table.owner();
-  table.for_each([&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) {
-      if (route.path.empty()) continue;
+  for (const bgp::TableEntry entry : table) {
+    for (const bgp::RouteView route : entry) {
+      const bgp::HopSpan hops = route.path();
+      if (hops.empty()) continue;
       ++out.total_routes;
-      const std::size_t depth = prepend_depth(route.path);
+      const std::size_t depth = prepend_depth(hops);
       if (depth == 0) continue;
       ++out.prepended_routes;
       out.depth_histogram.add(static_cast<std::int64_t>(depth));
-      const auto hops = route.path.hops();
-      for (std::size_t i = 1; i < hops.size(); ++i) {
+      for (std::size_t i = 1; i < hops.length(); ++i) {
         if (hops[i] == hops[i - 1]) out.prepending_ases.insert(hops[i]);
       }
     }
-  });
+  }
   out.percent_prepended =
       util::percent(out.prepended_routes, out.total_routes);
   return out;

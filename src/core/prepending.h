@@ -32,6 +32,6 @@ struct PrependingAnalysis {
 
 /// The maximum consecutive-duplicate run length minus one ("prepend
 /// depth") of a path; 0 for unprepended paths.  Exposed for tests.
-[[nodiscard]] std::size_t prepend_depth(const bgp::AsPath& path);
+[[nodiscard]] std::size_t prepend_depth(bgp::HopSpan hops);
 
 }  // namespace bgpolicy::core

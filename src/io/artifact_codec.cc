@@ -33,11 +33,12 @@ class Writer {
     put_bytes(text.data(), text.size());
   }
 
-  /// AS numbers as their u32 values, back to back, in one copy.
-  void put_hops(std::span<const util::AsNumber> hops) {
-    static_assert(sizeof(util::AsNumber) == sizeof(std::uint32_t) &&
-                  std::is_trivially_copyable_v<util::AsNumber>);
-    put_bytes(hops.data(), hops.size_bytes());
+  /// A column of values as laid out in memory, in one copy (AS numbers as
+  /// their u32 values).
+  template <typename T>
+  void put_column(std::span<const T> column) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    put_bytes(column.data(), column.size_bytes());
   }
 
   [[nodiscard]] std::vector<std::uint8_t>& buffer() { return *out_; }
@@ -93,20 +94,45 @@ class Reader {
     return blob;
   }
 
-  /// Reads a u16-length AS path into `out`, reusing its capacity: one
-  /// bounds check and one copy per path (the Observations replay reads
-  /// ~840k of them on internet2002).
-  void get_hops(std::vector<util::AsNumber>& out) {
-    static_assert(sizeof(util::AsNumber) == sizeof(std::uint32_t) &&
-                  std::is_trivially_copyable_v<util::AsNumber>);
-    const std::size_t length = get<std::uint16_t>();
-    const std::size_t size = length * sizeof(std::uint32_t);
-    if (size > remaining()) {
+  /// `count` stored values copied into a column: one bounds check and one
+  /// copy.
+  template <typename T>
+  std::vector<T> get_column(std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (count > remaining() / sizeof(T)) {
       throw std::invalid_argument("artifact: truncated input");
     }
-    out.resize(length);
-    if (size != 0) std::memcpy(out.data(), bytes_.data() + pos_, size);
-    pos_ += size;
+    std::vector<T> out(count);
+    if (count != 0) {
+      std::memcpy(out.data(), bytes_.data() + pos_, count * sizeof(T));
+    }
+    pos_ += count * sizeof(T);
+    return out;
+  }
+
+  /// `count` stored u16 lengths turned into count + 1 offsets; throws
+  /// unless they sum to `total`.
+  std::vector<std::uint32_t> get_offsets(std::size_t count,
+                                         std::uint64_t total) {
+    if (count > remaining() / sizeof(std::uint16_t)) {
+      throw std::invalid_argument("artifact: truncated input");
+    }
+    std::vector<std::uint32_t> out(count + 1);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      std::uint16_t length;
+      std::memcpy(&length, bytes_.data() + pos_, sizeof(length));
+      pos_ += sizeof(length);
+      sum += length;
+      if (sum > total) {
+        throw std::invalid_argument("artifact: lengths past their total");
+      }
+      out[i + 1] = static_cast<std::uint32_t>(sum);
+    }
+    if (sum != total) {
+      throw std::invalid_argument("artifact: lengths short of their total");
+    }
+    return out;
   }
 
   [[nodiscard]] std::size_t remaining() const { return bytes_.size() - pos_; }
@@ -126,14 +152,10 @@ util::AsNumber get_as(Reader& r) {
 
 void put_as_vector(Writer& w, std::span<const util::AsNumber> ases) {
   w.put(static_cast<std::uint64_t>(ases.size()));
-  w.put_hops(ases);
+  w.put_column(ases);
 }
 std::vector<util::AsNumber> get_as_vector(Reader& r) {
-  const std::size_t count = r.get_count(sizeof(std::uint32_t));
-  std::vector<util::AsNumber> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(get_as(r));
-  return out;
+  return r.get_column<util::AsNumber>(r.get_count(sizeof(std::uint32_t)));
 }
 
 void put_prefix(Writer& w, const bgp::Prefix& prefix) {
@@ -641,9 +663,73 @@ core::SimChunk get_sim_chunk(Reader& r) {
 
 // ------------------------------------------------------------ observations --
 
-void put_path(Writer& w, std::span<const util::AsNumber> path) {
-  w.put(static_cast<std::uint16_t>(path.size()));
-  w.put_hops(path);
+void put_flag(Writer& w, bool flag) { w.put(static_cast<std::uint8_t>(flag)); }
+bool get_flag(Reader& r) {
+  const std::uint8_t raw = r.get<std::uint8_t>();
+  if (raw > 1) throw std::invalid_argument("artifact: bad flag");
+  return raw != 0;
+}
+
+/// The lengths of the slices `offsets` delimit, as u16 values.
+void put_lengths(Writer& w, std::span<const std::uint32_t> offsets) {
+  for (std::size_t i = 1; i < offsets.size(); ++i) {
+    const std::uint32_t length = offsets[i] - offsets[i - 1];
+    if (length > 0xFFFF) {
+      throw std::length_error("artifact: a path past 65,535 hops");
+    }
+    w.put(static_cast<std::uint16_t>(length));
+  }
+}
+
+/// Paths as their count, hop count, lengths and hop buffer.
+void put_paths(Writer& w, std::span<const util::AsNumber> hops,
+               std::span<const std::uint32_t> offsets) {
+  w.put(static_cast<std::uint64_t>(offsets.size() - 1));
+  w.put(static_cast<std::uint64_t>(hops.size()));
+  put_lengths(w, offsets);
+  w.put_column(hops);
+}
+
+struct StoredPaths {
+  std::vector<util::AsNumber> hops;
+  std::vector<std::uint32_t> offsets;
+};
+
+StoredPaths get_paths(Reader& r) {
+  const std::size_t paths = r.get_count(sizeof(std::uint16_t));
+  const std::size_t hop_count = r.get_count(sizeof(std::uint32_t));
+  StoredPaths out;
+  out.offsets = r.get_offsets(paths, hop_count);
+  out.hops = r.get_column<util::AsNumber>(hop_count);
+  return out;
+}
+
+void put_set(Writer& w, const util::FlatSet64& set) {
+  w.put(static_cast<std::uint64_t>(set.keys().size()));
+  put_flag(w, set.has_empty_key());
+  w.put_column(set.keys());
+}
+
+util::FlatSet64 get_set(Reader& r) {
+  const std::size_t slots = r.get_count(sizeof(std::uint64_t));
+  const bool has_empty_key = get_flag(r);
+  return util::FlatSet64::adopt(r.get_column<std::uint64_t>(slots),
+                                has_empty_key);
+}
+
+void put_map(Writer& w, const util::FlatMap64& map) {
+  w.put(static_cast<std::uint64_t>(map.keys().size()));
+  w.put_column(map.keys());
+  w.put_column(map.values());
+}
+
+util::FlatMap64 get_map(Reader& r) {
+  const std::size_t slots =
+      r.get_count(sizeof(std::uint64_t) + sizeof(std::uint32_t));
+  util::FlatMap64::Slots stored;
+  stored.keys = r.get_column<std::uint64_t>(slots);
+  stored.values = r.get_column<std::uint32_t>(slots);
+  return util::FlatMap64::adopt(std::move(stored));
 }
 
 void put_observations(Writer& w, const core::Observations& observations) {
@@ -675,19 +761,19 @@ void put_observations(Writer& w, const core::Observations& observations) {
     w.put(aut_num.changed_date);
   }
 
-  // The cleaned Gao path multiset in ingest order; add_path replays it into
-  // an identical inference state (gao_inference.h).
+  // Gao's state and the path index as they are laid out (the file
+  // comment of artifact_codec.h).
   const asrel::GaoInference& gao = observations.observed_paths;
-  w.put(static_cast<std::uint64_t>(gao.path_count()));
-  for (std::size_t i = 0; i < gao.path_count(); ++i) put_path(w, gao.path(i));
+  put_paths(w, gao.hops(), gao.offsets());
+  put_set(w, gao.edges());
+  put_map(w, gao.degrees());
+  put_as_vector(w, gao.ases());
 
-  // The path index's (prefix, path) observations in insertion order;
-  // append_stored replays them into an identical index (path_index.h).
-  w.put(static_cast<std::uint64_t>(observations.paths.path_count()));
-  for (std::size_t i = 0; i < observations.paths.path_count(); ++i) {
-    put_prefix(w, observations.paths.prefix_at(i));
-    put_path(w, observations.paths.path_at(i));
-  }
+  const core::PathIndex& index = observations.paths;
+  put_paths(w, index.hops(), index.offsets());
+  for (const bgp::Prefix& prefix : index.prefixes()) w.put(prefix.network());
+  for (const bgp::Prefix& prefix : index.prefixes()) w.put(prefix.length());
+  put_set(w, index.adjacency());
 }
 
 core::Observations get_observations(Reader& r) {
@@ -731,26 +817,32 @@ core::Observations get_observations(Reader& r) {
     observations.irr_objects.push_back(std::move(aut_num));
   }
 
-  // Both replays read each path into one reused buffer; add_path cleans
-  // it straight into the inference's hop buffer.
-  std::vector<util::AsNumber> path;
-  const std::size_t gao_paths = r.get_count(2);
-  for (std::size_t i = 0; i < gao_paths; ++i) {
-    r.get_hops(path);
-    observations.observed_paths.add_path(path);
+  StoredPaths gao = get_paths(r);
+  util::FlatSet64 edges = get_set(r);
+  util::FlatMap64 degree = get_map(r);
+  observations.observed_paths = asrel::GaoInference::adopt(
+      std::move(gao.hops), std::move(gao.offsets), std::move(edges),
+      std::move(degree), get_as_vector(r));
+
+  StoredPaths index = get_paths(r);
+  const std::size_t entries = index.offsets.size() - 1;
+  const std::vector<std::uint32_t> networks =
+      r.get_column<std::uint32_t>(entries);
+  const std::vector<std::uint8_t> lengths = r.get_column<std::uint8_t>(entries);
+  std::vector<bgp::Prefix> prefixes;
+  prefixes.reserve(entries);
+  for (std::size_t i = 0; i < entries; ++i) {
+    if (lengths[i] > 32) {
+      throw std::invalid_argument("artifact: bad prefix length");
+    }
+    prefixes.emplace_back(networks[i], lengths[i]);
+    if (prefixes.back().network() != networks[i]) {
+      throw std::invalid_argument("artifact: prefix with host bits set");
+    }
   }
-  // The index section runs to the end of the payload, so the bytes left
-  // give its hop count: the index is sized once, and its entries, distinct
-  // when stored, go in without the dedup probe.
-  const std::size_t index_entries = r.get_count(7);
-  observations.paths.reserve(index_entries,
-                             (r.remaining() - 7 * index_entries) /
-                                 sizeof(std::uint32_t));
-  for (std::size_t i = 0; i < index_entries; ++i) {
-    const bgp::Prefix prefix = get_prefix(r);
-    r.get_hops(path);
-    observations.paths.append_stored(prefix, path);
-  }
+  observations.paths =
+      core::PathIndex::adopt(std::move(index.hops), std::move(index.offsets),
+                             std::move(prefixes), get_set(r));
   return observations;
 }
 

@@ -24,14 +24,35 @@
 // them, so its verdict always describes the bytes it hands a decoder.
 // The span decoders still check on their own.
 //
-// Vantage tables reuse the io::serialize_table route encoding
-// (binary_table.h), each embedded as a length-prefixed blob.  Everything
-// keyed by an unordered container is serialized in sorted key order, so
-// encoding is a pure function of artifact *content*: equal artifacts
-// produce equal bytes, which is what lets the staged cache chain on
-// upstream artifact digests (core/artifact_store.h).
+// Stored as laid out.  The SimArtifact and SimChunk embed each vantage
+// table's columns (io/binary_table.h) as a length-prefixed blob.  The
+// Observations store Gao's state (asrel/gao_inference.h: hop buffer, path
+// lengths, edge set, degree map, AS list) and the path index's
+// (core/path_index.h: hop buffer, entry lengths, prefixes, adjacency set)
+// as their buffers; only the IRR objects are written field by field.
+// Decoding is a bounds check and a copy per buffer, then each owner's
+// adopt() validates what it takes: every count, length and offset against
+// the bytes and the buffer it indexes, prefixes (length <= 32, no host
+// bits), origins, community order, and the hash tables' slot layout.  It
+// rebuilds only the table prefix maps and the path index's id lists, and
+// the index's (prefix, path) dedup set before its next add.  Damaged
+// content that passes these checks is what the frame checksum and the
+// store digest are for.
+//
+// The stored hash tables — Gao's edge set and degree map, the path index's
+// adjacency set — are util::FlatMap64 slot arrays, so those bytes depend
+// on util::mix64 and the map's growth policy: changing either changes the
+// Observations bytes (pinned by FlatMap64.SlotLayoutKnownAnswer in
+// tests/util/flat_map_test.cc).
+//
+// Everything keyed by an unordered container is serialized in sorted key
+// order, and every buffer in its insertion order, so encoding is a pure
+// function of artifact *content*: equal artifacts produce equal bytes,
+// which is what lets the staged cache chain on upstream artifact digests
+// (core/artifact_store.h).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -45,18 +66,28 @@ namespace bgpolicy::io {
 
 inline constexpr std::uint16_t kArtifactCodecVersion = 1;
 
+/// Tags 2, 3 and 6 named the SimArtifact, Observations and SimChunk in
+/// their earlier per-route layout.  The store keys did not change with the
+/// layout, so an entry written under an old tag fails the kind check: a
+/// store miss before any payload byte is parsed.
 enum class ArtifactKind : std::uint16_t {
   kGroundTruth = 1,
-  kSimArtifact = 2,
-  kObservations = 3,
   kInferenceProducts = 4,
   kAnalysisSuite = 5,
+  kSimArtifact = 7,
+  kObservations = 8,
   /// One Simulate chunk (core::SimChunk): the per-prefix-shard slice the
   /// staged task graph persists individually so a killed run resumes
   /// mid-Simulate.  Same framing as every other kind; a full SimArtifact
   /// entry supersedes its chunks once the merged stage persists.
-  kSimChunk = 6,
+  kSimChunk = 9,
 };
+
+/// Every kind this build writes.
+inline constexpr std::array<ArtifactKind, 6> kArtifactKinds = {
+    ArtifactKind::kGroundTruth,       ArtifactKind::kSimArtifact,
+    ArtifactKind::kObservations,      ArtifactKind::kInferenceProducts,
+    ArtifactKind::kAnalysisSuite,     ArtifactKind::kSimChunk};
 
 [[nodiscard]] const char* to_string(ArtifactKind kind);
 

@@ -57,23 +57,24 @@ void dump_table(const bgp::BgpTable& table, std::ostream& out) {
   out << "bgp-table owner " << table.owner().value() << " prefixes "
       << table.prefix_count() << " routes " << table.route_count() << "\n";
 
-  std::vector<bgp::Prefix> prefixes = table.prefixes();
+  std::vector<bgp::Prefix> prefixes(table.prefixes().begin(),
+                                    table.prefixes().end());
   std::sort(prefixes.begin(), prefixes.end());
   for (const auto& prefix : prefixes) {
-    std::vector<bgp::Route> routes(table.routes(prefix).begin(),
-                                   table.routes(prefix).end());
+    const bgp::TableEntry entry = table.routes(prefix);
+    std::vector<bgp::RouteView> routes(entry.begin(), entry.end());
     std::sort(routes.begin(), routes.end(),
-              [](const bgp::Route& a, const bgp::Route& b) {
-                return a.learned_from < b.learned_from;
+              [](const bgp::RouteView& a, const bgp::RouteView& b) {
+                return a.learned_from() < b.learned_from();
               });
-    for (const auto& route : routes) {
-      out << "route " << prefix << " from " << route.learned_from.value()
-          << " lp " << route.local_pref << " med " << route.med << " origin "
-          << origin_token(route.origin) << " path";
-      for (const auto hop : route.path.hops()) out << ' ' << hop.value();
-      if (!route.communities.empty()) {
+    for (const bgp::RouteView route : routes) {
+      out << "route " << prefix << " from " << route.learned_from().value()
+          << " lp " << route.local_pref() << " med " << route.med()
+          << " origin " << origin_token(route.origin()) << " path";
+      for (const auto hop : route.path()) out << ' ' << hop.value();
+      if (!route.communities().empty()) {
         out << " community";
-        for (const auto c : route.communities) {
+        for (const auto c : route.communities()) {
           out << ' ' << c.asn() << ':' << c.value();
         }
       }

@@ -12,8 +12,12 @@ void SnapshotRegistry::publish(std::shared_ptr<Snapshot> snapshot) {
     throw std::invalid_argument("SnapshotRegistry: cannot publish null");
   }
   snapshot->version = published_.fetch_add(1, std::memory_order_relaxed) + 1;
-  current_.store(std::shared_ptr<const Snapshot>(std::move(snapshot)),
-                 std::memory_order_release);
+  std::shared_ptr<const Snapshot> replaced = std::move(snapshot);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    current_.swap(replaced);
+  }
+  // The previous snapshot is released here, outside the lock.
 }
 
 std::shared_ptr<Snapshot> build_snapshot(const core::Scenario& scenario,

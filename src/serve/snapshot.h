@@ -3,21 +3,26 @@
 //
 // A `Snapshot` is the decoded Simulate/Observe/Infer/Analyze artifacts of
 // one experiment run, frozen behind shared_ptr<const>.  `SnapshotRegistry`
-// holds the current snapshot in a std::atomic<std::shared_ptr>: readers
-// (`current()`) are lock-free pointer loads that never block, and a
-// background refresh (`publish()`) swaps in a new snapshot without
-// disturbing them — an in-flight query keeps the shared_ptr it grabbed at
-// dispatch and finishes on the snapshot it started with, while the old
-// snapshot is freed when its last reader drops it.  This is the serving
-// half of the determinism contract: artifacts are byte-identical however
-// they were computed, so every snapshot of one scenario answers every
-// query identically and a mid-run swap is invisible except for the bumped
-// version.
+// holds the current snapshot in a mutex-guarded shared_ptr: a reader
+// (`current()`) copies it once per request under the lock, and a
+// background refresh (`publish()`) swaps in a new snapshot under the same
+// lock without disturbing them — an in-flight query keeps the shared_ptr
+// it grabbed at dispatch and finishes on the snapshot it started with,
+// while the old snapshot is freed when its last reader drops it.  (A
+// std::atomic<std::shared_ptr> is not used: libstdc++ 12 releases its
+// lock bit on load with relaxed ordering, so a reader's load does not
+// happen before the next publish's store, a race ThreadSanitizer reports.
+// The lock costs no more per request; docs/QUERY_SERVICE.md has the
+// numbers.)  This is the serving half of the determinism contract:
+// artifacts are byte-identical however they were computed, so every
+// snapshot of one scenario answers every query identically and a mid-run
+// swap is invisible except for the bumped version.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "core/experiment.h"
@@ -56,17 +61,18 @@ struct Snapshot {
 class SnapshotRegistry {
  public:
   /// Stamps the snapshot with the next version number and makes it the
-  /// current one (atomic pointer swap; concurrent readers keep whichever
-  /// snapshot they already hold).  The snapshot must not be mutated after
-  /// this call.
+  /// current one (a pointer swap under the lock; concurrent readers keep
+  /// whichever snapshot they already hold).  The snapshot must not be
+  /// mutated after this call.
   void publish(std::shared_ptr<Snapshot> snapshot);
 
-  /// The current snapshot — a lock-free load; never blocks, never null
-  /// after the first publish.  Callers hold the returned pointer for the
-  /// duration of one query so a concurrent publish cannot pull state out
-  /// from under them.
+  /// The current snapshot, copied under the lock; never null after the
+  /// first publish.  Callers take it once per query and hold it for the
+  /// whole query, so a concurrent publish cannot pull state out from under
+  /// them.
   [[nodiscard]] std::shared_ptr<const Snapshot> current() const {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return current_;
   }
 
   /// Number of snapshots published so far (0 = none yet).
@@ -75,7 +81,8 @@ class SnapshotRegistry {
   }
 
  private:
-  std::atomic<std::shared_ptr<const Snapshot>> current_;
+  mutable std::mutex mutex_;
+  std::shared_ptr<const Snapshot> current_;
   std::atomic<std::uint64_t> published_{0};
 };
 

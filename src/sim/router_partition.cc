@@ -35,16 +35,15 @@ std::vector<RouterView> partition_routers(const bgp::BgpTable& lg_table,
     }
   }
 
-  std::vector<std::vector<bgp::Route>> batches(params.router_count);
-  lg_table.for_each([&](const bgp::Prefix& prefix,
-                        std::span<const bgp::Route> routes) {
-    for (const bgp::Route& route : routes) {
-      // Each neighbor session terminates on exactly one border router.
-      std::uint64_t mix = params.seed ^ route.learned_from.value();
+  for (const bgp::TableEntry entry : lg_table) {
+    const bgp::Prefix& prefix = entry.prefix();
+    for (const bgp::RouteView route : entry) {
+      // Each neighbor session terminates on exactly one border router,
+      // whose id is its view's RouterView::router.
+      std::uint64_t mix = params.seed ^ route.learned_from().value();
       const std::size_t r = static_cast<std::size_t>(util::splitmix64(mix)) %
                             params.router_count;
-      bgp::Route copy = route;
-      copy.router_id = static_cast<std::uint32_t>(r);
+      bgp::Route copy = route.to_route();
       if (deviation[r] > 0.0 &&
           hash01(params.seed ^ r, prefix.network(), prefix.length()) <
               deviation[r]) {
@@ -52,11 +51,8 @@ std::vector<RouterView> partition_routers(const bgp::BgpTable& lg_table,
             60 + static_cast<std::uint32_t>(
                      hash01(params.seed ^ 0xBEEF, prefix.network(), r) * 70.0);
       }
-      batches[r].push_back(std::move(copy));
+      views[r].table.add(std::move(copy));
     }
-  });
-  for (std::size_t r = 0; r < params.router_count; ++r) {
-    views[r].table.add_batch(std::move(batches[r]));
   }
   return views;
 }

@@ -1,11 +1,30 @@
 #include "sim/simulation.h"
 
 #include <optional>
+#include <stdexcept>
 
 #include "sim/flat_engine.h"
 #include "util/parallel.h"
 
 namespace bgpolicy::sim {
+
+namespace {
+
+/// Adds one recorded row.  A table keeps no router id, eBGP flag or IGP
+/// metric, and reports router id = learned_from, eBGP and IGP metric 0 for
+/// every row (bgp/table.h): a recorded row must already carry exactly
+/// those.
+void record(bgp::BgpTable& table, bgp::Route&& route) {
+  if (route.router_id != route.learned_from.value() || !route.from_ebgp ||
+      route.igp_metric != 0) {
+    throw std::logic_error(
+        "recorded row carries a router id, eBGP flag or IGP metric its "
+        "table would not keep");
+  }
+  table.add(std::move(route));
+}
+
+}  // namespace
 
 void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
                    const VantageSpec& spec, SimResult& result) {
@@ -14,12 +33,12 @@ void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
   for (const AsNumber peer : spec.collector_peers) {
     const bgp::Route* best = state.best_at(peer);
     if (best == nullptr) continue;
-    bgp::Route record = *best;
-    record.path = best->path.prepend(peer);
-    record.learned_from = peer;
-    record.local_pref = 100;  // LOCAL_PREF is not transmitted over eBGP
-    record.router_id = peer.value();
-    result.collector.add(std::move(record));
+    bgp::Route row = *best;
+    row.path = best->path.prepend(peer);
+    row.learned_from = peer;
+    row.local_pref = 100;  // LOCAL_PREF is not transmitted over eBGP
+    row.router_id = peer.value();
+    record(result.collector, std::move(row));
   }
 
   for (const AsNumber lg : spec.looking_glass) {
@@ -27,13 +46,13 @@ void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
     for (const auto& n : engine.graph().neighbors(lg)) {
       auto received =
           engine.route_as_received(n.as, state.best_at(n.as), origination, lg);
-      if (received) table.add(std::move(*received));
+      if (received) record(table, std::move(*received));
     }
   }
 
   for (const AsNumber as : spec.best_only) {
     const bgp::Route* best = state.best_at(as);
-    if (best != nullptr) result.best_only[as].add(*best);
+    if (best != nullptr) record(result.best_only[as], bgp::Route(*best));
   }
 }
 
@@ -49,26 +68,15 @@ SimResult init_sim_result(const VantageSpec& spec) {
   return result;
 }
 
-namespace {
-
-/// Moves every route of `from` into `to` in first-insertion prefix order
-/// (routes in stored order within a prefix) — the add-sequence of the
-/// sequential program restricted to the chunk's originations.
-void replay_table(bgp::BgpTable& to, bgp::BgpTable& from) {
-  from.drain([&](bgp::Route&& route) { to.add(std::move(route)); });
-}
-
-}  // namespace
-
 void merge_sim_chunk(SimResult& into, SimResult&& chunk) {
-  replay_table(into.collector, chunk.collector);
+  into.collector.append(chunk.collector);
   for (auto& [as, table] : into.looking_glass) {
     const auto it = chunk.looking_glass.find(as);
-    if (it != chunk.looking_glass.end()) replay_table(table, it->second);
+    if (it != chunk.looking_glass.end()) table.append(it->second);
   }
   for (auto& [as, table] : into.best_only) {
     const auto it = chunk.best_only.find(as);
-    if (it != chunk.best_only.end()) replay_table(table, it->second);
+    if (it != chunk.best_only.end()) table.append(it->second);
   }
   into.origination_count += chunk.origination_count;
   into.unconverged_prefixes += chunk.unconverged_prefixes;
@@ -134,9 +142,10 @@ SimResult run_simulation(const topo::AsGraph& graph, const PolicySet& policies,
   FlatScratchPool scratches;
 
   // Sharded execution: workers converge each prefix and build its rows
-  // into index-addressed slots; the calling thread only appends them, in
-  // origination order, through BgpTable::add (implicit withdraw per
-  // neighbor, exactly record_prefix's add sequence), so every table and
+  // into index-addressed slots; the calling thread only appends them, one
+  // prefix's rows at a time in origination order, through BgpTable::add
+  // (implicit withdraw per neighbor, exactly record_prefix's add
+  // sequence), so every table and
   // counter is byte-identical to the sequential run (see
   // util::shard_and_merge).
   std::unique_ptr<util::Executor> owned;
@@ -152,18 +161,18 @@ SimResult run_simulation(const topo::AsGraph& graph, const PolicySet& policies,
         if (!rows.stats.converged) ++result.unconverged_prefixes;
         result.process_events += rows.stats.events;
         for (bgp::Route& route : rows.collector) {
-          result.collector.add(std::move(route));
+          record(result.collector, std::move(route));
         }
         for (std::size_t j = 0; j < spec.looking_glass.size(); ++j) {
           bgp::BgpTable& table = result.looking_glass[spec.looking_glass[j]];
           for (bgp::Route& route : rows.looking_glass[j]) {
-            table.add(std::move(route));
+            record(table, std::move(route));
           }
         }
         for (std::size_t j = 0; j < spec.best_only.size(); ++j) {
           if (rows.best_only[j]) {
-            result.best_only[spec.best_only[j]].add(
-                std::move(*rows.best_only[j]));
+            record(result.best_only[spec.best_only[j]],
+                   std::move(*rows.best_only[j]));
           }
         }
         ++result.origination_count;

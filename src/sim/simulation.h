@@ -73,16 +73,16 @@ void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
 /// partial and merged results agree byte-for-byte on table identity.
 [[nodiscard]] SimResult init_sim_result(const VantageSpec& spec);
 
-/// Moves a chunk's recordings onto `into` — a chunk being run_simulation
+/// Appends a chunk's recordings to `into` — a chunk being run_simulation
 /// over one contiguous slice of the origination list, the Simulate unit
 /// the staged task graph schedules and the artifact store persists
-/// individually (core/experiment.h).  Replaying chunks in range
-/// order reproduces the sequential run byte-for-byte: chunks partition the
+/// individually (core/experiment.h).  Merging chunks in range order
+/// reproduces the sequential run byte-for-byte: chunks partition the
 /// origination list contiguously, tables iterate in first-insertion order,
-/// and per-(prefix, neighbor) implicit-withdraw semantics are preserved by
-/// replaying through BgpTable::add — so first-insertion prefix order,
-/// per-prefix route order, and all counters match the unchunked program at
-/// any chunk size.  The chunk's tables are left empty.
+/// and BgpTable::append concatenates a chunk's rows with add()'s
+/// per-(prefix, neighbor) implicit withdraw wherever a prefix appears
+/// again — so first-insertion prefix order, per-prefix row order, and all
+/// counters match the unchunked program at any chunk size.
 void merge_sim_chunk(SimResult& into, SimResult&& chunk);
 
 }  // namespace bgpolicy::sim

@@ -1,6 +1,8 @@
 #include "util/flat_map.h"
 
 #include <algorithm>
+#include <bit>
+#include <stdexcept>
 
 namespace bgpolicy::util {
 
@@ -9,10 +11,43 @@ void FlatMap64::clear() {
   size_ = 0;
 }
 
+FlatMap64 FlatMap64::adopt(Slots slots) {
+  const std::size_t capacity = slots.keys.size();
+  if (slots.values.size() != capacity ||
+      (capacity != 0 && !std::has_single_bit(capacity))) {
+    throw std::invalid_argument("FlatMap64: bad slot count");
+  }
+  FlatMap64 map;
+  map.keys_ = std::move(slots.keys);
+  map.values_ = std::move(slots.values);
+  for (std::size_t i = 0; i < capacity; ++i) {
+    if (map.keys_[i] != kEmptyKey) ++map.size_;
+  }
+  // Past 3/4 load a probe for an absent key could find no free slot.
+  if (map.size_ * 4 > capacity * 3) {
+    throw std::invalid_argument("FlatMap64: slots over the load bound");
+  }
+  for (std::size_t i = 0; i < capacity; ++i) {
+    if (map.keys_[i] != kEmptyKey && map.slot_of(map.keys_[i]) != i) {
+      throw std::invalid_argument("FlatMap64: key out of its probe slot");
+    }
+  }
+  return map;
+}
+
+void FlatMap64::reserve(std::size_t keys) {
+  std::size_t capacity = keys_.empty() ? 64 : keys_.size();
+  while (keys * 4 > capacity * 3) capacity *= 2;
+  if (capacity != keys_.size()) rehash(capacity);
+}
+
 void FlatMap64::grow() {
+  rehash(keys_.empty() ? 64 : keys_.size() * 2);
+}
+
+void FlatMap64::rehash(std::size_t capacity) {
   std::vector<std::uint64_t> old_keys = std::move(keys_);
   std::vector<std::uint32_t> old_values = std::move(values_);
-  const std::size_t capacity = old_keys.empty() ? 64 : old_keys.size() * 2;
   keys_.assign(capacity, kEmptyKey);
   values_.assign(capacity, 0);
   for (std::size_t i = 0; i < old_keys.size(); ++i) {
@@ -21,6 +56,16 @@ void FlatMap64::grow() {
     keys_[slot] = old_keys[i];
     values_[slot] = old_values[i];
   }
+}
+
+FlatSet64 FlatSet64::adopt(std::vector<std::uint64_t> keys,
+                           bool has_empty_key) {
+  FlatSet64 set;
+  const std::size_t capacity = keys.size();
+  set.map_ = FlatMap64::adopt(
+      {std::move(keys), std::vector<std::uint32_t>(capacity, 0)});
+  set.has_empty_key_ = has_empty_key;
+  return set;
 }
 
 }  // namespace bgpolicy::util

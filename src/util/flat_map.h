@@ -4,10 +4,18 @@
 // core interns AS paths and community sets in the map (sim/flat_engine.h);
 // core::PathIndex keeps its (prefix, path) dedup and adjacency sets, and
 // asrel::GaoInference its AS adjacency, in the set.
+//
+// Stored as laid out: keys() and values() expose the slot arrays and
+// adopt() takes them back after checking them, so io/artifact_codec
+// writes and reads these tables without a probe per key.  Slot positions
+// follow mix64 and the growth policy (64 slots, doubled past 3/4 load), so
+// a stored layout is only as stable as those two
+// (tests/util/flat_map_test.cc pins both).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,7 +39,21 @@ class FlatMap64 {
  public:
   static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
+  /// Slot i maps keys[i] to values[i]; kEmptyKey marks a free slot.
+  struct Slots {
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> values;
+  };
+
+  /// Takes stored slots back: throws std::invalid_argument unless they are
+  /// a map this class could hold — a power-of-two slot count (or none),
+  /// equal key and value counts, at most 3/4 load, and every key in the
+  /// slot its probe finds (so no key twice).
+  [[nodiscard]] static FlatMap64 adopt(Slots slots);
+
   void clear();
+  /// Room for `keys` keys without growing.
+  void reserve(std::size_t keys);
 
   [[nodiscard]] std::uint32_t* find(std::uint64_t key) {
     if (keys_.empty()) return nullptr;
@@ -65,6 +87,10 @@ class FlatMap64 {
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::span<const std::uint64_t> keys() const { return keys_; }
+  [[nodiscard]] std::span<const std::uint32_t> values() const {
+    return values_;
+  }
   [[nodiscard]] std::size_t bytes() const {
     return keys_.capacity() * sizeof(std::uint64_t) +
            values_.capacity() * sizeof(std::uint32_t);
@@ -84,6 +110,8 @@ class FlatMap64 {
     if (keys_.empty() || (size_ + 1) * 4 > keys_.size() * 3) grow();
   }
   void grow();
+  /// Re-slots every key into `capacity` slots.
+  void rehash(std::size_t capacity);
 
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> values_;
@@ -95,6 +123,11 @@ class FlatMap64 {
 /// AS pair `(a << 32) | b` takes that value when a = b = 4294967295.
 class FlatSet64 {
  public:
+  /// Takes a stored set back (FlatMap64::adopt checks `keys`; the values
+  /// are all 0).
+  [[nodiscard]] static FlatSet64 adopt(std::vector<std::uint64_t> keys,
+                                       bool has_empty_key);
+
   /// True when `key` was not yet in the set.
   bool insert(std::uint64_t key) {
     if (key == FlatMap64::kEmptyKey) {
@@ -111,6 +144,12 @@ class FlatSet64 {
   [[nodiscard]] std::size_t size() const {
     return map_.size() + (has_empty_key_ ? 1 : 0);
   }
+  /// The slot keys, for storing the set as laid out; the empty marker's
+  /// membership is has_empty_key().
+  [[nodiscard]] std::span<const std::uint64_t> keys() const {
+    return map_.keys();
+  }
+  [[nodiscard]] bool has_empty_key() const { return has_empty_key_; }
 
  private:
   FlatMap64 map_;

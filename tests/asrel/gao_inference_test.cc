@@ -153,10 +153,9 @@ TEST(GaoInference, CliqueRecoversTier1Core) {
   const auto& exp = testing::shared_experiment(42);
   // Re-run the inference input to query the clique.
   GaoInference gao;
-  exp.sim().sim.collector.for_each(
-      [&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-        for (const auto& route : routes) gao.add_path(route.path);
-      });
+  for (const bgp::TableEntry entry : exp.sim().sim.collector) {
+    for (const bgp::RouteView route : entry) gao.add_path(route.path().hops());
+  }
   const auto clique = gao.top_clique();
   // Every clique member must be a true Tier-1.
   for (const auto as : clique) {
@@ -180,10 +179,9 @@ TEST(GaoInference, AblationPeerDetectionMatters) {
   const auto sim = sim::run_simulation(topo.graph, gen.policies, originations,
                                        spec);
   GaoInference gao;
-  sim.collector.for_each(
-      [&](const bgp::Prefix&, std::span<const bgp::Route> routes) {
-        for (const auto& route : routes) gao.add_path(route.path);
-      });
+  for (const bgp::TableEntry entry : sim.collector) {
+    for (const bgp::RouteView route : entry) gao.add_path(route.path().hops());
+  }
 
   GaoParams with;
   GaoParams without;

@@ -125,15 +125,14 @@ TEST(PathIndex, AddTablesMatchesAddPathWithThePrependedAs) {
   PathIndex expected;
   expected.add_table(collector);
   for (const PathIndex::TableSource& source : {sources[1], sources[2]}) {
-    source.table->for_each([&](const Prefix& prefix,
-                               std::span<const bgp::Route> routes) {
-      for (const bgp::Route& route : routes) {
+    for (const bgp::TableEntry entry : *source.table) {
+      for (const bgp::RouteView route : entry) {
         std::vector<AsNumber> path = {*source.prepend};
-        const auto hops = route.path.hops();
+        const bgp::HopSpan hops = route.path();
         path.insert(path.end(), hops.begin(), hops.end());
-        expected.add_path(prefix, path);
+        expected.add_path(entry.prefix(), path);
       }
-    });
+    }
   }
 
   ASSERT_EQ(built.path_count(), expected.path_count());
@@ -227,20 +226,37 @@ TEST(PathIndex, DecodedIndexStillDeduplicates) {
   EXPECT_EQ(index.path_count(), 7u);
 }
 
-TEST(PathIndex, AppendStoredReplaysEntriesInOrder) {
+PathIndex adopt_with_offsets(const PathIndex& built,
+                             std::vector<std::uint32_t> offsets) {
+  return PathIndex::adopt({built.hops().begin(), built.hops().end()},
+                          std::move(offsets),
+                          {built.prefixes().begin(), built.prefixes().end()},
+                          built.adjacency());
+}
+
+// adopt() takes the stored buffers back as they are and rebuilds the id
+// lists (DecodedIndexAnswersInInsertionOrder checks their answers); it
+// refuses offsets that leave an entry without hops or miss the hop count.
+TEST(PathIndex, AdoptTakesBackTheStoredBuffers) {
   const PathIndex built = two_run_index();
-  PathIndex replayed;
-  replayed.reserve(built.path_count(), 16);
+  const std::vector<std::uint32_t> offsets(built.offsets().begin(),
+                                           built.offsets().end());
+  const PathIndex adopted = adopt_with_offsets(built, offsets);
+  ASSERT_EQ(adopted.path_count(), built.path_count());
   for (std::size_t i = 0; i < built.path_count(); ++i) {
-    replayed.append_stored(built.prefix_at(i), built.path_at(i));
+    EXPECT_EQ(adopted.prefix_at(i), built.prefix_at(i));
+    EXPECT_TRUE(std::ranges::equal(adopted.path_at(i), built.path_at(i)));
   }
-  replayed.append_stored(kP1, {});  // an empty path is skipped
-  ASSERT_EQ(replayed.path_count(), built.path_count());
-  for (std::size_t i = 0; i < built.path_count(); ++i) {
-    EXPECT_EQ(replayed.prefix_at(i), built.prefix_at(i));
-    EXPECT_TRUE(std::ranges::equal(replayed.path_at(i), built.path_at(i)));
-  }
-  EXPECT_EQ(replayed.adjacency_count(), built.adjacency_count());
+  EXPECT_EQ(adopted.adjacency_count(), built.adjacency_count());
+
+  std::vector<std::uint32_t> empty_entry = offsets;
+  empty_entry[2] = empty_entry[1];
+  EXPECT_THROW((void)adopt_with_offsets(built, empty_entry),
+               std::invalid_argument);
+  std::vector<std::uint32_t> past_hops = offsets;
+  ++past_hops.back();
+  EXPECT_THROW((void)adopt_with_offsets(built, past_hops),
+               std::invalid_argument);
 }
 
 }  // namespace

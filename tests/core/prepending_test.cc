@@ -15,12 +15,12 @@ using bgp::Prefix;
 using util::AsNumber;
 
 TEST(PrependDepth, DetectsRuns) {
-  EXPECT_EQ(prepend_depth(AsPath::parse("1 2 3")), 0u);
-  EXPECT_EQ(prepend_depth(AsPath::parse("1 2 2 3")), 1u);
-  EXPECT_EQ(prepend_depth(AsPath::parse("1 2 2 2 3")), 2u);
-  EXPECT_EQ(prepend_depth(AsPath::parse("1 1 2 3 3 3")), 2u);
-  EXPECT_EQ(prepend_depth(AsPath()), 0u);
-  EXPECT_EQ(prepend_depth(AsPath::parse("7")), 0u);
+  EXPECT_EQ(prepend_depth(AsPath::parse("1 2 3").view()), 0u);
+  EXPECT_EQ(prepend_depth(AsPath::parse("1 2 2 3").view()), 1u);
+  EXPECT_EQ(prepend_depth(AsPath::parse("1 2 2 2 3").view()), 2u);
+  EXPECT_EQ(prepend_depth(AsPath::parse("1 1 2 3 3 3").view()), 2u);
+  EXPECT_EQ(prepend_depth(AsPath().view()), 0u);
+  EXPECT_EQ(prepend_depth(AsPath::parse("7").view()), 0u);
 }
 
 TEST(Prepending, AnalyzesTable) {
@@ -56,7 +56,7 @@ TEST(Prepending, EnginePropagatesPrependedPaths) {
   ASSERT_NE(at_b, nullptr);
   EXPECT_EQ(at_b->learned_from, fig.a);
   EXPECT_EQ(at_b->path.length(), 3u);
-  EXPECT_EQ(prepend_depth(at_b->path), 2u);
+  EXPECT_EQ(prepend_depth(at_b->path.view()), 2u);
   const bgp::Route* at_c = state.best_at(fig.c);
   ASSERT_NE(at_c, nullptr);
   EXPECT_EQ(at_c->path.length(), 1u);
@@ -67,7 +67,7 @@ TEST(Prepending, EnginePropagatesPrependedPaths) {
   const bgp::Route* at_d = state.best_at(fig.d);
   ASSERT_NE(at_d, nullptr);
   EXPECT_EQ(at_d->learned_from, fig.b);
-  EXPECT_EQ(prepend_depth(at_d->path), 2u);
+  EXPECT_EQ(prepend_depth(at_d->path.view()), 2u);
 }
 
 TEST(Prepending, PrependSteersEqualPrefChoice) {

@@ -26,14 +26,13 @@ TEST_P(PipelineInvariants, AllCollectorPathsAreValleyFree) {
   // truth annotations — the export rules guarantee it (Section 2.2.2).
   const auto& exp = experiment();
   std::size_t checked = 0;
-  exp.sim().sim.collector.for_each([&](const bgp::Prefix&,
-                                      std::span<const bgp::Route> routes) {
-    for (const auto& route : routes) {
+  for (const bgp::TableEntry entry : exp.sim().sim.collector) {
+    for (const bgp::RouteView route : entry) {
       ++checked;
-      ASSERT_TRUE(exp.truth().topo.graph.is_valley_free(route.path.hops()))
-          << "valley in " << route.path.to_string();
+      ASSERT_TRUE(exp.truth().topo.graph.is_valley_free(route.path().hops()))
+          << "valley in " << route.to_route().path.to_string();
     }
-  });
+  }
   EXPECT_GT(checked, 1000u);
 }
 
@@ -41,18 +40,17 @@ TEST_P(PipelineInvariants, NoPathContainsLoops) {
   // Consecutive duplicates are AS-path prepending, not loops; an AS
   // reappearing after a different AS is a genuine loop.
   const auto& exp = experiment();
-  exp.sim().sim.collector.for_each([&](const bgp::Prefix&,
-                                      std::span<const bgp::Route> routes) {
-    for (const auto& route : routes) {
+  for (const bgp::TableEntry entry : exp.sim().sim.collector) {
+    for (const bgp::RouteView route : entry) {
       std::unordered_set<AsNumber> seen;
-      const auto hops = route.path.hops();
-      for (std::size_t i = 0; i < hops.size(); ++i) {
+      const bgp::HopSpan hops = route.path();
+      for (std::size_t i = 0; i < hops.length(); ++i) {
         if (i > 0 && hops[i] == hops[i - 1]) continue;  // prepending
         ASSERT_TRUE(seen.insert(hops[i]).second)
-            << "loop in " << route.path.to_string();
+            << "loop in " << route.to_route().path.to_string();
       }
     }
-  });
+  }
 }
 
 TEST_P(PipelineInvariants, CollectorPathsEndAtTheTrueOrigin) {
@@ -61,14 +59,13 @@ TEST_P(PipelineInvariants, CollectorPathsEndAtTheTrueOrigin) {
   for (const auto& origination : exp.truth().originations) {
     origin_of.emplace(origination.prefix, origination.origin);
   }
-  exp.sim().sim.collector.for_each([&](const bgp::Prefix& prefix,
-                                      std::span<const bgp::Route> routes) {
-    const auto it = origin_of.find(prefix);
+  for (const bgp::TableEntry entry : exp.sim().sim.collector) {
+    const auto it = origin_of.find(entry.prefix());
     ASSERT_NE(it, origin_of.end());
-    for (const auto& route : routes) {
+    for (const bgp::RouteView route : entry) {
       EXPECT_EQ(route.origin_as(), it->second);
     }
-  });
+  }
 }
 
 TEST_P(PipelineInvariants, WithheldPrefixesNeverCrossDeniedEdges) {

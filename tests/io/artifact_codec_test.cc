@@ -10,6 +10,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -21,6 +24,9 @@
 #include "asrel/tier_classify.h"
 #include "core/artifact_store.h"
 #include "core/scenario.h"
+#include "core/scenario_spec.h"
+#include "testing/scoped_store.h"
+#include "util/flat_map.h"
 
 namespace bgpolicy::io {
 namespace {
@@ -342,6 +348,375 @@ TEST(ArtifactCodec, DecodedPathIndexKeepsInsertionOrder) {
     EXPECT_TRUE(same(replayed.paths_from_origin(path.back()),
                      original.paths_from_origin(path.back())));
   }
+}
+
+// ---------------------------------------------------------- hostile bytes --
+//
+// Damaged column data behind a frame that accepts it (payload length and
+// checksum rewritten to fit): every case is rejected by the span decoder
+// and by the checked decoder, and a store holding it misses and
+// recomputes the stage with the cold run's digests.
+
+std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// A cold small(7) run through Observe in a store: the entries the hostile
+/// cases overwrite, and the digests a recompute must reproduce.
+struct HostileFixture {
+  core::Scenario scenario = core::Scenario::small(7);
+  testing::ScopedStore store;
+  std::vector<std::uint8_t> sim;
+  std::vector<std::uint8_t> observations;
+  std::string sim_digest;
+  std::string observe_digest;
+
+  HostileFixture() {
+    core::RunOptions options;
+    options.store = store.get();
+    options.until = core::Stage::kObserve;
+    core::Experiment cold(scenario, options);
+    cold.run();
+    sim = encode(cold.sim());
+    observations = encode(cold.observations());
+    sim_digest = cold.stage_digest(core::Stage::kSimulate);
+    observe_digest = cold.stage_digest(core::Stage::kObserve);
+  }
+
+  /// The store file holding the entry of `kind`.
+  std::filesystem::path entry(ArtifactKind kind) {
+    for (const core::ArtifactStore::Entry& e : store->list()) {
+      const auto header = peek_artifact_header(read_file(e.path));
+      if (header && header->kind == static_cast<std::uint16_t>(kind)) {
+        return e.path;
+      }
+    }
+    ADD_FAILURE() << "no " << to_string(kind) << " entry";
+    return {};
+  }
+};
+
+HostileFixture& hostile_fixture() {
+  static HostileFixture* fixture = new HostileFixture();
+  return *fixture;
+}
+
+void write_file(const std::filesystem::path& path,
+                std::span<const std::uint8_t> bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+/// `damaged` (reframed) is rejected by both decoders of `kind`, and a
+/// resume over a store holding it recomputes that stage with the cold
+/// digests (which heals the entry for the next case).
+void expect_miss(ArtifactKind kind, const std::vector<std::uint8_t>& damaged,
+                 const std::string& what) {
+  SCOPED_TRACE(what);
+  const bool is_sim = kind == ArtifactKind::kSimArtifact;
+  const CheckedArtifact checked{damaged};
+  EXPECT_TRUE(checked.checksum_matches());
+  if (is_sim) {
+    EXPECT_THROW((void)decode_sim_artifact(damaged), std::invalid_argument);
+    EXPECT_THROW((void)decode_sim_artifact(checked), std::invalid_argument);
+  } else {
+    EXPECT_THROW((void)decode_observations(damaged), std::invalid_argument);
+    EXPECT_THROW((void)decode_observations(checked), std::invalid_argument);
+  }
+
+  HostileFixture& f = hostile_fixture();
+  write_file(f.entry(kind), damaged);
+  core::RunOptions options;
+  options.store = f.store.get();
+  options.until = core::Stage::kObserve;
+  core::Experiment resumed(f.scenario, options);
+  resumed.run();
+  EXPECT_EQ(resumed.counters().simulate, is_sim ? 1u : 0u);
+  EXPECT_EQ(resumed.counters().observe, is_sim ? 0u : 1u);
+  EXPECT_EQ(resumed.stage_digest(core::Stage::kSimulate), f.sim_digest);
+  EXPECT_EQ(resumed.stage_digest(core::Stage::kObserve), f.observe_digest);
+}
+
+/// The payload with `edit` applied, behind a frame that fits it.
+std::vector<std::uint8_t> edited(
+    const std::vector<std::uint8_t>& bytes,
+    const std::function<void(std::vector<std::uint8_t>&)>& edit) {
+  std::vector<std::uint8_t> out = bytes;
+  edit(out);
+  reframe(out);
+  return out;
+}
+
+/// Column boundaries of the Observations payload's Gao and path-index
+/// sections (artifact_codec.cc put_observations), which close the payload.
+struct ObservationColumns {
+  std::size_t gao, gao_lengths, gao_hops, edges, degree, degree_values, ases,
+      index, index_lengths, index_hops, networks, prefix_lengths, adjacency,
+      end;
+};
+
+ObservationColumns observation_columns(const std::vector<std::uint8_t>& bytes,
+                                       const core::Observations& decoded) {
+  const asrel::GaoInference& gao = decoded.observed_paths;
+  const core::PathIndex& index = decoded.paths;
+  ObservationColumns c{};
+  c.end = bytes.size();
+  c.adjacency = c.end - (8 + 1 + 8 * index.adjacency().keys().size());
+  c.prefix_lengths = c.adjacency - index.path_count();
+  c.networks = c.prefix_lengths - 4 * index.path_count();
+  c.index_hops = c.networks - 4 * index.hops().size();
+  c.index_lengths = c.index_hops - 2 * index.path_count();
+  c.index = c.index_lengths - 16;
+  c.ases = c.index - (8 + 4 * gao.ases().size());
+  c.degree_values = c.ases - 4 * gao.degrees().keys().size();
+  c.degree = c.degree_values - (8 + 8 * gao.degrees().keys().size());
+  c.edges = c.degree - (8 + 1 + 8 * gao.edges().keys().size());
+  c.gao_hops = c.edges - 4 * gao.hops().size();
+  c.gao_lengths = c.gao_hops - 2 * gao.path_count();
+  c.gao = c.gao_lengths - 16;
+  EXPECT_EQ(u64_at(bytes, c.gao), gao.path_count());
+  EXPECT_EQ(u64_at(bytes, c.index), index.path_count());
+  return c;
+}
+
+TEST(HostileBytes, ObservationColumnsAreRejectedAndMiss) {
+  const std::vector<std::uint8_t>& bytes = hostile_fixture().observations;
+  const core::Observations decoded = decode_observations(bytes);
+  const ObservationColumns c = observation_columns(bytes, decoded);
+
+  // Truncation at every column boundary.
+  for (const std::size_t cut :
+       {c.gao, c.gao + 8, c.gao_lengths, c.gao_hops, c.edges, c.edges + 8,
+        c.edges + 9, c.degree, c.degree + 8, c.degree_values, c.ases,
+        c.ases + 8, c.index, c.index + 8, c.index_lengths, c.index_hops,
+        c.networks, c.prefix_lengths, c.adjacency, c.adjacency + 8,
+        c.adjacency + 9, c.end - 1}) {
+    expect_miss(ArtifactKind::kObservations,
+                edited(bytes, [&](auto& b) { b.resize(cut); }),
+                "cut at " + std::to_string(cut));
+  }
+
+  // Every count field one off either way.
+  for (const std::size_t field : {c.gao, c.gao + 8, c.edges, c.degree, c.ases,
+                                  c.index, c.index + 8, c.adjacency}) {
+    for (const std::uint64_t delta : {std::uint64_t{1}, ~std::uint64_t{0}}) {
+      expect_miss(ArtifactKind::kObservations,
+                  edited(bytes,
+                         [&](auto& b) {
+                           set_u64(b, field, u64_at(bytes, field) + delta);
+                         }),
+                  "count field at " + std::to_string(field));
+    }
+  }
+
+  // A strided sample of path lengths, one more or one less: the lengths
+  // miss their hop buffer's size.
+  for (const auto& [column, count] :
+       {std::pair{c.gao_lengths, decoded.observed_paths.path_count()},
+        std::pair{c.index_lengths, decoded.paths.path_count()}}) {
+    for (std::size_t i = 0; i < count; i += count / 5 + 1) {
+      for (const int delta : {1, -1}) {
+        expect_miss(ArtifactKind::kObservations,
+                    edited(bytes,
+                           [&](auto& b) {
+                             std::uint16_t length;
+                             std::memcpy(&length, b.data() + column + 2 * i, 2);
+                             length =
+                                 static_cast<std::uint16_t>(length + delta);
+                             std::memcpy(b.data() + column + 2 * i, &length, 2);
+                           }),
+                    "path length " + std::to_string(i));
+      }
+    }
+  }
+
+  // A Gao path below one edge: the first path one hop shorter, the second
+  // one longer, so the lengths still sum to the hop count.
+  expect_miss(ArtifactKind::kObservations, edited(bytes, [&](auto& b) {
+                std::uint16_t first;
+                std::uint16_t second;
+                std::memcpy(&first, b.data() + c.gao_lengths, 2);
+                std::memcpy(&second, b.data() + c.gao_lengths + 2, 2);
+                const std::uint16_t shorter = 1;
+                const auto longer =
+                    static_cast<std::uint16_t>(second + first - shorter);
+                std::memcpy(b.data() + c.gao_lengths, &shorter, 2);
+                std::memcpy(b.data() + c.gao_lengths + 2, &longer, 2);
+              }),
+              "a one-hop Gao path");
+
+  expect_miss(ArtifactKind::kObservations,
+              edited(bytes, [&](auto& b) { b[c.prefix_lengths] = 33; }),
+              "prefix length 33");
+  expect_miss(ArtifactKind::kObservations,
+              edited(bytes, [&](auto& b) { b[c.adjacency + 8] = 2; }),
+              "a set flag of 2");
+
+  // A stored set whose slot count is not a power of two.
+  expect_miss(ArtifactKind::kObservations, edited(bytes, [&](auto& b) {
+                b.resize(c.adjacency);
+                const std::uint64_t slots = 3;
+                b.resize(b.size() + 9 + 8 * slots, 0xff);
+                set_u64(b, c.adjacency, slots);
+                b[c.adjacency + 8] = 0;
+              }),
+              "a set of 3 slots");
+  // And one whose key sits outside its probe sequence: two slots, each
+  // key in the other's home slot.
+  expect_miss(ArtifactKind::kObservations, edited(bytes, [&](auto& b) {
+                std::uint64_t home_even = 0;
+                while (util::mix64(home_even) % 64 != 0) ++home_even;
+                b.resize(c.adjacency);
+                b.resize(b.size() + 9 + 8 * 64, 0xff);
+                set_u64(b, c.adjacency, 64);
+                b[c.adjacency + 8] = 0;
+                set_u64(b, c.adjacency + 9 + 8, home_even);
+              }),
+              "a key out of its probe slot");
+}
+
+/// The offset of the SimArtifact's largest table blob's length prefix.
+std::size_t largest_table_blob(std::span<const std::uint8_t> bytes) {
+  std::size_t largest = 0;
+  for (const std::size_t blob : table_blobs(bytes)) {
+    if (largest == 0 || u64_at(bytes, blob) > u64_at(bytes, largest)) {
+      largest = blob;
+    }
+  }
+  return largest;
+}
+
+TEST(HostileBytes, SimArtifactTableColumnsAreRejectedAndMiss) {
+  const std::vector<std::uint8_t>& bytes = hostile_fixture().sim;
+  const std::size_t blob = largest_table_blob(bytes);
+  const std::size_t table = blob + 8;  // past the blob's length prefix
+  const auto u32_at = [&](std::size_t at) {
+    std::uint32_t value;
+    std::memcpy(&value, bytes.data() + table + at, sizeof(value));
+    return std::size_t{value};
+  };
+  const std::size_t prefixes = u32_at(10);
+  const std::size_t rows = u32_at(14);
+  const std::size_t networks = 26;
+  const std::size_t lengths = networks + 4 * prefixes;
+  const std::size_t row_counts = lengths + prefixes;
+  const std::size_t learned_from = row_counts + 4 * prefixes;
+  const std::size_t origin = learned_from + 12 * rows;
+  const std::size_t hop_counts = origin + rows;
+  const std::size_t hops = hop_counts + 4 * rows;
+  const std::size_t end = u64_at(bytes, blob);
+
+  // Truncation at every column boundary of the blob (its length prefix
+  // rewritten to match).
+  for (const std::size_t cut :
+       {std::size_t{0}, std::size_t{10}, networks, lengths, row_counts,
+        learned_from, learned_from + 4 * rows, learned_from + 8 * rows,
+        origin, hop_counts, hop_counts + 2 * rows, hops,
+        hops + 4 * u32_at(18), end - 1}) {
+    expect_miss(ArtifactKind::kSimArtifact, edited(bytes, [&](auto& b) {
+                  const auto from = b.begin() +
+                                    static_cast<std::ptrdiff_t>(table + cut);
+                  b.erase(from, from + static_cast<std::ptrdiff_t>(end - cut));
+                  set_u64(b, blob, cut);
+                }),
+                "cut at " + std::to_string(cut));
+  }
+  // Each count field of the table header.
+  for (const std::size_t field : {10, 14, 18, 22}) {
+    expect_miss(ArtifactKind::kSimArtifact, edited(bytes, [&](auto& b) {
+                  const std::uint32_t bumped =
+                      static_cast<std::uint32_t>(u32_at(field) + 1);
+                  std::memcpy(b.data() + table + field, &bumped, 4);
+                }),
+                "count field at " + std::to_string(field));
+  }
+  expect_miss(ArtifactKind::kSimArtifact,
+              edited(bytes, [&](auto& b) { b[table + lengths] = 33; }),
+              "prefix length 33");
+  expect_miss(ArtifactKind::kSimArtifact,
+              edited(bytes, [&](auto& b) { b[table + origin + rows / 2] = 3; }),
+              "origin 3");
+  expect_miss(ArtifactKind::kSimArtifact, edited(bytes, [&](auto& b) {
+                const auto last =
+                    static_cast<std::uint32_t>(u32_at(learned_from - 4) + 1);
+                std::memcpy(b.data() + table + learned_from - 4, &last, 4);
+              }),
+              "a row range past the row count");
+}
+
+// A SimArtifact the per-route layout wrote (tag 2; anycast_catchment.scn),
+// kept as it was written.  Its store key is unchanged, so a resume reads
+// it — and rejects it at the header's kind check, before any payload byte.
+const std::vector<std::uint8_t> kPerRouteSimArtifact = {
+    0x42, 0x47, 0x50, 0x41, 0x01, 0x00, 0x02, 0x00, 0xfe, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x9f, 0xf8, 0x15, 0x9e, 0xda, 0x55, 0xc0, 0xf1,
+    0x08, 0x1a, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x0a, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x1e, 0x00, 0x00, 0x00,
+    0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xa2, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x42, 0x47, 0x50, 0x54, 0x01, 0x00, 0x08, 0x1a,
+    0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x63, 0x0a, 0x18, 0x0a, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x14, 0x00,
+    0x00, 0x00, 0x28, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x63, 0x0a, 0x18, 0x14, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x14, 0x00, 0x00, 0x00,
+    0x28, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x63, 0x0a, 0x18, 0x1e, 0x00, 0x00, 0x00, 0x64, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x1e, 0x00, 0x00, 0x00, 0x0a, 0x00,
+    0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00, 0xc8, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x63, 0x0a, 0x18, 0x28, 0x00, 0x00,
+    0x00, 0x64, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+    0x28, 0x00, 0x00, 0x00, 0xc8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x16, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00,
+};
+
+TEST(HostileBytes, PerRouteLayoutSimArtifactMissesAtTheHeader) {
+  const auto header = peek_artifact_header(kPerRouteSimArtifact);
+  ASSERT_TRUE(header);
+  EXPECT_EQ(header->kind, 2u);
+  EXPECT_EQ(header->payload_bytes + kArtifactHeaderBytes,
+            kPerRouteSimArtifact.size());
+  try {
+    (void)decode_sim_artifact(kPerRouteSimArtifact);
+    ADD_FAILURE() << "a per-route SimArtifact decoded";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "artifact: kind mismatch");
+  }
+
+  // Written by the earlier build under today's Simulate key.
+  const core::Scenario scenario =
+      core::ScenarioSpec::parse_file(std::filesystem::path(
+                                         BGPOLICY_SCENARIO_DIR) /
+                                     "anycast_catchment.scn")
+          .scenario;
+  testing::ScopedStore store;
+  core::RunOptions options;
+  options.store = store.get();
+  options.until = core::Stage::kSimulate;
+  core::Experiment cold(scenario, options);
+  cold.run();
+  const std::string sim_digest = cold.stage_digest(core::Stage::kSimulate);
+  bool planted = false;
+  for (const core::ArtifactStore::Entry& e : store->list()) {
+    const auto entry_header = peek_artifact_header(read_file(e.path));
+    if (entry_header && entry_header->kind == static_cast<std::uint16_t>(
+                                                  ArtifactKind::kSimArtifact)) {
+      write_file(e.path, kPerRouteSimArtifact);
+      planted = true;
+    }
+  }
+  ASSERT_TRUE(planted);
+  core::Experiment resumed(scenario, options);
+  resumed.run();
+  EXPECT_EQ(resumed.counters().simulate, 1u);
+  EXPECT_EQ(resumed.loads().simulate, 0u);
+  EXPECT_EQ(resumed.stage_digest(core::Stage::kSimulate), sim_digest);
 }
 
 }  // namespace

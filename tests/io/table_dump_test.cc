@@ -37,16 +37,12 @@ TEST(TableDump, RoundTripPreservesEverything) {
 
   const auto p = Prefix::parse("10.0.0.0/24");
   ASSERT_EQ(parsed.routes(p).size(), 2u);
-  for (const auto& route : original.routes(p)) {
+  for (const bgp::RouteView route : original.routes(p)) {
     bool matched = false;
-    for (const auto& got : parsed.routes(p)) {
-      if (got.learned_from != route.learned_from) continue;
+    for (const bgp::RouteView got : parsed.routes(p)) {
+      if (got.learned_from() != route.learned_from()) continue;
       matched = true;
-      EXPECT_EQ(got.path, route.path);
-      EXPECT_EQ(got.local_pref, route.local_pref);
-      EXPECT_EQ(got.med, route.med);
-      EXPECT_EQ(got.origin, route.origin);
-      EXPECT_EQ(got.communities, route.communities);
+      EXPECT_EQ(got.to_route(), route.to_route());
     }
     EXPECT_TRUE(matched);
   }

@@ -228,9 +228,9 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   core::Experiment experiment(scenario);
   experiment.run(core::Stage::kAnalyze);
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.sim())),
-            "8eafed68cd4c6a57205c39475f5c62f4");
+            "ce8a857dfacc3619db14a075784d66fe");
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.observations())),
-            "6ce12f69101caa1e9bd00c339980a1ef");
+            "d87e0e5615e5411eac740867510c4a8b");
   // The same analyses digest perfbench/reference.json pins.
   EXPECT_EQ(core::stable_digest_hex(
                 core::canonical_serialize(experiment.analyses())),

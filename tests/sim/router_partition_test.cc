@@ -40,14 +40,13 @@ TEST(RouterPartition, NeighborsStickToOneRouter) {
   // Each neighbor AS appears in exactly one router view.
   std::unordered_map<util::AsNumber, std::size_t> owner;
   for (std::size_t r = 0; r < views.size(); ++r) {
-    views[r].table.for_each(
-        [&](const Prefix&, std::span<const bgp::Route> routes) {
-          for (const auto& route : routes) {
-            const auto [it, inserted] = owner.emplace(route.learned_from, r);
-            EXPECT_EQ(it->second, r)
-                << util::to_string(route.learned_from) << " split across routers";
-          }
-        });
+    for (const bgp::TableEntry entry : views[r].table) {
+      for (const bgp::RouteView route : entry) {
+        const auto [it, inserted] = owner.emplace(route.learned_from(), r);
+        EXPECT_EQ(it->second, r) << util::to_string(route.learned_from())
+                                 << " split across routers";
+      }
+    }
   }
   EXPECT_EQ(owner.size(), 4u);
 }
@@ -59,13 +58,13 @@ TEST(RouterPartition, ZeroDeviationPreservesPreferences) {
   params.deviant_router_prob = 0.0;
   const auto views = partition_routers(lg, params);
   for (const auto& view : views) {
-    view.table.for_each([&](const Prefix&, std::span<const bgp::Route> routes) {
-      for (const auto& route : routes) {
+    for (const bgp::TableEntry entry : view.table) {
+      for (const bgp::RouteView route : entry) {
         const std::uint32_t base =
-            100 + 10 * (route.learned_from.value() - 100);
-        EXPECT_EQ(route.local_pref, base);
+            100 + 10 * (route.learned_from().value() - 100);
+        EXPECT_EQ(route.local_pref(), base);
       }
-    });
+    }
   }
 }
 
@@ -78,13 +77,13 @@ TEST(RouterPartition, DeviantRoutersChangeSomePreferences) {
   const auto views = partition_routers(lg, params);
   std::size_t deviations = 0;
   for (const auto& view : views) {
-    view.table.for_each([&](const Prefix&, std::span<const bgp::Route> routes) {
-      for (const auto& route : routes) {
+    for (const bgp::TableEntry entry : view.table) {
+      for (const bgp::RouteView route : entry) {
         const std::uint32_t base =
-            100 + 10 * (route.learned_from.value() - 100);
-        if (route.local_pref != base) ++deviations;
+            100 + 10 * (route.learned_from().value() - 100);
+        if (route.local_pref() != base) ++deviations;
       }
-    });
+    }
   }
   EXPECT_GT(deviations, 0u);
 }

@@ -25,11 +25,11 @@ TEST(Simulation, CollectorRecordsOneRoutePerPeer) {
   EXPECT_EQ(result.unconverged_prefixes, 0u);
   EXPECT_EQ(result.collector.owner(), spec.collector_as);
   EXPECT_EQ(result.collector.routes(kP1).size(), 2u);
-  for (const auto& route : result.collector.routes(kP1)) {
+  for (const bgp::RouteView route : result.collector.routes(kP1)) {
     // Collector paths start at the contributing peer and keep its
     // LOCAL_PREF invisible (reset to 100).
-    EXPECT_EQ(route.path.next_hop_as(), route.learned_from);
-    EXPECT_EQ(route.local_pref, 100u);
+    EXPECT_EQ(route.path().next_hop_as(), route.learned_from());
+    EXPECT_EQ(route.local_pref(), 100u);
     EXPECT_EQ(route.origin_as(), kAs4);
   }
 }
@@ -48,17 +48,17 @@ TEST(Simulation, LookingGlassRecordsFullAdjRibIn) {
   // and must not export it to AS2.
   const auto routes = lg.routes(kP1);
   bool from_4 = false, from_1 = false;
-  for (const auto& route : routes) {
-    if (route.learned_from == kAs4) from_4 = true;
-    if (route.learned_from == kAs1) from_1 = true;
+  for (const bgp::RouteView route : routes) {
+    if (route.learned_from() == kAs4) from_4 = true;
+    if (route.learned_from() == kAs1) from_1 = true;
   }
   EXPECT_TRUE(from_4);
   EXPECT_FALSE(from_1);
   // Local preference reflects AS2's import policy (customer band for AS4).
-  const bgp::Route* best = lg.best(kP1);
-  ASSERT_NE(best, nullptr);
-  EXPECT_EQ(best->learned_from, kAs4);
-  EXPECT_EQ(best->local_pref, policies.at(kAs2).import.customer_pref);
+  const std::optional<bgp::RouteView> best = lg.best(kP1);
+  ASSERT_TRUE(best);
+  EXPECT_EQ(best->learned_from(), kAs4);
+  EXPECT_EQ(best->local_pref(), policies.at(kAs2).import.customer_pref);
 }
 
 TEST(Simulation, BestOnlyTablesHoldSingleRoutes) {
@@ -86,12 +86,12 @@ TEST(Simulation, LookingGlassBestAgreesWithEngine) {
   const SimResult result = run_simulation(g, policies, originations, spec);
 
   for (const auto& prefix : {kP1, kP2}) {
-    const bgp::Route* lg_best = result.looking_glass.at(kAs5).best(prefix);
-    const bgp::Route* engine_best = result.best_only.at(kAs5).best(prefix);
-    ASSERT_NE(lg_best, nullptr);
-    ASSERT_NE(engine_best, nullptr);
-    EXPECT_EQ(lg_best->learned_from, engine_best->learned_from);
-    EXPECT_EQ(lg_best->path, engine_best->path);
+    const auto lg_best = result.looking_glass.at(kAs5).best(prefix);
+    const auto engine_best = result.best_only.at(kAs5).best(prefix);
+    ASSERT_TRUE(lg_best);
+    ASSERT_TRUE(engine_best);
+    EXPECT_EQ(lg_best->learned_from(), engine_best->learned_from());
+    EXPECT_EQ(lg_best->to_route().path, engine_best->to_route().path);
   }
 }
 

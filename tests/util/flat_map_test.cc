@@ -1,5 +1,10 @@
 #include "util/flat_map.h"
 
+#include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace bgpolicy::util {
@@ -51,6 +56,92 @@ TEST(FlatSet64, TakesEveryKeyIncludingTheMapsEmptyMarker) {
   }
   EXPECT_FALSE(set.contains(1));
   EXPECT_EQ(set.size(), 501u);
+}
+
+// The Observations store Gao's edge set and degree map and the path
+// index's adjacency set as slot arrays (io/artifact_codec.h), so these
+// bytes depend on mix64 and the growth policy: 64 slots, doubled when a
+// key would pass 3/4 load.  A change to either moves the Observations
+// digest; this pins both.
+TEST(FlatMap64, SlotLayoutKnownAnswer) {
+  EXPECT_EQ(mix64(0), 0u);
+  EXPECT_EQ(mix64(1), 0x5692161d100b05e5ULL);
+  EXPECT_EQ(mix64(0x0000ffff00000001ULL), 0xf36af21eb9b62a41ULL);
+
+  FlatMap64 map;
+  for (std::uint32_t k = 1; k <= 5; ++k) map.insert(k, 10 * k);
+  ASSERT_EQ(map.keys().size(), 64u);
+  const std::vector<std::pair<std::size_t, std::uint64_t>> occupied = {
+      {10, 2}, {20, 4}, {28, 5}, {37, 1}, {48, 3}};
+  for (const auto& [slot, key] : occupied) {
+    EXPECT_EQ(map.keys()[slot], key);
+    EXPECT_EQ(map.values()[slot], 10 * key);
+  }
+  for (std::uint32_t k = 6; k <= 48; ++k) map.insert(k, k);
+  EXPECT_EQ(map.keys().size(), 64u);
+  map.insert(49, 49);
+  EXPECT_EQ(map.keys().size(), 128u);
+}
+
+TEST(FlatMap64, AdoptTakesBackItsOwnSlots) {
+  FlatMap64 map;
+  for (std::uint64_t k = 0; k < 300; ++k) map.insert(k * 7 + 3, k);
+  FlatMap64::Slots slots;
+  slots.keys.assign(map.keys().begin(), map.keys().end());
+  slots.values.assign(map.values().begin(), map.values().end());
+  FlatMap64 adopted = FlatMap64::adopt(std::move(slots));
+  EXPECT_EQ(adopted.size(), 300u);
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    ASSERT_NE(adopted.find(k * 7 + 3), nullptr);
+    EXPECT_EQ(*adopted.find(k * 7 + 3), k);
+  }
+  EXPECT_TRUE(std::ranges::equal(adopted.keys(), map.keys()));
+  EXPECT_EQ(FlatMap64::adopt({}).size(), 0u);
+
+  FlatSet64 set;
+  set.insert(FlatMap64::kEmptyKey);
+  set.insert(5);
+  const FlatSet64 adopted_set = FlatSet64::adopt(
+      {set.keys().begin(), set.keys().end()}, set.has_empty_key());
+  EXPECT_TRUE(adopted_set.contains(5));
+  EXPECT_TRUE(adopted_set.contains(FlatMap64::kEmptyKey));
+  EXPECT_EQ(adopted_set.size(), 2u);
+}
+
+TEST(FlatMap64, AdoptRejectsSlotsItCouldNotHold) {
+  const auto empty_slots = [](std::size_t n) {
+    return FlatMap64::Slots{std::vector<std::uint64_t>(n, FlatMap64::kEmptyKey),
+                            std::vector<std::uint32_t>(n, 0)};
+  };
+  EXPECT_THROW((void)FlatMap64::adopt(empty_slots(48)), std::invalid_argument);
+  FlatMap64::Slots uneven = empty_slots(64);
+  uneven.values.pop_back();
+  EXPECT_THROW((void)FlatMap64::adopt(std::move(uneven)),
+               std::invalid_argument);
+  // Past 3/4 load: 49 keys in 64 slots, each in its probe slot.
+  FlatMap64 full;
+  for (std::uint64_t k = 0; k < 48; ++k) full.insert(k, 0);
+  FlatMap64::Slots overloaded{{full.keys().begin(), full.keys().end()},
+                              {full.values().begin(), full.values().end()}};
+  for (std::uint64_t& key : overloaded.keys) {
+    if (key == FlatMap64::kEmptyKey) {
+      key = 1000;  // not its home slot either way
+      break;
+    }
+  }
+  EXPECT_THROW((void)FlatMap64::adopt(std::move(overloaded)),
+               std::invalid_argument);
+  // Key 1's home is slot 37: elsewhere (behind a free slot) a probe misses
+  // it, and twice it is a duplicate.
+  FlatMap64::Slots misplaced = empty_slots(64);
+  misplaced.keys[40] = 1;
+  EXPECT_THROW((void)FlatMap64::adopt(std::move(misplaced)),
+               std::invalid_argument);
+  FlatMap64::Slots twice = empty_slots(64);
+  twice.keys[37] = 1;
+  twice.keys[38] = 1;
+  EXPECT_THROW((void)FlatMap64::adopt(std::move(twice)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -61,9 +61,8 @@ int main(int argc, char** argv) {
       return rows[kind];
     };
     row_for(0).label = "foreign";
-    for (std::uint16_t kind = 1; kind <= 6; ++kind) {
-      row_for(kind).label =
-          io::to_string(static_cast<io::ArtifactKind>(kind));
+    for (const io::ArtifactKind kind : io::kArtifactKinds) {
+      row_for(static_cast<std::uint16_t>(kind)).label = io::to_string(kind);
     }
 
     std::uint64_t total_bytes = 0;
