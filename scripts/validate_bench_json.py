@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Checks the current schema, bgpolicy-bench/v12: every artifact_store row
+Checks the current schema, bgpolicy-bench/v13: sim_scaling carries the
+fixpoint in both orders — the order the static wedgie oracle chooses
+(fixpoint_seconds, chosen_order_events) and the exact order
+(exact_fixpoint_seconds, exact_order_events) — and exact_originations, the
+originations the chosen order ran exactly; every artifact_store row
 carries decode_allocations, the operator-new count of its decode, beside
 the resume rows (a store-resumed run through Analyze at one thread and at
 hardware_concurrency, with its simulate.load, simulate.decode and
@@ -21,9 +25,9 @@ import json
 import os
 import sys
 
-SCHEMA = "bgpolicy-bench/v12"
+SCHEMA = "bgpolicy-bench/v13"
 
-# The committed records of schemas v2..v11, by SHA-256 of their bytes.
+# The committed records of schemas v2..v12, by SHA-256 of their bytes.
 FROZEN = {
     "BENCH_2026-07-29_pr2.json":
         "35aff9cb60476fbfa93cda4400c9986750dbaf0c78329509817b8eb4453e5c37",
@@ -51,6 +55,8 @@ FROZEN = {
         "180c7cb0028d0fdad0cfc8c673f8eabe43bc211ae8a6c30606fc22ae2cca342f",
     "BENCH_2026-10-18_one_pass_resume.json":
         "edb1a614e52a7ec4f004a47a90c1ad9c2a9581524d0ac02ca69fbc3dce5220e2",
+    "BENCH_2026-10-18_columnar_tables.json":
+        "c008cd054adc0f71e873b0b05a4728c3448d7e32c948bc96148f83f3cc575df7",
 }
 
 
@@ -89,6 +95,23 @@ def check_single_core_rows(path, name, record):
         require(path, [row["threads"] for row in record["results"]] == [1],
                 f"{name}.results must hold only the threads=1 row when "
                 "hardware_concurrency is 1")
+
+
+def check_fixpoint_orders(path, sim):
+    """The one-thread fixpoint pass in the chosen and the exact order."""
+    name = "sim_scaling"
+    for key in ("originations", "exact_originations", "chosen_order_events",
+                "exact_order_events"):
+        require(path, isinstance(sim.get(key), int) and sim[key] >= 0,
+                f"{name}.{key} must be a non-negative integer")
+    require(path, sim["exact_originations"] <= sim["originations"],
+            f"{name}.exact_originations must not exceed originations")
+    for key in ("chosen_order_events", "exact_order_events"):
+        require(path, sim[key] > 0, f"{name}.{key} must be > 0")
+    for key in ("fixpoint_seconds", "fixpoint_ns_per_event",
+                "exact_fixpoint_seconds", "exact_fixpoint_ns_per_event"):
+        require(path, isinstance(sim.get(key), (int, float)) and sim[key] > 0,
+                f"{name}.{key} must be a positive number")
 
 
 def check_analysis_split(path, record):
@@ -256,6 +279,7 @@ def check_file(path):
                 f"sim_scaling.{key} must be a number")
     require(path, sim.get("reference_match") is True,
             "sim_scaling.reference_match must be true")
+    check_fixpoint_orders(path, sim)
 
     inference = record.get("inference_scaling")
     check_scaling(path, "inference_scaling", inference,

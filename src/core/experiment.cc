@@ -599,6 +599,13 @@ struct Experiment::UpstreamScratch {
   /// What the last Observe probe found, published through observe_hit.
   std::optional<Observations> loaded_obs;
   std::string observe_digest;  // of the stored bytes, for the digest chain
+  /// The stored GroundTruth bytes synthesize.load read and hashed (their
+  /// frame checks); synthesize.decode decodes and frees them.
+  std::optional<io::CheckedArtifact> truth_bytes;
+  /// Set by synthesize.decode when those bytes failed to decode and the
+  /// truth was recomputed: the digest simulate.load keyed on names no
+  /// artifact, so the settle node drops every load keyed on it.
+  bool truth_recomputed = false;
   /// The stored SimArtifact bytes simulate.load read and hashed;
   /// simulate.decode decodes and frees them.
   std::optional<io::CheckedArtifact> sim_bytes;
@@ -770,18 +777,68 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
   auto scratch = std::make_shared<UpstreamScratch>();
   util::TaskGraph* graph_ptr = &graph;
 
+  // n_synth: truth_ is set.  n_synth_digest: the Synthesize digest is
+  // known, which is all the Simulate store key needs.
   std::optional<NodeId> n_synth;
-  if (need_truth) {
-    n_synth = graph.add([this] {
+  std::optional<NodeId> n_synth_digest;
+  // Persists the recomputed truth and takes its digest.
+  const auto persist_truth = [this] {
+    digest_slot(Stage::kSynthesize) =
+        persist(options_.store, stage_key_material(Stage::kSynthesize, {}),
+                *truth_);
+  };
+  if (need_truth && options_.store == nullptr) {
+    n_synth = graph.add([this, persist_truth] {
       traced("synthesize", [&] {
-        bool loaded = false;
-        truth_ = stage_artifact(
-            options_.store, stage_key_material(Stage::kSynthesize, {}),
-            digest_slot(Stage::kSynthesize), loaded, io::decode_ground_truth,
-            [&] { return synthesize(scenario_); });
-        ++(loaded ? loads_ : counters_).synthesize;
+        truth_ = synthesize(scenario_);
+        persist_truth();
+        ++counters_.synthesize;
       });
     });
+    n_synth_digest = n_synth;
+  } else if (need_truth) {
+    // Resume: read the entry and take its content digest and frame check
+    // in one pass, so simulate.load starts without waiting for the
+    // GroundTruth decode.  A missing or damaged frame is a miss,
+    // recomputed here so downstream keys chain on the cold digest.
+    n_synth_digest = graph.add([this, scratch, persist_truth] {
+      traced("synthesize.load", [&] {
+        if (auto bytes = options_.store->load(
+                stage_key_material(Stage::kSynthesize, {}))) {
+          scratch->truth_bytes.emplace(std::move(*bytes));
+          if (scratch->truth_bytes->checksum_matches()) {
+            digest_slot(Stage::kSynthesize) = scratch->truth_bytes->digest();
+            return;
+          }
+          scratch->truth_bytes.reset();
+        }
+        truth_ = synthesize(scenario_);
+        persist_truth();
+        ++counters_.synthesize;
+      });
+    });
+    // Readers of truth_ wait on the decode.  A frame that checks but a
+    // payload that fails to decode is a miss too; when a settle node
+    // follows, it takes the recomputed truth's digest after every load
+    // that keyed on the damaged one.
+    const bool settled_later = need_sim;
+    n_synth = graph.add(
+        [this, scratch, persist_truth, settled_later] {
+          traced("synthesize.decode", [&] {
+            if (!scratch->truth_bytes) return;
+            try {
+              truth_ = io::decode_ground_truth(*scratch->truth_bytes);
+              ++loads_.synthesize;
+            } catch (const std::invalid_argument&) {
+              truth_ = synthesize(scenario_);
+              ++counters_.synthesize;
+              scratch->truth_recomputed = true;
+              if (!settled_later) persist_truth();
+            }
+            scratch->truth_bytes.reset();
+          });
+        },
+        {*n_synth_digest});
   }
 
   // After this node sim_ holds the stored SimArtifact or is known to be
@@ -806,7 +863,7 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
               digest_slot(Stage::kSimulate) = scratch->sim_bytes->digest();
             });
           },
-          deps_of({n_synth}));
+          deps_of({n_synth_digest}));
       std::vector<NodeId> settle_deps{graph.add(
           [this, scratch] {
             traced("simulate.decode", [&] {
@@ -831,8 +888,15 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
             },
             {n_load}));
       }
+      if (n_synth) settle_deps.push_back(*n_synth);
       n_sim_settled = graph.add(
-          [this, scratch] {
+          [this, scratch, persist_truth] {
+            if (scratch->truth_recomputed) {
+              // The stored GroundTruth framed but did not decode: the
+              // digest every load above keyed on names no artifact.
+              persist_truth();
+              sim_.reset();
+            }
             if (sim_) {
               ++loads_.simulate;
               scratch->publish_observe_hit();

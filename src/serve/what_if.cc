@@ -49,8 +49,8 @@ std::shared_ptr<const sim::DeltaState> WhatIfBase::base_state(
   // queries.  Losing an install race is fine — converge is deterministic,
   // so both candidates are value-identical.
   auto state = std::make_shared<sim::DeltaState>();
-  sim::FlatScratch scratch;
-  engine_.converge(truth_->originations[index], nullptr, *state, scratch);
+  const auto lease = scratches_.acquire();
+  engine_.converge(truth_->originations[index], nullptr, *state, *lease);
   const std::lock_guard<std::mutex> lock(mutex_);
   if (cache_[index] == nullptr) cache_[index] = std::move(state);
   return cache_[index];

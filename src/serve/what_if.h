@@ -69,6 +69,10 @@ class WhatIfBase {
   std::shared_ptr<const core::GroundTruth> truth_;
   std::vector<Target> targets_;
   sim::DeltaEngine engine_;
+  /// Warmed scratches the base converges lease: a converge runs in the
+  /// scratch's own state and is copied out (sim/delta_engine.h), so a
+  /// fresh scratch per converge would grow that state from empty each time.
+  mutable sim::FlatScratchPool scratches_;
   mutable std::mutex mutex_;
   /// One slot per origination; null until first demanded.  Write-once
   /// under mutex_, value deterministic (see header comment).

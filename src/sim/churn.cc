@@ -147,8 +147,12 @@ void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes,
         const auto lease = scratches_->acquire();
         FlatScratch& scratch = *lease;
         if (job.state == nullptr) {
-          (void)converge_cold(context, *job.origination, nullptr,
-                              params_.propagation, scratch, scratch.state());
+          // The reference mode replays the exact trajectory, so the
+          // equivalence tests check the oracle's order rather than assume it.
+          const auto converge =
+              params_.incremental ? &converge_cold : &converge_exact;
+          (void)converge(context, *job.origination, nullptr,
+                         params_.propagation, scratch, scratch.state());
           return watch_rows(context, *job.origination, scratch.state());
         }
         if (!job.state->initialized()) {

@@ -9,10 +9,12 @@
 // Re-propagation is incremental by default: the simulator keeps one warm
 // `DeltaState` per churned prefix and replays only the dirty frontier of
 // each flip (the toggled (origin, provider) export pair) instead of the
-// full fixpoint — see sim/delta_engine.h.  `ChurnParams::incremental =
-// false` restores cold per-prefix recomputation; both modes produce
-// identical watched tables (golden-tested in
-// tests/sim/delta_equivalence_test.cc).
+// full fixpoint — see sim/delta_engine.h.  The initial run and first
+// converges take the order the static wedgie oracle allows
+// (`converge_cold`).  `ChurnParams::incremental = false` restores cold
+// per-prefix recomputation in exact order (`converge_exact`), the
+// reference; both modes produce identical watched tables (golden-tested
+// in tests/sim/delta_equivalence_test.cc).
 #pragma once
 
 #include <cstdint>
@@ -38,8 +40,9 @@ struct ChurnParams {
   /// Fraction of toggleable units flipped per step.
   double flip_fraction = 0.015;
   /// Warm-start delta propagation per step (the default).  false = cold
-  /// per-prefix recomputation — kept as the executable reference the
-  /// equivalence tests and the delta bench diff against.
+  /// per-prefix recomputation in exact order (`converge_exact`, no oracle)
+  /// — kept as the executable reference the equivalence tests and the
+  /// delta bench diff against.
   bool incremental = true;
   /// Propagation options for the initial run and per-step re-propagation;
   /// `propagation.threads` shards prefixes across workers with results

@@ -30,85 +30,30 @@ void DeltaState::assign_from(const DeltaState& other) {
 
 // ----------------------------------------------------------------- DeltaEngine
 
-bool DeltaEngine::static_order_sensitive(const Origination& origination,
-                                         FlatScratch& scratch) const {
-  using Id = topo::GraphView::Id;
-  const topo::GraphView& view = context_.view();
-  const Id origin = view.id_of(origination.origin);
-  if (origin == topo::GraphView::kInvalidId) return false;
-
-  // Uphill cone: the ASes that can ever hold a customer-learned route for
-  // this prefix (closure of the origin over provider edges).
-  scratch.cone_.clear();
-  scratch.cone_.push_back(origin);
-  scratch.in_cone_.assign(view.size(), 0);
-  scratch.in_cone_[origin] = 1;
-  for (std::size_t i = 0; i < scratch.cone_.size(); ++i) {
-    const Id c = scratch.cone_[i];
-    for (std::uint32_t s = view.arcs_begin(c); s < view.arcs_end(c); ++s) {
-      if (static_cast<RelKind>(view.arc_rel(s)) != RelKind::kProvider) {
-        continue;
-      }
-      const Id p = view.arc_to(s);
-      if (scratch.in_cone_[p] == 0) {
-        scratch.in_cone_[p] = 1;
-        scratch.cone_.push_back(p);
-      }
-    }
-  }
-
-  // Effective preferences come from the context's compiled arcs: the
-  // pref on X's arc to a neighbor is X's neighbor override or class base,
-  // i.e. ImportPolicy::preference without the prefix pin.
-  for (const Id c : scratch.cone_) {
-    for (std::uint32_t s = view.arcs_begin(c); s < view.arcs_end(c); ++s) {
-      if (static_cast<RelKind>(view.arc_rel(s)) != RelKind::kProvider) {
-        continue;
-      }
-      // X is a provider of cone member c: the only place a customer-learned
-      // candidate (c's offer) can meet a non-customer rival.
-      const Id x = view.arc_to(s);
-      const std::uint8_t flags = context_.flags(x);
-      if ((flags & FlatSimContext::kNoPolicy) != 0) continue;
-      const bool pinned =
-          (flags & FlatSimContext::kPrefixPins) != 0 &&
-          context_.prefix_pin(x, origination.prefix).has_value();
-      const std::uint32_t cust =
-          pinned ? 0 : context_.arc(context_.reverse(s)).pref;
-      for (std::uint32_t t = view.arcs_begin(x); t < view.arcs_end(x); ++t) {
-        const RelKind rel = static_cast<RelKind>(view.arc_rel(t));
-        if (rel == RelKind::kCustomer) continue;
-        const Id n = view.arc_to(t);
-        // Valley-free gate: a peer of X offers this prefix only when it
-        // holds a customer-learned route itself, i.e. it is in the cone.
-        // A provider of X can offer whatever it holds.
-        if (rel == RelKind::kPeer && scratch.in_cone_[n] == 0) continue;
-        if (pinned || context_.arc(t).pref >= cust) return true;
-      }
-    }
-  }
-  return false;
-}
-
 void DeltaEngine::converge(const Origination& origination,
                            const FailedEdges* failed, DeltaState& st,
                            FlatScratch& scratch) const {
   st.origination_ = origination;
   st.failed_ = failed != nullptr ? *failed : FailedEdges{};
-  st.order_sensitive_ = false;
-  st.process_events_ = exact_replay(st, scratch).events;
+  // Converge in the scratch's warmed state and copy the result out: one
+  // sized copy per column and table, where converging into the state
+  // would grow each of them from empty.
+  const FixpointStats stats = converge_cold(
+      context_, origination, &st.failed_, options_, scratch, scratch.state());
+  st.state_.assign_from(scratch.state());
+  st.converged_ = stats.converged;
+  // The oracle's verdict: an origination that ran in exact order was
+  // flagged, or its pruned run tripped the inversion trigger or the cap.
+  st.order_sensitive_ = stats.order == FixpointOrder::kExact;
+  st.process_events_ = stats.events;
   st.initialized_ = true;
-  if (!st.order_sensitive_) {
-    st.order_sensitive_ = static_order_sensitive(origination, scratch);
-  }
 }
 
 FixpointStats DeltaEngine::exact_replay(DeltaState& st,
                                         FlatScratch& scratch) const {
-  const FixpointStats stats = converge_cold(
+  const FixpointStats stats = converge_exact(
       context_, st.origination_, &st.failed_, options_, scratch, st.state_);
   st.converged_ = stats.converged;
-  if (stats.inversion_selections > 0) st.order_sensitive_ = true;
   return stats;
 }
 

@@ -38,46 +38,37 @@
 // several stable fixpoints (RFC 4264 "wedgies") — a warm start may then
 // legitimately converge to a different one than a cold run, with no local
 // signal: the wedgie pivot may be exercised only in the *cold* trajectory
-// while every warm selection looks typical.  The engine therefore decides
-// order-sensitivity *statically*, per origination, at converge time:
+// while every warm selection looks typical.  Order-sensitivity is
+// therefore decided *statically*, per origination, before the first
+// fixpoint runs: the static wedgie oracle lives in the flat core, as the
+// first step of `converge_cold` (flat_engine.h), and the stats it returns
+// carry its verdict.  It BFS-es the origin's uphill cone and, at every
+// provider of a cone member, checks that no non-customer rival can rank
+// at or above the customer offer and that no prefix pin applies; it reads
+// the compiled `FlatSimContext` arcs the fixpoint reads and keeps no copy
+// of the import rule of its own.  Failures only remove candidates, so the
+// verdict holds for every failure set a state later moves to.
 //
-//   1. BFS the origin's uphill cone — the closure over provider edges.
-//      By valley-free export these are exactly the ASes that can ever
-//      hold a customer-learned route for the prefix (a customer exports
-//      to its provider only what it learned from its own customers).
-//   2. For every provider X of a cone member c, compare c's effective
-//      import preference at X (neighbor override or customer base)
-//      against every neighbor of X that can offer the prefix as a
-//      non-customer candidate: any provider of X, or a peer of X that is
-//      itself in the cone.  If any such rival ranks >= c, a non-customer
-//      route can beat an available customer route at X.
-//   3. A traffic-engineering `prefix_override` at such an X pins all
-//      senders to one preference, so any rival can win on tie-break;
-//      it flags whenever X has both a cone customer and a possible
-//      non-customer offerer.
-//
-// The oracle reads its preferences where the fixpoint does: the effective
-// preference of step 2 is the compiled `FlatSimContext::Arc::pref` on X's
-// arc to each neighbor (c's through the reverse of c's arc to X), and the
-// pin probe of step 3 runs only for an X flagged `kPrefixPins`.  It keeps
-// no copy of the import rule of its own.
-//
-// If no clause fires, the Gao-Rexford preference condition holds at every
-// AS *for this prefix's reachable candidates* (peer-vs-provider and
-// intra-band ordering are unconstrained by the safety theorem, and route
-// filtering/failures only remove candidates), so the fixpoint is unique
-// and the frontier replay is provably cold-identical.  Otherwise the
-// state is marked order-sensitive and every wave replays the *exact cold
-// trajectory* in place (`converge_cold` into the state itself, reusing
-// its arena and interned tables), which is cold-identical by
-// construction.  As defense in depth the engine also watches
+// `converge` runs `converge_cold` in the caller's warmed `FlatScratch` and
+// deep-copies the converged state into the new `DeltaState`
+// (`FlatRoutingState::assign_from`), instead of growing a fresh state's
+// columns, hash tables and arena blocks from empty.  A proven-unique
+// origination converges with the pruned fan-out and its later waves
+// replay only the dirty frontier, also pruned: on a unique fixpoint every
+// order lands on the same routes.  A flagged origination converges in
+// exact order, is marked order-sensitive, and every wave replays the
+// *exact cold trajectory* in place (`converge_exact` into the state
+// itself, reusing its arena and interned tables), which is cold-identical
+// by construction.  As defense in depth the engine also watches
 // `FixpointStats::inversion_selections` (an exercised atypical
-// preference); a wave that trips it is discarded and redone exactly, and
-// the mark is sticky.  Equivalence is golden-tested route-for-route and
-// digest-compared at several thread counts
-// (tests/sim/delta_equivalence_test.cc); only the trajectory counters
-// (`process_events`, the non-convergence flag's wave scope) differ from a
-// cold run, which is why equivalence is defined over the best-route map.
+// preference): a pruned run — the first converge or a wave — that trips
+// it, or the per-AS cap, is discarded and redone exactly, and the mark is
+// sticky.  Equivalence is golden-tested route-for-route against exact-order
+// cold runs at several thread counts (tests/sim/delta_equivalence_test.cc)
+// and attacked with random worlds (tests/sim/oracle_fuzz_test.cc); only the
+// trajectory counters (`process_events`, the non-convergence flag's wave
+// scope) differ from a cold run, which is why equivalence is defined over
+// the best-route map.
 //
 // Concurrency: the engine owns the `FlatSimContext` its waves read and is
 // shareable while no `refresh_policies` runs; each DeltaState is owned by
@@ -155,9 +146,9 @@ class DeltaState {
   /// Cumulative process events across the initial converge and every wave.
   [[nodiscard]] std::size_t process_events() const { return process_events_; }
   /// True when the static oracle found an atypical preference reachable
-  /// for this prefix, or any trajectory exercised one (see the
-  /// determinism note in the header comment): waves on such a state
-  /// always replay the exact cold trajectory.
+  /// for this prefix, or a pruned run exercised one or tripped the per-AS
+  /// cap (see the determinism note in the header comment): waves on such
+  /// a state always replay the exact cold trajectory.
   [[nodiscard]] bool order_sensitive() const { return order_sensitive_; }
   /// The converged flat state, read with the engine's context (e.g.
   /// `flat_route_at(engine.context(), origination(), routing(), as)`).
@@ -202,8 +193,10 @@ class DeltaEngine {
   }
 
   /// Cold-converges `state` for `origination` under `failed` (copied into
-  /// the state; nullptr = healthy): `converge_cold` into the state's own
-  /// routing state, so materialize() afterwards equals compute_prefix_flat.
+  /// the state; nullptr = healthy): `converge_cold` in `scratch`, copied
+  /// into the state's own routing state, so materialize() afterwards
+  /// equals compute_prefix_flat.  The oracle's verdict in the returned
+  /// stats sets `order_sensitive()`.
   void converge(const Origination& origination, const FailedEdges* failed,
                 DeltaState& state, FlatScratch& scratch) const;
 
@@ -228,17 +221,10 @@ class DeltaEngine {
                                                    AsNumber as) const;
 
  private:
-  /// In-place cold-trajectory replay under the state's current inputs:
-  /// `converge_cold` into the state (arena and interned-table capacity
+  /// In-place exact-trajectory replay under the state's current inputs:
+  /// `converge_exact` into the state (arena and interned-table capacity
   /// kept).  Cold-identical by construction.
   FixpointStats exact_replay(DeltaState& state, FlatScratch& scratch) const;
-
-  /// The static wedgie oracle of the determinism note: true when an
-  /// atypical preference (or a TE prefix pin) could let a non-customer
-  /// candidate beat a customer candidate somewhere in the origin's uphill
-  /// cone for this prefix.  False proves the fixpoint unique.
-  [[nodiscard]] bool static_order_sensitive(const Origination& origination,
-                                            FlatScratch& scratch) const;
 
   FlatSimContext context_;
   PropagationOptions options_;

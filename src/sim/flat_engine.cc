@@ -68,6 +68,14 @@ bool PathTable::contains(std::uint32_t path, AsNumber as) const {
   return false;
 }
 
+void PathTable::assign_from(const PathTable& other) {
+  front_ = other.front_;
+  parent_ = other.parent_;
+  length_ = other.length_;
+  origin_ = other.origin_;
+  intern_.assign_compact(other.intern_);
+}
+
 bgp::AsPath PathTable::materialize(std::uint32_t path) const {
   std::vector<AsNumber> hops;
   hops.reserve(length_[path]);
@@ -155,8 +163,8 @@ void CommunityTable::assign_from(const CommunityTable& other) {
   size_ = other.size_;
   next_same_hash_ = other.next_same_hash_;
   instruction_ = other.instruction_;
-  memo_ = other.memo_;
-  by_content_ = other.by_content_;
+  memo_.assign_compact(other.memo_);
+  by_content_.assign_compact(other.by_content_);
   data_.assign(other.data_.size(), nullptr);
   for (std::size_t id = 1; id < other.data_.size(); ++id) {
     bgp::Community* storage = arena_->allocate<bgp::Community>(size_[id]);
@@ -313,7 +321,7 @@ void FlatRoutingState::begin_wave() {
 
 void FlatRoutingState::assign_from(const FlatRoutingState& other) {
   arena.reset();
-  paths = other.paths;
+  paths.assign_from(other.paths);
   comms.assign_from(other.comms);
   has_best = other.has_best;
   best_rel = other.best_rel;
@@ -594,6 +602,8 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
   const FailedEdges* failures =
       failed != nullptr && !failed->empty() ? failed : nullptr;
   FixpointStats stats;
+  stats.order =
+      filtered_enqueue ? FixpointOrder::kPruned : FixpointOrder::kExact;
 
   // Sound pruning test for filtered_enqueue (see the header note): can
   // `current`'s new best possibly change neighbor `m`'s selection?  The
@@ -758,19 +768,23 @@ std::vector<bgp::Route> flat_adj_rib_in(const FlatSimContext& context,
   return out;
 }
 
-FixpointStats converge_cold(const FlatSimContext& context,
-                            const Origination& origination,
-                            const FailedEdges* failed,
-                            const PropagationOptions& options,
-                            FlatScratch& scratch, FlatRoutingState& s) {
-  const topo::GraphView& view = context.view();
-  const topo::GraphView::Id origin_id = view.id_of(origination.origin);
-  util::ensure(origin_id != topo::GraphView::kInvalidId,
-               "propagation: origin AS not in graph");
+namespace {
 
-  scratch.note_peak();
+/// The origin AS's dense id; throws when the origin is not in the graph.
+[[nodiscard]] topo::GraphView::Id origin_id_of(const FlatSimContext& context,
+                                               const Origination& origination) {
+  const topo::GraphView::Id id = context.view().id_of(origination.origin);
+  util::ensure(id != topo::GraphView::kInvalidId,
+               "propagation: origin AS not in graph");
+  return id;
+}
+
+/// Resets `s` and installs the origin's self route (kSelfLocalPref, empty
+/// path), enqueueing the origin's neighbors: the cold seed.
+void seed_origin(const FlatSimContext& context, const Origination& origination,
+                 topo::GraphView::Id origin_id, FlatRoutingState& s) {
+  const topo::GraphView& view = context.view();
   s.reset(view.size());
-  // The origin installs its self route (kSelfLocalPref, empty path).
   s.has_best[origin_id] = 1;
   s.best_path[origin_id] = PathTable::kEmptyPath;
   s.best_wire[origin_id] =
@@ -783,6 +797,102 @@ FixpointStats converge_cold(const FlatSimContext& context,
        slot < view.arcs_end(origin_id); ++slot) {
     s.enqueue(view.arc_to(slot));
   }
+}
+
+/// The static wedgie oracle (see `converge_cold`): true when an atypical
+/// preference or a prefix pin could let a non-customer candidate beat a
+/// customer-learned one somewhere above the origin; false proves the
+/// origination's fixpoint unique.  Failures only remove candidates, so
+/// the verdict holds under any failure set.  `cone` and `in_cone` are the
+/// caller's scratch buffers.
+[[nodiscard]] bool static_order_sensitive(
+    const FlatSimContext& context, const Origination& origination,
+    topo::GraphView::Id origin, std::vector<topo::GraphView::Id>& cone,
+    std::vector<char>& in_cone) {
+  using Id = topo::GraphView::Id;
+  const topo::GraphView& view = context.view();
+
+  // Uphill cone: the ASes that can ever hold a customer-learned route for
+  // this prefix (closure of the origin over provider edges).
+  cone.clear();
+  cone.push_back(origin);
+  in_cone.assign(view.size(), 0);
+  in_cone[origin] = 1;
+  for (std::size_t i = 0; i < cone.size(); ++i) {
+    const Id c = cone[i];
+    for (std::uint32_t s = view.arcs_begin(c); s < view.arcs_end(c); ++s) {
+      if (view.arc_rel(s) != RelKind::kProvider) continue;
+      const Id p = view.arc_to(s);
+      if (in_cone[p] == 0) {
+        in_cone[p] = 1;
+        cone.push_back(p);
+      }
+    }
+  }
+
+  // Effective preferences come from the context's compiled arcs: the
+  // pref on X's arc to a neighbor is X's neighbor override or class base,
+  // i.e. ImportPolicy::preference without the prefix pin.
+  for (const Id c : cone) {
+    for (std::uint32_t s = view.arcs_begin(c); s < view.arcs_end(c); ++s) {
+      if (view.arc_rel(s) != RelKind::kProvider) continue;
+      // X is a provider of cone member c: the only place a customer-learned
+      // candidate (c's offer) can meet a non-customer rival.
+      const Id x = view.arc_to(s);
+      const std::uint8_t flags = context.flags(x);
+      if ((flags & FlatSimContext::kNoPolicy) != 0) continue;
+      const bool pinned =
+          (flags & FlatSimContext::kPrefixPins) != 0 &&
+          context.prefix_pin(x, origination.prefix).has_value();
+      const std::uint32_t cust =
+          pinned ? 0 : context.arc(context.reverse(s)).pref;
+      for (std::uint32_t t = view.arcs_begin(x); t < view.arcs_end(x); ++t) {
+        const RelKind rel = view.arc_rel(t);
+        if (rel == RelKind::kCustomer) continue;
+        // Valley-free gate: a peer of X offers this prefix only when it
+        // holds a customer-learned route itself, i.e. it is in the cone.
+        // A provider of X can offer whatever it holds.
+        if (rel == RelKind::kPeer && in_cone[view.arc_to(t)] == 0) continue;
+        if (pinned || context.arc(t).pref >= cust) return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+FixpointStats converge_cold(const FlatSimContext& context,
+                            const Origination& origination,
+                            const FailedEdges* failed,
+                            const PropagationOptions& options,
+                            FlatScratch& scratch, FlatRoutingState& s) {
+  const topo::GraphView::Id origin_id = origin_id_of(context, origination);
+  const bool unique =
+      !static_order_sensitive(context, origination, origin_id, scratch.cone_,
+                              scratch.in_cone_);
+  if (unique) {
+    scratch.note_peak();
+    seed_origin(context, origination, origin_id, s);
+    const FixpointStats stats = run_flat_fixpoint(
+        context, origination, failed, options, s, /*filtered_enqueue=*/true);
+    scratch.note_peak();
+    if (stats.inversion_selections == 0 && stats.converged) return stats;
+  }
+  FixpointStats stats =
+      converge_exact(context, origination, failed, options, scratch, s);
+  stats.pruned_discarded = unique;
+  return stats;
+}
+
+FixpointStats converge_exact(const FlatSimContext& context,
+                             const Origination& origination,
+                             const FailedEdges* failed,
+                             const PropagationOptions& options,
+                             FlatScratch& scratch, FlatRoutingState& s) {
+  const topo::GraphView::Id origin_id = origin_id_of(context, origination);
+  scratch.note_peak();
+  seed_origin(context, origination, origin_id, s);
   const FixpointStats stats =
       run_flat_fixpoint(context, origination, failed, options, s);
   scratch.note_peak();

@@ -47,17 +47,30 @@
 // + the event queue) that `sim::DeltaEngine` keeps converged across
 // perturbations, and `run_flat_fixpoint` is the event loop both the cold
 // program and the delta engine's frontier waves run.  `converge_cold` is
-// the one cold program (reset, origin seed, fixpoint): cold callers run it
-// into a scratch's own state and read only the routes they need, the
-// delta engine runs it into a warm state (first converge and exact
-// replay).  The state is reset (not freed) between prefixes, so a warmed
+// the one cold program (oracle, reset, origin seed, fixpoint): cold
+// callers run it into a scratch's own state and read only the routes they
+// need, the delta engine runs it into the scratch and copies the result
+// into a new warm state.  `converge_exact` is the same program pinned to
+// the exact trajectory (the delta engine's in-place replays, churn's cold
+// reference mode, and whoever compares events with the reference
+// engine).  The state is reset (not freed) between prefixes, so a warmed
 // scratch runs a whole fixpoint without touching the global allocator.
+//
+// The static wedgie oracle (`converge_cold`'s first step) decides each
+// origination's event order before its fixpoint starts.  When every AS
+// that can hold a customer-learned route for the prefix ranks customers
+// strictly above its other candidates (the Gao-Rexford preference
+// condition, checked per prefix over the origin's uphill cone), the
+// fixpoint is unique, so the pruned fan-out lands on the exact
+// trajectory's routes in fewer events.  Otherwise the origination may
+// have several stable states, and only the exact trajectory is sure to
+// reach the one a cold run reaches.
 //
 // Concurrency model: `converge_cold` is the unit the parallel callers
 // (`run_simulation`, churn) shard across workers.  The context is
 // read-only, and `FlatScratch` is the only per-worker scratch — a routing
-// state plus the delta engine's dirty-path marks and oracle cone — so
-// each worker leases one from a `FlatScratchPool` and writes only that
+// state plus the oracle's cone and the delta engine's dirty-path marks —
+// so each worker leases one from a `FlatScratchPool` and writes only that
 // scratch and the state it converges.
 #pragma once
 
@@ -112,6 +125,11 @@ class PathTable {
   /// Rebuilds the value-typed AsPath (front first).
   [[nodiscard]] bgp::AsPath materialize(std::uint32_t path) const;
 
+  /// Deep copy preserving every id, with the intern map sized to the
+  /// content (`util::FlatMap64::assign_compact`) rather than to the
+  /// largest path set `other` ever held.
+  void assign_from(const PathTable& other);
+
   [[nodiscard]] std::size_t node_count() const { return front_.size(); }
   [[nodiscard]] std::size_t bytes() const {
     return (front_.capacity() + parent_.capacity() + length_.capacity() +
@@ -165,7 +183,8 @@ class CommunityTable {
   /// Deep copy preserving every interned id: member storage is
   /// re-allocated from this table's own arena (the caller has already
   /// reset it), never aliased from `other` — what makes a warm
-  /// `FlatRoutingState` clonable.
+  /// `FlatRoutingState` clonable.  The hash maps are sized to the content,
+  /// as `PathTable::assign_from`'s.
   void assign_from(const CommunityTable& other);
 
   [[nodiscard]] std::size_t bytes() const {
@@ -352,10 +371,21 @@ struct FlatRoutingState {
 
   /// Deep copy: every interned id and best column is preserved, all
   /// storage (including arena-backed community members) is owned by this
-  /// state.  `other` must not be mid-fixpoint.
+  /// state and sized to `other`'s content, not to its capacity.  `other`
+  /// must not be mid-fixpoint.
   void assign_from(const FlatRoutingState& other);
 
   [[nodiscard]] std::size_t bytes() const;
+};
+
+/// Which fan-out produced a converged state (see `run_flat_fixpoint`).
+enum class FixpointOrder : std::uint8_t {
+  /// Every neighbor of a changed AS is enqueued: the FIFO trajectory of
+  /// `compute_prefix_reference`, event for event.
+  kExact,
+  /// The pruned fan-out (`filtered_enqueue`), taken only on originations
+  /// the static wedgie oracle proved to have one stable state.
+  kPruned,
 };
 
 /// Outcome of one drained event queue.
@@ -368,8 +398,16 @@ struct FixpointStats {
   /// means an atypical assignment was exercised, i.e. the instance may
   /// admit more than one stable fixpoint (an RFC 4264 "wedgie") and a
   /// warm-started replay is not guaranteed to land on the same one as a
-  /// cold run.  `sim::DeltaEngine` uses this as its exact-replay trigger.
+  /// cold run.  It is the trigger that sends a pruned run to exact replay.
   std::size_t inversion_selections = 0;
+  /// The fan-out of the run these stats count.  From `converge_cold`,
+  /// kExact means the oracle flagged the origination or its pruned run
+  /// was discarded, i.e. the origination may have several stable states.
+  FixpointOrder order = FixpointOrder::kExact;
+  /// True when `converge_cold` discarded a pruned run (it tripped
+  /// `inversion_selections` or the per-AS cap) and reran in exact order;
+  /// the discarded run's events are not counted.
+  bool pruned_discarded = false;
 };
 
 /// Drains the event queue until quiescent — the one fixpoint loop shared
@@ -388,9 +426,8 @@ struct FixpointStats {
 /// be missed later: any worsening of a neighbor's best happens inside a
 /// full pull that rescans all of its arcs.  Pruning changes the
 /// processing ORDER, so it is only safe when the fixpoint is unique —
-/// `sim::DeltaEngine` enables it for frontier waves on prefixes its
-/// static wedgie oracle proved order-insensitive; the cold entry points
-/// keep the unfiltered trajectory.
+/// `converge_cold` and `sim::DeltaEngine`'s frontier waves enable it on
+/// originations the static wedgie oracle proved order-insensitive.
 [[nodiscard]] FixpointStats run_flat_fixpoint(const FlatSimContext& context,
                                               const Origination& origination,
                                               const FailedEdges* failed,
@@ -424,8 +461,9 @@ struct FixpointStats {
 
 /// The per-worker propagation scratch, reused (never freed) across
 /// prefixes and waves: a routing state for cold callers that keep none of
-/// their own, and the delta engine's dirty-path walk marks and
-/// static-oracle cone.  Not thread-safe; one propagation at a time.
+/// their own (and where the delta engine runs a first converge), the
+/// static oracle's cone, and the delta engine's dirty-path walk marks.
+/// Not thread-safe; one propagation at a time.
 class FlatScratch {
  public:
   FlatScratch() = default;
@@ -445,6 +483,12 @@ class FlatScratch {
                                      const PropagationOptions& options,
                                      FlatScratch& scratch,
                                      FlatRoutingState& state);
+  friend FixpointStats converge_exact(const FlatSimContext& context,
+                                      const Origination& origination,
+                                      const FailedEdges* failed,
+                                      const PropagationOptions& options,
+                                      FlatScratch& scratch,
+                                      FlatRoutingState& state);
 
   void note_peak();
 
@@ -459,14 +503,31 @@ class FlatScratch {
   std::size_t peak_bytes_ = 0;
 };
 
-/// The cold fixpoint — reset `state`, install the origin's self route
-/// (kSelfLocalPref, empty path), enqueue its neighbors, run
-/// `run_flat_fixpoint` — leaving the converged state for the caller to
-/// read.  Cold callers pass
-/// `scratch.state()` (`run_simulation` records its vantage rows straight
-/// from it, churn reads its watched ASes); `sim::DeltaEngine` passes a
-/// warm state.  Reentrant across distinct scratches and states: the
-/// context is read-only, so any number of concurrent calls may share it.
+/// The cold fixpoint in the order the origination's uniqueness allows.
+/// First the static wedgie oracle: BFS the origin's uphill cone (the
+/// closure over provider edges — by valley-free export, exactly the ASes
+/// that can ever hold a customer-learned route for the prefix), then at
+/// every provider X of a cone member compare the member's effective
+/// import preference at X with every neighbor of X that can offer a
+/// non-customer candidate (any provider of X, or a peer of X in the
+/// cone).  A rival ranked at or above the customer, or a prefix pin at X
+/// (which gives every sender one preference), flags the origination.
+/// The preferences are the context's compiled arcs, the ones the fixpoint
+/// itself reads.  Then reset `state`, install the origin's self route
+/// (kSelfLocalPref, empty path), enqueue its neighbors and run
+/// `run_flat_fixpoint`: with the pruned fan-out when the oracle proved
+/// the fixpoint unique, in exact order when it flagged the origination.
+/// A pruned run that trips `inversion_selections` or the per-AS cap is
+/// discarded and rerun in exact order, as a delta wave is; the stats
+/// count the kept run and say which order produced it.  Routes equal the
+/// exact order's for every input (tests/sim/flat_equivalence_test.cc and
+/// the random worlds of tests/sim/oracle_fuzz_test.cc).
+///
+/// Cold callers pass `scratch.state()` (`run_simulation` records its
+/// vantage rows straight from it, churn reads its watched ASes);
+/// `sim::DeltaEngine` copies it into a new warm state.  Reentrant across
+/// distinct scratches and states: the context is read-only, so any number
+/// of concurrent calls may share it.
 [[nodiscard]] FixpointStats converge_cold(const FlatSimContext& context,
                                           const Origination& origination,
                                           const FailedEdges* failed,
@@ -474,9 +535,23 @@ class FlatScratch {
                                           FlatScratch& scratch,
                                           FlatRoutingState& state);
 
-/// `converge_cold` followed by `materialize_routing`: byte-identical
-/// results to `compute_prefix_reference` for every input (golden-tested in
-/// tests/sim/flat_equivalence_test.cc).
+/// `converge_cold` without the oracle: always the exact FIFO trajectory,
+/// so `events` equals `compute_prefix_reference`'s `process_events`.  For
+/// the delta engine's in-place exact replays, churn's cold reference mode,
+/// and tests and benches that compare trajectories with the reference
+/// engine.
+[[nodiscard]] FixpointStats converge_exact(const FlatSimContext& context,
+                                           const Origination& origination,
+                                           const FailedEdges* failed,
+                                           const PropagationOptions& options,
+                                           FlatScratch& scratch,
+                                           FlatRoutingState& state);
+
+/// `converge_cold` followed by `materialize_routing`.  Its routes equal
+/// `compute_prefix_reference`'s for every input; its `process_events`
+/// does only when the origination ran in exact order (`converge_exact`
+/// followed by `materialize_routing` always matches them; golden-tested
+/// in tests/sim/flat_equivalence_test.cc).
 [[nodiscard]] PrefixRouting compute_prefix_flat(
     const FlatSimContext& context, const Origination& origination,
     const FailedEdges* failed, const PropagationOptions& options,

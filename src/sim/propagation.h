@@ -119,10 +119,10 @@ class PropagationEngine;
 
 /// The one-shot convenience entry: the converged routing state for one
 /// origination, `failed` nullptr for a healthy network.  Runs the flat
-/// engine (sim/flat_engine.h) and is byte-identical to
-/// `compute_prefix_reference` for every input.  It builds the flat context
-/// and scratch per call; many-prefix loops build one `FlatSimContext` and
-/// converge into leased scratches (`converge_cold`).
+/// engine (sim/flat_engine.h, `compute_prefix_flat`), whose routes are
+/// identical to `compute_prefix_reference`'s for every input.  It builds
+/// the flat context and scratch per call; many-prefix loops build one
+/// `FlatSimContext` and converge into leased scratches (`converge_cold`).
 [[nodiscard]] PrefixRouting compute_prefix(const topo::AsGraph& graph,
                                            const PolicySet& policies,
                                            const Origination& origination,

@@ -38,6 +38,10 @@ struct SimResult {
   std::unordered_map<AsNumber, bgp::BgpTable> best_only;
   std::size_t origination_count = 0;
   std::size_t unconverged_prefixes = 0;
+  /// Fixpoint events summed over the originations, each counted in the
+  /// order it ran (`converge_cold`: pruned where the static wedgie oracle
+  /// proved the origination unique, exact elsewhere), so it is smaller
+  /// than the reference engine's trajectory while the tables are equal.
   std::size_t process_events = 0;
 };
 
@@ -49,8 +53,8 @@ struct SimResult {
 /// best-only rows from the best columns, looking-glass rows from the
 /// fixpoint's own per-arc offer code (`flat_adj_rib_in`).  The calling
 /// thread appends the rows in origination order, so the output — tables
-/// and counters — is byte-identical for every thread count and to
-/// `record_prefix` over reference fixpoints.  When `executor` is given it
+/// and counters — is byte-identical for every thread count, and the
+/// tables to `record_prefix` over reference fixpoints.  When `executor` is given it
 /// supplies the (long-lived, shared) worker pool and `options.threads` is
 /// ignored; otherwise a one-shot pool sized from the knob is used.
 [[nodiscard]] SimResult run_simulation(const topo::AsGraph& graph,

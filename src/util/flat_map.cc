@@ -35,10 +35,33 @@ FlatMap64 FlatMap64::adopt(Slots slots) {
   return map;
 }
 
-void FlatMap64::reserve(std::size_t keys) {
-  std::size_t capacity = keys_.empty() ? 64 : keys_.size();
+namespace {
+
+/// The slot count growth reaches from `from` slots (64 when empty) to hold
+/// `keys` keys within the 3/4 load bound.
+std::size_t grown_capacity(std::size_t from, std::size_t keys) {
+  std::size_t capacity = from == 0 ? 64 : from;
   while (keys * 4 > capacity * 3) capacity *= 2;
+  return capacity;
+}
+
+}  // namespace
+
+void FlatMap64::reserve(std::size_t keys) {
+  const std::size_t capacity = grown_capacity(keys_.size(), keys);
   if (capacity != keys_.size()) rehash(capacity);
+}
+
+void FlatMap64::assign_compact(const FlatMap64& other) {
+  const std::size_t capacity = grown_capacity(0, other.size_);
+  if (other.keys_.size() <= capacity) {
+    *this = other;
+    return;
+  }
+  keys_.assign(capacity, kEmptyKey);
+  values_.assign(capacity, 0);
+  place(other.keys_, other.values_);
+  size_ = other.size_;
 }
 
 void FlatMap64::grow() {
@@ -46,15 +69,20 @@ void FlatMap64::grow() {
 }
 
 void FlatMap64::rehash(std::size_t capacity) {
-  std::vector<std::uint64_t> old_keys = std::move(keys_);
-  std::vector<std::uint32_t> old_values = std::move(values_);
+  const std::vector<std::uint64_t> old_keys = std::move(keys_);
+  const std::vector<std::uint32_t> old_values = std::move(values_);
   keys_.assign(capacity, kEmptyKey);
   values_.assign(capacity, 0);
-  for (std::size_t i = 0; i < old_keys.size(); ++i) {
-    if (old_keys[i] == kEmptyKey) continue;
-    const std::size_t slot = slot_of(old_keys[i]);
-    keys_[slot] = old_keys[i];
-    values_[slot] = old_values[i];
+  place(old_keys, old_values);
+}
+
+void FlatMap64::place(std::span<const std::uint64_t> keys,
+                      std::span<const std::uint32_t> values) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (keys[i] == kEmptyKey) continue;
+    const std::size_t slot = slot_of(keys[i]);
+    keys_[slot] = keys[i];
+    values_[slot] = values[i];
   }
 }
 

@@ -54,6 +54,12 @@ class FlatMap64 {
   void clear();
   /// Room for `keys` keys without growing.
   void reserve(std::size_t keys);
+  /// Replaces the content with `other`'s, in the slot count a map grown
+  /// from empty to `other.size()` keys would have.  A map cleared and
+  /// refilled keeps the slots of its largest content, so a plain copy of
+  /// it (a warm state copied out of a long-lived scratch) would carry them
+  /// all.
+  void assign_compact(const FlatMap64& other);
 
   [[nodiscard]] std::uint32_t* find(std::uint64_t key) {
     if (keys_.empty()) return nullptr;
@@ -112,6 +118,10 @@ class FlatMap64 {
   void grow();
   /// Re-slots every key into `capacity` slots.
   void rehash(std::size_t capacity);
+  /// Slots every key of `keys` (kEmptyKey entries skipped) with its value;
+  /// the slots must be empty and have room for them.
+  void place(std::span<const std::uint64_t> keys,
+             std::span<const std::uint32_t> values);
 
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> values_;

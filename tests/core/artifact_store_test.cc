@@ -19,6 +19,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -420,6 +421,81 @@ TEST(ArtifactStore, VandalizedSimEntryRecomputesAndDropsItsObserveHit) {
       EXPECT_EQ(third.loads().simulate, 1u);
       EXPECT_EQ(third.loads().observe, 1u);
     }
+  }
+}
+
+TEST(ArtifactStore, UndecodableGroundTruthIsAMissForEveryStage) {
+  // A stored GroundTruth whose frame checks but whose payload fails to
+  // decode.  simulate.load and the Observe probe key on its digest while
+  // synthesize.decode still runs, so they find what was planted under
+  // it; every such load must be dropped, and the run recomputes every
+  // stage and ends on the cold digests.
+  const Scenario scenario = Scenario::small(33);
+  ScopedStore cold_store;
+  RunOptions cold_options;
+  cold_options.threads = 1;
+  cold_options.store = cold_store.get();
+  Experiment cold(scenario, cold_options);
+  cold.run(Stage::kObserve);
+  const std::vector<std::uint8_t> cold_sim = io::encode(cold.sim());
+
+  // One trailing payload byte, with the size and checksum fields redone.
+  std::vector<std::uint8_t> damaged = io::encode(cold.truth());
+  damaged.push_back(0);
+  const std::uint64_t payload_size = damaged.size() - io::kArtifactHeaderBytes;
+  const std::uint64_t checksum = fnv1a64(
+      std::span<const std::uint8_t>(damaged).subspan(io::kArtifactHeaderBytes),
+      0xcbf29ce484222325ULL);
+  std::memcpy(damaged.data() + 8, &payload_size, sizeof(payload_size));
+  std::memcpy(damaged.data() + 16, &checksum, sizeof(checksum));
+  ASSERT_TRUE(io::CheckedArtifact(damaged).checksum_matches());
+  ASSERT_THROW((void)io::decode_ground_truth(damaged), std::invalid_argument);
+  const std::string damaged_digest =
+      stable_digest_hex(std::span<const std::uint8_t>(damaged));
+  Observations planted =
+      io::decode_observations(io::encode(cold.observations()));
+  planted.irr_text = "planted under an undecodable GroundTruth's digest";
+
+  for (const std::size_t threads : {1u, 3u}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    ScopedStore store;
+    ASSERT_TRUE(store->put(
+        "bgpolicy-artifact/v1|synthesize|" + scenario_cache_key(scenario),
+        damaged));
+    ASSERT_TRUE(store->put("bgpolicy-artifact/v1|simulate|" +
+                               scenario_cache_key(scenario) + "|" +
+                               damaged_digest,
+                           cold_sim));
+    ASSERT_TRUE(store->put(
+        observe_key(scenario, damaged_digest,
+                    stable_digest_hex(std::span<const std::uint8_t>(cold_sim))),
+        io::encode(planted)));
+
+    RunOptions options;
+    options.threads = threads;
+    options.store = store.get();
+    Experiment second(scenario, options);
+    second.run(Stage::kObserve);
+    EXPECT_EQ(second.counters().synthesize, 1u);
+    EXPECT_EQ(second.counters().simulate, 1u);
+    EXPECT_EQ(second.counters().observe, 1u);
+    EXPECT_EQ(second.loads().synthesize, 0u);
+    EXPECT_EQ(second.loads().simulate, 0u);
+    EXPECT_EQ(second.loads().observe, 0u);
+    for (const Stage stage :
+         {Stage::kSynthesize, Stage::kSimulate, Stage::kObserve}) {
+      EXPECT_EQ(second.stage_digest(stage), cold.stage_digest(stage))
+          << to_string(stage);
+    }
+    EXPECT_EQ(io::encode(second.observations()),
+              io::encode(cold.observations()));
+
+    // The recompute healed the store: a third run loads every stage.
+    Experiment third(scenario, options);
+    third.run(Stage::kObserve);
+    EXPECT_EQ(third.loads().synthesize, 1u);
+    EXPECT_EQ(third.loads().simulate, 1u);
+    EXPECT_EQ(third.loads().observe, 1u);
   }
 }
 

@@ -22,6 +22,7 @@
 #include "core/scenario.h"
 #include "serve/snapshot.h"
 #include "sim/propagation.h"
+#include "testing/fixtures.h"
 #include "util/ids.h"
 
 namespace bgpolicy::serve {
@@ -258,15 +259,18 @@ TEST(QueryEngine, WhatIfFailureMatchesColdRecomputation) {
   }
   ASSERT_EQ(result->entries.size(), prefixes.size());
 
-  // Cold ground truth of both worlds, MOAS-merged the same way.
+  // Cold ground truth of both worlds in exact order, MOAS-merged the same
+  // way.
+  const sim::FlatSimContext context(truth.topo.graph, truth.gen.policies);
+  sim::FlatScratch scratch;
   const auto cold_best = [&](const bgp::Prefix& prefix,
                              const sim::FailedEdges* failed)
       -> std::optional<bgp::Route> {
     std::vector<bgp::Route> candidates;
     for (const sim::Origination& o : truth.originations) {
       if (o.prefix != prefix) continue;
-      const sim::PrefixRouting routing = sim::compute_prefix(
-          truth.topo.graph, truth.gen.policies, o, failed);
+      const sim::PrefixRouting routing = testing::compute_prefix_exact(
+          context, o, failed, {}, scratch);
       if (const bgp::Route* route = routing.best_at(probe.vantage)) {
         candidates.push_back(*route);
       }

@@ -1,8 +1,8 @@
 // Dirty-frontier unit contract of sim::DeltaEngine (ISSUE 9): an empty
 // perturbation is a strict no-op, every AS whose best route changes is
 // contained in the wave's `touched` set, and warm re-seeded fixpoints land
-// on best-route maps value-identical to cold recomputation for every
-// perturbation kind — edge fail/restore, selective-announcement export
+// on best-route maps value-identical to exact-order cold recomputation for
+// every perturbation kind — edge fail/restore, selective-announcement export
 // toggles, and conditional-advertisement failover.
 // (Whole-corpus and randomized-script equivalence lives in
 // tests/sim/delta_equivalence_test.cc.)
@@ -51,7 +51,7 @@ TEST(DeltaEngine, ConvergeThenMaterializeMatchesColdCompute) {
     EXPECT_TRUE(state.initialized());
     EXPECT_TRUE(state.converged());
     expect_same_best(engine.materialize(state),
-                     compute_prefix(g, policies, origination, nullptr));
+                     compute_prefix_exact(g, policies, origination, nullptr));
   }
 }
 
@@ -71,7 +71,7 @@ TEST(DeltaEngine, EmptyPerturbationIsAStrictNoOp) {
   EXPECT_TRUE(wave.converged);
   EXPECT_EQ(state.process_events(), events_before);
   expect_same_best(engine.materialize(state),
-                   compute_prefix(g, policies, {kPrefix, kAs4}, nullptr));
+                   compute_prefix_exact(g, policies, {kPrefix, kAs4}, nullptr));
 }
 
 TEST(DeltaEngine, FailThenRestoreRoundTripsThroughColdStates) {
@@ -92,8 +92,8 @@ TEST(DeltaEngine, FailThenRestoreRoundTripsThroughColdStates) {
   FailedEdges cold_failed;
   cold_failed.fail(fig.a, fig.b);
   expect_same_best(engine.materialize(state),
-                   compute_prefix(fig.graph, policies, origination,
-                                  &cold_failed));
+                   compute_prefix_exact(fig.graph, policies, origination,
+                                        &cold_failed));
 
   // Also fail A-C: the origin is isolated; only the self route survives.
   Perturbation fail_ac;
@@ -112,7 +112,8 @@ TEST(DeltaEngine, FailThenRestoreRoundTripsThroughColdStates) {
   engine.apply(state, restore, scratch);
   EXPECT_TRUE(state.failed().empty());
   expect_same_best(engine.materialize(state),
-                   compute_prefix(fig.graph, policies, origination, nullptr));
+                   compute_prefix_exact(fig.graph, policies, origination,
+                                        nullptr));
 }
 
 TEST(DeltaEngine, TouchedContainsEveryAsWhoseRouteChanged) {
@@ -177,7 +178,8 @@ TEST(DeltaEngine, ExportToggleMatchesColdUnderRefreshedPolicies) {
   toggle.export_changed.emplace_back(fig.a, fig.b);
   engine.apply(state, toggle, scratch);
   expect_same_best(engine.materialize(state),
-                   compute_prefix(fig.graph, policies, origination, nullptr));
+                   compute_prefix_exact(fig.graph, policies, origination,
+                                        nullptr));
   // The withheld route really moved: B now hears the prefix via D.
   const auto at_b = engine.route_at(state, fig.b);
   ASSERT_TRUE(at_b.has_value());
@@ -188,7 +190,8 @@ TEST(DeltaEngine, ExportToggleMatchesColdUnderRefreshedPolicies) {
   engine.refresh_policies(changed);
   engine.apply(state, toggle, scratch);
   expect_same_best(engine.materialize(state),
-                   compute_prefix(fig.graph, policies, origination, nullptr));
+                   compute_prefix_exact(fig.graph, policies, origination,
+                                        nullptr));
   const auto healed = engine.route_at(state, fig.b);
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(healed->learned_from, fig.a);
@@ -218,8 +221,8 @@ TEST(DeltaEngine, ConditionalAdvertisementFailoverAndRecovery) {
   FailedEdges cold_failed;
   cold_failed.fail(fig.a, fig.c);
   expect_same_best(engine.materialize(state),
-                   compute_prefix(fig.graph, policies, origination,
-                                  &cold_failed));
+                   compute_prefix_exact(fig.graph, policies, origination,
+                                        &cold_failed));
   EXPECT_EQ(engine.route_at(state, fig.b)->learned_from, fig.a);
 
   // Recovery re-suppresses the conditional advertisement.
@@ -227,7 +230,8 @@ TEST(DeltaEngine, ConditionalAdvertisementFailoverAndRecovery) {
   restore.restore_edges.emplace_back(fig.a, fig.c);
   engine.apply(state, restore, scratch);
   expect_same_best(engine.materialize(state),
-                   compute_prefix(fig.graph, policies, origination, nullptr));
+                   compute_prefix_exact(fig.graph, policies, origination,
+                                        nullptr));
   EXPECT_EQ(engine.route_at(state, fig.b)->learned_from, fig.d);
 }
 
@@ -255,8 +259,8 @@ TEST(DeltaEngine, BranchCloneIsIndependentOfItsBase) {
   FailedEdges cold_failed;
   cold_failed.fail(fig.a, fig.b);
   expect_same_best(engine.materialize(branch),
-                   compute_prefix(fig.graph, policies, origination,
-                                  &cold_failed));
+                   compute_prefix_exact(fig.graph, policies, origination,
+                                        &cold_failed));
 }
 
 TEST(Perturbation, EdgeDeltaTurnsOneFailureSetIntoAnother) {

@@ -2,9 +2,11 @@
 // (ISSUE 9): replaying the scenario corpus's event scripts, randomized
 // fail/restore schedules, churn stepping at several thread counts, and a
 // strided internet2002 sample, the delta engine's best-route maps must be
-// value-identical to `compute_prefix_flat` under the same failure set at
-// every timeline point.  Trajectory counters are excluded by design — see
-// the determinism note in sim/delta_engine.h.
+// value-identical to an exact-order cold fixpoint (`converge_exact`) under
+// the same failure set at every timeline point, so the static oracle's
+// order is checked on both the first converge and every pruned wave.
+// Trajectory counters are excluded by design — see the determinism note in
+// sim/delta_engine.h.
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -30,6 +32,7 @@
 namespace bgpolicy::sim {
 namespace {
 
+using testing::compute_prefix_exact;
 using testing::sanitizer_build;
 using util::AsNumber;
 
@@ -88,7 +91,7 @@ void replay_and_compare(const core::GroundTruth& truth,
         if (!delta.empty()) engine.apply(*slot, delta, scratch);
       }
       const PrefixRouting cold =
-          compute_prefix_flat(context, o, &failed, options, scratch);
+          compute_prefix_exact(context, o, &failed, options, scratch);
       expect_same_best(
           engine.materialize(*slot), cold,
           (std::string(label) + " point " + std::to_string(point)).c_str());
@@ -247,16 +250,16 @@ TEST(DeltaEquivalence, Internet2002SampledFailuresMatchCold) {
     FailedEdges failed;
     failed.fail(origination.origin, neighbor);
     expect_same_best(engine.materialize(state),
-                     compute_prefix_flat(context, origination, &failed,
-                                         scenario.propagation, scratch),
+                     compute_prefix_exact(context, origination, &failed,
+                                          scenario.propagation, scratch),
                      "internet2002 failed");
 
     Perturbation restore;
     restore.restore_edges.emplace_back(origination.origin, neighbor);
     engine.apply(state, restore, scratch);
     expect_same_best(engine.materialize(state),
-                     compute_prefix_flat(context, origination, nullptr,
-                                         scenario.propagation, scratch),
+                     compute_prefix_exact(context, origination, nullptr,
+                                          scenario.propagation, scratch),
                      "internet2002 restored");
   }
 }

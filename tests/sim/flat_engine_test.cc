@@ -183,7 +183,7 @@ TEST(FlatFixpoint, ThreeKeyTieBreaksMatchReference) {
         bgp::Prefix::parse("10.0." + std::to_string(c.origin) + ".0/24"),
         AsNumber(c.origin)};
     const PrefixRouting flat =
-        compute_prefix_flat(context, origination, nullptr, {}, scratch);
+        compute_prefix_exact(context, origination, nullptr, {}, scratch);
     expect_same_routing(flat, compute_prefix_reference(
                                   w.graph, policies, origination, nullptr, {}));
 
@@ -229,26 +229,47 @@ TEST(FlatFixpoint, MissingPolicyThrowsOnlyWhenTouched) {
 }
 
 TEST(FlatFixpoint, SmallScenarioInversionSelectionsPinned) {
-  // inversion_selections is the delta engine's exact-replay trigger, and
-  // no artifact digest sees it: pin its total over every origination.
+  // inversion_selections is the trigger that sends a pruned run to exact
+  // replay, and no artifact digest sees it: pin its total over every
+  // origination in both orders, with each order's event total.  The
+  // exact order is the reference trajectory; the chosen order prunes the
+  // fan-out wherever the static oracle proved the fixpoint unique, and
+  // every inversion falls on an origination the oracle flagged.
   const auto scenario = core::Scenario::small();
   const auto truth = core::synthesize(scenario);
   const FlatSimContext context(truth.topo.graph, truth.gen.policies);
   FlatScratch scratch;
-  std::size_t selections = 0;
-  std::size_t prefixes = 0;
-  std::size_t events = 0;
+  struct Totals {
+    std::size_t selections = 0;
+    std::size_t prefixes = 0;
+    std::size_t events = 0;
+    std::size_t exact = 0;
+    void add(const FixpointStats& stats) {
+      selections += stats.inversion_selections;
+      if (stats.inversion_selections > 0) ++prefixes;
+      events += stats.events;
+      if (stats.order == FixpointOrder::kExact) ++exact;
+    }
+  };
+  Totals exact;
+  Totals chosen;
   for (const auto& origination : truth.originations) {
+    exact.add(converge_exact(context, origination, nullptr,
+                             scenario.propagation, scratch, scratch.state()));
     const FixpointStats stats =
         converge_cold(context, origination, nullptr, scenario.propagation,
                       scratch, scratch.state());
-    selections += stats.inversion_selections;
-    if (stats.inversion_selections > 0) ++prefixes;
-    events += stats.events;
+    EXPECT_FALSE(stats.pruned_discarded);
+    chosen.add(stats);
   }
-  EXPECT_EQ(selections, 19u);
-  EXPECT_EQ(prefixes, 9u);
-  EXPECT_EQ(events, 230399u);
+  EXPECT_EQ(exact.selections, 19u);
+  EXPECT_EQ(exact.prefixes, 9u);
+  EXPECT_EQ(exact.events, 230399u);
+  EXPECT_EQ(exact.exact, truth.originations.size());
+  EXPECT_EQ(chosen.selections, 19u);
+  EXPECT_EQ(chosen.prefixes, 9u);
+  EXPECT_EQ(chosen.events, 163177u);
+  EXPECT_EQ(chosen.exact, 61u);  // of 652 originations
 }
 
 TEST(FlatSimContext, RefreshMatchesRebuiltContext) {

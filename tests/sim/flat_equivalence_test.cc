@@ -1,10 +1,15 @@
-// The flat engine's golden contract: `compute_prefix` (dense-id/interned
-// flat core) is byte-identical to `compute_prefix_reference` (the seed
-// per-event program, kept verbatim as the executable spec) for every
-// input — worked-example figures, generated scenarios, failure sets — and
-// whole-simulation artifacts digest identically at every thread count.
+// The flat engine's golden contract: the flat core in exact order
+// (`converge_exact`) is byte-identical to `compute_prefix_reference` (the
+// seed per-event program, kept verbatim as the executable spec) for every
+// input — worked-example figures, generated scenarios, failure sets —
+// event for event; the order the static wedgie oracle chooses
+// (`converge_cold`) lands on the same routes; and whole-simulation tables
+// are identical to the reference recorder's at every thread count.
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,7 +18,9 @@
 #include "core/artifact_store.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "core/scenario_spec.h"
 #include "io/artifact_codec.h"
+#include "io/binary_table.h"
 #include "sim/flat_engine.h"
 #include "sim/propagation.h"
 #include "sim/simulation.h"
@@ -27,11 +34,10 @@ using bgp::Prefix;
 
 const Prefix kPrefix = Prefix::parse("10.0.0.0/24");
 
-void expect_routing_equal(const PrefixRouting& flat,
-                          const PrefixRouting& reference) {
+/// The best-route maps of two runs, route for route.
+void expect_routing_equal_routes(const PrefixRouting& flat,
+                                 const PrefixRouting& reference) {
   EXPECT_EQ(flat.origination, reference.origination);
-  EXPECT_EQ(flat.converged, reference.converged);
-  EXPECT_EQ(flat.process_events, reference.process_events);
   ASSERT_EQ(flat.best.size(), reference.best.size());
   for (const auto& [as, route] : reference.best) {
     const bgp::Route* got = flat.best_at(as);
@@ -40,13 +46,26 @@ void expect_routing_equal(const PrefixRouting& flat,
   }
 }
 
+/// Routes and the trajectory counters: what an exact-order run shares with
+/// the reference engine.
+void expect_routing_equal(const PrefixRouting& flat,
+                          const PrefixRouting& reference) {
+  EXPECT_EQ(flat.converged, reference.converged);
+  EXPECT_EQ(flat.process_events, reference.process_events);
+  expect_routing_equal_routes(flat, reference);
+}
+
 void expect_equivalent(const topo::AsGraph& graph, const PolicySet& policies,
                        const Origination& origination,
                        const FailedEdges* failed) {
-  const auto flat = compute_prefix(graph, policies, origination, failed);
+  const auto flat = compute_prefix_exact(graph, policies, origination, failed);
   const auto reference =
       compute_prefix_reference(graph, policies, origination, failed);
   expect_routing_equal(flat, reference);
+  // The one-shot entry takes the oracle's order: the same routes.
+  const auto chosen = compute_prefix(graph, policies, origination, failed);
+  EXPECT_EQ(chosen.converged, reference.converged);
+  expect_routing_equal_routes(chosen, reference);
 }
 
 TEST(FlatEquivalence, Figure1AllOrigins) {
@@ -129,8 +148,8 @@ TEST(FlatEquivalence, SmallScenarioEveryOrigination) {
   const FlatSimContext context(truth.topo.graph, truth.gen.policies);
   FlatScratch scratch;
   for (const auto& origination : truth.originations) {
-    const auto flat = compute_prefix_flat(context, origination, nullptr,
-                                          scenario.propagation, scratch);
+    const auto flat = compute_prefix_exact(context, origination, nullptr,
+                                           scenario.propagation, scratch);
     const auto reference = compute_prefix_reference(
         truth.topo.graph, truth.gen.policies, origination, nullptr,
         scenario.propagation);
@@ -157,13 +176,74 @@ TEST(FlatEquivalence, Internet2002SampledOriginations) {
   FlatScratch scratch;
   for (const std::size_t i : picks) {
     const auto& origination = truth.originations[i];
-    const auto flat = compute_prefix_flat(context, origination, nullptr,
-                                          scenario.propagation, scratch);
+    const auto flat = compute_prefix_exact(context, origination, nullptr,
+                                           scenario.propagation, scratch);
     const auto reference = compute_prefix_reference(
         truth.topo.graph, truth.gen.policies, origination, nullptr,
         scenario.propagation);
     expect_routing_equal(flat, reference);
   }
+}
+
+/// Every origination of `truth` in both orders (a strided sample of
+/// `stride`): the chosen order must land on the exact order's routes, and
+/// on these worlds the oracle's proof must hold without the inversion
+/// fallback, so no pruned run is discarded.  Returns how many originations
+/// took the pruned order.
+std::size_t expect_orders_agree(const core::GroundTruth& truth,
+                                const PropagationOptions& options,
+                                std::size_t stride = 1) {
+  const FlatSimContext context(truth.topo.graph, truth.gen.policies);
+  FlatScratch scratch;
+  std::size_t pruned = 0;
+  for (std::size_t i = 0; i < truth.originations.size(); i += stride) {
+    const Origination& origination = truth.originations[i];
+    SCOPED_TRACE(origination.prefix.to_string() + " from " +
+                 util::to_string(origination.origin));
+    const PrefixRouting exact =
+        compute_prefix_exact(context, origination, nullptr, options, scratch);
+    const FixpointStats stats = converge_cold(context, origination, nullptr,
+                                              options, scratch,
+                                              scratch.state());
+    EXPECT_FALSE(stats.pruned_discarded);
+    EXPECT_EQ(stats.converged, exact.converged);
+    if (stats.order == FixpointOrder::kPruned) ++pruned;
+    const PrefixRouting chosen = materialize_routing(
+        context, origination, scratch.state(), stats.converged, stats.events);
+    expect_routing_equal_routes(chosen, exact);
+  }
+  return pruned;
+}
+
+TEST(FlatEquivalence, ChosenOrderMatchesExactOrder) {
+  for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{7}}) {
+    SCOPED_TRACE("small(" + std::to_string(seed) + ")");
+    const auto scenario = core::Scenario::small(seed);
+    const auto truth = core::synthesize(scenario);
+    EXPECT_GT(expect_orders_agree(truth, scenario.propagation), 0u);
+  }
+  std::size_t specs_seen = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(BGPOLICY_SCENARIO_DIR)) {
+    if (entry.path().extension() != ".scn") continue;
+    ++specs_seen;
+    SCOPED_TRACE(entry.path().filename().string());
+    const core::ScenarioSpec spec =
+        core::ScenarioSpec::parse_file(entry.path());
+    (void)expect_orders_agree(core::synthesize(spec.scenario),
+                              spec.scenario.propagation);
+  }
+  EXPECT_GE(specs_seen, 6u) << "scenario corpus shrank";
+}
+
+TEST(FlatEquivalence, ChosenOrderMatchesExactOrderInternet2002Sample) {
+  if (sanitizer_build()) {
+    GTEST_SKIP() << "internet2002 sample is too slow under sanitizers";
+  }
+  const auto scenario = core::Scenario::internet2002();
+  const auto truth = core::synthesize(scenario);
+  EXPECT_GT(expect_orders_agree(truth, scenario.propagation, /*stride=*/13),
+            0u);
 }
 
 /// Runs the seed sequential program: reference fixpoints recorded in
@@ -187,11 +267,38 @@ SimResult reference_simulation(const topo::AsGraph& graph,
   return result;
 }
 
-void expect_digest_matches_seed(const topo::AsGraph& graph,
-                                const PolicySet& policies,
-                                std::span<const Origination> originations,
-                                const VantageSpec& vantage,
-                                PropagationOptions options) {
+/// Every recorded table, row for row.
+void expect_same_tables(const SimResult& got, const SimResult& want) {
+  EXPECT_EQ(io::serialize_table(got.collector),
+            io::serialize_table(want.collector))
+      << "collector table differs";
+  ASSERT_EQ(got.looking_glass.size(), want.looking_glass.size());
+  for (const auto& [as, table] : want.looking_glass) {
+    const auto it = got.looking_glass.find(as);
+    ASSERT_NE(it, got.looking_glass.end());
+    EXPECT_EQ(io::serialize_table(it->second), io::serialize_table(table))
+        << "looking-glass table differs at AS " << util::to_string(as);
+  }
+  ASSERT_EQ(got.best_only.size(), want.best_only.size());
+  for (const auto& [as, table] : want.best_only) {
+    const auto it = got.best_only.find(as);
+    ASSERT_NE(it, got.best_only.end());
+    EXPECT_EQ(io::serialize_table(it->second), io::serialize_table(table))
+        << "best-only table differs at AS " << util::to_string(as);
+  }
+}
+
+/// run_simulation against the seed program: the same tables row for row
+/// and the same convergence counters at every thread count, and the flat
+/// core's exact-order event sum equal to the reference trajectory's.
+/// run_simulation itself takes the oracle's order, so only its own
+/// `process_events` (and the SimArtifact digest that encodes them) may
+/// differ from the seed; they must not differ across thread counts.
+void expect_tables_match_seed(const topo::AsGraph& graph,
+                              const PolicySet& policies,
+                              std::span<const Origination> originations,
+                              const VantageSpec& vantage,
+                              PropagationOptions options) {
   const auto digest_of = [&](const SimResult& sim) {
     core::SimArtifact artifact;
     artifact.vantage = vantage;
@@ -200,14 +307,36 @@ void expect_digest_matches_seed(const topo::AsGraph& graph,
     return core::stable_digest_hex(bytes);
   };
 
-  const auto reference = digest_of(
-      reference_simulation(graph, policies, originations, vantage, options));
+  const SimResult reference =
+      reference_simulation(graph, policies, originations, vantage, options);
+  const FlatSimContext context(graph, policies);
+  FlatScratch scratch;
+  std::size_t exact_events = 0;
+  std::size_t chosen_events = 0;
+  for (const Origination& origination : originations) {
+    exact_events += converge_exact(context, origination, nullptr, options,
+                                   scratch, scratch.state())
+                        .events;
+    chosen_events += converge_cold(context, origination, nullptr, options,
+                                   scratch, scratch.state())
+                         .events;
+  }
+  EXPECT_EQ(exact_events, reference.process_events);
+
+  std::string first_digest;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     options.threads = threads;
     const auto run =
         run_simulation(graph, policies, originations, vantage, options);
-    EXPECT_EQ(digest_of(run), reference) << "threads=" << threads;
+    EXPECT_EQ(run.origination_count, reference.origination_count);
+    EXPECT_EQ(run.unconverged_prefixes, reference.unconverged_prefixes);
+    EXPECT_EQ(run.process_events, chosen_events);
+    expect_same_tables(run, reference);
+    const std::string digest = digest_of(run);
+    if (first_digest.empty()) first_digest = digest;
+    EXPECT_EQ(digest, first_digest);
   }
 }
 
@@ -217,8 +346,11 @@ void expect_digest_matches_seed(const topo::AsGraph& graph,
 /// Simulate digest, and one that moves a path-index id (PathIndex
 /// insertion order) moves the Observe digest.  The analyses digest sees
 /// every counter Analyze computes, so a wrong customer cone moves it.  The
-/// same values hold at every thread count (the determinism contract);
-/// threads = 0 runs the production shape.
+/// Simulate artifact also encodes `process_events`, the events of the
+/// order each origination ran in (the oracle's choice), so a change of
+/// order moves it while the rows stay.  The same values hold at every
+/// thread count (the determinism contract); threads = 0 runs the
+/// production shape.
 TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   if (sanitizer_build()) {
     GTEST_SKIP() << "full internet2002 Simulate is too slow under sanitizers";
@@ -228,7 +360,9 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   core::Experiment experiment(scenario);
   experiment.run(core::Stage::kAnalyze);
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.sim())),
-            "ce8a857dfacc3619db14a075784d66fe");
+            "38250edd91442cbc18fd51cb19c24abb");
+  // 14,900,880 in exact order; the oracle prunes 5,819 of 6,535.
+  EXPECT_EQ(experiment.sim().sim.process_events, 11117714u);
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.observations())),
             "d87e0e5615e5411eac740867510c4a8b");
   // The same analyses digest perfbench/reference.json pins.
@@ -242,7 +376,7 @@ TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {
     SCOPED_TRACE("Scenario::small");
     const auto scenario = core::Scenario::small();
     const auto truth = core::synthesize(scenario);
-    expect_digest_matches_seed(truth.topo.graph, truth.gen.policies,
+    expect_tables_match_seed(truth.topo.graph, truth.gen.policies,
                                truth.originations,
                                core::derive_vantage(scenario, truth.topo),
                                scenario.propagation);
@@ -270,7 +404,7 @@ TEST(FlatEquivalence, ArtifactDigestMatchesSeedAtEveryThreadCount) {
     vantage.looking_glass.push_back(as);
     vantage.best_only.push_back(as);
   }
-  expect_digest_matches_seed(f.graph, policies, originations, vantage, {});
+  expect_tables_match_seed(f.graph, policies, originations, vantage, {});
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "bgp/route.h"
+#include "sim/flat_engine.h"
 #include "sim/policy.h"
 #include "sim/propagation.h"
 #include "topology/as_graph.h"
@@ -85,6 +86,31 @@ inline sim::PolicySet typical_policies(const topo::AsGraph& graph) {
   sim::PolicySet policies;
   for (const auto as : graph.ases()) policies.by_as.emplace(as, sim::AsPolicy{});
   return policies;
+}
+
+/// The flat cold fixpoint in exact order (`sim::converge_exact`),
+/// materialized: routes and `process_events` both equal
+/// `sim::compute_prefix_reference`'s.  The cold side of every test that
+/// checks a faster path (the oracle's chosen order, delta waves, what-if),
+/// so the oracle's proof is tested rather than assumed on both sides.
+inline sim::PrefixRouting compute_prefix_exact(
+    const sim::FlatSimContext& context, const sim::Origination& origination,
+    const sim::FailedEdges* failed, const sim::PropagationOptions& options,
+    sim::FlatScratch& scratch) {
+  const sim::FixpointStats stats = sim::converge_exact(
+      context, origination, failed, options, scratch, scratch.state());
+  return sim::materialize_routing(context, origination, scratch.state(),
+                                  stats.converged, stats.events);
+}
+
+/// One-shot form: builds the context and scratch per call.
+inline sim::PrefixRouting compute_prefix_exact(
+    const topo::AsGraph& graph, const sim::PolicySet& policies,
+    const sim::Origination& origination, const sim::FailedEdges* failed,
+    const sim::PropagationOptions& options = {}) {
+  const sim::FlatSimContext context(graph, policies);
+  sim::FlatScratch scratch;
+  return compute_prefix_exact(context, origination, failed, options, scratch);
 }
 
 /// Builds a route with the fields the decision process reads.

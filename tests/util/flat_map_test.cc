@@ -28,6 +28,40 @@ TEST(FlatMap64, InsertFindGrowClear) {
   ASSERT_NE(map.find(1), nullptr);
 }
 
+TEST(FlatMap64, AssignCompactSizesTheCopyToItsContent) {
+  // A map cleared and refilled keeps the slots of its largest content; a
+  // compact copy holds the same keys in the slots growth from empty gives.
+  FlatMap64 long_lived;
+  for (std::uint64_t k = 0; k < 5000; ++k) long_lived.insert(k, 0);
+  long_lived.clear();
+  for (std::uint64_t k = 0; k < 100; ++k) long_lived.insert(k * 7 + 3, k);
+  FlatMap64 grown;
+  for (std::uint64_t k = 0; k < 100; ++k) grown.insert(k * 7 + 3, k);
+
+  FlatMap64 copy;
+  copy.insert(99, 1);  // replaced, not merged
+  copy.assign_compact(long_lived);
+  EXPECT_EQ(copy.size(), 100u);
+  EXPECT_EQ(copy.keys().size(), grown.keys().size());
+  EXPECT_LT(copy.bytes(), long_lived.bytes());
+  EXPECT_EQ(copy.find(99), nullptr);
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    const std::uint32_t* hit = copy.find(k * 7 + 3);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(*hit, k);
+  }
+
+  // A map already at its grown size is copied slot for slot.
+  FlatMap64 same;
+  same.assign_compact(grown);
+  EXPECT_TRUE(std::equal(same.keys().begin(), same.keys().end(),
+                         grown.keys().begin(), grown.keys().end()));
+  FlatMap64 empty;
+  same.assign_compact(empty);
+  EXPECT_EQ(same.size(), 0u);
+  EXPECT_EQ(same.find(3), nullptr);
+}
+
 TEST(FlatMap64, TryInsertKeepsTheFirstValue) {
   FlatMap64 map;
   for (std::uint64_t k = 0; k < 500; ++k) {
