@@ -15,15 +15,22 @@
 // rows' recorded tables must equal the reference recorder's row for row,
 // and the flat core's exact-order event sum the reference trajectory's.
 //
-// Also times the fixpoint on its own, in both orders — one threads = 1
-// pass of `sim::converge_cold` (the order the static wedgie oracle
-// chooses) and one of `sim::converge_exact` over every origination in one
-// scratch, nothing recorded — as `fixpoint_seconds` /
-// `exact_fixpoint_seconds` and their ns per event, the per-event cost of
-// the kernel every other row pays.  `exact_originations` counts the
-// originations the chosen order ran exactly (the oracle flagged them, or
-// a pruned run was discarded).  The chosen pass's event total must equal
-// the threads = 1 row's process events.
+// Also times the fixpoint on its own, nothing recorded, in one scratch
+// on the calling thread, three ways.  The batch pass is the batch runner
+// every row runs (`sim::converge_range` over the whole list): the static
+// wedgie oracle per origination, each origin's prefix-agnostic base
+// (`base_converges`, `base_events`), a pruned wave per proven-unique
+// origination (`waves`, `wave_events`) and an exact run for the rest
+// (`exact_originations`, `exact_events`), with the seconds of each kind
+// of run (`oracle_seconds`, `base_seconds`, `wave_seconds`,
+// `exact_seconds`) inside the pass's `fixpoint_seconds`.  Its wave and
+// exact events (`chosen_order_events`) must equal the threads = 1 row's
+// process events.  The cold pass converges each origination alone in the
+// order the oracle allows (`sim::converge_cold`, what isolated callers
+// run: `cold_order_events`, `cold_fixpoint_seconds`); the exact pass
+// alone in exact order (`sim::converge_exact`: `exact_order_events`,
+// `exact_fixpoint_seconds` and its ns per event, the per-event cost of
+// the kernel).
 //
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
@@ -103,29 +110,50 @@ sim::SimResult reference_simulation(const World& w) {
   return result;
 }
 
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
 struct FixpointPass {
   double seconds = 0.0;
   std::size_t events = 0;
-  std::size_t exact_originations = 0;
 };
 
-/// The fixpoint alone: cold converges of every origination in one
-/// scratch on the calling thread, reading nothing out of the state.
-FixpointPass fixpoint_pass(const World& w, bool exact) {
+/// Every origination converged alone, in one scratch on the calling
+/// thread, reading nothing out of the state.
+FixpointPass isolated_pass(const World& w, bool exact) {
   const sim::FlatSimContext context(w.truth.topo.graph, w.truth.gen.policies);
   sim::FlatScratch scratch;
   const auto converge = exact ? &sim::converge_exact : &sim::converge_cold;
   FixpointPass pass;
   const auto start = std::chrono::steady_clock::now();
   for (const auto& origination : w.truth.originations) {
-    const sim::FixpointStats stats = converge(
-        context, origination, nullptr, w.options, scratch, scratch.state());
-    pass.events += stats.events;
-    if (stats.order == sim::FixpointOrder::kExact) ++pass.exact_originations;
+    pass.events += converge(context, origination, nullptr, w.options, scratch,
+                            scratch.state())
+                       .events;
   }
-  pass.seconds = std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
+  pass.seconds = seconds_since(start);
+  return pass;
+}
+
+struct BatchPass {
+  double seconds = 0.0;  // the whole pass, the seed lists' build included
+  sim::BatchStats stats;
+};
+
+/// The batch runner over the whole list as one range, reading nothing.
+BatchPass batch_pass(const World& w) {
+  BatchPass pass;
+  const auto start = std::chrono::steady_clock::now();
+  const sim::FlatSimContext context(w.truth.topo.graph, w.truth.gen.policies);
+  sim::FlatScratch scratch;
+  pass.stats = sim::converge_range(
+      context, sim::PrefixSeeds(context), w.truth.originations,
+      {0, w.truth.originations.size()}, w.options, scratch,
+      [](std::size_t, const sim::FixpointStats&, sim::FlatRoutingState&) {});
+  pass.seconds = seconds_since(start);
   return pass;
 }
 
@@ -194,12 +222,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  const FixpointPass fixpoint = fixpoint_pass(w, /*exact=*/false);
-  const FixpointPass exact_fixpoint = fixpoint_pass(w, /*exact=*/true);
-  const auto ns_per_event = [](const FixpointPass& pass) {
-    return pass.seconds * 1e9 / static_cast<double>(pass.events);
+  const BatchPass batch = batch_pass(w);
+  const sim::BatchStats& kinds = batch.stats;
+  const std::size_t chosen_events = kinds.wave_events + kinds.exact_events;
+  const std::size_t batch_events = kinds.base_events + chosen_events;
+  const FixpointPass cold_fixpoint = isolated_pass(w, /*exact=*/false);
+  const FixpointPass exact_fixpoint = isolated_pass(w, /*exact=*/true);
+  const auto ns_per_event = [](double seconds, std::size_t events) {
+    return seconds * 1e9 / static_cast<double>(events);
   };
-  if (fixpoint.events != rows.front().process_events) counters_match = false;
+  if (chosen_events != rows.front().process_events ||
+      kinds.discarded != 0) {
+    counters_match = false;
+  }
 
   // The before/after point: the seed engine over the same originations.
   // The flat rows record its tables row for row; their own event count is
@@ -223,14 +258,26 @@ int main(int argc, char** argv) {
               << "\",\"hardware_concurrency\":" << hw
               << ",\"originations\":" << w.truth.originations.size()
               << ",\"counters_match\":" << (counters_match ? "true" : "false")
-              << ",\"exact_originations\":" << fixpoint.exact_originations
-              << ",\"chosen_order_events\":" << fixpoint.events
+              << ",\"chosen_order_events\":" << chosen_events
+              << ",\"fixpoint_seconds\":" << batch.seconds
+              << ",\"fixpoint_ns_per_event\":"
+              << ns_per_event(batch.seconds, batch_events)
+              << ",\"oracle_seconds\":" << kinds.oracle_seconds
+              << ",\"base_converges\":" << kinds.base_converges
+              << ",\"base_events\":" << kinds.base_events
+              << ",\"base_seconds\":" << kinds.base_seconds
+              << ",\"waves\":" << kinds.waves
+              << ",\"wave_events\":" << kinds.wave_events
+              << ",\"wave_seconds\":" << kinds.wave_seconds
+              << ",\"exact_originations\":" << kinds.exact_runs
+              << ",\"exact_events\":" << kinds.exact_events
+              << ",\"exact_seconds\":" << kinds.exact_seconds
+              << ",\"cold_order_events\":" << cold_fixpoint.events
+              << ",\"cold_fixpoint_seconds\":" << cold_fixpoint.seconds
               << ",\"exact_order_events\":" << exact_fixpoint.events
-              << ",\"fixpoint_seconds\":" << fixpoint.seconds
-              << ",\"fixpoint_ns_per_event\":" << ns_per_event(fixpoint)
               << ",\"exact_fixpoint_seconds\":" << exact_fixpoint.seconds
               << ",\"exact_fixpoint_ns_per_event\":"
-              << ns_per_event(exact_fixpoint)
+              << ns_per_event(exact_fixpoint.seconds, exact_fixpoint.events)
               << ",\"reference_seconds\":" << reference_seconds
               << ",\"flat_speedup\":" << flat_speedup
               << ",\"reference_match\":" << (reference_match ? "true" : "false")
@@ -258,27 +305,49 @@ int main(int argc, char** argv) {
                    std::to_string(r.process_events),
                    std::to_string(r.unconverged)});
   }
-  util::TextTable kernel({"order", "fixpoint seconds", "ns per event",
-                          "process events", "exact originations"});
-  kernel.add_row({"chosen (converge_cold)", util::fmt(fixpoint.seconds, 3),
-                  util::fmt(ns_per_event(fixpoint), 1),
-                  std::to_string(fixpoint.events),
-                  std::to_string(fixpoint.exact_originations)});
+  util::TextTable by_kind({"kind of run", "runs", "events", "seconds"});
+  by_kind.add_row({"oracle", std::to_string(w.truth.originations.size()), "-",
+                   util::fmt(kinds.oracle_seconds, 3)});
+  by_kind.add_row({"base (no origination's)",
+                   std::to_string(kinds.base_converges),
+                   std::to_string(kinds.base_events),
+                   util::fmt(kinds.base_seconds, 3)});
+  by_kind.add_row({"wave from a base", std::to_string(kinds.waves),
+                   std::to_string(kinds.wave_events),
+                   util::fmt(kinds.wave_seconds, 3)});
+  by_kind.add_row({"exact run", std::to_string(kinds.exact_runs),
+                   std::to_string(kinds.exact_events),
+                   util::fmt(kinds.exact_seconds, 3)});
+  by_kind.add_row({"batch pass", "-", std::to_string(batch_events),
+                   util::fmt(batch.seconds, 3)});
+  util::TextTable kernel({"each origination alone", "fixpoint seconds",
+                          "ns per event", "process events"});
+  kernel.add_row({"chosen (converge_cold)",
+                  util::fmt(cold_fixpoint.seconds, 3),
+                  util::fmt(ns_per_event(cold_fixpoint.seconds,
+                                         cold_fixpoint.events),
+                            1),
+                  std::to_string(cold_fixpoint.events)});
   kernel.add_row({"exact (converge_exact)",
                   util::fmt(exact_fixpoint.seconds, 3),
-                  util::fmt(ns_per_event(exact_fixpoint), 1),
-                  std::to_string(exact_fixpoint.events),
-                  std::to_string(exact_fixpoint.exact_originations)});
+                  util::fmt(ns_per_event(exact_fixpoint.seconds,
+                                         exact_fixpoint.events),
+                            1),
+                  std::to_string(exact_fixpoint.events)});
   std::cout << table.render("run_simulation wall clock by thread count")
+            << "\n"
+            << by_kind.render("the batch runner by kind of run: one "
+                              "range, threads=1, nothing recorded")
             << "\n"
             << kernel.render("fixpoint alone, in both orders: threads=1, "
                              "nothing recorded")
             << "\n"
             << (counters_match
                     ? "counters and artifact digests identical across all "
-                      "thread counts; fixpoint pass events match\n"
+                      "thread counts; batch pass events match, no wave "
+                      "discarded\n"
                     : "COUNTER OR DIGEST MISMATCH ACROSS THREAD COUNTS OR "
-                      "THE FIXPOINT PASS\n")
+                      "THE BATCH PASS\n")
             << "seed per-event engine (compute_prefix_reference): "
             << util::fmt(reference_seconds, 3) << "s -> flat core "
             << util::fmt(base_seconds, 3) << "s at threads=1 ("

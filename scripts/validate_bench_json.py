@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Checks the current schema, bgpolicy-bench/v13: sim_scaling carries the
-fixpoint in both orders — the order the static wedgie oracle chooses
-(fixpoint_seconds, chosen_order_events) and the exact order
-(exact_fixpoint_seconds, exact_order_events) — and exact_originations, the
-originations the chosen order ran exactly; every artifact_store row
+Checks the current schema, bgpolicy-bench/v14: sim_scaling carries the
+batch runner's one-thread pass by kind of run — the oracle
+(oracle_seconds), the prefix-agnostic bases that belong to no origination
+(base_converges, base_events, base_seconds), the waves derived from them
+(waves, wave_events, wave_seconds) and the exact runs
+(exact_originations, exact_events, exact_seconds), inside the pass's
+fixpoint_seconds, with chosen_order_events the waves' and exact runs'
+events — beside each origination converged alone in the oracle's order
+(cold_order_events, cold_fixpoint_seconds) and in exact order
+(exact_order_events, exact_fixpoint_seconds); every artifact_store row
 carries decode_allocations, the operator-new count of its decode, beside
 the resume rows (a store-resumed run through Analyze at one thread and at
 hardware_concurrency, with its simulate.load, simulate.decode and
@@ -25,9 +30,9 @@ import json
 import os
 import sys
 
-SCHEMA = "bgpolicy-bench/v13"
+SCHEMA = "bgpolicy-bench/v14"
 
-# The committed records of schemas v2..v12, by SHA-256 of their bytes.
+# The committed records of schemas v2..v13, by SHA-256 of their bytes.
 FROZEN = {
     "BENCH_2026-07-29_pr2.json":
         "35aff9cb60476fbfa93cda4400c9986750dbaf0c78329509817b8eb4453e5c37",
@@ -57,6 +62,8 @@ FROZEN = {
         "edb1a614e52a7ec4f004a47a90c1ad9c2a9581524d0ac02ca69fbc3dce5220e2",
     "BENCH_2026-10-18_columnar_tables.json":
         "c008cd054adc0f71e873b0b05a4728c3448d7e32c948bc96148f83f3cc575df7",
+    "BENCH_2026-10-18_oracle_order.json":
+        "9a175ea56e791971c122c74bb830ce5368da3c7062f0591169696696c8e3c77c",
 }
 
 
@@ -97,21 +104,41 @@ def check_single_core_rows(path, name, record):
                 "hardware_concurrency is 1")
 
 
-def check_fixpoint_orders(path, sim):
-    """The one-thread fixpoint pass in the chosen and the exact order."""
+def check_fixpoint_kinds(path, sim):
+    """The batch runner's one-thread pass by kind of run, and each
+    origination converged alone in the oracle's and the exact order."""
     name = "sim_scaling"
-    for key in ("originations", "exact_originations", "chosen_order_events",
-                "exact_order_events"):
+    counts = ("originations", "base_converges", "base_events", "waves",
+              "wave_events", "exact_originations", "exact_events",
+              "chosen_order_events", "cold_order_events",
+              "exact_order_events")
+    for key in counts:
         require(path, isinstance(sim.get(key), int) and sim[key] >= 0,
                 f"{name}.{key} must be a non-negative integer")
-    require(path, sim["exact_originations"] <= sim["originations"],
-            f"{name}.exact_originations must not exceed originations")
-    for key in ("chosen_order_events", "exact_order_events"):
+    require(path, sim["waves"] + sim["exact_originations"]
+            == sim["originations"],
+            f"{name}.waves + exact_originations must equal originations "
+            "(one run of its own per origination)")
+    require(path, sim["chosen_order_events"]
+            == sim["wave_events"] + sim["exact_events"],
+            f"{name}.chosen_order_events must equal wave_events + "
+            "exact_events")
+    for key in ("chosen_order_events", "cold_order_events",
+                "exact_order_events"):
         require(path, sim[key] > 0, f"{name}.{key} must be > 0")
     for key in ("fixpoint_seconds", "fixpoint_ns_per_event",
-                "exact_fixpoint_seconds", "exact_fixpoint_ns_per_event"):
+                "cold_fixpoint_seconds", "exact_fixpoint_seconds",
+                "exact_fixpoint_ns_per_event"):
         require(path, isinstance(sim.get(key), (int, float)) and sim[key] > 0,
                 f"{name}.{key} must be a positive number")
+    kinds = ("oracle_seconds", "base_seconds", "wave_seconds",
+             "exact_seconds")
+    for key in kinds:
+        require(path, isinstance(sim.get(key), (int, float)) and sim[key] >= 0,
+                f"{name}.{key} must be a non-negative number")
+    require(path, sum(sim[key] for key in kinds)
+            <= sim["fixpoint_seconds"] * 1.01,
+            f"{name}: the kinds' seconds must fit inside fixpoint_seconds")
 
 
 def check_analysis_split(path, record):
@@ -279,7 +306,7 @@ def check_file(path):
                 f"sim_scaling.{key} must be a number")
     require(path, sim.get("reference_match") is True,
             "sim_scaling.reference_match must be true")
-    check_fixpoint_orders(path, sim)
+    check_fixpoint_kinds(path, sim)
 
     inference = record.get("inference_scaling")
     check_scaling(path, "inference_scaling", inference,

@@ -11,6 +11,7 @@
 #include "io/artifact_codec.h"
 #include "rpsl/generator.h"
 #include "rpsl/parser.h"
+#include "sim/flat_engine.h"
 #include "util/parallel.h"
 
 namespace bgpolicy::core {
@@ -653,10 +654,14 @@ void Experiment::simulate_in_chunks(util::TaskGraph& graph,
   sim_chunks_.total = ranges.size();
 
   // The merge chain replays the chunks into `merged` in range order; chunk
-  // tasks only read its vantage spec.
+  // tasks only read its vantage spec, and the one flat context and seed
+  // lists built here for the whole stage.
   const auto merged = std::make_shared<SimArtifact>();
   merged->vantage = derive_vantage(scenario_, truth_->topo);
   merged->sim = sim::init_sim_result(merged->vantage);
+  const auto context = std::make_shared<const sim::FlatSimContext>(
+      truth_->topo.graph, truth_->gen.policies);
+  const auto seeds = std::make_shared<const sim::PrefixSeeds>(*context);
   // Index-addressed slots: chunk tasks run in any order on any thread.
   const auto slots =
       std::make_shared<std::vector<sim::SimResult>>(ranges.size());
@@ -679,8 +684,8 @@ void Experiment::simulate_in_chunks(util::TaskGraph& graph,
   std::vector<util::TaskGraph::NodeId> nodes;
   nodes.reserve(2 * ranges.size());
   for (std::size_t i = 0; i < ranges.size(); ++i) {
-    nodes.push_back(graph.submit([this, merged, slots, loaded_flags, i,
-                                  range = ranges[i], n,
+    nodes.push_back(graph.submit([this, merged, context, seeds, slots,
+                                  loaded_flags, i, range = ranges[i], n,
                                   key = scratch.sim_chunk_keys[i]] {
       traced("simulate.chunk", [&] {
         ArtifactStore* store = options_.store;
@@ -696,7 +701,7 @@ void Experiment::simulate_in_chunks(util::TaskGraph& graph,
         // this task's thread (the graph is the parallelism).
         const util::Executor sequential;
         (*slots)[i] = sim::run_simulation(
-            truth_->topo.graph, truth_->gen.policies,
+            *context, *seeds,
             std::span<const sim::Origination>(truth_->originations)
                 .subspan(range.begin, range.size()),
             merged->vantage, scenario_.propagation, &sequential);

@@ -58,44 +58,59 @@ std::vector<std::optional<bgp::Route>> ChurnSimulator::watch_rows(
   return rows;
 }
 
-void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes,
-                                 bool initial) {
-  // util::shard_and_merge computes the fixpoints on the executor and applies
-  // watched-table updates sequentially in `prefixes` order — deterministic
-  // for every thread count (propagation.h "Concurrency model").  The
-  // executor is either shared by the caller (set_executor) or created once
-  // here and reused across steps.
-  const util::Executor* executor = executor_;
-  if (executor == nullptr) {
+util::ThreadPool* ChurnSimulator::pool(std::size_t work) {
+  // The executor is either shared by the caller (set_executor) or created
+  // once here and reused across steps.
+  if (executor_ == nullptr) {
     const std::size_t threads =
         util::resolve_threads(params_.propagation.threads);
-    if (threads > 1 && prefixes.size() > 1 && owned_executor_ == nullptr) {
+    if (threads > 1 && work > 1 && owned_executor_ == nullptr) {
       // Sized to the knob, not this call's prefix count: later steps may
       // carry more prefixes than the call that first triggers creation.
       owned_executor_ = std::make_unique<util::Executor>(threads);
     }
-    executor = owned_executor_.get();
   }
-  util::ThreadPool* pool = executor == nullptr ? nullptr : executor->pool();
+  const util::Executor* executor =
+      executor_ != nullptr ? executor_ : owned_executor_.get();
+  return executor == nullptr ? nullptr : executor->pool();
+}
+
+void ChurnSimulator::apply_rows(
+    const bgp::Prefix& prefix,
+    const std::vector<std::optional<bgp::Route>>& rows) {
+  for (std::size_t w = 0; w < watch_.size(); ++w) {
+    auto& table = watched_.at(watch_[w]);
+    if (!rows[w].has_value()) {
+      table.erase(prefix);
+    } else {
+      table.insert_or_assign(prefix, *rows[w]);
+    }
+  }
+}
+
+void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes) {
+  // util::shard_and_merge computes the fixpoints on the executor and applies
+  // watched-table updates sequentially in `prefixes` order — deterministic
+  // for every thread count (propagation.h "Concurrency model").
+  util::ThreadPool* workers = pool(prefixes.size());
 
   // Non-incremental mode is the faithful pre-delta baseline (what
   // bench_delta_propagation measures against) and the reference that
   // checks refresh_policies, so it rebuilds the context from the mutated
   // policies on every call.  Incremental mode reads the delta engine's
-  // patched context, its initial run included.
+  // patched context.
   std::optional<FlatSimContext> rebuilt;
   if (!params_.incremental) rebuilt.emplace(*graph_, *policies_);
   const FlatSimContext& context = rebuilt ? *rebuilt : delta_->context();
-  const bool incremental_step = params_.incremental && !initial;
 
   // One job per prefix, built here on the calling thread (no shared map is
   // touched inside the parallel region): a memo hit carries its rows, a
   // warm job owns exactly one prefix's state for the duration of its task,
-  // anything else is a cold converge in the leased scratch.  A warm job's
-  // perturbation is the world drift between the state's baked flags and
-  // the current flags, not this step's flip list: a memo hit leaves the
-  // state unsynced on purpose, so the next miss replays every toggled pair
-  // at once.
+  // and the reference mode's jobs are exact cold runs in the leased
+  // scratch.  A warm job's perturbation is the world drift between the
+  // state's baked flags and the current flags, not this step's flip list:
+  // a memo hit leaves the state unsynced on purpose, so the next miss
+  // replays every toggled pair at once.
   using Rows = std::vector<std::optional<bgp::Route>>;
   struct Job {
     const Origination* origination = nullptr;
@@ -111,7 +126,7 @@ void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes,
     util::ensure(it != by_prefix_.end(), "churn: unknown prefix");
     Job& job = jobs[i];
     job.origination = &it->second;
-    if (!incremental_step) continue;
+    if (!params_.incremental) continue;
     job.world = world_of(prefix);
     const auto& worlds = memo_[prefix];
     if (const auto hit = worlds.find(job.world); hit != worlds.end()) {
@@ -140,7 +155,7 @@ void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes,
   }
 
   util::shard_and_merge(
-      pool, jobs.size(),
+      workers, jobs.size(),
       [&](std::size_t i) {
         const Job& job = jobs[i];
         if (job.cached != nullptr) return *job.cached;
@@ -149,10 +164,8 @@ void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes,
         if (job.state == nullptr) {
           // The reference mode replays the exact trajectory, so the
           // equivalence tests check the oracle's order rather than assume it.
-          const auto converge =
-              params_.incremental ? &converge_cold : &converge_exact;
-          (void)converge(context, *job.origination, nullptr,
-                         params_.propagation, scratch, scratch.state());
+          (void)converge_exact(context, *job.origination, nullptr,
+                               params_.propagation, scratch, scratch.state());
           return watch_rows(context, *job.origination, scratch.state());
         }
         if (!job.state->initialized()) {
@@ -164,28 +177,45 @@ void ChurnSimulator::repropagate(std::span<const bgp::Prefix> prefixes,
       },
       [&](std::size_t i, const Rows& rows) {
         if (jobs[i].state != nullptr) memo_[prefixes[i]][jobs[i].world] = rows;
-        for (std::size_t w = 0; w < watch_.size(); ++w) {
-          auto& table = watched_.at(watch_[w]);
-          if (!rows[w].has_value()) {
-            table.erase(prefixes[i]);
-          } else {
-            table.insert_or_assign(prefixes[i], *rows[w]);
-          }
-        }
+        apply_rows(prefixes[i], rows);
       });
 }
 
 void ChurnSimulator::run_initial() {
   util::ensure_state(!initialized_, "churn: run_initial called twice");
   initialized_ = true;
-  std::vector<bgp::Prefix> all;
-  all.reserve(originations_.size());
-  for (const auto& origination : originations_) {
-    all.push_back(origination.prefix);
+  if (!params_.incremental) {
+    std::vector<bgp::Prefix> all;
+    all.reserve(originations_.size());
+    for (const auto& origination : originations_) {
+      all.push_back(origination.prefix);
+    }
+    repropagate(all);
+    return;
   }
-  // Always cold converges: warm states are created lazily for the churned
-  // population only, so memory scales with what actually flips.
-  repropagate(all, /*initial=*/true);
+  // Every prefix in list order, converged for the origination that owns
+  // it (by_prefix_), through the batch runner; warm states are created
+  // lazily for the churned population only, so memory scales with what
+  // actually flips.  The seed lists are built here and dropped with the
+  // call, before any step mutates a policy.
+  std::vector<Origination> batch;
+  batch.reserve(originations_.size());
+  for (const auto& origination : originations_) {
+    batch.push_back(by_prefix_.at(origination.prefix));
+  }
+  const FlatSimContext& context = delta_->context();
+  using Rows = std::vector<std::optional<bgp::Route>>;
+  std::size_t next = 0;
+  converge_batch(
+      context, PrefixSeeds(context), batch, params_.propagation,
+      pool(batch.size()), *scratches_, [] { return std::vector<Rows>(); },
+      [&](std::vector<Rows>& rows, std::size_t i, const FixpointStats&,
+          FlatRoutingState& state) {
+        rows.push_back(watch_rows(context, batch[i], state));
+      },
+      [&](const std::vector<Rows>& rows) {
+        for (const Rows& row : rows) apply_rows(batch[next++].prefix, row);
+      });
 }
 
 std::vector<bgp::Prefix> ChurnSimulator::step() {
@@ -218,7 +248,7 @@ std::vector<bgp::Prefix> ChurnSimulator::step() {
   // so rebuilding it per step would be pure waste.
   delta_->refresh_policies(dirty_origins);
   std::vector<bgp::Prefix> out(changed.begin(), changed.end());
-  repropagate(out, /*initial=*/false);
+  repropagate(out);
   return out;
 }
 

@@ -9,8 +9,11 @@
 // Re-propagation is incremental by default: the simulator keeps one warm
 // `DeltaState` per churned prefix and replays only the dirty frontier of
 // each flip (the toggled (origin, provider) export pair) instead of the
-// full fixpoint — see sim/delta_engine.h.  The initial run and first
-// converges take the order the static wedgie oracle allows
+// full fixpoint — see sim/delta_engine.h.  The initial run goes through
+// the batch runner (`converge_batch`, sim/flat_engine.h), which converges
+// each origin's prefix-agnostic base once and derives its proven-unique
+// prefixes from it by pruned waves; a prefix's first touch by a step
+// converges alone in the order the static wedgie oracle allows
 // (`converge_cold`).  `ChurnParams::incremental = false` restores cold
 // per-prefix recomputation in exact order (`converge_exact`), the
 // reference; both modes produce identical watched tables (golden-tested
@@ -95,12 +98,22 @@ class ChurnSimulator {
  private:
   /// Re-propagates the given prefixes (sharded across
   /// params.propagation.threads workers) and applies the watched-table
-  /// updates sequentially in `prefixes` order.  The initial run and every
-  /// non-incremental call cold-converge each prefix; an incremental step
-  /// answers a prefix from the per-world memo when possible, otherwise
-  /// delta-syncs its warm state to the current world (a prefix without a
-  /// warm state is cold-converged against the already-mutated policies).
-  void repropagate(std::span<const bgp::Prefix> prefixes, bool initial);
+  /// updates sequentially in `prefixes` order.  The reference mode
+  /// (non-incremental) cold-converges each prefix in exact order; an
+  /// incremental step answers a prefix from the per-world memo when
+  /// possible, otherwise delta-syncs its warm state to the current world
+  /// (a prefix without a warm state is cold-converged against the
+  /// already-mutated policies).
+  void repropagate(std::span<const bgp::Prefix> prefixes);
+
+  /// The worker pool for `work` jobs: the shared executor's, else one the
+  /// simulator creates on first need and keeps; nullptr runs inline.
+  [[nodiscard]] util::ThreadPool* pool(std::size_t work);
+
+  /// Writes one prefix's watched rows (one slot per watch_ AS) into the
+  /// watched tables.
+  void apply_rows(const bgp::Prefix& prefix,
+                  const std::vector<std::optional<bgp::Route>>& rows);
 
   /// The withheld-flag world a prefix's policies currently encode (bit b =
   /// units_of_[prefix][b]'s withheld flag).

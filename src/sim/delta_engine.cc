@@ -72,13 +72,14 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   for (const auto& [a, b] : p.fail_edges) st.failed_.fail(a, b);
   for (const auto& [a, b] : p.restore_edges) st.failed_.restore(a, b);
 
+  FixpointQueue& queue = scratch.queue_;
   const auto finish_exact = [&](const FixpointStats& stats) {
     wave.exact = true;
     wave.events = stats.events;
     wave.converged = stats.converged;
     st.process_events_ += stats.events;
     for (Id id = 0; id < static_cast<Id>(s.size()); ++id) {
-      if (s.processed[id] > 0) wave.touched.push_back(id);
+      if (queue.processed[id] > 0) wave.touched.push_back(id);
     }
     return wave;
   };
@@ -88,12 +89,12 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   // run.  Only the exact cold trajectory is guaranteed identical.
   if (st.order_sensitive_) return finish_exact(exact_replay(st, scratch));
 
-  s.begin_wave();
+  queue.reset(s.size());
 
   const auto seed = [&](Id id) {
     if (id == topo::GraphView::kInvalidId) return;
-    if (s.in_queue[id] != 0) return;
-    s.enqueue(id);
+    if (queue.queued(id)) return;
+    queue.enqueue(id);
     wave.frontier.push_back(id);
   };
 
@@ -200,8 +201,8 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   // prefix's fixpoint unique, so the pruned fan-out (filtered_enqueue)
   // lands on the same state as the unfiltered cold trajectory.
   const FixpointStats stats =
-      run_flat_fixpoint(context_, st.origination_, &st.failed_, options_, s,
-                        /*filtered_enqueue=*/true);
+      run_flat_fixpoint(context_, st.origination_, &st.failed_, options_,
+                        queue, s, /*filtered_enqueue=*/true);
 
   // The replay exercised an atypical preference (or tripped the per-wave
   // cap): the result may be a different stable fixpoint than cold's.
@@ -218,7 +219,7 @@ DeltaWave DeltaEngine::apply(DeltaState& st, const Perturbation& p,
   st.process_events_ += stats.events;
 
   for (Id id = 0; id < static_cast<Id>(s.size()); ++id) {
-    if (s.processed[id] > 0) wave.touched.push_back(id);
+    if (queue.processed[id] > 0) wave.touched.push_back(id);
   }
   return wave;
 }

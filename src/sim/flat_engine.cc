@@ -1,6 +1,7 @@
 #include "sim/flat_engine.h"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 
 #include "util/ensure.h"
@@ -68,12 +69,16 @@ bool PathTable::contains(std::uint32_t path, AsNumber as) const {
   return false;
 }
 
-void PathTable::assign_from(const PathTable& other) {
+void PathTable::assign_from(const PathTable& other, StateCopy copy) {
   front_ = other.front_;
   parent_ = other.parent_;
   length_ = other.length_;
   origin_ = other.origin_;
-  intern_.assign_compact(other.intern_);
+  if (copy == StateCopy::kCompact) {
+    intern_.assign_compact(other.intern_);
+  } else {
+    intern_ = other.intern_;
+  }
 }
 
 bgp::AsPath PathTable::materialize(std::uint32_t path) const {
@@ -157,19 +162,32 @@ std::uint32_t CommunityTable::add(std::uint32_t set, bgp::Community community) {
   return result;
 }
 
-void CommunityTable::assign_from(const CommunityTable& other) {
+void CommunityTable::assign_from(const CommunityTable& other,
+                                 StateCopy copy) {
   // arena_ stays this table's own arena — the owning state reset it just
   // before this call; member storage is copied, never aliased.
   size_ = other.size_;
   next_same_hash_ = other.next_same_hash_;
   instruction_ = other.instruction_;
-  memo_.assign_compact(other.memo_);
-  by_content_.assign_compact(other.by_content_);
+  if (copy == StateCopy::kCompact) {
+    memo_.assign_compact(other.memo_);
+    by_content_.assign_compact(other.by_content_);
+  } else {
+    memo_ = other.memo_;
+    by_content_ = other.by_content_;
+  }
+  // Every set's members in one allocation: a fresh arena reserves one
+  // block of exactly their size instead of its default first block.
+  std::size_t members = 0;
+  for (const std::uint32_t size : size_) members += size;
+  arena_->reserve(members * sizeof(bgp::Community));
+  bgp::Community* storage =
+      members == 0 ? nullptr : arena_->allocate<bgp::Community>(members);
   data_.assign(other.data_.size(), nullptr);
   for (std::size_t id = 1; id < other.data_.size(); ++id) {
-    bgp::Community* storage = arena_->allocate<bgp::Community>(size_[id]);
     std::copy_n(other.data_[id], size_[id], storage);
     data_[id] = storage;
+    storage += size_[id];
   }
 }
 
@@ -308,21 +326,13 @@ void FlatRoutingState::reset(std::size_t n) {
   best_lp.assign(n, 0);
   best_router.assign(n, 0);
   best_comms.assign(n, 0);
-  in_queue.assign(n, 0);
-  processed.assign(n, 0);
-  queue.assign(n + 1, 0);
-  q_head = 0;
-  q_tail = 0;
 }
 
-void FlatRoutingState::begin_wave() {
-  std::fill(processed.begin(), processed.end(), 0);
-}
-
-void FlatRoutingState::assign_from(const FlatRoutingState& other) {
+void FlatRoutingState::assign_from(const FlatRoutingState& other,
+                                   StateCopy copy) {
   arena.reset();
-  paths.assign_from(other.paths);
-  comms.assign_from(other.comms);
+  paths.assign_from(other.paths, copy);
+  comms.assign_from(other.comms, copy);
   has_best = other.has_best;
   best_rel = other.best_rel;
   best_path = other.best_path;
@@ -331,22 +341,25 @@ void FlatRoutingState::assign_from(const FlatRoutingState& other) {
   best_lp = other.best_lp;
   best_router = other.best_router;
   best_comms = other.best_comms;
-  in_queue = other.in_queue;
-  processed = other.processed;
-  queue = other.queue;
-  q_head = other.q_head;
-  q_tail = other.q_tail;
 }
 
 std::size_t FlatRoutingState::bytes() const {
-  return has_best.capacity() + best_rel.capacity() + in_queue.capacity() +
+  return has_best.capacity() + best_rel.capacity() +
          sizeof(std::uint32_t) *
              (best_path.capacity() + best_wire.capacity() +
-              best_learned.capacity() +
-              best_lp.capacity() + best_router.capacity() +
-              best_comms.capacity() + processed.capacity() +
-              queue.capacity()) +
+              best_learned.capacity() + best_lp.capacity() +
+              best_router.capacity() + best_comms.capacity()) +
          arena.bytes_reserved() + paths.bytes() + comms.bytes();
+}
+
+// ------------------------------------------------------------ FixpointQueue
+
+void FixpointQueue::reset(std::size_t n) {
+  in_queue.assign(n, 0);
+  processed.assign(n, 0);
+  ring.resize(n + 1);
+  head = 0;
+  tail = 0;
 }
 
 // --------------------------------------------------------------- FlatScratch
@@ -594,7 +607,8 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
                                 const Origination& origination,
                                 const FailedEdges* failed,
                                 const PropagationOptions& options,
-                                FlatRoutingState& s, bool filtered_enqueue) {
+                                FixpointQueue& queue, FlatRoutingState& s,
+                                bool filtered_enqueue) {
   using Id = topo::GraphView::Id;
   const topo::GraphView& view = context.view();
   const Id origin_id = view.id_of(origination.origin);
@@ -635,20 +649,20 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
     return current_as.value() < s.best_router[m];
   };
 
-  while (s.q_head != s.q_tail) {
-    const Id current = s.queue[s.q_head];
-    s.q_head = (s.q_head + 1) % s.queue.size();
-    s.in_queue[current] = 0;
+  while (!queue.empty()) {
+    const Id current = queue.ring[queue.head];
+    queue.head = (queue.head + 1) % queue.ring.size();
+    queue.in_queue[current] = 0;
 
     // The origin's self route always wins (kSelfLocalPref dominates);
     // skipping it keeps the withdraw logic below simple.
     if (current == origin_id) continue;
 
-    if (s.processed[current] >= options.max_process_per_as) {
+    if (queue.processed[current] >= options.max_process_per_as) {
       stats.converged = false;
       continue;
     }
-    ++s.processed[current];
+    ++queue.processed[current];
     ++stats.events;
 
     // Pull every neighbor's offer and keep the running winner.  Among
@@ -713,10 +727,10 @@ FixpointStats run_flat_fixpoint(const FlatSimContext& context,
            slot < view.arcs_end(current); ++slot) {
         const Id m = view.arc_to(slot);
         if (filtered_enqueue) {
-          if (s.in_queue[m] != 0 || m == origin_id) continue;
+          if (queue.queued(m) || m == origin_id) continue;
           if (!offer_can_matter(current, m, slot)) continue;
         }
-        s.enqueue(m);
+        queue.enqueue(m);
       }
     }
   }
@@ -779,12 +793,15 @@ namespace {
   return id;
 }
 
-/// Resets `s` and installs the origin's self route (kSelfLocalPref, empty
-/// path), enqueueing the origin's neighbors: the cold seed.
+/// Resets `s` and `queue` and installs the origin's self route
+/// (kSelfLocalPref, empty path), enqueueing the origin's neighbors: the
+/// cold seed.
 void seed_origin(const FlatSimContext& context, const Origination& origination,
-                 topo::GraphView::Id origin_id, FlatRoutingState& s) {
+                 topo::GraphView::Id origin_id, FixpointQueue& queue,
+                 FlatRoutingState& s) {
   const topo::GraphView& view = context.view();
   s.reset(view.size());
+  queue.reset(view.size());
   s.has_best[origin_id] = 1;
   s.best_path[origin_id] = PathTable::kEmptyPath;
   s.best_wire[origin_id] =
@@ -795,7 +812,7 @@ void seed_origin(const FlatSimContext& context, const Origination& origination,
   s.best_comms[origin_id] = CommunityTable::kEmptySet;
   for (std::uint32_t slot = view.arcs_begin(origin_id);
        slot < view.arcs_end(origin_id); ++slot) {
-    s.enqueue(view.arc_to(slot));
+    queue.enqueue(view.arc_to(slot));
   }
 }
 
@@ -873,9 +890,10 @@ FixpointStats converge_cold(const FlatSimContext& context,
                               scratch.in_cone_);
   if (unique) {
     scratch.note_peak();
-    seed_origin(context, origination, origin_id, s);
-    const FixpointStats stats = run_flat_fixpoint(
-        context, origination, failed, options, s, /*filtered_enqueue=*/true);
+    seed_origin(context, origination, origin_id, scratch.queue_, s);
+    const FixpointStats stats =
+        run_flat_fixpoint(context, origination, failed, options,
+                          scratch.queue_, s, /*filtered_enqueue=*/true);
     scratch.note_peak();
     if (stats.inversion_selections == 0 && stats.converged) return stats;
   }
@@ -892,9 +910,9 @@ FixpointStats converge_exact(const FlatSimContext& context,
                              FlatScratch& scratch, FlatRoutingState& s) {
   const topo::GraphView::Id origin_id = origin_id_of(context, origination);
   scratch.note_peak();
-  seed_origin(context, origination, origin_id, s);
-  const FixpointStats stats =
-      run_flat_fixpoint(context, origination, failed, options, s);
+  seed_origin(context, origination, origin_id, scratch.queue_, s);
+  const FixpointStats stats = run_flat_fixpoint(context, origination, failed,
+                                                options, scratch.queue_, s);
   scratch.note_peak();
   return stats;
 }
@@ -908,6 +926,143 @@ PrefixRouting compute_prefix_flat(const FlatSimContext& context,
                                             options, scratch, scratch.state());
   return materialize_routing(context, origination, scratch.state(),
                              stats.converged, stats.events);
+}
+
+// ----------------------------------------------------------------- the batch
+
+PrefixSeeds::PrefixSeeds(const FlatSimContext& context) {
+  const topo::GraphView& view = context.view();
+  // (prefix, seed) pairs; kInvalidId records a prefix a rule names without
+  // naming an AS of the graph (a rule toward an AS the graph lacks).
+  std::vector<std::pair<bgp::Prefix, Id>> pairs;
+  for (Id id = 0; id < view.size(); ++id) {
+    const AsPolicy* policy = context.policy_if_present(id);
+    if (policy == nullptr) continue;
+    for (const auto& pin : policy->import.prefix_override) {
+      pairs.emplace_back(pin.first, id);
+    }
+    for (const auto& [neighbor, rules] : policy->export_.per_neighbor) {
+      for (const ExportRule& rule : rules) {
+        if (rule.prefix) pairs.emplace_back(*rule.prefix, view.id_of(neighbor));
+      }
+    }
+    for (const ExportRule& rule : policy->export_.any_neighbor) {
+      if (!rule.prefix) continue;
+      pairs.emplace_back(*rule.prefix, topo::GraphView::kInvalidId);
+      for (std::uint32_t slot = view.arcs_begin(id); slot < view.arcs_end(id);
+           ++slot) {
+        pairs.emplace_back(*rule.prefix, view.arc_to(slot));
+      }
+    }
+    for (const ConditionalAdvertisement& cond : policy->conditional) {
+      pairs.emplace_back(cond.prefix, view.id_of(cond.advertise_to));
+    }
+  }
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+  ids_.reserve(pairs.size());
+  for (std::size_t i = 0; i < pairs.size();) {
+    const bgp::Prefix& prefix = pairs[i].first;
+    const auto begin = static_cast<std::uint32_t>(ids_.size());
+    for (; i < pairs.size() && pairs[i].first == prefix; ++i) {
+      if (pairs[i].second != topo::GraphView::kInvalidId) {
+        ids_.push_back(pairs[i].second);
+      }
+    }
+    ranges_.emplace(prefix,
+                    std::pair{begin, static_cast<std::uint32_t>(ids_.size())});
+  }
+  // The bases run for a prefix checked to be unnamed, not for a sentinel
+  // trusted to be: 0.0.0.0/0, else the first unnamed /32.
+  unnamed_ = bgp::Prefix(0, 0);
+  for (std::uint32_t address = 0; named(unnamed_); ++address) {
+    unnamed_ = bgp::Prefix(address, 32);
+  }
+}
+
+std::span<const PrefixSeeds::Id> PrefixSeeds::of(
+    const bgp::Prefix& prefix) const {
+  const auto it = ranges_.find(prefix);
+  if (it == ranges_.end()) return {};
+  return std::span<const Id>(ids_).subspan(
+      it->second.first, it->second.second - it->second.first);
+}
+
+BatchStats converge_range(const FlatSimContext& context,
+                          const PrefixSeeds& seeds,
+                          std::span<const Origination> originations,
+                          util::IndexRange range,
+                          const PropagationOptions& options,
+                          FlatScratch& scratch, const BatchVisit& visit) {
+  using Id = topo::GraphView::Id;
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point start) {
+    return std::chrono::duration<double>(Clock::now() - start).count();
+  };
+  const std::size_t n = context.view().size();
+  FlatRoutingState& work = scratch.state_;
+  FlatRoutingState& base = scratch.base_;
+  FixpointQueue& queue = scratch.queue_;
+  BatchStats batch;
+  // The origin `base` holds the base of, and whether it converged cleanly;
+  // nothing carries over from an earlier range or batch.
+  Id base_origin = topo::GraphView::kInvalidId;
+  bool base_usable = false;
+
+  for (std::size_t i = range.begin; i < range.end; ++i) {
+    const Origination& origination = originations[i];
+    const auto oracle_start = Clock::now();
+    const Id origin_id = origin_id_of(context, origination);
+    const bool unique = !static_order_sensitive(
+        context, origination, origin_id, scratch.cone_, scratch.in_cone_);
+    const auto start = Clock::now();
+    batch.oracle_seconds +=
+        std::chrono::duration<double>(start - oracle_start).count();
+    if (unique && base_origin != origin_id) {
+      const Origination agnostic{seeds.unnamed(), origination.origin};
+      util::ensure(!seeds.named(agnostic.prefix),
+                   "batch: the base prefix is named by a policy");
+      seed_origin(context, agnostic, origin_id, queue, base);
+      const FixpointStats converged = run_flat_fixpoint(
+          context, agnostic, nullptr, options, queue, base,
+          /*filtered_enqueue=*/true);
+      base_origin = origin_id;
+      base_usable = converged.inversion_selections == 0 && converged.converged;
+      ++batch.base_converges;
+      batch.base_events += converged.events;
+      batch.base_seconds += seconds_since(start);
+    }
+    const auto run_start = Clock::now();
+    FixpointStats stats;
+    bool derived = false;
+    if (unique && base_usable) {
+      work.assign_from(base, StateCopy::kSlots);
+      queue.reset(n);
+      for (const Id seed : seeds.of(origination.prefix)) {
+        if (seed != origin_id) queue.enqueue(seed);
+      }
+      stats = run_flat_fixpoint(context, origination, nullptr, options, queue,
+                                work, /*filtered_enqueue=*/true);
+      derived = stats.inversion_selections == 0 && stats.converged;
+    }
+    if (derived) {
+      ++batch.waves;
+      batch.wave_events += stats.events;
+      batch.wave_seconds += seconds_since(run_start);
+    } else {
+      // A discarded wave's time counts with the exact run that replaces it.
+      stats = converge_exact(context, origination, nullptr, options, scratch,
+                             work);
+      stats.pruned_discarded = unique;
+      if (unique) ++batch.discarded;
+      ++batch.exact_runs;
+      batch.exact_events += stats.events;
+      batch.exact_seconds += seconds_since(run_start);
+    }
+    scratch.note_peak();
+    visit(i, stats, work);
+  }
+  return batch;
 }
 
 // ----------------------------------------------------------- FlatScratchPool

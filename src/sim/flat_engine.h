@@ -43,18 +43,19 @@
 //     whole value-typed `PrefixRouting` (`materialize_routing`).
 //
 // The per-propagation state is split so it can outlive one fixpoint:
-// `FlatRoutingState` is the warm half (interning tables + SoA best columns
-// + the event queue) that `sim::DeltaEngine` keeps converged across
-// perturbations, and `run_flat_fixpoint` is the event loop both the cold
-// program and the delta engine's frontier waves run.  `converge_cold` is
-// the one cold program (oracle, reset, origin seed, fixpoint): cold
-// callers run it into a scratch's own state and read only the routes they
-// need, the delta engine runs it into the scratch and copies the result
-// into a new warm state.  `converge_exact` is the same program pinned to
-// the exact trajectory (the delta engine's in-place replays, churn's cold
-// reference mode, and whoever compares events with the reference
-// engine).  The state is reset (not freed) between prefixes, so a warmed
-// scratch runs a whole fixpoint without touching the global allocator.
+// `FlatRoutingState` is the warm half (interning tables + SoA best
+// columns) that `sim::DeltaEngine` keeps converged across perturbations,
+// the event queue (`FixpointQueue`) belongs to the scratch that runs a
+// fixpoint, and `run_flat_fixpoint` is the event loop every program runs.
+// `converge_cold` is the cold program for one isolated origination
+// (oracle, reset, origin seed, fixpoint): `compute_prefix_flat` and the
+// spec Timeline run it into a scratch's own state, the delta engine runs
+// it into the scratch and copies the result into a new warm state.
+// `converge_exact` is the same program pinned to the exact trajectory (the
+// delta engine's in-place replays, churn's cold reference mode, and
+// whoever compares events with the reference engine).  The state is reset
+// (not freed) between prefixes, so a warmed scratch runs a whole fixpoint
+// without touching the global allocator.
 //
 // The static wedgie oracle (`converge_cold`'s first step) decides each
 // origination's event order before its fixpoint starts.  When every AS
@@ -66,19 +67,33 @@
 // have several stable states, and only the exact trajectory is sure to
 // reach the one a cold run reaches.
 //
-// Concurrency model: `converge_cold` is the unit the parallel callers
-// (`run_simulation`, churn) shard across workers.  The context is
-// read-only, and `FlatScratch` is the only per-worker scratch — a routing
-// state plus the oracle's cone and the delta engine's dirty-path marks —
-// so each worker leases one from a `FlatScratchPool` and writes only that
-// scratch and the state it converges.
+// The batch program (`converge_batch`, the one batch entry of `run_simulation`
+// and churn's initial run) converges each origin once.  Import preference
+// follows the next-hop AS for nearly every prefix (the paper's Table 2):
+// a prefix's policy inputs differ from a prefix no policy names only at
+// the few ASes that pin it, receive a rule naming it, or are the target
+// of a conditional advert for it (`PrefixSeeds`).  So the runner
+// converges an origin's prefix-agnostic base once and derives each of its
+// proven-unique prefixes by copying the base and running a pruned wave
+// seeded at those ASes; flagged originations keep their exact run.
+//
+// Concurrency model: the batch runner cuts its origination list into
+// contiguous ranges and runs each on one worker; churn's steps shard
+// prefixes (`converge_cold`, delta waves) one per task.  The context is
+// read-only, and `FlatScratch` is the only per-worker scratch — routing
+// states, the queue, the oracle's cone and the delta engine's dirty-path
+// marks — so each worker leases one from a `FlatScratchPool` and writes
+// only that scratch and the state it converges.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bgp/community.h"
@@ -87,8 +102,22 @@
 #include "topology/graph_view.h"
 #include "util/arena.h"
 #include "util/flat_map.h"
+#include "util/parallel.h"
 
 namespace bgpolicy::sim {
+
+/// How a deep copy of a routing state (or one of its tables) lays out its
+/// intern maps and community members.
+enum class StateCopy : std::uint8_t {
+  /// Sized to the content (`util::FlatMap64::assign_compact`), with the
+  /// community members in one arena block of exactly their size: a state
+  /// that is kept (a new warm state) holds what it uses.
+  kCompact,
+  /// Slot for slot, into capacity the target already holds: a work state
+  /// overwritten again at once (the batch runner's copy of its base) skips
+  /// the rehash.
+  kSlots,
+};
 
 /// Hash-consed AS paths with parent-pointer prepend.  Id 0 is the empty
 /// path; every other id names an interned (front AS, parent) node.  Only
@@ -125,10 +154,9 @@ class PathTable {
   /// Rebuilds the value-typed AsPath (front first).
   [[nodiscard]] bgp::AsPath materialize(std::uint32_t path) const;
 
-  /// Deep copy preserving every id, with the intern map sized to the
-  /// content (`util::FlatMap64::assign_compact`) rather than to the
-  /// largest path set `other` ever held.
-  void assign_from(const PathTable& other);
+  /// Deep copy preserving every id.  kCompact sizes the intern map to the
+  /// content rather than to the largest path set `other` ever held.
+  void assign_from(const PathTable& other, StateCopy copy);
 
   [[nodiscard]] std::size_t node_count() const { return front_.size(); }
   [[nodiscard]] std::size_t bytes() const {
@@ -180,12 +208,12 @@ class CommunityTable {
     return {data_[set], size_[set]};
   }
 
-  /// Deep copy preserving every interned id: member storage is
-  /// re-allocated from this table's own arena (the caller has already
+  /// Deep copy preserving every interned id: the members are copied into
+  /// one allocation from this table's own arena (the caller has already
   /// reset it), never aliased from `other` — what makes a warm
-  /// `FlatRoutingState` clonable.  The hash maps are sized to the content,
-  /// as `PathTable::assign_from`'s.
-  void assign_from(const CommunityTable& other);
+  /// `FlatRoutingState` clonable.  The hash maps are laid out as `copy`
+  /// says, as `PathTable::assign_from`'s.
+  void assign_from(const CommunityTable& other, StateCopy copy);
 
   [[nodiscard]] std::size_t bytes() const {
     return (data_.capacity() * sizeof(const bgp::Community*)) +
@@ -309,14 +337,15 @@ class FlatSimContext {
   const PolicySet* policies_;
 };
 
-/// The warm half of a propagation: interning tables, SoA best-route
-/// columns, and the fixpoint event queue, all indexed by dense AS id.
-/// `converge_cold` resets one per prefix; `sim::DeltaEngine` keeps
-/// one converged per origination and re-seeds only the dirty frontier.
-/// Members are engine internals — mutate only through the propagation
-/// entry points below (the delta engine is the one other writer).
-/// Non-copyable because community member storage lives in the arena; use
-/// `assign_from` for an explicit deep copy.
+/// The warm half of a propagation: interning tables and SoA best-route
+/// columns, indexed by dense AS id — what a converged state is, and
+/// nothing a running fixpoint alone reads (its queue and per-AS event
+/// counts are the scratch's `FixpointQueue`).  `converge_cold` resets one
+/// per prefix; `sim::DeltaEngine` keeps one converged per origination and
+/// re-seeds only the dirty frontier.  Members are engine internals —
+/// mutate only through the propagation entry points below (the delta
+/// engine is the one other writer).  Non-copyable because community member
+/// storage lives in the arena; use `assign_from` for an explicit deep copy.
 struct FlatRoutingState {
   FlatRoutingState() : comms(arena) {}
   FlatRoutingState(const FlatRoutingState&) = delete;
@@ -339,14 +368,6 @@ struct FlatRoutingState {
   std::vector<std::uint32_t> best_router;
   std::vector<std::uint32_t> best_comms;
 
-  // Fixpoint bookkeeping.  The queue is a ring of capacity n + 1; it is
-  // empty (head == tail) whenever no fixpoint is mid-flight.
-  std::vector<std::uint8_t> in_queue;
-  std::vector<std::uint32_t> processed;
-  std::vector<std::uint32_t> queue;
-  std::size_t q_head = 0;
-  std::size_t q_tail = 0;
-
   /// Number of dense ids this state covers (0 before the first reset).
   [[nodiscard]] std::size_t size() const { return has_best.size(); }
 
@@ -354,28 +375,41 @@ struct FlatRoutingState {
   /// capacity; the arena keeps its blocks).
   void reset(std::size_t n);
 
-  /// Prepares a converged state for another fixpoint wave: zeroes the
-  /// per-AS processed counters (the non-convergence cap is per wave).  The
-  /// queue must be empty.
-  void begin_wave();
+  /// Deep copy: every interned id and best column is preserved, and all
+  /// storage (community members included) is owned by this state.
+  void assign_from(const FlatRoutingState& other,
+                   StateCopy copy = StateCopy::kCompact);
+
+  [[nodiscard]] std::size_t bytes() const;
+};
+
+/// The event queue of one running fixpoint: a FIFO ring over dense ids
+/// with an in-queue mark, and per-AS event counts for the non-convergence
+/// cap.  Only a running fixpoint reads it, so it lives in the
+/// `FlatScratch` that runs one rather than in the states it converges.
+struct FixpointQueue {
+  std::vector<std::uint8_t> in_queue;
+  std::vector<std::uint32_t> processed;  // events per AS in this run
+  std::vector<std::uint32_t> ring;       // capacity n + 1
+  std::size_t head = 0;
+  std::size_t tail = 0;
+
+  /// Empties the queue and zeroes the event counts over `n` dense ids:
+  /// the start of every fixpoint and wave.
+  void reset(std::size_t n);
 
   /// Enqueues `id` if not already queued.
   void enqueue(topo::GraphView::Id id) {
     if (in_queue[id] != 0) return;
     in_queue[id] = 1;
-    queue[q_tail] = id;
-    q_tail = (q_tail + 1) % queue.size();
+    ring[tail] = id;
+    tail = (tail + 1) % ring.size();
   }
 
-  [[nodiscard]] bool queue_empty() const { return q_head == q_tail; }
-
-  /// Deep copy: every interned id and best column is preserved, all
-  /// storage (including arena-backed community members) is owned by this
-  /// state and sized to `other`'s content, not to its capacity.  `other`
-  /// must not be mid-fixpoint.
-  void assign_from(const FlatRoutingState& other);
-
-  [[nodiscard]] std::size_t bytes() const;
+  [[nodiscard]] bool queued(topo::GraphView::Id id) const {
+    return in_queue[id] != 0;
+  }
+  [[nodiscard]] bool empty() const { return head == tail; }
 };
 
 /// Which fan-out produced a converged state (see `run_flat_fixpoint`).
@@ -400,21 +434,22 @@ struct FixpointStats {
   /// warm-started replay is not guaranteed to land on the same one as a
   /// cold run.  It is the trigger that sends a pruned run to exact replay.
   std::size_t inversion_selections = 0;
-  /// The fan-out of the run these stats count.  From `converge_cold`,
-  /// kExact means the oracle flagged the origination or its pruned run
-  /// was discarded, i.e. the origination may have several stable states.
+  /// The fan-out of the run these stats count.  From `converge_cold` and
+  /// the batch runner, kExact means the oracle flagged the origination or
+  /// its pruned run was discarded, i.e. the origination may have several
+  /// stable states.
   FixpointOrder order = FixpointOrder::kExact;
-  /// True when `converge_cold` discarded a pruned run (it tripped
-  /// `inversion_selections` or the per-AS cap) and reran in exact order;
-  /// the discarded run's events are not counted.
+  /// True when `converge_cold` or the batch runner discarded a pruned run
+  /// (it tripped `inversion_selections` or the per-AS cap) and reran in
+  /// exact order; the discarded run's events are not counted.
   bool pruned_discarded = false;
 };
 
 /// Drains the event queue until quiescent — the one fixpoint loop shared
-/// by `converge_cold` (cold seed) and `sim::DeltaEngine` (dirty
-/// frontier seed).  The caller has already seeded the queue; per-AS
-/// processed counters count against `options.max_process_per_as` for this
-/// wave only (zero them via reset/begin_wave first).
+/// by `converge_cold` (cold seed), the batch runner (its bases and their
+/// prefix waves) and `sim::DeltaEngine` (dirty frontier seed).  The caller
+/// has reset and seeded `queue`; its per-AS counts hold this run against
+/// `options.max_process_per_as`.
 ///
 /// `filtered_enqueue` prunes the change fan-out: instead of enqueueing
 /// every neighbor of a changed AS, each arc is tested with a sound
@@ -432,6 +467,7 @@ struct FixpointStats {
                                               const Origination& origination,
                                               const FailedEdges* failed,
                                               const PropagationOptions& options,
+                                              FixpointQueue& queue,
                                               FlatRoutingState& state,
                                               bool filtered_enqueue = false);
 
@@ -459,11 +495,18 @@ struct FixpointStats {
     const FlatSimContext& context, const Origination& origination,
     FlatRoutingState& state, AsNumber receiver);
 
+class PrefixSeeds;
+struct BatchStats;
+using BatchVisit = std::function<void(std::size_t index,
+                                      const FixpointStats& stats,
+                                      FlatRoutingState& state)>;
+
 /// The per-worker propagation scratch, reused (never freed) across
 /// prefixes and waves: a routing state for cold callers that keep none of
-/// their own (and where the delta engine runs a first converge), the
-/// static oracle's cone, and the delta engine's dirty-path walk marks.
-/// Not thread-safe; one propagation at a time.
+/// their own (and where the delta engine runs a first converge), the batch
+/// runner's prefix-agnostic base, the fixpoint queue every run uses, the
+/// static oracle's cone, and the delta engine's dirty-path marks.  Not
+/// thread-safe; one propagation at a time.
 class FlatScratch {
  public:
   FlatScratch() = default;
@@ -489,10 +532,19 @@ class FlatScratch {
                                       const PropagationOptions& options,
                                       FlatScratch& scratch,
                                       FlatRoutingState& state);
+  friend BatchStats converge_range(const FlatSimContext& context,
+                                   const PrefixSeeds& seeds,
+                                   std::span<const Origination> originations,
+                                   util::IndexRange range,
+                                   const PropagationOptions& options,
+                                   FlatScratch& scratch,
+                                   const BatchVisit& visit);
 
   void note_peak();
 
   FlatRoutingState state_;
+  FlatRoutingState base_;  // the batch runner's current base
+  FixpointQueue queue_;
   /// Delta engine: per path-table node, (epoch << 1) | dirty.  Stale
   /// epochs read as unvisited, so no per-wave clearing of the whole array.
   std::vector<std::uint64_t> mark_;
@@ -523,11 +575,12 @@ class FlatScratch {
 /// exact order's for every input (tests/sim/flat_equivalence_test.cc and
 /// the random worlds of tests/sim/oracle_fuzz_test.cc).
 ///
-/// Cold callers pass `scratch.state()` (`run_simulation` records its
-/// vantage rows straight from it, churn reads its watched ASes);
-/// `sim::DeltaEngine` copies it into a new warm state.  Reentrant across
-/// distinct scratches and states: the context is read-only, so any number
-/// of concurrent calls may share it.
+/// The run for one isolated origination: `compute_prefix_flat` and the
+/// spec Timeline read `scratch.state()`, `sim::DeltaEngine` copies it into
+/// a new warm state.  A batch of originations takes `converge_batch`,
+/// which converges each origin once.  Reentrant across distinct scratches
+/// and states: the context is read-only, so any number of concurrent calls
+/// may share it.
 [[nodiscard]] FixpointStats converge_cold(const FlatSimContext& context,
                                           const Origination& origination,
                                           const FailedEdges* failed,
@@ -591,5 +644,126 @@ class FlatScratchPool {
   std::mutex mutex_;
   std::vector<std::unique_ptr<FlatScratch>> free_;
 };
+
+// ------------------------------------------------------------- the batch --
+
+/// Where policy names each prefix: for every prefix some policy keys a
+/// rule on, the sorted, deduplicated dense ids of the ASes whose inputs for
+/// that prefix differ from a prefix no policy names — every AS that pins
+/// it, the receiver of every per-neighbor export rule naming it, every
+/// neighbor of an AS with an any-neighbor rule naming it, and the
+/// `advertise_to` of every conditional advert naming it.  A snapshot of
+/// the context's policies: it lives outside the context, and a batch
+/// builds one per run, so no list outlives a policy mutation.
+class PrefixSeeds {
+ public:
+  using Id = topo::GraphView::Id;
+
+  explicit PrefixSeeds(const FlatSimContext& context);
+
+  /// The seed ids of `prefix`; empty when no policy names it.
+  [[nodiscard]] std::span<const Id> of(const bgp::Prefix& prefix) const;
+
+  /// True when some policy keys a pin, an export rule or a conditional
+  /// advert on `prefix`, whether or not that names an AS of the graph.
+  [[nodiscard]] bool named(const bgp::Prefix& prefix) const {
+    return ranges_.contains(prefix);
+  }
+
+  /// A prefix no policy names: what the batch runner converges each
+  /// origin's prefix-agnostic base for.
+  [[nodiscard]] const bgp::Prefix& unnamed() const { return unnamed_; }
+
+ private:
+  std::unordered_map<bgp::Prefix, std::pair<std::uint32_t, std::uint32_t>>
+      ranges_;  // prefix -> [begin, end) of ids_
+  std::vector<Id> ids_;
+  bgp::Prefix unnamed_;
+};
+
+/// What a batch (or one range of it) ran, by kind of run.  A base is an
+/// origin's prefix-agnostic fixpoint and belongs to no origination, so how
+/// many run depends on where the list is cut; waves and exact runs are
+/// the originations' own runs, one each, at any cut.  Seconds are summed
+/// over the workers; with the oracle's they cover the whole range but the
+/// visits.
+struct BatchStats {
+  double oracle_seconds = 0.0;
+  std::size_t base_converges = 0;
+  std::size_t base_events = 0;
+  double base_seconds = 0.0;
+  std::size_t waves = 0;
+  std::size_t wave_events = 0;
+  double wave_seconds = 0.0;
+  std::size_t exact_runs = 0;
+  std::size_t exact_events = 0;
+  double exact_seconds = 0.0;
+  /// Waves (or bases) that tripped `inversion_selections` or the per-AS
+  /// cap and were rerun in exact order; their events are not counted.
+  std::size_t discarded = 0;
+};
+
+/// One contiguous range of a batch, in list order, in one scratch: the
+/// static wedgie oracle runs once per origination.  A flagged origination
+/// runs in exact order (`converge_exact`).  A proven-unique one is derived
+/// from its origin's prefix-agnostic base — the origin's fixpoint for
+/// `seeds.unnamed()`, converged with the pruned fan-out the first time
+/// the range meets the origin and kept while consecutive originations
+/// share it — by a slot copy of the base and a pruned wave
+/// (`run_flat_fixpoint` with `filtered_enqueue`) seeded at
+/// `seeds.of(prefix)`, the origin excepted.  A base or wave that trips
+/// `inversion_selections` or the per-AS cap is discarded for the exact
+/// run.  `visit(index, stats, state)` then reads the converged state;
+/// the stats count the origination's own run (its wave or its exact run),
+/// never a base.  Healthy network only.
+///
+/// Why a wave lands on the exact order's routes: the oracle's checks for
+/// the prefix are its checks for the unnamed prefix plus the prefix pins,
+/// so a prefix proven unique proves its base unique.  The base is a stable
+/// state whose inputs differ from the prefix's only at the seeds, and a
+/// pruned wave from such a state reaches the unique fixpoint — the
+/// argument `DeltaEngine`'s frontier waves rest on.
+BatchStats converge_range(const FlatSimContext& context,
+                          const PrefixSeeds& seeds,
+                          std::span<const Origination> originations,
+                          util::IndexRange range,
+                          const PropagationOptions& options,
+                          FlatScratch& scratch, const BatchVisit& visit);
+
+/// Contiguous ranges per worker the batch runner cuts a list into: enough
+/// for the dynamic claim to balance ranges of unequal cost, few enough
+/// that most originations find their origin's base already converged.
+inline constexpr std::size_t kBatchRangesPerThread = 8;
+
+/// The batch runner, shared by `run_simulation` and
+/// `ChurnSimulator::run_initial`: cuts `originations` into contiguous
+/// ranges (one on a sequential run, `kBatchRangesPerThread` per thread of
+/// `pool`), runs each with `converge_range` on one worker in a leased
+/// scratch, building a `start()` result through `visit(result, index,
+/// stats, state)`, and hands the results to `merge(result)` on the calling
+/// thread in range order — so whatever `merge` builds is the same at any
+/// thread count.
+template <typename Start, typename Visit, typename Merge>
+void converge_batch(const FlatSimContext& context, const PrefixSeeds& seeds,
+                    std::span<const Origination> originations,
+                    const PropagationOptions& options, util::ThreadPool* pool,
+                    FlatScratchPool& scratches, Start&& start, Visit&& visit,
+                    Merge&& merge) {
+  const std::vector<util::IndexRange> ranges = util::split_ranges(
+      originations.size(),
+      pool == nullptr ? 1 : pool->size() * kBatchRangesPerThread);
+  util::shard_and_merge(
+      pool, ranges.size(),
+      [&](std::size_t r) {
+        auto result = start();
+        const auto lease = scratches.acquire();
+        (void)converge_range(
+            context, seeds, originations, ranges[r], options, *lease,
+            [&](std::size_t i, const FixpointStats& stats,
+                FlatRoutingState& state) { visit(result, i, stats, state); });
+        return result;
+      },
+      [&](std::size_t, auto& result) { merge(result); });
+}
 
 }  // namespace bgpolicy::sim

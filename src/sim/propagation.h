@@ -20,20 +20,20 @@
 //
 // Concurrency model
 // -----------------
-// The per-prefix cold fixpoint (`converge_cold`, flat_engine.h) is the
-// unit of parallelism: a function of (context, origination, failures,
-// options) that writes only the state and the `FlatScratch` it is handed —
-// the graph, policy set, context, and failure set are read-only for its
-// whole duration.  Any number of converges may therefore run concurrently
-// over the same graph/policies/failures, each in its own leased scratch.
-// Higher layers exploit exactly this: run_simulation (simulation.h) and
-// the churn engine (churn.h) shard their origination lists across a
-// util::ThreadPool (util/parallel.h), converge each prefix — and read the
-// routes they record out of it — on whichever worker claims it, and then
-// merge the per-prefix results on the calling thread in origination order
-// — so recorded tables and counters are byte-identical for every thread
-// count, including `threads = 1` (which runs the exact sequential seed
-// program).  Callers must NOT mutate the graph, policies, or failure set
+// Every flat program (`converge_cold`, the batch runner's ranges, a delta
+// wave; flat_engine.h) is a function of (context, originations, failures,
+// options) that writes only the states and the `FlatScratch` it is
+// handed — the graph, policy set, context, and failure set are read-only
+// for its whole duration.  Any number of them may therefore run
+// concurrently over the same graph/policies/failures, each in its own
+// leased scratch.  Higher layers exploit exactly this: run_simulation
+// (simulation.h) and churn's initial run (churn.h) cut their origination
+// lists into contiguous ranges across a util::ThreadPool (util/parallel.h)
+// and churn's steps shard their prefixes one per task; each worker
+// converges — and reads the routes it records out of the state — and the
+// calling thread merges the results in origination order, so recorded
+// tables and counters are byte-identical for every thread count, including
+// `threads = 1` (which runs everything on the calling thread).  Callers must NOT mutate the graph, policies, or failure set
 // while a parallel region is in flight; mutation between regions (as churn
 // does) is fine.
 #pragma once

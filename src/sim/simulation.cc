@@ -85,47 +85,36 @@ void merge_sim_chunk(SimResult& into, SimResult&& chunk) {
 
 namespace {
 
-/// One origination's recordings — what record_prefix would add, in the
-/// same order — built on a worker straight from the converged flat state.
-struct PrefixRows {
-  FixpointStats stats;
-  std::vector<bgp::Route> collector;
-  std::vector<std::vector<bgp::Route>> looking_glass;  // per spec entry
-  std::vector<std::optional<bgp::Route>> best_only;    // per spec entry
-};
-
-PrefixRows record_rows(const FlatSimContext& context,
-                       const Origination& origination,
-                       const PropagationOptions& options,
-                       const VantageSpec& spec, FlatScratch& scratch) {
-  PrefixRows rows;
-  FlatRoutingState& state = scratch.state();
-  rows.stats =
-      converge_cold(context, origination, nullptr, options, scratch, state);
-
-  rows.collector.reserve(spec.collector_peers.size());
+/// Records one converged origination into `chunk` — what record_prefix
+/// would add, in the same order — straight from the flat state.
+void record_rows(const FlatSimContext& context, const Origination& origination,
+                 const FixpointStats& stats, const VantageSpec& spec,
+                 FlatRoutingState& state, SimResult& chunk) {
+  if (!stats.converged) ++chunk.unconverged_prefixes;
+  chunk.process_events += stats.events;
   for (const AsNumber peer : spec.collector_peers) {
-    std::optional<bgp::Route> record =
+    std::optional<bgp::Route> row =
         flat_route_at(context, origination, state, peer);
-    if (!record) continue;
-    record->path = record->path.prepend(peer);
-    record->learned_from = peer;
-    record->local_pref = 100;  // LOCAL_PREF is not transmitted over eBGP
-    record->router_id = peer.value();
-    rows.collector.push_back(std::move(*record));
+    if (!row) continue;
+    row->path = row->path.prepend(peer);
+    row->learned_from = peer;
+    row->local_pref = 100;  // LOCAL_PREF is not transmitted over eBGP
+    row->router_id = peer.value();
+    record(chunk.collector, std::move(*row));
   }
-
-  rows.looking_glass.reserve(spec.looking_glass.size());
   for (const AsNumber lg : spec.looking_glass) {
-    rows.looking_glass.push_back(
-        flat_adj_rib_in(context, origination, state, lg));
+    bgp::BgpTable& table = chunk.looking_glass.at(lg);
+    for (bgp::Route& route : flat_adj_rib_in(context, origination, state, lg)) {
+      record(table, std::move(route));
+    }
   }
-
-  rows.best_only.reserve(spec.best_only.size());
   for (const AsNumber as : spec.best_only) {
-    rows.best_only.push_back(flat_route_at(context, origination, state, as));
+    if (std::optional<bgp::Route> row =
+            flat_route_at(context, origination, state, as)) {
+      record(chunk.best_only.at(as), std::move(*row));
+    }
   }
-  return rows;
+  ++chunk.origination_count;
 }
 
 }  // namespace
@@ -135,47 +124,41 @@ SimResult run_simulation(const topo::AsGraph& graph, const PolicySet& policies,
                          const VantageSpec& spec,
                          const PropagationOptions& options,
                          const util::Executor* executor) {
-  SimResult result = init_sim_result(spec);
-  // One shared read-only flat context; workers lease warmed scratches from
-  // the pool per prefix, so scratch memory scales with worker count.
   const FlatSimContext context(graph, policies);
-  FlatScratchPool scratches;
+  return run_simulation(context, PrefixSeeds(context), originations, spec,
+                        options, executor);
+}
 
-  // Sharded execution: workers converge each prefix and build its rows
-  // into index-addressed slots; the calling thread only appends them, one
-  // prefix's rows at a time in origination order, through BgpTable::add
-  // (implicit withdraw per neighbor, exactly record_prefix's add
-  // sequence), so every table and
-  // counter is byte-identical to the sequential run (see
-  // util::shard_and_merge).
+SimResult run_simulation(const FlatSimContext& context,
+                         const PrefixSeeds& seeds,
+                         std::span<const Origination> originations,
+                         const VantageSpec& spec,
+                         const PropagationOptions& options,
+                         const util::Executor* executor) {
+  // Each range records into its own tables; merging them in range order
+  // is the sequential run byte for byte (merge_sim_chunk), and the first
+  // range's tables are taken as they are.
+  SimResult result = init_sim_result(spec);
+  bool first = true;
+  FlatScratchPool scratches;
   std::unique_ptr<util::Executor> owned;
   const util::Executor& exec =
       util::executor_or(executor, options.threads, originations.size(), owned);
-  util::shard_and_merge(
-      exec, originations.size(),
-      [&](std::size_t i) {
-        const auto lease = scratches.acquire();
-        return record_rows(context, originations[i], options, spec, *lease);
+  converge_batch(
+      context, seeds, originations, options,
+      originations.size() > 1 ? exec.pool() : nullptr, scratches,
+      [&] { return init_sim_result(spec); },
+      [&](SimResult& chunk, std::size_t i, const FixpointStats& stats,
+          FlatRoutingState& state) {
+        record_rows(context, originations[i], stats, spec, state, chunk);
       },
-      [&](std::size_t, PrefixRows& rows) {
-        if (!rows.stats.converged) ++result.unconverged_prefixes;
-        result.process_events += rows.stats.events;
-        for (bgp::Route& route : rows.collector) {
-          record(result.collector, std::move(route));
+      [&](SimResult& chunk) {
+        if (first) {
+          result = std::move(chunk);
+          first = false;
+        } else {
+          merge_sim_chunk(result, std::move(chunk));
         }
-        for (std::size_t j = 0; j < spec.looking_glass.size(); ++j) {
-          bgp::BgpTable& table = result.looking_glass[spec.looking_glass[j]];
-          for (bgp::Route& route : rows.looking_glass[j]) {
-            record(table, std::move(route));
-          }
-        }
-        for (std::size_t j = 0; j < spec.best_only.size(); ++j) {
-          if (rows.best_only[j]) {
-            record(result.best_only[spec.best_only[j]],
-                   std::move(*rows.best_only[j]));
-          }
-        }
-        ++result.origination_count;
       });
   return result;
 }

@@ -24,6 +24,9 @@
 
 namespace bgpolicy::sim {
 
+class FlatSimContext;
+class PrefixSeeds;
+
 struct VantageSpec {
   /// Pseudo-AS number for the collector (the paper's Oregon view, AS6664).
   AsNumber collector_as{6664};
@@ -38,27 +41,43 @@ struct SimResult {
   std::unordered_map<AsNumber, bgp::BgpTable> best_only;
   std::size_t origination_count = 0;
   std::size_t unconverged_prefixes = 0;
-  /// Fixpoint events summed over the originations, each counted in the
-  /// order it ran (`converge_cold`: pruned where the static wedgie oracle
-  /// proved the origination unique, exact elsewhere), so it is smaller
-  /// than the reference engine's trajectory while the tables are equal.
+  /// Fixpoint events summed over the originations, each counting its own
+  /// run in the batch runner (`converge_batch`): the pruned wave that
+  /// derived it from its origin's prefix-agnostic base where the static
+  /// wedgie oracle proved it unique, its exact run elsewhere.  The bases
+  /// belong to no origination and are not counted (how many run depends on
+  /// where the list is cut), so the count is the same at any thread count
+  /// and chunk size, and far smaller than the reference engine's
+  /// trajectory while the tables are equal.
   std::size_t process_events = 0;
 };
 
 /// Runs the propagation engine over every origination and records the
-/// requested vantage tables.  Prefix-sharded across
-/// `options.threads` workers (0 = hardware concurrency, 1 = sequential
-/// seed behavior): each worker converges a prefix (`converge_cold`) and
-/// builds its vantage rows straight from the flat state — collector and
-/// best-only rows from the best columns, looking-glass rows from the
-/// fixpoint's own per-arc offer code (`flat_adj_rib_in`).  The calling
-/// thread appends the rows in origination order, so the output — tables
-/// and counters — is byte-identical for every thread count, and the
-/// tables to `record_prefix` over reference fixpoints.  When `executor` is given it
+/// requested vantage tables.  The batch runner (`converge_batch`,
+/// sim/flat_engine.h) cuts the list into contiguous ranges across
+/// `options.threads` workers (0 = hardware concurrency, 1 = one range on
+/// the calling thread), converges each origination in its range's scratch
+/// and builds its vantage rows straight from the flat state into the
+/// range's own tables — collector and best-only rows from the best
+/// columns, looking-glass rows from the fixpoint's own per-arc offer code
+/// (`flat_adj_rib_in`).  The calling thread merges the ranges in order
+/// (`merge_sim_chunk`), so the output — tables and counters — is
+/// byte-identical for every thread count, and the tables to
+/// `record_prefix` over reference fixpoints.  When `executor` is given it
 /// supplies the (long-lived, shared) worker pool and `options.threads` is
 /// ignored; otherwise a one-shot pool sized from the knob is used.
 [[nodiscard]] SimResult run_simulation(const topo::AsGraph& graph,
                                        const PolicySet& policies,
+                                       std::span<const Origination> originations,
+                                       const VantageSpec& spec,
+                                       const PropagationOptions& options = {},
+                                       const util::Executor* executor = nullptr);
+
+/// The same run over a caller-built context and seed lists of the same
+/// (graph, policies), so a caller that runs one origination list in
+/// several slices builds them once: Experiment's Simulate chunks.
+[[nodiscard]] SimResult run_simulation(const FlatSimContext& context,
+                                       const PrefixSeeds& seeds,
                                        std::span<const Origination> originations,
                                        const VantageSpec& spec,
                                        const PropagationOptions& options = {},

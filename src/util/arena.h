@@ -35,6 +35,16 @@ class MonotonicArena {
     return static_cast<T*>(allocate_bytes(count * sizeof(T), alignof(T)));
   }
 
+  /// Makes room for `bytes` more bytes in the current block, moving to a
+  /// retained block that fits or adding one of exactly `bytes` when it
+  /// lacks them: a copy whose total size is known takes one block sized to
+  /// it rather than the default first block.  Allocations of that total
+  /// whose sizes are multiples of their alignment then fit without padding.
+  void reserve(std::size_t bytes) {
+    if (bytes == 0 || (cursor_ != nullptr && remaining_ >= bytes)) return;
+    grow(bytes, /*exact=*/true);
+  }
+
   /// Rewinds to empty, retaining every block for reuse.
   void reset() {
     used_ = 0;
@@ -72,9 +82,10 @@ class MonotonicArena {
     return out;
   }
 
-  void grow(std::size_t min_bytes) {
+  void grow(std::size_t min_bytes, bool exact = false) {
     // Advance to the next retained block when it fits; otherwise append a
-    // fresh one (doubling under pressure keeps block count logarithmic).
+    // fresh one (doubling under pressure keeps block count logarithmic),
+    // left uninitialized: every byte is written before it is read.
     while (block_ + 1 < blocks_.size()) {
       ++block_;
       if (blocks_[block_].size >= min_bytes) {
@@ -83,9 +94,11 @@ class MonotonicArena {
         return;
       }
     }
-    std::size_t size = blocks_.empty() ? block_bytes_ : blocks_.back().size * 2;
+    std::size_t size = exact            ? min_bytes
+                       : blocks_.empty() ? block_bytes_
+                                         : blocks_.back().size * 2;
     if (size < min_bytes) size = min_bytes;
-    blocks_.push_back({std::make_unique<std::byte[]>(size), size});
+    blocks_.push_back({std::make_unique_for_overwrite<std::byte[]>(size), size});
     reserved_ += size;
     block_ = blocks_.size() - 1;
     cursor_ = blocks_.back().data.get();

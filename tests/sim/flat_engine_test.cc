@@ -3,6 +3,7 @@
 #include "sim/flat_engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -112,6 +113,24 @@ TEST(MonotonicArena, ResetKeepsBlocksAndTracksPeak) {
   // Reuses the same storage after reset.
   auto* b = arena.allocate<std::uint64_t>(1);
   EXPECT_EQ(static_cast<void*>(b), static_cast<void*>(a));
+}
+
+TEST(MonotonicArena, ReserveTakesOneBlockOfExactlyTheSize) {
+  util::MonotonicArena arena;
+  arena.reserve(0);
+  EXPECT_EQ(arena.bytes_reserved(), 0u);  // nothing to hold, no block
+  arena.reserve(100 * sizeof(std::uint32_t));
+  EXPECT_EQ(arena.bytes_reserved(), 100 * sizeof(std::uint32_t));
+  (void)arena.allocate<std::uint32_t>(60);
+  (void)arena.allocate<std::uint32_t>(40);
+  EXPECT_EQ(arena.bytes_used(), arena.bytes_reserved());
+  // Room that is already there reserves nothing more; past it, the arena
+  // grows as before.
+  arena.reset();
+  arena.reserve(16);
+  EXPECT_EQ(arena.bytes_reserved(), 100 * sizeof(std::uint32_t));
+  (void)arena.allocate<std::uint32_t>(101);
+  EXPECT_GT(arena.bytes_reserved(), 100 * sizeof(std::uint32_t));
 }
 
 /// Best maps (and trajectory counters) of two runs must agree exactly.
@@ -399,6 +418,171 @@ TEST(FlatSimContext, RefreshMatchesRebuiltContext) {
   }
   // The edits are not no-ops: some prefixes route differently now.
   EXPECT_GT(moved, 0u);
+}
+
+TEST(PrefixSeeds, ListsEverySourceSortedAndDeduplicated) {
+  // Figure 3: A below B and C, B below D, C below E, D and E peers.
+  const Figure3 f = figure3_graph();
+  PolicySet policies = typical_policies(f.graph);
+  const auto p = [](const char* text) { return bgp::Prefix::parse(text); };
+  const bgp::Prefix pinned = p("10.1.0.0/24");
+  const bgp::Prefix denied = p("10.2.0.0/24");
+  const bgp::Prefix filtered = p("10.3.0.0/24");
+  const bgp::Prefix backup = p("10.4.0.0/24");
+  const bgp::Prefix shared = p("10.5.0.0/24");
+  const bgp::Prefix elsewhere = p("10.6.0.0/24");
+  const auto rule = [](const bgp::Prefix& prefix, ExportAction action) {
+    ExportRule r;
+    r.prefix = prefix;
+    r.action = action;
+    return r;
+  };
+  // A pin seeds the pinning AS.
+  policies.at_mut(f.b).import.prefix_override[pinned] = 90;
+  // A per-neighbor rule seeds its receiver, whatever its action.
+  policies.at_mut(f.d).export_.add_rule_for(
+      f.b, rule(denied, ExportAction::kDeny));
+  // An any-neighbor rule seeds every neighbor of its sender.
+  policies.at_mut(f.e).export_.add_rule_any(
+      rule(filtered, ExportAction::kPrepend));
+  // A conditional advert seeds its advertise_to.
+  policies.at_mut(f.a).conditional.push_back({backup, f.c, f.b});
+  // Several sources naming one prefix at one AS list it once.
+  policies.at_mut(f.c).import.prefix_override[shared] = 90;
+  policies.at_mut(f.a).export_.add_rule_for(
+      f.c, rule(shared, ExportAction::kTagNoExportUpstream));
+  policies.at_mut(f.d).import.prefix_override[shared] = 70;
+  // A rule toward an AS the graph lacks names the prefix and no AS.
+  policies.at_mut(f.d).export_.add_rule_for(
+      AsNumber(99), rule(elsewhere, ExportAction::kDeny));
+  // An origin-keyed rule names no prefix; a pin on 0.0.0.0/0 names the
+  // first candidate for the base prefix.
+  ExportRule by_origin;
+  by_origin.origin = f.a;
+  policies.at_mut(f.b).export_.add_rule_for(f.d, by_origin);
+  policies.at_mut(f.e).import.prefix_override[p("0.0.0.0/0")] = 90;
+
+  const FlatSimContext context(f.graph, policies);
+  const PrefixSeeds seeds(context);
+  const auto ids = [&](std::vector<AsNumber> ases) {
+    std::vector<topo::GraphView::Id> out;
+    for (const AsNumber as : ases) out.push_back(context.view().id_of(as));
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto of = [&](const bgp::Prefix& prefix) {
+    const auto span = seeds.of(prefix);
+    return std::vector<topo::GraphView::Id>(span.begin(), span.end());
+  };
+  EXPECT_EQ(of(pinned), ids({f.b}));
+  EXPECT_EQ(of(denied), ids({f.b}));
+  EXPECT_EQ(of(filtered), ids({f.c, f.d}));
+  EXPECT_EQ(of(backup), ids({f.c}));
+  EXPECT_EQ(of(shared), ids({f.c, f.d}));
+  EXPECT_TRUE(seeds.named(elsewhere));
+  EXPECT_TRUE(of(elsewhere).empty());
+  EXPECT_FALSE(seeds.named(p("10.7.0.0/24")));
+  EXPECT_TRUE(of(p("10.7.0.0/24")).empty());
+  EXPECT_TRUE(seeds.named(p("0.0.0.0/0")));
+  EXPECT_FALSE(seeds.named(seeds.unnamed()));
+}
+
+TEST(BatchRunner, DerivesExactRoutesAndCountsIndependentOfTheCut) {
+  // The batch runner's routes equal the exact order's for every
+  // origination, and each origination's stats are the same however the
+  // list is cut into ranges; only the bases, which belong to no
+  // origination, run once per origin run of a range.
+  const auto scenario = core::Scenario::small(7);
+  const auto truth = core::synthesize(scenario);
+  const FlatSimContext context(truth.topo.graph, truth.gen.policies);
+  const PrefixSeeds seeds(context);
+  const auto& originations = truth.originations;
+  FlatScratch scratch;
+  std::vector<PrefixRouting> exact;
+  for (const Origination& o : originations) {
+    const FixpointStats stats = converge_exact(
+        context, o, nullptr, scenario.propagation, scratch, scratch.state());
+    exact.push_back(materialize_routing(context, o, scratch.state(),
+                                        stats.converged, stats.events));
+  }
+
+  std::vector<FixpointStats> whole(originations.size());
+  const auto run = [&](std::size_t range_size, bool keep) {
+    BatchStats total;
+    for (std::size_t begin = 0; begin < originations.size();
+         begin += range_size) {
+      const util::IndexRange range{
+          begin, std::min(begin + range_size, originations.size())};
+      const BatchStats part = converge_range(
+          context, seeds, originations, range, scenario.propagation, scratch,
+          [&](std::size_t i, const FixpointStats& stats,
+              FlatRoutingState& state) {
+            const PrefixRouting got = materialize_routing(
+                context, originations[i], state, stats.converged,
+                stats.events);
+            EXPECT_EQ(got.best, exact[i].best) << "origination " << i;
+            if (keep) {
+              whole[i] = stats;
+            } else {
+              EXPECT_EQ(stats.events, whole[i].events) << "origination " << i;
+              EXPECT_EQ(stats.order, whole[i].order) << "origination " << i;
+            }
+          });
+      total.base_converges += part.base_converges;
+      total.waves += part.waves;
+      total.wave_events += part.wave_events;
+      total.exact_runs += part.exact_runs;
+      total.exact_events += part.exact_events;
+      total.discarded += part.discarded;
+    }
+    return total;
+  };
+  const BatchStats one = run(originations.size(), true);
+  const BatchStats sevens = run(7, false);
+  const BatchStats singles = run(1, false);
+  EXPECT_EQ(one.discarded, 0u);
+  EXPECT_GT(one.waves, 0u);
+  EXPECT_GT(one.exact_runs, 0u);
+  EXPECT_EQ(one.waves + one.exact_runs, originations.size());
+  for (const BatchStats* cut : {&sevens, &singles}) {
+    EXPECT_EQ(cut->waves, one.waves);
+    EXPECT_EQ(cut->wave_events, one.wave_events);
+    EXPECT_EQ(cut->exact_events, one.exact_events);
+  }
+  // One base per origin run of a range: a single range shares them most.
+  EXPECT_LT(one.base_converges, sevens.base_converges);
+  EXPECT_EQ(singles.base_converges, one.waves);
+}
+
+TEST(FlatRoutingState, CopiedInternet2002StateReservesWhatItUses) {
+  // A warm state copied out of a long-lived scratch holds its community
+  // members in one arena block of their size, not a default first block.
+  if (sanitizer_build()) {
+    GTEST_SKIP() << "internet2002 synthesis is too slow under sanitizers";
+  }
+  const auto scenario = core::Scenario::internet2002();
+  const auto truth = core::synthesize(scenario);
+  const FlatSimContext context(truth.topo.graph, truth.gen.policies);
+  FlatScratch scratch;
+  std::size_t with_members = 0;
+  for (std::size_t i = 0; i < truth.originations.size(); i += 97) {
+    const Origination& o = truth.originations[i];
+    (void)converge_cold(context, o, nullptr, scenario.propagation, scratch,
+                        scratch.state());
+    FlatRoutingState copy;
+    copy.assign_from(scratch.state());
+    const util::MonotonicArena& arena = copy.arena;
+    EXPECT_LE(arena.bytes_reserved(),
+              arena.bytes_used() + alignof(std::max_align_t))
+        << "origination " << i;
+    if (arena.bytes_used() > 0) ++with_members;
+    for (const AsNumber as : truth.topo.graph.ases()) {
+      ASSERT_EQ(flat_route_at(context, o, copy, as),
+                flat_route_at(context, o, scratch.state(), as))
+          << "origination " << i << " at " << util::to_string(as);
+    }
+  }
+  EXPECT_GT(with_members, 0u);
 }
 
 TEST(FlatScratchPool, LeasesAreReused) {

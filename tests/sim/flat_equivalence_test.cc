@@ -291,9 +291,12 @@ void expect_same_tables(const SimResult& got, const SimResult& want) {
 /// run_simulation against the seed program: the same tables row for row
 /// and the same convergence counters at every thread count, and the flat
 /// core's exact-order event sum equal to the reference trajectory's.
-/// run_simulation itself takes the oracle's order, so only its own
-/// `process_events` (and the SimArtifact digest that encodes them) may
-/// differ from the seed; they must not differ across thread counts.
+/// run_simulation itself runs the batch runner, which derives each
+/// proven-unique origination from its origin's base by a pruned wave, so
+/// only its own `process_events` (and the SimArtifact digest that encodes
+/// them) may differ from the seed: they equal one sequential pass of the
+/// runner and must not differ across thread counts, however the list is
+/// cut into ranges.
 void expect_tables_match_seed(const topo::AsGraph& graph,
                               const PolicySet& policies,
                               std::span<const Origination> originations,
@@ -312,16 +315,19 @@ void expect_tables_match_seed(const topo::AsGraph& graph,
   const FlatSimContext context(graph, policies);
   FlatScratch scratch;
   std::size_t exact_events = 0;
-  std::size_t chosen_events = 0;
   for (const Origination& origination : originations) {
     exact_events += converge_exact(context, origination, nullptr, options,
                                    scratch, scratch.state())
                         .events;
-    chosen_events += converge_cold(context, origination, nullptr, options,
-                                   scratch, scratch.state())
-                         .events;
   }
   EXPECT_EQ(exact_events, reference.process_events);
+  const BatchStats batch = converge_range(
+      context, PrefixSeeds(context), originations, {0, originations.size()},
+      options, scratch, [](std::size_t, const FixpointStats&,
+                           FlatRoutingState&) {});
+  EXPECT_EQ(batch.waves + batch.exact_runs, originations.size());
+  EXPECT_EQ(batch.discarded, 0u);
+  const std::size_t chosen_events = batch.wave_events + batch.exact_events;
 
   std::string first_digest;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -346,9 +352,9 @@ void expect_tables_match_seed(const topo::AsGraph& graph,
 /// Simulate digest, and one that moves a path-index id (PathIndex
 /// insertion order) moves the Observe digest.  The analyses digest sees
 /// every counter Analyze computes, so a wrong customer cone moves it.  The
-/// Simulate artifact also encodes `process_events`, the events of the
-/// order each origination ran in (the oracle's choice), so a change of
-/// order moves it while the rows stay.  The same values hold at every
+/// Simulate artifact also encodes `process_events`, the events of each
+/// origination's own run (its wave from its origin's base, or its exact
+/// run), so a change of kind of run moves it while the rows stay.  The same values hold at every
 /// thread count (the determinism contract); threads = 0 runs the
 /// production shape.
 TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
@@ -360,9 +366,11 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   core::Experiment experiment(scenario);
   experiment.run(core::Stage::kAnalyze);
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.sim())),
-            "38250edd91442cbc18fd51cb19c24abb");
-  // 14,900,880 in exact order; the oracle prunes 5,819 of 6,535.
-  EXPECT_EQ(experiment.sim().sim.process_events, 11117714u);
+            "55b5fffa37e88b763361d9beacf16c29");
+  // 14,900,880 in exact order; 11,117,714 in converge_cold's order, where
+  // the oracle prunes 5,819 of 6,535; 3,366,352 when those 5,819 are
+  // waves from their origins' bases.
+  EXPECT_EQ(experiment.sim().sim.process_events, 3366352u);
   EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.observations())),
             "d87e0e5615e5411eac740867510c4a8b");
   // The same analyses digest perfbench/reference.json pins.

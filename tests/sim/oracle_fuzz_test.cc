@@ -6,12 +6,17 @@
 // must equal the reference engine event for event.  A delta state
 // converged healthy, then failed and restored, must equal the exact cold
 // run of each world too, since its frontier waves prune on the same
-// verdict.  The worlds (tests/testing/random_world.h) draw the atypical
-// preferences, pins and filters that break the Gao-Rexford condition the
-// oracle checks.  A mismatch names the seed and prints the world in
-// `.scn` syntax.
+// verdict.  So must the batch runner (`converge_range` over the world's
+// whole origination list), which derives each proven-unique origination
+// from its origin's prefix-agnostic base by a pruned wave seeded where
+// policy names the prefix, and it may discard no wave.  The worlds
+// (tests/testing/random_world.h) draw the atypical preferences, pins and
+// filters that break the Gao-Rexford condition the oracle checks, and
+// give some origins several prefixes that policy tells apart.  A mismatch
+// names the seed and prints the world in `.scn` syntax.
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -34,6 +39,10 @@ std::string first_difference(const PrefixRouting& got,
     const bgp::Route* at = got.best_at(as);
     if (at == nullptr) return util::to_string(as) + " lost its route";
     if (!(*at == route)) {
+      if (at->path == route.path) {
+        return util::to_string(as) + " holds " + at->to_string() +
+               " instead of " + route.to_string();
+      }
       return util::to_string(as) + " routes via " +
              at->path.to_string() + " instead of " + route.path.to_string();
     }
@@ -46,6 +55,7 @@ TEST(OracleFuzz, ChosenOrderMatchesExactOrderOnRandomWorlds) {
   std::size_t pruned = 0;
   std::size_t exact_runs = 0;
   std::size_t discarded = 0;
+  std::size_t waves = 0;
   std::size_t failing_seeds = 0;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     const testing::RandomWorld w = testing::random_world(seed);
@@ -63,8 +73,10 @@ TEST(OracleFuzz, ChosenOrderMatchesExactOrderOnRandomWorlds) {
     const auto check = [&](const std::string& what, const std::string& diff) {
       if (problem.empty() && !diff.empty()) problem = what + ": " + diff;
     };
+    std::vector<PrefixRouting> healthy;
     for (const Origination& o : w.originations) {
-      const std::string from = " from " + util::to_string(o.origin);
+      const std::string from = " from " + util::to_string(o.origin) + " of " +
+                               o.prefix.to_string();
       PrefixRouting exact_of[2];
       for (const bool failed : {false, true}) {
         const FailedEdges* failures = failed ? &w.failed : nullptr;
@@ -101,6 +113,7 @@ TEST(OracleFuzz, ChosenOrderMatchesExactOrderOnRandomWorlds) {
                                exact));
         exact_of[failed ? 1 : 0] = exact;
       }
+      healthy.push_back(exact_of[0]);
 
       DeltaState state;
       engine.converge(o, nullptr, state, scratch);
@@ -114,6 +127,29 @@ TEST(OracleFuzz, ChosenOrderMatchesExactOrderOnRandomWorlds) {
       check("delta wave vs exact, restored" + from,
             first_difference(engine.materialize(state), exact_of[0]));
     }
+
+    const BatchStats batch = converge_range(
+        context, PrefixSeeds(context), w.originations,
+        {0, w.originations.size()}, {}, scratch,
+        [&](std::size_t i, const FixpointStats& stats,
+            FlatRoutingState& state) {
+          const Origination& o = w.originations[i];
+          const std::string where = "healthy from " +
+                                    util::to_string(o.origin) + " of " +
+                                    o.prefix.to_string();
+          if (stats.pruned_discarded) {
+            check("batch wave discarded, " + where,
+                  std::to_string(stats.inversion_selections) +
+                      " inversion selections");
+          }
+          check("batch vs exact order, " + where,
+                first_difference(materialize_routing(context, o, state,
+                                                     stats.converged,
+                                                     stats.events),
+                                 healthy[i]));
+        });
+    discarded += batch.discarded;
+    waves += batch.waves;
     if (!problem.empty()) {
       ++failing_seeds;
       ADD_FAILURE() << "seed " << seed << ": " << problem << "\n"
@@ -125,8 +161,10 @@ TEST(OracleFuzz, ChosenOrderMatchesExactOrderOnRandomWorlds) {
   // Both verdicts are exercised, so neither side of the proof is vacuous.
   EXPECT_GT(pruned, kSeeds);
   EXPECT_GT(exact_runs, kSeeds);
+  EXPECT_GT(waves, kSeeds);
   RecordProperty("pruned_runs", static_cast<int>(pruned));
   RecordProperty("exact_runs", static_cast<int>(exact_runs));
+  RecordProperty("batch_waves", static_cast<int>(waves));
 }
 
 }  // namespace

@@ -7,9 +7,14 @@
 // Karlin, Forrest & Rexford's nation-state policy filters (per-neighbor
 // denies keyed on a prefix or on the route's origin) — plus prepends,
 // both community tag actions, relationship tagging, conditional adverts
-// and a random failure set.  One seed is one world, so a failing seed is
-// its own repro; `describe()` prints the world in `.scn` syntax where the
-// spec language has a line for the edit and as a comment where it has none.
+// and a random failure set.  Some ASes originate two to four prefixes, and
+// pins, denies, prepends, tags, any-neighbor filters and conditional
+// adverts key on single prefixes, so an origin's prefixes differ from one
+// another only where policy names them: what the batch runner's waves
+// from an origin's prefix-agnostic base must get right.  One seed is one
+// world, so a failing seed is its own repro; `describe()` prints the world
+// in `.scn` syntax where the spec language has a line for the edit and as
+// a comment where it has none.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +38,8 @@ struct RandomWorld {
   std::uint64_t seed = 0;
   topo::AsGraph graph;
   sim::PolicySet policies;
-  /// One prefix per AS, in AS insertion order (highest rank first).
+  /// One to four prefixes per AS, an AS's prefixes one after another, in
+  /// AS insertion order (highest rank first).
   std::vector<sim::Origination> originations;
   /// A random failure set of one to three sessions.
   sim::FailedEdges failed;
@@ -107,12 +113,20 @@ inline RandomWorld random_world(std::uint64_t seed) {
     }
   }
 
+  // AS i originates 10.i.0.0/16 and, for some ASes, one to three /24s
+  // inside it; `first_prefix[i]` indexes its first origination.
+  std::vector<std::size_t> first_prefix;
   for (std::size_t i = 0; i < n; ++i) {
     w.policies.by_as.emplace(as[i], sim::AsPolicy{});
-    w.originations.push_back(
-        {bgp::Prefix(static_cast<std::uint32_t>((10u << 24) | (i << 16)),
-                     16),
-         as[i]});
+    first_prefix.push_back(w.originations.size());
+    const std::size_t extra = rng.chance(0.4) ? 1 + rng.index(3) : 0;
+    for (std::size_t k = 0; k <= extra; ++k) {
+      w.originations.push_back(
+          {bgp::Prefix(
+               static_cast<std::uint32_t>((10u << 24) | (i << 16) | (k << 8)),
+               k == 0 ? 16 : 24),
+           as[i]});
+    }
   }
 
   const auto random_pref = [&] {
@@ -172,8 +186,15 @@ inline RandomWorld random_world(std::uint64_t seed) {
         case 2:
           rule.action = sim::ExportAction::kPrepend;
           rule.prepend_times = static_cast<std::uint8_t>(1 + rng.index(3));
-          w.overrides.push_back("prepend " + str(x) + " " + str(nb) + " " +
-                                std::to_string(rule.prepend_times));
+          if (rng.chance(0.5)) {
+            rule.prefix = prefix;
+            w.overrides.push_back("# prepend " + str(x) + " " + str(nb) +
+                                  " " + std::to_string(rule.prepend_times) +
+                                  " prefix " + prefix.to_string());
+          } else {
+            w.overrides.push_back("prepend " + str(x) + " " + str(nb) + " " +
+                                  std::to_string(rule.prepend_times));
+          }
           break;
         case 3:
           rule.prefix = prefix;
@@ -187,8 +208,11 @@ inline RandomWorld random_world(std::uint64_t seed) {
           rule.action = sim::ExportAction::kTagNoExportTo;
           rule.target = far[rng.index(far.size())].as;
           (void)w.policies.at_mut(nb).no_export_slot_for(rule.target);
+          if (rng.chance(0.5)) rule.prefix = prefix;
           w.overrides.push_back("# no_export_to " + str(x) + " " + str(nb) +
-                                " target " + str(rule.target));
+                                " target " + str(rule.target) +
+                                (rule.prefix ? " prefix " + prefix.to_string()
+                                             : std::string()));
           break;
         }
       }
@@ -208,18 +232,22 @@ inline RandomWorld random_world(std::uint64_t seed) {
     }
   }
 
-  // Backup adverts: a multihomed AS announces its own prefix to a second
-  // provider only while the first is down.
+  // Backup adverts: a multihomed AS announces one of its own prefixes to
+  // a second provider only while the first is down.
   for (std::size_t i = 0; i < n; ++i) {
     const std::vector<AsNumber> providers = w.graph.providers(as[i]);
     if (providers.size() < 2 || !rng.chance(0.3)) continue;
     const AsNumber watch = providers[0];
     const AsNumber backup = providers[1];
-    w.policies.at_mut(as[i]).conditional.push_back(
-        {w.originations[i].prefix, backup, watch});
+    const std::size_t own =
+        (i + 1 < n ? first_prefix[i + 1] : w.originations.size()) -
+        first_prefix[i];
+    const bgp::Prefix prefix =
+        w.originations[first_prefix[i] + rng.index(own)].prefix;
+    w.policies.at_mut(as[i]).conditional.push_back({prefix, backup, watch});
     w.overrides.push_back("conditional " + str(as[i]) + " " +
-                          w.originations[i].prefix.to_string() + " " +
-                          str(backup) + " watch " + str(watch));
+                          prefix.to_string() + " " + str(backup) + " watch " +
+                          str(watch));
   }
 
   const auto edges = w.graph.edges();
