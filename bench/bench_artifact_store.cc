@@ -12,12 +12,15 @@
 //
 // Each artifact row also counts the heap allocations of its decode
 // (`decode_allocations`, bgpolicy-bench/v12): this binary replaces the
-// global operator new with a counting one.
+// global operator new with a counting one.  `hash_seconds`
+// (bgpolicy-bench/v15) is a load's hashing alone — io::CheckedArtifact's
+// store digest and frame checksum, fastest of kHashRuns — so a load splits
+// into reading, hashing and decoding.
 //
 // The `resume` rows time a store-resumed Experiment
 // through Analyze at one thread and at hardware_concurrency (one row on a
 // one-CPU host), with spans of its StageTrace: simulate.load (the read and
-// the one hashing pass that yields the digest and the frame check),
+// the hashing that yields the digest and the frame check),
 // simulate.decode, observe.probe, and the overlap of the decode and the
 // probe — the resume graph decodes the SimArtifact beside the Observe
 // probe.  A resume that computes any stage, or whose stage digests differ
@@ -78,6 +81,8 @@ struct Row {
   double encode_seconds = 0;
   double decode_seconds = 0;
   std::uint64_t decode_allocations = 0;  ///< operator new calls in decode
+  /// io::CheckedArtifact's hashing alone, fastest of kHashRuns.
+  double hash_seconds = 0;
   double load_seconds = 0;  ///< store read + decode
   double load_speedup = 0;  ///< compute / load
 };
@@ -85,8 +90,8 @@ struct Row {
 struct ResumeRow {
   std::size_t threads = 0;
   double wall_seconds = 0;  ///< fastest of kResumeRuns
-  /// Spans of that run's StageTrace: the SimArtifact read and hashing pass,
-  /// its decode, the Observe probe (read, hashing pass and decode of the
+  /// Spans of that run's StageTrace: the SimArtifact read and hashing,
+  /// its decode, the Observe probe (read, hashing and decode of the
   /// Observations entry) and the time the decode and the probe ran at once.
   double sim_load_seconds = 0;
   double sim_decode_seconds = 0;
@@ -95,6 +100,7 @@ struct ResumeRow {
 };
 
 constexpr int kResumeRuns = 3;
+constexpr int kHashRuns = 5;
 constexpr std::array<core::Stage, 5> kStages = {
     core::Stage::kSynthesize, core::Stage::kSimulate, core::Stage::kObserve,
     core::Stage::kInfer, core::Stage::kAnalyze};
@@ -160,9 +166,9 @@ bool bench_resume(const core::Scenario& scenario, core::ArtifactStore& store,
   return true;
 }
 
-/// Benches one artifact: encode/decode timings, store write, then a timed
-/// load (read + decode).  Returns false when the roundtrip is not
-/// byte-pure.
+/// Benches one artifact: encode/decode timings, the load's hashing alone,
+/// store write, then a timed load (read + decode).  Returns false when the
+/// roundtrip is not byte-pure or the frame does not check.
 template <typename T, typename DecodeFn>
 bool bench_artifact(const core::ArtifactStore& store, const std::string& key,
                     const T& artifact, double compute_seconds,
@@ -179,6 +185,15 @@ bool bench_artifact(const core::ArtifactStore& store, const std::string& key,
   row.decode_seconds = seconds_since(start);
   row.decode_allocations = g_allocations.load() - allocations_before;
   const bool pure = io::encode(decoded) == bytes;
+
+  for (int run = 0; run < kHashRuns; ++run) {
+    std::vector<std::uint8_t> copy = bytes;
+    start = std::chrono::steady_clock::now();
+    const io::CheckedArtifact checked(std::move(copy));
+    const double seconds = seconds_since(start);
+    if (!checked.checksum_matches()) return false;
+    if (run == 0 || seconds < row.hash_seconds) row.hash_seconds = seconds;
+  }
 
   if (!store.put(key, bytes)) {
     std::cerr << "artifact store write failed for " << key << " under "
@@ -313,6 +328,7 @@ int main(int argc, char** argv) {
                 << ",\"encode_seconds\":" << r.encode_seconds
                 << ",\"decode_seconds\":" << r.decode_seconds
                 << ",\"decode_allocations\":" << r.decode_allocations
+                << ",\"hash_seconds\":" << r.hash_seconds
                 << ",\"load_seconds\":" << r.load_seconds
                 << ",\"load_speedup\":" << r.load_speedup << "}";
     }
@@ -335,13 +351,14 @@ int main(int argc, char** argv) {
             << "scenario " << scenario.name << " · hardware threads: " << hw
             << "\n\n";
   util::TextTable table({"artifact", "bytes", "compute", "encode", "decode",
-                         "decode allocs", "load", "load speedup"});
+                         "decode allocs", "hash", "load", "load speedup"});
   for (const Row& r : rows) {
     table.add_row({r.artifact, std::to_string(r.bytes),
                    util::fmt(r.compute_seconds, 3),
                    util::fmt(r.encode_seconds, 3),
                    util::fmt(r.decode_seconds, 3),
                    std::to_string(r.decode_allocations),
+                   util::fmt(r.hash_seconds, 4),
                    util::fmt(r.load_seconds, 3),
                    util::fmt(r.load_speedup, 1) + "x"});
   }

@@ -88,7 +88,7 @@ std::string digest_of(const World& w, sim::SimResult sim) {
   core::SimArtifact artifact;
   artifact.vantage = w.vantage;
   artifact.sim = std::move(sim);
-  return core::stable_digest_hex(io::encode(artifact));
+  return core::store_digest_hex(io::encode(artifact));
 }
 
 /// The seed sequential program: reference fixpoints recorded in

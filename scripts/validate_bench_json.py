@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Checks the current schema, bgpolicy-bench/v14: sim_scaling carries the
+Checks the current schema, bgpolicy-bench/v15: sim_scaling carries the
 batch runner's one-thread pass by kind of run — the oracle
 (oracle_seconds), the prefix-agnostic bases that belong to no origination
 (base_converges, base_events, base_seconds), the waves derived from them
@@ -11,8 +11,9 @@ fixpoint_seconds, with chosen_order_events the waves' and exact runs'
 events — beside each origination converged alone in the oracle's order
 (cold_order_events, cold_fixpoint_seconds) and in exact order
 (exact_order_events, exact_fixpoint_seconds); every artifact_store row
-carries decode_allocations, the operator-new count of its decode, beside
-the resume rows (a store-resumed run through Analyze at one thread and at
+carries decode_allocations, the operator-new count of its decode, and
+hash_seconds, a load's hashing alone (the store digest and frame
+checksum), beside the resume rows (a store-resumed run through Analyze at one thread and at
 hardware_concurrency, with its simulate.load, simulate.decode and
 observe.probe spans and their overlap).
 
@@ -30,9 +31,9 @@ import json
 import os
 import sys
 
-SCHEMA = "bgpolicy-bench/v14"
+SCHEMA = "bgpolicy-bench/v15"
 
-# The committed records of schemas v2..v13, by SHA-256 of their bytes.
+# The committed records of schemas v2..v14, by SHA-256 of their bytes.
 FROZEN = {
     "BENCH_2026-07-29_pr2.json":
         "35aff9cb60476fbfa93cda4400c9986750dbaf0c78329509817b8eb4453e5c37",
@@ -64,6 +65,8 @@ FROZEN = {
         "c008cd054adc0f71e873b0b05a4728c3448d7e32c948bc96148f83f3cc575df7",
     "BENCH_2026-10-18_oracle_order.json":
         "9a175ea56e791971c122c74bb830ce5368da3c7062f0591169696696c8e3c77c",
+    "BENCH_2026-10-19_origin_bases.json":
+        "d4ff384f08bb1e1f3e1ae4b98442151cc799f6e7dceece934c5a46dcadd09d4c",
 }
 
 
@@ -173,7 +176,7 @@ def check_artifact_store(path, record):
         artifacts.append(row["artifact"])
         for key in ("bytes", "compute_seconds", "encode_seconds",
                     "decode_seconds", "load_seconds", "load_speedup",
-                    "decode_allocations"):
+                    "decode_allocations", "hash_seconds"):
             require(path, key in row, f"{name}.results[].{key} missing")
             require(path, isinstance(row[key], (int, float)),
                     f"{name}.results[].{key} must be a number")
@@ -184,6 +187,8 @@ def check_artifact_store(path, record):
                 and row["decode_allocations"] >= 0,
                 f"{name}.results[].decode_allocations must be a "
                 "non-negative integer")
+        require(path, row["hash_seconds"] > 0,
+                f"{name}.results[].hash_seconds must be > 0")
 
 
 def check_resume(path, record):

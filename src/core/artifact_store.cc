@@ -1,8 +1,10 @@
 #include "core/artifact_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <system_error>
 #include <vector>
@@ -24,6 +26,96 @@ void append_hex64(std::string& out, std::uint64_t value) {
   }
 }
 
+// XXH64's constants and steps, as published.
+constexpr std::uint64_t kXxPrime1 = 0x9e3779b185ebca87ULL;
+constexpr std::uint64_t kXxPrime2 = 0xc2b2ae3d27d4eb4fULL;
+constexpr std::uint64_t kXxPrime3 = 0x165667b19e3779f9ULL;
+constexpr std::uint64_t kXxPrime4 = 0x85ebca77c2b2ae63ULL;
+constexpr std::uint64_t kXxPrime5 = 0x27d4eb2f165667c5ULL;
+
+template <typename T>
+T read_le(const std::uint8_t* p) {
+  T value;
+  std::memcpy(&value, p, sizeof(value));
+  if constexpr (std::endian::native == std::endian::big) {
+    if constexpr (sizeof(T) == 8) value = __builtin_bswap64(value);
+    if constexpr (sizeof(T) == 4) value = __builtin_bswap32(value);
+  }
+  return value;
+}
+
+constexpr std::uint64_t xx_round(std::uint64_t acc, std::uint64_t input) {
+  return std::rotl(acc + input * kXxPrime2, 31) * kXxPrime1;
+}
+
+constexpr std::uint64_t xx_merge(std::uint64_t hash, std::uint64_t acc) {
+  return (hash ^ xx_round(0, acc)) * kXxPrime1 + kXxPrime4;
+}
+
+/// XXH64 of `bytes` under each of `seeds`, in one loop: each stripe is
+/// read once and feeds every seed's four lanes, and the short tail is
+/// read once for all of them.
+template <std::size_t N>
+std::array<std::uint64_t, N> xxh64_lanes(
+    std::span<const std::uint8_t> bytes,
+    const std::array<std::uint64_t, N>& seeds) {
+  const std::uint8_t* p = bytes.data();
+  const std::uint8_t* const end = p + bytes.size();
+  std::array<std::uint64_t, N> hash{};
+  if (bytes.size() >= 32) {
+    std::array<std::array<std::uint64_t, 4>, N> lanes;
+    for (std::size_t n = 0; n < N; ++n) {
+      lanes[n] = {seeds[n] + kXxPrime1 + kXxPrime2, seeds[n] + kXxPrime2,
+                  seeds[n], seeds[n] - kXxPrime1};
+    }
+    for (; end - p >= 32; p += 32) {
+      const std::uint64_t stripe[4] = {
+          read_le<std::uint64_t>(p), read_le<std::uint64_t>(p + 8),
+          read_le<std::uint64_t>(p + 16), read_le<std::uint64_t>(p + 24)};
+      for (std::size_t n = 0; n < N; ++n) {
+        for (std::size_t lane = 0; lane < 4; ++lane) {
+          lanes[n][lane] = xx_round(lanes[n][lane], stripe[lane]);
+        }
+      }
+    }
+    for (std::size_t n = 0; n < N; ++n) {
+      const std::array<std::uint64_t, 4>& v = lanes[n];
+      std::uint64_t h = std::rotl(v[0], 1) + std::rotl(v[1], 7) +
+                        std::rotl(v[2], 12) + std::rotl(v[3], 18);
+      for (const std::uint64_t acc : v) h = xx_merge(h, acc);
+      hash[n] = h;
+    }
+  } else {
+    for (std::size_t n = 0; n < N; ++n) hash[n] = seeds[n] + kXxPrime5;
+  }
+  for (std::uint64_t& h : hash) h += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    const std::uint64_t k = xx_round(0, read_le<std::uint64_t>(p));
+    for (std::uint64_t& h : hash) {
+      h = std::rotl(h ^ k, 27) * kXxPrime1 + kXxPrime4;
+    }
+  }
+  if (end - p >= 4) {
+    const std::uint64_t k = read_le<std::uint32_t>(p) * kXxPrime1;
+    for (std::uint64_t& h : hash) {
+      h = std::rotl(h ^ k, 23) * kXxPrime2 + kXxPrime3;
+    }
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    const std::uint64_t k = *p * kXxPrime5;
+    for (std::uint64_t& h : hash) h = std::rotl(h ^ k, 11) * kXxPrime1;
+  }
+  for (std::uint64_t& h : hash) {
+    h ^= h >> 33;
+    h *= kXxPrime2;
+    h ^= h >> 29;
+    h *= kXxPrime3;
+    h ^= h >> 32;
+  }
+  return hash;
+}
+
 }  // namespace
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
@@ -33,36 +125,34 @@ std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
   return hash;
 }
 
-DigestWithTail stable_digest_with_tail(std::span<const std::uint8_t> bytes,
-                                       std::size_t tail_from,
-                                       std::uint64_t tail_seed) {
-  // The two digest lanes, fnv1a64(bytes, kFnvOffset) and
-  // fnv1a64(bytes, kFnvOffsetAlt), join the tail lane from `tail_from` on:
-  // the multiply chains are independent, so the extra lanes run in the
-  // first one's latency.
-  std::uint64_t first = kFnvOffset;
-  std::uint64_t second = kFnvOffsetAlt;
-  std::uint64_t tail = tail_seed;
-  const std::size_t head = std::min(tail_from, bytes.size());
-  for (std::size_t i = 0; i < head; ++i) {
-    first = (first ^ bytes[i]) * kFnvPrime;
-    second = (second ^ bytes[i]) * kFnvPrime;
-  }
-  for (std::size_t i = head; i < bytes.size(); ++i) {
-    first = (first ^ bytes[i]) * kFnvPrime;
-    second = (second ^ bytes[i]) * kFnvPrime;
-    tail = (tail ^ bytes[i]) * kFnvPrime;
-  }
-  DigestWithTail out;
-  out.digest.reserve(32);
-  append_hex64(out.digest, first);
-  append_hex64(out.digest, second);
-  out.tail = tail;
+std::uint64_t xxh64(std::span<const std::uint8_t> bytes, std::uint64_t seed) {
+  return xxh64_lanes<1>(bytes, {seed})[0];
+}
+
+std::string store_digest_hex(std::span<const std::uint8_t> bytes) {
+  const std::array<std::uint64_t, 2> lanes =
+      xxh64_lanes(bytes, kStoreDigestSeeds);
+  std::string out;
+  out.reserve(32);
+  append_hex64(out, lanes[0]);
+  append_hex64(out, lanes[1]);
   return out;
 }
 
 std::string stable_digest_hex(std::span<const std::uint8_t> bytes) {
-  return stable_digest_with_tail(bytes, bytes.size(), 0).digest;
+  // Two independent multiply chains: the second lane runs in the first
+  // one's latency.
+  std::uint64_t first = kFnvOffset;
+  std::uint64_t second = kFnvOffsetAlt;
+  for (const std::uint8_t byte : bytes) {
+    first = (first ^ byte) * kFnvPrime;
+    second = (second ^ byte) * kFnvPrime;
+  }
+  std::string out;
+  out.reserve(32);
+  append_hex64(out, first);
+  append_hex64(out, second);
+  return out;
 }
 
 std::string stable_digest_hex(std::string_view text) {

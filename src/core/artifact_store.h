@@ -20,6 +20,7 @@
 // version-mismatched bytes as misses upstream.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -31,31 +32,44 @@
 
 namespace bgpolicy::core {
 
-/// 64-bit FNV-1a over `bytes`, folded over `seed` (exposed for tests; use
-/// stable_digest_hex for store-facing digests).
+// Two digest families, one per kind of input:
+//  - stored artifact bytes (io/artifact_codec.h) are hashed with XXH64: the
+//    store digest the staged keys chain on (store_digest_hex) and the
+//    codec's frame checksum.  A resume hashes every byte it loads, so this
+//    hash runs at memory speed;
+//  - canonical text is hashed with FNV-1a (stable_digest_hex): store file
+//    names (path_for), the analyses and watched-table digests perfbench
+//    checks against perfbench/reference.json, the serve snapshot
+//    identity, and the content pins.  Its values never move with the
+//    storage format.
+
+/// 64-bit FNV-1a over `bytes`, folded over `seed` (stable_digest_hex's
+/// lanes; serve/frame.cc's checksum).
 [[nodiscard]] std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes,
                                     std::uint64_t seed);
 
-/// Stable 128-bit content digest as 32 lowercase hex characters — the
-/// content address for store entries and the upstream-artifact digest the
-/// staged cache keys chain on.  Depends only on the bytes, never on the
-/// process or platform.
+/// XXH64 as published (32-byte stripes over four lanes, little-endian
+/// reads, any alignment); xxh64("", 0) = 0xef46db3751d8e999.
+[[nodiscard]] std::uint64_t xxh64(std::span<const std::uint8_t> bytes,
+                                  std::uint64_t seed);
+
+/// The seeds of the store digest's two XXH64 lanes.
+inline constexpr std::array<std::uint64_t, 2> kStoreDigestSeeds = {
+    0x0000000000000000ULL, 0x9e3779b97f4a7c15ULL};
+
+/// The store digest of stored artifact bytes as 32 lowercase hex
+/// characters: xxh64 under kStoreDigestSeeds[0], then under
+/// kStoreDigestSeeds[1], both lanes fed from one read of each stripe.
+/// The upstream-artifact digest the staged cache keys chain on, and what a
+/// `.scn` `digest` assertion pins.  Depends only on the bytes, never on
+/// the process or platform.
+[[nodiscard]] std::string store_digest_hex(std::span<const std::uint8_t> bytes);
+
+/// Stable 128-bit digest of canonical text as 32 lowercase hex
+/// characters: two 64-bit FNV-1a lanes.  Depends only on the bytes, never
+/// on the process or platform.
 [[nodiscard]] std::string stable_digest_hex(std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::string stable_digest_hex(std::string_view text);
-
-/// stable_digest_hex(bytes) and, beside it, a third FNV-1a lane seeded with
-/// `tail_seed` over bytes[tail_from, end) — empty when `tail_from` is past
-/// the end.  All three lanes run in one loop over the bytes; their
-/// multiply chains are independent, so the pass costs what the two-lane
-/// digest alone does.  io::CheckedArtifact takes an artifact's store digest
-/// and its frame checksum this way.
-struct DigestWithTail {
-  std::string digest;
-  std::uint64_t tail = 0;
-};
-[[nodiscard]] DigestWithTail stable_digest_with_tail(
-    std::span<const std::uint8_t> bytes, std::size_t tail_from,
-    std::uint64_t tail_seed);
 
 class ArtifactStore {
  public:

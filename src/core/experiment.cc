@@ -93,14 +93,15 @@ void vantage_field(std::string& key, std::span<const AsNumber> vantages) {
 /// Every artifact key starts with the codec version, so a codec bump
 /// retires the whole cache at the key level too (stale entries would be
 /// rejected by the header check anyway — this just avoids probing them).
-constexpr const char* kKeyPrefix = "bgpolicy-artifact/v1|";
+const std::string kKeyPrefix =
+    "bgpolicy-artifact/v" + std::to_string(io::kArtifactCodecVersion) + "|";
 
 /// The one store probe every stage, Simulate chunk, and sweep variant
-/// runs: loads `key`, hashes the bytes once for their content digest and
-/// frame checksum (io::CheckedArtifact), and decodes them.  A load failure
+/// runs: loads `key`, hashes the bytes for their store digest and frame
+/// checksum (io::CheckedArtifact), and decodes them.  A load failure
 /// of any flavor — missing file, truncation, corruption, codec-version
 /// mismatch — is a miss, never an error (artifact_codec.h).  On a hit
-/// `digest_out`, when given, receives the content digest of the stored
+/// `digest_out`, when given, receives the store digest of the stored
 /// bytes (what downstream keys chain on).
 template <typename T>
 std::optional<T> probe_store(const ArtifactStore* store,
@@ -120,7 +121,7 @@ std::optional<T> probe_store(const ArtifactStore* store,
   }
 }
 
-/// Encodes `artifact` and persists it under `key`, returning its content
+/// Encodes `artifact` and persists it under `key`, returning its store
 /// digest; without a store nothing is written and the digest is empty.
 /// `stored`, when given, reports whether the write succeeded (a failed
 /// write still yields the digest of the encoded bytes).
@@ -131,12 +132,12 @@ std::string persist(const ArtifactStore* store, const std::string& key,
   const std::vector<std::uint8_t> bytes = io::encode(artifact);
   const bool ok = store->put(key, bytes);
   if (stored != nullptr) *stored = ok;
-  return stable_digest_hex(std::span<const std::uint8_t>(bytes));
+  return store_digest_hex(bytes);
 }
 
 /// The probe-or-compute-and-persist discipline of a whole stage: a miss
 /// runs `compute`, whose artifact replaces any bad entry.  `digest_out`
-/// receives the artifact's content digest; `loaded` reports whether the
+/// receives the artifact's store digest; `loaded` reports whether the
 /// store served it.
 template <typename T, typename ComputeFn>
 T stage_artifact(const ArtifactStore* store, const std::string& key,
@@ -802,8 +803,8 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
     });
     n_synth_digest = n_synth;
   } else if (need_truth) {
-    // Resume: read the entry and take its content digest and frame check
-    // in one pass, so simulate.load starts without waiting for the
+    // Resume: read the entry and take its store digest and frame check
+    // first, so simulate.load starts without waiting for the
     // GroundTruth decode.  A missing or damaged frame is a miss,
     // recomputed here so downstream keys chain on the cold digest.
     n_synth_digest = graph.add([this, scratch, persist_truth] {
@@ -853,8 +854,8 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
   std::optional<NodeId> n_sim_persist;
   if (need_sim) {
     if (options_.store != nullptr) {
-      // Resume: read the entry and take its content digest and frame
-      // checksum in one pass first.  The Observe key needs only that
+      // Resume: read the entry and take its store digest and frame
+      // checksum first.  The Observe key needs only that
       // digest, so the Observe probe runs beside the SimArtifact decode,
       // and a store-served run finds both artifacts before any stage work
       // starts.
@@ -1095,8 +1096,7 @@ void Experiment::set_observations(Observations observations) {
   // downstream Infer/Analyze keys still chain correctly (and distinctly).
   if (options_.store != nullptr) {
     const std::vector<std::uint8_t> bytes = io::encode(*observations_);
-    digest_slot(Stage::kObserve) =
-        stable_digest_hex(std::span<const std::uint8_t>(bytes));
+    digest_slot(Stage::kObserve) = store_digest_hex(bytes);
   } else {
     digest_slot(Stage::kObserve).clear();
   }

@@ -321,8 +321,8 @@ class Experiment {
   /// instead of computed (always zero without a store).  counters() +
   /// loads() together account for every stage materialization.
   [[nodiscard]] const StageCounters& loads() const { return loads_; }
-  /// Content digest of a stage's encoded artifact — the value downstream
-  /// cache keys chain on.  Empty when the stage has not materialized with
+  /// Store digest (core::store_digest_hex) of a stage's encoded artifact —
+  /// the value downstream cache keys chain on.  Empty when the stage has not materialized with
   /// a store attached.
   [[nodiscard]] const std::string& stage_digest(Stage stage) const {
     return digests_[static_cast<std::size_t>(stage)];

@@ -270,8 +270,7 @@ CheckResult eval_digest_check(const SpecCheck& check, Experiment& experiment) {
     case Stage::kInfer: bytes = io::encode(experiment.inference()); break;
     case Stage::kAnalyze: bytes = io::encode(experiment.analyses()); break;
   }
-  const std::string observed =
-      stable_digest_hex(std::span<const std::uint8_t>(bytes));
+  const std::string observed = store_digest_hex(bytes);
   result.passed = observed == check.digest;
   result.detail = std::string(to_string(check.stage)) +
                   " digest = " + observed + ", pinned " + check.digest;

@@ -20,7 +20,7 @@
 // Analysis assertions (sa_prevalence, homing_multihomed, import_typical,
 // inference_accuracy) read the Experiment's Analyze/Infer artifacts;
 // `digest` assertions re-encode the pinned stage's artifact with the
-// store codec and compare `stable_digest_hex`, so a digest pin in a .scn
+// store codec and compare `store_digest_hex`, so a digest pin in a .scn
 // file fails exactly when the artifact-store digest would change.
 #pragma once
 

@@ -1055,6 +1055,7 @@ core::AnalysisSuite get_analysis_suite(Reader& r) {
 
 // ------------------------------------------------------------- framing ----
 
+/// The frame checksum is core::xxh64 of the payload under this seed.
 constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
 
 /// Encodes one artifact: `put` writes the payload behind header bytes
@@ -1077,7 +1078,7 @@ std::vector<std::uint8_t> encode_framed(ArtifactKind kind,
   w.put(kArtifactCodecVersion);
   w.put(static_cast<std::uint16_t>(kind));
   w.put(static_cast<std::uint64_t>(payload.size()));
-  w.put(core::fnv1a64(payload, kChecksumSeed));
+  w.put(core::xxh64(payload, kChecksumSeed));
   std::copy(header.begin(), header.end(), bytes.begin());
   return bytes;
 }
@@ -1109,7 +1110,7 @@ std::span<const std::uint8_t> unframe(ArtifactKind kind,
   const std::span<const std::uint8_t> payload =
       bytes.subspan(kArtifactHeaderBytes);
   if (!checksum_matches) {
-    checksum_matches = core::fnv1a64(payload, kChecksumSeed) == checksum;
+    checksum_matches = core::xxh64(payload, kChecksumSeed) == checksum;
   }
   if (!*checksum_matches) {
     throw std::invalid_argument("artifact: checksum mismatch");
@@ -1154,17 +1155,17 @@ auto decode_payload(ArtifactKind kind, const CheckedArtifact& checked,
 }  // namespace
 
 CheckedArtifact::CheckedArtifact(std::vector<std::uint8_t> bytes)
-    : bytes_(std::move(bytes)) {
-  core::DigestWithTail hashed =
-      core::stable_digest_with_tail(bytes_, kArtifactHeaderBytes, kChecksumSeed);
-  digest_ = std::move(hashed.digest);
+    : bytes_(std::move(bytes)), digest_(core::store_digest_hex(bytes_)) {
   if (bytes_.size() >= kArtifactHeaderBytes) {
     // The checksum field closes the header (see the layout above).
     std::uint64_t stored = 0;
     std::memcpy(&stored,
                 bytes_.data() + kArtifactHeaderBytes - sizeof(stored),
                 sizeof(stored));
-    checksum_matches_ = stored == hashed.tail;
+    checksum_matches_ =
+        stored == core::xxh64(std::span<const std::uint8_t>(bytes_).subspan(
+                                  kArtifactHeaderBytes),
+                              kChecksumSeed);
   }
 }
 
@@ -1276,7 +1277,6 @@ std::optional<ArtifactHeader> peek_artifact_header(
   }
   ArtifactHeader header;
   std::memcpy(&header.version, bytes.data() + 4, sizeof(header.version));
-  if (header.version != kArtifactCodecVersion) return std::nullopt;
   std::memcpy(&header.kind, bytes.data() + 6, sizeof(header.kind));
   std::memcpy(&header.payload_bytes, bytes.data() + 8,
               sizeof(header.payload_bytes));

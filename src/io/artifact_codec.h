@@ -3,26 +3,33 @@
 // InferenceProducts, and AnalysisSuite — the on-disk representation behind
 // core::ArtifactStore and cross-process sweep resume.
 //
-// Every encoded artifact starts with a versioned header:
+// Every encoded artifact starts with a versioned 24-byte header, each
+// field in native (little-endian) byte order:
 //
 //   magic "BGPA" | u16 codec version | u16 artifact kind
-//   | u64 payload length | u64 payload FNV-1a checksum | payload...
+//   | u64 payload length | u64 payload checksum | payload...
 //
-// so a decoder can reject truncated files, foreign files, future codec
-// versions, and bit corruption *before* interpreting a single payload
-// byte.  Decoders throw std::invalid_argument on any such defect; the
-// staged cache treats every decode failure as a cache miss and recomputes
-// — a damaged store can cost time, never correctness.
+// The checksum is core::xxh64 of the payload under the codec's fixed
+// checksum seed.  Codec version 2 took XXH64 for that field; version 1
+// wrote FNV-1a there, and its entries fail the version check.  A decoder
+// can so reject truncated files, foreign files, other codec versions, and
+// bit corruption *before* interpreting a single payload byte.  Decoders
+// throw std::invalid_argument on any such defect; the staged cache treats
+// every decode failure as a cache miss and recomputes — a damaged store
+// can cost time, never correctness.
 //
-// One pass over stored bytes: a store read wants both the artifact's
-// content digest (core::stable_digest_hex, what downstream keys chain on)
-// and the frame checksum.  CheckedArtifact takes the bytes and computes
-// the digest's two FNV-1a lanes and the checksum's lane in one loop
-// (core::stable_digest_with_tail); the decoders that take it skip their
-// own checksum pass and reject a mismatch with the other header defects,
-// before any payload byte is parsed.  It owns the bytes and never changes
-// them, so its verdict always describes the bytes it hands a decoder.
-// The span decoders still check on their own.
+// Reading in at most two passes: a store read wants both the artifact's
+// store digest (core::store_digest_hex, what downstream keys chain on)
+// and the frame checksum.  CheckedArtifact takes the bytes and hashes
+// them once for the digest's two XXH64 lanes, which share each stripe
+// read, and once more for the checksum lane over the payload (XXH64
+// leaves no multiply latency idle for a third lane to fill, and the
+// checksum's stripes start 24 bytes in, out of step with the digest's).
+// The decoders that take a CheckedArtifact skip their own checksum pass
+// and reject a mismatch with the other header defects, before any payload
+// byte is parsed.  It owns the bytes and never changes them, so its
+// verdict always describes the bytes it hands a decoder.  The span
+// decoders still check on their own.
 //
 // Stored as laid out.  The SimArtifact and SimChunk embed each vantage
 // table's columns (io/binary_table.h) as a length-prefixed blob.  The
@@ -64,7 +71,10 @@
 
 namespace bgpolicy::io {
 
-inline constexpr std::uint16_t kArtifactCodecVersion = 1;
+/// The header's codec version: 2 since the frame checksum is XXH64.  The
+/// store keys start with it too (core/experiment.cc), so a bump retires
+/// every older entry at the key level as well.
+inline constexpr std::uint16_t kArtifactCodecVersion = 2;
 
 /// Tags 2, 3 and 6 named the SimArtifact, Observations and SimChunk in
 /// their earlier per-route layout.  The store keys did not change with the
@@ -105,10 +115,11 @@ struct ArtifactHeader {
 inline constexpr std::size_t kArtifactHeaderBytes = 24;
 
 /// Non-throwing header peek for store census tools (tools/store_top):
-/// validates magic and version over just the header prefix of `bytes` and
-/// returns the kind tag and payload length.  The checksum is NOT verified
-/// (that requires the payload; decoders do it).  nullopt on truncated or
-/// foreign bytes.
+/// validates the magic over just the header prefix of `bytes` and returns
+/// the codec version, kind tag and payload length it finds, whatever the
+/// version (an entry of another version decodes to nothing; store_top
+/// lists it as stale).  The checksum is NOT verified (that requires the
+/// payload; decoders do it).  nullopt on truncated or foreign bytes.
 [[nodiscard]] std::optional<ArtifactHeader> peek_artifact_header(
     std::span<const std::uint8_t> bytes);
 
@@ -121,8 +132,8 @@ inline constexpr std::size_t kArtifactHeaderBytes = 24;
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::AnalysisSuite& suite);
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::SimChunk& chunk);
 
-/// Stored artifact bytes hashed once: the store digest and the frame
-/// checksum come out of one loop over them (see the file comment).  The
+/// Stored artifact bytes hashed for the store digest and the frame
+/// checksum, in two passes (see the file comment).  The
 /// object owns the bytes and cannot be copied, moved or changed, so a
 /// decoder handed one always checks the verdict computed on the bytes it
 /// parses.
@@ -133,10 +144,10 @@ class CheckedArtifact {
   CheckedArtifact& operator=(const CheckedArtifact&) = delete;
 
   [[nodiscard]] std::span<const std::uint8_t> bytes() const { return bytes_; }
-  /// core::stable_digest_hex(bytes()).
+  /// core::store_digest_hex(bytes()).
   [[nodiscard]] const std::string& digest() const { return digest_; }
   /// True when the bytes hold a whole header whose checksum field equals
-  /// the FNV-1a checksum of the bytes after it.
+  /// the XXH64 checksum of the bytes after it.
   [[nodiscard]] bool checksum_matches() const { return checksum_matches_; }
 
  private:
@@ -160,7 +171,7 @@ class CheckedArtifact {
 [[nodiscard]] core::SimChunk decode_sim_chunk(
     std::span<const std::uint8_t> bytes);
 
-// The same decoders over checked bytes: the one-pass check's verdict
+// The same decoders over checked bytes: the CheckedArtifact's verdict
 // replaces the checksum pass (core::Experiment's store reads).
 [[nodiscard]] core::GroundTruth decode_ground_truth(
     const CheckedArtifact& checked);

@@ -932,46 +932,61 @@ PrefixRouting compute_prefix_flat(const FlatSimContext& context,
 
 PrefixSeeds::PrefixSeeds(const FlatSimContext& context) {
   const topo::GraphView& view = context.view();
-  // (prefix, seed) pairs; kInvalidId records a prefix a rule names without
-  // naming an AS of the graph (a rule toward an AS the graph lacks).
-  std::vector<std::pair<bgp::Prefix, Id>> pairs;
+  // Each named prefix gets a group in first-naming order; (group, seed)
+  // pairs are then bucketed by group, and only each group's few ids are
+  // sorted.  A rule toward an AS the graph lacks (kInvalidId) names its
+  // prefix without naming a seed.
+  std::vector<std::pair<std::uint32_t, Id>> pairs;
+  const auto name = [&](const bgp::Prefix& prefix, Id id) {
+    const auto group = static_cast<std::uint32_t>(offsets_.size());
+    const auto [slot, inserted] = ranges_.try_insert(key_of(prefix), group);
+    if (inserted) offsets_.push_back(0);
+    if (id != topo::GraphView::kInvalidId) pairs.emplace_back(*slot, id);
+  };
   for (Id id = 0; id < view.size(); ++id) {
     const AsPolicy* policy = context.policy_if_present(id);
     if (policy == nullptr) continue;
-    for (const auto& pin : policy->import.prefix_override) {
-      pairs.emplace_back(pin.first, id);
-    }
+    for (const auto& pin : policy->import.prefix_override) name(pin.first, id);
     for (const auto& [neighbor, rules] : policy->export_.per_neighbor) {
       for (const ExportRule& rule : rules) {
-        if (rule.prefix) pairs.emplace_back(*rule.prefix, view.id_of(neighbor));
+        if (rule.prefix) name(*rule.prefix, view.id_of(neighbor));
       }
     }
     for (const ExportRule& rule : policy->export_.any_neighbor) {
       if (!rule.prefix) continue;
-      pairs.emplace_back(*rule.prefix, topo::GraphView::kInvalidId);
+      name(*rule.prefix, topo::GraphView::kInvalidId);
       for (std::uint32_t slot = view.arcs_begin(id); slot < view.arcs_end(id);
            ++slot) {
-        pairs.emplace_back(*rule.prefix, view.arc_to(slot));
+        name(*rule.prefix, view.arc_to(slot));
       }
     }
     for (const ConditionalAdvertisement& cond : policy->conditional) {
-      pairs.emplace_back(cond.prefix, view.id_of(cond.advertise_to));
+      name(cond.prefix, view.id_of(cond.advertise_to));
     }
   }
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-  ids_.reserve(pairs.size());
-  for (std::size_t i = 0; i < pairs.size();) {
-    const bgp::Prefix& prefix = pairs[i].first;
-    const auto begin = static_cast<std::uint32_t>(ids_.size());
-    for (; i < pairs.size() && pairs[i].first == prefix; ++i) {
-      if (pairs[i].second != topo::GraphView::kInvalidId) {
-        ids_.push_back(pairs[i].second);
-      }
-    }
-    ranges_.emplace(prefix,
-                    std::pair{begin, static_cast<std::uint32_t>(ids_.size())});
+  // Bucket by group (offsets_ counts, then begins), then sort and
+  // deduplicate each bucket, packing the buckets down as they shrink.
+  const std::size_t groups = offsets_.size();
+  offsets_.push_back(0);
+  for (const auto& pair : pairs) ++offsets_[pair.first + 1];
+  for (std::size_t g = 0; g < groups; ++g) offsets_[g + 1] += offsets_[g];
+  ids_.resize(pairs.size());
+  {
+    std::vector<std::uint32_t> fill(offsets_.begin(), offsets_.end() - 1);
+    for (const auto& [group, id] : pairs) ids_[fill[group]++] = id;
   }
+  std::uint32_t packed = 0;
+  for (std::size_t g = 0; g < groups; ++g) {
+    const auto first = ids_.begin() + offsets_[g];
+    const auto last = ids_.begin() + offsets_[g + 1];
+    std::sort(first, last);
+    offsets_[g] = packed;
+    packed = static_cast<std::uint32_t>(
+        std::move(first, std::unique(first, last), ids_.begin() + packed) -
+        ids_.begin());
+  }
+  offsets_[groups] = packed;
+  ids_.resize(packed);
   // The bases run for a prefix checked to be unnamed, not for a sentinel
   // trusted to be: 0.0.0.0/0, else the first unnamed /32.
   unnamed_ = bgp::Prefix(0, 0);
@@ -982,10 +997,10 @@ PrefixSeeds::PrefixSeeds(const FlatSimContext& context) {
 
 std::span<const PrefixSeeds::Id> PrefixSeeds::of(
     const bgp::Prefix& prefix) const {
-  const auto it = ranges_.find(prefix);
-  if (it == ranges_.end()) return {};
+  const std::uint32_t* group = ranges_.find(key_of(prefix));
+  if (group == nullptr) return {};
   return std::span<const Id>(ids_).subspan(
-      it->second.first, it->second.second - it->second.first);
+      offsets_[*group], offsets_[*group + 1] - offsets_[*group]);
 }
 
 BatchStats converge_range(const FlatSimContext& context,

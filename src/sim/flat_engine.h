@@ -92,7 +92,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -667,7 +666,7 @@ class PrefixSeeds {
   /// True when some policy keys a pin, an export rule or a conditional
   /// advert on `prefix`, whether or not that names an AS of the graph.
   [[nodiscard]] bool named(const bgp::Prefix& prefix) const {
-    return ranges_.contains(prefix);
+    return ranges_.find(key_of(prefix)) != nullptr;
   }
 
   /// A prefix no policy names: what the batch runner converges each
@@ -675,8 +674,15 @@ class PrefixSeeds {
   [[nodiscard]] const bgp::Prefix& unnamed() const { return unnamed_; }
 
  private:
-  std::unordered_map<bgp::Prefix, std::pair<std::uint32_t, std::uint32_t>>
-      ranges_;  // prefix -> [begin, end) of ids_
+  /// A prefix packed into one map key (never FlatMap64::kEmptyKey).
+  [[nodiscard]] static std::uint64_t key_of(const bgp::Prefix& prefix) {
+    return (std::uint64_t{prefix.network()} << 8) | prefix.length();
+  }
+
+  /// Packed prefix -> its group g; the group's ids are
+  /// ids_[offsets_[g], offsets_[g + 1]).
+  util::FlatMap64 ranges_;
+  std::vector<std::uint32_t> offsets_;
   std::vector<Id> ids_;
   bgp::Prefix unnamed_;
 };

@@ -169,20 +169,20 @@ StageDigests freestanding_digests(const Scenario& scenario) {
   const AnalysisSuite analyses =
       run_analysis_suite(make_view(sim, observations, inference),
                          recorded_vantages(sim.sim), 1);
-  return {stable_digest_hex(io::encode(truth)),
-          stable_digest_hex(io::encode(sim)),
-          stable_digest_hex(io::encode(observations)),
-          stable_digest_hex(io::encode(inference)),
-          stable_digest_hex(io::encode(analyses))};
+  return {store_digest_hex(io::encode(truth)),
+          store_digest_hex(io::encode(sim)),
+          store_digest_hex(io::encode(observations)),
+          store_digest_hex(io::encode(inference)),
+          store_digest_hex(io::encode(analyses))};
 }
 
 /// The digests of what an experiment holds, encoded afresh.
 StageDigests encoded_digests(const Experiment& experiment) {
-  return {stable_digest_hex(io::encode(experiment.truth())),
-          stable_digest_hex(io::encode(experiment.sim())),
-          stable_digest_hex(io::encode(experiment.observations())),
-          stable_digest_hex(io::encode(experiment.inference())),
-          stable_digest_hex(io::encode(experiment.analyses()))};
+  return {store_digest_hex(io::encode(experiment.truth())),
+          store_digest_hex(io::encode(experiment.sim())),
+          store_digest_hex(io::encode(experiment.observations())),
+          store_digest_hex(io::encode(experiment.inference())),
+          store_digest_hex(io::encode(experiment.analyses()))};
 }
 
 TEST(ArtifactContent, MultiRecordWorldsDeterministicAcrossRunShapes) {

@@ -19,9 +19,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <numeric>
 #include <random>
 #include <span>
 #include <string>
@@ -97,37 +99,68 @@ TEST(ArtifactStore, DigestMatchesKnownAnswers) {
   EXPECT_EQ(fnv1a64(bytes, 0x6c62272e07bb0142ULL), 0x6aaf3b071d3ffa4aULL);
 }
 
-TEST(ArtifactStore, DigestWithTailIsTheDigestPlusOneLane) {
-  // The one-pass hash io::CheckedArtifact runs: its digest is
-  // stable_digest_hex's and its tail lane fnv1a64 over the bytes from
-  // tail_from — on the known answers, on random buffers, and on buffers
-  // shorter than a 24-byte artifact header (an empty tail).
-  constexpr std::uint64_t kSeed = 0xcbf29ce484222325ULL;
+TEST(ArtifactStore, Xxh64MatchesKnownAnswers) {
+  // XXH64 as published, at seed 0: the empty input (no stripe, no tail),
+  // "hello" (a 4-byte and a 1-byte tail step) and the 111 bytes
+  // 0x00..0x6e (three stripes, then an 8-byte, a 4-byte and three 1-byte
+  // steps).  The low 32 bits of the first are the checksum `zstd --check`
+  // writes for an empty frame.
   const std::string_view hello = "hello";
   const std::span<const std::uint8_t> hello_bytes(
       reinterpret_cast<const std::uint8_t*>(hello.data()), hello.size());
-  EXPECT_EQ(stable_digest_with_tail({}, 24, kSeed).digest,
-            "cbf29ce4842223256c62272e07bb0142");
-  EXPECT_EQ(stable_digest_with_tail({}, 24, kSeed).tail, kSeed);
-  EXPECT_EQ(stable_digest_with_tail(hello_bytes, 24, kSeed).digest,
-            "a430d84680aabd0b6aaf3b071d3ffa4a");
-  EXPECT_EQ(stable_digest_with_tail(hello_bytes, 0, kSeed).tail,
-            0xa430d84680aabd0bULL);
+  std::vector<std::uint8_t> counting(111);
+  std::iota(counting.begin(), counting.end(), std::uint8_t{0});
+  EXPECT_EQ(xxh64({}, 0), 0xef46db3751d8e999ULL);
+  EXPECT_EQ(xxh64(hello_bytes, 0), 0x26c7827d889f6da3ULL);
+  EXPECT_EQ(xxh64(counting, 0), 0x666cc5e38345de58ULL);
 
+  // The store digest: the kStoreDigestSeeds lanes, seed 0 first.
+  EXPECT_EQ(store_digest_hex({}), "ef46db3751d8e999c4349fc93c010000");
+  EXPECT_EQ(store_digest_hex(hello_bytes), "26c7827d889f6da3040982e185e9c819");
+}
+
+TEST(ArtifactStore, LoadHashesEqualSeparateXxh64Calls) {
+  // A load hashes its bytes twice (io::CheckedArtifact): the store
+  // digest's two lanes in one loop that reads each stripe once, then the
+  // frame checksum's lane over the payload.  At every size up to 100
+  // bytes and every offset the hashed bytes start at (every alignment,
+  // and every split of a stripe between a header and a payload), both
+  // equal separate xxh64 calls.
+  constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
+  const auto hex = [](std::uint64_t value) {
+    char out[17];
+    std::snprintf(out, sizeof(out), "%016llx",
+                  static_cast<unsigned long long>(value));
+    return std::string(out);
+  };
   std::mt19937_64 rng(7);
-  for (const std::size_t size : {1u, 5u, 23u, 24u, 25u, 64u, 1000u, 4097u}) {
-    std::vector<std::uint8_t> bytes(size);
-    for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng());
-    for (const std::size_t tail_from : {std::size_t{0}, std::size_t{24}, size}) {
-      const DigestWithTail hashed =
-          stable_digest_with_tail(bytes, tail_from, kSeed);
-      EXPECT_EQ(hashed.digest, stable_digest_hex(bytes)) << size;
-      EXPECT_EQ(hashed.tail,
-                fnv1a64(std::span<const std::uint8_t>(bytes).subspan(
-                            std::min(tail_from, size)),
-                        kSeed))
-          << size << " bytes from " << tail_from;
+  std::vector<std::uint8_t> buffer(100);
+  for (std::uint8_t& byte : buffer) byte = static_cast<std::uint8_t>(rng());
+  for (std::size_t size = 0; size <= buffer.size(); ++size) {
+    for (std::size_t offset = 0; offset <= size; ++offset) {
+      const auto bytes =
+          std::span<const std::uint8_t>(buffer).subspan(offset, size - offset);
+      EXPECT_EQ(store_digest_hex(bytes),
+                hex(xxh64(bytes, kStoreDigestSeeds[0])) +
+                    hex(xxh64(bytes, kStoreDigestSeeds[1])))
+          << size - offset << " bytes from offset " << offset;
     }
+    // The artifact's first `size` bytes, with a checksum field that fits
+    // the payload when there is a header to hold one.
+    std::vector<std::uint8_t> stored(
+        buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(size));
+    if (size >= io::kArtifactHeaderBytes) {
+      const std::uint64_t checksum =
+          xxh64(std::span<const std::uint8_t>(stored).subspan(
+                    io::kArtifactHeaderBytes),
+                kChecksumSeed);
+      std::memcpy(stored.data() + io::kArtifactHeaderBytes - 8, &checksum, 8);
+    }
+    const std::string digest = store_digest_hex(stored);
+    const io::CheckedArtifact checked(stored);
+    EXPECT_EQ(checked.digest(), digest) << size;
+    EXPECT_EQ(checked.checksum_matches(), size >= io::kArtifactHeaderBytes)
+        << size;
   }
 }
 
@@ -331,12 +364,18 @@ TEST(ArtifactStore, EvictedSimEntryStillReusesCachedObservations) {
   EXPECT_EQ(io::encode(second.observations()), io::encode(first.observations()));
 }
 
+/// What every store key starts with: the codec version.
+std::string key_prefix() {
+  return "bgpolicy-artifact/v" + std::to_string(io::kArtifactCodecVersion) +
+         "|";
+}
+
 /// The Observe stage's store key, in the layout docs/ARCHITECTURE.md gives
 /// ("Key derivation"): codec version, scenario key, then the GroundTruth
 /// and SimArtifact digests.
 std::string observe_key(const Scenario& scenario, const std::string& truth,
                         const std::string& sim) {
-  return "bgpolicy-artifact/v1|observe|" + scenario_cache_key(scenario) + "|" +
+  return key_prefix() + "observe|" + scenario_cache_key(scenario) + "|" +
          truth + "|" + sim;
 }
 
@@ -395,9 +434,7 @@ TEST(ArtifactStore, VandalizedSimEntryRecomputesAndDropsItsObserveHit) {
           io::decode_observations(io::encode(first.observations()));
       planted.irr_text = "planted under a damaged SimArtifact's digest";
       ASSERT_TRUE(store->put(
-          observe_key(scenario, truth_digest,
-                      stable_digest_hex(
-                          std::span<const std::uint8_t>(vandalized))),
+          observe_key(scenario, truth_digest, store_digest_hex(vandalized)),
           io::encode(planted)));
 
       RunOptions resume = options;
@@ -443,15 +480,14 @@ TEST(ArtifactStore, UndecodableGroundTruthIsAMissForEveryStage) {
   std::vector<std::uint8_t> damaged = io::encode(cold.truth());
   damaged.push_back(0);
   const std::uint64_t payload_size = damaged.size() - io::kArtifactHeaderBytes;
-  const std::uint64_t checksum = fnv1a64(
+  const std::uint64_t checksum = xxh64(
       std::span<const std::uint8_t>(damaged).subspan(io::kArtifactHeaderBytes),
       0xcbf29ce484222325ULL);
   std::memcpy(damaged.data() + 8, &payload_size, sizeof(payload_size));
   std::memcpy(damaged.data() + 16, &checksum, sizeof(checksum));
   ASSERT_TRUE(io::CheckedArtifact(damaged).checksum_matches());
   ASSERT_THROW((void)io::decode_ground_truth(damaged), std::invalid_argument);
-  const std::string damaged_digest =
-      stable_digest_hex(std::span<const std::uint8_t>(damaged));
+  const std::string damaged_digest = store_digest_hex(damaged);
   Observations planted =
       io::decode_observations(io::encode(cold.observations()));
   planted.irr_text = "planted under an undecodable GroundTruth's digest";
@@ -460,15 +496,14 @@ TEST(ArtifactStore, UndecodableGroundTruthIsAMissForEveryStage) {
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
     ScopedStore store;
     ASSERT_TRUE(store->put(
-        "bgpolicy-artifact/v1|synthesize|" + scenario_cache_key(scenario),
+        key_prefix() + "synthesize|" + scenario_cache_key(scenario),
         damaged));
-    ASSERT_TRUE(store->put("bgpolicy-artifact/v1|simulate|" +
+    ASSERT_TRUE(store->put(key_prefix() + "simulate|" +
                                scenario_cache_key(scenario) + "|" +
                                damaged_digest,
                            cold_sim));
     ASSERT_TRUE(store->put(
-        observe_key(scenario, damaged_digest,
-                    stable_digest_hex(std::span<const std::uint8_t>(cold_sim))),
+        observe_key(scenario, damaged_digest, store_digest_hex(cold_sim)),
         io::encode(planted)));
 
     RunOptions options;

@@ -50,9 +50,8 @@ TEST(ScenarioSpecEquivalence, ArtifactDigestsStableAcrossThreads) {
     scenario.propagation.threads = threads;
     Experiment experiment(scenario);
     const std::string truth_here =
-        stable_digest_hex(io::encode(experiment.truth()));
-    const std::string sim_here =
-        stable_digest_hex(io::encode(experiment.sim()));
+        store_digest_hex(io::encode(experiment.truth()));
+    const std::string sim_here = store_digest_hex(io::encode(experiment.sim()));
     if (truth_digest.empty()) {
       truth_digest = truth_here;
       sim_digest = sim_here;

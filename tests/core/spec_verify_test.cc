@@ -117,7 +117,7 @@ TEST(SpecVerify, DigestPinMatchesEncodedArtifact) {
   spec.checks.clear();
   Experiment experiment(spec.scenario);
   const std::string truth_digest =
-      stable_digest_hex(io::encode(experiment.truth()));
+      store_digest_hex(io::encode(experiment.truth()));
 
   SpecCheck good;
   good.kind = SpecCheck::Kind::kDigest;

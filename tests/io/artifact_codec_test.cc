@@ -221,31 +221,32 @@ void reframe(std::vector<std::uint8_t>& bytes) {
   const auto payload =
       std::span<const std::uint8_t>(bytes).subspan(kArtifactHeaderBytes);
   set_u64(bytes, 8, payload.size());
-  set_u64(bytes, 16, core::fnv1a64(payload, kChecksumSeed));
+  set_u64(bytes, 16, core::xxh64(payload, kChecksumSeed));
 }
 
-TEST(CheckedArtifact, DigestEqualsStableDigest) {
-  // The known answers of ArtifactStore.DigestMatchesKnownAnswers.
+TEST(CheckedArtifact, DigestEqualsStoreDigest) {
+  // The known answers of ArtifactStore.Xxh64MatchesKnownAnswers.
   const CheckedArtifact empty{std::vector<std::uint8_t>{}};
-  EXPECT_EQ(empty.digest(), "cbf29ce4842223256c62272e07bb0142");
+  EXPECT_EQ(empty.digest(), "ef46db3751d8e999c4349fc93c010000");
   EXPECT_FALSE(empty.checksum_matches());
   const CheckedArtifact hello{std::vector<std::uint8_t>{'h', 'e', 'l', 'l', 'o'}};
-  EXPECT_EQ(hello.digest(), "a430d84680aabd0b6aaf3b071d3ffa4a");
+  EXPECT_EQ(hello.digest(), "26c7827d889f6da3040982e185e9c819");
 
   // Random buffers, shorter than a header, exactly one, and longer: the
-  // digest never depends on where the checksum lane starts.
+  // digest covers every byte, header included.
   std::mt19937_64 rng(20);
   for (const std::size_t size : {1u, 7u, 23u, 24u, 25u, 100u, 4099u}) {
     std::vector<std::uint8_t> bytes(size);
     for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng());
-    const std::string expected = core::stable_digest_hex(bytes);
+    const std::string expected = core::store_digest_hex(bytes);
     const CheckedArtifact checked{bytes};
     EXPECT_EQ(checked.digest(), expected) << size << " bytes";
     EXPECT_FALSE(checked.checksum_matches()) << size << " bytes";
     if (size >= kArtifactHeaderBytes) {
       reframe(bytes);  // a header whose checksum fits the random payload
       const CheckedArtifact framed{bytes};
-      EXPECT_EQ(framed.digest(), core::stable_digest_hex(bytes));
+      EXPECT_EQ(framed.digest(), core::store_digest_hex(bytes));
+      EXPECT_NE(framed.digest(), expected) << size << " bytes";
       EXPECT_TRUE(framed.checksum_matches()) << size << " bytes";
     }
   }
@@ -257,7 +258,7 @@ TEST(CheckedArtifact, CheckedDecodersMatchTheSpanDecoders) {
                         auto decode) {
     const CheckedArtifact checked{bytes};
     EXPECT_TRUE(checked.checksum_matches());
-    EXPECT_EQ(checked.digest(), core::stable_digest_hex(bytes));
+    EXPECT_EQ(checked.digest(), core::store_digest_hex(bytes));
     EXPECT_EQ(encode(decode(checked)), bytes);
     // One flipped byte in the checksum field, then one in the payload: the
     // verdict rejects both before the payload is parsed.
@@ -647,8 +648,8 @@ TEST(HostileBytes, SimArtifactTableColumnsAreRejectedAndMiss) {
 }
 
 // A SimArtifact the per-route layout wrote (tag 2; anycast_catchment.scn),
-// kept as it was written.  Its store key is unchanged, so a resume reads
-// it — and rejects it at the header's kind check, before any payload byte.
+// kept as it was written.  Planted under today's Simulate key, a resume
+// reads it — and rejects it at the header, before any payload byte.
 const std::vector<std::uint8_t> kPerRouteSimArtifact = {
     0x42, 0x47, 0x50, 0x41, 0x01, 0x00, 0x02, 0x00, 0xfe, 0x00, 0x00, 0x00,
     0x00, 0x00, 0x00, 0x00, 0x9f, 0xf8, 0x15, 0x9e, 0xda, 0x55, 0xc0, 0xf1,
@@ -677,8 +678,11 @@ const std::vector<std::uint8_t> kPerRouteSimArtifact = {
 };
 
 TEST(HostileBytes, PerRouteLayoutSimArtifactMissesAtTheHeader) {
+  // Codec version 1 wrote it (an FNV-1a frame checksum): the peek reports
+  // that version, and the decoder stops at the version check.
   const auto header = peek_artifact_header(kPerRouteSimArtifact);
   ASSERT_TRUE(header);
+  EXPECT_EQ(header->version, 1u);
   EXPECT_EQ(header->kind, 2u);
   EXPECT_EQ(header->payload_bytes + kArtifactHeaderBytes,
             kPerRouteSimArtifact.size());
@@ -686,10 +690,10 @@ TEST(HostileBytes, PerRouteLayoutSimArtifactMissesAtTheHeader) {
     (void)decode_sim_artifact(kPerRouteSimArtifact);
     ADD_FAILURE() << "a per-route SimArtifact decoded";
   } catch (const std::invalid_argument& error) {
-    EXPECT_STREQ(error.what(), "artifact: kind mismatch");
+    EXPECT_STREQ(error.what(), "artifact: unsupported codec version");
   }
 
-  // Written by the earlier build under today's Simulate key.
+  // Planted under today's Simulate key.
   const core::Scenario scenario =
       core::ScenarioSpec::parse_file(std::filesystem::path(
                                          BGPOLICY_SCENARIO_DIR) /

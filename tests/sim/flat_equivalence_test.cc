@@ -306,8 +306,7 @@ void expect_tables_match_seed(const topo::AsGraph& graph,
     core::SimArtifact artifact;
     artifact.vantage = vantage;
     artifact.sim = sim;
-    const auto bytes = io::encode(artifact);
-    return core::stable_digest_hex(bytes);
+    return core::store_digest_hex(io::encode(artifact));
   };
 
   const SimResult reference =
@@ -365,14 +364,14 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   scenario.propagation.threads = 0;
   core::Experiment experiment(scenario);
   experiment.run(core::Stage::kAnalyze);
-  EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.sim())),
-            "55b5fffa37e88b763361d9beacf16c29");
+  EXPECT_EQ(core::store_digest_hex(io::encode(experiment.sim())),
+            "83ee4022a40f17537d1050004cbc444b");
   // 14,900,880 in exact order; 11,117,714 in converge_cold's order, where
   // the oracle prunes 5,819 of 6,535; 3,366,352 when those 5,819 are
   // waves from their origins' bases.
   EXPECT_EQ(experiment.sim().sim.process_events, 3366352u);
-  EXPECT_EQ(core::stable_digest_hex(io::encode(experiment.observations())),
-            "d87e0e5615e5411eac740867510c4a8b");
+  EXPECT_EQ(core::store_digest_hex(io::encode(experiment.observations())),
+            "7f318bcb45626cfe091111561b1d6bd4");
   // The same analyses digest perfbench/reference.json pins.
   EXPECT_EQ(core::stable_digest_hex(
                 core::canonical_serialize(experiment.analyses())),

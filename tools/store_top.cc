@@ -6,11 +6,14 @@
 //
 // Reads only each file's 24-byte codec header (io::peek_artifact_header),
 // so the census stays cheap on multi-gigabyte stores; files without a
-// valid header are reported as "foreign".
+// valid header are reported as "foreign", and entries another codec
+// version wrote as "stale (codec vN)": no decoder of this build reads
+// them, so they are what store_gc can reclaim.
 #include <array>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -55,7 +58,9 @@ int main(int argc, char** argv) {
     const std::vector<core::ArtifactStore::Entry> entries = store.list();
 
     // Rows indexed by raw kind tag; slot 0 collects foreign/unreadable.
+    // Stale entries get one row per codec version.
     std::vector<KindRow> rows;
+    std::map<std::uint16_t, KindRow> stale;
     const auto row_for = [&rows](std::uint16_t kind) -> KindRow& {
       if (rows.size() <= kind) rows.resize(kind + 1);
       return rows[kind];
@@ -69,9 +74,15 @@ int main(int argc, char** argv) {
     std::uint64_t pinned_count = 0;
     for (const core::ArtifactStore::Entry& entry : entries) {
       const auto header = read_header(entry.path);
+      const bool is_stale =
+          header && header->version != io::kArtifactCodecVersion;
       const std::uint16_t kind = header ? header->kind : 0;
-      KindRow& row = row_for(kind);
-      if (row.label.empty()) row.label = "kind-" + std::to_string(kind);
+      KindRow& row = is_stale ? stale[header->version] : row_for(kind);
+      if (row.label.empty()) {
+        row.label = is_stale ? "stale (codec v" +
+                                   std::to_string(header->version) + ")"
+                             : "kind-" + std::to_string(kind);
+      }
       ++row.count;
       row.bytes += entry.bytes;
       total_bytes += entry.bytes;
@@ -85,6 +96,9 @@ int main(int argc, char** argv) {
       }
     }
 
+    for (auto& by_version : stale) {
+      rows.push_back(std::move(by_version.second));
+    }
     std::printf("%-18s %8s %14s\n", "kind", "count", "bytes");
     for (const KindRow& row : rows) {
       if (row.count == 0) continue;

@@ -5,9 +5,17 @@
 // any violation, so a broken cache key, codec, or store shows up as a red
 // CI step, not a silent full recompute.
 //
-// (An existing populated store is fine — the first run then loads too.)
+// After both runs every `.art` entry in the store must peek as this
+// build's codec version with a known kind: a writer left on an older frame
+// (or a stray file) fails the step instead of costing silent misses.
+//
+// (An existing populated store is fine if this build wrote it — the first
+// run then loads too.)
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -20,6 +28,7 @@
 #include "core/artifact_store.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
+#include "io/artifact_codec.h"
 
 using namespace bgpolicy;
 
@@ -53,6 +62,22 @@ std::string report_digest(const core::SweepReport& report) {
     out += core::canonical_serialize(run.analyses);
   }
   return out;
+}
+
+/// True when the file at `path` opens with a header of this build's codec
+/// version and a kind it writes.
+bool current_artifact(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::array<std::uint8_t, io::kArtifactHeaderBytes> prefix{};
+  in.read(reinterpret_cast<char*>(prefix.data()),
+          static_cast<std::streamsize>(prefix.size()));
+  if (!in) return false;
+  const std::optional<io::ArtifactHeader> header =
+      io::peek_artifact_header(prefix);
+  return header && header->version == io::kArtifactCodecVersion &&
+         std::ranges::any_of(io::kArtifactKinds, [&](io::ArtifactKind kind) {
+           return header->kind == static_cast<std::uint16_t>(kind);
+         });
 }
 
 void print_ledger(const char* label, const core::SweepReport& report) {
@@ -119,6 +144,13 @@ int main(int argc, char** argv) {
          "second-run Simulate loads do not cover every upstream scenario");
   expect(report_digest(first) == report_digest(second),
          "products differ between the computing run and the resumed run");
+  for (const core::ArtifactStore::Entry& entry : store.list()) {
+    expect(current_artifact(entry.path),
+           entry.path.filename().string() +
+               " is not a codec v" +
+               std::to_string(io::kArtifactCodecVersion) +
+               " artifact of a known kind");
+  }
 
   if (failures == 0) {
     std::cout << "OK: resumed sweep executed zero stages and reproduced "
