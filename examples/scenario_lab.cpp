@@ -3,8 +3,9 @@
 // statistics move.
 //
 //   $ scenario_lab [--seed N] [--stubs N] [--selective P] [--multihome P]
-//                  [--sweep selective|multihome|prepend|gao] [--steps N]
-//                  [--threads N] [--store DIR] [--spec FILE.scn|DIR]
+//                  [--prepend P] [--sweep selective|multihome|prepend|gao]
+//                  [--steps N] [--threads N] [--store DIR]
+//                  [--spec FILE.scn|DIR]
 //
 // With --spec, each .scn scenario spec (docs/SCENARIOS.md) runs through the
 // staged pipeline, its verify block executes, and its headline stats join
@@ -20,10 +21,12 @@
 // run the same command twice and the second run loads everything (watch
 // the executed-vs-loaded ledger); kill a sweep halfway and the re-run
 // recomputes only the missing variants.
-#include <cstdlib>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +35,7 @@
 #include "core/prepending.h"
 #include "core/scenario_spec.h"
 #include "core/spec_verify.h"
+#include "tool_args.h"
 #include "util/text_table.h"
 
 using namespace bgpolicy;
@@ -40,66 +44,16 @@ namespace {
 
 struct Options {
   std::uint64_t seed = 11;
-  std::size_t stubs = 400;
+  std::uint64_t stubs = 400;
   double selective = 0.55;
   double multihome = 0.55;
   double prepend = 0.15;
   std::string sweep;
-  std::size_t steps = 5;
-  std::size_t threads = 0;
+  std::uint64_t steps = 5;
+  std::uint64_t threads = 0;
   std::string store_dir;
   std::string spec_path;
 };
-
-Options parse_args(int argc, char** argv) {
-  Options opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << arg << "\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--seed") {
-      opts.seed = std::strtoull(next(), nullptr, 10);
-    } else if (arg == "--stubs") {
-      opts.stubs = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--selective") {
-      opts.selective = std::strtod(next(), nullptr);
-    } else if (arg == "--multihome") {
-      opts.multihome = std::strtod(next(), nullptr);
-    } else if (arg == "--prepend") {
-      opts.prepend = std::strtod(next(), nullptr);
-    } else if (arg == "--sweep") {
-      opts.sweep = next();
-    } else if (arg == "--steps") {
-      opts.steps = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--threads") {
-      opts.threads = std::strtoul(next(), nullptr, 10);
-    } else if (arg == "--store") {
-      opts.store_dir = next();
-    } else if (arg == "--spec") {
-      opts.spec_path = next();
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: scenario_lab [--seed N] [--stubs N] "
-                   "[--selective P] [--multihome P] [--prepend P]\n"
-                   "                    [--sweep selective|multihome|prepend|"
-                   "gao] [--steps N] [--threads N] [--store DIR]\n"
-                   "                    [--spec FILE.scn|DIR]\n"
-                   "With --spec, each .scn scenario spec (docs/SCENARIOS.md) "
-                   "is run through the\nstaged pipeline, its verify block is "
-                   "executed, and its headline stats join\nthe table; the "
-                   "knob flags are ignored.\n";
-      std::exit(0);
-    } else {
-      std::cerr << "unknown flag " << arg << " (try --help)\n";
-      std::exit(2);
-    }
-  }
-  return opts;
-}
 
 core::Scenario make_scenario(const Options& opts) {
   core::Scenario scenario = core::Scenario::small(opts.seed);
@@ -141,7 +95,37 @@ RunStats stats_from(const core::GroundTruth& truth,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options base = parse_args(argc, argv);
+  Options base;
+  tools::ToolArgs args(
+      "scenario_lab",
+      "sweep a policy knob through the staged pipeline and watch the\n"
+      "paper's headline statistics move.  With --spec, each .scn scenario\n"
+      "spec (docs/SCENARIOS.md) is run through the staged pipeline, its\n"
+      "verify block is executed, and its headline stats join the table;\n"
+      "the knob flags are ignored.");
+  args.option_u64("--seed", &base.seed, "N", "Scenario::small seed");
+  args.option_u64("--stubs", &base.stubs, "N", "stub ASes");
+  args.option_double("--selective", &base.selective, "P",
+                     "origin selective-announcement probability");
+  args.option_double("--multihome", &base.multihome, "P",
+                     "stub multihoming probability");
+  args.option_double("--prepend", &base.prepend, "P",
+                     "stub prepending probability");
+  args.option("--sweep", &base.sweep, "KNOB",
+              "sweep selective|multihome|prepend|gao");
+  args.option_u64("--steps", &base.steps, "N", "settings per sweep");
+  args.option_u64("--threads", &base.threads, "N",
+                  "worker threads (0 = all cores)");
+  args.option("--store", &base.store_dir, "DIR", "artifact store directory");
+  args.option("--spec", &base.spec_path, "FILE.scn|DIR",
+              "run scenario specs instead of a knob setting");
+  if (const std::optional<int> code = args.parse(argc, argv)) return *code;
+  if (!args.positionals.empty()) {
+    std::cerr << "scenario_lab: unexpected argument '"
+              << args.positionals.front() << "'\n";
+    args.print_usage(stderr);
+    return 2;
+  }
 
   // Optional on-disk artifact store: a second identical invocation loads
   // every artifact instead of recomputing (see the ledger line below).

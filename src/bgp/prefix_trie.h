@@ -32,17 +32,6 @@ class PrefixTrie {
     return fresh;
   }
 
-  /// Removes the entry at `prefix` if present.  Returns true if removed.
-  /// (Nodes are left in place; the trie is built once per analysis pass, so
-  /// structural compaction is not worth the complexity.)
-  bool erase(const Prefix& prefix) {
-    Node* node = descend_find(prefix);
-    if (node == nullptr || !node->value.has_value()) return false;
-    node->value.reset();
-    --size_;
-    return true;
-  }
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
@@ -55,18 +44,6 @@ class PrefixTrie {
 
   [[nodiscard]] Value* find(const Prefix& prefix) {
     return const_cast<Value*>(std::as_const(*this).find(prefix));
-  }
-
-  /// Longest-prefix match for a full address; nullptr when nothing covers it.
-  [[nodiscard]] const Value* longest_match(std::uint32_t address) const {
-    const Node* node = root_.get();
-    const Value* best = node->value ? &*node->value : nullptr;
-    for (int depth = 0; depth < 32 && node != nullptr; ++depth) {
-      const int bit = (address >> (31 - depth)) & 1;
-      node = node->child[bit].get();
-      if (node != nullptr && node->value) best = &*node->value;
-    }
-    return best;
   }
 
   /// Calls fn(prefix, value) for every stored prefix that covers `prefix`
@@ -84,32 +61,6 @@ class PrefixTrie {
       if (node == nullptr) break;
       if (bit != 0) network |= 1U << (31 - depth);
     }
-  }
-
-  /// True if some *other* stored prefix strictly covers `prefix`
-  /// ("prefix can be aggregated by another announced prefix").
-  [[nodiscard]] bool has_strict_covering(const Prefix& prefix) const {
-    bool found = false;
-    for_each_covering(prefix, [&](const Prefix& p, const Value&) {
-      if (p != prefix) found = true;
-    });
-    return found;
-  }
-
-  /// Calls fn(prefix, value) for every stored prefix covered by `prefix`
-  /// (equal or more specific), in depth-first order.
-  void for_each_covered(
-      const Prefix& prefix,
-      const std::function<void(const Prefix&, const Value&)>& fn) const {
-    const Node* node = descend_find(prefix);
-    if (node == nullptr) return;
-    walk(node, prefix.network(), prefix.length(), fn);
-  }
-
-  /// Calls fn(prefix, value) for every entry, in address order.
-  void for_each(
-      const std::function<void(const Prefix&, const Value&)>& fn) const {
-    walk(root_.get(), 0, 0, fn);
   }
 
  private:
@@ -136,24 +87,6 @@ class PrefixTrie {
       node = node->child[bit].get();
     }
     return node;
-  }
-
-  [[nodiscard]] Node* descend_find(const Prefix& prefix) {
-    return const_cast<Node*>(std::as_const(*this).descend_find(prefix));
-  }
-
-  static void walk(
-      const Node* node, std::uint32_t network, std::uint8_t depth,
-      const std::function<void(const Prefix&, const Value&)>& fn) {
-    if (node->value) fn(Prefix(network, depth), *node->value);
-    if (depth == 32) return;
-    if (node->child[0]) walk(node->child[0].get(), network,
-                             static_cast<std::uint8_t>(depth + 1), fn);
-    if (node->child[1]) {
-      walk(node->child[1].get(),
-           network | (1U << (31 - depth)),
-           static_cast<std::uint8_t>(depth + 1), fn);
-    }
   }
 
   std::unique_ptr<Node> root_;

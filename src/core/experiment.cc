@@ -56,17 +56,6 @@ void field(std::string& key, const char* name, std::uint64_t value) {
   key += ';';
 }
 
-void field(std::string& key, const char* name,
-           const std::vector<std::uint32_t>& values) {
-  key += name;
-  key += '=';
-  for (const std::uint32_t v : values) {
-    key += std::to_string(v);
-    key += ',';
-  }
-  key += ';';
-}
-
 /// The Infer-stage parameter identity: every GaoParams knob that can
 /// change the classification.  `threads` is deliberately excluded
 /// (products are byte-identical at any thread count).
@@ -1158,128 +1147,6 @@ Experiment::StageArtifacts Experiment::take_artifacts() && {
 }
 
 // ------------------------------------------------------------------ sweep --
-
-std::string scenario_cache_key(const Scenario& scenario) {
-  // Every parameter below feeds the Synthesize/Simulate/Observe artifacts;
-  // keep this list in sync when Scenario or its parameter structs grow.
-  // Deliberately excluded: `name` (a label) and every worker-thread knob
-  // (artifacts are byte-identical at any thread count).
-  std::string key;
-  key.reserve(1024);
-
-  const auto& t = scenario.topo_params;
-  field(key, "t.seed", t.seed);
-  field(key, "t.t1", t.tier1_count);
-  field(key, "t.t2", t.tier2_count);
-  field(key, "t.t3", t.tier3_count);
-  field(key, "t.stubs", t.stub_count);
-  field(key, "t.multihome", t.stub_multihome_prob);
-  field(key, "t.max_providers", t.max_stub_providers);
-  field(key, "t.t2_peer_mean", t.tier2_peer_mean);
-  field(key, "t.t3_peer_mean", t.tier3_peer_mean);
-  field(key, "t.stub_peer", t.stub_peer_prob);
-  field(key, "t.t3_direct_t1", t.tier3_direct_tier1_prob);
-  field(key, "t.stub_t1_frac", t.stub_tier1_frac);
-  field(key, "t.stub_t2_frac", t.stub_tier2_frac);
-  field(key, "t.skew", t.provider_popularity_skew);
-
-  const auto& a = scenario.alloc_params;
-  field(key, "a.seed", a.seed);
-  field(key, "a.provider_space", a.provider_space_prob);
-  field(key, "a.count_alpha", a.count_alpha);
-  field(key, "a.max_stub", a.max_stub_prefixes);
-  field(key, "a.max_transit", a.max_transit_extra);
-
-  const auto& p = scenario.policy_params;
-  field(key, "p.seed", p.seed);
-  field(key, "p.atypical", p.atypical_neighbor_prob);
-  field(key, "p.te_as", p.te_as_prob);
-  field(key, "p.te_rate", p.te_prefix_max_rate);
-  field(key, "p.selective", p.origin_selective_as_prob);
-  field(key, "p.withhold", p.withhold_prefix_prob);
-  field(key, "p.single", p.single_announce_prob);
-  field(key, "p.community", p.community_flavor_prob);
-  field(key, "p.target", p.community_target_prob);
-  field(key, "p.prepend", p.prepend_as_prob);
-  field(key, "p.max_prepend", std::uint64_t{p.max_prepend});
-  field(key, "p.intermediate", p.intermediate_selective_prob);
-  field(key, "p.victim", p.intermediate_victim_prob);
-  field(key, "p.splitting", p.splitting_as_prob);
-  field(key, "p.aggregation", p.aggregation_prob);
-  field(key, "p.peer_withhold", p.peer_withhold_prob);
-  field(key, "p.peer_total", p.peer_withhold_total_prob);
-  field(key, "p.tagging", p.tagging_as_prob);
-  field(key, "p.publish", p.publish_prob);
-  key += "p.force=";
-  for (const AsNumber as : p.force_tagging) {
-    key += std::to_string(as.value());
-    key += ',';
-  }
-  key += ';';
-
-  const auto& i = scenario.irr_params;
-  field(key, "i.seed", i.seed);
-  field(key, "i.coverage", i.coverage);
-  field(key, "i.stale", i.stale_prob);
-  field(key, "i.wrong", i.wrong_pref_prob);
-  field(key, "i.missing", i.missing_pref_prob);
-  field(key, "i.fresh_date", std::uint64_t{i.fresh_date});
-  field(key, "i.stale_date", std::uint64_t{i.stale_date});
-
-  field(key, "s.max_process", scenario.propagation.max_process_per_as);
-  field(key, "s.lg", scenario.looking_glass);
-  field(key, "s.best", scenario.best_only);
-  field(key, "s.verify", scenario.verification_ases);
-  field(key, "s.t2_peers", scenario.collector_tier2_peers);
-  field(key, "s.t3_peers", scenario.collector_tier3_peers);
-
-  // Spec-language extensions (scenario_spec.h).  Appended only when
-  // present so pre-existing scenarios keep their store keys.
-  if (scenario.explicit_world) {
-    const ExplicitWorld& w = *scenario.explicit_world;
-    key += "x.ases=";
-    for (const ExplicitWorld::As& as : w.ases) {
-      key += std::to_string(as.number);
-      key += ':';
-      key += std::to_string(static_cast<int>(as.tier));
-      key += ',';
-    }
-    key += ";x.links=";
-    for (const ExplicitWorld::Link& link : w.links) {
-      key += std::to_string(link.a);
-      key += link.peer ? '~' : '>';
-      key += std::to_string(link.b);
-      key += ',';
-    }
-    key += ";x.orig=";
-    for (const ExplicitWorld::Origination& o : w.originations) {
-      key += std::to_string(o.origin);
-      key += '@';
-      key += o.prefix.to_string();
-      key += ',';
-    }
-    key += ';';
-  }
-  if (!scenario.overrides.empty()) {
-    key += "o=";
-    for (const PolicyOverride& o : scenario.overrides) {
-      key += std::to_string(static_cast<int>(o.kind));
-      key += ':';
-      key += std::to_string(o.as);
-      key += ':';
-      key += std::to_string(o.neighbor);
-      key += ':';
-      key += std::to_string(o.watch);
-      key += ':';
-      key += std::to_string(o.value);
-      key += ':';
-      if (o.prefix) key += o.prefix->to_string();
-      key += ',';
-    }
-    key += ';';
-  }
-  return key;
-}
 
 SweepReport sweep(std::span<const SweepVariant> variants, std::size_t threads,
                   ArtifactStore* store) {

@@ -470,10 +470,12 @@ struct SweepReport {
   std::size_t distinct_scenarios = 0;
 };
 
-/// The upstream cache identity of a scenario: every parameter that feeds
-/// the Synthesize/Simulate/Observe artifacts, serialized stably.  Worker
-/// thread counts are deliberately excluded (they never change artifact
-/// bytes), so variants differing only in threading share upstream work.
+/// The upstream cache identity of a scenario: its canonical `.scn` text
+/// (the topology, prefixes, policy, vantage and override blocks that
+/// ScenarioSpec::dump() prints, written by core/scenario_spec.cc) without
+/// the scenario name and the `threads` knob, which never change artifact
+/// bytes, so variants differing only in name or threading share upstream
+/// work.
 [[nodiscard]] std::string scenario_cache_key(const Scenario& scenario);
 
 /// Runs every variant's full stage chain with upstream artifacts built

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <set>
 #include <sstream>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 
 namespace bgpolicy::core {
 
@@ -68,33 +70,153 @@ std::vector<Tok> tokenize(std::string_view line, std::size_t line_no) {
   return toks;
 }
 
-/// Shortest round-trip decimal form of a double (dump uses this so
-/// parse(dump()) is lossless).
+/// Shortest round-trip decimal form of a double: parse(dump()) is lossless,
+/// and distinct doubles print distinct text (so distinct cache keys).
 std::string format_double(double value) {
   char buf[64];
   const auto res = std::to_chars(buf, buf + sizeof(buf), value);
   return std::string(buf, res.ptr);
 }
 
-void make_policy_inert(sim::PolicyGenParams& p) {
-  p.atypical_neighbor_prob = 0.0;
-  p.te_as_prob = 0.0;
-  p.te_prefix_max_rate = 0.0;
-  p.origin_selective_as_prob = 0.0;
-  p.withhold_prefix_prob = 0.0;
-  p.single_announce_prob = 0.0;
-  p.community_flavor_prob = 0.0;
-  p.community_target_prob = 0.0;
-  p.prepend_as_prob = 0.0;
-  p.intermediate_selective_prob = 0.0;
-  p.intermediate_victim_prob = 0.0;
-  p.splitting_as_prob = 0.0;
-  p.aggregation_prob = 0.0;
-  p.peer_withhold_prob = 0.0;
-  p.peer_withhold_total_prob = 0.0;
-  p.tagging_as_prob = 0.0;
-  p.publish_prob = 0.0;
-  p.force_tagging.clear();
+// ------------------------------------------------------------ knob table --
+
+/// What a knob's value token must be.
+enum class Check : std::uint8_t {
+  kU64,     ///< an unsigned 64-bit integer
+  kU32,     ///< an unsigned integer below 2^32
+  kCount,   ///< an unsigned integer >= 1
+  kByte,    ///< an unsigned integer <= 255
+  kProb,    ///< a finite number in [0, 1]
+  kNonNeg,  ///< a finite number >= 0
+};
+
+enum KnobFlag : std::uint8_t {
+  /// A topology/prefixes generator knob: an explicit topology rejects it,
+  /// and the canonical text leaves it out there.
+  kGenerator = 1,
+  /// A policy-generator probability: explicit worlds start policy-inert,
+  /// with it at 0.
+  kInert = 2,
+  /// Never changes an artifact, so scenario_cache_key leaves it out.
+  kRuntime = 4,
+};
+
+/// Integer knobs hold a std::uint64_t, real-valued knobs a double.
+using KnobValue = std::variant<std::uint64_t, double>;
+
+/// One scalar knob: the `<key> <value>` line of `block` (topology,
+/// prefixes, policy or vantage) that sets one Scenario field.
+struct Knob {
+  std::string_view block;
+  std::string_view key;
+  Check check;
+  std::uint8_t flags;
+  KnobValue (*get)(const Scenario&);
+  void (*set)(Scenario&, KnobValue);
+};
+
+/// The row for the Scenario field that the member pointers `Path` reach.
+template <auto... Path>
+constexpr Knob knob(std::string_view block, std::string_view key,
+                    Check check, std::uint8_t flags = 0) {
+  return {block, key, check, flags,
+          [](const Scenario& s) -> KnobValue {
+            const auto value = (s .* ... .* Path);
+            if constexpr (std::is_floating_point_v<decltype(value)>) {
+              return double{value};
+            } else {
+              return std::uint64_t{value};
+            }
+          },
+          [](Scenario& s, KnobValue value) {
+            auto& field = (s .* ... .* Path);
+            using Field = std::remove_reference_t<decltype(field)>;
+            if constexpr (std::is_floating_point_v<Field>) {
+              field = std::get<double>(value);
+            } else {
+              field = static_cast<Field>(std::get<std::uint64_t>(value));
+            }
+          }};
+}
+
+using S = Scenario;
+using Topo = topo::GeneratorParams;
+using Alloc = topo::PrefixAllocParams;
+using Pol = sim::PolicyGenParams;
+using Irr = rpsl::IrrGenParams;
+using Prop = sim::PropagationOptions;
+constexpr auto kTopo = &S::topo_params;
+constexpr auto kAlloc = &S::alloc_params;
+constexpr auto kPol = &S::policy_params;
+constexpr auto kIrr = &S::irr_params;
+constexpr auto kProp = &S::propagation;
+using enum Check;
+
+/// Every scalar knob of the topology, prefixes, policy and vantage blocks,
+/// one row each, in canonical order.  The parser, dump(),
+/// scenario_cache_key and the explicit-world reset all read this list.
+constexpr Knob kKnobs[] = {
+    knob<kTopo, &Topo::seed>("topology", "seed", kU64, kGenerator),
+    knob<kTopo, &Topo::tier1_count>("topology", "tier1", kCount, kGenerator),
+    knob<kTopo, &Topo::tier2_count>("topology", "tier2", kU64, kGenerator),
+    knob<kTopo, &Topo::tier3_count>("topology", "tier3", kU64, kGenerator),
+    knob<kTopo, &Topo::stub_count>("topology", "stubs", kU64, kGenerator),
+    knob<kTopo, &Topo::stub_multihome_prob>("topology", "stub_multihome_prob", kProb, kGenerator),
+    knob<kTopo, &Topo::max_stub_providers>("topology", "max_stub_providers", kCount, kGenerator),
+    knob<kTopo, &Topo::tier2_peer_mean>("topology", "tier2_peer_mean", kNonNeg, kGenerator),
+    knob<kTopo, &Topo::tier3_peer_mean>("topology", "tier3_peer_mean", kNonNeg, kGenerator),
+    knob<kTopo, &Topo::stub_peer_prob>("topology", "stub_peer_prob", kProb, kGenerator),
+    knob<kTopo, &Topo::tier3_direct_tier1_prob>("topology", "tier3_direct_tier1_prob", kProb, kGenerator),
+    knob<kTopo, &Topo::stub_tier1_frac>("topology", "stub_tier1_frac", kProb, kGenerator),
+    knob<kTopo, &Topo::stub_tier2_frac>("topology", "stub_tier2_frac", kProb, kGenerator),
+    knob<kTopo, &Topo::provider_popularity_skew>("topology", "provider_popularity_skew", kNonNeg, kGenerator),
+    knob<kProp, &Prop::max_process_per_as>("topology", "max_process_per_as", kCount),
+    knob<kProp, &Prop::threads>("topology", "threads", kU64, kRuntime),
+
+    knob<kAlloc, &Alloc::seed>("prefixes", "seed", kU64, kGenerator),
+    knob<kAlloc, &Alloc::provider_space_prob>("prefixes", "provider_space_prob", kProb, kGenerator),
+    knob<kAlloc, &Alloc::count_alpha>("prefixes", "count_alpha", kNonNeg, kGenerator),
+    knob<kAlloc, &Alloc::max_stub_prefixes>("prefixes", "max_stub_prefixes", kCount, kGenerator),
+    knob<kAlloc, &Alloc::max_transit_extra>("prefixes", "max_transit_extra", kU64, kGenerator),
+
+    knob<kPol, &Pol::seed>("policy", "seed", kU64),
+    knob<kPol, &Pol::atypical_neighbor_prob>("policy", "atypical_neighbor_prob", kProb, kInert),
+    knob<kPol, &Pol::te_as_prob>("policy", "te_as_prob", kProb, kInert),
+    knob<kPol, &Pol::te_prefix_max_rate>("policy", "te_prefix_max_rate", kProb, kInert),
+    knob<kPol, &Pol::origin_selective_as_prob>("policy", "origin_selective_as_prob", kProb, kInert),
+    knob<kPol, &Pol::withhold_prefix_prob>("policy", "withhold_prefix_prob", kProb, kInert),
+    knob<kPol, &Pol::single_announce_prob>("policy", "single_announce_prob", kProb, kInert),
+    knob<kPol, &Pol::community_flavor_prob>("policy", "community_flavor_prob", kProb, kInert),
+    knob<kPol, &Pol::community_target_prob>("policy", "community_target_prob", kProb, kInert),
+    knob<kPol, &Pol::prepend_as_prob>("policy", "prepend_as_prob", kProb, kInert),
+    knob<kPol, &Pol::max_prepend>("policy", "max_prepend", kByte),
+    knob<kPol, &Pol::intermediate_selective_prob>("policy", "intermediate_selective_prob", kProb, kInert),
+    knob<kPol, &Pol::intermediate_victim_prob>("policy", "intermediate_victim_prob", kProb, kInert),
+    knob<kPol, &Pol::splitting_as_prob>("policy", "splitting_as_prob", kProb, kInert),
+    knob<kPol, &Pol::aggregation_prob>("policy", "aggregation_prob", kProb, kInert),
+    knob<kPol, &Pol::peer_withhold_prob>("policy", "peer_withhold_prob", kProb, kInert),
+    knob<kPol, &Pol::peer_withhold_total_prob>("policy", "peer_withhold_total_prob", kProb, kInert),
+    knob<kPol, &Pol::tagging_as_prob>("policy", "tagging_as_prob", kProb, kInert),
+    knob<kPol, &Pol::publish_prob>("policy", "publish_prob", kProb, kInert),
+    knob<kIrr, &Irr::seed>("policy", "irr_seed", kU64),
+    knob<kIrr, &Irr::coverage>("policy", "irr_coverage", kProb),
+    knob<kIrr, &Irr::stale_prob>("policy", "irr_stale_prob", kProb),
+    knob<kIrr, &Irr::wrong_pref_prob>("policy", "irr_wrong_pref_prob", kProb),
+    knob<kIrr, &Irr::missing_pref_prob>("policy", "irr_missing_pref_prob", kProb),
+    knob<kIrr, &Irr::fresh_date>("policy", "irr_fresh_date", kU32),
+    knob<kIrr, &Irr::stale_date>("policy", "irr_stale_date", kU32),
+
+    knob<&S::collector_tier2_peers>("vantage", "collector_tier2_peers", kU64),
+    knob<&S::collector_tier3_peers>("vantage", "collector_tier3_peers", kU64),
+};
+
+const Knob* find_knob(std::string_view block, std::string_view key) {
+  for (const Knob& knob : kKnobs) {
+    if (knob.block == block && knob.key == key) {
+      return &knob;
+    }
+  }
+  return nullptr;
 }
 
 // ---------------------------------------------------------------- parser --
@@ -162,6 +284,10 @@ class Parser {
     if (res.ec != std::errc{} || res.ptr != end) {
       fail(tok.loc, "expected a number, got '" + std::string(tok.text) + "'");
     }
+    if (!std::isfinite(value)) {
+      fail(tok.loc, "expected a finite number, got '" + std::string(tok.text) +
+                        "'");
+    }
     return value;
   }
 
@@ -187,6 +313,20 @@ class Parser {
     const double value = parse_double(tok);
     if (value < 0.0) {
       fail(tok.loc, "value " + std::string(tok.text) + " must be >= 0");
+    }
+    return value;
+  }
+
+  KnobValue parse_knob_value(const Knob& knob, const Tok& tok) const {
+    if (knob.check == kProb) return parse_prob(tok);
+    if (knob.check == kNonNeg) return parse_nonneg(tok);
+    if (knob.check == kU32) return std::uint64_t{parse_u32(tok)};
+    const std::uint64_t value = parse_u64(tok);
+    if (knob.check == kCount && value == 0) {
+      fail(tok.loc, std::string(knob.key) + " must be >= 1");
+    }
+    if (knob.check == kByte && value > 255) {
+      fail(tok.loc, std::string(knob.key) + " out of range (max 255)");
     }
     return value;
   }
@@ -366,7 +506,9 @@ class Parser {
       block_.clear();
       return;
     }
-    if (block_ == "topology") {
+    if (const Knob* knob = find_knob(block_, toks[0].text)) {
+      knob_line(*knob, toks);
+    } else if (block_ == "topology") {
       topology_line(toks);
     } else if (block_ == "prefixes") {
       prefixes_line(toks);
@@ -385,86 +527,21 @@ class Parser {
 
   // ---- blocks ----------------------------------------------------------
 
+  /// A knob-table line: `<key> <value>`.
+  void knob_line(const Knob& knob, const std::vector<Tok>& toks) {
+    if ((knob.flags & kGenerator) != 0) {
+      generator_key(block_, toks[0]);
+    } else {
+      scalar_key(block_, toks[0]);
+    }
+    need_args(toks, 1);
+    const KnobValue value = parse_knob_value(knob, toks[1]);
+    assigns_.push_back([&knob, value](Scenario& s) { knob.set(s, value); });
+  }
+
   void topology_line(const std::vector<Tok>& toks) {
     const Tok& key = toks[0];
-    const auto set_u64 = [&](auto member) {
-      generator_key("topology", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back([member, v](Scenario& s) { s.topo_params.*member = v; });
-    };
-    const auto set_count = [&](std::size_t topo::GeneratorParams::* member) {
-      generator_key("topology", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back(
-          [member, v](Scenario& s) { s.topo_params.*member = v; });
-    };
-    const auto set_prob = [&](double topo::GeneratorParams::* member) {
-      generator_key("topology", key);
-      need_args(toks, 1);
-      const double v = parse_prob(toks[1]);
-      assigns_.push_back(
-          [member, v](Scenario& s) { s.topo_params.*member = v; });
-    };
-    const auto set_nonneg = [&](double topo::GeneratorParams::* member) {
-      generator_key("topology", key);
-      need_args(toks, 1);
-      const double v = parse_nonneg(toks[1]);
-      assigns_.push_back(
-          [member, v](Scenario& s) { s.topo_params.*member = v; });
-    };
-
-    if (key.text == "seed") {
-      set_u64(&topo::GeneratorParams::seed);
-    } else if (key.text == "tier1") {
-      generator_key("topology", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      if (v == 0) fail(toks[1].loc, "tier1 count must be >= 1");
-      assigns_.push_back([v](Scenario& s) { s.topo_params.tier1_count = v; });
-    } else if (key.text == "tier2") {
-      set_count(&topo::GeneratorParams::tier2_count);
-    } else if (key.text == "tier3") {
-      set_count(&topo::GeneratorParams::tier3_count);
-    } else if (key.text == "stubs") {
-      set_count(&topo::GeneratorParams::stub_count);
-    } else if (key.text == "stub_multihome_prob") {
-      set_prob(&topo::GeneratorParams::stub_multihome_prob);
-    } else if (key.text == "max_stub_providers") {
-      generator_key("topology", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      if (v == 0) fail(toks[1].loc, "max_stub_providers must be >= 1");
-      assigns_.push_back(
-          [v](Scenario& s) { s.topo_params.max_stub_providers = v; });
-    } else if (key.text == "tier2_peer_mean") {
-      set_nonneg(&topo::GeneratorParams::tier2_peer_mean);
-    } else if (key.text == "tier3_peer_mean") {
-      set_nonneg(&topo::GeneratorParams::tier3_peer_mean);
-    } else if (key.text == "stub_peer_prob") {
-      set_prob(&topo::GeneratorParams::stub_peer_prob);
-    } else if (key.text == "tier3_direct_tier1_prob") {
-      set_prob(&topo::GeneratorParams::tier3_direct_tier1_prob);
-    } else if (key.text == "stub_tier1_frac") {
-      set_prob(&topo::GeneratorParams::stub_tier1_frac);
-    } else if (key.text == "stub_tier2_frac") {
-      set_prob(&topo::GeneratorParams::stub_tier2_frac);
-    } else if (key.text == "provider_popularity_skew") {
-      set_nonneg(&topo::GeneratorParams::provider_popularity_skew);
-    } else if (key.text == "max_process_per_as") {
-      scalar_key("topology", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      if (v == 0) fail(toks[1].loc, "max_process_per_as must be >= 1");
-      assigns_.push_back(
-          [v](Scenario& s) { s.propagation.max_process_per_as = v; });
-    } else if (key.text == "threads") {
-      scalar_key("topology", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.propagation.threads = v; });
-    } else if (key.text == "explicit") {
+    if (key.text == "explicit") {
       scalar_key("topology", key);
       need_args(toks, 0);
       if (!generator_keys_.empty()) {
@@ -494,7 +571,6 @@ class Parser {
     } else {
       fail(key.loc, "unknown topology key '" + std::string(key.text) + "'");
     }
-    (void)set_u64;
   }
 
   void require_explicit(const Tok& key) const {
@@ -506,36 +582,7 @@ class Parser {
 
   void prefixes_line(const std::vector<Tok>& toks) {
     const Tok& key = toks[0];
-    if (key.text == "seed") {
-      generator_key("prefixes", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.alloc_params.seed = v; });
-    } else if (key.text == "provider_space_prob") {
-      generator_key("prefixes", key);
-      need_args(toks, 1);
-      const double v = parse_prob(toks[1]);
-      assigns_.push_back(
-          [v](Scenario& s) { s.alloc_params.provider_space_prob = v; });
-    } else if (key.text == "count_alpha") {
-      generator_key("prefixes", key);
-      need_args(toks, 1);
-      const double v = parse_nonneg(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.alloc_params.count_alpha = v; });
-    } else if (key.text == "max_stub_prefixes") {
-      generator_key("prefixes", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      if (v == 0) fail(toks[1].loc, "max_stub_prefixes must be >= 1");
-      assigns_.push_back(
-          [v](Scenario& s) { s.alloc_params.max_stub_prefixes = v; });
-    } else if (key.text == "max_transit_extra") {
-      generator_key("prefixes", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back(
-          [v](Scenario& s) { s.alloc_params.max_transit_extra = v; });
-    } else if (key.text == "originate") {
+    if (key.text == "originate") {
       if (!explicit_mode_) {
         fail(key.loc, "'originate' requires an explicit topology");
       }
@@ -550,62 +597,7 @@ class Parser {
 
   void policy_line(const std::vector<Tok>& toks) {
     const Tok& key = toks[0];
-    const auto set_prob = [&](double sim::PolicyGenParams::* member) {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const double v = parse_prob(toks[1]);
-      assigns_.push_back(
-          [member, v](Scenario& s) { s.policy_params.*member = v; });
-    };
-
-    if (key.text == "seed") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.policy_params.seed = v; });
-    } else if (key.text == "atypical_neighbor_prob") {
-      set_prob(&sim::PolicyGenParams::atypical_neighbor_prob);
-    } else if (key.text == "te_as_prob") {
-      set_prob(&sim::PolicyGenParams::te_as_prob);
-    } else if (key.text == "te_prefix_max_rate") {
-      set_prob(&sim::PolicyGenParams::te_prefix_max_rate);
-    } else if (key.text == "origin_selective_as_prob") {
-      set_prob(&sim::PolicyGenParams::origin_selective_as_prob);
-    } else if (key.text == "withhold_prefix_prob") {
-      set_prob(&sim::PolicyGenParams::withhold_prefix_prob);
-    } else if (key.text == "single_announce_prob") {
-      set_prob(&sim::PolicyGenParams::single_announce_prob);
-    } else if (key.text == "community_flavor_prob") {
-      set_prob(&sim::PolicyGenParams::community_flavor_prob);
-    } else if (key.text == "community_target_prob") {
-      set_prob(&sim::PolicyGenParams::community_target_prob);
-    } else if (key.text == "prepend_as_prob") {
-      set_prob(&sim::PolicyGenParams::prepend_as_prob);
-    } else if (key.text == "max_prepend") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      if (v > 255) fail(toks[1].loc, "max_prepend out of range (max 255)");
-      assigns_.push_back([v](Scenario& s) {
-        s.policy_params.max_prepend = static_cast<std::uint8_t>(v);
-      });
-    } else if (key.text == "intermediate_selective_prob") {
-      set_prob(&sim::PolicyGenParams::intermediate_selective_prob);
-    } else if (key.text == "intermediate_victim_prob") {
-      set_prob(&sim::PolicyGenParams::intermediate_victim_prob);
-    } else if (key.text == "splitting_as_prob") {
-      set_prob(&sim::PolicyGenParams::splitting_as_prob);
-    } else if (key.text == "aggregation_prob") {
-      set_prob(&sim::PolicyGenParams::aggregation_prob);
-    } else if (key.text == "peer_withhold_prob") {
-      set_prob(&sim::PolicyGenParams::peer_withhold_prob);
-    } else if (key.text == "peer_withhold_total_prob") {
-      set_prob(&sim::PolicyGenParams::peer_withhold_total_prob);
-    } else if (key.text == "tagging_as_prob") {
-      set_prob(&sim::PolicyGenParams::tagging_as_prob);
-    } else if (key.text == "publish_prob") {
-      set_prob(&sim::PolicyGenParams::publish_prob);
-    } else if (key.text == "force_tagging") {
+    if (key.text == "force_tagging") {
       scalar_key("policy", key);
       force_tagging_assigned_ = true;
       const std::vector<std::uint32_t> list =
@@ -616,43 +608,6 @@ class Parser {
           s.policy_params.force_tagging.emplace_back(as);
         }
       });
-    } else if (key.text == "irr_seed") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.irr_params.seed = v; });
-    } else if (key.text == "irr_coverage") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const double v = parse_prob(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.irr_params.coverage = v; });
-    } else if (key.text == "irr_stale_prob") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const double v = parse_prob(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.irr_params.stale_prob = v; });
-    } else if (key.text == "irr_wrong_pref_prob") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const double v = parse_prob(toks[1]);
-      assigns_.push_back(
-          [v](Scenario& s) { s.irr_params.wrong_pref_prob = v; });
-    } else if (key.text == "irr_missing_pref_prob") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const double v = parse_prob(toks[1]);
-      assigns_.push_back(
-          [v](Scenario& s) { s.irr_params.missing_pref_prob = v; });
-    } else if (key.text == "irr_fresh_date") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const std::uint32_t v = parse_u32(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.irr_params.fresh_date = v; });
-    } else if (key.text == "irr_stale_date") {
-      scalar_key("policy", key);
-      need_args(toks, 1);
-      const std::uint32_t v = parse_u32(toks[1]);
-      assigns_.push_back([v](Scenario& s) { s.irr_params.stale_date = v; });
     } else {
       fail(key.loc, "unknown policy key '" + std::string(key.text) + "'");
     }
@@ -673,18 +628,6 @@ class Parser {
       verification_assigned_ = true;
       const auto list = parse_as_list(toks, "verification");
       assigns_.push_back([list](Scenario& s) { s.verification_ases = list; });
-    } else if (key.text == "collector_tier2_peers") {
-      scalar_key("vantage", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back(
-          [v](Scenario& s) { s.collector_tier2_peers = v; });
-    } else if (key.text == "collector_tier3_peers") {
-      scalar_key("vantage", key);
-      need_args(toks, 1);
-      const std::uint64_t v = parse_u64(toks[1]);
-      assigns_.push_back(
-          [v](Scenario& s) { s.collector_tier3_peers = v; });
     } else {
       fail(key.loc, "unknown vantage key '" + std::string(key.text) + "'");
     }
@@ -911,10 +854,16 @@ class Parser {
     }
     spec_.scenario.name = name_;
     if (explicit_mode_) {
-      // Explicit worlds start policy-silent: the generator's probabilistic
-      // knobs are zeroed so the hand-written world carries exactly the
-      // declared policies; knobs and overrides opt back in.
-      make_policy_inert(spec_.scenario.policy_params);
+      // Explicit worlds start policy-silent: the policy generator's
+      // probabilities are zeroed and nothing is force-tagged, so the
+      // hand-written world carries exactly the declared policies; knobs and
+      // overrides opt back in.
+      for (const Knob& knob : kKnobs) {
+        if ((knob.flags & kInert) != 0) {
+          knob.set(spec_.scenario, 0.0);
+        }
+      }
+      spec_.scenario.policy_params.force_tagging.clear();
       spec_.scenario.explicit_world = std::move(world_);
     }
     for (const Assign& assign : assigns_) assign(spec_.scenario);
@@ -1011,6 +960,16 @@ ScenarioSpec ScenarioSpec::parse_file(const std::filesystem::path& path) {
 
 namespace {
 
+/// Appends one `  <key> <value>` line.
+void append_line(std::string& out, std::string_view key,
+                 const std::string& value) {
+  out += "  ";
+  out += key;
+  out += ' ';
+  out += value;
+  out += '\n';
+}
+
 void dump_as_list(std::string& out, const char* key,
                   std::span<const std::uint32_t> list) {
   out += "  ";
@@ -1032,27 +991,29 @@ const char* tier_word(topo::Tier tier) {
   return "stub";
 }
 
-}  // namespace
-
-std::string ScenarioSpec::dump() const {
-  const Scenario& s = scenario;
-  std::string out;
-  out.reserve(4096);
-  const auto kv = [&](const char* key, const std::string& value) {
-    out += "  ";
-    out += key;
-    out += ' ';
-    out += value;
-    out += '\n';
+/// Appends the canonical text of the scenario's topology, prefixes,
+/// policy and vantage blocks and, when it has overrides, its override
+/// block.  Each block holds its list lines, then its knob-table rows; an
+/// explicit world leaves out the generator knobs it ignores, and
+/// `with_runtime = false` leaves out the runtime knobs.
+void append_scenario(std::string& out, const Scenario& s, bool with_runtime) {
+  const auto kv = [&](std::string_view key, const std::string& value) {
+    append_line(out, key, value);
   };
-  const auto kvu = [&](const char* key, std::uint64_t value) {
-    kv(key, std::to_string(value));
+  const auto knobs = [&](std::string_view block) {
+    for (const Knob& knob : kKnobs) {
+      if (knob.block != block ||
+          (s.explicit_world && (knob.flags & kGenerator) != 0) ||
+          (!with_runtime && (knob.flags & kRuntime) != 0)) {
+        continue;
+      }
+      const KnobValue value = knob.get(s);
+      kv(knob.key,
+         std::holds_alternative<double>(value)
+             ? format_double(std::get<double>(value))
+             : std::to_string(std::get<std::uint64_t>(value)));
+    }
   };
-  const auto kvd = [&](const char* key, double value) {
-    kv(key, format_double(value));
-  };
-
-  out += "scenario " + s.name + "\n\n";
 
   out += "topology {\n";
   if (s.explicit_world) {
@@ -1065,25 +1026,8 @@ std::string ScenarioSpec::dump() const {
       kv(link.peer ? "peer" : "provider",
          std::to_string(link.a) + " " + std::to_string(link.b));
     }
-  } else {
-    const topo::GeneratorParams& t = s.topo_params;
-    kvu("seed", t.seed);
-    kvu("tier1", t.tier1_count);
-    kvu("tier2", t.tier2_count);
-    kvu("tier3", t.tier3_count);
-    kvu("stubs", t.stub_count);
-    kvd("stub_multihome_prob", t.stub_multihome_prob);
-    kvu("max_stub_providers", t.max_stub_providers);
-    kvd("tier2_peer_mean", t.tier2_peer_mean);
-    kvd("tier3_peer_mean", t.tier3_peer_mean);
-    kvd("stub_peer_prob", t.stub_peer_prob);
-    kvd("tier3_direct_tier1_prob", t.tier3_direct_tier1_prob);
-    kvd("stub_tier1_frac", t.stub_tier1_frac);
-    kvd("stub_tier2_frac", t.stub_tier2_frac);
-    kvd("provider_popularity_skew", t.provider_popularity_skew);
   }
-  kvu("max_process_per_as", s.propagation.max_process_per_as);
-  kvu("threads", s.propagation.threads);
+  knobs("topology");
   out += "}\n\n";
 
   out += "prefixes {\n";
@@ -1091,61 +1035,25 @@ std::string ScenarioSpec::dump() const {
     for (const ExplicitWorld::Origination& o : s.explicit_world->originations) {
       kv("originate", std::to_string(o.origin) + " " + o.prefix.to_string());
     }
-  } else {
-    const topo::PrefixAllocParams& a = s.alloc_params;
-    kvu("seed", a.seed);
-    kvd("provider_space_prob", a.provider_space_prob);
-    kvd("count_alpha", a.count_alpha);
-    kvu("max_stub_prefixes", a.max_stub_prefixes);
-    kvu("max_transit_extra", a.max_transit_extra);
   }
+  knobs("prefixes");
   out += "}\n\n";
 
   out += "policy {\n";
-  {
-    const sim::PolicyGenParams& p = s.policy_params;
-    kvu("seed", p.seed);
-    kvd("atypical_neighbor_prob", p.atypical_neighbor_prob);
-    kvd("te_as_prob", p.te_as_prob);
-    kvd("te_prefix_max_rate", p.te_prefix_max_rate);
-    kvd("origin_selective_as_prob", p.origin_selective_as_prob);
-    kvd("withhold_prefix_prob", p.withhold_prefix_prob);
-    kvd("single_announce_prob", p.single_announce_prob);
-    kvd("community_flavor_prob", p.community_flavor_prob);
-    kvd("community_target_prob", p.community_target_prob);
-    kvd("prepend_as_prob", p.prepend_as_prob);
-    kvu("max_prepend", p.max_prepend);
-    kvd("intermediate_selective_prob", p.intermediate_selective_prob);
-    kvd("intermediate_victim_prob", p.intermediate_victim_prob);
-    kvd("splitting_as_prob", p.splitting_as_prob);
-    kvd("aggregation_prob", p.aggregation_prob);
-    kvd("peer_withhold_prob", p.peer_withhold_prob);
-    kvd("peer_withhold_total_prob", p.peer_withhold_total_prob);
-    kvd("tagging_as_prob", p.tagging_as_prob);
-    kvd("publish_prob", p.publish_prob);
-    std::vector<std::uint32_t> force;
-    force.reserve(p.force_tagging.size());
-    for (const util::AsNumber as : p.force_tagging) {
-      force.push_back(as.value());
-    }
-    dump_as_list(out, "force_tagging", force);
-    const rpsl::IrrGenParams& i = s.irr_params;
-    kvu("irr_seed", i.seed);
-    kvd("irr_coverage", i.coverage);
-    kvd("irr_stale_prob", i.stale_prob);
-    kvd("irr_wrong_pref_prob", i.wrong_pref_prob);
-    kvd("irr_missing_pref_prob", i.missing_pref_prob);
-    kvu("irr_fresh_date", i.fresh_date);
-    kvu("irr_stale_date", i.stale_date);
+  std::vector<std::uint32_t> force;
+  force.reserve(s.policy_params.force_tagging.size());
+  for (const util::AsNumber as : s.policy_params.force_tagging) {
+    force.push_back(as.value());
   }
+  dump_as_list(out, "force_tagging", force);
+  knobs("policy");
   out += "}\n\n";
 
   out += "vantage {\n";
   dump_as_list(out, "looking_glass", s.looking_glass);
   dump_as_list(out, "best_only", s.best_only);
   dump_as_list(out, "verification", s.verification_ases);
-  kvu("collector_tier2_peers", s.collector_tier2_peers);
-  kvu("collector_tier3_peers", s.collector_tier3_peers);
+  knobs("vantage");
   out += "}\n";
 
   if (!s.overrides.empty()) {
@@ -1190,6 +1098,24 @@ std::string ScenarioSpec::dump() const {
     }
     out += "}\n";
   }
+}
+
+}  // namespace
+
+std::string scenario_cache_key(const Scenario& scenario) {
+  std::string key;
+  key.reserve(2048);
+  append_scenario(key, scenario, /*with_runtime=*/false);
+  return key;
+}
+
+std::string ScenarioSpec::dump() const {
+  std::string out = "scenario " + scenario.name + "\n\n";
+  out.reserve(4096);
+  append_scenario(out, scenario, /*with_runtime=*/true);
+  const auto kv = [&](const char* key, const std::string& value) {
+    append_line(out, key, value);
+  };
 
   if (!events.empty()) {
     out += "\nevents {\n";

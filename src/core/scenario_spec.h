@@ -17,10 +17,11 @@
 // Full grammar and semantics: docs/SCENARIOS.md.  Parsing is strict —
 // unknown keys, duplicate scalar keys, malformed values, and out-of-range
 // numbers are errors carrying exact line/column positions (SpecError), so
-// a failing corpus file names the offending token.  The resolved scenario
-// feeds `scenario_cache_key` exactly like a constructor-built one (the
-// explicit world and overrides join the key), making spec-defined worlds
-// first-class citizens of the artifact store.
+// a failing corpus file names the offending token.  Every scalar knob of
+// the topology/prefixes/policy/vantage blocks is one row of a table in
+// scenario_spec.cc that the parser, dump() and `scenario_cache_key` (the
+// scenario's canonical text) all read, so a spec-defined world and a
+// constructor-built one with the same knobs share artifact-store entries.
 //
 // The verify evaluator lives in core/spec_verify.h; the corpus runner is
 // tools/scenario_check.cc; every `scenarios/*.scn` file is registered as

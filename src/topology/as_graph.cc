@@ -98,52 +98,6 @@ std::vector<AsNumber> AsGraph::peers(AsNumber as) const {
   return filter_neighbors(neighbors(as), RelKind::kPeer);
 }
 
-bool AsGraph::in_customer_cone(AsNumber provider, AsNumber as) const {
-  if (provider == as) return false;
-  // Iterative DFS down provider-to-customer edges only (Fig. 4 Phase 2:
-  // the path relationship constraint).
-  std::unordered_set<AsNumber> visited{provider};
-  std::vector<AsNumber> stack{provider};
-  while (!stack.empty()) {
-    const AsNumber current = stack.back();
-    stack.pop_back();
-    for (const auto& n : neighbors(current)) {
-      if (n.kind != RelKind::kCustomer) continue;
-      if (n.as == as) return true;
-      if (visited.insert(n.as).second) stack.push_back(n.as);
-    }
-  }
-  return false;
-}
-
-std::vector<AsNumber> AsGraph::find_customer_path(AsNumber provider,
-                                                  AsNumber target) const {
-  if (provider == target) return {};
-  std::unordered_map<AsNumber, AsNumber> parent;
-  std::vector<AsNumber> stack{provider};
-  parent.emplace(provider, provider);
-  while (!stack.empty()) {
-    const AsNumber current = stack.back();
-    stack.pop_back();
-    for (const auto& n : neighbors(current)) {
-      if (n.kind != RelKind::kCustomer) continue;
-      if (parent.contains(n.as)) continue;
-      parent.emplace(n.as, current);
-      if (n.as == target) {
-        std::vector<AsNumber> path{target};
-        AsNumber walk = target;
-        while (walk != provider) {
-          walk = parent.at(walk);
-          path.push_back(walk);
-        }
-        return {path.rbegin(), path.rend()};
-      }
-      stack.push_back(n.as);
-    }
-  }
-  return {};
-}
-
 bool AsGraph::is_valley_free(std::span<const AsNumber> path) const {
   if (path.size() < 2) return true;
   // Walk from origin (rightmost) toward the observer (leftmost).  The legal

@@ -89,18 +89,6 @@ class AsGraph {
   [[nodiscard]] std::vector<AsNumber> providers(AsNumber as) const;
   [[nodiscard]] std::vector<AsNumber> peers(AsNumber as) const;
 
-  /// True when a customer path (provider -> ... -> descendant following only
-  /// provider-to-customer edges) exists from `provider` down to `as`.
-  /// One DFS per query: the library asks topo::CustomerCone
-  /// (customer_cone.h), which builds the cone once; this stays as the
-  /// reference its tests compare against.
-  [[nodiscard]] bool in_customer_cone(AsNumber provider, AsNumber as) const;
-
-  /// One customer path provider -> ... -> target (inclusive), or empty when
-  /// none exists.  DFS order is deterministic (insertion order).
-  [[nodiscard]] std::vector<AsNumber> find_customer_path(
-      AsNumber provider, AsNumber target) const;
-
   /// True when the AS-level path (leftmost = closest to the observer)
   /// is valley-free under this graph's annotations: zero or more
   /// customer-to-provider hops, at most one peer-peer hop, then zero or

@@ -37,11 +37,13 @@ class MonotonicArena {
 
   /// Makes room for `bytes` more bytes in the current block, moving to a
   /// retained block that fits or adding one of exactly `bytes` when it
-  /// lacks them: a copy whose total size is known takes one block sized to
-  /// it rather than the default first block.  Allocations of that total
-  /// whose sizes are multiples of their alignment then fit without padding.
+  /// lacks them (an empty one for 0 bytes): a copy whose total size is
+  /// known takes one block sized to it rather than the default first
+  /// block.  Allocations of that total whose sizes are multiples of their
+  /// alignment then fit without padding, and a later allocation that
+  /// overflows it adds a block sized from the bytes in use.
   void reserve(std::size_t bytes) {
-    if (bytes == 0 || (cursor_ != nullptr && remaining_ >= bytes)) return;
+    if (cursor_ != nullptr && remaining_ >= bytes) return;
     grow(bytes, /*exact=*/true);
   }
 
@@ -64,6 +66,7 @@ class MonotonicArena {
   struct Block {
     std::unique_ptr<std::byte[]> data;
     std::size_t size = 0;
+    bool exact = false;  ///< sized by reserve()
   };
 
   [[nodiscard]] void* allocate_bytes(std::size_t bytes, std::size_t align) {
@@ -85,7 +88,10 @@ class MonotonicArena {
   void grow(std::size_t min_bytes, bool exact = false) {
     // Advance to the next retained block when it fits; otherwise append a
     // fresh one (doubling under pressure keeps block count logarithmic),
-    // left uninitialized: every byte is written before it is read.
+    // left uninitialized: every byte is written before it is read.  After
+    // an exact block the new one is an eighth of the bytes in use (or the
+    // request): doubling a block sized to a whole copy would reserve twice
+    // the copy for the few sets a later wave adds.
     while (block_ + 1 < blocks_.size()) {
       ++block_;
       if (blocks_[block_].size >= min_bytes) {
@@ -94,11 +100,15 @@ class MonotonicArena {
         return;
       }
     }
-    std::size_t size = exact            ? min_bytes
-                       : blocks_.empty() ? block_bytes_
-                                         : blocks_.back().size * 2;
+    std::size_t size = block_bytes_;
+    if (exact) {
+      size = min_bytes;
+    } else if (!blocks_.empty()) {
+      size = blocks_.back().exact ? used_ / 8 : blocks_.back().size * 2;
+    }
     if (size < min_bytes) size = min_bytes;
-    blocks_.push_back({std::make_unique_for_overwrite<std::byte[]>(size), size});
+    blocks_.push_back(
+        {std::make_unique_for_overwrite<std::byte[]>(size), size, exact});
     reserved_ += size;
     block_ = blocks_.size() - 1;
     cursor_ = blocks_.back().data.get();

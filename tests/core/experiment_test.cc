@@ -306,7 +306,7 @@ TEST(ScenarioCacheKey, SeparatesWorldsAndIgnoresThreadKnobs) {
   EXPECT_NE(scenario_cache_key(a), scenario_cache_key(b));
 
   b = Scenario::small(5);
-  b.irr_params.coverage += 1e-9;  // exact bit-pattern, no double rounding
+  b.irr_params.coverage += 1e-9;  // distinct doubles print distinct text
   EXPECT_NE(scenario_cache_key(a), scenario_cache_key(b));
 
   EXPECT_NE(scenario_cache_key(Scenario::small(5)),

@@ -4,9 +4,12 @@
 // deterministic random-mutation fuzz pass (the parser must never crash,
 // only throw), and the synthesize-time vantage/override validation.
 // CI runs this binary under ASan/UBSan (the sanitizer job's target list).
+#include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -166,6 +169,24 @@ TEST(ScenarioSpecReject, ProbabilityOutOfRange) {
             (SourceLoc{3, 14}));
 }
 
+TEST(ScenarioSpecReject, NonFiniteNumbers) {
+  // std::from_chars reads these; the range checks alone would let NaN pass
+  // every bound and infinity pass every non-negative one.
+  for (const std::string value : {"nan", "-nan", "inf", "infinity"}) {
+    SCOPED_TRACE(value);
+    // "  te_as_prob ": the value starts at column 14.
+    EXPECT_EQ(error_loc("scenario x\npolicy {\n  te_as_prob " + value +
+                        "\n}\n"),
+              (SourceLoc{3, 14}));
+    EXPECT_EQ(error_loc("scenario x\nprefixes {\n  count_alpha " + value +
+                        "\n}\n"),
+              (SourceLoc{3, 15}));
+    EXPECT_EQ(error_loc("scenario x\nverify {\n  inference_accuracy " +
+                        value + "\n}\n"),
+              (SourceLoc{3, 22}));
+  }
+}
+
 TEST(ScenarioSpecReject, DuplicateScalarKey) {
   EXPECT_EQ(
       error_loc("scenario x\ntopology {\n  seed 1\n  seed 2\n}\n"),
@@ -270,11 +291,13 @@ TEST(ScenarioSpecFuzz, MutatedSpecsNeverCrash) {
           text.insert(rng() % text.size(), text.substr(from, len));
           break;
         }
-        case 4:  // inject a hostile token
-          text.insert(rng() % text.size(),
-                      round % 2 == 0 ? "\n999999999999999999999 {"
-                                     : " 1e309 ");
+        case 4: {  // inject a hostile token
+          static constexpr const char* kHostile[] = {
+              "\n999999999999999999999 {", " 1e309 ", " nan ", " -nan ",
+              " inf ", " infinity "};
+          text.insert(rng() % text.size(), kHostile[round % 6]);
           break;
+        }
       }
     }
     try {
@@ -289,6 +312,139 @@ TEST(ScenarioSpecFuzz, MutatedSpecsNeverCrash) {
   // The mutator must actually exercise both paths.
   EXPECT_GT(rejected, 0u);
   EXPECT_EQ(parsed_ok + rejected, 400u);
+}
+
+// ---- every knob: round trip and store identity ------------------------
+
+/// Lines of the four knob blocks whose values are AS lists, not one knob.
+bool is_list_key(const std::string& key) {
+  return key == "force_tagging" || key == "looking_glass" ||
+         key == "best_only" || key == "verification";
+}
+
+/// Sets every one-value line that `spec.dump()` prints in the topology,
+/// prefixes, policy and vantage blocks to another value the parser
+/// accepts.  Each change must survive parse(dump()) and move
+/// scenario_cache_key, except `threads`, which must leave it alone; so
+/// must renaming the scenario.  Returns the number of knobs walked.
+std::size_t walk_every_knob(const ScenarioSpec& spec) {
+  const std::string key = scenario_cache_key(spec.scenario);
+  std::vector<std::string> lines;
+  std::istringstream in(spec.dump());
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto with_line = [&](std::size_t at, const std::string& line) {
+    std::string out;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      out += i == at ? line : lines[i];
+      out += '\n';
+    }
+    return out;
+  };
+
+  std::size_t walked = 0;
+  std::string block;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    std::istringstream words(lines[i]);
+    std::vector<std::string> toks;
+    for (std::string tok; words >> tok;) toks.push_back(tok);
+    if (toks.size() == 2 && toks[1] == "{") {
+      block = toks[0];
+      continue;
+    }
+    if (toks.size() == 2 && toks[0] == "scenario") {
+      const ScenarioSpec renamed =
+          ScenarioSpec::parse(with_line(i, lines[i] + "-renamed"));
+      EXPECT_NE(renamed.scenario.name, spec.scenario.name);
+      EXPECT_EQ(scenario_cache_key(renamed.scenario), key);
+    }
+    const bool knob_block = block == "topology" || block == "prefixes" ||
+                            block == "policy" || block == "vantage";
+    if (!knob_block || toks.size() != 2 || is_list_key(toks[0])) continue;
+    SCOPED_TRACE(block + " " + lines[i]);
+
+    // Candidate values: an integer one up or down, else half the number
+    // (or 0.5 for zero).  One of them satisfies every knob check.
+    std::vector<std::string> candidates;
+    std::uint64_t n = 0;
+    const char* end = toks[1].data() + toks[1].size();
+    if (std::from_chars(toks[1].data(), end, n).ptr == end) {
+      candidates = {std::to_string(n + 1), std::to_string(n - 1)};
+    } else {
+      double d = 0.0;
+      std::from_chars(toks[1].data(), end, d);
+      std::ostringstream half;
+      half.precision(17);
+      half << (d == 0.0 ? 0.5 : d / 2);
+      candidates = {half.str()};
+    }
+    std::optional<ScenarioSpec> changed;
+    for (const std::string& value : candidates) {
+      try {
+        changed =
+            ScenarioSpec::parse(with_line(i, "  " + toks[0] + " " + value));
+        break;
+      } catch (const SpecError&) {
+      }
+    }
+    if (!changed) {
+      ADD_FAILURE() << "no other value parses";
+      continue;
+    }
+    ++walked;
+    EXPECT_NE(changed->scenario, spec.scenario) << "the knob set nothing";
+    EXPECT_EQ(ScenarioSpec::parse(changed->dump()), *changed);
+    if (toks[0] == "threads") {
+      EXPECT_EQ(scenario_cache_key(changed->scenario), key);
+    } else {
+      EXPECT_NE(scenario_cache_key(changed->scenario), key);
+    }
+  }
+  return walked;
+}
+
+TEST(ScenarioSpecKnobs, EveryKnobRoundTripsAndMovesTheCacheKey) {
+  const ScenarioSpec generated =
+      ScenarioSpec::parse_file(kScenarioDir / "small.scn");
+  ASSERT_FALSE(generated.scenario.explicit_world.has_value());
+  // 49 scalar knobs today; a knob added later is walked without an edit.
+  EXPECT_GE(walk_every_knob(generated), 49u);
+
+  const ScenarioSpec explicit_world = ScenarioSpec::parse(kFullSpec);
+  ASSERT_TRUE(explicit_world.scenario.explicit_world.has_value());
+  // Generator knobs are neither printed nor accepted in an explicit world.
+  EXPECT_GE(walk_every_knob(explicit_world), 30u);
+}
+
+// ---- docs/SCENARIOS.md names every key dump() prints ------------------
+
+TEST(ScenarioSpecDocs, ReferenceNamesEveryKeyDumpPrints) {
+  std::string doc;
+  {
+    std::ifstream in(kScenarioDir.parent_path() / "docs" / "SCENARIOS.md");
+    ASSERT_TRUE(in) << "docs/SCENARIOS.md not found";
+    doc.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // A key is named as inline code (`key` or `key ...`) or as the first
+  // word of an indented line of a fenced example.
+  const auto named = [&](const std::string& key) {
+    return doc.find('`' + key + '`') != std::string::npos ||
+           doc.find('`' + key + ' ') != std::string::npos ||
+           doc.find("\n  " + key + ' ') != std::string::npos ||
+           doc.find("\n  " + key + '\n') != std::string::npos;
+  };
+  std::vector<ScenarioSpec> specs = load_spec_dir(kScenarioDir);
+  specs.push_back(ScenarioSpec::parse(kFullSpec));
+  for (const ScenarioSpec& spec : specs) {
+    std::istringstream text(spec.dump());
+    for (std::string line; std::getline(text, line);) {
+      if (line.rfind("  ", 0) != 0) continue;  // block headers and braces
+      std::istringstream words(line);
+      std::string key;
+      words >> key;
+      EXPECT_TRUE(named(key)) << "docs/SCENARIOS.md does not name '" << key
+                              << "' (" << spec.source << ")";
+    }
+  }
 }
 
 // ---- required_stage ---------------------------------------------------

@@ -118,7 +118,7 @@ TEST(MonotonicArena, ResetKeepsBlocksAndTracksPeak) {
 TEST(MonotonicArena, ReserveTakesOneBlockOfExactlyTheSize) {
   util::MonotonicArena arena;
   arena.reserve(0);
-  EXPECT_EQ(arena.bytes_reserved(), 0u);  // nothing to hold, no block
+  EXPECT_EQ(arena.bytes_reserved(), 0u);  // nothing to hold
   arena.reserve(100 * sizeof(std::uint32_t));
   EXPECT_EQ(arena.bytes_reserved(), 100 * sizeof(std::uint32_t));
   (void)arena.allocate<std::uint32_t>(60);
@@ -131,6 +131,27 @@ TEST(MonotonicArena, ReserveTakesOneBlockOfExactlyTheSize) {
   EXPECT_EQ(arena.bytes_reserved(), 100 * sizeof(std::uint32_t));
   (void)arena.allocate<std::uint32_t>(101);
   EXPECT_GT(arena.bytes_reserved(), 100 * sizeof(std::uint32_t));
+}
+
+TEST(MonotonicArena, BlockAfterAnExactBlockIsSizedFromTheBytesInUse) {
+  // A warm state's copy takes one exact block; the first later wave that
+  // interns a set adds an eighth of the bytes in use, not twice the copy.
+  const std::size_t copy = 800 * sizeof(std::uint32_t);
+  util::MonotonicArena arena;
+  arena.reserve(copy);
+  (void)arena.allocate<std::uint32_t>(800);
+  (void)arena.allocate<std::uint32_t>(3);
+  EXPECT_EQ(arena.bytes_reserved(), copy + copy / 8);
+  // A copy with no sets reserves an empty block, so its first set takes a
+  // block of the request's size, not the 64 KB default.
+  util::MonotonicArena empty;
+  empty.reserve(0);
+  (void)empty.allocate<std::uint32_t>(3);
+  EXPECT_EQ(empty.bytes_reserved(),
+            3 * sizeof(std::uint32_t) + alignof(std::uint32_t));
+  // Past a block that was not reserved, blocks double as before.
+  (void)empty.allocate<std::uint32_t>(4);
+  EXPECT_EQ(empty.bytes_reserved(), 16u + 32u);
 }
 
 /// Best maps (and trajectory counters) of two runs must agree exactly.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/customer_cone_reference.h"
 #include "testing/experiment_cache.h"
 #include "testing/fixtures.h"
 
@@ -11,13 +12,13 @@ namespace {
 using namespace bgpolicy::testing;
 
 /// Checks every (provider, AS) pair of `graph` against the per-query DFS
-/// `AsGraph::in_customer_cone`, plus `outsider`, an AS the graph lacks.
+/// `testing::in_customer_cone`, plus `outsider`, an AS the graph lacks.
 void expect_matches_reference(const AsGraph& graph, AsNumber outsider) {
   for (const AsNumber provider : graph.ases()) {
     const CustomerCone cone(graph, provider);
     std::size_t members = 0;
     for (const AsNumber as : graph.ases()) {
-      const bool want = graph.in_customer_cone(provider, as);
+      const bool want = in_customer_cone(graph, provider, as);
       EXPECT_EQ(cone.contains(as), want)
           << "provider " << provider.value() << ", AS " << as.value();
       if (want) ++members;
@@ -60,7 +61,7 @@ TEST(CustomerCone, ProviderMissingFromTheGraphHasAnEmptyCone) {
   EXPECT_EQ(cone.size(), 0u);
   for (const AsNumber as : g.ases()) {
     EXPECT_FALSE(cone.contains(as));
-    EXPECT_FALSE(g.in_customer_cone(AsNumber(99), as));
+    EXPECT_FALSE(in_customer_cone(g, AsNumber(99), as));
   }
 }
 
