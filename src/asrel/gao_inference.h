@@ -39,6 +39,7 @@
 #include "asrel/relationships.h"
 #include "bgp/aspath.h"
 #include "bgp/table.h"
+#include "util/fields.h"
 #include "util/flat_map.h"
 #include "util/parallel.h"
 
@@ -69,6 +70,20 @@ struct GaoParams {
   /// inferred relationships are identical at every value.
   std::size_t threads = 1;
 };
+
+/// GaoParams' field list (util/fields.h): the Infer store key's text and
+/// the rerun_infer request.  `threads` is left out: worker counts never
+/// change products, so they are not part of an inference's identity.
+template <typename V>
+constexpr void fields(V& v, GaoParams& p) {
+  v("peer_degree_ratio", p.peer_degree_ratio);
+  v("sibling_balance", p.sibling_balance);
+  v("detect_peers", p.detect_peers);
+  v("detect_clique", p.detect_clique);
+  v("clique_degree_fraction", p.clique_degree_fraction);
+  v("peer_candidate_min_share", p.peer_candidate_min_share);
+}
+static_assert(util::lists_every_member<GaoParams>(/*unlisted=*/1));
 
 class GaoInference {
  public:

@@ -26,6 +26,11 @@ enum class EdgeType : std::uint8_t {
   kSibling,  ///< mutual transit observed (paper [12] category)
 };
 
+/// The values a stored EdgeType may hold (io/archive.h).
+constexpr std::pair<EdgeType, EdgeType> enum_range(EdgeType) {
+  return {EdgeType::kLoProviderOfHi, EdgeType::kSibling};
+}
+
 [[nodiscard]] std::string to_string(EdgeType type);
 
 struct AsPairHash {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "asrel/relationships.h"
+#include "util/fields.h"
 
 namespace bgpolicy::asrel {
 
@@ -34,6 +35,13 @@ struct TierAssignment {
     return it == level.end() ? 4 : it->second;
   }
 };
+
+template <typename V>
+constexpr void fields(V& v, TierAssignment& t) {
+  v("level", t.level);
+  v("tier1", t.tier1);
+}
+static_assert(util::lists_every_member<TierAssignment>());
 
 [[nodiscard]] TierAssignment classify_tiers(const InferredRelationships& rels,
                                             const TierParams& params = {});

@@ -39,12 +39,30 @@ struct VantageAnalysis {
   std::optional<SaVerification> sa_verification;
 };
 
+template <typename V>
+constexpr void fields(V& v, VantageAnalysis& a) {
+  v("vantage", a.vantage);
+  v("looking_glass", a.looking_glass);
+  v("sa", a.sa);
+  v("homing", a.homing);
+  v("causes", a.causes);
+  v("import_typicality", a.import_typicality);
+  v("sa_verification", a.sa_verification);
+}
+static_assert(util::lists_every_member<VantageAnalysis>());
+
 struct AnalysisSuite {
   /// One bundle per requested vantage, in request order.
   std::vector<VantageAnalysis> vantages;
 
   [[nodiscard]] const VantageAnalysis* find(AsNumber as) const;
 };
+
+template <typename V>
+constexpr void fields(V& v, AnalysisSuite& s) {
+  v("vantages", s.vantages);
+}
+static_assert(util::lists_every_member<AnalysisSuite>());
 
 /// Every AS with a recorded table (looking glass or best-only), sorted by
 /// AS number — the canonical vantage list for whole-suite runs.

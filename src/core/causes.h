@@ -39,6 +39,23 @@ struct CausesAnalysis {
   double percent_withheld = 0.0;
 };
 
+/// CausesAnalysis' field list: its stored form, and the causes reply
+/// (serve/query.h).
+template <typename V>
+constexpr void fields(V& v, CausesAnalysis& c) {
+  v("provider", c.provider);
+  v("sa_total", c.sa_total);
+  v("splitting", c.splitting);
+  v("aggregating", c.aggregating);
+  v("identified", c.identified);
+  v("announce_to_direct", c.announce_to_direct);
+  v("withheld_from_direct", c.withheld_from_direct);
+  v("percent_identified", c.percent_identified);
+  v("percent_announce", c.percent_announce);
+  v("percent_withheld", c.percent_withheld);
+}
+static_assert(util::lists_every_member<CausesAnalysis>());
+
 [[nodiscard]] CausesAnalysis analyze_causes(const SaAnalysis& analysis,
                                             const bgp::BgpTable& provider_table,
                                             const PathIndex& paths,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -40,50 +39,36 @@ const char* to_string(Stage stage) {
 
 namespace {
 
-/// Appends one key=value field; doubles are emitted as exact bit patterns
-/// so near-equal parameters never alias to one cache entry.
-void field(std::string& key, const char* name, double value) {
-  key += name;
-  key += '=';
-  key += std::to_string(std::bit_cast<std::uint64_t>(value));
-  key += ';';
-}
+/// Every artifact key starts with the codec version, so a codec bump
+/// retires the whole cache at the key level too (stale entries would be
+/// rejected by the header check anyway — this just avoids probing them).
+const std::string kKeyPrefix =
+    "bgpolicy-artifact/v" + std::to_string(io::kArtifactCodecVersion) + "|";
 
-void field(std::string& key, const char* name, std::uint64_t value) {
-  key += name;
-  key += '=';
-  key += std::to_string(value);
-  key += ';';
-}
-
-/// The Infer-stage parameter identity: every GaoParams knob that can
-/// change the classification.  `threads` is deliberately excluded
-/// (products are byte-identical at any thread count).
-std::string gao_params_key(const asrel::GaoParams& params) {
-  std::string key;
-  field(key, "g.ratio", params.peer_degree_ratio);
-  field(key, "g.sibling", params.sibling_balance);
-  field(key, "g.peers", std::uint64_t{params.detect_peers});
-  field(key, "g.clique", std::uint64_t{params.detect_clique});
-  field(key, "g.clique_frac", params.clique_degree_fraction);
-  field(key, "g.share", params.peer_candidate_min_share);
-  return key;
-}
-
-void vantage_field(std::string& key, std::span<const AsNumber> vantages) {
+/// Store key of an Analyze artifact: the Simulate, Observe and Infer
+/// digests it reads and the requested vantages (empty = every recorded
+/// one).  Experiment and sweep variants share it.
+std::string analyze_store_key(std::string_view sim_digest,
+                              std::string_view observe_digest,
+                              std::string_view infer_digest,
+                              std::span<const AsNumber> vantages) {
+  std::string key = kKeyPrefix;
+  key += to_string(Stage::kAnalyze);
+  key += '|';
+  key += sim_digest;
+  key += '|';
+  key += observe_digest;
+  key += '|';
+  key += infer_digest;
+  key += '|';
   key += "vantages=";
   for (const AsNumber as : vantages) {
     key += std::to_string(as.value());
     key += ',';
   }
   key += ';';
+  return key;
 }
-
-/// Every artifact key starts with the codec version, so a codec bump
-/// retires the whole cache at the key level too (stale entries would be
-/// rejected by the header check anyway — this just avoids probing them).
-const std::string kKeyPrefix =
-    "bgpolicy-artifact/v" + std::to_string(io::kArtifactCodecVersion) + "|";
 
 /// The one store probe every stage, Simulate chunk, and sweep variant
 /// runs: loads `key`, hashes the bytes for their store digest and frame
@@ -206,8 +191,7 @@ topo::PrefixPlan build_explicit_plan(const Scenario& scenario,
                                    " references undeclared AS " +
                                    std::to_string(o.origin));
     }
-    plan.by_origin[origin].push_back(plan.prefixes.size());
-    plan.prefixes.push_back({o.prefix, origin, std::nullopt});
+    plan.add({o.prefix, origin, std::nullopt});
   }
   return plan;
 }
@@ -394,6 +378,17 @@ std::vector<util::IndexRange> sim_chunk_ranges(std::size_t n,
   return ranges;
 }
 
+std::string infer_store_key(std::string_view observe_digest,
+                            const asrel::GaoParams& params) {
+  std::string key = kKeyPrefix;
+  key += to_string(Stage::kInfer);
+  key += '|';
+  key += observe_digest;
+  key += '|';
+  key += io::field_text(params);
+  return key;
+}
+
 std::string sim_chunk_store_key(std::string_view scenario_key,
                                 std::string_view truth_digest,
                                 util::IndexRange range, std::size_t total) {
@@ -452,6 +447,12 @@ Observations observe(const Scenario& scenario, const GroundTruth& truth,
   // The path index over the same table sources.
   obs.paths.add_tables(inference_table_sources(sim.sim));
   return obs;
+}
+
+void check_fields(const SimChunk& chunk) {
+  if (chunk.begin > chunk.end || chunk.end > chunk.total) {
+    throw std::invalid_argument("artifact: bad sim chunk range");
+  }
 }
 
 const rpsl::AutNum* Observations::irr_for(AsNumber as) const {
@@ -521,19 +522,11 @@ std::string Experiment::stage_key_material(
       key += stage_digest(Stage::kSimulate);
       break;
     case Stage::kInfer:
-      key += stage_digest(Stage::kObserve);
-      key += '|';
-      key += gao_params_key(gao);
-      break;
+      return infer_store_key(stage_digest(Stage::kObserve), gao);
     case Stage::kAnalyze:
-      key += stage_digest(Stage::kSimulate);
-      key += '|';
-      key += stage_digest(Stage::kObserve);
-      key += '|';
-      key += stage_digest(Stage::kInfer);
-      key += '|';
-      vantage_field(key, options_.analysis_vantages);
-      break;
+      return analyze_store_key(
+          stage_digest(Stage::kSimulate), stage_digest(Stage::kObserve),
+          stage_digest(Stage::kInfer), options_.analysis_vantages);
   }
   return key;
 }
@@ -1225,36 +1218,24 @@ SweepReport sweep(std::span<const SweepVariant> variants, std::size_t threads,
               variant.options.gao.value_or(asrel::GaoParams{});
           gao.threads = 1;  // see SweepVariant: the graph parallelizes
 
+          // The Experiment's own stage keys and probe-or-compute, so a
+          // variant shares entries with an Experiment of the same
+          // scenario and parameters, and siblings differing only in
+          // vantages share one InferenceProducts entry.
           if (store != nullptr) {
-            // Variant artifact keys chain on the upstream artifact digests
-            // (stage parameters included, thread knobs excluded) — the
-            // same per-stage granularity as Experiment's keys: inference
-            // depends only on the observations and the Gao knobs, so
-            // variants differing in vantages (and the Analyze entry)
-            // reuse it.
-            std::string infer_key = kKeyPrefix;
-            infer_key += "sweep-variant|";
-            infer_key += up->stage_digest(Stage::kObserve);
-            infer_key += '|';
-            infer_key += gao_params_key(gao);
-            std::string analyze_key = infer_key;
-            analyze_key += '|';
-            analyze_key += up->stage_digest(Stage::kSimulate);
-            analyze_key += '|';
-            vantage_field(analyze_key, variant.options.analysis_vantages);
-            run.store_infer_key = infer_key + "|infer";
-            run.store_analyze_key = analyze_key + "|analyze";
+            run.store_infer_key =
+                infer_store_key(up->stage_digest(Stage::kObserve), gao);
           }
-          if (auto hit = probe_store(store, run.store_infer_key,
-                                     io::decode_inference)) {
-            run.inference = std::move(*hit);
-            run.inference_loaded = true;
-          }
-          if (!run.inference_loaded) {
-            run.inference = infer_relationships(up->observations(), gao);
-            if (store != nullptr) {
-              store->put(run.store_infer_key, io::encode(run.inference));
-            }
+          std::string infer_digest;
+          run.inference = stage_artifact(
+              store, run.store_infer_key, infer_digest, run.inference_loaded,
+              io::decode_inference,
+              [&] { return infer_relationships(up->observations(), gao); });
+          if (store != nullptr) {
+            run.store_analyze_key = analyze_store_key(
+                up->stage_digest(Stage::kSimulate),
+                up->stage_digest(Stage::kObserve), infer_digest,
+                variant.options.analysis_vantages);
           }
         },
         infer_deps);
@@ -1264,21 +1245,19 @@ SweepReport sweep(std::span<const SweepVariant> variants, std::size_t threads,
     graph.add(
         [&run, up, store, &variants, &completion, i] {
           const SweepVariant& variant = variants[i];
-          if (auto hit = probe_store(store, run.store_analyze_key,
-                                     io::decode_analysis_suite)) {
-            run.analyses = std::move(*hit);
-            run.analyses_loaded = true;
-          }
-          if (!run.analyses_loaded) {
-            const ExperimentView view =
-                make_view(up->sim(), up->observations(), run.inference);
-            std::vector<AsNumber> vantages = variant.options.analysis_vantages;
-            if (vantages.empty()) vantages = recorded_vantages(up->sim().sim);
-            run.analyses = run_analysis_suite(view, vantages, 1);
-            if (store != nullptr) {
-              store->put(run.store_analyze_key, io::encode(run.analyses));
-            }
-          }
+          std::string analyses_digest;
+          run.analyses = stage_artifact(
+              store, run.store_analyze_key, analyses_digest,
+              run.analyses_loaded, io::decode_analysis_suite, [&] {
+                const ExperimentView view =
+                    make_view(up->sim(), up->observations(), run.inference);
+                std::vector<AsNumber> vantages =
+                    variant.options.analysis_vantages;
+                if (vantages.empty()) {
+                  vantages = recorded_vantages(up->sim().sim);
+                }
+                return run_analysis_suite(view, vantages, 1);
+              });
           run.completion_index = completion.fetch_add(1);
         },
         {infer_node});

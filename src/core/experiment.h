@@ -124,6 +124,13 @@ struct SimArtifact {
   sim::SimResult sim;
 };
 
+template <typename V>
+constexpr void fields(V& v, SimArtifact& a) {
+  v("vantage", a.vantage);
+  v("sim", a.sim);
+}
+static_assert(util::lists_every_member<SimArtifact>());
+
 /// One persisted slice of the Simulate stage: the vantage recordings of
 /// originations [begin, end) out of `total`.  Chunks are the unit the
 /// staged task graph schedules in parallel and the artifact store persists
@@ -138,6 +145,19 @@ struct SimChunk {
   std::uint64_t total = 0;
   sim::SimResult partial;
 };
+
+template <typename V>
+constexpr void fields(V& v, SimChunk& c) {
+  v("begin", c.begin);
+  v("end", c.end);
+  v("total", c.total);
+  v("partial", c.partial);
+}
+static_assert(util::lists_every_member<SimChunk>());
+
+/// Throws std::invalid_argument unless begin <= end <= total (the checked
+/// reader calls it on every decoded chunk, io/archive.h).
+void check_fields(const SimChunk& chunk);
 
 /// Deterministic Simulate chunk boundaries for `n` originations:
 /// contiguous ranges of `chunk_prefixes` originations each (0 = auto: n
@@ -155,6 +175,13 @@ struct SimChunk {
                                               std::string_view truth_digest,
                                               util::IndexRange range,
                                               std::size_t total);
+
+/// Store key of an Infer artifact: the Observe digest it reads and the
+/// text of the GaoParams' field list (io::field_text; worker counts are not
+/// in the list).  Experiment and sweep variants share it, so equal
+/// observations and parameters share one entry.
+[[nodiscard]] std::string infer_store_key(std::string_view observe_digest,
+                                          const asrel::GaoParams& params);
 
 /// Observe: everything the paper *had* — the observed path set (cleaned
 /// and ready for relationship inference), the path index over it, and the
@@ -174,6 +201,18 @@ struct Observations {
   /// The AutNum registered for `as`, if the IRR has one.
   [[nodiscard]] const rpsl::AutNum* irr_for(AsNumber as) const;
 };
+
+/// Observations' field list (util/fields.h); the artifact codec stores
+/// Gao's state and the path index as their buffers.
+template <typename V>
+constexpr void fields(V& v, Observations& o) {
+  v("lg_order", o.lg_order);
+  v("irr_text", o.irr_text);
+  v("irr_objects", o.irr_objects);
+  v("observed_paths", o.observed_paths);
+  v("paths", o.paths);
+}
+static_assert(util::lists_every_member<Observations>());
 
 /// Infer: the relationship products of Section 3.
 struct InferenceProducts {

@@ -27,6 +27,7 @@
 #include "bgp/table.h"
 #include "core/relationship_oracle.h"
 #include "topology/as_graph.h"
+#include "util/fields.h"
 
 namespace bgpolicy::core {
 
@@ -38,6 +39,15 @@ struct SaPrefix {
   RelKind next_hop_rel = RelKind::kPeer;  ///< peer or provider
 };
 
+template <typename V>
+constexpr void fields(V& v, SaPrefix& p) {
+  v("prefix", p.prefix);
+  v("origin", p.origin);
+  v("next_hop", p.next_hop);
+  v("next_hop_rel", p.next_hop_rel);
+}
+static_assert(util::lists_every_member<SaPrefix>());
+
 struct SaAnalysis {
   AsNumber provider;
   /// Prefixes in the table originated by (direct or indirect) customers.
@@ -46,6 +56,18 @@ struct SaAnalysis {
   double percent_sa = 0.0;
   std::vector<SaPrefix> sa_prefixes;
 };
+
+/// SaAnalysis' field list: its stored form, and the sa_prevalence reply
+/// (serve/query.h).
+template <typename V>
+constexpr void fields(V& v, SaAnalysis& a) {
+  v("provider", a.provider);
+  v("customer_prefixes", a.customer_prefixes);
+  v("sa_count", a.sa_count);
+  v("percent_sa", a.percent_sa);
+  v("sa_prefixes", a.sa_prefixes);
+}
+static_assert(util::lists_every_member<SaAnalysis>());
 
 /// Runs the Fig. 4 algorithm over the provider's table (best routes are
 /// used; extra routes per prefix are reduced with the decision process).

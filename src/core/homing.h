@@ -17,6 +17,16 @@ struct HomingDistribution {
   double percent_singlehomed = 0.0;
 };
 
+template <typename V>
+constexpr void fields(V& v, HomingDistribution& h) {
+  v("provider", h.provider);
+  v("multihomed_ases", h.multihomed_ases);
+  v("singlehomed_ases", h.singlehomed_ases);
+  v("percent_multihomed", h.percent_multihomed);
+  v("percent_singlehomed", h.percent_singlehomed);
+}
+static_assert(util::lists_every_member<HomingDistribution>());
+
 /// Groups the SA prefixes by origin AS and classifies each origin by its
 /// provider count in the annotated graph (>= 2 providers = multihomed).
 [[nodiscard]] HomingDistribution analyze_homing(const SaAnalysis& analysis,

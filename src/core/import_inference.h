@@ -30,6 +30,16 @@ struct ImportTypicality {
   std::unordered_map<RelKind, std::vector<std::uint32_t>> class_values;
 };
 
+template <typename V>
+constexpr void fields(V& v, ImportTypicality& t) {
+  v("vantage", t.vantage);
+  v("comparable_prefixes", t.comparable_prefixes);
+  v("typical_prefixes", t.typical_prefixes);
+  v("percent_typical", t.percent_typical);
+  v("class_values", t.class_values);
+}
+static_assert(util::lists_every_member<ImportTypicality>());
+
 /// Table 2 analysis: typicality of local preference observed in one
 /// looking-glass table.
 [[nodiscard]] ImportTypicality analyze_import_typicality(

@@ -30,6 +30,17 @@ struct SaVerification {
   std::size_t step2_failures = 0;  ///< no active verified customer path
 };
 
+template <typename V>
+constexpr void fields(V& v, SaVerification& s) {
+  v("provider", s.provider);
+  v("sa_total", s.sa_total);
+  v("verified", s.verified);
+  v("percent_verified", s.percent_verified);
+  v("step1_failures", s.step1_failures);
+  v("step2_failures", s.step2_failures);
+}
+static_assert(util::lists_every_member<SaVerification>());
+
 [[nodiscard]] SaVerification verify_sa_prefixes(
     const SaAnalysis& analysis, const PathIndex& paths,
     const std::unordered_set<AsNumber>& community_verified_neighbors,

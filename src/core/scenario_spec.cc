@@ -82,12 +82,12 @@ std::string format_double(double value) {
 
 /// What a knob's value token must be.
 enum class Check : std::uint8_t {
-  kU64,     ///< an unsigned 64-bit integer
-  kU32,     ///< an unsigned integer below 2^32
-  kCount,   ///< an unsigned integer >= 1
-  kByte,    ///< an unsigned integer <= 255
-  kProb,    ///< a finite number in [0, 1]
-  kNonNeg,  ///< a finite number >= 0
+  kU64,       ///< an unsigned 64-bit integer, at least the row's `min`
+  kU32,       ///< an unsigned integer below 2^32
+  kByte,      ///< an unsigned integer <= 255, at least the row's `min`
+  kProb,      ///< a finite number in [0, 1]
+  kNonNeg,    ///< a finite number >= 0
+  kPositive,  ///< a finite number > 0
 };
 
 enum KnobFlag : std::uint8_t {
@@ -111,6 +111,9 @@ struct Knob {
   std::string_view key;
   Check check;
   std::uint8_t flags;
+  /// The least value an integer knob takes: its generator's precondition,
+  /// so every value the parser accepts runs.
+  std::uint64_t min;
   KnobValue (*get)(const Scenario&);
   void (*set)(Scenario&, KnobValue);
 };
@@ -118,8 +121,9 @@ struct Knob {
 /// The row for the Scenario field that the member pointers `Path` reach.
 template <auto... Path>
 constexpr Knob knob(std::string_view block, std::string_view key,
-                    Check check, std::uint8_t flags = 0) {
-  return {block, key, check, flags,
+                    Check check, std::uint8_t flags = 0,
+                    std::uint64_t min = 0) {
+  return {block, key, check, flags, min,
           [](const Scenario& s) -> KnobValue {
             const auto value = (s .* ... .* Path);
             if constexpr (std::is_floating_point_v<decltype(value)>) {
@@ -157,12 +161,12 @@ using enum Check;
 /// scenario_cache_key and the explicit-world reset all read this list.
 constexpr Knob kKnobs[] = {
     knob<kTopo, &Topo::seed>("topology", "seed", kU64, kGenerator),
-    knob<kTopo, &Topo::tier1_count>("topology", "tier1", kCount, kGenerator),
-    knob<kTopo, &Topo::tier2_count>("topology", "tier2", kU64, kGenerator),
-    knob<kTopo, &Topo::tier3_count>("topology", "tier3", kU64, kGenerator),
+    knob<kTopo, &Topo::tier1_count>("topology", "tier1", kU64, kGenerator, 2),
+    knob<kTopo, &Topo::tier2_count>("topology", "tier2", kU64, kGenerator, 1),
+    knob<kTopo, &Topo::tier3_count>("topology", "tier3", kU64, kGenerator, 1),
     knob<kTopo, &Topo::stub_count>("topology", "stubs", kU64, kGenerator),
     knob<kTopo, &Topo::stub_multihome_prob>("topology", "stub_multihome_prob", kProb, kGenerator),
-    knob<kTopo, &Topo::max_stub_providers>("topology", "max_stub_providers", kCount, kGenerator),
+    knob<kTopo, &Topo::max_stub_providers>("topology", "max_stub_providers", kU64, kGenerator, 2),
     knob<kTopo, &Topo::tier2_peer_mean>("topology", "tier2_peer_mean", kNonNeg, kGenerator),
     knob<kTopo, &Topo::tier3_peer_mean>("topology", "tier3_peer_mean", kNonNeg, kGenerator),
     knob<kTopo, &Topo::stub_peer_prob>("topology", "stub_peer_prob", kProb, kGenerator),
@@ -170,14 +174,14 @@ constexpr Knob kKnobs[] = {
     knob<kTopo, &Topo::stub_tier1_frac>("topology", "stub_tier1_frac", kProb, kGenerator),
     knob<kTopo, &Topo::stub_tier2_frac>("topology", "stub_tier2_frac", kProb, kGenerator),
     knob<kTopo, &Topo::provider_popularity_skew>("topology", "provider_popularity_skew", kNonNeg, kGenerator),
-    knob<kProp, &Prop::max_process_per_as>("topology", "max_process_per_as", kCount),
+    knob<kProp, &Prop::max_process_per_as>("topology", "max_process_per_as", kU64, 0, 1),
     knob<kProp, &Prop::threads>("topology", "threads", kU64, kRuntime),
 
     knob<kAlloc, &Alloc::seed>("prefixes", "seed", kU64, kGenerator),
     knob<kAlloc, &Alloc::provider_space_prob>("prefixes", "provider_space_prob", kProb, kGenerator),
-    knob<kAlloc, &Alloc::count_alpha>("prefixes", "count_alpha", kNonNeg, kGenerator),
-    knob<kAlloc, &Alloc::max_stub_prefixes>("prefixes", "max_stub_prefixes", kCount, kGenerator),
-    knob<kAlloc, &Alloc::max_transit_extra>("prefixes", "max_transit_extra", kU64, kGenerator),
+    knob<kAlloc, &Alloc::count_alpha>("prefixes", "count_alpha", kPositive, kGenerator),
+    knob<kAlloc, &Alloc::max_stub_prefixes>("prefixes", "max_stub_prefixes", kU64, kGenerator, 1),
+    knob<kAlloc, &Alloc::max_transit_extra>("prefixes", "max_transit_extra", kU64, kGenerator, 1),
 
     knob<kPol, &Pol::seed>("policy", "seed", kU64),
     knob<kPol, &Pol::atypical_neighbor_prob>("policy", "atypical_neighbor_prob", kProb, kInert),
@@ -189,7 +193,7 @@ constexpr Knob kKnobs[] = {
     knob<kPol, &Pol::community_flavor_prob>("policy", "community_flavor_prob", kProb, kInert),
     knob<kPol, &Pol::community_target_prob>("policy", "community_target_prob", kProb, kInert),
     knob<kPol, &Pol::prepend_as_prob>("policy", "prepend_as_prob", kProb, kInert),
-    knob<kPol, &Pol::max_prepend>("policy", "max_prepend", kByte),
+    knob<kPol, &Pol::max_prepend>("policy", "max_prepend", kByte, 0, 1),
     knob<kPol, &Pol::intermediate_selective_prob>("policy", "intermediate_selective_prob", kProb, kInert),
     knob<kPol, &Pol::intermediate_victim_prob>("policy", "intermediate_victim_prob", kProb, kInert),
     knob<kPol, &Pol::splitting_as_prob>("policy", "splitting_as_prob", kProb, kInert),
@@ -277,18 +281,12 @@ class Parser {
   }
 
   double parse_double(const Tok& tok) const {
-    double value = 0.0;
-    const char* begin = tok.text.data();
-    const char* end = begin + tok.text.size();
-    const auto res = std::from_chars(begin, end, value);
-    if (res.ec != std::errc{} || res.ptr != end) {
-      fail(tok.loc, "expected a number, got '" + std::string(tok.text) + "'");
-    }
-    if (!std::isfinite(value)) {
+    const std::optional<double> value = parse_number(tok.text);
+    if (!value) {
       fail(tok.loc, "expected a finite number, got '" + std::string(tok.text) +
                         "'");
     }
-    return value;
+    return *value;
   }
 
   double parse_prob(const Tok& tok) const {
@@ -320,10 +318,18 @@ class Parser {
   KnobValue parse_knob_value(const Knob& knob, const Tok& tok) const {
     if (knob.check == kProb) return parse_prob(tok);
     if (knob.check == kNonNeg) return parse_nonneg(tok);
+    if (knob.check == kPositive) {
+      const double value = parse_double(tok);
+      if (value <= 0.0) {
+        fail(tok.loc, "value " + std::string(tok.text) + " must be > 0");
+      }
+      return value;
+    }
     if (knob.check == kU32) return std::uint64_t{parse_u32(tok)};
     const std::uint64_t value = parse_u64(tok);
-    if (knob.check == kCount && value == 0) {
-      fail(tok.loc, std::string(knob.key) + " must be >= 1");
+    if (value < knob.min) {
+      fail(tok.loc, std::string(knob.key) + " must be >= " +
+                        std::to_string(knob.min));
     }
     if (knob.check == kByte && value > 255) {
       fail(tok.loc, std::string(knob.key) + " out of range (max 255)");
@@ -1239,6 +1245,16 @@ SweepVariant ScenarioSpec::to_variant() const {
   variant.label = scenario.name;
   variant.scenario = scenario;
   return variant;
+}
+
+std::optional<double> parse_number(std::string_view text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto res = std::from_chars(text.data(), end, value);
+  if (res.ec != std::errc{} || res.ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 std::vector<ScenarioSpec> load_spec_dir(const std::filesystem::path& dir) {

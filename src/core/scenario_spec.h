@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -167,6 +168,12 @@ struct ScenarioSpec {
            checks == other.checks;
   }
 };
+
+/// The number `text` spells in `.scn` syntax: the whole text one finite
+/// decimal; nullopt for anything else (`nan`, `inf`, an out-of-range
+/// exponent, trailing characters).  Knob values and the tools' numeric
+/// flags (tools/tool_args.h) both parse through it.
+[[nodiscard]] std::optional<double> parse_number(std::string_view text);
 
 /// Every `*.scn` file in `dir`, sorted by filename — the corpus loader
 /// scenario_check and sweep ingestion share.  Throws SpecError on the

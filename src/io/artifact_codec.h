@@ -31,12 +31,20 @@
 // verdict always describes the bytes it hands a decoder.  The span
 // decoders still check on their own.
 //
+// One field list per type.  Each artifact's payload is its fields as the
+// archive writes them (io/archive.h): every stored type lists its fields
+// once, next to its struct, and the writer and the checked reader walk
+// that list.  What stays hand-written is declared below: the GroundTruth
+// and InferenceProducts, whose plan index and annotated graph are rebuilt
+// rather than stored; the AS graph, as its edge records in creation order;
+// and the buffers stored as laid out.
+//
 // Stored as laid out.  The SimArtifact and SimChunk embed each vantage
 // table's columns (io/binary_table.h) as a length-prefixed blob.  The
 // Observations store Gao's state (asrel/gao_inference.h: hop buffer, path
 // lengths, edge set, degree map, AS list) and the path index's
 // (core/path_index.h: hop buffer, entry lengths, prefixes, adjacency set)
-// as their buffers; only the IRR objects are written field by field.
+// as their buffers; the IRR objects are written field by field.
 // Decoding is a bounds check and a copy per buffer, then each owner's
 // adopt() validates what it takes: every count, length and offset against
 // the bytes and the buffer it indexes, prefixes (length <= 32, no host
@@ -68,6 +76,7 @@
 
 #include "core/analysis_suite.h"
 #include "core/experiment.h"
+#include "io/archive.h"
 
 namespace bgpolicy::io {
 
@@ -122,6 +131,25 @@ inline constexpr std::size_t kArtifactHeaderBytes = 24;
 /// payload; decoders do it).  nullopt on truncated or foreign bytes.
 [[nodiscard]] std::optional<ArtifactHeader> peek_artifact_header(
     std::span<const std::uint8_t> bytes);
+
+/// The stored artifacts' archive: every count and length is a u64.
+using ArtifactWriter = Writer<std::uint64_t>;
+using ArtifactReader = Reader<std::uint64_t>;
+
+// The hand-written stored forms (see the file comment), which the archive
+// finds for these types wherever a field list reaches them.
+void encode_field(ArtifactWriter& w, const core::GroundTruth& truth);
+void decode_field(ArtifactReader& r, core::GroundTruth& truth);
+void encode_field(ArtifactWriter& w, const core::InferenceProducts& inference);
+void decode_field(ArtifactReader& r, core::InferenceProducts& inference);
+void encode_field(ArtifactWriter& w, const topo::AsGraph& graph);
+void decode_field(ArtifactReader& r, topo::AsGraph& graph);
+void encode_field(ArtifactWriter& w, const bgp::BgpTable& table);
+void decode_field(ArtifactReader& r, bgp::BgpTable& table);
+void encode_field(ArtifactWriter& w, const asrel::GaoInference& gao);
+void decode_field(ArtifactReader& r, asrel::GaoInference& gao);
+void encode_field(ArtifactWriter& w, const core::PathIndex& index);
+void decode_field(ArtifactReader& r, core::PathIndex& index);
 
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::GroundTruth& truth);
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::SimArtifact& sim);

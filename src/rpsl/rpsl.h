@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "topology/as_graph.h"
+#include "util/fields.h"
 #include "util/ids.h"
 
 namespace bgpolicy::rpsl {
@@ -74,5 +75,42 @@ struct AutNum {
 
   friend bool operator==(const AutNum&, const AutNum&) = default;
 };
+
+// ------------------------------------------------------------ field lists --
+// Each stored type's fields, in stored order (util/fields.h).
+
+template <typename V>
+constexpr void fields(V& v, ImportLine& l) {
+  v("from", l.from);
+  v("pref", l.pref);
+  v("accept", l.accept);
+}
+static_assert(util::lists_every_member<ImportLine>());
+
+template <typename V>
+constexpr void fields(V& v, ExportLine& l) {
+  v("to", l.to);
+  v("announce", l.announce);
+}
+static_assert(util::lists_every_member<ExportLine>());
+
+template <typename V>
+constexpr void fields(V& v, CommunityRemark& r) {
+  v("kind", r.kind);
+  v("value_lo", r.value_lo);
+  v("value_hi", r.value_hi);
+}
+static_assert(util::lists_every_member<CommunityRemark>());
+
+template <typename V>
+constexpr void fields(V& v, AutNum& a) {
+  v("as", a.as);
+  v("as_name", a.as_name);
+  v("imports", a.imports);
+  v("exports", a.exports);
+  v("community_remarks", a.community_remarks);
+  v("changed_date", a.changed_date);
+}
+static_assert(util::lists_every_member<AutNum>());
 
 }  // namespace bgpolicy::rpsl

@@ -11,7 +11,7 @@
 #include "bgp/decision.h"
 #include "core/artifact_store.h"
 #include "core/path_availability.h"
-#include "serve/wire.h"
+#include "io/archive.h"
 #include "sim/delta_engine.h"
 
 namespace bgpolicy::serve {
@@ -19,73 +19,49 @@ namespace bgpolicy::serve {
 namespace {
 
 using util::AsNumber;
+/// Every payload's archive: counts and lengths are u32 (io/archive.h).
+using Wire = io::Writer<std::uint32_t>;
+using WireCount = std::uint32_t;
 
-std::vector<std::uint8_t> ok_response(wire::Writer body) {
-  wire::Writer out;
-  out.put(static_cast<std::uint8_t>(QueryStatus::kOk));
-  std::vector<std::uint8_t> result = out.take();
-  const std::vector<std::uint8_t> inner = body.take();
-  result.insert(result.end(), inner.begin(), inner.end());
-  return result;
+/// A response payload holding just its status byte; the body follows.
+std::vector<std::uint8_t> response(QueryStatus status) {
+  return {static_cast<std::uint8_t>(status)};
 }
 
-std::vector<std::uint8_t> error_response(std::string_view message) {
-  wire::Writer out;
-  out.put(static_cast<std::uint8_t>(QueryStatus::kError));
-  out.put_string(message);
-  return out.take();
+/// The kOk status byte, then `body`'s fields.
+template <typename T>
+std::vector<std::uint8_t> ok_response(const T& body) {
+  std::vector<std::uint8_t> out = response(QueryStatus::kOk);
+  Wire(out).write(body);
+  return out;
 }
 
 std::vector<std::uint8_t> answer_server_info(const Snapshot& snapshot) {
-  wire::Writer body;
-  body.put(snapshot.version);
-  body.put_string(snapshot.scenario_name);
-  body.put_string(snapshot.scenario_key);
-  body.put_string(snapshot.analyses_digest);
-  body.put(static_cast<std::uint64_t>(snapshot.analyses.vantages.size()));
-  body.put(static_cast<std::uint64_t>(
-      snapshot.observations.paths.path_count()));
-  body.put(static_cast<std::uint64_t>(
-      snapshot.inference.inferred.edge_count()));
-  return ok_response(std::move(body));
+  return ok_response(ServerInfo{
+      snapshot.version, snapshot.scenario_name, snapshot.scenario_key,
+      snapshot.analyses_digest, snapshot.analyses.vantages.size(),
+      snapshot.observations.paths.path_count(),
+      snapshot.inference.inferred.edge_count()});
 }
 
-std::vector<std::uint8_t> answer_sa_prevalence(
-    std::span<const std::uint8_t> request, const Snapshot& snapshot) {
-  wire::Reader r(request);
-  const AsNumber vantage(r.get<std::uint32_t>());
-  r.expect_end();
-  const core::VantageAnalysis* analysis =
-      snapshot.analyses.find(vantage);
+/// kSaPrevalence and kCauses: `part` of the requested vantage's analyses
+/// (paper Tables 5 and 9), as its field list.
+template <typename Part>
+std::vector<std::uint8_t> answer_analysis(
+    std::span<const std::uint8_t> request, const Snapshot& snapshot,
+    Part core::VantageAnalysis::*part) {
+  const auto vantage = io::read_fields<AsNumber, WireCount>(request);
+  const core::VantageAnalysis* analysis = snapshot.analyses.find(vantage);
   if (analysis == nullptr) {
     return error_response("no analysis recorded for AS " +
                           util::to_string(vantage));
   }
-  const core::SaAnalysis& sa = analysis->sa;
-  wire::Writer body;
-  body.put(sa.provider.value());
-  body.put(static_cast<std::uint64_t>(sa.customer_prefixes));
-  body.put(static_cast<std::uint64_t>(sa.sa_count));
-  body.put(sa.percent_sa);
-  body.put(static_cast<std::uint32_t>(sa.sa_prefixes.size()));
-  for (const core::SaPrefix& entry : sa.sa_prefixes) {
-    body.put(entry.prefix.network());
-    body.put(entry.prefix.length());
-    body.put(entry.origin.value());
-    body.put(entry.next_hop.value());
-    body.put(static_cast<std::uint8_t>(entry.next_hop_rel));
-  }
-  return ok_response(std::move(body));
+  return ok_response(analysis->*part);
 }
 
 std::vector<std::uint8_t> answer_homing(std::span<const std::uint8_t> request,
                                         const Snapshot& snapshot) {
-  wire::Reader r(request);
-  const std::uint32_t network = r.get<std::uint32_t>();
-  const std::uint8_t length = r.get<std::uint8_t>();
-  r.expect_end();
-  if (length > 32) return error_response("prefix length exceeds 32");
-  const bgp::Prefix prefix(network, length);
+  const auto prefix = io::read_fields<bgp::Prefix, WireCount>(request);
 
   // Observed origins of the prefix (rightmost hop of every indexed path),
   // classified by provider count in the *inferred* graph — multihomed at
@@ -101,48 +77,22 @@ std::vector<std::uint8_t> answer_homing(std::span<const std::uint8_t> request,
     return error_response("prefix " + prefix.to_string() +
                           " not observed in any indexed path");
   }
-  wire::Writer body;
-  body.put(static_cast<std::uint32_t>(origins.size()));
+  std::vector<std::uint8_t> out = response(QueryStatus::kOk);
+  Wire body(out);
+  body.put_count(origins.size());
   for (const AsNumber origin : origins) {
     const std::size_t providers =
         snapshot.inference.inferred_graph.providers(origin).size();
-    body.put(origin.value());
+    body.write(origin);
     body.put(static_cast<std::uint32_t>(providers));
-    body.put(static_cast<std::uint8_t>(providers >= 2 ? 1 : 0));
+    body.write(providers >= 2);
   }
-  return ok_response(std::move(body));
-}
-
-std::vector<std::uint8_t> answer_causes(std::span<const std::uint8_t> request,
-                                        const Snapshot& snapshot) {
-  wire::Reader r(request);
-  const AsNumber vantage(r.get<std::uint32_t>());
-  r.expect_end();
-  const core::VantageAnalysis* analysis = snapshot.analyses.find(vantage);
-  if (analysis == nullptr) {
-    return error_response("no analysis recorded for AS " +
-                          util::to_string(vantage));
-  }
-  const core::CausesAnalysis& causes = analysis->causes;
-  wire::Writer body;
-  body.put(causes.provider.value());
-  body.put(static_cast<std::uint64_t>(causes.sa_total));
-  body.put(static_cast<std::uint64_t>(causes.splitting));
-  body.put(static_cast<std::uint64_t>(causes.aggregating));
-  body.put(static_cast<std::uint64_t>(causes.identified));
-  body.put(static_cast<std::uint64_t>(causes.announce_to_direct));
-  body.put(static_cast<std::uint64_t>(causes.withheld_from_direct));
-  body.put(causes.percent_identified);
-  body.put(causes.percent_announce);
-  body.put(causes.percent_withheld);
-  return ok_response(std::move(body));
+  return out;
 }
 
 std::vector<std::uint8_t> answer_path_availability(
     std::span<const std::uint8_t> request, const Snapshot& snapshot) {
-  wire::Reader r(request);
-  const AsNumber vantage(r.get<std::uint32_t>());
-  r.expect_end();
+  const auto vantage = io::read_fields<AsNumber, WireCount>(request);
   const auto it = snapshot.sim.sim.looking_glass.find(vantage);
   if (it == snapshot.sim.sim.looking_glass.end()) {
     return error_response("AS " + util::to_string(vantage) +
@@ -150,33 +100,26 @@ std::vector<std::uint8_t> answer_path_availability(
   }
   const core::PathAvailability availability = core::analyze_path_availability(
       it->second, vantage, snapshot.inference.inferred_graph);
-  wire::Writer body;
-  body.put(availability.vantage.value());
+  std::vector<std::uint8_t> out = response(QueryStatus::kOk);
+  Wire body(out);
+  body.write(availability.vantage);
   body.put(static_cast<std::uint64_t>(availability.customer_prefixes));
   body.put(availability.mean_available);
   body.put(availability.mean_potential);
   body.put(availability.availability_ratio);
   body.put(static_cast<std::uint64_t>(availability.single_path_prefixes));
   const auto& bins = availability.available_histogram.bins();
-  body.put(static_cast<std::uint32_t>(bins.size()));
+  body.put_count(bins.size());
   for (const auto& [key, weight] : bins) {
     body.put(static_cast<std::int64_t>(key));
     body.put(static_cast<std::uint64_t>(weight));
   }
-  return ok_response(std::move(body));
+  return out;
 }
 
 std::vector<std::uint8_t> answer_rerun_infer(
     std::span<const std::uint8_t> request, const Snapshot& snapshot) {
-  wire::Reader r(request);
-  asrel::GaoParams params;
-  params.peer_degree_ratio = r.get<double>();
-  params.sibling_balance = r.get<double>();
-  params.detect_peers = r.get<std::uint8_t>() != 0;
-  params.detect_clique = r.get<std::uint8_t>() != 0;
-  params.clique_degree_fraction = r.get<double>();
-  params.peer_candidate_min_share = r.get<double>();
-  r.expect_end();
+  auto params = io::read_fields<asrel::GaoParams, WireCount>(request);
   // Worker knobs never change products (determinism contract); one query
   // runs sequentially rather than spinning a pool per request.
   params.threads = 1;
@@ -197,38 +140,20 @@ std::vector<std::uint8_t> answer_rerun_infer(
       core::stable_digest_hex(asrel::canonical_serialize(products.inferred) +
                               asrel::canonical_serialize(products.tiers));
 
-  wire::Writer body;
+  std::vector<std::uint8_t> out = response(QueryStatus::kOk);
+  Wire body(out);
   body.put(static_cast<std::uint64_t>(products.inferred.edge_count()));
   for (const std::uint64_t count : edge_counts) body.put(count);
-  body.put(static_cast<std::uint32_t>(products.tiers.tier1.size()));
-  for (const AsNumber as : products.tiers.tier1) body.put(as.value());
+  body.write(products.tiers.tier1);
   for (const std::uint64_t count : level_counts) body.put(count);
-  body.put_string(digest);
-  return ok_response(std::move(body));
+  body.write(digest);
+  return out;
 }
 
 std::vector<std::uint8_t> answer_what_if_failure(
     std::span<const std::uint8_t> request, const Snapshot& snapshot) {
-  wire::Reader r(request);
-  const AsNumber vantage(r.get<std::uint32_t>());
-  const std::uint16_t edge_count = r.get<std::uint16_t>();
-  std::vector<std::pair<AsNumber, AsNumber>> edges;
-  edges.reserve(edge_count);
-  for (std::uint16_t i = 0; i < edge_count; ++i) {
-    const AsNumber a(r.get<std::uint32_t>());
-    const AsNumber b(r.get<std::uint32_t>());
-    edges.emplace_back(a, b);
-  }
-  const std::uint16_t prefix_count = r.get<std::uint16_t>();
-  std::vector<bgp::Prefix> filter;
-  filter.reserve(prefix_count);
-  for (std::uint16_t i = 0; i < prefix_count; ++i) {
-    const std::uint32_t network = r.get<std::uint32_t>();
-    const std::uint8_t length = r.get<std::uint8_t>();
-    if (length > 32) return error_response("prefix length exceeds 32");
-    filter.emplace_back(network, length);
-  }
-  r.expect_end();
+  const auto [vantage, edges, filter] =
+      io::read_fields<WhatIfRequest, std::uint16_t>(request);
 
   if (snapshot.what_if == nullptr) {
     return error_response("snapshot has no what-if substrate");
@@ -280,13 +205,10 @@ std::vector<std::uint8_t> answer_what_if_failure(
     return s;
   };
 
-  std::uint64_t wave_events = 0;
-  std::uint32_t reachable_before = 0;
-  std::uint32_t reachable_after = 0;
-  wire::Writer body;
-  body.put(vantage.value());
-  body.put(static_cast<std::uint32_t>(edges.size()));
-  body.put(static_cast<std::uint32_t>(targets.size()));
+  WhatIfResult result;
+  result.vantage = vantage.value();
+  result.edge_count = static_cast<std::uint32_t>(edges.size());
+  result.entries.reserve(targets.size());
   for (const WhatIfBase::Target* target : targets) {
     // MOAS: every active origination of the prefix contributes one
     // candidate per world; decision-process tie-break across them (the
@@ -302,7 +224,7 @@ std::vector<std::uint8_t> answer_what_if_failure(
       // Branch a private deep copy and fail the sessions incrementally;
       // the shared base stays pristine for the next query.
       branch.assign_from(*base);
-      wave_events += engine.apply(branch, perturbation, scratch).events;
+      result.wave_events += engine.apply(branch, perturbation, scratch).events;
       if (auto route = engine.route_at(branch, vantage)) {
         after_cands.push_back(std::move(*route));
       }
@@ -315,25 +237,12 @@ std::vector<std::uint8_t> answer_what_if_failure(
     };
     const std::optional<bgp::Route> before = pick(before_cands);
     const std::optional<bgp::Route> after = pick(after_cands);
-    if (before.has_value()) ++reachable_before;
-    if (after.has_value()) ++reachable_after;
-    const WhatIfRouteState before_state = summarize(before);
-    const WhatIfRouteState after_state = summarize(after);
-    body.put(target->prefix.network());
-    body.put(target->prefix.length());
-    for (const WhatIfRouteState& s : {before_state, after_state}) {
-      body.put(static_cast<std::uint8_t>(s.reachable ? 1 : 0));
-      body.put(s.via);
-      body.put(s.origin);
-      body.put(s.path_length);
-    }
-    body.put(static_cast<std::uint8_t>(before != after ? 1 : 0));
+    if (before.has_value()) ++result.reachable_before;
+    if (after.has_value()) ++result.reachable_after;
+    result.entries.push_back(
+        {target->prefix, summarize(before), summarize(after), before != after});
   }
-
-  body.put(wave_events);
-  body.put(reachable_before);
-  body.put(reachable_after);
-  return ok_response(std::move(body));
+  return ok_response(result);
 }
 
 }  // namespace
@@ -366,47 +275,24 @@ bool known_kind(std::uint16_t kind) {
 std::vector<std::uint8_t> encode_server_info_request() { return {}; }
 
 std::vector<std::uint8_t> encode_as_request(util::AsNumber as) {
-  wire::Writer w;
-  w.put(as.value());
-  return w.take();
+  return io::write_fields<WireCount>(as);
 }
 
 std::vector<std::uint8_t> encode_prefix_request(const bgp::Prefix& prefix) {
-  wire::Writer w;
-  w.put(prefix.network());
-  w.put(prefix.length());
-  return w.take();
+  return io::write_fields<WireCount>(prefix);
 }
 
 std::vector<std::uint8_t> encode_infer_request(
     const asrel::GaoParams& params) {
-  wire::Writer w;
-  w.put(params.peer_degree_ratio);
-  w.put(params.sibling_balance);
-  w.put(static_cast<std::uint8_t>(params.detect_peers ? 1 : 0));
-  w.put(static_cast<std::uint8_t>(params.detect_clique ? 1 : 0));
-  w.put(params.clique_degree_fraction);
-  w.put(params.peer_candidate_min_share);
-  return w.take();
+  return io::write_fields<WireCount>(params);
 }
 
 std::vector<std::uint8_t> encode_what_if_request(
     util::AsNumber vantage,
     std::span<const std::pair<util::AsNumber, util::AsNumber>> edges,
     std::span<const bgp::Prefix> prefixes) {
-  wire::Writer w;
-  w.put(vantage.value());
-  w.put(static_cast<std::uint16_t>(edges.size()));
-  for (const auto& [a, b] : edges) {
-    w.put(a.value());
-    w.put(b.value());
-  }
-  w.put(static_cast<std::uint16_t>(prefixes.size()));
-  for (const bgp::Prefix& prefix : prefixes) {
-    w.put(prefix.network());
-    w.put(prefix.length());
-  }
-  return w.take();
+  return io::write_fields<std::uint16_t>(WhatIfRequest{
+      vantage, {edges.begin(), edges.end()}, {prefixes.begin(), prefixes.end()}});
 }
 
 std::optional<ResponseView> split_response(
@@ -424,68 +310,38 @@ std::optional<ResponseView> split_response(
   return view;
 }
 
-std::string decode_error(std::span<const std::uint8_t> body) {
+namespace {
+
+/// The T a response body holds, or nullopt on malformed bytes.
+template <typename T>
+std::optional<T> decode_body(std::span<const std::uint8_t> body) {
   try {
-    wire::Reader r(body);
-    std::string message = r.get_string();
-    r.expect_end();
-    return message;
+    return io::read_fields<T, WireCount>(body);
   } catch (const std::exception&) {
-    return {};
+    return std::nullopt;
   }
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> error_response(std::string_view message) {
+  std::vector<std::uint8_t> out = response(QueryStatus::kError);
+  Wire(out).write(std::string(message));
+  return out;
+}
+
+std::string decode_error(std::span<const std::uint8_t> body) {
+  return decode_body<std::string>(body).value_or(std::string());
 }
 
 std::optional<ServerInfo> decode_server_info(
     std::span<const std::uint8_t> body) {
-  try {
-    wire::Reader r(body);
-    ServerInfo info;
-    info.version = r.get<std::uint64_t>();
-    info.scenario_name = r.get_string();
-    info.scenario_key = r.get_string();
-    info.analyses_digest = r.get_string();
-    info.vantage_count = r.get<std::uint64_t>();
-    info.observed_paths = r.get<std::uint64_t>();
-    info.inferred_edges = r.get<std::uint64_t>();
-    r.expect_end();
-    return info;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return decode_body<ServerInfo>(body);
 }
 
 std::optional<WhatIfResult> decode_what_if(
     std::span<const std::uint8_t> body) {
-  try {
-    wire::Reader r(body);
-    WhatIfResult result;
-    result.vantage = r.get<std::uint32_t>();
-    result.edge_count = r.get<std::uint32_t>();
-    const std::uint32_t entry_count = r.get<std::uint32_t>();
-    result.entries.reserve(entry_count);
-    for (std::uint32_t i = 0; i < entry_count; ++i) {
-      WhatIfEntry entry;
-      const std::uint32_t network = r.get<std::uint32_t>();
-      const std::uint8_t length = r.get<std::uint8_t>();
-      if (length > 32) return std::nullopt;
-      entry.prefix = bgp::Prefix(network, length);
-      for (WhatIfRouteState* side : {&entry.before, &entry.after}) {
-        side->reachable = r.get<std::uint8_t>() != 0;
-        side->via = r.get<std::uint32_t>();
-        side->origin = r.get<std::uint32_t>();
-        side->path_length = r.get<std::uint32_t>();
-      }
-      entry.changed = r.get<std::uint8_t>() != 0;
-      result.entries.push_back(entry);
-    }
-    result.wave_events = r.get<std::uint64_t>();
-    result.reachable_before = r.get<std::uint32_t>();
-    result.reachable_after = r.get<std::uint32_t>();
-    r.expect_end();
-    return result;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return decode_body<WhatIfResult>(body);
 }
 
 std::vector<std::uint8_t> answer(QueryKind kind,
@@ -493,17 +349,16 @@ std::vector<std::uint8_t> answer(QueryKind kind,
                                  const Snapshot& snapshot) {
   try {
     switch (kind) {
-      case QueryKind::kServerInfo: {
-        wire::Reader r(request);
-        r.expect_end();
+      case QueryKind::kServerInfo:
+        io::Reader<WireCount>(request).expect_end();
         return answer_server_info(snapshot);
-      }
       case QueryKind::kSaPrevalence:
-        return answer_sa_prevalence(request, snapshot);
+        return answer_analysis(request, snapshot, &core::VantageAnalysis::sa);
       case QueryKind::kHoming:
         return answer_homing(request, snapshot);
       case QueryKind::kCauses:
-        return answer_causes(request, snapshot);
+        return answer_analysis(request, snapshot,
+                               &core::VantageAnalysis::causes);
       case QueryKind::kPathAvailability:
         return answer_path_availability(request, snapshot);
       case QueryKind::kRerunInfer:

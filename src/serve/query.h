@@ -13,6 +13,11 @@
 //   u8 status            0 = ok, 1 = error
 //   ok:    kind-specific body (docs/QUERY_SERVICE.md)
 //   error: u32-length-prefixed message
+//
+// Payloads are written and read by the archive the artifact codec uses
+// (io/archive.h), with u32 counts (u16 in the what-if request):
+// ServerInfo, WhatIfResult, the what-if request, GaoParams, SaAnalysis and
+// CausesAnalysis are their field lists.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +30,7 @@
 #include "asrel/gao_inference.h"
 #include "bgp/prefix.h"
 #include "serve/snapshot.h"
+#include "util/fields.h"
 #include "util/ids.h"
 
 namespace bgpolicy::serve {
@@ -81,9 +87,25 @@ enum class QueryStatus : std::uint8_t { kOk = 0, kError = 1 };
 /// never change products, so they are not part of the query identity).
 [[nodiscard]] std::vector<std::uint8_t> encode_infer_request(
     const asrel::GaoParams& params);
-/// kWhatIfFailure: u32 vantage, u16 edge count + (u32, u32) per failed
-/// session, u16 prefix count + (u32 network, u8 length) per prefix.  An
-/// empty prefix list means "every originated prefix".
+/// A kWhatIfFailure request; its counts are u16 on the wire: u32 vantage,
+/// u16 edge count + (u32, u32) per failed session, u16 prefix count +
+/// (u32 network, u8 length) per prefix.
+struct WhatIfRequest {
+  util::AsNumber vantage;
+  std::vector<std::pair<util::AsNumber, util::AsNumber>> edges;
+  /// Empty means "every originated prefix".
+  std::vector<bgp::Prefix> prefixes;
+};
+
+template <typename V>
+constexpr void fields(V& v, WhatIfRequest& r) {
+  v("vantage", r.vantage);
+  v("edges", r.edges);
+  v("prefixes", r.prefixes);
+}
+static_assert(util::lists_every_member<WhatIfRequest>());
+
+/// kWhatIfFailure: a WhatIfRequest of these parts.
 [[nodiscard]] std::vector<std::uint8_t> encode_what_if_request(
     util::AsNumber vantage,
     std::span<const std::pair<util::AsNumber, util::AsNumber>> edges,
@@ -102,6 +124,18 @@ struct ServerInfo {
   std::uint64_t inferred_edges = 0;
 };
 
+template <typename V>
+constexpr void fields(V& v, ServerInfo& i) {
+  v("version", i.version);
+  v("scenario_name", i.scenario_name);
+  v("scenario_key", i.scenario_key);
+  v("analyses_digest", i.analyses_digest);
+  v("vantage_count", i.vantage_count);
+  v("observed_paths", i.observed_paths);
+  v("inferred_edges", i.inferred_edges);
+}
+static_assert(util::lists_every_member<ServerInfo>());
+
 /// Splits a response payload into (status, body); nullopt when the payload
 /// is empty.  On kError the body is the message string.
 struct ResponseView {
@@ -110,6 +144,10 @@ struct ResponseView {
 };
 [[nodiscard]] std::optional<ResponseView> split_response(
     std::span<const std::uint8_t> payload);
+
+/// A kError response payload carrying `message`.
+[[nodiscard]] std::vector<std::uint8_t> error_response(
+    std::string_view message);
 
 /// Decodes the error message of a kError response body (empty on defect).
 [[nodiscard]] std::string decode_error(std::span<const std::uint8_t> body);
@@ -128,6 +166,15 @@ struct WhatIfRouteState {
                          const WhatIfRouteState&) = default;
 };
 
+template <typename V>
+constexpr void fields(V& v, WhatIfRouteState& s) {
+  v("reachable", s.reachable);
+  v("via", s.via);
+  v("origin", s.origin);
+  v("path_length", s.path_length);
+}
+static_assert(util::lists_every_member<WhatIfRouteState>());
+
 /// Before/after route of the vantage for one prefix.
 struct WhatIfEntry {
   bgp::Prefix prefix;
@@ -136,6 +183,15 @@ struct WhatIfEntry {
   /// True when the full route changed (not just the summarized fields).
   bool changed = false;
 };
+
+template <typename V>
+constexpr void fields(V& v, WhatIfEntry& e) {
+  v("prefix", e.prefix);
+  v("before", e.before);
+  v("after", e.after);
+  v("changed", e.changed);
+}
+static_assert(util::lists_every_member<WhatIfEntry>());
 
 /// Decoded kWhatIfFailure ok-body.
 struct WhatIfResult {
@@ -148,6 +204,17 @@ struct WhatIfResult {
   std::uint32_t reachable_before = 0;
   std::uint32_t reachable_after = 0;
 };
+
+template <typename V>
+constexpr void fields(V& v, WhatIfResult& r) {
+  v("vantage", r.vantage);
+  v("edge_count", r.edge_count);
+  v("entries", r.entries);
+  v("wave_events", r.wave_events);
+  v("reachable_before", r.reachable_before);
+  v("reachable_after", r.reachable_after);
+}
+static_assert(util::lists_every_member<WhatIfResult>());
 
 /// Decodes a kWhatIfFailure ok-body; nullopt on malformed bytes.
 [[nodiscard]] std::optional<WhatIfResult> decode_what_if(

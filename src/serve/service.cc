@@ -4,20 +4,17 @@
 #include <thread>
 #include <utility>
 
-#include "serve/wire.h"
+#include "serve/query.h"
 
 namespace bgpolicy::serve {
 
 namespace {
 
 Frame error_frame(const Frame& request, std::string_view message) {
-  wire::Writer out;
-  out.put(static_cast<std::uint8_t>(QueryStatus::kError));
-  out.put_string(message);
   Frame response;
   response.kind = static_cast<std::uint16_t>(request.kind | kResponseBit);
   response.request_id = request.request_id;
-  response.payload = out.take();
+  response.payload = error_response(message);
   return response;
 }
 

@@ -16,12 +16,14 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bgp/community.h"
 #include "bgp/prefix.h"
 #include "bgp/route.h"
 #include "topology/as_graph.h"
+#include "util/fields.h"
 #include "util/ids.h"
 
 namespace bgpolicy::sim {
@@ -95,6 +97,11 @@ enum class ExportAction : std::uint8_t {
   /// times — the inbound-deprioritization knob of Section 2.2.2.
   kPrepend,
 };
+
+/// The values a stored ExportAction may hold (io/archive.h).
+constexpr std::pair<ExportAction, ExportAction> enum_range(ExportAction) {
+  return {ExportAction::kDeny, ExportAction::kPrepend};
+}
 
 /// One export rule.  Matches a route when (prefix empty or equal) AND
 /// (origin empty or equal to the route's origin AS).
@@ -214,5 +221,70 @@ struct PolicySet {
   [[nodiscard]] const AsPolicy& at(AsNumber as) const;
   [[nodiscard]] AsPolicy& at_mut(AsNumber as) { return by_as[as]; }
 };
+
+// ------------------------------------------------------------ field lists --
+// Each type's stored fields, in stored order (util/fields.h).
+
+template <typename V>
+constexpr void fields(V& v, ImportPolicy& p) {
+  v("customer_pref", p.customer_pref);
+  v("peer_pref", p.peer_pref);
+  v("provider_pref", p.provider_pref);
+  v("neighbor_override", p.neighbor_override);
+  v("prefix_override", p.prefix_override);
+}
+static_assert(util::lists_every_member<ImportPolicy>());
+
+template <typename V>
+constexpr void fields(V& v, ExportRule& r) {
+  v("prefix", r.prefix);
+  v("origin", r.origin);
+  v("action", r.action);
+  v("target", r.target);
+  v("prepend_times", r.prepend_times);
+}
+static_assert(util::lists_every_member<ExportRule>());
+
+template <typename V>
+constexpr void fields(V& v, ExportPolicy& p) {
+  v("per_neighbor", p.per_neighbor);
+  v("any_neighbor", p.any_neighbor);
+}
+static_assert(util::lists_every_member<ExportPolicy>());
+
+template <typename V>
+constexpr void fields(V& v, CommunityProfile& p) {
+  v("enabled", p.enabled);
+  v("published", p.published);
+  v("peer_base", p.peer_base);
+  v("provider_base", p.provider_base);
+  v("customer_base", p.customer_base);
+  v("values_per_class", p.values_per_class);
+}
+static_assert(util::lists_every_member<CommunityProfile>());
+
+template <typename V>
+constexpr void fields(V& v, ConditionalAdvertisement& c) {
+  v("prefix", c.prefix);
+  v("advertise_to", c.advertise_to);
+  v("watch_provider", c.watch_provider);
+}
+static_assert(util::lists_every_member<ConditionalAdvertisement>());
+
+template <typename V>
+constexpr void fields(V& v, AsPolicy& p) {
+  v("import", p.import);
+  v("export", p.export_);
+  v("community", p.community);
+  v("no_export_targets", p.no_export_targets);
+  v("conditional", p.conditional);
+}
+static_assert(util::lists_every_member<AsPolicy>());
+
+template <typename V>
+constexpr void fields(V& v, PolicySet& s) {
+  v("by_as", s.by_as);
+}
+static_assert(util::lists_every_member<PolicySet>());
 
 }  // namespace bgpolicy::sim

@@ -128,6 +128,54 @@ struct GeneratedPolicies {
   GroundTruth truth;
 };
 
+// ------------------------------------------------------------ field lists --
+// Each type's stored fields, in stored order (util/fields.h).
+
+template <typename V>
+constexpr void fields(V& v, SelectiveUnit& u) {
+  v("origin", u.origin);
+  v("prefix", u.prefix);
+  v("provider", u.provider);
+  v("withheld", u.withheld);
+  v("via_community", u.via_community);
+}
+static_assert(util::lists_every_member<SelectiveUnit>());
+
+template <typename V>
+constexpr void fields(V& v, IntermediateSelective& u) {
+  v("intermediate", u.intermediate);
+  v("customer", u.customer);
+  v("provider", u.provider);
+}
+static_assert(util::lists_every_member<IntermediateSelective>());
+
+template <typename V>
+constexpr void fields(V& v, PrependUnit& u) {
+  v("origin", u.origin);
+  v("provider", u.provider);
+  v("times", u.times);
+}
+static_assert(util::lists_every_member<PrependUnit>());
+
+template <typename V>
+constexpr void fields(V& v, GroundTruth& t) {
+  v("origin_units", t.origin_units);
+  v("prepend_units", t.prepend_units);
+  v("intermediate_units", t.intermediate_units);
+  v("split_specifics", t.split_specifics);
+  v("aggregated_by", t.aggregated_by);
+  v("peer_withholders", t.peer_withholders);
+}
+static_assert(util::lists_every_member<GroundTruth>());
+
+template <typename V>
+constexpr void fields(V& v, GeneratedPolicies& g) {
+  v("policies", g.policies);
+  v("split_extras", g.split_extras);
+  v("truth", g.truth);
+}
+static_assert(util::lists_every_member<GeneratedPolicies>());
+
 [[nodiscard]] GeneratedPolicies generate_policies(
     const topo::Topology& topo, const topo::PrefixPlan& plan,
     const PolicyGenParams& params);

@@ -59,6 +59,13 @@ struct Origination {
   friend bool operator==(const Origination&, const Origination&) = default;
 };
 
+template <typename V>
+constexpr void fields(V& v, Origination& o) {
+  v("prefix", o.prefix);
+  v("origin", o.origin);
+}
+static_assert(util::lists_every_member<Origination>());
+
 struct PropagationOptions {
   /// Max times a single AS may recompute for one prefix before the engine
   /// declares non-convergence (dispute-wheel guard).

@@ -35,6 +35,15 @@ struct VantageSpec {
   std::vector<AsNumber> best_only;
 };
 
+template <typename V>
+constexpr void fields(V& v, VantageSpec& s) {
+  v("collector_as", s.collector_as);
+  v("collector_peers", s.collector_peers);
+  v("looking_glass", s.looking_glass);
+  v("best_only", s.best_only);
+}
+static_assert(util::lists_every_member<VantageSpec>());
+
 struct SimResult {
   bgp::BgpTable collector;
   std::unordered_map<AsNumber, bgp::BgpTable> looking_glass;
@@ -51,6 +60,19 @@ struct SimResult {
   /// trajectory while the tables are equal.
   std::size_t process_events = 0;
 };
+
+/// SimResult's field list (util/fields.h); the artifact codec stores each
+/// table as its columnar blob (io/binary_table.h).
+template <typename V>
+constexpr void fields(V& v, SimResult& r) {
+  v("collector", r.collector);
+  v("looking_glass", r.looking_glass);
+  v("best_only", r.best_only);
+  v("origination_count", r.origination_count);
+  v("unconverged_prefixes", r.unconverged_prefixes);
+  v("process_events", r.process_events);
+}
+static_assert(util::lists_every_member<SimResult>());
 
 /// Runs the propagation engine over every origination and records the
 /// requested vantage tables.  The batch runner (`converge_batch`,

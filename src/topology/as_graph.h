@@ -11,6 +11,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/ids.h"
@@ -21,6 +22,11 @@ using util::AsNumber;
 
 /// What a neighbor is *to me*: my customer, my peer, or my provider.
 enum class RelKind : std::uint8_t { kCustomer, kPeer, kProvider };
+
+/// The values a stored RelKind may hold (io/archive.h).
+constexpr std::pair<RelKind, RelKind> enum_range(RelKind) {
+  return {RelKind::kCustomer, RelKind::kProvider};
+}
 
 [[nodiscard]] std::string to_string(RelKind kind);
 

@@ -51,8 +51,7 @@ PrefixPlan allocate_prefixes(const Topology& topo,
 
   const auto add = [&](Prefix prefix, AsNumber origin,
                        std::optional<AsNumber> allocated_from) {
-    plan.by_origin[origin].push_back(plan.prefixes.size());
-    plan.prefixes.push_back({prefix, origin, allocated_from});
+    plan.add({prefix, origin, allocated_from});
   };
 
   // Transit ASes: one top-level block each (size by tier) plus a few

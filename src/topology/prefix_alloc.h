@@ -26,6 +26,14 @@ struct OriginatedPrefix {
   std::optional<AsNumber> allocated_from;
 };
 
+template <typename V>
+constexpr void fields(V& v, OriginatedPrefix& p) {
+  v("prefix", p.prefix);
+  v("origin", p.origin);
+  v("allocated_from", p.allocated_from);
+}
+static_assert(util::lists_every_member<OriginatedPrefix>());
+
 struct PrefixPlan {
   /// All originated prefixes, in a stable deterministic order.
   std::vector<OriginatedPrefix> prefixes;
@@ -33,6 +41,12 @@ struct PrefixPlan {
   std::unordered_map<AsNumber, std::vector<std::size_t>> by_origin;
   /// Transit AS -> its top-level allocated block.
   std::unordered_map<AsNumber, bgp::Prefix> transit_block;
+
+  /// Appends `prefix`, indexed under its origin.
+  void add(const OriginatedPrefix& prefix) {
+    by_origin[prefix.origin].push_back(prefixes.size());
+    prefixes.push_back(prefix);
+  }
 
   [[nodiscard]] std::size_t count_for(AsNumber origin) const {
     const auto it = by_origin.find(origin);

@@ -11,14 +11,21 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "topology/as_graph.h"
+#include "util/fields.h"
 #include "util/rng.h"
 
 namespace bgpolicy::topo {
 
 enum class Tier : std::uint8_t { kTier1 = 1, kTier2 = 2, kTier3 = 3, kStub = 4 };
+
+/// The values a stored Tier may hold (io/archive.h).
+constexpr std::pair<Tier, Tier> enum_range(Tier) {
+  return {Tier::kTier1, Tier::kStub};
+}
 
 [[nodiscard]] std::string to_string(Tier tier);
 
@@ -71,6 +78,19 @@ struct Topology {
     return tier_of(as) != Tier::kStub;
   }
 };
+
+/// Topology's field list (util/fields.h); the artifact codec stores the
+/// graph by hand, as its edge records in creation order.
+template <typename V>
+constexpr void fields(V& v, Topology& t) {
+  v("graph", t.graph);
+  v("tier", t.tier);
+  v("tier1", t.tier1);
+  v("tier2", t.tier2);
+  v("tier3", t.tier3);
+  v("stubs", t.stubs);
+}
+static_assert(util::lists_every_member<Topology>());
 
 /// Generates a topology; deterministic in params.seed.
 [[nodiscard]] Topology generate_topology(const GeneratorParams& params);

@@ -990,6 +990,37 @@ TEST(SweepResume, ErasedAnalyzeEntryReusesCachedInference) {
   EXPECT_EQ(sweep_digest(resumed), sweep_digest(first));
 }
 
+TEST(SweepResume, VariantsAndExperimentsShareInferAndAnalyzeEntries) {
+  // One key scheme: an Experiment reads what a sweep variant of the same
+  // scenario and parameters wrote, and a sweep reads what an Experiment
+  // wrote.
+  ScopedStore store;
+  const std::vector<SweepVariant> variants = resume_variants();
+  const SweepReport swept = sweep(variants, 1, store.get());
+
+  RunOptions options;
+  options.store = store.get();
+  options.gao = variants[1].options.gao;
+  Experiment experiment(variants[1].scenario, options);
+  experiment.run();
+  EXPECT_EQ(experiment.counters().infer, 0u);
+  EXPECT_EQ(experiment.counters().analyze, 0u);
+  EXPECT_EQ(experiment.loads().infer, 1u);
+  EXPECT_EQ(experiment.loads().analyze, 1u);
+  EXPECT_EQ(products_digest(experiment.inference(), experiment.analyses()),
+            products_digest(swept.runs[1].inference, swept.runs[1].analyses));
+
+  ScopedStore other;
+  RunOptions cold;
+  cold.store = other.get();
+  Experiment(Scenario::small(5), cold).run();
+  const std::vector<SweepVariant> base(variants.begin(), variants.begin() + 1);
+  const SweepReport resumed = sweep(base, 1, other.get());
+  EXPECT_EQ(resumed.counters.infer, 0u);
+  EXPECT_EQ(resumed.counters.analyze, 0u);
+  EXPECT_TRUE(resumed.runs[0].loaded_from_store());
+}
+
 TEST(SweepResume, KilledSweepResumesAcrossVariantSubsets) {
   ScopedStore store;
   const std::vector<SweepVariant> variants = resume_variants();

@@ -25,6 +25,7 @@
 #include "core/artifact_store.h"
 #include "core/scenario.h"
 #include "core/scenario_spec.h"
+#include "sim/policy_gen.h"
 #include "testing/scoped_store.h"
 #include "util/flat_map.h"
 
@@ -155,17 +156,136 @@ TEST(ArtifactCodec, AnalysisSuiteRoundtrip) {
             core::canonical_serialize(suite));
 }
 
-TEST(ArtifactCodec, TruncatedInputThrowsAtEveryLength) {
-  const std::vector<std::uint8_t> bytes = encode(shared_experiment().inference());
-  // Every proper prefix must be rejected (header first, then payload-length
-  // mismatch); step keeps the loop fast on larger artifacts.
+TEST(ArtifactCodec, SmallArtifactDigestsPinned) {
+  // Every artifact's stored bytes, pinned where the sanitizer jobs run them:
+  // a field written in another order moves its artifact's digest.
+  core::Experiment& experiment = shared_experiment();
+  EXPECT_EQ(core::store_digest_hex(encode(experiment.truth())), "d197754e937acc02acdd9f52b0f23244");
+  EXPECT_EQ(core::store_digest_hex(encode(experiment.sim())), "e96fc244f39d4829628d3f00921c86ec");
+  EXPECT_EQ(core::store_digest_hex(encode(experiment.observations())),
+            "743a1197ae7e32a88b1454f52c207657");
+  EXPECT_EQ(core::store_digest_hex(encode(experiment.inference())),
+            "f29e22a29959c2b7ad8fb2a1d0c0d39a");
+  EXPECT_EQ(core::store_digest_hex(encode(experiment.analyses())),
+            "2c8772593f7e6c89a276c20abee5adc6");
+}
+
+// ------------------------------------------------- one-pass checked bytes --
+
+constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
+
+std::uint64_t u64_at(std::span<const std::uint8_t> bytes, std::size_t at) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+void set_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
+             std::uint64_t value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(value));
+}
+
+/// Rewrites the header's payload length and checksum to fit the payload.
+void reframe(std::vector<std::uint8_t>& bytes) {
+  const auto payload =
+      std::span<const std::uint8_t>(bytes).subspan(kArtifactHeaderBytes);
+  set_u64(bytes, 8, payload.size());
+  set_u64(bytes, 16, core::xxh64(payload, kChecksumSeed));
+}
+
+/// Every cut of `bytes` is rejected by `decode` over the bytes and over a
+/// CheckedArtifact of them.  Cuts that keep a whole header are reframed, so
+/// the header's length and checksum accept them and the payload decoder
+/// itself must find the truncation; `step` strides the cuts of the large
+/// artifacts.
+template <typename Decode>
+void expect_every_cut_rejected(const std::vector<std::uint8_t>& bytes,
+                               std::size_t step, Decode decode) {
   for (std::size_t size = 0; size < bytes.size();
-       size += std::max<std::size_t>(1, bytes.size() / 257)) {
-    EXPECT_THROW(
-        (void)decode_inference(std::span<const std::uint8_t>(bytes.data(), size)),
-        std::invalid_argument)
-        << "accepted a " << size << "-byte prefix of " << bytes.size();
+       size += size < kArtifactHeaderBytes ? 1 : step) {
+    std::vector<std::uint8_t> cut(bytes.begin(),
+                                  bytes.begin() + static_cast<long>(size));
+    if (size >= kArtifactHeaderBytes) reframe(cut);
+    EXPECT_THROW((void)decode(std::span<const std::uint8_t>(cut)),
+                 std::invalid_argument)
+        << "accepted a " << size << "-byte cut of " << bytes.size();
+    const CheckedArtifact checked{std::move(cut)};
+    EXPECT_THROW((void)decode(checked), std::invalid_argument)
+        << "accepted a checked " << size << "-byte cut of " << bytes.size();
   }
+}
+
+/// A compact world whose policy-truth lists are all populated, for cuts at
+/// every length (one decode per byte): small's tier-1/tier-2 roster with
+/// fewer edge ASes and every generator feature made common.
+core::Experiment& compact_experiment() {
+  static core::Experiment* experiment = [] {
+    core::Scenario scenario = core::Scenario::small(21);
+    scenario.topo_params.tier3_count = 10;
+    scenario.topo_params.stub_count = 30;
+    scenario.alloc_params.max_stub_prefixes = 2;
+    sim::PolicyGenParams& policy = scenario.policy_params;
+    policy.atypical_neighbor_prob = 0.2;
+    policy.splitting_as_prob = 0.3;
+    policy.aggregation_prob = 0.5;
+    policy.peer_withhold_prob = 0.5;
+    policy.prepend_as_prob = 0.5;
+    policy.intermediate_selective_prob = 0.5;
+    core::RunOptions options;
+    options.threads = 1;
+    auto* e = new core::Experiment(scenario, options);
+    e->run();
+    return e;
+  }();
+  return *experiment;
+}
+
+TEST(ArtifactCodec, TruncatedInputThrowsAtEveryLength) {
+  core::Experiment& compact = compact_experiment();
+  // The generator writes no conditional advertisement or no-export target
+  // here; one of each puts those reads under the cuts too.
+  core::GroundTruth truth = compact.truth();
+  const sim::Origination& first = truth.originations.front();
+  sim::AsPolicy& policy = truth.gen.policies.at_mut(first.origin);
+  policy.conditional.push_back({first.prefix, AsNumber(1), AsNumber(2)});
+  policy.no_export_targets.push_back(AsNumber(3));
+  const sim::GroundTruth& units = truth.gen.truth;
+  ASSERT_FALSE(units.origin_units.empty());
+  ASSERT_FALSE(units.prepend_units.empty());
+  ASSERT_FALSE(units.intermediate_units.empty());
+  ASSERT_FALSE(units.split_specifics.empty());
+  ASSERT_FALSE(units.aggregated_by.empty());
+  ASSERT_FALSE(units.peer_withholders.empty());
+  ASSERT_FALSE(truth.gen.split_extras.empty());
+
+  expect_every_cut_rejected(encode(truth), 1, [](const auto& bytes) {
+    return decode_ground_truth(bytes);
+  });
+  expect_every_cut_rejected(encode(compact.inference()), 1,
+                            [](const auto& bytes) {
+                              return decode_inference(bytes);
+                            });
+  expect_every_cut_rejected(encode(compact.analyses()), 1,
+                            [](const auto& bytes) {
+                              return decode_analysis_suite(bytes);
+                            });
+
+  // small(21)'s five artifacts at strided lengths.
+  core::Experiment& experiment = shared_experiment();
+  const auto strided = [](const std::vector<std::uint8_t>& bytes,
+                          auto decode) {
+    expect_every_cut_rejected(bytes, bytes.size() / 257 + 1, decode);
+  };
+  strided(encode(experiment.truth()),
+          [](const auto& bytes) { return decode_ground_truth(bytes); });
+  strided(encode(experiment.sim()),
+          [](const auto& bytes) { return decode_sim_artifact(bytes); });
+  strided(encode(experiment.observations()),
+          [](const auto& bytes) { return decode_observations(bytes); });
+  strided(encode(experiment.inference()),
+          [](const auto& bytes) { return decode_inference(bytes); });
+  strided(encode(experiment.analyses()),
+          [](const auto& bytes) { return decode_analysis_suite(bytes); });
 }
 
 TEST(ArtifactCodec, BitCorruptionThrows) {
@@ -199,29 +319,6 @@ TEST(ArtifactCodec, VersionAndKindMismatchThrow) {
   const std::vector<std::uint8_t> garbage = {'n', 'o', 'p', 'e', 0, 1, 2, 3};
   EXPECT_THROW((void)decode_observations(garbage), std::invalid_argument);
   EXPECT_THROW((void)decode_analysis_suite({}), std::invalid_argument);
-}
-
-// ------------------------------------------------- one-pass checked bytes --
-
-constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
-
-std::uint64_t u64_at(std::span<const std::uint8_t> bytes, std::size_t at) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, bytes.data() + at, sizeof(value));
-  return value;
-}
-
-void set_u64(std::vector<std::uint8_t>& bytes, std::size_t at,
-             std::uint64_t value) {
-  std::memcpy(bytes.data() + at, &value, sizeof(value));
-}
-
-/// Rewrites the header's payload length and checksum to fit the payload.
-void reframe(std::vector<std::uint8_t>& bytes) {
-  const auto payload =
-      std::span<const std::uint8_t>(bytes).subspan(kArtifactHeaderBytes);
-  set_u64(bytes, 8, payload.size());
-  set_u64(bytes, 16, core::xxh64(payload, kChecksumSeed));
 }
 
 TEST(CheckedArtifact, DigestEqualsStoreDigest) {
@@ -451,7 +548,8 @@ std::vector<std::uint8_t> edited(
 }
 
 /// Column boundaries of the Observations payload's Gao and path-index
-/// sections (artifact_codec.cc put_observations), which close the payload.
+/// sections (the Observations field list's two hand-written buffers in
+/// artifact_codec.cc), which close the payload.
 struct ObservationColumns {
   std::size_t gao, gao_lengths, gao_hops, edges, degree, degree_values, ases,
       index, index_lengths, index_hops, networks, prefix_lengths, adjacency,

@@ -11,6 +11,9 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "bgp/decision.h"
 #include "bgp/prefix.h"
 #include "bgp/route.h"
+#include "core/artifact_store.h"
 #include "core/scenario.h"
 #include "serve/snapshot.h"
 #include "sim/propagation.h"
@@ -317,6 +321,12 @@ TEST(QueryEngine, WhatIfFailureErrorPaths) {
   };
   // No edges.
   expect_error(encode_what_if_request(probe.vantage, {}));
+  // More edges than the request's u16 count holds: refused at encoding
+  // instead of sent with a wrapped count.
+  const std::vector<std::pair<AsNumber, AsNumber>> too_many(65'536,
+                                                            probe.edge);
+  EXPECT_THROW((void)encode_what_if_request(probe.vantage, too_many),
+               std::length_error);
   // Unknown vantage / unknown edge endpoint.
   expect_error(encode_what_if_request(AsNumber(999'999'999), edges));
   const std::vector<std::pair<AsNumber, AsNumber>> bogus_edge = {
@@ -333,6 +343,84 @@ TEST(QueryEngine, WhatIfFailureErrorPaths) {
   const auto view = split_response(bare_payload);
   ASSERT_TRUE(view.has_value());
   EXPECT_EQ(view->status, QueryStatus::kError);
+}
+
+// ------------------------------------------------------------------ pins --
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t byte : bytes) {
+    out += kDigits[byte >> 4];
+    out += kDigits[byte & 0xF];
+  }
+  return out;
+}
+
+/// Digest of `kind`'s ok-replies to `requests`, concatenated.
+std::string replies_digest(
+    QueryKind kind, const std::vector<std::vector<std::uint8_t>>& requests,
+    const Snapshot& snapshot) {
+  std::vector<std::uint8_t> all;
+  for (const std::vector<std::uint8_t>& request : requests) {
+    const std::vector<std::uint8_t> payload =
+        ok_answer(kind, request, snapshot);
+    all.insert(all.end(), payload.begin(), payload.end());
+  }
+  return core::stable_digest_hex(std::span<const std::uint8_t>(all));
+}
+
+TEST(QueryEngine, ReplyAndRequestBytesPinned) {
+  // One digest per query kind over small(7)'s replies, and the bytes of two
+  // requests: a reply or request field written in another order moves a
+  // pin.
+  const Snapshot& snapshot = snapshot_t1();
+  std::vector<std::vector<std::uint8_t>> vantages;
+  std::vector<std::vector<std::uint8_t>> looking_glasses;
+  for (const core::VantageAnalysis& vantage : snapshot.analyses.vantages) {
+    vantages.push_back(encode_as_request(vantage.vantage));
+    if (vantage.looking_glass) looking_glasses.push_back(vantages.back());
+  }
+  std::vector<std::vector<std::uint8_t>> prefixes;
+  const core::PathIndex& paths = snapshot.observations.paths;
+  for (std::size_t i = 0; i < paths.path_count();
+       i += std::max<std::size_t>(1, paths.path_count() / 16)) {
+    prefixes.push_back(encode_prefix_request(paths.prefix_at(i)));
+  }
+  asrel::GaoParams no_peers;
+  no_peers.detect_peers = false;
+  const WhatIfProbe probe = make_probe(snapshot);
+  const std::vector<std::pair<AsNumber, AsNumber>> edges = {probe.edge};
+
+  EXPECT_EQ(replies_digest(QueryKind::kServerInfo,
+                           {encode_server_info_request()}, snapshot),
+            "1694a39c93517796cbb5091e6c201af9");
+  EXPECT_EQ(replies_digest(QueryKind::kSaPrevalence, vantages, snapshot),
+            "1009c39aaa53d813e9ed626ecf6b91be");
+  EXPECT_EQ(replies_digest(QueryKind::kHoming, prefixes, snapshot),
+            "2c6fb4c5a1c5c3fdf95c1448698505d2");
+  EXPECT_EQ(replies_digest(QueryKind::kCauses, vantages, snapshot),
+            "ab8994be06c36c44343207bb18bc2f21");
+  EXPECT_EQ(replies_digest(QueryKind::kPathAvailability, looking_glasses,
+                           snapshot),
+            "64956ae4d7d9f03bd64319933837f9ba");
+  EXPECT_EQ(replies_digest(QueryKind::kRerunInfer,
+                           {encode_infer_request(asrel::GaoParams{}),
+                            encode_infer_request(no_peers)},
+                           snapshot),
+            "ab11ac4ee17f225dc9d913cea19a55b2");
+  EXPECT_EQ(replies_digest(QueryKind::kWhatIfFailure,
+                           {encode_what_if_request(probe.vantage, edges)},
+                           snapshot),
+            "bcf395b5abba1afa80512113c736cbe3");
+
+  EXPECT_EQ(hex(encode_infer_request(asrel::GaoParams{})),
+            "0000000000004e40000000000000e03f0101"
+            "9a9999999999c93f1f85eb51b81ed53f");
+  const std::vector<bgp::Prefix> filter = {bgp::Prefix(0x0A010000, 16),
+                                           bgp::Prefix(0xC0A80100, 24)};
+  EXPECT_EQ(hex(encode_what_if_request(AsNumber(7018), edges, filter)),
+            "6a1b000001006a1b00000100000002000000010a100001a8c018");
 }
 
 }  // namespace

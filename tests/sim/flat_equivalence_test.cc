@@ -364,6 +364,8 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   scenario.propagation.threads = 0;
   core::Experiment experiment(scenario);
   experiment.run(core::Stage::kAnalyze);
+  EXPECT_EQ(core::store_digest_hex(io::encode(experiment.truth())),
+            "e666be8cb926ea09f4d7ae4bebef2e9f");
   EXPECT_EQ(core::store_digest_hex(io::encode(experiment.sim())),
             "83ee4022a40f17537d1050004cbc444b");
   // 14,900,880 in exact order; 11,117,714 in converge_cold's order, where
@@ -372,6 +374,10 @@ TEST(FlatEquivalence, Internet2002ArtifactDigestPinned) {
   EXPECT_EQ(experiment.sim().sim.process_events, 3366352u);
   EXPECT_EQ(core::store_digest_hex(io::encode(experiment.observations())),
             "7f318bcb45626cfe091111561b1d6bd4");
+  EXPECT_EQ(core::store_digest_hex(io::encode(experiment.inference())),
+            "fa8993cb1e54961f17cd51339f1ded16");
+  EXPECT_EQ(core::store_digest_hex(io::encode(experiment.analyses())),
+            "3ac3d894bdec1ad799421afcffede363");
   // The same analyses digest perfbench/reference.json pins.
   EXPECT_EQ(core::stable_digest_hex(
                 core::canonical_serialize(experiment.analyses())),

@@ -5,7 +5,9 @@
 // as `--flag VALUE` and `--flag=VALUE`.
 //
 // Header-only on purpose — tools link only bgpolicy, and this stays a
-// build-time convenience, not a library API.
+// build-time convenience, not a library API.  Numeric flags parse like
+// `.scn` numbers (core::parse_number), so a flag rejects what a spec
+// file rejects.
 //
 //   tools::ToolArgs args("store_gc", "LRU garbage collection for a store");
 //   args.positional("STORE_DIR", "artifact store directory", 1, 1);
@@ -23,6 +25,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "core/scenario_spec.h"
 
 namespace bgpolicy::tools {
 
@@ -87,13 +91,11 @@ class ToolArgs {
                           std::string value_name, std::string help) {
     specs_.push_back({std::move(name), std::move(value_name), std::move(help),
                       true, [out](const std::string& value) {
-                        try {
-                          std::size_t used = 0;
-                          *out = std::stod(value, &used);
-                          return used == value.size();
-                        } catch (...) {
-                          return false;
-                        }
+                        // The same numbers a `.scn` file accepts.
+                        const std::optional<double> parsed =
+                            core::parse_number(value);
+                        if (parsed) *out = *parsed;
+                        return parsed.has_value();
                       }});
     return *this;
   }
