@@ -91,6 +91,22 @@ double InferredRelationships::accuracy_against(
   return static_cast<double>(correct) / static_cast<double>(comparable);
 }
 
+RelationshipCoverage InferredRelationships::coverage_against(
+    const topo::AsGraph& truth) const {
+  RelationshipCoverage coverage;
+  for (const topo::EdgeRecord& link : truth.edges()) {
+    TypeCoverage& type = link.b_is_to_a == RelKind::kPeer
+                             ? coverage.peer
+                             : coverage.provider_customer;
+    ++type.links;
+    const auto inferred = relationship(link.a, link.b);
+    if (!inferred) continue;
+    ++type.observed;
+    if (*inferred == link.b_is_to_a) ++type.correct;
+  }
+  return coverage;
+}
+
 std::string canonical_serialize(const InferredRelationships& rels) {
   std::vector<std::tuple<std::uint32_t, std::uint32_t, EdgeType>> rows;
   rels.for_each([&](AsNumber lo, AsNumber hi, EdgeType type) {

@@ -44,6 +44,21 @@ struct AsPairHash {
   }
 };
 
+/// The true links of one relationship type: how many the truth has, how
+/// many inference classified, and how many of those it classified right.
+struct TypeCoverage {
+  std::size_t links = 0;
+  std::size_t observed = 0;
+  std::size_t correct = 0;
+};
+
+/// Coverage per true relationship type: unlike accuracy_against, it counts
+/// the true links inference never saw.
+struct RelationshipCoverage {
+  TypeCoverage provider_customer;
+  TypeCoverage peer;
+};
+
 /// The result of an inference pass: an annotation per observed AS pair.
 class InferredRelationships {
  public:
@@ -68,6 +83,11 @@ class InferredRelationships {
   /// Fraction of classified pairs that agree with the ground-truth graph
   /// (scoring hook for tests; the original paper had no ground truth).
   [[nodiscard]] double accuracy_against(const topo::AsGraph& truth) const;
+
+  /// Every link of the ground-truth graph, counted under its true type
+  /// (siblings count as peers, as in relationship()).
+  [[nodiscard]] RelationshipCoverage coverage_against(
+      const topo::AsGraph& truth) const;
 
   /// Materializes the inferred relationships as an annotated AS graph
   /// (siblings become peer edges), so graph algorithms like the customer-

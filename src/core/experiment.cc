@@ -199,41 +199,17 @@ topo::PrefixPlan build_explicit_plan(const Scenario& scenario,
 /// Every AS id a scenario references must exist in the synthesized
 /// topology.  Absent ids previously slipped through derive_vantage's
 /// filter and silently yielded empty observations; now they are a
-/// synthesize-time error naming the role and the id.
+/// synthesize-time error naming the role and the id.  (A parsed spec of a
+/// generated world has already passed the same check with positions.)
 void validate_scenario_ases(const Scenario& scenario,
                             const topo::Topology& topo) {
-  const auto check = [&](const char* role, std::uint32_t as) {
+  for_each_required_as(scenario, [&](const char* role, std::uint32_t as) {
     if (!topo.graph.contains(AsNumber(as))) {
       scenario_error(scenario, std::string(role) + " AS " +
                                    std::to_string(as) +
                                    " is not in the synthesized topology");
     }
-  };
-  for (const std::uint32_t as : scenario.looking_glass) {
-    check("looking_glass", as);
-  }
-  for (const std::uint32_t as : scenario.best_only) check("best_only", as);
-  for (const std::uint32_t as : scenario.verification_ases) {
-    check("verification", as);
-  }
-  for (const PolicyOverride& o : scenario.overrides) {
-    check("override", o.as);
-    switch (o.kind) {
-      case PolicyOverride::Kind::kPreferNeighbor:
-      case PolicyOverride::Kind::kDeny:
-      case PolicyOverride::Kind::kPrepend:
-      case PolicyOverride::Kind::kNoExportUpstream:
-        check("override neighbor", o.neighbor);
-        break;
-      case PolicyOverride::Kind::kConditional:
-        check("override neighbor", o.neighbor);
-        check("override watch", o.watch);
-        break;
-      case PolicyOverride::Kind::kPreferPrefix:
-      case PolicyOverride::Kind::kTagging:
-        break;
-    }
-  }
+  });
 }
 
 /// Applies the scenario's per-AS policy edits on top of the generated
@@ -1003,12 +979,7 @@ const InferenceProducts& Experiment::inference() {
 
 const AnalysisSuite& Experiment::analyses() {
   if (!analyses_) {
-    // Ensure the view's inputs exist.  sim() is requested explicitly:
-    // after set_observations, inference() is satisfied by the injected
-    // artifact alone and would leave the Simulate stage (whose tables
-    // Analyze reads) unmaterialized.
-    sim();
-    inference();
+    inference();  // and, upstream of it, the Simulate tables Analyze reads
     bool loaded = false;
     analyses_ = stage_artifact(
         options_.store,
@@ -1067,23 +1038,6 @@ const InferenceProducts& Experiment::rerun_infer(
   return *inference_;
 }
 
-void Experiment::set_observations(Observations observations) {
-  observations_ = std::move(observations);
-  inference_.reset();
-  analyses_.reset();
-  digest_slot(Stage::kInfer).clear();
-  digest_slot(Stage::kAnalyze).clear();
-  // An externally supplied artifact is not this scenario's Observe product
-  // — never store it under the scenario-derived observe key.  Digest it so
-  // downstream Infer/Analyze keys still chain correctly (and distinctly).
-  if (options_.store != nullptr) {
-    const std::vector<std::uint8_t> bytes = io::encode(*observations_);
-    digest_slot(Stage::kObserve) = store_digest_hex(bytes);
-  } else {
-    digest_slot(Stage::kObserve).clear();
-  }
-}
-
 void Experiment::invalidate(Stage from) {
   switch (from) {
     case Stage::kSynthesize:
@@ -1119,7 +1073,6 @@ asrel::GaoParams Experiment::effective_gao_params() const {
 }
 
 ExperimentView Experiment::view() {
-  sim();  // not implied by inference() when observations were injected
   inference();
   return make_view(*sim_, *observations_, *inference_);
 }

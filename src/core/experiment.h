@@ -312,10 +312,6 @@ class Experiment {
   /// (upstream stages are NOT re-run); drops any cached Analyze artifact.
   const InferenceProducts& rerun_infer(const asrel::GaoParams& params);
 
-  /// Swaps in an externally built artifact (e.g. deserialized tables or a
-  /// modified registry) and invalidates everything downstream of it.
-  void set_observations(Observations observations);
-
   /// Drops the artifact of `stage` and every stage after it; the next
   /// accessor re-runs them.
   void invalidate(Stage from);

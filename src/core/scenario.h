@@ -131,6 +131,37 @@ struct Scenario {
   [[nodiscard]] static Scenario small(std::uint64_t seed = 42);
 };
 
+/// Calls `fn(role, as)` for every AS the scenario's vantage lists and
+/// overrides name: the ids its topology must contain.  Synthesize checks
+/// them against the built topology; the `.scn` parser checks a generated
+/// world's against topo::TierNumbering, with positions.
+template <typename Fn>
+void for_each_required_as(const Scenario& scenario, Fn&& fn) {
+  for (const std::uint32_t as : scenario.looking_glass) fn("looking_glass", as);
+  for (const std::uint32_t as : scenario.best_only) fn("best_only", as);
+  for (const std::uint32_t as : scenario.verification_ases) {
+    fn("verification", as);
+  }
+  for (const PolicyOverride& o : scenario.overrides) {
+    fn("override", o.as);
+    switch (o.kind) {
+      case PolicyOverride::Kind::kPreferNeighbor:
+      case PolicyOverride::Kind::kDeny:
+      case PolicyOverride::Kind::kPrepend:
+      case PolicyOverride::Kind::kNoExportUpstream:
+        fn("override neighbor", o.neighbor);
+        break;
+      case PolicyOverride::Kind::kConditional:
+        fn("override neighbor", o.neighbor);
+        fn("override watch", o.watch);
+        break;
+      case PolicyOverride::Kind::kPreferPrefix:
+      case PolicyOverride::Kind::kTagging:
+        break;
+    }
+  }
+}
+
 /// Deterministic region label for Table 1 flavor (NA/Eu/Au/As with roughly
 /// the paper's 42/33/3/2 split).
 [[nodiscard]] std::string region_of(util::AsNumber as);

@@ -1,10 +1,12 @@
 #include "core/scenario_spec.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <set>
 #include <sstream>
 #include <type_traits>
@@ -401,7 +403,7 @@ class Parser {
       fail(key.loc, "generator knob '" + std::string(key.text) +
                         "' is not allowed with an explicit topology");
     }
-    generator_keys_.push_back(key.loc);
+    generator_keys_.emplace(std::string(key.text), key.loc);
   }
 
   std::vector<std::uint32_t> parse_as_list(const std::vector<Tok>& toks,
@@ -859,6 +861,7 @@ class Parser {
         break;
     }
     spec_.scenario.name = name_;
+    const topo::GeneratorParams base_topology = spec_.scenario.topo_params;
     if (explicit_mode_) {
       // Explicit worlds start policy-silent: the policy generator's
       // probabilities are zeroed and nothing is force-tagged, so the
@@ -896,7 +899,7 @@ class Parser {
 
     // In an explicit world every referenced AS must be declared; the
     // parser knows the declared set, so undeclared ids are parse errors
-    // with positions (generated worlds resolve ids at synthesize time).
+    // with positions.
     if (explicit_mode_) {
       for (const AsRef& ref : as_refs_) {
         if (!declared_.contains(ref.as)) {
@@ -904,7 +907,42 @@ class Parser {
                             std::to_string(ref.as));
         }
       }
+    } else {
+      check_generated_ases(base_topology);
     }
+  }
+
+  /// A generated world's AS numbers depend only on its tier counts, so the
+  /// ASes Synthesize requires (for_each_required_as) are checked here.
+  void check_generated_ases(const topo::GeneratorParams& base_topology) const {
+    const topo::TierNumbering world(spec_.scenario.topo_params);
+    for_each_required_as(spec_.scenario, [&](const char* role,
+                                             std::uint32_t as) {
+      if (world.tier_of(AsNumber(as))) return;
+      fail(required_as_loc(role, as, base_topology),
+           std::string(role) + " AS " + std::to_string(as) +
+               " is not in the generated topology");
+    });
+  }
+
+  /// Where a missing required AS comes from: its token when the spec
+  /// wrote it; else a base list names it, and the count key of the tier
+  /// the base numbers it in left it out (the base line when the spec did
+  /// not write that key).
+  SourceLoc required_as_loc(std::string_view role, std::uint32_t as,
+                            const topo::GeneratorParams& base_topology) const {
+    for (const AsRef& ref : as_refs_) {
+      if (ref.as == as && ref.role == role) return ref.loc;
+    }
+    static constexpr std::array<const char*, 4> kCountKeys = {
+        "tier1", "tier2", "tier3", "stubs"};
+    if (const auto tier =
+            topo::TierNumbering(base_topology).tier_of(AsNumber(as))) {
+      const auto key =
+          generator_keys_.find(kCountKeys[static_cast<std::size_t>(*tier) - 1]);
+      if (key != generator_keys_.end()) return key->second;
+    }
+    return base_loc_;
   }
 
   enum class Base : std::uint8_t { kDefault, kSmall, kInternet2002 };
@@ -933,7 +971,7 @@ class Parser {
 
   std::set<std::string> seen_blocks_;
   std::unordered_map<std::string, std::unordered_set<std::string>> seen_keys_;
-  std::vector<SourceLoc> generator_keys_;
+  std::map<std::string, SourceLoc> generator_keys_;
   std::vector<Assign> assigns_;
   ExplicitWorld world_;
   std::unordered_set<std::uint32_t> declared_;

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <set>
+#include <span>
 
 #include "util/ensure.h"
 
@@ -33,31 +37,6 @@ constexpr std::array<std::uint32_t, 41> kTier3Names = {
 
 constexpr std::array<std::uint32_t, 10> kStubNames = {
     376, 6280, 10910, 11647, 14743, 15087, 19024, 19916, 13768, 8736};
-
-// Assigns AS numbers for a role: named prefix first, then synthetic numbers
-// from `synthetic_base` upward, skipping collisions with names in use.
-std::vector<AsNumber> assign_numbers(std::span<const std::uint32_t> names,
-                                     std::size_t count,
-                                     std::uint32_t synthetic_base,
-                                     std::unordered_map<AsNumber, Tier>& taken,
-                                     Tier tier) {
-  std::vector<AsNumber> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < names.size() && out.size() < count; ++i) {
-    const AsNumber as{names[i]};
-    if (taken.contains(as)) continue;
-    taken.emplace(as, tier);
-    out.push_back(as);
-  }
-  std::uint32_t next = synthetic_base;
-  while (out.size() < count) {
-    const AsNumber as{next++};
-    if (taken.contains(as)) continue;
-    taken.emplace(as, tier);
-    out.push_back(as);
-  }
-  return out;
-}
 
 // Draws a provider index with Zipf-ish popularity skew: low indices (the
 // "big" providers) are proportionally more likely, producing heavy-tailed
@@ -108,6 +87,70 @@ std::string to_string(Tier tier) {
   return "?";
 }
 
+TierNumbering::TierNumbering(const GeneratorParams& params) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::array<std::span<const std::uint32_t>, 4> names = {
+      kTier1Names, kTier2Names, kTier3Names, kStubNames};
+  const std::array<std::uint64_t, 4> counts = {
+      params.tier1_count, params.tier2_count, params.tier3_count,
+      params.stub_count};
+  const std::array<std::uint64_t, 4> bases = {100, 2000, 16000, 20000};
+  std::set<std::uint32_t> labels;  // ascending
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    Run& run = runs_[i];
+    run.count = counts[i];
+    for (const std::uint32_t name : names[i]) {
+      if (run.labels.size() == run.count) break;
+      if (tier_of(AsNumber(name))) continue;  // an earlier tier took it
+      run.labels.emplace_back(name);
+      labels.insert(name);
+    }
+    // Synthetic numbers count up from the tier's base, past every number
+    // an earlier tier took: the earlier runs, which end below this one's
+    // begin, and the labels inside it, each of which pushes its end up.
+    run.begin = std::max(bases[i], i == 0 ? 0 : runs_[i - 1].end);
+    const std::uint64_t synthetic = run.count - run.labels.size();
+    run.end = synthetic > kMax - run.begin ? kMax : run.begin + synthetic;
+    for (const std::uint32_t label : labels) {
+      if (label >= run.begin && label < run.end && run.end != kMax) ++run.end;
+    }
+  }
+}
+
+bool TierNumbering::labelled(AsNumber as) const {
+  return std::any_of(runs_.begin(), runs_.end(), [&](const Run& run) {
+    return std::find(run.labels.begin(), run.labels.end(), as) !=
+           run.labels.end();
+  });
+}
+
+std::optional<Tier> TierNumbering::tier_of(AsNumber as) const {
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    const auto& labels = runs_[i].labels;
+    if (std::find(labels.begin(), labels.end(), as) != labels.end()) {
+      return static_cast<Tier>(i + 1);
+    }
+  }
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    if (as.value() >= runs_[i].begin && as.value() < runs_[i].end) {
+      return static_cast<Tier>(i + 1);
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<AsNumber> TierNumbering::ases(Tier tier) const {
+  const Run& run = runs_[static_cast<std::size_t>(tier) - 1];
+  std::vector<AsNumber> out;
+  out.reserve(run.count);
+  out.assign(run.labels.begin(), run.labels.end());
+  for (std::uint64_t n = run.begin; n < run.end; ++n) {
+    const AsNumber as{static_cast<std::uint32_t>(n)};
+    if (!labelled(as)) out.push_back(as);
+  }
+  return out;
+}
+
 Topology generate_topology(const GeneratorParams& params) {
   util::ensure(params.tier1_count >= 2, "topology: need >= 2 Tier-1 ASs");
   util::ensure(params.tier2_count >= 1, "topology: need >= 1 Tier-2 AS");
@@ -121,14 +164,16 @@ Topology generate_topology(const GeneratorParams& params) {
   Rng rng_stub = rng.fork();
 
   Topology topo;
-  topo.tier1 = assign_numbers(kTier1Names, params.tier1_count, 100,
-                              topo.tier, Tier::kTier1);
-  topo.tier2 = assign_numbers(kTier2Names, params.tier2_count, 2000,
-                              topo.tier, Tier::kTier2);
-  topo.tier3 = assign_numbers(kTier3Names, params.tier3_count, 16000,
-                              topo.tier, Tier::kTier3);
-  topo.stubs = assign_numbers(kStubNames, params.stub_count, 20000,
-                              topo.tier, Tier::kStub);
+  const TierNumbering numbering(params);
+  const std::array<std::pair<Tier, std::vector<AsNumber>*>, 4> tiers = {{
+      {Tier::kTier1, &topo.tier1},
+      {Tier::kTier2, &topo.tier2},
+      {Tier::kTier3, &topo.tier3},
+      {Tier::kStub, &topo.stubs}}};
+  for (const auto& [tier, list] : tiers) {
+    *list = numbering.ases(tier);
+    for (const AsNumber as : *list) topo.tier.emplace(as, tier);
+  }
 
   AsGraph& g = topo.graph;
   for (const auto& group : {topo.tier1, topo.tier2, topo.tier3, topo.stubs}) {

@@ -8,7 +8,9 @@
 // numbers are labels only.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -94,6 +96,36 @@ static_assert(util::lists_every_member<Topology>());
 
 /// Generates a topology; deterministic in params.seed.
 [[nodiscard]] Topology generate_topology(const GeneratorParams& params);
+
+/// The AS numbers generate_topology gives each tier: the paper's labels
+/// first, then synthetic numbers from the tier's base upward, past the
+/// numbers an earlier tier took.  They depend only on the four tier
+/// counts, and are kept as ranges, so a scenario's AS references can be
+/// checked without generating the world, at any count.
+class TierNumbering {
+ public:
+  explicit TierNumbering(const GeneratorParams& params);
+
+  /// The tier numbered `as`, or nullopt when no tier is.
+  [[nodiscard]] std::optional<Tier> tier_of(AsNumber as) const;
+
+  /// A tier's ASes in generation order.
+  [[nodiscard]] std::vector<AsNumber> ases(Tier tier) const;
+
+ private:
+  /// One tier: the labels it takes, then every number in [begin, end)
+  /// that is no label.
+  struct Run {
+    std::uint64_t count = 0;
+    std::vector<AsNumber> labels;
+    std::uint64_t begin = 0;
+    std::uint64_t end = 0;
+  };
+
+  [[nodiscard]] bool labelled(AsNumber as) const;
+
+  std::array<Run, 4> runs_;  // Tier-1, Tier-2, Tier-3, stubs
+};
 
 /// The well-known AS numbers used for Tier-1 and vantage roles (exposed so
 /// scenarios and tests can refer to them symbolically).

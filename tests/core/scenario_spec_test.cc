@@ -447,10 +447,42 @@ TEST(ScenarioSpecKnobs, GeneratorPreconditionsFailAtParse) {
   }
 }
 
+TEST(ScenarioSpecKnobs, GeneratedWorldLackingARequiredAsFailsAtParse) {
+  // small's lists name AS 3549, its third Tier-1, and AS 6667, its third
+  // Tier-3.  These counts used to parse and then stop Synthesize with
+  // "looking_glass AS ... is not in the synthesized topology"; the error
+  // is now at the tier-count key that left the AS out.
+  const auto message = [](const std::string& text) {
+    try {
+      (void)ScenarioSpec::parse(text);
+    } catch (const SpecError& error) {
+      return error.message();
+    }
+    return std::string("parsed");
+  };
+  const std::string tier1 = "scenario x\nbase small 42\ntopology {\n  tier1 2\n}\n";
+  EXPECT_EQ(error_loc(tier1), (SourceLoc{4, 3}));
+  EXPECT_EQ(message(tier1),
+            "looking_glass AS 3549 is not in the generated topology");
+  const std::string tier3 = "scenario x\nbase small 42\ntopology {\n  tier3 1\n}\n";
+  EXPECT_EQ(error_loc(tier3), (SourceLoc{4, 3}));
+  EXPECT_EQ(message(tier3),
+            "looking_glass AS 6667 is not in the generated topology");
+  // A list or override the spec writes is reported at the AS itself.
+  EXPECT_EQ(error_loc(tier1 + "vantage {\n  looking_glass 1 3549\n}\n"),
+            (SourceLoc{7, 19}));
+  EXPECT_EQ(error_loc("scenario x\nbase small 42\noverride {\n"
+                      "  prefer 1 99999 200\n}\n"),
+            (SourceLoc{4, 12}));
+  // The same lists fit once the counts create them.
+  EXPECT_NO_THROW((void)ScenarioSpec::parse(
+      "scenario x\nbase small 42\ntopology {\n  tier1 5\n  tier3 8\n}\n"));
+}
+
 /// small(42) with one knob line set.  Its vantages are cut to the two
 /// Tier-1s (AS 7018, AS 1) that every accepted topology has: small's own
 /// lists name ASes that only larger tiers create (AS 3549 is the third
-/// Tier-1), a relation between knobs that the parser does not check.
+/// Tier-1), so the parser would reject the least tier counts.
 std::string knob_spec(const std::string& block, const std::string& key,
                       const std::string& value) {
   std::string text = "scenario probe\nbase small 42\n";

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <optional>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace bgpolicy::topo {
 namespace {
@@ -87,6 +92,70 @@ TEST(TopologyGen, WellKnownAsNumbersPresent) {
   EXPECT_TRUE(topo.graph.contains(util::AsNumber(well_known::kGte)));
   EXPECT_TRUE(topo.graph.contains(util::AsNumber(well_known::kGlobalCrossing)));
   EXPECT_EQ(topo.tier_of(util::AsNumber(7018)), Tier::kTier1);
+}
+
+GeneratorParams tier_counts(std::uint64_t tier1, std::uint64_t tier2,
+                            std::uint64_t tier3, std::uint64_t stubs) {
+  GeneratorParams p;
+  p.tier1_count = tier1;
+  p.tier2_count = tier2;
+  p.tier3_count = tier3;
+  p.stub_count = stubs;
+  return p;
+}
+
+TEST(TierNumbering, ListsAndLookupsAgree) {
+  // The third world's synthetic runs cross other tiers' labels (Tier-1's
+  // from 100 passes AS 513 and 577, Tier-2's from 2000 passes AS 2118 and
+  // 2578) and bases (Tier-3's from 16000 passes 20000).
+  for (const GeneratorParams& params :
+       {tier_counts(10, 60, 240, 2400), tier_counts(2, 1, 1, 0),
+        tier_counts(600, 700, 4500, 50)}) {
+    const TierNumbering numbering(params);
+    std::unordered_map<util::AsNumber, Tier> numbered;
+    for (const auto& [tier, count] :
+         {std::pair{Tier::kTier1, params.tier1_count},
+          std::pair{Tier::kTier2, params.tier2_count},
+          std::pair{Tier::kTier3, params.tier3_count},
+          std::pair{Tier::kStub, params.stub_count}}) {
+      const std::vector<util::AsNumber> ases = numbering.ases(tier);
+      EXPECT_EQ(ases.size(), count);
+      for (const auto as : ases) {
+        EXPECT_TRUE(numbered.emplace(as, tier).second) << as.value();
+        EXPECT_EQ(numbering.tier_of(as), tier) << as.value();
+      }
+    }
+    for (std::uint32_t n = 1; n < 26000; ++n) {
+      if (!numbered.contains(util::AsNumber(n))) {
+        EXPECT_EQ(numbering.tier_of(util::AsNumber(n)), std::nullopt) << n;
+      }
+    }
+  }
+}
+
+TEST(TierNumbering, LabelsFirstThenNumbersNoEarlierTierTook) {
+  const TierNumbering numbering(tier_counts(12, 600, 41, 1));
+  const auto tier1 = numbering.ases(Tier::kTier1);
+  EXPECT_EQ(tier1.front(), util::AsNumber(well_known::kAtt));
+  EXPECT_EQ(tier1[10], util::AsNumber(100));
+  EXPECT_EQ(tier1[11], util::AsNumber(101));
+  // Tier-2's run from 2000 takes AS 2578 before Tier-3 reaches its labels,
+  // so Tier-3 ends on two synthetic numbers.
+  EXPECT_EQ(numbering.tier_of(util::AsNumber(2578)), Tier::kTier2);
+  const auto tier3 = numbering.ases(Tier::kTier3);
+  EXPECT_EQ(tier3[39], util::AsNumber(16000));
+  EXPECT_EQ(tier3[40], util::AsNumber(16001));
+  EXPECT_EQ(numbering.ases(Tier::kStub), std::vector{util::AsNumber(376)});
+}
+
+TEST(TierNumbering, CountsNoRunCouldReachAreCheapToCheck) {
+  constexpr std::uint64_t kHuge = std::numeric_limits<std::uint64_t>::max();
+  const TierNumbering numbering(tier_counts(kHuge, kHuge, kHuge, kHuge));
+  EXPECT_EQ(numbering.tier_of(util::AsNumber(7018)), Tier::kTier1);
+  // Tier-1's run from 100 holds every other number, labels included.
+  EXPECT_EQ(numbering.tier_of(util::AsNumber(5511)), Tier::kTier1);
+  EXPECT_EQ(numbering.tier_of(util::AsNumber(4294967295u)), Tier::kTier1);
+  EXPECT_EQ(numbering.tier_of(util::AsNumber(99)), std::nullopt);
 }
 
 TEST(TopologyGen, Tier1DegreesDominateTier2) {
