@@ -14,17 +14,23 @@
 // (`decode_allocations`, bgpolicy-bench/v12): this binary replaces the
 // global operator new with a counting one.  `hash_seconds`
 // (bgpolicy-bench/v15) is a load's hashing alone — io::CheckedArtifact's
-// store digest and frame checksum, fastest of kHashRuns — so a load splits
-// into reading, hashing and decoding.
+// one pass for the store digest and frame checksum, fastest of kHashRuns —
+// so a load splits into mapping, hashing and decoding.  The timed load
+// reads as the staged resume does (the store's mapping, checked, then
+// decoded) and carries the store's work counts for it (bgpolicy-bench/v16):
+// the bytes it mapped, hashed and copied.
 //
 // The `resume` rows time a store-resumed Experiment
 // through Analyze at one thread and at hardware_concurrency (one row on a
-// one-CPU host), with spans of its StageTrace: simulate.load (the read and
-// the hashing that yields the digest and the frame check),
+// one-CPU host), with spans of its StageTrace: simulate.load (the mapping
+// and the hashing that yields the digest and the frame check),
 // simulate.decode, observe.probe, and the overlap of the decode and the
 // probe — the resume graph decodes the SimArtifact beside the Observe
-// probe.  A resume that computes any stage, or whose stage digests differ
-// from the run that filled the store, fails the bench.
+// probe — and the store's work counts for one resume (entries mapped,
+// hash passes, bytes mapped, hashed and copied).  A resume that computes
+// any stage, whose stage digests differ from the run that filled the
+// store, or that copies a byte or hashes other bytes than it maps, fails
+// the bench.
 //
 // Flags:
 //   --small   use the `small` scenario (CI-sized, seconds not minutes)
@@ -35,9 +41,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 #include <filesystem>
 #include <iostream>
+#include <new>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,8 +90,10 @@ struct Row {
   std::uint64_t decode_allocations = 0;  ///< operator new calls in decode
   /// io::CheckedArtifact's hashing alone, fastest of kHashRuns.
   double hash_seconds = 0;
-  double load_seconds = 0;  ///< store read + decode
+  double load_seconds = 0;  ///< store mapping + hashing + decode
   double load_speedup = 0;  ///< compute / load
+  /// The store's work counts for that load.
+  core::StoreWork load_work;
 };
 
 struct ResumeRow {
@@ -97,7 +106,31 @@ struct ResumeRow {
   double sim_decode_seconds = 0;
   double observe_probe_seconds = 0;
   double overlap_seconds = 0;
+  /// The store's work counts for one resume (every run's are the same).
+  core::StoreWork work;
 };
+
+/// The work `store` did since `before` was taken.
+core::StoreWork work_since(const core::ArtifactStore& store,
+                           const core::StoreWork& before) {
+  const core::StoreWork now = store.work();
+  core::StoreWork out;
+  out.entries_mapped = now.entries_mapped - before.entries_mapped;
+  out.bytes_mapped = now.bytes_mapped - before.bytes_mapped;
+  out.bytes_copied = now.bytes_copied - before.bytes_copied;
+  out.hash_passes = now.hash_passes - before.hash_passes;
+  out.bytes_hashed = now.bytes_hashed - before.bytes_hashed;
+  out.puts = now.puts - before.puts;
+  out.bytes_written = now.bytes_written - before.bytes_written;
+  return out;
+}
+
+/// A store read as the staged resume takes it: every byte mapped is hashed
+/// in one pass, and none copied.
+bool one_pass_read(const core::StoreWork& work) {
+  return work.entries_mapped > 0 && work.hash_passes == work.entries_mapped &&
+         work.bytes_hashed == work.bytes_mapped && work.bytes_copied == 0;
+}
 
 constexpr int kResumeRuns = 3;
 constexpr int kHashRuns = 5;
@@ -126,11 +159,19 @@ bool bench_resume(const core::Scenario& scenario, core::ArtifactStore& store,
     options.threads = threads;
     options.store = &store;
     options.trace = &trace;
+    const core::StoreWork before = store.work();
     const auto start = std::chrono::steady_clock::now();
     trace.origin = start;
     core::Experiment experiment(scenario, options);
     experiment.run();
     const double wall = seconds_since(start);
+    const core::StoreWork work = work_since(store, before);
+    if (!one_pass_read(work) || work.puts != 0) {
+      std::cerr << "resume at threads " << threads
+                << " copied, wrote, or hashed other bytes than it mapped\n";
+      return false;
+    }
+    if (run == 0) row.work = work;
 
     const core::StageCounters& computed = experiment.counters();
     if (computed.synthesize + computed.simulate + computed.observe +
@@ -167,8 +208,10 @@ bool bench_resume(const core::Scenario& scenario, core::ArtifactStore& store,
 }
 
 /// Benches one artifact: encode/decode timings, the load's hashing alone,
-/// store write, then a timed load (read + decode).  Returns false when the
-/// roundtrip is not byte-pure or the frame does not check.
+/// store write, then a timed load (mapping, hashing, decode).  `decode`
+/// takes the bytes or a CheckedArtifact.  Returns false when the roundtrip
+/// is not byte-pure, the frame does not check, or the load is not one pass
+/// over what it mapped.
 template <typename T, typename DecodeFn>
 bool bench_artifact(const core::ArtifactStore& store, const std::string& key,
                     const T& artifact, double compute_seconds,
@@ -200,17 +243,21 @@ bool bench_artifact(const core::ArtifactStore& store, const std::string& key,
               << store.root().string() << "\n";
     return false;
   }
+  const core::StoreWork before = store.work();
   start = std::chrono::steady_clock::now();
-  const auto loaded = store.load(key);
-  if (!loaded) {
+  std::optional<core::MappedEntry> entry = store.map(key);
+  if (!entry) {
     std::cerr << "artifact store read-back failed for " << key << "\n";
     return false;
   }
-  const T from_disk = decode(std::span<const std::uint8_t>(*loaded));
+  const io::CheckedArtifact loaded(std::move(*entry));
+  const T from_disk = decode(loaded);
   row.load_seconds = seconds_since(start);
+  row.load_work = work_since(store, before);
   row.load_speedup =
       row.load_seconds > 0 ? row.compute_seconds / row.load_seconds : 0;
-  return pure && io::encode(from_disk) == bytes;
+  return pure && one_pass_read(row.load_work) &&
+         io::encode(from_disk) == bytes;
 }
 
 }  // namespace
@@ -264,29 +311,27 @@ int main(int argc, char** argv) {
   rows[0].artifact = "ground_truth";
   roundtrip_ok &= bench_artifact(
       store, "bench|truth", experiment.truth(), synthesize_seconds,
-      [](std::span<const std::uint8_t> b) { return io::decode_ground_truth(b); },
+      [](const auto& in) { return io::decode_ground_truth(in); },
       rows[0]);
   rows[1].artifact = "sim_artifact";
   roundtrip_ok &= bench_artifact(
       store, "bench|sim", experiment.sim(), simulate_seconds,
-      [](std::span<const std::uint8_t> b) { return io::decode_sim_artifact(b); },
+      [](const auto& in) { return io::decode_sim_artifact(in); },
       rows[1]);
   rows[2].artifact = "observations";
   roundtrip_ok &= bench_artifact(
       store, "bench|obs", experiment.observations(), observe_seconds,
-      [](std::span<const std::uint8_t> b) { return io::decode_observations(b); },
+      [](const auto& in) { return io::decode_observations(in); },
       rows[2]);
   rows[3].artifact = "inference_products";
   roundtrip_ok &= bench_artifact(
       store, "bench|infer", experiment.inference(), infer_seconds,
-      [](std::span<const std::uint8_t> b) { return io::decode_inference(b); },
+      [](const auto& in) { return io::decode_inference(in); },
       rows[3]);
   rows[4].artifact = "analysis_suite";
   roundtrip_ok &= bench_artifact(
       store, "bench|analyses", experiment.analyses(), analyze_seconds,
-      [](std::span<const std::uint8_t> b) {
-        return io::decode_analysis_suite(b);
-      },
+      [](const auto& in) { return io::decode_analysis_suite(in); },
       rows[4]);
 
   // Fill the store through a stored run at every core, then resume it.
@@ -330,7 +375,11 @@ int main(int argc, char** argv) {
                 << ",\"decode_allocations\":" << r.decode_allocations
                 << ",\"hash_seconds\":" << r.hash_seconds
                 << ",\"load_seconds\":" << r.load_seconds
-                << ",\"load_speedup\":" << r.load_speedup << "}";
+                << ",\"load_speedup\":" << r.load_speedup
+                << ",\"load_bytes_mapped\":" << r.load_work.bytes_mapped
+                << ",\"load_bytes_hashed\":" << r.load_work.bytes_hashed
+                << ",\"load_bytes_copied\":" << r.load_work.bytes_copied
+                << "}";
     }
     std::cout << "],\"resume_ok\":" << (resume_ok ? "true" : "false")
               << ",\"resume\":[";
@@ -341,7 +390,12 @@ int main(int argc, char** argv) {
                 << ",\"sim_load_seconds\":" << r.sim_load_seconds
                 << ",\"sim_decode_seconds\":" << r.sim_decode_seconds
                 << ",\"observe_probe_seconds\":" << r.observe_probe_seconds
-                << ",\"overlap_seconds\":" << r.overlap_seconds << "}";
+                << ",\"overlap_seconds\":" << r.overlap_seconds
+                << ",\"entries_mapped\":" << r.work.entries_mapped
+                << ",\"hash_passes\":" << r.work.hash_passes
+                << ",\"bytes_mapped\":" << r.work.bytes_mapped
+                << ",\"bytes_hashed\":" << r.work.bytes_hashed
+                << ",\"bytes_copied\":" << r.work.bytes_copied << "}";
     }
     std::cout << "]}" << std::endl;
     return ok ? 0 : 1;
@@ -351,7 +405,8 @@ int main(int argc, char** argv) {
             << "scenario " << scenario.name << " · hardware threads: " << hw
             << "\n\n";
   util::TextTable table({"artifact", "bytes", "compute", "encode", "decode",
-                         "decode allocs", "hash", "load", "load speedup"});
+                         "decode allocs", "hash", "load", "load speedup",
+                         "mapped", "hashed", "copied"});
   for (const Row& r : rows) {
     table.add_row({r.artifact, std::to_string(r.bytes),
                    util::fmt(r.compute_seconds, 3),
@@ -360,24 +415,32 @@ int main(int argc, char** argv) {
                    std::to_string(r.decode_allocations),
                    util::fmt(r.hash_seconds, 4),
                    util::fmt(r.load_seconds, 3),
-                   util::fmt(r.load_speedup, 1) + "x"});
+                   util::fmt(r.load_speedup, 1) + "x",
+                   std::to_string(r.load_work.bytes_mapped),
+                   std::to_string(r.load_work.bytes_hashed),
+                   std::to_string(r.load_work.bytes_copied)});
   }
   util::TextTable resume_table(
       {"threads", "resume", "sim load", "sim decode", "observe probe",
-       "overlap"});
+       "overlap", "mapped", "hash passes", "hashed", "copied"});
   for (const ResumeRow& r : resume_rows) {
     resume_table.add_row({std::to_string(r.threads),
                           util::fmt(r.wall_seconds, 3),
                           util::fmt(r.sim_load_seconds, 3),
                           util::fmt(r.sim_decode_seconds, 3),
                           util::fmt(r.observe_probe_seconds, 3),
-                          util::fmt(r.overlap_seconds, 3)});
+                          util::fmt(r.overlap_seconds, 3),
+                          std::to_string(r.work.bytes_mapped),
+                          std::to_string(r.work.hash_passes),
+                          std::to_string(r.work.bytes_hashed),
+                          std::to_string(r.work.bytes_copied)});
   }
   std::cout << table.render("per-artifact codec + store timings (seconds)")
             << "\n"
             << resume_table.render(
                    "store-resumed run through Analyze, fastest of " +
-                   std::to_string(kResumeRuns) + " (seconds)")
+                   std::to_string(kResumeRuns) +
+                   " (seconds; the store's bytes per resume)")
             << "\n"
             << (roundtrip_ok
                     ? "every artifact round-trips byte-identically\n"

@@ -33,5 +33,5 @@ query_json=$("$build_dir/bench_query_service" --json "$@")
 delta_json=$("$build_dir/bench_delta_propagation" --json \
   --specs "$repo_root/scenarios" "$@")
 
-printf '{"schema":"bgpolicy-bench/v15","generated_utc":"%s","sim_scaling":%s,"inference_scaling":%s,"pipeline_stages":%s,"artifact_store":%s,"query_service":%s,"delta_propagation":%s}\n' \
+printf '{"schema":"bgpolicy-bench/v16","generated_utc":"%s","sim_scaling":%s,"inference_scaling":%s,"pipeline_stages":%s,"artifact_store":%s,"query_service":%s,"delta_propagation":%s}\n' \
   "$(date -u +%Y-%m-%dT%H:%M:%SZ)" "$sim_json" "$inference_json" "$stages_json" "$artifact_json" "$query_json" "$delta_json"

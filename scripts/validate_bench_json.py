@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validates a bgpolicy bench-trajectory record (scripts/bench.sh output).
 
-Checks the current schema, bgpolicy-bench/v15: sim_scaling carries the
+Checks the current schema, bgpolicy-bench/v16: sim_scaling carries the
 batch runner's one-thread pass by kind of run — the oracle
 (oracle_seconds), the prefix-agnostic bases that belong to no origination
 (base_converges, base_events, base_seconds), the waves derived from them
@@ -11,11 +11,15 @@ fixpoint_seconds, with chosen_order_events the waves' and exact runs'
 events — beside each origination converged alone in the oracle's order
 (cold_order_events, cold_fixpoint_seconds) and in exact order
 (exact_order_events, exact_fixpoint_seconds); every artifact_store row
-carries decode_allocations, the operator-new count of its decode, and
+carries decode_allocations, the operator-new count of its decode,
 hash_seconds, a load's hashing alone (the store digest and frame
-checksum), beside the resume rows (a store-resumed run through Analyze at one thread and at
-hardware_concurrency, with its simulate.load, simulate.decode and
-observe.probe spans and their overlap).
+checksum), and the store's work counts for its load (load_bytes_mapped,
+load_bytes_hashed, load_bytes_copied: one pass over what it mapped, no
+copy), beside the resume rows (a store-resumed run through Analyze at one
+thread and at hardware_concurrency, with its simulate.load,
+simulate.decode and observe.probe spans and their overlap, and the
+store's work counts for one resume: entries_mapped, hash_passes,
+bytes_mapped, bytes_hashed, bytes_copied).
 
 Records committed under an older schema are frozen: a file named in
 FROZEN passes only with exactly its committed bytes (SHA-256), which is
@@ -31,9 +35,9 @@ import json
 import os
 import sys
 
-SCHEMA = "bgpolicy-bench/v15"
+SCHEMA = "bgpolicy-bench/v16"
 
-# The committed records of schemas v2..v14, by SHA-256 of their bytes.
+# The committed records of schemas v2..v15, by SHA-256 of their bytes.
 FROZEN = {
     "BENCH_2026-07-29_pr2.json":
         "35aff9cb60476fbfa93cda4400c9986750dbaf0c78329509817b8eb4453e5c37",
@@ -67,6 +71,8 @@ FROZEN = {
         "9a175ea56e791971c122c74bb830ce5368da3c7062f0591169696696c8e3c77c",
     "BENCH_2026-10-19_origin_bases.json":
         "d4ff384f08bb1e1f3e1ae4b98442151cc799f6e7dceece934c5a46dcadd09d4c",
+    "BENCH_2026-10-19_xxh64_store.json":
+        "ca58204f097686faec1698257a3fb3de2eae21f72a001a6fd5a57371da3e088e",
 }
 
 
@@ -176,7 +182,9 @@ def check_artifact_store(path, record):
         artifacts.append(row["artifact"])
         for key in ("bytes", "compute_seconds", "encode_seconds",
                     "decode_seconds", "load_seconds", "load_speedup",
-                    "decode_allocations", "hash_seconds"):
+                    "decode_allocations", "hash_seconds",
+                    "load_bytes_mapped", "load_bytes_hashed",
+                    "load_bytes_copied"):
             require(path, key in row, f"{name}.results[].{key} missing")
             require(path, isinstance(row[key], (int, float)),
                     f"{name}.results[].{key} must be a number")
@@ -189,6 +197,11 @@ def check_artifact_store(path, record):
                 "non-negative integer")
         require(path, row["hash_seconds"] > 0,
                 f"{name}.results[].hash_seconds must be > 0")
+        require(path, row["load_bytes_mapped"] == row["bytes"]
+                and row["load_bytes_hashed"] == row["bytes"]
+                and row["load_bytes_copied"] == 0,
+                f"{name}.results[]: a load maps and hashes its bytes once "
+                "and copies none")
 
 
 def check_resume(path, record):
@@ -208,6 +221,16 @@ def check_resume(path, record):
                     f"{name}[].{key} must be a number")
         require(path, row["wall_seconds"] > 0,
                 f"{name}[].wall_seconds must be > 0")
+        for key in ("entries_mapped", "hash_passes", "bytes_mapped",
+                    "bytes_hashed", "bytes_copied"):
+            require(path, isinstance(row.get(key), int) and row[key] >= 0,
+                    f"{name}[].{key} must be a non-negative integer")
+        require(path, row["entries_mapped"] == 5
+                and row["hash_passes"] == row["entries_mapped"]
+                and row["bytes_hashed"] == row["bytes_mapped"]
+                and row["bytes_copied"] == 0,
+                f"{name}[]: a resume maps the five stage entries and hashes "
+                "each once, copying none")
     hw = record["hardware_concurrency"]
     want = [1] if hw <= 1 else [1, hw]
     require(path, [row["threads"] for row in rows] == want,

@@ -15,15 +15,23 @@
 // hash makes them.  Writes go through a temp file plus an atomic rename,
 // so concurrent writers of the same key are safe (both write identical
 // bytes) and a killed process never leaves a half-written entry under a
-// live name.  Loads never throw on bad content: a missing or unreadable
-// file is a miss, and decoding (io/artifact_codec.h) treats corrupted or
-// version-mismatched bytes as misses upstream.
+// live name.  Loads never throw on bad content: a missing, empty or
+// unreadable file is a miss, and decoding (io/artifact_codec.h) treats
+// corrupted or version-mismatched bytes as misses upstream.
+//
+// Reads map the entry read-only (map(); load() copies out of a mapping).
+// That rests on one invariant: the store never rewrites an entry in place.
+// put() replaces an entry by rename and erase() and gc() remove it by
+// unlink, and either leaves a live mapping reading the bytes it mapped.  A
+// process that truncates a live entry in place instead can crash a reader
+// of it with SIGBUS.
 #pragma once
 
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -65,11 +73,88 @@ inline constexpr std::array<std::uint64_t, 2> kStoreDigestSeeds = {
 /// the process or platform.
 [[nodiscard]] std::string store_digest_hex(std::span<const std::uint8_t> bytes);
 
+/// The header every stored entry starts with: the artifact codec's frame
+/// header (io::kArtifactHeaderBytes), whose last field is the XXH64
+/// checksum of the payload after it.
+inline constexpr std::size_t kEntryHeaderBytes = 24;
+
+/// The two hashes a store read takes (io::CheckedArtifact).
+struct EntryHashes {
+  /// store_digest_hex of the whole entry.
+  std::string digest;
+  /// xxh64 of the payload: the bytes past the header, or none when the
+  /// entry is shorter.
+  std::uint64_t payload = 0;
+};
+
+/// store_digest_hex(bytes) and xxh64(bytes.subspan(min(kEntryHeaderBytes,
+/// size)), seed) in one pass over `bytes`: each 32-byte stripe is read
+/// once, and its words feed the digest's two lane sets and, three words
+/// out of step, the payload's lanes, all three sharing each word's first
+/// multiply.  Equal to the separate calls at every length.
+[[nodiscard]] EntryHashes hash_entry(std::span<const std::uint8_t> bytes,
+                                     std::uint64_t seed);
+
 /// Stable 128-bit digest of canonical text as 32 lowercase hex
 /// characters: two 64-bit FNV-1a lanes.  Depends only on the bytes, never
 /// on the process or platform.
 [[nodiscard]] std::string stable_digest_hex(std::span<const std::uint8_t> bytes);
 [[nodiscard]] std::string stable_digest_hex(std::string_view text);
+
+/// What a store has done since it was opened, counted where the work
+/// happens: the bytes its reads map and copy, the hash passes over what
+/// they mapped, and the bytes its puts write (ArtifactStore::work()).
+/// Hashing that is not a store read, such as the encoder's checksum and
+/// the digest a persist takes of the bytes it puts, is not counted here.
+struct StoreWork {
+  /// Entries map() mapped (load() reads through it) and their bytes.
+  std::uint64_t entries_mapped = 0;
+  std::uint64_t bytes_mapped = 0;
+  /// Bytes load() copied out of its mappings.
+  std::uint64_t bytes_copied = 0;
+  /// Passes over mapped bytes (MappedEntry::hash) and the bytes they read.
+  std::uint64_t hash_passes = 0;
+  std::uint64_t bytes_hashed = 0;
+  /// put() calls that stored their entry, and its bytes.
+  std::uint64_t puts = 0;
+  std::uint64_t bytes_written = 0;
+};
+
+/// The counters behind StoreWork, shared by a store, its copies and the
+/// entries they map.
+struct StoreWorkCounters;
+
+/// A read-only mapping of one store entry (ArtifactStore::map, which maps
+/// no empty entry); a default-constructed or moved-from one holds no
+/// bytes.  It stays valid after the entry is erased, evicted or replaced
+/// (the store never rewrites an entry in place; see the file comment),
+/// and unmaps when destroyed.  Movable, not copyable.
+class MappedEntry {
+ public:
+  MappedEntry() = default;
+  MappedEntry(MappedEntry&& other) noexcept;
+  MappedEntry& operator=(MappedEntry&& other) noexcept;
+  MappedEntry(const MappedEntry&) = delete;
+  MappedEntry& operator=(const MappedEntry&) = delete;
+  ~MappedEntry();
+
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const {
+    return {data_, size_};
+  }
+
+  /// hash_entry(bytes(), seed), counted in the mapping store's work
+  /// record as one pass over bytes().
+  [[nodiscard]] EntryHashes hash(std::uint64_t seed) const;
+
+ private:
+  friend class ArtifactStore;
+  MappedEntry(const std::uint8_t* data, std::size_t size,
+              std::shared_ptr<StoreWorkCounters> work);
+
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::shared_ptr<StoreWorkCounters> work_;
+};
 
 class ArtifactStore {
  public:
@@ -82,8 +167,14 @@ class ArtifactStore {
   /// The file a key resolves to (whether or not it exists yet).
   [[nodiscard]] std::filesystem::path path_for(std::string_view key) const;
 
-  /// The bytes stored under `key`, or nullopt when absent or unreadable.
-  /// Content integrity is the codec's job (header magic/version/checksum).
+  /// The entry stored under `key`, mapped read-only, or nullopt when it is
+  /// absent, empty, not a regular file or unreadable.  The store's one
+  /// file-reading path.  Content integrity is the codec's job (header
+  /// magic/version/checksum).
+  [[nodiscard]] std::optional<MappedEntry> map(std::string_view key) const;
+
+  /// A copy of the bytes stored under `key`: map() and one copy, so
+  /// nullopt exactly when map() finds nothing.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> load(
       std::string_view key) const;
 
@@ -91,6 +182,9 @@ class ArtifactStore {
   /// any previous entry.  Failures are swallowed: the store is a cache, a
   /// failed write only costs a future recompute.  Returns false on failure.
   bool put(std::string_view key, std::span<const std::uint8_t> bytes) const;
+
+  /// The work record of this store and its copies (StoreWork).
+  [[nodiscard]] StoreWork work() const;
 
   [[nodiscard]] bool contains(std::string_view key) const;
 
@@ -143,7 +237,7 @@ class ArtifactStore {
   };
 
   /// Evicts least-recently-accessed artifacts until the store holds at
-  /// most `max_bytes` (load() bumps an entry's timestamp, so "accessed"
+  /// most `max_bytes` (map() bumps an entry's timestamp, so "accessed"
   /// means read or written — filesystem atime is too unreliable to trust).
   /// Never evicts pinned entries or entries younger than `min_age` (both
   /// guards protect in-progress runs; entries are immutable files, so an
@@ -154,6 +248,7 @@ class ArtifactStore {
 
  private:
   std::filesystem::path root_;
+  std::shared_ptr<StoreWorkCounters> work_;
 };
 
 }  // namespace bgpolicy::core

@@ -71,8 +71,8 @@ std::string analyze_store_key(std::string_view sim_digest,
 }
 
 /// The one store probe every stage, Simulate chunk, and sweep variant
-/// runs: loads `key`, hashes the bytes for their store digest and frame
-/// checksum (io::CheckedArtifact), and decodes them.  A load failure
+/// runs: maps `key`, hashes the entry once for its store digest and frame
+/// checksum (io::CheckedArtifact), and decodes it.  A load failure
 /// of any flavor — missing file, truncation, corruption, codec-version
 /// mismatch — is a miss, never an error (artifact_codec.h).  On a hit
 /// `digest_out`, when given, receives the store digest of the stored
@@ -83,9 +83,9 @@ std::optional<T> probe_store(const ArtifactStore* store,
                              T (*decode)(const io::CheckedArtifact&),
                              std::string* digest_out = nullptr) {
   if (store == nullptr) return std::nullopt;
-  auto bytes = store->load(key);
-  if (!bytes) return std::nullopt;
-  const io::CheckedArtifact checked(std::move(*bytes));
+  std::optional<MappedEntry> entry = store->map(key);
+  if (!entry) return std::nullopt;
+  const io::CheckedArtifact checked(std::move(*entry));
   try {
     T artifact = decode(checked);
     if (digest_out != nullptr) *digest_out = checked.digest();
@@ -559,15 +559,15 @@ struct Experiment::UpstreamScratch {
   /// What the last Observe probe found, published through observe_hit.
   std::optional<Observations> loaded_obs;
   std::string observe_digest;  // of the stored bytes, for the digest chain
-  /// The stored GroundTruth bytes synthesize.load read and hashed (their
-  /// frame checks); synthesize.decode decodes and frees them.
+  /// The stored GroundTruth entry synthesize.load mapped and hashed (its
+  /// frame checks); synthesize.decode decodes and unmaps it.
   std::optional<io::CheckedArtifact> truth_bytes;
   /// Set by synthesize.decode when those bytes failed to decode and the
   /// truth was recomputed: the digest simulate.load keyed on names no
   /// artifact, so the settle node drops every load keyed on it.
   bool truth_recomputed = false;
-  /// The stored SimArtifact bytes simulate.load read and hashed;
-  /// simulate.decode decodes and frees them.
+  /// The stored SimArtifact entry simulate.load mapped and hashed;
+  /// simulate.decode decodes and unmaps it.
   std::optional<io::CheckedArtifact> sim_bytes;
   /// Set when this graph computed Simulate (not a store hit), with the
   /// store keys of its chunks: what the simulate.persist node writes and
@@ -761,15 +761,15 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
     });
     n_synth_digest = n_synth;
   } else if (need_truth) {
-    // Resume: read the entry and take its store digest and frame check
+    // Resume: map the entry and take its store digest and frame check
     // first, so simulate.load starts without waiting for the
     // GroundTruth decode.  A missing or damaged frame is a miss,
     // recomputed here so downstream keys chain on the cold digest.
     n_synth_digest = graph.add([this, scratch, persist_truth] {
       traced("synthesize.load", [&] {
-        if (auto bytes = options_.store->load(
+        if (std::optional<MappedEntry> entry = options_.store->map(
                 stage_key_material(Stage::kSynthesize, {}))) {
-          scratch->truth_bytes.emplace(std::move(*bytes));
+          scratch->truth_bytes.emplace(std::move(*entry));
           if (scratch->truth_bytes->checksum_matches()) {
             digest_slot(Stage::kSynthesize) = scratch->truth_bytes->digest();
             return;
@@ -812,7 +812,7 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
   std::optional<NodeId> n_sim_persist;
   if (need_sim) {
     if (options_.store != nullptr) {
-      // Resume: read the entry and take its store digest and frame
+      // Resume: map the entry and take its store digest and frame
       // checksum first.  The Observe key needs only that
       // digest, so the Observe probe runs beside the SimArtifact decode,
       // and a store-served run finds both artifacts before any stage work
@@ -820,10 +820,10 @@ Experiment::UpstreamNodes Experiment::add_stage_nodes(util::TaskGraph& graph,
       const NodeId n_load = graph.add(
           [this, scratch] {
             traced("simulate.load", [&] {
-              auto bytes =
-                  options_.store->load(stage_key_material(Stage::kSimulate, {}));
-              if (!bytes) return;
-              scratch->sim_bytes.emplace(std::move(*bytes));
+              std::optional<MappedEntry> entry =
+                  options_.store->map(stage_key_material(Stage::kSimulate, {}));
+              if (!entry) return;
+              scratch->sim_bytes.emplace(std::move(*entry));
               digest_slot(Stage::kSimulate) = scratch->sim_bytes->digest();
             });
           },

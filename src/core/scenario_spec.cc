@@ -912,10 +912,17 @@ class Parser {
     }
   }
 
-  /// A generated world's AS numbers depend only on its tier counts, so the
-  /// ASes Synthesize requires (for_each_required_as) are checked here.
+  /// A generated world's AS numbers depend only on its tier counts, so
+  /// that they fit in 32 bits, and the ASes Synthesize requires
+  /// (for_each_required_as), are checked here.
   void check_generated_ases(const topo::GeneratorParams& base_topology) const {
     const topo::TierNumbering world(spec_.scenario.topo_params);
+    if (const auto tier = world.first_tier_past_32_bits()) {
+      const char* key = kCountKeys[static_cast<std::size_t>(*tier) - 1];
+      fail(tier_count_loc(*tier), std::string("'") + key +
+                                      "' ASes would need numbers past "
+                                      "4294967295");
+    }
     for_each_required_as(spec_.scenario, [&](const char* role,
                                              std::uint32_t as) {
       if (world.tier_of(AsNumber(as))) return;
@@ -934,8 +941,6 @@ class Parser {
     for (const AsRef& ref : as_refs_) {
       if (ref.as == as && ref.role == role) return ref.loc;
     }
-    static constexpr std::array<const char*, 4> kCountKeys = {
-        "tier1", "tier2", "tier3", "stubs"};
     if (const auto tier =
             topo::TierNumbering(base_topology).tier_of(AsNumber(as))) {
       const auto key =
@@ -944,6 +949,22 @@ class Parser {
     }
     return base_loc_;
   }
+
+  /// Where the counts that number `tier` past 32 bits are set: its count
+  /// key when the spec writes it, else the last earlier tier's that it
+  /// writes (each tier numbers past the ones before it), else the base
+  /// line.
+  SourceLoc tier_count_loc(topo::Tier tier) const {
+    for (std::size_t i = static_cast<std::size_t>(tier); i-- > 0;) {
+      const auto key = generator_keys_.find(kCountKeys[i]);
+      if (key != generator_keys_.end()) return key->second;
+    }
+    return base_loc_;
+  }
+
+  /// The tier-count keys, in the order the tiers are numbered.
+  static constexpr std::array<const char*, 4> kCountKeys = {
+      "tier1", "tier2", "tier3", "stubs"};
 
   enum class Base : std::uint8_t { kDefault, kSmall, kInternet2002 };
 

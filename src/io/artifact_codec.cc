@@ -343,18 +343,27 @@ T decode_framed(ArtifactKind kind, const CheckedArtifact& checked) {
 
 }  // namespace
 
+// core::hash_entry's payload hash skips exactly the frame header.
+static_assert(kArtifactHeaderBytes == core::kEntryHeaderBytes);
+
+CheckedArtifact::CheckedArtifact(core::MappedEntry entry)
+    : entry_(std::move(entry)), bytes_(entry_.bytes()) {
+  check(entry_.hash(kChecksumSeed));
+}
+
 CheckedArtifact::CheckedArtifact(std::vector<std::uint8_t> bytes)
-    : bytes_(std::move(bytes)), digest_(core::store_digest_hex(bytes_)) {
+    : owned_(std::move(bytes)), bytes_(owned_) {
+  check(core::hash_entry(bytes_, kChecksumSeed));
+}
+
+void CheckedArtifact::check(core::EntryHashes hashes) {
+  digest_ = std::move(hashes.digest);
   if (bytes_.size() >= kArtifactHeaderBytes) {
     // The checksum field closes the header (see the layout above).
     std::uint64_t stored = 0;
-    std::memcpy(&stored,
-                bytes_.data() + kArtifactHeaderBytes - sizeof(stored),
+    std::memcpy(&stored, bytes_.data() + kArtifactHeaderBytes - sizeof(stored),
                 sizeof(stored));
-    checksum_matches_ =
-        stored == core::xxh64(std::span<const std::uint8_t>(bytes_).subspan(
-                                  kArtifactHeaderBytes),
-                              kChecksumSeed);
+    checksum_matches_ = stored == hashes.payload;
   }
 }
 

@@ -18,18 +18,17 @@
 // every decode failure as a cache miss and recomputes — a damaged store
 // can cost time, never correctness.
 //
-// Reading in at most two passes: a store read wants both the artifact's
-// store digest (core::store_digest_hex, what downstream keys chain on)
-// and the frame checksum.  CheckedArtifact takes the bytes and hashes
-// them once for the digest's two XXH64 lanes, which share each stripe
-// read, and once more for the checksum lane over the payload (XXH64
-// leaves no multiply latency idle for a third lane to fill, and the
-// checksum's stripes start 24 bytes in, out of step with the digest's).
-// The decoders that take a CheckedArtifact skip their own checksum pass
-// and reject a mismatch with the other header defects, before any payload
-// byte is parsed.  It owns the bytes and never changes them, so its
-// verdict always describes the bytes it hands a decoder.  The span
-// decoders still check on their own.
+// Reading in one pass: a store read wants both the artifact's store
+// digest (core::store_digest_hex, what downstream keys chain on) and the
+// frame checksum.  CheckedArtifact takes the entry as the store mapped it
+// (core::ArtifactStore::map) and hashes it once (core::hash_entry): each
+// stripe read feeds the digest's two XXH64 lane sets and, three words out
+// of step since its stripes start 24 bytes in, the checksum's lanes.  The
+// decoders that take a CheckedArtifact skip their own checksum pass and
+// reject a mismatch with the other header defects, before any payload
+// byte is parsed.  It owns the mapping (or the bytes) and never changes
+// them, so its verdict always describes the bytes it hands a decoder.
+// The span decoders still check on their own.
 //
 // One field list per type.  Each artifact's payload is its fields as the
 // archive writes them (io/archive.h): every stored type lists its fields
@@ -75,6 +74,7 @@
 #include <vector>
 
 #include "core/analysis_suite.h"
+#include "core/artifact_store.h"
 #include "core/experiment.h"
 #include "io/archive.h"
 
@@ -161,12 +161,14 @@ void decode_field(ArtifactReader& r, core::PathIndex& index);
 [[nodiscard]] std::vector<std::uint8_t> encode(const core::SimChunk& chunk);
 
 /// Stored artifact bytes hashed for the store digest and the frame
-/// checksum, in two passes (see the file comment).  The
-/// object owns the bytes and cannot be copied, moved or changed, so a
+/// checksum in one pass (see the file comment).  The object owns the
+/// mapped entry or the bytes and cannot be copied, moved or changed, so a
 /// decoder handed one always checks the verdict computed on the bytes it
 /// parses.
 class CheckedArtifact {
  public:
+  /// A store read: the pass is counted in the store's work record.
+  explicit CheckedArtifact(core::MappedEntry entry);
   explicit CheckedArtifact(std::vector<std::uint8_t> bytes);
   CheckedArtifact(const CheckedArtifact&) = delete;
   CheckedArtifact& operator=(const CheckedArtifact&) = delete;
@@ -179,7 +181,13 @@ class CheckedArtifact {
   [[nodiscard]] bool checksum_matches() const { return checksum_matches_; }
 
  private:
-  std::vector<std::uint8_t> bytes_;
+  /// Takes the verdict from `hashes`, which hash_entry took of bytes_.
+  void check(core::EntryHashes hashes);
+
+  core::MappedEntry entry_;
+  std::vector<std::uint8_t> owned_;
+  /// entry_'s or owned_'s bytes.
+  std::span<const std::uint8_t> bytes_;
   std::string digest_;
   bool checksum_matches_ = false;
 };

@@ -151,6 +151,14 @@ std::vector<AsNumber> TierNumbering::ases(Tier tier) const {
   return out;
 }
 
+std::optional<Tier> TierNumbering::first_tier_past_32_bits() const {
+  constexpr std::uint64_t kAsNumbers = std::uint64_t{1} << 32;
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    if (runs_[i].end > kAsNumbers) return static_cast<Tier>(i + 1);
+  }
+  return std::nullopt;
+}
+
 Topology generate_topology(const GeneratorParams& params) {
   util::ensure(params.tier1_count >= 2, "topology: need >= 2 Tier-1 ASs");
   util::ensure(params.tier2_count >= 1, "topology: need >= 1 Tier-2 AS");
@@ -165,6 +173,8 @@ Topology generate_topology(const GeneratorParams& params) {
 
   Topology topo;
   const TierNumbering numbering(params);
+  util::ensure(!numbering.first_tier_past_32_bits(),
+               "topology: tier counts need AS numbers past 32 bits");
   const std::array<std::pair<Tier, std::vector<AsNumber>*>, 4> tiers = {{
       {Tier::kTier1, &topo.tier1},
       {Tier::kTier2, &topo.tier2},

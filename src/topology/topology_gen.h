@@ -112,6 +112,11 @@ class TierNumbering {
   /// A tier's ASes in generation order.
   [[nodiscard]] std::vector<AsNumber> ases(Tier tier) const;
 
+  /// The first tier, in generation order, whose numbers run past 32-bit
+  /// AS numbers, or nullopt when every tier fits (generate_topology
+  /// requires that they do).
+  [[nodiscard]] std::optional<Tier> first_tier_past_32_bits() const;
+
  private:
   /// One tier: the labels it takes, then every number in [begin, end)
   /// that is no label.

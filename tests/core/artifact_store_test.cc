@@ -24,8 +24,10 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,12 +122,13 @@ TEST(ArtifactStore, Xxh64MatchesKnownAnswers) {
 }
 
 TEST(ArtifactStore, LoadHashesEqualSeparateXxh64Calls) {
-  // A load hashes its bytes twice (io::CheckedArtifact): the store
-  // digest's two lanes in one loop that reads each stripe once, then the
-  // frame checksum's lane over the payload.  At every size up to 100
+  // A load hashes its bytes once (io::CheckedArtifact, hash_entry): the
+  // store digest's two lanes and the frame checksum's lane over the
+  // payload, fed from one read of each stripe.  At every size up to 100
   // bytes and every offset the hashed bytes start at (every alignment,
-  // and every split of a stripe between a header and a payload), both
-  // equal separate xxh64 calls.
+  // and every split of a stripe between a header and a payload), the
+  // digest equals separate xxh64 calls and the verdict holds exactly when
+  // there is a header.
   constexpr std::uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
   const auto hex = [](std::uint64_t value) {
     char out[17];
@@ -161,6 +164,186 @@ TEST(ArtifactStore, LoadHashesEqualSeparateXxh64Calls) {
     EXPECT_EQ(checked.digest(), digest) << size;
     EXPECT_EQ(checked.checksum_matches(), size >= io::kArtifactHeaderBytes)
         << size;
+  }
+}
+
+TEST(ArtifactStore, OnePassHashesEqualSeparateCalls) {
+  // hash_entry at every length from 0 to 300 (inputs shorter than the
+  // header, shorter than a stripe, and every split of the last stripes)
+  // and from every alignment: the digest equals store_digest_hex and the
+  // payload hash equals xxh64 of the bytes past the header, or of none
+  // when the input is shorter.
+  constexpr std::uint64_t kSeed = 0xcbf29ce484222325ULL;
+  std::mt19937_64 rng(11);
+  std::vector<std::uint8_t> buffer(300 + 8);
+  for (std::uint8_t& byte : buffer) byte = static_cast<std::uint8_t>(rng());
+  for (std::size_t size = 0; size <= 300; ++size) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const auto bytes =
+          std::span<const std::uint8_t>(buffer).subspan(offset, size);
+      const EntryHashes hashes = hash_entry(bytes, kSeed);
+      EXPECT_EQ(hashes.digest, store_digest_hex(bytes)) << size << " bytes";
+      EXPECT_EQ(hashes.payload,
+                xxh64(bytes.subspan(std::min(kEntryHeaderBytes, size)), kSeed))
+          << size << " bytes";
+    }
+  }
+}
+
+TEST(ArtifactStore, MapServesWhatPutWroteAndLoadCopiesItOnce) {
+  ScopedStore store;
+  std::vector<std::uint8_t> bytes(1000);
+  std::iota(bytes.begin(), bytes.end(), std::uint8_t{0});
+  ASSERT_TRUE(store->put("key", bytes));
+  StoreWork work = store->work();
+  EXPECT_EQ(work.puts, 1u);
+  EXPECT_EQ(work.bytes_written, 1000u);
+  EXPECT_EQ(work.entries_mapped, 0u);
+
+  std::optional<MappedEntry> entry = store->map("key");
+  ASSERT_TRUE(entry.has_value());
+  EXPECT_TRUE(std::ranges::equal(entry->bytes(), bytes));
+  work = store->work();
+  EXPECT_EQ(work.entries_mapped, 1u);
+  EXPECT_EQ(work.bytes_mapped, 1000u);
+  EXPECT_EQ(work.hash_passes, 0u);
+  EXPECT_EQ(work.bytes_copied, 0u);
+
+  // One pass, counted on the store that mapped the entry.
+  const EntryHashes hashes = entry->hash(5);
+  EXPECT_EQ(hashes.digest, store_digest_hex(bytes));
+  EXPECT_EQ(hashes.payload,
+            xxh64(std::span<const std::uint8_t>(bytes).subspan(
+                      io::kArtifactHeaderBytes),
+                  5));
+  work = store->work();
+  EXPECT_EQ(work.hash_passes, 1u);
+  EXPECT_EQ(work.bytes_hashed, 1000u);
+
+  // load() is a mapping and one copy out of it.
+  EXPECT_EQ(store->load("key"), bytes);
+  work = store->work();
+  EXPECT_EQ(work.entries_mapped, 2u);
+  EXPECT_EQ(work.bytes_mapped, 2000u);
+  EXPECT_EQ(work.bytes_copied, 1000u);
+  EXPECT_EQ(work.hash_passes, 1u);
+
+  // A move hands the mapping over; the moved-from entry is empty.
+  MappedEntry moved = std::move(*entry);
+  EXPECT_TRUE(entry->bytes().empty());
+  EXPECT_TRUE(std::ranges::equal(moved.bytes(), bytes));
+  moved = std::move(*store->map("key"));
+  EXPECT_TRUE(std::ranges::equal(moved.bytes(), bytes));
+}
+
+/// The file of the stored entry whose header names `kind`.
+std::filesystem::path entry_of_kind(const ArtifactStore& store,
+                                    io::ArtifactKind kind) {
+  for (const ArtifactStore::Entry& entry : store.list()) {
+    std::ifstream in(entry.path, std::ios::binary);
+    std::vector<std::uint8_t> header(io::kArtifactHeaderBytes);
+    in.read(reinterpret_cast<char*>(header.data()),
+            static_cast<std::streamsize>(header.size()));
+    const auto peeked = io::peek_artifact_header(header);
+    if (in && peeked && peeked->kind == static_cast<std::uint16_t>(kind)) {
+      return entry.path;
+    }
+  }
+  throw std::logic_error("no entry of that kind");
+}
+
+TEST(ArtifactStore, EmptyTruncatedAndUnreadableEntriesAreMisses) {
+  ScopedStore store;
+  // An empty file is a miss before mmap, which rejects a zero length.
+  { std::ofstream empty(store->path_for("empty"), std::ios::binary); }
+  EXPECT_FALSE(store->map("empty").has_value());
+  EXPECT_FALSE(store->load("empty").has_value());
+  // A directory, and a link to nothing, under an entry's name.
+  std::filesystem::create_directory(store->path_for("directory"));
+  EXPECT_FALSE(store->map("directory").has_value());
+  EXPECT_FALSE(store->load("directory").has_value());
+  std::filesystem::create_symlink(store->root() / "nowhere",
+                                  store->path_for("dangling"));
+  EXPECT_FALSE(store->map("dangling").has_value());
+  EXPECT_FALSE(store->map("absent").has_value());
+  EXPECT_EQ(store->work().entries_mapped, 0u);
+  std::filesystem::remove(store->path_for("directory"));
+  std::filesystem::remove(store->path_for("dangling"));
+  std::filesystem::remove(store->path_for("empty"));
+
+  // A SimArtifact entry cut to half its length, then to nothing: a
+  // resume maps the half, fails its frame check and recomputes Simulate,
+  // and does not map the empty one at all.
+  RunOptions options;
+  options.threads = 1;
+  options.store = store.get();
+  Experiment cold(Scenario::small(21), options);
+  cold.run(Stage::kObserve);
+  const std::filesystem::path sim =
+      entry_of_kind(*store, io::ArtifactKind::kSimArtifact);
+  const std::uintmax_t sim_bytes = std::filesystem::file_size(sim);
+  for (const std::uintmax_t cut : {sim_bytes / 2, std::uintmax_t{0}}) {
+    SCOPED_TRACE(cut);
+    std::filesystem::resize_file(sim, cut);
+    const StoreWork before = store->work();
+    Experiment resumed(Scenario::small(21), options);
+    resumed.run(Stage::kObserve);
+    EXPECT_EQ(resumed.counters().simulate, 1u);
+    EXPECT_EQ(resumed.loads().observe, 1u);
+    EXPECT_EQ(resumed.stage_digest(Stage::kSimulate),
+              cold.stage_digest(Stage::kSimulate));
+    // The GroundTruth and Observations entries, and the cut one when it
+    // holds any bytes.
+    EXPECT_EQ(store->work().entries_mapped - before.entries_mapped,
+              cut > 0 ? 3u : 2u);
+    EXPECT_EQ(std::filesystem::file_size(sim), sim_bytes);  // healed
+  }
+}
+
+TEST(ArtifactStore, WorkCountsPinnedForSmallColdAndResumed) {
+  // small(21) through Analyze.  A cold run maps nothing and writes the
+  // five stage artifacts and its 32 Simulate chunks; a resume maps the
+  // five entries, hashes exactly the bytes it maps in one pass each, and
+  // copies none.  Neither count depends on the thread count.
+  constexpr std::uint64_t kStageBytes = 1'689'205;
+  constexpr std::uint64_t kChunkBytes = 855'925;
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    ScopedStore store;
+    RunOptions options;
+    options.threads = threads;
+    options.store = store.get();
+    Experiment cold(Scenario::small(21), options);
+    cold.run();
+    const StoreWork written = store->work();
+    EXPECT_EQ(written.entries_mapped, 0u);
+    EXPECT_EQ(written.bytes_mapped, 0u);
+    EXPECT_EQ(written.bytes_copied, 0u);
+    EXPECT_EQ(written.hash_passes, 0u);
+    EXPECT_EQ(written.bytes_hashed, 0u);
+    EXPECT_EQ(written.puts, 5u + 32u);
+    EXPECT_EQ(written.bytes_written, kStageBytes + kChunkBytes);
+    EXPECT_EQ(store->total_bytes(), kStageBytes);  // the chunks are erased
+    EXPECT_EQ(io::encode(cold.truth()).size() + io::encode(cold.sim()).size() +
+                  io::encode(cold.observations()).size() +
+                  io::encode(cold.inference()).size() +
+                  io::encode(cold.analyses()).size(),
+              kStageBytes);
+
+    Experiment resumed(Scenario::small(21), options);
+    resumed.run();
+    const StoreWork work = store->work();
+    EXPECT_EQ(work.entries_mapped - written.entries_mapped, 5u);
+    EXPECT_EQ(work.bytes_mapped - written.bytes_mapped, kStageBytes);
+    EXPECT_EQ(work.hash_passes - written.hash_passes, 5u);
+    EXPECT_EQ(work.bytes_hashed - written.bytes_hashed, kStageBytes);
+    EXPECT_EQ(work.bytes_copied - written.bytes_copied, 0u);
+    EXPECT_EQ(work.puts - written.puts, 0u);
+    EXPECT_EQ(work.bytes_written - written.bytes_written, 0u);
+    const StageCounters& computed = resumed.counters();
+    EXPECT_EQ(computed.synthesize + computed.simulate + computed.observe +
+                  computed.infer + computed.analyze,
+              0u);
   }
 }
 

@@ -7,6 +7,7 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <random>
 #include <sstream>
@@ -477,6 +478,46 @@ TEST(ScenarioSpecKnobs, GeneratedWorldLackingARequiredAsFailsAtParse) {
   // The same lists fit once the counts create them.
   EXPECT_NO_THROW((void)ScenarioSpec::parse(
       "scenario x\nbase small 42\ntopology {\n  tier1 5\n  tier3 8\n}\n"));
+}
+
+TEST(ScenarioSpecKnobs, TierCountsPastThirtyTwoBitAsNumbersFailAtParse) {
+  // `stubs 18446744073709551615` used to parse and then stop Synthesize
+  // with "vector::reserve" and no position.  A count whose tier numbers
+  // ASes past 32 bits now fails at its key; each key sits on line 5 at
+  // column 5 here.
+  const auto message = [](const std::string& text) {
+    try {
+      (void)ScenarioSpec::parse(text);
+    } catch (const SpecError& error) {
+      return error.message();
+    }
+    return std::string("parsed");
+  };
+  for (const std::string key : {"tier1", "tier2", "tier3", "stubs"}) {
+    SCOPED_TRACE(key);
+    const std::string text = "scenario x\nbase small 42\ntopology {\n"
+                             "  seed 42\n    " +
+                             key + " 18446744073709551615\n}\n";
+    EXPECT_EQ(error_loc(text), (SourceLoc{5, 5}));
+    EXPECT_EQ(message(text),
+              "'" + key + "' ASes would need numbers past 4294967295");
+  }
+  // Each tier is numbered past the ones before it, so a Tier-1 count that
+  // fits can push the stubs past 32 bits: the error is at the last count
+  // the spec writes.
+  const std::string pushed =
+      "scenario x\nbase small 42\ntopology {\n  tier1 4294967000\n}\n";
+  EXPECT_EQ(error_loc(pushed), (SourceLoc{4, 3}));
+  EXPECT_EQ(message(pushed),
+            "'stubs' ASes would need numbers past 4294967295");
+  // A count that fits parses (Synthesize is not run on it).
+  EXPECT_EQ(message("scenario x\nbase small 42\ntopology {\n"
+                    "  stubs 4294900000\n}\n"),
+            "parsed");
+  // Scenarios built in code meet the same bound in the generator.
+  Scenario built = Scenario::small(42);
+  built.topo_params.stub_count = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)synthesize(built), std::invalid_argument);
 }
 
 /// small(42) with one knob line set.  Its vantages are cut to the two

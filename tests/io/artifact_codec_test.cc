@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -381,6 +383,91 @@ TEST(CheckedArtifact, CheckedDecodersMatchTheSpanDecoders) {
   // A checked artifact of another kind is rejected like any other.
   const CheckedArtifact sim{encode(experiment.sim())};
   EXPECT_THROW((void)decode_observations(sim), std::invalid_argument);
+}
+
+TEST(CheckedArtifact, MappedEntryAgreesWithOwnedBytes) {
+  // Each of the five stage artifacts, intact and with one payload byte
+  // flipped, stored and checked once over the store's mapping and once
+  // over a copy: same digest, same verdict, same decoded content.
+  core::Experiment& experiment = shared_experiment();
+  testing::ScopedStore store;
+  const auto check = [&](const std::string& key,
+                         const std::vector<std::uint8_t>& bytes,
+                         auto decode) {
+    for (const bool damage : {false, true}) {
+      SCOPED_TRACE(key + (damage ? " damaged" : ""));
+      std::vector<std::uint8_t> stored = bytes;
+      if (damage) stored[stored.size() / 2] ^= 0x01;
+      ASSERT_TRUE(store->put(key, stored));
+      std::optional<core::MappedEntry> entry = store->map(key);
+      ASSERT_TRUE(entry.has_value());
+      const CheckedArtifact mapped(std::move(*entry));
+      const CheckedArtifact owned(stored);
+      EXPECT_TRUE(std::ranges::equal(mapped.bytes(), stored));
+      EXPECT_EQ(mapped.digest(), owned.digest());
+      EXPECT_EQ(mapped.digest(), core::store_digest_hex(stored));
+      EXPECT_EQ(mapped.checksum_matches(), !damage);
+      EXPECT_EQ(owned.checksum_matches(), !damage);
+      if (damage) {
+        EXPECT_THROW((void)decode(mapped), std::invalid_argument);
+        EXPECT_THROW((void)decode(owned), std::invalid_argument);
+      } else {
+        EXPECT_EQ(encode(decode(mapped)), bytes);
+        EXPECT_EQ(encode(decode(owned)), bytes);
+      }
+    }
+  };
+  check("truth", encode(experiment.truth()),
+        [](const CheckedArtifact& c) { return decode_ground_truth(c); });
+  check("sim", encode(experiment.sim()),
+        [](const CheckedArtifact& c) { return decode_sim_artifact(c); });
+  check("observations", encode(experiment.observations()),
+        [](const CheckedArtifact& c) { return decode_observations(c); });
+  check("inference", encode(experiment.inference()),
+        [](const CheckedArtifact& c) { return decode_inference(c); });
+  check("analyses", encode(experiment.analyses()),
+        [](const CheckedArtifact& c) { return decode_analysis_suite(c); });
+  // Every read above is one mapping hashed in one pass, and none copied.
+  const core::StoreWork work = store->work();
+  EXPECT_EQ(work.entries_mapped, 10u);
+  EXPECT_EQ(work.hash_passes, 10u);
+  EXPECT_EQ(work.bytes_hashed, work.bytes_mapped);
+  EXPECT_EQ(work.bytes_copied, 0u);
+}
+
+TEST(CheckedArtifact, MappingOutlivesEraseReplaceAndEviction) {
+  // The store replaces an entry by rename and removes it by unlink, never
+  // in place, so a CheckedArtifact holding the mapping decodes what it
+  // mapped after its entry is erased, replaced or evicted by gc().
+  core::Experiment& experiment = shared_experiment();
+  const std::vector<std::uint8_t> bytes = encode(experiment.sim());
+  const std::vector<std::uint8_t> other = encode(experiment.truth());
+  testing::ScopedStore store;
+  const auto held = [&] {
+    EXPECT_TRUE(store->put("sim", bytes));
+    auto checked =
+        std::make_unique<CheckedArtifact>(std::move(*store->map("sim")));
+    EXPECT_TRUE(checked->checksum_matches());
+    return checked;
+  };
+  const auto decodes = [&](const CheckedArtifact& checked) {
+    EXPECT_TRUE(std::ranges::equal(checked.bytes(), bytes));
+    EXPECT_EQ(encode(decode_sim_artifact(checked)), bytes);
+  };
+
+  const std::unique_ptr<CheckedArtifact> erased = held();
+  ASSERT_TRUE(store->erase("sim"));
+  decodes(*erased);
+
+  const std::unique_ptr<CheckedArtifact> replaced = held();
+  ASSERT_TRUE(store->put("sim", other));
+  decodes(*replaced);
+  EXPECT_EQ(store->load("sim"), other);
+
+  const std::unique_ptr<CheckedArtifact> evicted = held();
+  EXPECT_EQ(store->gc(0).evicted, 1u);
+  EXPECT_FALSE(store->contains("sim"));
+  decodes(*evicted);
 }
 
 // ------------------------------------------------------ SimArtifact blobs --
