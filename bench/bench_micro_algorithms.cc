@@ -18,6 +18,7 @@
 #include "sim/flat_engine.h"
 #include "sim/policy_gen.h"
 #include "sim/simulation.h"
+#include "testing/propagation_reference.h"
 #include "util/rng.h"
 
 namespace {
@@ -113,7 +114,7 @@ void BM_ComputePrefixReference(benchmark::State& state) {
   std::int64_t routes = 0;
   for (auto _ : state) {
     const auto& origination = w.originations[i++ % w.originations.size()];
-    const auto routing = sim::compute_prefix_reference(
+    const auto routing = testing::compute_prefix_reference(
         w.topo.graph, w.gen.policies, origination, nullptr, {});
     events += static_cast<std::int64_t>(routing.process_events);
     routes += static_cast<std::int64_t>(routing.best.size());

@@ -7,9 +7,10 @@
 // convergence counters and the digest of its encoded `SimArtifact` (the
 // engine guarantees byte-identical output at any thread count).
 //
-// Also times the seed per-event engine (`compute_prefix_reference`, the
-// sequential program run_simulation executed before the flat core landed)
-// over the same originations, recorded through the reference recorder
+// Also times the seed per-event engine (`testing::reference_simulation`,
+// tests/testing/propagation_reference.h: the sequential program
+// run_simulation executed before the flat core landed) over the same
+// originations, recorded through the reference recorder
 // (`record_prefix`): `reference_seconds` and `flat_speedup` are the
 // committed before/after trajectory of the flat-core rewrite.  The flat
 // rows' recorded tables must equal the reference recorder's row for row,
@@ -51,6 +52,7 @@
 #include "io/binary_table.h"
 #include "sim/flat_engine.h"
 #include "sim/simulation.h"
+#include "testing/propagation_reference.h"
 #include "util/text_table.h"
 
 namespace {
@@ -89,25 +91,6 @@ std::string digest_of(const World& w, sim::SimResult sim) {
   artifact.vantage = w.vantage;
   artifact.sim = std::move(sim);
   return core::store_digest_hex(io::encode(artifact));
-}
-
-/// The seed sequential program: reference fixpoints recorded in
-/// origination order — byte-identical to what run_simulation(threads=1)
-/// produced before the flat core.
-sim::SimResult reference_simulation(const World& w) {
-  const sim::PropagationEngine engine(w.truth.topo.graph,
-                                      w.truth.gen.policies);
-  sim::SimResult result = sim::init_sim_result(w.vantage);
-  for (const auto& origination : w.truth.originations) {
-    const sim::PrefixRouting state = sim::compute_prefix_reference(
-        w.truth.topo.graph, w.truth.gen.policies, origination, nullptr,
-        w.options);
-    if (!state.converged) ++result.unconverged_prefixes;
-    result.process_events += state.process_events;
-    sim::record_prefix(engine, state, w.vantage, result);
-    ++result.origination_count;
-  }
-  return result;
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -241,7 +224,9 @@ int main(int argc, char** argv) {
   // the chosen order's, so the exact-order pass is what matches its
   // trajectory.
   const auto ref_start = std::chrono::steady_clock::now();
-  const sim::SimResult reference = reference_simulation(w);
+  const sim::SimResult reference = testing::reference_simulation(
+      w.truth.topo.graph, w.truth.gen.policies, w.truth.originations,
+      w.vantage, w.options);
   const auto ref_stop = std::chrono::steady_clock::now();
   const double reference_seconds =
       std::chrono::duration<double>(ref_stop - ref_start).count();

@@ -156,10 +156,11 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
   // valley-free disqualification below) shard contiguous path ranges across
   // the pool and reduce per-range results in range order.  Votes are summed
   // and disqualifications unioned — both order-insensitive — so the final
-  // classification is identical at every thread count; threads <= 1 runs
-  // the pre-sharding loops directly (the exact seed program, no pool).
-  // A caller-supplied executor replaces the one-shot pool (params.threads
-  // is then ignored); products are identical either way.
+  // classification is identical at every thread count.  The first range's
+  // result is taken as it is, so threads <= 1 (one range, no pool) runs the
+  // seed program's single pass.  A caller-supplied executor replaces the
+  // one-shot pool (params.threads is then ignored); products are identical
+  // either way.
   std::unique_ptr<util::Executor> owned;
   const std::size_t paths = path_count();
   const util::Executor& exec = util::executor_or(
@@ -167,10 +168,8 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
   const std::size_t threads =
       std::min(exec.threads(), std::max<std::size_t>(1, paths));
   util::ThreadPool* pool = threads > 1 ? exec.pool() : nullptr;
-  std::vector<util::IndexRange> ranges;
-  if (pool != nullptr) {
-    ranges = util::split_ranges(paths, threads * 4);
-  }
+  const std::vector<util::IndexRange> ranges =
+      util::split_ranges(paths, pool != nullptr ? threads * 4 : 1);
 
   // Phase 1: every path votes on the transit direction of its edges.
   const auto accumulate_votes = [&](std::size_t begin, std::size_t end,
@@ -222,25 +221,25 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
   };
 
   VoteMap votes;
-  if (pool == nullptr) {
-    accumulate_votes(0, paths, votes);
-  } else {
-    util::shard_and_merge(
-        pool, ranges.size(),
-        [&](std::size_t r) {
-          VoteMap local;
-          accumulate_votes(ranges[r].begin, ranges[r].end, local);
-          return local;
-        },
-        [&](std::size_t, VoteMap& local) {
-          for (const auto& [key, v] : local) {
-            EdgeVotes& merged = votes[key];
-            merged.lo_provider += v.lo_provider;
-            merged.hi_provider += v.hi_provider;
-            merged.top_pair += v.top_pair;
-          }
-        });
-  }
+  util::shard_and_merge(
+      pool, ranges.size(),
+      [&](std::size_t r) {
+        VoteMap local;
+        accumulate_votes(ranges[r].begin, ranges[r].end, local);
+        return local;
+      },
+      [&](std::size_t r, VoteMap& local) {
+        if (r == 0) {
+          votes = std::move(local);
+          return;
+        }
+        for (const auto& [key, v] : local) {
+          EdgeVotes& merged = votes[key];
+          merged.lo_provider += v.lo_provider;
+          merged.hi_provider += v.hi_provider;
+          merged.top_pair += v.top_pair;
+        }
+      });
 
   // Phase 2: the default-free core.
   std::unordered_set<AsNumber> clique;
@@ -307,20 +306,20 @@ InferredRelationships GaoInference::infer(const GaoParams& params,
       }
     };
     std::unordered_set<std::uint64_t> disqualified;
-    if (pool == nullptr) {
-      disqualify(0, paths, disqualified);
-    } else {
-      util::shard_and_merge(
-          pool, ranges.size(),
-          [&](std::size_t r) {
-            std::unordered_set<std::uint64_t> local;
-            disqualify(ranges[r].begin, ranges[r].end, local);
-            return local;
-          },
-          [&](std::size_t, std::unordered_set<std::uint64_t>& local) {
+    util::shard_and_merge(
+        pool, ranges.size(),
+        [&](std::size_t r) {
+          std::unordered_set<std::uint64_t> local;
+          disqualify(ranges[r].begin, ranges[r].end, local);
+          return local;
+        },
+        [&](std::size_t r, std::unordered_set<std::uint64_t>& local) {
+          if (r == 0) {
+            disqualified = std::move(local);
+          } else {
             disqualified.merge(local);
-          });
-    }
+          }
+        });
     // Visible peer links connect transit ASes: a peer route propagates only
     // to customers, so an AS with no customers can never show anyone its
     // peer edges.  A candidate whose endpoint has no inferred customers is

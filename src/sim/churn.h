@@ -126,8 +126,7 @@ class ChurnSimulator {
 
   const topo::AsGraph* graph_;
   /// Behind a unique_ptr: delta_'s context points into it, and the
-  /// simulator must stay movable (parallel_determinism_test returns one
-  /// from a lambda).
+  /// simulator must stay movable.
   std::unique_ptr<PolicySet> policies_;
   std::vector<Origination> originations_;
   std::unordered_map<bgp::Prefix, Origination> by_prefix_;

@@ -383,8 +383,9 @@ struct Offer {
 };
 
 /// Calls `sink(offer)` for every neighbor of `receiver` that offers it a
-/// route, in CSR (neighbor) order — the flat mirror of
-/// PropagationEngine::route_as_received, and the engine's one copy of the
+/// route, in CSR (neighbor) order — the flat mirror of the seed engine's
+/// testing::PropagationEngine::route_as_received (tests/testing/
+/// propagation_reference.h), and the engine's one copy of the
 /// export and import rules: Gao-Rexford export, conditional
 /// advertisements, community instructions, export rules and prepends, the
 /// loop check, then import preference and tagging.  The fixpoint's

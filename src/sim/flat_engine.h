@@ -1,8 +1,9 @@
 // The flat propagation core: dense-id state, interned AS paths, and
 // arena-backed scratch for `sim::compute_prefix`.
 //
-// The seed fixpoint (kept verbatim as `compute_prefix_reference`) spends
-// its time in hash probes and allocations: every candidate pays
+// The seed fixpoint (kept verbatim outside the library as
+// `testing::compute_prefix_reference`, tests/testing/propagation_reference.h)
+// spends its time in hash probes and allocations: every candidate pays
 // `unordered_map` lookups for relationships and policies, an AS-path
 // vector copy for the prepend, and a `bgp::Route` construction that is
 // immediately torn down when the candidate loses.  This engine removes all
@@ -414,7 +415,7 @@ struct FixpointQueue {
 /// Which fan-out produced a converged state (see `run_flat_fixpoint`).
 enum class FixpointOrder : std::uint8_t {
   /// Every neighbor of a changed AS is enqueued: the FIFO trajectory of
-  /// `compute_prefix_reference`, event for event.
+  /// `testing::compute_prefix_reference`, event for event.
   kExact,
   /// The pruned fan-out (`filtered_enqueue`), taken only on originations
   /// the static wedgie oracle proved to have one stable state.
@@ -487,7 +488,8 @@ struct FixpointStats {
 /// looking-glass view): one route per neighbor that offers one, in
 /// `receiver`'s neighbor order.  Each route comes from the per-arc offer
 /// code the fixpoint pulls its candidates with, so the result equals
-/// `PropagationEngine::route_as_received` over `receiver`'s neighbors.
+/// `testing::PropagationEngine::route_as_received` (tests/testing/
+/// propagation_reference.h) over `receiver`'s neighbors.
 /// Interns wire paths and community sets into `state`; its best columns
 /// are untouched.  Empty when `receiver` is not in the graph.
 [[nodiscard]] std::vector<bgp::Route> flat_adj_rib_in(
@@ -588,10 +590,10 @@ class FlatScratch {
                                           FlatRoutingState& state);
 
 /// `converge_cold` without the oracle: always the exact FIFO trajectory,
-/// so `events` equals `compute_prefix_reference`'s `process_events`.  For
-/// the delta engine's in-place exact replays, churn's cold reference mode,
-/// and tests and benches that compare trajectories with the reference
-/// engine.
+/// so `events` equals `testing::compute_prefix_reference`'s
+/// `process_events`.  For the delta engine's in-place exact replays,
+/// churn's cold reference mode, and tests and benches that compare
+/// trajectories with the reference engine.
 [[nodiscard]] FixpointStats converge_exact(const FlatSimContext& context,
                                            const Origination& origination,
                                            const FailedEdges* failed,
@@ -600,10 +602,10 @@ class FlatScratch {
                                            FlatRoutingState& state);
 
 /// `converge_cold` followed by `materialize_routing`.  Its routes equal
-/// `compute_prefix_reference`'s for every input; its `process_events`
-/// does only when the origination ran in exact order (`converge_exact`
-/// followed by `materialize_routing` always matches them; golden-tested
-/// in tests/sim/flat_equivalence_test.cc).
+/// `testing::compute_prefix_reference`'s for every input; its
+/// `process_events` does only when the origination ran in exact order
+/// (`converge_exact` followed by `materialize_routing` always matches
+/// them; golden-tested in tests/sim/flat_equivalence_test.cc).
 [[nodiscard]] PrefixRouting compute_prefix_flat(
     const FlatSimContext& context, const Origination& origination,
     const FailedEdges* failed, const PropagationOptions& options,

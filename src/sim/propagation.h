@@ -14,9 +14,9 @@
 // A looking-glass Adj-RIB-In is re-derived from the converged per-prefix
 // state when it is recorded: `run_simulation` (simulation.h) reads it with
 // `flat_adj_rib_in` (flat_engine.h), which runs the same per-arc offer code
-// the flat fixpoint pulls its candidates with.  `route_as_received` below
-// is the reference engine's copy of those rules, used by
-// `compute_prefix_reference` and the reference recorder `record_prefix`.
+// the flat fixpoint pulls its candidates with.  The seed engine those rules
+// are checked against lives outside the library, in
+// tests/testing/propagation_reference.h.
 //
 // Concurrency model
 // -----------------
@@ -39,8 +39,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -122,75 +120,17 @@ struct PrefixRouting {
   }
 };
 
-class PropagationEngine;
-
 /// The one-shot convenience entry: the converged routing state for one
 /// origination, `failed` nullptr for a healthy network.  Runs the flat
 /// engine (sim/flat_engine.h, `compute_prefix_flat`), whose routes are
-/// identical to `compute_prefix_reference`'s for every input.  It builds
-/// the flat context and scratch per call; many-prefix loops build one
-/// `FlatSimContext` and converge into leased scratches (`converge_cold`).
+/// identical to the seed engine's (`testing::compute_prefix_reference`)
+/// for every input.  It builds the flat context and scratch per call;
+/// many-prefix loops build one `FlatSimContext` and converge into leased
+/// scratches (`converge_cold`).
 [[nodiscard]] PrefixRouting compute_prefix(const topo::AsGraph& graph,
                                            const PolicySet& policies,
                                            const Origination& origination,
                                            const FailedEdges* failed,
                                            const PropagationOptions& options = {});
-
-/// The seed per-event fixpoint, kept verbatim as the executable
-/// specification of `compute_prefix`: hash-map state, heap-allocated
-/// candidate routes, one `route_as_received` per neighbor per event.  The
-/// golden equivalence suite (tests/sim/flat_equivalence_test.cc) and the
-/// propagation-throughput benches diff the flat engine against this.
-[[nodiscard]] PrefixRouting compute_prefix_reference(
-    const topo::AsGraph& graph, const PolicySet& policies,
-    const Origination& origination, const FailedEdges* failed,
-    const PropagationOptions& options = {});
-
-/// The reference engine's per-arc route rules (`route_as_received`), used
-/// by `compute_prefix_reference` and the reference recorder `record_prefix`.
-class PropagationEngine {
- public:
-  /// `graph`, `policies` and a non-null `failures` must outlive the
-  /// engine; `failures` nullptr (the default) is a healthy network.
-  PropagationEngine(const topo::AsGraph& graph, const PolicySet& policies,
-                    const FailedEdges* failures = nullptr);
-
-  /// The route `receiver` would hold in its Adj-RIB-In from `sender`, given
-  /// `sender`'s converged best route (nullptr = no route).  Applies
-  /// sender's relationship export rule + export policy + community
-  /// instructions, then receiver's loop check and import policy.  Returns
-  /// nullopt when nothing is announced over that edge.
-  [[nodiscard]] std::optional<bgp::Route> route_as_received(
-      AsNumber sender, const bgp::Route* sender_best,
-      const Origination& origination, AsNumber receiver) const;
-
-  [[nodiscard]] const topo::AsGraph& graph() const { return *graph_; }
-  [[nodiscard]] const PolicySet& policies() const { return *policies_; }
-
- private:
-  // compute_prefix_reference is the out-of-class seed fixpoint; it needs
-  // self_route and the engine's receive path.
-  friend PrefixRouting compute_prefix_reference(const topo::AsGraph&,
-                                                const PolicySet&,
-                                                const Origination&,
-                                                const FailedEdges*,
-                                                const PropagationOptions&);
-
-  /// The self-originated route the origin AS installs.
-  [[nodiscard]] bgp::Route self_route(const Origination& origination) const;
-
-  /// Export-side half of route_as_received: what `sender` puts on the wire
-  /// toward `receiver` (no import transform yet).  `receiver_rel` is what
-  /// the receiver is to the sender — the caller already resolved the
-  /// adjacency once and hands down both perspectives.
-  [[nodiscard]] std::optional<bgp::Route> exported_route(
-      AsNumber sender, const bgp::Route& sender_best,
-      const Origination& origination, AsNumber receiver,
-      RelKind receiver_rel) const;
-
-  const topo::AsGraph* graph_;
-  const PolicySet* policies_;
-  const FailedEdges* failures_;
-};
 
 }  // namespace bgpolicy::sim

@@ -8,54 +8,6 @@
 
 namespace bgpolicy::sim {
 
-namespace {
-
-/// Adds one recorded row.  A table keeps no router id, eBGP flag or IGP
-/// metric, and reports router id = learned_from, eBGP and IGP metric 0 for
-/// every row (bgp/table.h): a recorded row must already carry exactly
-/// those.
-void record(bgp::BgpTable& table, bgp::Route&& route) {
-  if (route.router_id != route.learned_from.value() || !route.from_ebgp ||
-      route.igp_metric != 0) {
-    throw std::logic_error(
-        "recorded row carries a router id, eBGP flag or IGP metric its "
-        "table would not keep");
-  }
-  table.add(std::move(route));
-}
-
-}  // namespace
-
-void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
-                   const VantageSpec& spec, SimResult& result) {
-  const auto& origination = state.origination;
-
-  for (const AsNumber peer : spec.collector_peers) {
-    const bgp::Route* best = state.best_at(peer);
-    if (best == nullptr) continue;
-    bgp::Route row = *best;
-    row.path = best->path.prepend(peer);
-    row.learned_from = peer;
-    row.local_pref = 100;  // LOCAL_PREF is not transmitted over eBGP
-    row.router_id = peer.value();
-    record(result.collector, std::move(row));
-  }
-
-  for (const AsNumber lg : spec.looking_glass) {
-    auto& table = result.looking_glass[lg];
-    for (const auto& n : engine.graph().neighbors(lg)) {
-      auto received =
-          engine.route_as_received(n.as, state.best_at(n.as), origination, lg);
-      if (received) record(table, std::move(*received));
-    }
-  }
-
-  for (const AsNumber as : spec.best_only) {
-    const bgp::Route* best = state.best_at(as);
-    if (best != nullptr) record(result.best_only[as], bgp::Route(*best));
-  }
-}
-
 SimResult init_sim_result(const VantageSpec& spec) {
   SimResult result;
   result.collector = bgp::BgpTable(spec.collector_as);
@@ -85,8 +37,22 @@ void merge_sim_chunk(SimResult& into, SimResult&& chunk) {
 
 namespace {
 
-/// Records one converged origination into `chunk` — what record_prefix
-/// would add, in the same order — straight from the flat state.
+/// Adds one recorded row.  A table keeps no router id, eBGP flag or IGP
+/// metric, and reports router id = learned_from, eBGP and IGP metric 0 for
+/// every row (bgp/table.h): a recorded row must already carry exactly
+/// those.
+void record(bgp::BgpTable& table, bgp::Route&& route) {
+  if (route.router_id != route.learned_from.value() || !route.from_ebgp ||
+      route.igp_metric != 0) {
+    throw std::logic_error(
+        "recorded row carries a router id, eBGP flag or IGP metric its "
+        "table would not keep");
+  }
+  table.add(std::move(route));
+}
+
+/// Records one converged origination into `chunk` — what the reference
+/// recorder would add, in the same order — straight from the flat state.
 void record_rows(const FlatSimContext& context, const Origination& origination,
                  const FixpointStats& stats, const VantageSpec& spec,
                  FlatRoutingState& state, SimResult& chunk) {

@@ -84,10 +84,11 @@ static_assert(util::lists_every_member<SimResult>());
 /// columns, looking-glass rows from the fixpoint's own per-arc offer code
 /// (`flat_adj_rib_in`).  The calling thread merges the ranges in order
 /// (`merge_sim_chunk`), so the output — tables and counters — is
-/// byte-identical for every thread count, and the tables to
-/// `record_prefix` over reference fixpoints.  When `executor` is given it
-/// supplies the (long-lived, shared) worker pool and `options.threads` is
-/// ignored; otherwise a one-shot pool sized from the knob is used.
+/// byte-identical for every thread count, and the tables to the reference
+/// recorder's (tests/testing/propagation_reference.h).  When `executor` is
+/// given it supplies the (long-lived, shared) worker pool and
+/// `options.threads` is ignored; otherwise a one-shot pool sized from the
+/// knob is used.
 [[nodiscard]] SimResult run_simulation(const topo::AsGraph& graph,
                                        const PolicySet& policies,
                                        std::span<const Origination> originations,
@@ -104,14 +105,6 @@ static_assert(util::lists_every_member<SimResult>());
                                        const VantageSpec& spec,
                                        const PropagationOptions& options = {},
                                        const util::Executor* executor = nullptr);
-
-/// The reference recorder: records one converged prefix into the vantage
-/// tables through the reference engine's `route_as_received`.  Nothing in
-/// the library calls it; it is the executable specification that the
-/// equivalence tests and `bench_sim_scaling` compare `run_simulation`'s
-/// tables against.
-void record_prefix(const PropagationEngine& engine, const PrefixRouting& state,
-                   const VantageSpec& spec, SimResult& result);
 
 /// An empty SimResult with every vantage table pre-created (owners set) —
 /// the shared starting state of run_simulation and chunk merging, so

@@ -136,29 +136,6 @@ void ThreadPool::parallel_for(std::size_t n,
   if (batch.error) std::rethrow_exception(batch.error);
 }
 
-void parallel_for(std::size_t threads, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  threads = std::min(resolve_threads(threads), n);  // 0 = hw; no idle workers
-  if (threads <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  ThreadPool pool(threads);
-  pool.parallel_for(n, fn, grain);
-}
-
-void parallel_for(const Executor& executor, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain) {
-  ThreadPool* pool = executor.pool();
-  if (pool == nullptr || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->parallel_for(n, fn, grain);
-}
-
 // -------------------------------------------------------------- task graph --
 
 TaskGraph::NodeId TaskGraph::add_locked(std::function<void()>&& fn,

@@ -93,13 +93,6 @@ class ThreadPool {
   bool stop_ = false;             // guarded by mutex_
 };
 
-/// One-shot convenience: `threads <= 1` runs the loop inline (no pool, no
-/// atomics — byte-for-byte the sequential program); otherwise spins up a
-/// temporary pool.  Prefer a long-lived ThreadPool when calling repeatedly.
-void parallel_for(std::size_t threads, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
-
 /// A long-lived execution context for the shared `threads` knob: resolves
 /// the knob once (0 = hardware concurrency) and — when that leaves more
 /// than one thread — owns a ThreadPool that stays alive across every stage
@@ -108,7 +101,8 @@ void parallel_for(std::size_t threads, std::size_t n,
 /// call site spinning a private pool.
 ///
 /// `threads() == 1` means strictly sequential: `pool()` is nullptr and the
-/// Executor overloads below run inline, byte-for-byte the seed program.
+/// Executor overload of shard_and_merge runs inline, byte-for-byte the
+/// seed program.
 /// The underlying ThreadPool is not reentrant, so never hand an Executor
 /// to work that itself runs *on* that Executor's pool (sweep therefore
 /// forces variant-internal stages to a sequential Executor).
@@ -134,12 +128,6 @@ class Executor {
   std::size_t threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;
 };
-
-/// Runs fn(i) for i in [0, n) on the executor's shared pool (inline when
-/// the executor is sequential or the loop is trivially small).
-void parallel_for(const Executor& executor, std::size_t n,
-                  const std::function<void(std::size_t)>& fn,
-                  std::size_t grain = 1);
 
 /// Batched shard-and-merge, the canonical deterministic-parallel pattern of
 /// the simulation stack: computes `compute(index)` into index-addressed
@@ -173,23 +161,6 @@ void shard_and_merge(ThreadPool* pool, std::size_t n, Compute&& compute,
       for (std::size_t i = 0; i < count; ++i) fill(i);
     }
     for (std::size_t i = 0; i < count; ++i) merge(base + i, slots[i]);
-  }
-}
-
-/// Convenience overload owning a one-shot pool: resolves the `threads` knob
-/// (0 = hardware concurrency), clamps it to the work available, and runs
-/// inline when that leaves a single thread.  Callers that shard repeatedly
-/// should keep a long-lived Executor and use the Executor overload.
-template <typename Compute, typename Merge>
-void shard_and_merge(std::size_t threads, std::size_t n, Compute&& compute,
-                     Merge&& merge) {
-  threads = resolve_threads(threads);
-  if (threads > n) threads = n;
-  if (threads > 1) {
-    ThreadPool pool(threads);
-    shard_and_merge(&pool, n, compute, merge);
-  } else {
-    shard_and_merge(static_cast<ThreadPool*>(nullptr), n, compute, merge);
   }
 }
 

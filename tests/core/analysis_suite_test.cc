@@ -67,19 +67,5 @@ TEST(AnalysisSuite, MatchesDirectPerTableCalls) {
   }
 }
 
-TEST(AnalysisSuite, CanonicalSerializationIsStableAcrossThreadCounts) {
-  const auto& exp = testing::shared_experiment();
-  const auto view = exp.view();
-  const std::vector<AsNumber> vantages = recorded_vantages(exp.sim().sim);
-  const std::string reference =
-      canonical_serialize(run_analysis_suite(view, vantages, 1));
-  ASSERT_FALSE(reference.empty());
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{0}}) {
-    EXPECT_EQ(canonical_serialize(run_analysis_suite(view, vantages, threads)),
-              reference)
-        << "analysis suite differs at threads=" << threads;
-  }
-}
-
 }  // namespace
 }  // namespace bgpolicy::core

@@ -5,31 +5,20 @@
 // computed from the decoded artifact, not from its bytes.  A change to the
 // storage format moves the artifact digests but must leave these pins
 // where they are: they are the "no row changed" check of a format-only
-// change.
-//
-// The determinism contract on the corpus worlds that record a prefix more
-// than once (anycast, hijack) and on two generated worlds: every stage
-// digest at threads {1, 4}, Simulate chunk sizes {0, 1, 7} and with no
-// store, a cold store and a resumed store equals the freestanding stage
-// functions run at threads = 1.  small(7) lists one /20 of AS 1140 three
-// times, so its chunk merges replace rows too.
+// change.  The determinism contract itself is checked in
+// determinism_contract_test.cc.
 #include <algorithm>
-#include <array>
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/analysis_suite.h"
 #include "core/artifact_store.h"
 #include "core/experiment.h"
 #include "core/scenario.h"
-#include "core/scenario_spec.h"
 #include "io/artifact_codec.h"
 #include "testing/fixtures.h"
-#include "testing/scoped_store.h"
 
 namespace bgpolicy::core {
 namespace {
@@ -133,96 +122,6 @@ TEST(ArtifactContent, Internet2002ContentPinned) {
             observation_content_digest(observations));
   EXPECT_EQ(observation_content_digest(observations),
             "20d29c09265e221a28253ecf1cc157dd");
-}
-
-struct World {
-  const char* name;
-  Scenario scenario;
-};
-
-Scenario corpus_world(const char* file) {
-  return ScenarioSpec::parse_file(
-             std::filesystem::path(BGPOLICY_SCENARIO_DIR) / file)
-      .scenario;
-}
-
-std::vector<World> determinism_worlds() {
-  return {{"anycast_catchment.scn", corpus_world("anycast_catchment.scn")},
-          {"hijack_failover.scn", corpus_world("hijack_failover.scn")},
-          {"small.scn", corpus_world("small.scn")},
-          {"small(7)", Scenario::small(7)}};
-}
-
-constexpr std::array<Stage, 5> kStages = {Stage::kSynthesize, Stage::kSimulate,
-                                          Stage::kObserve, Stage::kInfer,
-                                          Stage::kAnalyze};
-using StageDigests = std::array<std::string, 5>;
-
-/// The freestanding stage functions at threads = 1.
-StageDigests freestanding_digests(const Scenario& scenario) {
-  const GroundTruth truth = synthesize(scenario);
-  const SimArtifact sim = simulate(scenario, truth, 1);
-  const Observations observations = observe(scenario, truth, sim, 1);
-  asrel::GaoParams gao;
-  gao.threads = 1;
-  const InferenceProducts inference = infer_relationships(observations, gao);
-  const AnalysisSuite analyses =
-      run_analysis_suite(make_view(sim, observations, inference),
-                         recorded_vantages(sim.sim), 1);
-  return {store_digest_hex(io::encode(truth)),
-          store_digest_hex(io::encode(sim)),
-          store_digest_hex(io::encode(observations)),
-          store_digest_hex(io::encode(inference)),
-          store_digest_hex(io::encode(analyses))};
-}
-
-/// The digests of what an experiment holds, encoded afresh.
-StageDigests encoded_digests(const Experiment& experiment) {
-  return {store_digest_hex(io::encode(experiment.truth())),
-          store_digest_hex(io::encode(experiment.sim())),
-          store_digest_hex(io::encode(experiment.observations())),
-          store_digest_hex(io::encode(experiment.inference())),
-          store_digest_hex(io::encode(experiment.analyses()))};
-}
-
-TEST(ArtifactContent, MultiRecordWorldsDeterministicAcrossRunShapes) {
-  for (const World& world : determinism_worlds()) {
-    SCOPED_TRACE(world.name);
-    const StageDigests expected = freestanding_digests(world.scenario);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      for (const std::size_t chunk : {std::size_t{0}, std::size_t{1},
-                                      std::size_t{7}}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " sim_chunk_prefixes=" + std::to_string(chunk));
-        RunOptions options;
-        options.threads = threads;
-        options.sim_chunk_prefixes = chunk;
-        {
-          SCOPED_TRACE("store=none");
-          Experiment experiment(world.scenario, options);
-          experiment.run();
-          EXPECT_EQ(encoded_digests(experiment), expected);
-        }
-        testing::ScopedStore store;
-        options.store = store.get();
-        for (const bool resumed : {false, true}) {
-          SCOPED_TRACE(resumed ? "store=resumed" : "store=cold");
-          Experiment experiment(world.scenario, options);
-          experiment.run();
-          for (std::size_t s = 0; s < kStages.size(); ++s) {
-            EXPECT_EQ(experiment.stage_digest(kStages[s]), expected[s])
-                << to_string(kStages[s]);
-          }
-          EXPECT_EQ(encoded_digests(experiment), expected);
-          const StageCounters& computed = experiment.counters();
-          const std::size_t stages_computed =
-              computed.synthesize + computed.simulate + computed.observe +
-              computed.infer + computed.analyze;
-          EXPECT_EQ(stages_computed, resumed ? 0u : 5u);
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // The artifact store + resume contract (ISSUE 4): stage artifacts persist
 // across Experiment instances (the cross-process cache, exercised here via
 // fresh in-process experiments over one store), corrupted entries degrade
-// to recomputation with identical products, thread knobs never change
-// cache identity, and a killed-and-restarted sweep recomputes only the
-// missing variants — verified by the stage-run/load ledgers — while
-// producing byte-identical products.
+// to recomputation with identical products, and a killed-and-restarted
+// sweep recomputes only the missing variants — verified by the
+// stage-run/load ledgers — while producing byte-identical products.
+// Resumes at another thread count, and one flipped byte in each stage's
+// entry, are rows of determinism_contract_test.cc.
 //
 // ISSUE 5 extends the contract to chunk granularity and bounded stores: a
 // run killed *mid-Simulate* leaves its finished chunk artifacts behind and
@@ -39,7 +40,6 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "io/artifact_codec.h"
-#include "io/binary_table.h"
 #include "sim/simulation.h"
 #include "testing/scoped_store.h"
 
@@ -362,65 +362,24 @@ const TraceSpan& span_named(const StageTrace& trace, const std::string& name) {
   return *it;
 }
 
-TEST(ArtifactStore, SecondExperimentLoadsEveryStage) {
-  // A no-store run computes the products every stored run must match —
-  // the store never changes bytes, only who computes them.
-  RunOptions plain;
-  plain.threads = 1;
-  Experiment reference(Scenario::small(33), plain);
-  reference.run();
-  const std::string reference_products =
-      products_digest(reference.inference(), reference.analyses());
-
+TEST(ArtifactStore, ResumeGraphDecodesBesideTheObserveProbe) {
   // The resume graph runs the SimArtifact decode beside the Observe probe,
   // so it is checked on a pool as well as in program order.
+  ScopedStore store;
+  RunOptions options;
+  options.threads = 1;
+  options.store = store.get();
+  Experiment(Scenario::small(33), options).run();
   for (const std::size_t threads : {1u, 3u}) {
     SCOPED_TRACE(threads);
-    ScopedStore store;
-    RunOptions options;
-    options.threads = 1;
-    options.store = store.get();
-
-    Experiment first(Scenario::small(33), options);
-    first.run();
-    EXPECT_EQ(first.counters().synthesize, 1u);
-    EXPECT_EQ(first.counters().analyze, 1u);
-    EXPECT_EQ(first.loads().synthesize, 0u);
-    EXPECT_EQ(store->size(), 5u);  // one artifact per stage
-
-    // A fresh experiment over the same store: zero stage executions, five
-    // loads, byte-identical artifacts.
     StageTrace trace;
     RunOptions resume = options;
     resume.threads = threads;
     resume.trace = &trace;
-    Experiment second(Scenario::small(33), resume);
-    second.run();
-    EXPECT_EQ(second.counters().synthesize, 0u);
-    EXPECT_EQ(second.counters().simulate, 0u);
-    EXPECT_EQ(second.counters().observe, 0u);
-    EXPECT_EQ(second.counters().infer, 0u);
-    EXPECT_EQ(second.counters().analyze, 0u);
-    EXPECT_EQ(second.loads().synthesize, 1u);
-    EXPECT_EQ(second.loads().simulate, 1u);
-    EXPECT_EQ(second.loads().observe, 1u);
-    EXPECT_EQ(second.loads().infer, 1u);
-    EXPECT_EQ(second.loads().analyze, 1u);
+    Experiment(Scenario::small(33), resume).run();
 
-    EXPECT_EQ(io::encode(second.truth()), io::encode(first.truth()));
-    EXPECT_EQ(io::encode(second.sim()), io::encode(first.sim()));
-    EXPECT_EQ(io::encode(second.observations()),
-              io::encode(first.observations()));
-    EXPECT_EQ(io::encode(second.inference()), io::encode(first.inference()));
-    EXPECT_EQ(io::encode(second.analyses()), io::encode(first.analyses()));
-    for (const Stage stage : {Stage::kSynthesize, Stage::kSimulate,
-                              Stage::kObserve, Stage::kInfer, Stage::kAnalyze}) {
-      EXPECT_EQ(second.stage_digest(stage), first.stage_digest(stage))
-          << to_string(stage);
-    }
-
-    // The resume graph: one load, then the decode and the Observe probe,
-    // both after it; nothing simulated.
+    // One load, then the decode and the Observe probe, both after it;
+    // nothing simulated.
     EXPECT_EQ(spans_named(trace, "simulate.load"), 1u);
     EXPECT_EQ(spans_named(trace, "simulate.decode"), 1u);
     EXPECT_EQ(spans_named(trace, "observe.probe"), 1u);
@@ -428,32 +387,7 @@ TEST(ArtifactStore, SecondExperimentLoadsEveryStage) {
     const double loaded = span_named(trace, "simulate.load").end_seconds;
     EXPECT_GE(span_named(trace, "simulate.decode").start_seconds, loaded);
     EXPECT_GE(span_named(trace, "observe.probe").start_seconds, loaded);
-
-    EXPECT_EQ(products_digest(first.inference(), first.analyses()),
-              reference_products);
   }
-}
-
-TEST(ArtifactStore, ThreadKnobsShareCacheEntries) {
-  ScopedStore store;
-  RunOptions sequential;
-  sequential.threads = 1;
-  sequential.store = store.get();
-  Experiment first(Scenario::small(12), sequential);
-  first.run(Stage::kInfer);
-  const std::size_t populated = store->size();
-
-  // A different worker count must hit the same keys (thread knobs are
-  // excluded from cache identity) — all loads, no new entries.
-  RunOptions threaded;
-  threaded.threads = 3;
-  threaded.store = store.get();
-  Experiment second(Scenario::small(12), threaded);
-  second.run(Stage::kInfer);
-  EXPECT_EQ(second.counters().simulate, 0u);
-  EXPECT_EQ(second.loads().simulate, 1u);
-  EXPECT_EQ(second.loads().infer, 1u);
-  EXPECT_EQ(store->size(), populated);
 }
 
 TEST(ArtifactStore, CorruptedEntryIsAMissAndHealsItself) {
@@ -714,113 +648,6 @@ TEST(ArtifactStore, UndecodableGroundTruthIsAMissForEveryStage) {
     EXPECT_EQ(third.loads().synthesize, 1u);
     EXPECT_EQ(third.loads().simulate, 1u);
     EXPECT_EQ(third.loads().observe, 1u);
-  }
-}
-
-/// The store file whose bytes decode as a SimArtifact.
-std::filesystem::path sim_entry(const ArtifactStore& store) {
-  for (const auto& entry : std::filesystem::directory_iterator(store.root())) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    const std::vector<std::uint8_t> raw((std::istreambuf_iterator<char>(in)),
-                                        std::istreambuf_iterator<char>());
-    try {
-      (void)io::decode_sim_artifact(raw);
-      return entry.path();
-    } catch (const std::invalid_argument&) {
-    }
-  }
-  return {};
-}
-
-/// Flips one byte of the file at `path`.
-void flip_byte(const std::filesystem::path& path, std::size_t at) {
-  std::vector<std::uint8_t> raw;
-  {
-    std::ifstream in(path, std::ios::binary);
-    raw.assign(std::istreambuf_iterator<char>(in),
-               std::istreambuf_iterator<char>());
-  }
-  ASSERT_LT(at, raw.size());
-  raw[at] ^= 0x21;
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(raw.data()),
-            static_cast<std::streamsize>(raw.size()));
-}
-
-TEST(ArtifactStore, OneFlippedByteIsAMissAtEveryThreadCount) {
-  // One byte flipped in the Observations entry's checksum field, inside
-  // its PathIndex section (the payload's last), or inside the SimArtifact's
-  // last table blob.  The one-pass check rejects each before a payload
-  // byte is parsed: the stage is recomputed with the same digest, so every
-  // downstream stage still loads, and the analyses are the first run's.
-  enum class Damage { kObserveChecksum, kObserveIndex, kSimLastTable };
-  const Scenario scenario = Scenario::small(33);
-  for (const std::size_t threads : {1u, 3u}) {
-    for (const Damage damage : {Damage::kObserveChecksum, Damage::kObserveIndex,
-                                Damage::kSimLastTable}) {
-      SCOPED_TRACE(::testing::Message() << "threads " << threads << ", damage "
-                                        << static_cast<int>(damage));
-      ScopedStore store;
-      RunOptions options;
-      options.threads = 1;
-      options.store = store.get();
-      Experiment first(scenario, options);
-      first.run();
-
-      const bool sim_damaged = damage == Damage::kSimLastTable;
-      const std::filesystem::path entry =
-          sim_damaged ? sim_entry(*store)
-                      : store->path_for(observe_key(
-                            scenario, first.stage_digest(Stage::kSynthesize),
-                            first.stage_digest(Stage::kSimulate)));
-      ASSERT_TRUE(std::filesystem::exists(entry));
-      const std::size_t size = std::filesystem::file_size(entry);
-      std::size_t at = io::kArtifactHeaderBytes - 5;  // the checksum field
-      if (damage == Damage::kObserveIndex) {
-        // The index section: an entry count, then per entry a prefix
-        // (network, length), a u16 hop count and the hops.
-        const PathIndex& index = first.observations().paths;
-        std::size_t section = sizeof(std::uint64_t);
-        for (std::size_t i = 0; i < index.path_count(); ++i) {
-          section += 7 + sizeof(std::uint32_t) * index.path_at(i).size();
-        }
-        at = size - section / 2;
-      } else if (sim_damaged) {
-        // The last blob in stored order ends before the three u64 counters.
-        // Vantage tables are stored in AS order, best-only ones last.
-        const sim::SimResult& result = first.sim().sim;
-        const bgp::BgpTable* last = &result.collector;
-        for (const auto* tables : {&result.looking_glass, &result.best_only}) {
-          const auto highest = std::max_element(
-              tables->begin(), tables->end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-          if (highest != tables->end()) last = &highest->second;
-        }
-        at = size - 3 * sizeof(std::uint64_t) -
-             io::serialize_table(*last).size() / 2;
-      }
-      flip_byte(entry, at);
-
-      RunOptions resume = options;
-      resume.threads = threads;
-      Experiment second(scenario, resume);
-      second.run();
-      EXPECT_EQ(second.counters().simulate, sim_damaged ? 1u : 0u);
-      EXPECT_EQ(second.loads().simulate, sim_damaged ? 0u : 1u);
-      EXPECT_EQ(second.counters().observe, sim_damaged ? 0u : 1u);
-      EXPECT_EQ(second.loads().observe, sim_damaged ? 1u : 0u);
-      EXPECT_EQ(second.loads().synthesize, 1u);
-      EXPECT_EQ(second.loads().infer, 1u);
-      EXPECT_EQ(second.loads().analyze, 1u);
-      for (const Stage stage : {Stage::kSynthesize, Stage::kSimulate,
-                                Stage::kObserve, Stage::kInfer,
-                                Stage::kAnalyze}) {
-        EXPECT_EQ(second.stage_digest(stage), first.stage_digest(stage))
-            << to_string(stage);
-      }
-      EXPECT_EQ(products_digest(second.inference(), second.analyses()),
-                products_digest(first.inference(), first.analyses()));
-    }
   }
 }
 
@@ -1226,15 +1053,6 @@ TEST(SweepResume, KilledSweepResumesAcrossVariantSubsets) {
   // Byte-identical to a sweep that was never killed.
   const SweepReport uninterrupted = sweep(variants, 1);
   EXPECT_EQ(sweep_digest(resumed), sweep_digest(uninterrupted));
-}
-
-TEST(SweepResume, SweepWithStoreIsThreadCountIndependent) {
-  ScopedStore store_a;
-  ScopedStore store_b;
-  const std::vector<SweepVariant> variants = resume_variants();
-  const SweepReport sequential = sweep(variants, 1, store_a.get());
-  const SweepReport sharded = sweep(variants, 4, store_b.get());
-  EXPECT_EQ(sweep_digest(sequential), sweep_digest(sharded));
 }
 
 }  // namespace

@@ -76,20 +76,6 @@ TEST(Pipeline, IrrLookupFindsRegisteredAses) {
   EXPECT_NEAR(coverage, exp.scenario().irr_params.coverage, 0.15);
 }
 
-TEST(Pipeline, DeterministicAcrossRuns) {
-  RunOptions options;
-  options.until = Stage::kInfer;
-  Experiment a(Scenario::small(77), options);
-  Experiment b(Scenario::small(77), options);
-  a.run();
-  b.run();
-  EXPECT_EQ(a.sim().sim.collector.route_count(),
-            b.sim().sim.collector.route_count());
-  EXPECT_EQ(a.inference().inferred.edge_count(),
-            b.inference().inferred.edge_count());
-  EXPECT_EQ(a.observations().irr_text, b.observations().irr_text);
-}
-
 TEST(Pipeline, CommunityVerifiedNeighborsNonEmptyForVerificationAses) {
   const auto& exp = shared_experiment();
   const auto view = exp.view();

@@ -205,7 +205,7 @@ TEST(DeltaEquivalence, ChurnWatchedTablesIdenticalAcrossModesAndThreads) {
   };
 
   const auto cold_reference = run(/*incremental=*/false, /*threads=*/1);
-  for (const int threads : {1, 2, 8}) {
+  for (const int threads : {1, 2, 4, 8}) {
     const auto warm = run(/*incremental=*/true, threads);
     ASSERT_EQ(warm.size(), cold_reference.size());
     for (std::size_t step = 0; step < warm.size(); ++step) {

@@ -17,6 +17,7 @@
 #include "core/experiment.h"
 #include "core/scenario.h"
 #include "testing/fixtures.h"
+#include "testing/propagation_reference.h"
 #include "util/arena.h"
 
 namespace bgpolicy::sim {

@@ -1,6 +1,7 @@
 // The flat engine's golden contract: the flat core in exact order
 // (`converge_exact`) is byte-identical to `compute_prefix_reference` (the
-// seed per-event program, kept verbatim as the executable spec) for every
+// seed per-event program, kept verbatim as the executable spec in
+// tests/testing/propagation_reference.h) for every
 // input — worked-example figures, generated scenarios, failure sets —
 // event for event; the order the static wedgie oracle chooses
 // (`converge_cold`) lands on the same routes; and whole-simulation tables
@@ -25,6 +26,7 @@
 #include "sim/propagation.h"
 #include "sim/simulation.h"
 #include "testing/fixtures.h"
+#include "testing/propagation_reference.h"
 
 namespace bgpolicy::sim {
 namespace {
@@ -244,27 +246,6 @@ TEST(FlatEquivalence, ChosenOrderMatchesExactOrderInternet2002Sample) {
   const auto truth = core::synthesize(scenario);
   EXPECT_GT(expect_orders_agree(truth, scenario.propagation, /*stride=*/13),
             0u);
-}
-
-/// Runs the seed sequential program: reference fixpoints recorded in
-/// origination order — what run_simulation(threads=1) was before the flat
-/// core landed.
-SimResult reference_simulation(const topo::AsGraph& graph,
-                               const PolicySet& policies,
-                               std::span<const Origination> originations,
-                               const VantageSpec& vantage,
-                               const PropagationOptions& options) {
-  const PropagationEngine engine(graph, policies);
-  SimResult result = init_sim_result(vantage);
-  for (const auto& origination : originations) {
-    const PrefixRouting state = compute_prefix_reference(
-        graph, policies, origination, nullptr, options);
-    if (!state.converged) ++result.unconverged_prefixes;
-    result.process_events += state.process_events;
-    record_prefix(engine, state, vantage, result);
-    ++result.origination_count;
-  }
-  return result;
 }
 
 /// Every recorded table, row for row.

@@ -24,6 +24,7 @@
 #include "sim/flat_engine.h"
 #include "sim/propagation.h"
 #include "testing/fixtures.h"
+#include "testing/propagation_reference.h"
 #include "testing/random_world.h"
 
 namespace bgpolicy::sim {
@@ -84,7 +85,8 @@ TEST(OracleFuzz, ChosenOrderMatchesExactOrderOnRandomWorlds) {
         const PrefixRouting exact = testing::compute_prefix_exact(
             context, o, failures, {}, scratch);
         const PrefixRouting reference =
-            compute_prefix_reference(w.graph, w.policies, o, failures);
+            testing::compute_prefix_reference(w.graph, w.policies, o,
+                                              failures);
         check("exact order vs reference, " + where,
               first_difference(exact, reference));
         if (exact.process_events != reference.process_events) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/fixtures.h"
+#include "testing/propagation_reference.h"
 
 namespace bgpolicy::sim {
 namespace {

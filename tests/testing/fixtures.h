@@ -90,9 +90,10 @@ inline sim::PolicySet typical_policies(const topo::AsGraph& graph) {
 
 /// The flat cold fixpoint in exact order (`sim::converge_exact`),
 /// materialized: routes and `process_events` both equal
-/// `sim::compute_prefix_reference`'s.  The cold side of every test that
-/// checks a faster path (the oracle's chosen order, delta waves, what-if),
-/// so the oracle's proof is tested rather than assumed on both sides.
+/// `compute_prefix_reference`'s (propagation_reference.h).  The cold side
+/// of every test that checks a faster path (the oracle's chosen order,
+/// delta waves, what-if), so the oracle's proof is tested rather than
+/// assumed on both sides.
 inline sim::PrefixRouting compute_prefix_exact(
     const sim::FlatSimContext& context, const sim::Origination& origination,
     const sim::FailedEdges* failed, const sim::PropagationOptions& options,

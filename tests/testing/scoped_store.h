@@ -16,12 +16,14 @@ namespace bgpolicy::testing {
 
 class ScopedStore {
  public:
-  ScopedStore() {
+  /// A store in a new directory under `parent`.
+  explicit ScopedStore(const std::filesystem::path& parent =
+                           std::filesystem::temp_directory_path()) {
     // The process id keeps concurrently running test binaries (ctest -j)
     // out of each other's stores; gtest's random seed is 0 unless
     // --gtest_shuffle is on, so it alone does not.
     static int counter = 0;
-    root_ = std::filesystem::temp_directory_path() /
+    root_ = parent /
             ("bgpolicy-store-test-" + std::to_string(::getpid()) + "-" +
              std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
              "-" + std::to_string(counter++));
